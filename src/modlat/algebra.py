@@ -14,7 +14,7 @@ from functools import cached_property
 from math import prod
 
 from .bol import lines_from_joins
-from .lattice import CapExceeded, build_lattice
+from .lattice import CapExceeded, build_lattice, covers_from_below
 from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
 
 ORDER_CAP = 4096
@@ -159,16 +159,10 @@ def subgroup_lattice(G):
     is complete.  Member subgroups are attached as `subgroups`."""
     family = _subgroup_family(G)
     family.sort(key=lambda H: (H.order, H.elements))
-    index = {H: i for i, H in enumerate(family)}
     sets = [set(H.elements) for H in family]
-    covers = []
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if i == j or not a < b:
-                continue
-            if not any(a < c < b for c in sets):
-                covers.append((i, j))
-    L = build_lattice([_gen_name(G, H) for H in family], covers)
+    # sorted by order, so proper subgroups come first
+    below = [[i for i in range(j) if sets[i] < b] for j, b in enumerate(sets)]
+    L = build_lattice([_gen_name(G, H) for H in family], covers_from_below(below))
     L.subgroups = tuple(family)
     return L
 
@@ -178,17 +172,11 @@ def enumeration_input(G):
     join-irreducible subgroups and a base of lines found by join scans."""
     jis = join_irreducible_subgroups(G)
     pos = {H: i for i, H in enumerate(jis)}
-    covers = []
-    for i, a in enumerate(jis):
-        for j, b in enumerate(jis):
-            if i == j or not subgroup_leq(a, b):
-                continue
-            if not any(
-                c not in (a, b) and subgroup_leq(a, c) and subgroup_leq(c, b)
-                for c in jis
-            ):
-                covers.append((i, j))
-    poset = GroundPoset(len(jis), tuple(covers), tuple(_gen_name(G, H) for H in jis))
+    # sorted by order, so proper subgroups come first
+    below = [[i for i in range(j) if subgroup_leq(jis[i], b)] for j, b in enumerate(jis)]
+    poset = GroundPoset(
+        len(jis), tuple(covers_from_below(below)), tuple(_gen_name(G, H) for H in jis)
+    )
     B = lines_from_joins(jis, lambda H, K: join_subgroups(G, H, K))
     lines = [tuple(sorted(pos[H] for H in ln)) for ln in B.lines]
     lines.sort()
@@ -263,14 +251,9 @@ def distributive_lattice(sys):
     from .rebuild import closed_ideals_lattice
 
     jis = distributive_ji(sys)
-    covers = []
-    for i, a in enumerate(jis):
-        for j, b in enumerate(jis):
-            if i == j or not a < b:
-                continue
-            if not any(a < c < b for c in jis):
-                covers.append((i, j))
-    poset = GroundPoset(len(jis), tuple(covers))
+    # sorted by size, so proper subsets come first
+    below = [[i for i in range(j) if jis[i] < b] for j, b in enumerate(jis)]
+    poset = GroundPoset(len(jis), tuple(covers_from_below(below)))
     rows = enumerate_ideals(poset, [])
     members = set()
     for bits in rowset_bitstrings(rows):

@@ -21,7 +21,7 @@ from .lattice import (
     ji_elements,
     require_modular,
 )
-from .pls import Pls, validate_pls
+from .pls import Pls, _pkey, validate_pls
 
 
 class EmptyChoice(LatticeError):
@@ -166,7 +166,7 @@ def lines_from_joins(points, join_oracle):
     point with the same pairwise joins seeds a line, which is then
     extended to a maximal set with all pairwise joins equal to x.  One
     line per join value."""
-    pts = sorted(points, key=lambda p: (p.__class__.__name__, str(p)))
+    pts = sorted(points, key=_pkey)
     done = {}
     for i, p in enumerate(pts):
         for q in pts[i + 1 :]:
@@ -189,7 +189,7 @@ def lines_from_joins(points, join_oracle):
                 if all(join_oracle(r, s) == x for s in line):
                     line.append(r)
             done[x] = frozenset(line)
-    lines = [done[x] for x in sorted(done, key=lambda v: (v.__class__.__name__, str(v)))]
+    lines = [done[x] for x in sorted(done, key=_pkey)]
     pls = validate_pls(pts, lines)
     top_of = {line: x for x, line in done.items()}
     return BaseOfLines(pls, None, top_of, {}, {})
@@ -246,8 +246,8 @@ def localize(B, a, b):
 def bol_to_json(B):
     lines = list(B.lines)
     return {
-        "points": sorted(B.points, key=lambda p: (p.__class__.__name__, str(p))),
-        "lines": [sorted(ln, key=lambda p: (p.__class__.__name__, str(p))) for ln in lines],
+        "points": sorted(B.points, key=_pkey),
+        "lines": [sorted(ln, key=_pkey) for ln in lines],
         "tops": [B.top_of.get(ln) for ln in lines],
         "bottoms": [B.bottom_of.get(ln) for ln in lines],
     }

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .algebra import (
@@ -146,13 +145,7 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
-    corpus = standard_corpus()
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [(name, pool.submit(verdict_suite, L, args.cap)) for name, L in corpus]
-            results = [(name, fut.result()) for name, fut in futures]
-    else:
-        results = [(name, verdict_suite(L, bols_cap=args.cap)) for name, L in corpus]
+    results = [(name, verdict_suite(L, bols_cap=args.cap)) for name, L in standard_corpus()]
     failures = 0
     for name, verdicts in results:
         bad = [v for v in verdicts if not v.passed]
@@ -314,7 +307,6 @@ def _build_parser():
 
     v = sub.add_parser("verify", help="run every check over the stock corpus")
     v.add_argument("--cap", type=int, default=1000)
-    v.add_argument("--jobs", type=int, default=1, help="parallel lattices")
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bol", help="canonical base of lines")

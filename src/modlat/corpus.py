@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .algebra import parse_group, subgroup_lattice
-from .lattice import Lattice, build_lattice
+from .lattice import build_lattice, covers_from_below
 from .pls import validate_pls
 from .rebuild import closed_ideals_lattice
 from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
@@ -108,13 +108,7 @@ def random_poset(rng, max_points=8):
             if rng.random() < 0.3:
                 below[b].add(a)
                 below[b] |= below[a]
-    covers = [
-        (a, b)
-        for b in range(n)
-        for a in below[b]
-        if not any(a in below[c] for c in below[b])
-    ]
-    return GroundPoset(n, covers)
+    return GroundPoset(n, covers_from_below(below))
 
 
 def downset_lattice(poset):

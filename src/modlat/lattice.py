@@ -79,14 +79,7 @@ class Lattice:
             self._upcov[a].append(b)
             self._lowcov[b].append(a)
 
-        topo = self._topo_order()
-        # inclusive up-sets, computed top-down
-        up = [None] * n
-        for v in reversed(topo):
-            s = {v}
-            for w in self._upcov[v]:
-                s |= up[w]
-            up[v] = frozenset(s)
+        topo, up = topological_up_sets(n, covers)
         self._up = up
         down = [set() for _ in range(n)]
         for v in range(n):
@@ -115,20 +108,6 @@ class Lattice:
         self.rank = tuple(self.rank)
         self.bottom = min(range(n), key=lambda v: len(self._down[v]))
         self.top = min(range(n), key=lambda v: len(self._up[v]))
-
-    def _topo_order(self):
-        indeg = [len(self._lowcov[v]) for v in range(self.n)]
-        order = [v for v in range(self.n) if indeg[v] == 0]
-        i = 0
-        while i < len(order):
-            for w in self._upcov[order[i]]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-            i += 1
-        if len(order) != self.n:
-            raise CycleInCovers("cover relation contains a directed cycle")
-        return order
 
     @staticmethod
     def _bound(common, cone, x, y, side):
@@ -212,6 +191,50 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(n={self.n}, covers={len(self.covers)})"
+
+
+def covers_from_below(below):
+    """The sorted cover pairs (a, b) of a strict order on 0..n-1 given as
+    below[b] = the indices strictly below b.  The order must be
+    transitive; a is covered by b when nothing below b lies above a."""
+    masks = [0] * len(below)
+    for b, s in enumerate(below):
+        for a in s:
+            masks[b] |= 1 << a
+    covers = []
+    for b, s in enumerate(below):
+        shadow = 0
+        for c in s:
+            shadow |= masks[c]
+        inner = masks[b] & ~shadow
+        covers.extend((a, b) for a in s if inner >> a & 1)
+    return sorted(covers)
+
+
+def topological_up_sets(n, covers):
+    """A topological order of 0..n-1 under the (lower, upper) pairs in
+    `covers`, and the inclusive up-set of each element as a frozenset.
+    Raises CycleInCovers when the pairs contain a directed cycle."""
+    upcov = [[] for _ in range(n)]
+    indeg = [0] * n
+    for a, b in covers:
+        upcov[a].append(b)
+        indeg[b] += 1
+    order = [v for v in range(n) if indeg[v] == 0]
+    for v in order:
+        for w in upcov[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                order.append(w)
+    if len(order) != n:
+        raise CycleInCovers("cover relation contains a directed cycle")
+    up = [None] * n
+    for v in reversed(order):
+        s = {v}
+        for w in upcov[v]:
+            s |= up[w]
+        up[v] = frozenset(s)
+    return order, up
 
 
 def build_lattice(elements, covers, names=None):
@@ -381,6 +404,8 @@ def lattice_to_json(L):
 
 
 def lattice_from_json(data):
+    if not isinstance(data, dict):
+        raise ValueError("lattice JSON must be an object")
     names = data.get("names")
     covers = data["covers"]
     if names is None:

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bol import canonical_bol
-from .lattice import build_lattice, is_isomorphic, ji_below, ji_elements
+from .lattice import build_lattice, covers_from_below, ji_below, ji_elements
+from .pls import _pkey
 from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
 
 
@@ -21,12 +22,8 @@ class NotAClosureSystem(Exception):
     pass
 
 
-def _skey(x):
-    return (x.__class__.__name__, str(x))
-
-
 def _member_name(s):
-    return "{" + ",".join(str(e) for e in sorted(s, key=_skey)) + "}"
+    return "{" + ",".join(str(e) for e in sorted(s, key=_pkey)) + "}"
 
 
 def closed_ideals_lattice(members):
@@ -47,14 +44,9 @@ def closed_ideals_lattice(members):
                 raise NotAClosureSystem(
                     f"intersection of {_member_name(a)} and {_member_name(b)} is missing"
                 )
-    covers = []
-    for i, a in enumerate(canon):
-        for j, b in enumerate(canon):
-            if a >= b or a == b:
-                continue
-            if a < b and not any(a < c < b for c in canon):
-                covers.append((i, j))
-    L = build_lattice([_member_name(s) for s in canon], covers)
+    # members are sorted by size, so proper subsets come first
+    below = [[i for i in range(j) if canon[i] < b] for j, b in enumerate(canon)]
+    L = build_lattice([_member_name(s) for s in canon], covers_from_below(below))
     L.member_sets = tuple(canon)
     return L
 
@@ -63,35 +55,34 @@ def ji_ground_poset(L):
     """The join-irreducibles of L as a ground poset (their inclusion
     order, transitively reduced), plus the element ids in position order."""
     points = sorted(ji_elements(L))
-    pos = {p: i for i, p in enumerate(points)}
-    covers = []
-    for p in points:
-        for q in points:
-            if p == q or not L.leq(p, q):
-                continue
-            if not any(r != p and r != q and L.leq(p, r) and L.leq(r, q) for r in points):
-                covers.append((pos[p], pos[q]))
-    poset = GroundPoset(len(points), tuple(covers), tuple(L.name(p) for p in points))
+    below = [[i for i, p in enumerate(points) if p != q and L.leq(p, q)] for q in points]
+    poset = GroundPoset(
+        len(points), tuple(covers_from_below(below)), tuple(L.name(p) for p in points)
+    )
     return poset, tuple(points)
 
 
 def roundtrip_check(L):
     """Rebuild L from its join-irreducible poset and canonical base of
-    lines; true when the closed-ideal family matches the ideal map a ->
-    {p <= a} and the rebuilt lattice is isomorphic to L."""
+    lines.  True when the ideal map a -> J(a) = {p join-irreducible,
+    p <= a} is an isomorphism onto the enumerated family: the family is
+    exactly {J(a)} with one member per element, and a <= b holds exactly
+    when J(a) is a subset of J(b)."""
     B = canonical_bol(L)
     poset, points = ji_ground_poset(L)
     pos = {p: i for i, p in enumerate(points)}
     lines = [tuple(sorted(pos[p] for p in ln)) for ln in B.lines]
     rows = enumerate_ideals(poset, lines)
+    # point sets as bit masks over positions
     members = {
-        frozenset(points[i] for i in range(poset.width) if bits[i])
-        for bits in rowset_bitstrings(rows)
+        sum(1 << i for i, bit in enumerate(bits) if bit) for bits in rowset_bitstrings(rows)
     }
-    ideal_map = {frozenset(ji_below(L, a)) for a in range(L.n)}
-    if members != ideal_map or len(members) != L.n:
+    ideal = [sum(1 << pos[p] for p in ji_below(L, a)) for a in range(L.n)]
+    if members != set(ideal) or len(members) != L.n:
         return False
-    return is_isomorphic(L, closed_ideals_lattice(members))
+    return all(
+        L.leq(a, b) == (ideal[a] & ~ideal[b] == 0) for a in range(L.n) for b in range(L.n)
+    )
 
 
 # -- implication view ---------------------------------------------------
@@ -110,7 +101,7 @@ def natural_implication_base(B, poset=None):
     and one {p,q} -> l per unordered pair of a line l.  The point order
     comes from the lattice behind B, or from `poset` (positions resolved
     against sorted points) when B was built externally."""
-    pts = sorted(B.points, key=_skey)
+    pts = sorted(B.points, key=_pkey)
     if poset is not None:
         downs = {
             p: frozenset(pts[q] for q in poset.strict_down[i])
@@ -126,7 +117,7 @@ def natural_implication_base(B, poset=None):
         if downs[p]:
             out.append(Implication(frozenset([p]), downs[p]))
     for ln in B.lines:
-        mem = sorted(ln, key=_skey)
+        mem = sorted(ln, key=_pkey)
         for i, p in enumerate(mem):
             for q in mem[i + 1 :]:
                 out.append(Implication(frozenset([p, q]), frozenset(ln)))
@@ -153,7 +144,7 @@ def implication_base_size(implications):
 
 def implications_to_json(implications):
     return [
-        {"if": sorted(i.premise, key=_skey), "then": sorted(i.conclusion, key=_skey)}
+        {"if": sorted(i.premise, key=_pkey), "then": sorted(i.conclusion, key=_pkey)}
         for i in implications
     ]
 

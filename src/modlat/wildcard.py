@@ -21,9 +21,11 @@ compresses complementary final rows into d groups.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
+
+from .lattice import CycleInCovers, topological_up_sets
 
 FIXED0 = "0"
 FIXED1 = "1"
@@ -425,11 +427,13 @@ def _one_hot_row(row, undet, mem):
 
 @dataclass(frozen=True)
 class GroundPoset:
-    """The point poset lines live on, given by its cover relation."""
+    """The point poset lines live on, given by its cover relation.
+    `strict_up[p]` is derived: the points strictly above p."""
 
     width: int
     covers: tuple
     labels: tuple = None
+    strict_up: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         covers = tuple(sorted((int(a), int(b)) for a, b in self.covers))
@@ -440,40 +444,14 @@ class GroundPoset:
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
             assert len(self.labels) == self.width
-        # reject cycles right away
-        up = [[] for _ in range(self.width)]
-        indeg = [0] * self.width
-        for a, b in covers:
-            up[a].append(b)
-            indeg[b] += 1
-        order = [v for v in range(self.width) if indeg[v] == 0]
-        i = 0
-        while i < len(order):
-            for w in up[order[i]]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-            i += 1
-        if len(order) != self.width:
-            raise ValueError("cover relation contains a cycle")
+        try:
+            _, up = topological_up_sets(self.width, covers)
+        except CycleInCovers:
+            raise ValueError("cover relation contains a cycle") from None
+        object.__setattr__(self, "strict_up", tuple(u - {p} for p, u in enumerate(up)))
 
     def label(self, p):
         return self.labels[p] if self.labels else f"p{p + 1}"
-
-    @cached_property
-    def strict_up(self):
-        up = [set() for _ in range(self.width)]
-        for a, b in self.covers:
-            up[a].add(b)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in self.covers:
-                new = up[b] - up[a]
-                if new:
-                    up[a] |= new
-                    changed = True
-        return tuple(frozenset(s) for s in up)
 
     @cached_property
     def strict_down(self):
@@ -795,6 +773,8 @@ def poset_to_json(poset):
 
 
 def poset_from_json(d):
+    if not isinstance(d, dict):
+        raise ValueError("poset JSON must be an object")
     points = [str(p) for p in d["points"]]
     index = {p: i for i, p in enumerate(points)}
 
@@ -814,8 +794,10 @@ def lines_from_json(d, poset=None):
         index = {lab: i for i, lab in enumerate(poset.labels)}
 
     def resolve(x):
-        if isinstance(x, int):
-            return x
-        return index[str(x)]
+        if not isinstance(x, int):
+            return index[str(x)]
+        if poset is not None and not 0 <= x < poset.width:
+            raise ValueError(f"line point {x} out of range 0..{poset.width - 1}")
+        return x
 
     return [tuple(sorted(resolve(p) for p in line)) for line in raw]

@@ -113,11 +113,6 @@ def test_verify_runs_clean(capsys):
     assert all(line.startswith("ok") for line in lines[:-1])
 
 
-def test_verify_parallel_matches(capsys):
-    assert main(["verify", "--jobs", "4"]) == 0
-    assert capsys.readouterr().out.strip().endswith("33 lattices, 0 failing checks")
-
-
 # -- bases of lines -----------------------------------------------------------
 
 
@@ -254,6 +249,28 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["analyze", "--lattice", str(bad)]) == 2
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flag,content",
+    [
+        ("enumerate", "--lines", {"lines": [[0, 99, 1]]}),
+        ("rebuild", "--lines", {"lines": [[0, 99, 1]]}),
+        ("enumerate", "--lines", [[-1, 0, 1]]),
+        ("rebuild", "--lines", [[-1, 0, 1]]),
+        ("analyze", "--lattice", [[0, 1]]),
+        ("enumerate", "--poset", []),
+    ],
+)
+def test_malformed_input_is_a_usage_error(files, tmp_path, capsys, command, flag, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    argv = [command, flag, str(bad)]
+    if flag == "--lines":
+        argv += ["--poset", files["poset"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "ValueError" in err and "Traceback" not in err
 
 
 def test_bad_group_spec(capsys):

@@ -8,12 +8,14 @@ import pytest
 
 from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice
 from modlat.algebra import parse_group, subgroup_lattice
+from modlat.wildcard import GroundPoset
 from modlat.lattice import (
     CycleInCovers,
     NotALattice,
     NotModular,
     NotTransitivelyReduced,
     build_lattice,
+    covers_from_below,
     is_isomorphic,
     is_modular,
     ji_below,
@@ -28,6 +30,8 @@ from modlat.lattice import (
     require_modular,
     transposes_up,
 )
+
+from oracles import random_poset_covers
 
 
 def pentagon():
@@ -86,6 +90,15 @@ def test_cyclic_covers_rejected():
 def test_transitive_reduction_enforced():
     with pytest.raises(NotTransitivelyReduced):
         build_lattice(["0", "a", "1"], [(0, 1), (1, 2), (0, 2)])
+
+
+def test_covers_from_below_inverts_strict_down():
+    rng = random.Random(11)
+    for width in range(1, 9):
+        for _ in range(30):
+            covers = random_poset_covers(rng, width)
+            poset = GroundPoset(width, tuple(covers))
+            assert covers_from_below(poset.strict_down) == covers
 
 
 # -- join/meet ------------------------------------------------------------

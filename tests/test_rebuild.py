@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from modlat.algebra import parse_group, subgroup_lattice
 from modlat.bol import canonical_bol, lines_from_joins
 from modlat.corpus import (
     boolean_lattice,
@@ -111,7 +112,8 @@ def test_ji_poset_of_m3_is_antichain():
 
 @pytest.mark.parametrize(
     "name,L",
-    standard_corpus(distributive_count=5),
+    standard_corpus(distributive_count=5)
+    + [("L(3,3,3)", subgroup_lattice(parse_group("3,3,3")))],
     ids=lambda v: v if isinstance(v, str) else "",
 )
 def test_roundtrip_over_corpus(name, L):
