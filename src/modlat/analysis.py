@@ -14,6 +14,8 @@ The profile collects
 
 and evaluates the identities and bounds that relate them, each reported
 as a named pass/fail verdict with the concrete numbers filled in.  The
+facts these checks share are computed once per lattice, in an
+`AnalysisContext`.  The
 module also houses the triangle machinery that manufactures a covering
 with a cyclic localization, and the cycles-of-line-tops vocabulary
 (tightly below, tightly comparable, clean cycles).
@@ -22,16 +24,16 @@ with a cyclic localization, and the cycles-of-line-tops vocabulary
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
-from .bol import all_bols, canonical_bol, line_intervals, localize
+from .bol import all_bols, bol_sample, canonical_bol, line_intervals, localize
 from .lattice import (
-    CapExceeded,
     LatticeError,
-    NotModular,
     ji_below,
     ji_between,
     ji_elements,
+    join_irreducibles,
     lower_star,
     projectivity_classes,
     require_modular,
@@ -46,6 +48,94 @@ class ClaimViolated(LatticeError):
 
 class NotALineTop(LatticeError):
     pass
+
+
+# -- analysis context --------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class AnalysisContext:
+    """The facts about one modular lattice that the checks read.
+
+    `sample` holds up to the cap's number of bases of lines and is never
+    empty: when the cap stops the enumeration before its first base it
+    is the canonical base by itself.  `truncated` says whether the cap
+    cut it short.
+    `locally_acyclic` is True for an acyclic lattice, False once a
+    sampled base has a cyclic localization, and None only when the
+    sample was truncated before such a base turned up.
+    """
+
+    lattice: object
+    intervals: tuple
+    base: object
+    j: int
+    delta: int
+    i: int
+    o: int
+    mu: int
+    lower: dict  # join-irreducible p -> p_*
+    class_of: dict  # prime quotient -> index of its projectivity class
+    sample: tuple
+    truncated: bool
+    acyclic: bool
+    locally_acyclic: bool | None
+
+    @cached_property
+    def up_transposes(self):
+        """Per join-irreducible p, the prime quotients (p_*, p) transposes up to."""
+        L = self.lattice
+        return {
+            p: frozenset(c for c in L.covers if transposes_up(L, (low, p), c))
+            for p, low in self.lower.items()
+        }
+
+    def perspective(self, p, q):
+        """Distinct join-irreducibles with a common upper transpose."""
+        up = self.up_transposes
+        return p != q and not up[p].isdisjoint(up[q])
+
+
+def _has_cyclic_localization(B):
+    return any(find_cycle(localize(B, u, v)) is not None for u, v in B.lattice.covers)
+
+
+def analysis_context(L, bols_cap=1000):
+    """Compute every shared fact about `L` once; modularity is required."""
+    require_modular(L)
+    ivs = line_intervals(L)
+    base = canonical_bol(L)
+    sample, truncated = bol_sample(L, bols_cap)
+    sample = tuple(sample) or (base,)  # the cap struck before the first base
+    lower = {ji.elem: ji.lower_star for ji in join_irreducibles(L)}
+    classes = projectivity_classes(L)
+    acyclic = find_cycle(base.pls) is None
+    if acyclic:
+        locally_acyclic = True
+    elif any(_has_cyclic_localization(B) for B in sample):
+        locally_acyclic = False
+    else:
+        locally_acyclic = None if truncated else True
+    return AnalysisContext(
+        lattice=L,
+        intervals=ivs,
+        base=base,
+        j=len(lower),
+        delta=L.height,
+        i=len(ivs),
+        o=max((iv.n - 1 for iv in ivs), default=1),
+        mu=sum(iv.n for iv in ivs),
+        lower=lower,
+        class_of={q: k for k, cls in enumerate(classes) for q in cls},
+        sample=sample,
+        truncated=truncated,
+        acyclic=acyclic,
+        locally_acyclic=locally_acyclic,
+    )
+
+
+def _context(L, bols_cap=1000):
+    return L if isinstance(L, AnalysisContext) else analysis_context(L, bols_cap)
 
 
 # -- parameter profile -------------------------------------------------
@@ -64,6 +154,10 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ParamsReport:
+    """The profile of a lattice; `locally_acyclic` is None only when the
+    bases-of-lines cap cut the sample short before a cyclic localization
+    turned up."""
+
     j: int
     delta: int
     s: int
@@ -86,11 +180,11 @@ def component_count(L, B):
     Cross-computed as the number of projectivity classes met by the
     prime quotients (p_*, p) of join-irreducibles p; the two counts must
     agree, and their common value is the number of congruence-simple
-    factors of the lattice.
+    factors of the lattice.  `L` may be a lattice or its analysis context.
     """
+    ctx = _context(L)
     from_pls = len(components(B.pls))
-    ji_quots = {(lower_star(L, p), p) for p in ji_elements(L)}
-    from_classes = sum(1 for cls in projectivity_classes(L) if cls & ji_quots)
+    from_classes = len({ctx.class_of[(low, p)] for p, low in ctx.lower.items()})
     if from_pls != from_classes:
         raise LatticeError(
             f"component count {from_pls} disagrees with "
@@ -102,38 +196,25 @@ def component_count(L, B):
 def params(L, bols_cap=1000):
     """Profile the lattice; modularity is required.
 
-    `locally_acyclic` is decided by exhausting all bases of lines up to
-    `bols_cap` and is None when the cap is hit.  The verdicts bundle the
-    point-count and interval-bound checks for the canonical base.
+    `locally_acyclic` is read off the same sample of at most `bols_cap`
+    bases of lines that the verdicts use; it is None only when the cap
+    cut that sample short and no sampled base has a cyclic localization.
+    The verdicts bundle the point-count and interval-bound checks for
+    the canonical base.
     """
-    require_modular(L)
-    B = canonical_bol(L)
-    ivs = line_intervals(L)
-    i = len(ivs)
-    o = max((iv.n - 1 for iv in ivs), default=1)
-    mu = sum(iv.n for iv in ivs)
-    j = len(ji_elements(L))
-    delta = L.height
-    s = component_count(L, B)
-    acyclic = find_cycle(B.pls) is None
-    try:
-        loc_acyclic = is_locally_acyclic(L, mode="all-bols-capped", cap=bols_cap)
-    except CapExceeded:
-        loc_acyclic = None
-    verdicts = check_point_count(L, bols_cap=bols_cap) + check_interval_bounds(
-        L, B, acyclic=acyclic, locally_acyclic=loc_acyclic
-    )
+    ctx = analysis_context(L, bols_cap)
+    B = ctx.base
     return ParamsReport(
-        j=j,
-        delta=delta,
-        s=s,
-        i=i,
-        o=o,
-        mu=mu,
+        j=ctx.j,
+        delta=ctx.delta,
+        s=component_count(ctx, B),
+        i=ctx.i,
+        o=ctx.o,
+        mu=ctx.mu,
         rstar_canonical=rstar(B.pls),
-        acyclic=acyclic,
-        locally_acyclic=loc_acyclic,
-        verdicts=verdicts,
+        acyclic=ctx.acyclic,
+        locally_acyclic=ctx.locally_acyclic,
+        verdicts=check_point_count(ctx) + check_interval_bounds(ctx, B),
     )
 
 
@@ -155,35 +236,18 @@ def params_to_json(report):
     }
 
 
-def _bol_sample(L, cap):
-    """Up to `cap` distinct bases of lines plus a truncation flag."""
-    out = []
-    truncated = False
-    try:
-        for B in all_bols(L, cap=cap):
-            out.append(B)
-    except CapExceeded:
-        truncated = True
-    return out, truncated
-
-
 def check_point_count(L, bols_cap=1000):
     """j <= mu - i + s, with equality exactly for acyclic lattices.
 
     Acyclicity of a finite modular lattice does not depend on the chosen
     base of lines, so all sampled bases must agree with the canonical one.
+    `L` may be a lattice or its analysis context.
     """
-    require_modular(L)
-    B = canonical_bol(L)
-    ivs = line_intervals(L)
-    i, mu = len(ivs), sum(iv.n for iv in ivs)
-    j = len(ji_elements(L))
-    s = component_count(L, B)
-    rhs = mu - i + s
-    acyclic = find_cycle(B.pls) is None
-    sample, truncated = _bol_sample(L, bols_cap)
-    agree = all((find_cycle(Bk.pls) is None) == acyclic for Bk in sample)
-    note = f"{len(sample)} bases" + (", truncated" if truncated else "")
+    ctx = _context(L, bols_cap)
+    j, acyclic = ctx.j, ctx.acyclic
+    rhs = ctx.mu - ctx.i + component_count(ctx, ctx.base)
+    agree = all((find_cycle(Bk.pls) is None) == acyclic for Bk in ctx.sample)
+    note = f"{len(ctx.sample)} bases" + (", truncated" if ctx.truncated else "")
     return (
         Verdict("point count bound", j <= rhs, f"j={j} <= mu-i+s={rhs}"),
         Verdict(
@@ -195,104 +259,45 @@ def check_point_count(L, bols_cap=1000):
     )
 
 
-def check_interval_bounds(L, B, acyclic=None, locally_acyclic=None, bols_cap=1000):
+def check_interval_bounds(L, B, bols_cap=1000):
     """Bounds linking i, j, delta, s and the splitting number of B.
 
     Every clause whose hypothesis (o <= 2, acyclic, locally acyclic)
-    holds is evaluated; the rest are skipped.  `acyclic` and
-    `locally_acyclic` may be passed in to avoid recomputation; a None
-    `locally_acyclic` that cannot be decided within `bols_cap` bases
-    skips the clauses that need it.
+    holds is evaluated; the rest are skipped, including the locally
+    acyclic clauses when the cap leaves local acyclicity unknown.  `L`
+    may be a lattice or its analysis context.
     """
-    require_modular(L)
-    ivs = line_intervals(L)
-    i, mu = len(ivs), sum(iv.n for iv in ivs)
-    o = max((iv.n - 1 for iv in ivs), default=1)
-    j = len(ji_elements(L))
-    delta = L.height
-    s = component_count(L, B)
+    ctx = _context(L, bols_cap)
+    i, j, o, delta = ctx.i, ctx.j, ctx.o, ctx.delta
+    s = component_count(ctx, B)
     r = rstar(B.pls)
-    if acyclic is None:
-        acyclic = find_cycle(B.pls) is None
-    if locally_acyclic is None:
-        if acyclic:
-            locally_acyclic = True
-        else:
-            try:
-                locally_acyclic = is_locally_acyclic(
-                    L, mode="all-bols-capped", cap=bols_cap
-                )
-            except CapExceeded:
-                locally_acyclic = None
+    out = []
 
-    out = [
-        Verdict(
-            "interval count lower bound",
-            i >= delta - s,
-            f"i={i} >= delta-s={delta - s}",
-        ),
-        Verdict(
-            "point count lower bound",
-            j >= 2 * delta - s,
-            f"j={j} >= 2delta-s={2 * delta - s}",
-        ),
-    ]
+    def add(name, passed, detail):
+        out.append(Verdict(name, passed, detail))
+
+    add("interval count lower bound", i >= delta - s, f"i={i} >= delta-s={delta - s}")
+    add("point count lower bound", j >= 2 * delta - s,
+        f"j={j} >= 2delta-s={2 * delta - s}")
     if o <= 2:
         mid = 2 * i + s - r
-        out.append(
-            Verdict(
-                "split-adjusted point bound",
-                j >= mid >= 2 * delta - s,
-                f"j={j} >= 2i+s-r*={mid} >= 2delta-s={2 * delta - s}",
-            )
-        )
+        add("split-adjusted point bound", j >= mid >= 2 * delta - s,
+            f"j={j} >= 2i+s-r*={mid} >= 2delta-s={2 * delta - s}")
         lo, hi = 2 * i + s - j, 2 * i + 2 * s - 2 * delta
-        out.append(
-            Verdict(
-                "split count range",
-                lo <= r <= hi,
-                f"{lo} <= r*={r} <= {hi}",
-            )
-        )
-    if locally_acyclic:
-        out.append(
-            Verdict(
-                "locally acyclic interval identity",
-                i == delta - s + r,
-                f"i={i} = delta-s+r*={delta - s + r}",
-            )
-        )
-        out.append(
-            Verdict(
-                "locally acyclic point bound",
-                j >= i + delta,
-                f"j={j} >= i+delta={i + delta}",
-            )
-        )
+        add("split count range", lo <= r <= hi, f"{lo} <= r*={r} <= {hi}")
+    if ctx.locally_acyclic:
+        add("locally acyclic interval identity", i == delta - s + r,
+            f"i={i} = delta-s+r*={delta - s + r}")
+        add("locally acyclic point bound", j >= i + delta,
+            f"j={j} >= i+delta={i + delta}")
         if o <= 2:
-            out.append(
-                Verdict(
-                    "locally acyclic point identity",
-                    j == i + delta,
-                    f"j={j} = i+delta={i + delta}",
-                )
-            )
-    if acyclic:
-        out.append(
-            Verdict(
-                "acyclic interval identity",
-                i == delta - s,
-                f"i={i} = delta-s={delta - s}",
-            )
-        )
+            add("locally acyclic point identity", j == i + delta,
+                f"j={j} = i+delta={i + delta}")
+    if ctx.acyclic:
+        add("acyclic interval identity", i == delta - s, f"i={i} = delta-s={delta - s}")
         if o <= 2:
-            out.append(
-                Verdict(
-                    "acyclic point identity",
-                    j == 2 * delta - s,
-                    f"j={j} = 2delta-s={2 * delta - s}",
-                )
-            )
+            add("acyclic point identity", j == 2 * delta - s,
+                f"j={j} = 2delta-s={2 * delta - s}")
     return tuple(out)
 
 
@@ -310,11 +315,7 @@ def is_locally_acyclic(L, mode="canonical-bol", cap=1000):
         bases = all_bols(L, cap=cap)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for B in bases:
-        for u, v in L.covers:
-            if find_cycle(localize(B, u, v)) is not None:
-                return False
-    return True
+    return not any(_has_cyclic_localization(B) for B in bases)
 
 
 # -- triangle configurations -------------------------------------------
@@ -541,10 +542,13 @@ def is_clean_cycle(L, cycle):
     tops must not be simultaneously mutually comparable and wired to a
     single covering of u's interval; repeated tops are never clean.
     """
+    return _is_clean(L, _top_map(L), cycle)
+
+
+def _is_clean(L, tops, cycle):
     seq = tuple(cycle.tops) if isinstance(cycle, TopCycle) else tuple(cycle)
     if len(seq) < 3:
         raise ValueError("a cycle needs at least three line-tops")
-    tops = _top_map(L)
     for x in seq:
         _require_top(tops, x)
     if len(set(seq)) != len(seq):
@@ -567,31 +571,17 @@ def is_clean_cycle(L, cycle):
 # -- whole-lattice verdict suite ---------------------------------------
 
 
-def _perspective(L, covers, p, q):
-    """Distinct join-irreducibles with a common upper transpose."""
-    pq = (lower_star(L, p), p)
-    qq = (lower_star(L, q), q)
-    return p != q and any(
-        transposes_up(L, pq, c) and transposes_up(L, qq, c) for c in covers
-    )
-
-
-def check_components_match_projectivity(L, B):
+def check_components_match_projectivity(ctx, B):
     """Two points share a base component iff their quotients are projective."""
     comp_of = {}
     for k, comp in enumerate(components(B.pls)):
         for p in comp:
             comp_of[p] = k
-    class_of = {}
-    for k, cls in enumerate(projectivity_classes(L)):
-        for quot in cls:
-            class_of[quot] = k
+    class_of, lower = ctx.class_of, ctx.lower
     pts = sorted(comp_of)
     for p, q in combinations(pts, 2):
         same_comp = comp_of[p] == comp_of[q]
-        same_class = class_of[(lower_star(L, p), p)] == class_of[
-            (lower_star(L, q), q)
-        ]
+        same_class = class_of[(lower[p], p)] == class_of[(lower[q], q)]
         if same_comp != same_class:
             return Verdict(
                 "components match projectivity",
@@ -603,8 +593,9 @@ def check_components_match_projectivity(L, B):
     )
 
 
-def check_localizations_connected(L, B):
+def check_localizations_connected(ctx, B):
     """Every localization of the base is a single component."""
+    L = ctx.lattice
     for u, v in L.covers:
         n = len(components(localize(B, u, v)))
         if n != 1:
@@ -618,28 +609,29 @@ def check_localizations_connected(L, B):
     )
 
 
-def check_line_feet(L, B):
+def check_line_feet(ctx, B):
     """On every line, each point pair is perspective and p_* + q_* is
     the bottom of the line's interval."""
-    covers = L.covers
+    L, lower = ctx.lattice, ctx.lower
     pairs = 0
     for line in B.lines:
         foot = B.bottom_of[line]
         for p, q in combinations(sorted(line), 2):
             pairs += 1
-            if L.join(lower_star(L, p), lower_star(L, q)) != foot:
+            if L.join(lower[p], lower[q]) != foot:
                 return Verdict(
                     "line feet", False, f"p_*+q_* misses the foot for {p},{q}"
                 )
-            if not _perspective(L, covers, p, q):
+            if not ctx.perspective(p, q):
                 return Verdict(
                     "line feet", False, f"{p},{q} on a line but not perspective"
                 )
     return Verdict("line feet", True, f"{pairs} point pairs checked")
 
 
-def check_triangle_tops(L, B):
+def check_triangle_tops(ctx, B):
     """The tops of a three-line cycle are never mutually comparable."""
+    L = ctx.lattice
     lines = list(B.lines)
     tried = 0
     for a, b, c in combinations(lines, 3):
@@ -661,14 +653,13 @@ def check_triangle_tops(L, B):
     return Verdict("triangle tops incomparable", True, f"{tried} triangles")
 
 
-def check_perspective_intervals(L):
+def check_perspective_intervals(ctx):
     """Perspective pairs p, q land in the line interval [p_*+q_*, p+q]."""
-    ivs = {iv.top: iv for iv in line_intervals(L)}
-    covers = L.covers
-    pts = ji_elements(L)
+    L, lower = ctx.lattice, ctx.lower
+    ivs = {iv.top: iv for iv in ctx.intervals}
     tried = 0
-    for p, q in combinations(pts, 2):
-        if not _perspective(L, covers, p, q):
+    for p, q in combinations(lower, 2):
+        if not ctx.perspective(p, q):
             continue
         tried += 1
         top = L.join(p, q)
@@ -676,7 +667,7 @@ def check_perspective_intervals(L):
         msg = None
         if iv is None:
             msg = f"join {top} of {p},{q} is not a line-top"
-        elif iv.bottom != L.join(lower_star(L, p), lower_star(L, q)):
+        elif iv.bottom != L.join(lower[p], lower[q]):
             msg = f"interval at {top} does not start at p_*+q_*"
         elif L.join(iv.bottom, p) not in iv.atoms or L.join(iv.bottom, q) not in iv.atoms:
             msg = f"{p} or {q} misses the middle layer at {top}"
@@ -715,7 +706,8 @@ def check_join_witness(L):
 def check_clean_cycles(L, maxlen=8):
     """A clean cycle of line-tops forces cycles in the bases of lines."""
     cycles = top_cycles(L, maxlen=maxlen)
-    clean = [c for c in cycles if is_clean_cycle(L, c)]
+    tops = _top_map(L)
+    clean = [c for c in cycles if _is_clean(L, tops, c)]
     if not clean:
         return Verdict(
             "clean cycles force base cycles",
@@ -743,46 +735,27 @@ def _merge_runs(runs, note):
 
 def verdict_suite(L, bols_cap=1000, maxlen=8):
     """Every check the module knows, aggregated over sampled bases."""
-    require_modular(L)
-    B = canonical_bol(L)
-    sample, truncated = _bol_sample(L, bols_cap)
-    note = f"{len(sample)} bases" + (" (truncated)" if truncated else "")
-    acyclic = find_cycle(B.pls) is None
-    if acyclic:
-        loc_acyclic = True
-    else:
-        try:
-            loc_acyclic = is_locally_acyclic(L, mode="all-bols-capped", cap=bols_cap)
-        except CapExceeded:
-            loc_acyclic = None
-
-    out = list(check_point_count(L, bols_cap=bols_cap))
-    out += _merge_runs(
-        [
-            check_interval_bounds(
-                L, Bk, acyclic=acyclic, locally_acyclic=loc_acyclic
-            )
-            for Bk in sample
-        ],
-        note,
-    )
-    observed = sorted({rstar(Bk.pls) for Bk in sample})
+    ctx = analysis_context(L, bols_cap)
+    note = f"{len(ctx.sample)} bases" + (" (truncated)" if ctx.truncated else "")
+    out = list(check_point_count(ctx))
+    out += _merge_runs([check_interval_bounds(ctx, Bk) for Bk in ctx.sample], note)
+    observed = sorted({rstar(Bk.pls) for Bk in ctx.sample})
     out.append(
         Verdict("split counts observed", True, f"r* values {observed}; {note}")
     )
     out += _merge_runs(
         [
             (
-                check_components_match_projectivity(L, Bk),
-                check_localizations_connected(L, Bk),
-                check_line_feet(L, Bk),
-                check_triangle_tops(L, Bk),
+                check_components_match_projectivity(ctx, Bk),
+                check_localizations_connected(ctx, Bk),
+                check_line_feet(ctx, Bk),
+                check_triangle_tops(ctx, Bk),
             )
-            for Bk in sample
+            for Bk in ctx.sample
         ],
         note,
     )
-    out.append(check_perspective_intervals(L))
+    out.append(check_perspective_intervals(ctx))
     out.append(check_join_witness(L))
     out.append(check_clean_cycles(L, maxlen=maxlen))
     return tuple(out)

@@ -159,6 +159,18 @@ def all_bols(L, cap=1000):
         yield _assemble(L, list(combo), ivs)
 
 
+def bol_sample(L, cap=1000):
+    """Up to `cap` distinct bases of lines, and whether the cap cut the
+    list short (it may then be empty)."""
+    out = []
+    try:
+        for B in all_bols(L, cap=cap):
+            out.append(B)
+    except CapExceeded:
+        return out, True
+    return out, False
+
+
 def lines_from_joins(points, join_oracle):
     """Build a base of lines from raw points and a join function.
 

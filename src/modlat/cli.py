@@ -29,10 +29,9 @@ from .analysis import (
     triangle_configurations,
     verdict_suite,
 )
-from .bol import all_bols, bol_to_json, canonical_bol, line_intervals, localize
+from .bol import bol_sample, bol_to_json, canonical_bol, line_intervals, localize
 from .corpus import standard_corpus
 from .lattice import (
-    CapExceeded,
     LatticeError,
     ji_elements,
     lattice_from_json,
@@ -160,17 +159,9 @@ def cmd_verify(args):
 def cmd_bol(args):
     L = lattice_from_json(_load(args.lattice))
     if args.all_bols:
-        seen = 0
-        stars = set()
-        truncated = False
-        try:
-            for B in all_bols(L, cap=args.cap):
-                seen += 1
-                stars.add(rstar(B.pls))
-        except CapExceeded:
-            truncated = True
-        note = f"{seen} bases" + (" (truncated)" if truncated else "")
-        print(f"{note}; r* values {sorted(stars)}")
+        sample, truncated = bol_sample(L, args.cap)
+        note = f"{len(sample)} bases" + (" (truncated)" if truncated else "")
+        print(f"{note}; r* values {sorted({rstar(B.pls) for B in sample})}")
         return 0
     B = canonical_bol(L)
     if args.out:

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import modlat.analysis
+import modlat.bol
 from modlat.algebra import parse_group, subgroup_lattice
 from modlat.analysis import (
     ClaimViolated,
@@ -207,6 +209,14 @@ def test_locally_acyclic_cap_is_enforced():
         is_locally_acyclic(seven_point_lattice(), mode="all-bols-capped", cap=2)
 
 
+def test_acyclic_lattice_is_locally_acyclic_under_any_cap():
+    # cap 0 leaves the bases sample truncated, but M3 is acyclic
+    rep = params(m_n(3), bols_cap=0)
+    assert rep.locally_acyclic is True
+    assert "locally acyclic interval identity" in {v.name for v in rep.verdicts}
+    assert rep.ok
+
+
 # -- triangle configurations -------------------------------------------------
 
 
@@ -330,6 +340,37 @@ def test_clean_cycle_verdicts():
 def test_verdict_suite_is_clean_on_the_corpus(name, L):
     for v in verdict_suite(L):
         assert v.passed, str(v)
+
+
+def test_verdict_suite_survives_an_empty_bases_sample():
+    # an interval of Z4 x Z4 has two lines, so cap 1 stops all_bols before
+    # it yields a base; the suite then runs on the canonical base alone
+    verdicts = verdict_suite(z4_squared(), bols_cap=1)
+    assert all(v.passed for v in verdicts), [str(v) for v in verdicts if not v.passed]
+    assert "1 bases (truncated)" in _verdict(verdicts, "split counts observed").detail
+
+
+@pytest.mark.parametrize("run", [params, verdict_suite], ids=["params", "suite"])
+def test_shared_facts_are_computed_once(monkeypatch, run):
+    L = subgroup_lattice(parse_group("2,2,4"))
+    calls = {"all_bols": 0, "projectivity_classes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    all_bols = counted("all_bols", modlat.bol.all_bols)
+    monkeypatch.setattr(modlat.bol, "all_bols", all_bols)
+    monkeypatch.setattr(modlat.analysis, "all_bols", all_bols)
+    monkeypatch.setattr(
+        modlat.analysis,
+        "projectivity_classes",
+        counted("projectivity_classes", modlat.analysis.projectivity_classes),
+    )
+    run(L)
+    assert calls == {"all_bols": 1, "projectivity_classes": 1}
 
 
 def test_verdict_rendering():

@@ -113,6 +113,14 @@ def test_verify_runs_clean(capsys):
     assert all(line.startswith("ok") for line in lines[:-1])
 
 
+def test_verify_with_a_small_cap(capsys):
+    # cap 5 leaves some lattices without a single sampled base
+    assert main(["verify", "--cap", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert out.strip().splitlines()[-1] == "33 lattices, 0 failing checks"
+    assert "Traceback" not in err
+
+
 # -- bases of lines -----------------------------------------------------------
 
 
@@ -131,6 +139,11 @@ def test_bol_all_bases(files, capsys):
 def test_bol_all_bases_truncates(files, capsys):
     assert main(["bol", "--lattice", files["seven"], "--all-bols", "--cap", "2"]) == 0
     assert "(truncated)" in capsys.readouterr().out
+
+
+def test_bol_all_bases_at_cap_zero(files, capsys):
+    assert main(["bol", "--lattice", files["m3"], "--all-bols", "--cap", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "0 bases (truncated); r* values []"
 
 
 def test_bol_out_feeds_rstar(files, capsys, tmp_path):
