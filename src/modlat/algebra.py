@@ -2,7 +2,8 @@
 
 Finite abelian groups are given as products of cyclic groups; their
 subgroup lattices are generated by joining the cyclic subgroups of
-prime-power order (the join-irreducibles).  Set systems generate
+prime-power order (the join-irreducibles), with the group elements
+numbered and each subgroup held as an int mask over the numbers.  Set systems generate
 distributive sublattices of a powerset; their join-irreducibles are the
 minimal generated sets A_v containing each universe element.
 """
@@ -11,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 
 from .bol import lines_from_joins
-from .lattice import CapExceeded, build_lattice, covers_from_below
+from .lattice import CapExceeded, LatticeError, _mask, build_lattice, covers_from_below
 from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
 
 ORDER_CAP = 4096
@@ -95,75 +96,158 @@ def cyclic_subgroup(G, x):
 
 
 def join_subgroups(G, H, K):
-    """The subgroup generated by H and K; sums suffice in abelian groups."""
-    return Subgroup(tuple(sorted({G.add(h, k) for h in H.elements for k in K.elements})))
+    """The subgroup generated by H and K: the union of the cosets H + k for
+    k in K.  A coset is added only for a k not yet covered, so the work is
+    |H + K| additions rather than |H||K|."""
+    span = set(H.elements)
+    for k in K.elements:
+        if k not in span:
+            span.update(G.add(h, k) for h in H.elements)
+    return Subgroup(tuple(sorted(span)))
 
 
 def trivial_subgroup(G):
     return Subgroup((G.zero,))
 
 
-def _is_prime_power(n):
-    if n < 2:
-        return False
+def _prime_base(n):
+    """The prime p when n is a power of p, else None."""
     p = 2
     while p * p <= n:
         if n % p == 0:
             while n % p == 0:
                 n //= p
-            return n == 1
+            return p if n == 1 else None
         p += 1
-    return True  # n itself prime
+    return n if n > 1 else None  # n itself prime
+
+
+class _Numbered:
+    """G with its elements numbered 0..|G|-1 in `G.elements` order, so that
+    0 is the identity and a subgroup is an int mask over the ids.
+
+    `G.elements` is the mixed-radix order of the factors, so id(y + x) is
+    id(y) + id(x), less f * stride for each coordinate of factor f where
+    the digits of y and x add up to f or more."""
+
+    def __init__(self, G):
+        self.G = G
+        self.digits = [[e[c] for e in G.elements] for c in range(len(G.factors))]
+        self.wraps = [f * prod(G.factors[c + 1 :]) for c, f in enumerate(G.factors)]
+
+    def translate(self, ids, x):
+        """The ids of y + x for y with id in `ids`."""
+        out = [y + x for y in ids]
+        for digit, wrap, f, a in zip(self.digits, self.wraps, self.G.factors, self.G.elements[x]):
+            if a:
+                limit = f - a
+                out = [z - wrap if digit[y] >= limit else z for z, y in zip(out, ids)]
+        return out
+
+    def join_cyclic(self, ids, mask, x):
+        """H + <x> as (ids, mask), for H given by its ids (identity first)
+        and mask: H's translates by x, 2x, ... until one lands back in H,
+        which costs |H + <x>| steps.  From H = 0 the ids come in the order
+        0, x, 2x, ..."""
+        out = list(ids)
+        coset = ids
+        while True:
+            coset = self.translate(coset, x)
+            if mask >> coset[0] & 1:  # coset[0] = kx, as ids[0] is 0
+                break
+            out += coset
+        return out, _mask(out)
+
+    def subgroup(self, ids):
+        elements = self.G.elements
+        return Subgroup(tuple(elements[i] for i in sorted(ids)))
+
+    def name(self, ids):
+        """Greedy generators of H: each element, in order, that the span of
+        the earlier ones misses."""
+        gens = []
+        span, span_mask = [0], 1
+        for x in sorted(ids):
+            if not span_mask >> x & 1:
+                gens.append(self.G.elements[x])
+                span, span_mask = self.join_cyclic(span, span_mask, x)
+        if not gens:
+            return "0"
+        return "<" + ",".join(",".join(map(str, g)) for g in gens) + ">"
+
+
+def _cyclic_prime_power(num):
+    """Each nontrivial cyclic subgroup of prime-power order p^k, as the pair
+    (its ids in the order 0, x, 2x, ... for one generator x, p)."""
+    out = []
+    found = bytearray(num.G.order)  # generators of the cyclic subgroups seen
+    for x in range(1, num.G.order):
+        if found[x]:
+            continue
+        ids, _ = num.join_cyclic([0], 1, x)
+        n = len(ids)
+        for k in range(1, n):
+            if gcd(k, n) == 1:
+                found[ids[k]] = 1
+        p = _prime_base(n)
+        if p:
+            out.append((ids, p))
+    return out
 
 
 def join_irreducible_subgroups(G):
     """Nontrivial cyclic subgroups of prime-power order, each of which has
     a unique maximal proper subgroup and is therefore join-irreducible."""
-    seen = set()
-    for x in G.elements:
-        H = cyclic_subgroup(G, x)
-        if _is_prime_power(H.order):
-            seen.add(H)
-    return tuple(sorted(seen, key=subgroup_key))
+    num = _Numbered(G)
+    subs = [num.subgroup(ids) for ids, _ in _cyclic_prime_power(num)]
+    return tuple(sorted(subs, key=subgroup_key))
 
 
-def _subgroup_family(G):
-    jis = join_irreducible_subgroups(G)
-    family = {trivial_subgroup(G)} | set(jis)
-    frontier = list(family)
-    while frontier:
-        H = frontier.pop()
-        for K in list(family):
-            J = join_subgroups(G, H, K)
-            if J not in family:
-                family.add(J)
-                frontier.append(J)
-    return sorted(family, key=subgroup_key)
+def _subgroup_family(num):
+    """Every subgroup of the group, as sorted id lists in `subgroup_key`
+    order, and the cover pairs of their indices.
 
-
-def _gen_name(G, H):
-    gens = []
-    span = trivial_subgroup(G)
-    for x in H.elements:
-        if x not in span:
-            gens.append(x)
-            span = join_subgroups(G, span, cyclic_subgroup(G, x))
-    if not gens:
-        return "0"
-    return "<" + ",".join(",".join(map(str, g)) for g in gens) + ">"
+    K covers H exactly when K = H + <x> for a generator x of a cyclic
+    subgroup of order p^k with x not in H but px in H: K/H has prime
+    order p, and K holds such an x because it is the join of the cyclic
+    prime-power subgroups below it.  So a breadth-first search from the
+    trivial subgroup along these steps finds every subgroup and every
+    cover.  Raises CapExceeded once the family outgrows ORDER_CAP
+    members, which bounds the work as well as the output."""
+    steps = [(ids[1], ids[p % len(ids)]) for ids, p in _cyclic_prime_power(num)]  # (x, px)
+    family = {1: [0]}
+    edges = []
+    queue = [([0], 1)]
+    for ids, mask in queue:  # breadth first, so that the cap strikes early
+        covered = mask  # H and its covers found so far
+        for x, px in steps:
+            # a cover K of H is H + <x> for every x in K but not in H
+            if covered >> x & 1 or not mask >> px & 1:
+                continue
+            J = num.join_cyclic(ids, mask, x)
+            covered |= J[1]
+            edges.append((mask, J[1]))
+            if J[1] not in family:
+                family[J[1]] = J[0]
+                queue.append(J)
+                if len(family) > ORDER_CAP:
+                    raise CapExceeded(f"{num.G} has more than {ORDER_CAP} subgroups")
+    for ids in family.values():
+        ids.sort()
+    # by order, then by member tuples, whose order is that of the sorted ids
+    order = sorted(family, key=lambda m: (len(family[m]), family[m]))
+    index = {m: i for i, m in enumerate(order)}
+    return [family[m] for m in order], sorted((index[a], index[b]) for a, b in edges)
 
 
 def subgroup_lattice(G):
     """The lattice of all subgroups, generated by joins of the cyclic
     prime-power subgroups.  Every subgroup is such a join, so the family
     is complete.  Member subgroups are attached as `subgroups`."""
-    family = _subgroup_family(G)
-    family.sort(key=lambda H: (H.order, H.elements))
-    sets = [set(H.elements) for H in family]
-    # sorted by order, so proper subgroups come first
-    below = [[i for i in range(j) if sets[i] < b] for j, b in enumerate(sets)]
-    L = build_lattice([_gen_name(G, H) for H in family], covers_from_below(below))
-    L.subgroups = tuple(family)
+    num = _Numbered(G)
+    family, covers = _subgroup_family(num)
+    L = build_lattice([num.name(ids) for ids in family], covers)
+    L.subgroups = tuple(num.subgroup(ids) for ids in family)
     return L
 
 
@@ -174,9 +258,10 @@ def enumeration_input(G):
     pos = {H: i for i, H in enumerate(jis)}
     # sorted by order, so proper subgroups come first
     below = [[i for i in range(j) if subgroup_leq(jis[i], b)] for j, b in enumerate(jis)]
-    poset = GroundPoset(
-        len(jis), tuple(covers_from_below(below)), tuple(_gen_name(G, H) for H in jis)
-    )
+    num = _Numbered(G)
+    index = {x: i for i, x in enumerate(G.elements)}
+    names = tuple(num.name([index[x] for x in H.elements]) for H in jis)
+    poset = GroundPoset(len(jis), tuple(covers_from_below(below)), names)
     B = lines_from_joins(jis, lambda H, K: join_subgroups(G, H, K))
     lines = [tuple(sorted(pos[H] for H in ln)) for ln in B.lines]
     lines.sort()
@@ -255,9 +340,11 @@ def distributive_lattice(sys):
     below = [[i for i in range(j) if jis[i] < b] for j, b in enumerate(jis)]
     poset = GroundPoset(len(jis), tuple(covers_from_below(below)))
     rows = enumerate_ideals(poset, [])
-    members = set()
-    for bits in rowset_bitstrings(rows):
-        members.add(frozenset().union(*(jis[i] for i in range(len(jis)) if bits[i])))
-    L = closed_ideals_lattice(members)
-    assert L.n == sum(1 for _ in rowset_bitstrings(rows)), "down-set map must be injective"
+    unions = [
+        frozenset().union(*(jis[i] for i in range(len(jis)) if bits[i]))
+        for bits in rowset_bitstrings(rows)
+    ]
+    L = closed_ideals_lattice(unions)
+    if L.n != len(unions):
+        raise LatticeError(f"{len(unions)} down-sets have only {L.n} distinct unions")
     return L

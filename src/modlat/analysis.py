@@ -349,6 +349,27 @@ def _single_meet(a, b):
     return None
 
 
+def _triangles(lines):
+    """The triangles among `lines`: index triples i < j < k, in
+    lexicographic order, whose lines meet pairwise in single points that
+    are three distinct corners, with the corners (ij, ik, jk).  Each
+    pair's meet is found once."""
+    meets = [{} for _ in lines]  # meets[i][j], j > i: the single common point
+    for i, j in combinations(range(len(lines)), 2):
+        c = _single_meet(lines[i], lines[j])
+        if c is not None:
+            meets[i][j] = c
+    for i, mi in enumerate(meets):
+        later = list(mi)  # ascending, as inserted
+        for a, j in enumerate(later):
+            mj = meets[j]
+            for k in later[a + 1 :]:
+                if k in mj:
+                    corners = (mi[j], mi[k], mj[k])
+                    if len(set(corners)) == 3:
+                        yield i, j, k, corners
+
+
 def triangle_configurations(B):
     """All triangle configurations of the base, in a deterministic order.
 
@@ -358,15 +379,8 @@ def triangle_configurations(B):
     """
     lines = list(B.lines)
     out = []
-    for ia, ib, ic in combinations(range(len(lines)), 3):
+    for ia, ib, ic, corners in _triangles(lines):
         tri = (lines[ia], lines[ib], lines[ic])
-        corners = (
-            _single_meet(tri[0], tri[1]),
-            _single_meet(tri[0], tri[2]),
-            _single_meet(tri[1], tri[2]),
-        )
-        if any(c is None for c in corners) or len(set(corners)) != 3:
-            continue
         corner_set = set(corners)
         for it, transversal in enumerate(lines):
             if it in (ia, ib, ic):
@@ -634,12 +648,9 @@ def check_triangle_tops(ctx, B):
     L = ctx.lattice
     lines = list(B.lines)
     tried = 0
-    for a, b, c in combinations(lines, 3):
-        corners = {_single_meet(a, b), _single_meet(a, c), _single_meet(b, c)}
-        if None in corners or len(corners) != 3:
-            continue
+    for ia, ib, ic, _ in _triangles(lines):
         tried += 1
-        ta, tb, tc = (B.top_of[x] for x in (a, b, c))
+        ta, tb, tc = (B.top_of[lines[x]] for x in (ia, ib, ic))
         if (
             _comparable(L, ta, tb)
             and _comparable(L, ta, tc)

@@ -106,9 +106,10 @@ def extract_line(L, interval, chooser=None):
             raise EmptyChoice(f"chooser returned {p}, not a witness for {a}")
         chosen.append(p)
     line = frozenset(chosen)
-    rejoined = sorted(L.join(interval.bottom, p) for p in chosen)
-    assert len(line) == len(interval.atoms)
-    assert rejoined == sorted(interval.atoms), "witnesses must recover the middle layer"
+    if len(line) != len(interval.atoms):
+        raise LatticeError("two middle elements share a witness")
+    if sorted(L.join(interval.bottom, p) for p in chosen) != sorted(interval.atoms):
+        raise LatticeError("the witnesses do not recover the middle layer")
     return line
 
 
@@ -246,7 +247,8 @@ def localize(B, a, b):
     trimmed = []
     for ln in qualifying_lines(B, a, b):
         rest = ln & pts
-        assert len(rest) == len(ln) - 1, "a qualifying line must lose exactly one point"
+        if len(rest) != len(ln) - 1:
+            raise LatticeError(f"a qualifying line loses {len(ln) - len(rest)} points, not one")
         if rest not in trimmed:
             trimmed.append(rest)
     return validate_pls(pts, trimmed)

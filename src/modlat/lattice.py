@@ -3,8 +3,10 @@
 A lattice is built from its cover relation on dense integer element ids
 0..n-1.  The full order, join/meet tables and ranks are derived and cached
 at construction time; instances are immutable afterwards and safe to share
-between threads.  Everything here targets desk scale (a few hundred
-elements) and favours clarity over asymptotics.
+between threads.  The join of x and y is the element whose up-set is
+up(x) & up(y), found by one dict lookup on int masks of the up-sets (and
+dually for meets); a pair with no such element has no least bound.
+Everything here targets desk scale (a few hundred elements).
 """
 
 from __future__ import annotations
@@ -86,20 +88,27 @@ class Lattice:
             for w in up[v]:
                 down[w].add(v)
         self._down = [frozenset(s) for s in down]
+        upm = [_mask(s) for s in self._up]
+        downm = [_mask(s) for s in down]
 
         for a, b in covers:
             # a shortcut through a third element means (a,b) is redundant
-            if len(self._up[a] & self._down[b]) > 2:
+            if (upm[a] & downm[b]).bit_count() > 2:
                 raise NotTransitivelyReduced(f"cover ({a},{b}) is implied")
 
-        self._join = [[0] * n for _ in range(n)]
-        self._meet = [[0] * n for _ in range(n)]
+        # x + y is the element whose up-set is up(x) & up(y); dually for meets
+        by_up = {m: v for v, m in enumerate(upm)}
+        by_down = {m: v for v, m in enumerate(downm)}
+        self._join = [[by_up.get(ux & u) for u in upm] for ux in upm]
+        self._meet = [[by_down.get(dx & d) for d in downm] for dx in downm]
         for x in range(n):
-            for y in range(x, n):
-                j = self._bound(self._up[x] & self._up[y], self._up, x, y, "upper")
-                m = self._bound(self._down[x] & self._down[y], self._down, x, y, "lower")
-                self._join[x][y] = self._join[y][x] = j
-                self._meet[x][y] = self._meet[y][x] = m
+            jx, mx = self._join[x], self._meet[x]
+            if None in jx or None in mx:
+                # report the first pair (x, y), y >= x, in row order
+                for y in range(x, n):
+                    if jx[y] is None or mx[y] is None:
+                        side = "upper" if jx[y] is None else "lower"
+                        raise NotALattice(f"elements {x},{y} have no least {side} bound")
 
         self.rank = [0] * n
         for v in topo:
@@ -108,13 +117,6 @@ class Lattice:
         self.rank = tuple(self.rank)
         self.bottom = min(range(n), key=lambda v: len(self._down[v]))
         self.top = min(range(n), key=lambda v: len(self._up[v]))
-
-    @staticmethod
-    def _bound(common, cone, x, y, side):
-        for u in common:
-            if all(v in cone[u] for v in common):
-                return u
-        raise NotALattice(f"elements {x},{y} have no least {side} bound")
 
     # -- basic queries ------------------------------------------------
 
@@ -193,14 +195,18 @@ class Lattice:
         return f"Lattice(n={self.n}, covers={len(self.covers)})"
 
 
+def _mask(ids):
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
+
+
 def covers_from_below(below):
     """The sorted cover pairs (a, b) of a strict order on 0..n-1 given as
     below[b] = the indices strictly below b.  The order must be
     transitive; a is covered by b when nothing below b lies above a."""
-    masks = [0] * len(below)
-    for b, s in enumerate(below):
-        for a in s:
-            masks[b] |= 1 << a
+    masks = [_mask(s) for s in below]
     covers = []
     for b, s in enumerate(below):
         shadow = 0

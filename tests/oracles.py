@@ -5,6 +5,7 @@ with the modules under test."""
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import gcd
 
 from modlat.pls import validate_pls
 from modlat.wildcard import FIXED0, FIXED1, FREE, GroupSpec, make_row
@@ -172,7 +173,9 @@ def min_splittings(P, limit):
 
 
 def brute_subgroups(factors):
-    """Every subgroup of Z_f1 x ... x Z_fk, as frozensets of tuples."""
+    """Every subgroup of Z_f1 x ... x Z_fk, as frozensets of tuples: the
+    trivial subgroup closed under adding any one element to the
+    generators of a known subgroup."""
     factors = tuple(factors)
     elems = list(product(*[range(n) for n in factors]))
     zero = tuple(0 for _ in factors)
@@ -181,30 +184,80 @@ def brute_subgroups(factors):
         return tuple((a + b) % n for a, b, n in zip(x, y, factors))
 
     def closure(gens):
-        seen = {zero} | set(gens)
-        frontier = list(seen)
+        # in a finite group the sums of generators already form a subgroup
+        seen = {zero}
+        frontier = [zero]
         while frontier:
             x = frontier.pop()
-            for y in list(seen):
-                z = add(x, y)
+            for g in gens:
+                z = add(x, g)
                 if z not in seen:
                     seen.add(z)
                     frontier.append(z)
         return frozenset(seen)
 
     trivial = closure([])
-    subs = {trivial}
+    subs = {trivial: ()}
     frontier = [trivial]
     while frontier:
         H = frontier.pop()
         for g in elems:
             if g in H:
                 continue
-            K = closure(set(H) | {g})
+            gens = subs[H] + (g,)
+            K = closure(gens)
             if K not in subs:
-                subs.add(K)
+                subs[K] = gens
                 frontier.append(K)
-    return subs
+    return set(subs)
+
+
+def gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of GF(q)^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def elementary_abelian_subgroup_count(p, n):
+    """Subgroups of Z_p^n: the subspaces of GF(p)^n."""
+    return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+
+
+def rank_two_subgroup_count(m, n):
+    """Subgroups of Z_m x Z_n: the sum of gcd(a, b) over the divisors a of m
+    and b of n (Hampejs, Holighaus, Toth and Wiesmeyr)."""
+    return sum(
+        gcd(a, b)
+        for a in range(1, m + 1)
+        if m % a == 0
+        for b in range(1, n + 1)
+        if n % b == 0
+    )
+
+
+def order_relation(n, covers):
+    """leq[a][b] for the reflexive-transitive closure of the cover pairs."""
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in covers:
+        leq[a][b] = True
+    for k in range(n):
+        for a in range(n):
+            if leq[a][k]:
+                for b in range(n):
+                    if leq[k][b]:
+                        leq[a][b] = True
+    return leq
+
+
+def least_upper_bound(leq, x, y):
+    """The least common upper bound of x and y, or None."""
+    n = len(leq)
+    uppers = [z for z in range(n) if leq[x][z] and leq[y][z]]
+    least = [z for z in uppers if all(leq[z][w] for w in uppers)]
+    return least[0] if least else None
 
 
 # -- set systems ----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from modlat.algebra import (
     Group,
     SetSystem,
+    Subgroup,
     cyclic_subgroup,
     distributive_ji,
     distributive_lattice,
@@ -23,8 +24,10 @@ from modlat.lattice import CapExceeded, build_lattice, is_isomorphic, is_modular
 from modlat.wildcard import enumerate_ideals, total_count
 from oracles import (
     brute_subgroups,
+    elementary_abelian_subgroup_count,
     family_join_irreducibles,
     inclusion_lattice,
+    rank_two_subgroup_count,
     union_intersection_closure,
 )
 
@@ -35,6 +38,12 @@ EXPECTED_SUBGROUP_COUNTS = {
     "8": 4,
     "3,3": 6,
     "2,2,4": 27,
+    "2,2,2,2": 67,
+    "3,3,3": 28,
+    "8,8": 37,
+    "2,4,8": 81,
+    "2,6": 10,
+    "6,6": 30,
 }
 
 
@@ -119,7 +128,7 @@ def test_join_irreducible_subgroups_match_lattice(spec):
 # -- subgroup lattices -------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", CORPUS_GROUPS)
+@pytest.mark.parametrize("spec", EXPECTED_SUBGROUP_COUNTS)
 def test_subgroup_lattice_against_brute_force(spec):
     G = parse_group(spec)
     L = subgroup_lattice(G)
@@ -128,7 +137,34 @@ def test_subgroup_lattice_against_brute_force(spec):
     assert {frozenset(H.elements) for H in L.subgroups} == brute
 
 
-@pytest.mark.parametrize("spec", CORPUS_GROUPS)
+# spec -> (count, the count from a formula: Gaussian binomials for Z_p^n,
+# the gcd sum for Z_m x Z_n); brute force is too slow for these
+SUBGROUP_COUNT_ORACLES = {
+    "2,2,2,2,2": (374, elementary_abelian_subgroup_count(2, 5)),
+    "5,5,5": (64, elementary_abelian_subgroup_count(5, 3)),
+    "16,16": (83, rank_two_subgroup_count(16, 16)),
+    "32,32": (177, rank_two_subgroup_count(32, 32)),
+}
+
+
+@pytest.mark.parametrize("spec", SUBGROUP_COUNT_ORACLES)
+def test_subgroup_counts(spec):
+    count, oracle = SUBGROUP_COUNT_ORACLES[spec]
+    assert count == oracle == subgroup_lattice(parse_group(spec)).n
+
+
+def test_join_subgroups_is_the_least_common_supergroup():
+    for spec in ("2,4", "3,3", "2,2,4"):
+        G = parse_group(spec)
+        subs = brute_subgroups(G.factors)
+        members = [Subgroup(tuple(sorted(H))) for H in subs]
+        for H in members:
+            for K in members:
+                above = [S for S in subs if set(H.elements) | set(K.elements) <= S]
+                assert set(join_subgroups(G, H, K).elements) == min(above, key=len)
+
+
+@pytest.mark.parametrize("spec", EXPECTED_SUBGROUP_COUNTS)
 def test_subgroup_lattice_structure(spec):
     G = parse_group(spec)
     L = subgroup_lattice(G)

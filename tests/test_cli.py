@@ -213,6 +213,13 @@ def test_subgroup_lattice_dot(capsys):
     assert capsys.readouterr().out.startswith("digraph")
 
 
+def test_subgroup_lattice_caps_the_work(capsys):
+    # |G| = 256 passes the order cap, but Z2^8 has 417199 subgroups
+    assert main(["subgroup-lattice", "--group", "2,2,2,2,2,2,2,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CapExceeded: ") and len(err.strip().splitlines()) == 1
+
+
 def test_distributive_command(files, capsys):
     assert main(["distributive", "--sets", files["sets"]]) == 0
     assert capsys.readouterr().out.strip() == "3 generators, 3 join-irreducibles, 8 elements"

@@ -31,7 +31,7 @@ from modlat.lattice import (
     transposes_up,
 )
 
-from oracles import random_poset_covers
+from oracles import least_upper_bound, order_relation, random_poset_covers
 
 
 def pentagon():
@@ -102,6 +102,49 @@ def test_covers_from_below_inverts_strict_down():
 
 
 # -- join/meet ------------------------------------------------------------
+
+
+def _bounded(rng, width):
+    """A random poset on 0..width-1, maybe with a bottom and a top adjoined,
+    so that some of the results are lattices; returns (n, covers)."""
+    covers = random_poset_covers(rng, width)
+    n = width
+    if rng.random() < 0.8:
+        lows = {b for _, b in covers}
+        covers += [(n, m) for m in range(width) if m not in lows]
+        n += 1
+    if rng.random() < 0.8:
+        highs = {a for a, _ in covers}
+        covers += [(m, n) for m in range(n) if m not in highs]
+        n += 1
+    return n, covers
+
+
+def test_join_meet_against_brute_force_on_random_posets():
+    rng = random.Random(4)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n, covers = _bounded(rng, rng.randint(1, 7))
+        leq = order_relation(n, covers)
+        geq = [[leq[b][a] for b in range(n)] for a in range(n)]
+        joins = [[least_upper_bound(leq, x, y) for y in range(n)] for x in range(n)]
+        meets = [[least_upper_bound(geq, x, y) for y in range(n)] for x in range(n)]
+        missing = [
+            (x, y, "upper" if joins[x][y] is None else "lower")
+            for x in range(n)
+            for y in range(x, n)
+            if joins[x][y] is None or meets[x][y] is None
+        ]
+        seen[not missing] += 1
+        if missing:
+            x, y, side = missing[0]
+            with pytest.raises(NotALattice, match=f"^elements {x},{y} have no least {side} bound$"):
+                build_lattice(n, covers)
+            continue
+        L = build_lattice(n, covers)
+        assert [[L.join(x, y) for y in range(n)] for x in range(n)] == joins
+        assert [[L.meet(x, y) for y in range(n)] for x in range(n)] == meets
+    assert min(seen.values()) >= 50, seen
 
 
 def test_m3_joins_and_meets():
