@@ -290,11 +290,13 @@ class SetSystem:
 
 
 def parse_set_system(text, universe=None):
-    """0/1 matrix, one row per set, columns in universe order."""
+    """0/1 matrix, one row per set, columns in universe order.  Whitespace
+    between the cells is ignored; any other character is an error."""
     rows = []
-    for line in text.splitlines():
-        bits = line.split() if " " in line.strip() else list(line.strip())
-        bits = [b for b in bits if b in "01"]
+    for k, line in enumerate(text.splitlines(), 1):
+        bits = "".join(line.split())
+        if bits.strip("01"):
+            raise ValueError(f"line {k} holds characters other than 0, 1 and whitespace")
         if bits:
             rows.append([int(b) for b in bits])
     if not rows:

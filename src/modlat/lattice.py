@@ -412,12 +412,20 @@ def lattice_to_json(L):
 def lattice_from_json(data):
     if not isinstance(data, dict):
         raise ValueError("lattice JSON must be an object")
-    names = data.get("names")
-    covers = data["covers"]
-    if names is None:
-        n = 1 + max((max(a, b) for a, b in covers), default=0)
-        return Lattice(n, covers)
-    return Lattice(len(names), covers, names)
+    names, covers = data.get("names"), data["covers"]
+    if not isinstance(names, (list, type(None))) or not isinstance(covers, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(isinstance(v, int) for v in c) for c in covers
+    ):
+        raise ValueError("'names' must be a list and 'covers' a list of [lower, upper] pairs")
+    if names is not None:
+        return Lattice(len(names), covers, names)
+    ids = {v for c in covers for v in c}
+    n = 1 + max(ids, default=0)
+    if n > 1 and len(ids) < n:
+        # in a lattice of two or more elements every element lies on a cover
+        gap = next(v for v in range(n) if v not in ids)
+        raise NotALattice(f"element {gap} lies on no cover")
+    return Lattice(n, covers)
 
 
 def lattice_to_dot(L, graph_name="lattice"):

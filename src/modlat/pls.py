@@ -244,4 +244,10 @@ def pls_to_json(P):
 
 
 def pls_from_json(d):
-    return validate_pls(d["points"], [frozenset(l) for l in d["lines"]])
+    def ids(x):
+        return isinstance(x, list) and all(isinstance(p, (int, str)) for p in x)
+
+    lines = d.get("lines") if isinstance(d, dict) else None
+    if not (isinstance(lines, list) and ids(d.get("points")) and all(map(ids, lines))):
+        raise ValueError("point-line JSON must be an object of 'points' and 'lines' lists")
+    return validate_pls(d["points"], [frozenset(l) for l in lines])

@@ -14,14 +14,14 @@ as imp groups; line constraints ("at most one 1 on these positions, or all
 1") are imposed on existing rows by `impose_line`, which splits a row into
 at most lambda+2 pairwise disjoint rows when the line meets no group and
 stays close to that bound otherwise.  `enumerate_ideals` drives a LIFO
-stack of rows, each carrying the list of lines still pending, and
-compresses complementary final rows into d groups.
+stack of (row, index of the next line to impose) entries and compresses
+complementary final rows into d groups.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -56,15 +56,13 @@ class GroupSpec:
     conclusion: tuple = ()
 
     def __post_init__(self):
-        assert self.kind in ("imp", "d", "eps", "g", "ell"), self.kind
+        m, prem, conc = self.members, self.premise, self.conclusion
         if self.kind == "imp":
-            assert self.premise and self.conclusion
-            assert not set(self.premise) & set(self.conclusion)
-            assert tuple(sorted(self.premise + self.conclusion)) == self.members
+            ok = prem and conc and not set(prem) & set(conc) and tuple(sorted(prem + conc)) == m
         else:
-            assert not self.premise and not self.conclusion
-            assert len(self.members) >= 2
-        assert self.members == tuple(sorted(self.members))
+            ok = self.kind in ("d", "eps", "g", "ell") and not prem and not conc and len(m) >= 2
+        if not ok or m != tuple(sorted(set(m))):
+            raise WildcardError(f"malformed group {self}")
 
     def count(self):
         lam = len(self.members)
@@ -119,44 +117,38 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class Row:
-    """A compressed set of bitstrings plus the lines still to impose."""
+    """A compressed set of bitstrings."""
 
     width: int
     cells: tuple
     groups: tuple = ()
-    pending: tuple = ()
-
-    def cell(self, p):
-        return self.cells[p]
 
     def same_content(self, other):
         return self.cells == other.cells and self.groups == other.groups
 
 
-def make_row(width, cells, groups=(), pending=()):
+def make_row(width, cells, groups=()):
     """Normalize and sanity-check a row; groups are renumbered by their
-    smallest member so equal contents compare equal."""
-    cells = list(cells)
-    assert len(cells) == width
+    smallest member so equal contents compare equal.  Raises WildcardError
+    on a row that is not well formed."""
+    if len(cells) != width:
+        raise WildcardError(f"row has {len(cells)} cells, width {width}")
     order = sorted(range(len(groups)), key=lambda i: groups[i].members[0])
     remap = {old: new for new, old in enumerate(order)}
-    out_cells = []
-    for c in cells:
-        if c in (FIXED0, FIXED1, FREE):
-            out_cells.append(c)
-        else:
-            out_cells.append(remap[c])
+    # an unknown symbol or group id maps to None, which no check below accepts
+    out_cells = tuple(c if c in (FIXED0, FIXED1, FREE) else remap.get(c) for c in cells)
     out_groups = tuple(groups[i] for i in order)
     for gid, spec in enumerate(out_groups):
         for p in spec.members:
-            assert out_cells[p] == gid, f"cell {p} does not point at group {gid}"
-    referenced = {c for c in out_cells if not isinstance(c, str)}
-    assert referenced == set(range(len(out_groups)))
-    return Row(width, tuple(out_cells), out_groups, tuple(pending))
+            if not 0 <= p < width or out_cells[p] != gid:
+                raise WildcardError(f"cell {p} does not point at group {gid}")
+    if sum(not isinstance(c, str) for c in out_cells) != sum(len(g.members) for g in out_groups):
+        raise WildcardError("a cell points at a group it is no member of")
+    return Row(width, out_cells, out_groups)
 
 
-def all_free_row(width, pending=()):
-    return Row(width, (FREE,) * width, (), tuple(pending))
+def all_free_row(width):
+    return Row(width, (FREE,) * width)
 
 
 def row_count(row):
@@ -302,7 +294,7 @@ def force(row, assignments):
     keys = sorted(groups)
     renum = {k: i for i, k in enumerate(keys)}
     cells = [renum[c] if isinstance(c, int) else c for c in cells]
-    return make_row(row.width, cells, tuple(groups[k] for k in keys), row.pending)
+    return make_row(row.width, cells, tuple(groups[k] for k in keys))
 
 
 def with_group(row, kind, positions, premise=(), conclusion=()):
@@ -314,7 +306,7 @@ def with_group(row, kind, positions, premise=(), conclusion=()):
     for p in positions:
         cells[p] = gid
     spec = GroupSpec(kind, positions, tuple(sorted(premise)), tuple(sorted(conclusion)))
-    return make_row(row.width, cells, row.groups + (spec,), row.pending)
+    return make_row(row.width, cells, row.groups + (spec,))
 
 
 def _retype_to_g(row, members):
@@ -329,7 +321,7 @@ def _retype_to_g(row, members):
         else:
             groups.append(spec)
     assert hit
-    return make_row(row.width, row.cells, tuple(groups), row.pending)
+    return make_row(row.width, row.cells, tuple(groups))
 
 
 # -- line imposition ---------------------------------------------------
@@ -443,7 +435,8 @@ class GroundPoset:
                 raise ValueError(f"bad cover ({a},{b})")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-            assert len(self.labels) == self.width
+            if len(self.labels) != self.width:
+                raise ValueError(f"{len(self.labels)} labels for {self.width} points")
         try:
             _, up = topological_up_sets(self.width, covers)
         except CycleInCovers:
@@ -543,54 +536,44 @@ def _try_merge(a, b):
     """Merge rows differing only on a block where one is all-0 and the
     other all-1 (block of length 1 becomes a free cell, longer ones a d
     group).  Returns the merged row or None."""
-    if a.width != b.width or a.groups != b.groups or a.pending != b.pending:
+    if a.groups != b.groups:
         return None
     diff = [p for p in range(a.width) if a.cells[p] != b.cells[p]]
-    if not diff:
-        return None
     lo = {a.cells[p] for p in diff}
     hi = {b.cells[p] for p in diff}
-    if not (lo <= {FIXED0, FIXED1} and hi <= {FIXED0, FIXED1}):
-        return None
-    if len(lo) != 1 or len(hi) != 1:
+    if len(lo) != 1 or len(hi) != 1 or lo | hi != {FIXED0, FIXED1}:
         return None
     cells = list(a.cells)
     if len(diff) == 1:
         cells[diff[0]] = FREE
-        return make_row(a.width, cells, a.groups, a.pending)
+        return make_row(a.width, cells, a.groups)
     gid = len(a.groups)
     for p in diff:
         cells[p] = gid
-    return make_row(
-        a.width, cells, a.groups + (GroupSpec("d", tuple(diff)),), a.pending
-    )
+    return make_row(a.width, cells, a.groups + (GroupSpec("d", tuple(diff)),))
 
 
 def enumerate_ideals(poset, lines):
     """All order ideals closed under the line constraints, as a RowSet.
 
-    Lines are imposed LIFO: the top row of the working stack gets its next
-    pending line; exhausted rows land in the final store, where rows
-    differing by one complementary 0/1 block are compressed into d rows.
+    Lines are imposed LIFO and in input order: the working stack holds
+    (row, k, label) entries, where k is the index of the next line to
+    impose, and the top entry gets line k.  A row with every line imposed
+    is final and lands in the store, where rows differing by one
+    complementary 0/1 block are compressed into d rows.  A split's parts
+    get fresh labels; a row an imposition leaves unchanged keeps its own.
     """
     line_sets = [tuple(sorted(set(int(p) for p in line))) for line in lines]
     seeds = seed_order_ideals(poset)
     counter = len(seeds.rows)
-    all_pending = tuple(range(len(line_sets)))
-    stack = [
-        (replace(row, pending=all_pending), lab)
-        for row, lab in zip(seeds.rows, seeds.labels)
-    ]
+    stack = [(row, 0, lab) for row, lab in zip(seeds.rows, seeds.labels)]
     stack.reverse()
     finals, flabels, fprov = [], [], []
 
     def store(row, label, why):
-        row = replace(row, pending=())
         i = 0
         while i < len(finals):
-            merged = _try_merge(finals[i], row)
-            if merged is None:
-                merged = _try_merge(row, finals[i])
+            merged = _try_merge(finals[i], row)  # symmetric in its arguments
             if merged is not None:
                 why = f"merge({flabels[i]},{label})"
                 del finals[i], flabels[i], fprov[i]
@@ -603,20 +586,17 @@ def enumerate_ideals(poset, lines):
         fprov.append(why)
 
     while stack:
-        row, label = stack.pop()
-        if not row.pending:
+        row, k, label = stack.pop()
+        if k == len(line_sets):
             store(row, label, "exhausted")
             continue
-        li, rest = row.pending[0], row.pending[1:]
-        parts = impose_line(replace(row, pending=rest), line_sets[li])
-        tagged = []
-        for part in parts:
-            if len(parts) == 1 and part.same_content(row):
-                tagged.append((part, label))
-                continue
-            counter += 1
-            tagged.append((part, f"r{counter}"))
-        stack.extend(reversed(tagged))
+        parts = impose_line(row, line_sets[k])
+        if len(parts) == 1 and parts[0].same_content(row):
+            stack.append((parts[0], k + 1, label))
+            continue
+        for i in reversed(range(len(parts))):
+            stack.append((parts[i], k + 1, f"r{counter + 1 + i}"))
+        counter += len(parts)
     return RowSet(poset.width, tuple(finals), tuple(flabels), tuple(fprov))
 
 
@@ -697,10 +677,7 @@ def _symbols(row):
 def row_to_text(row, label=None):
     syms = _symbols(row)
     head = f"{label}: " if label else ""
-    tag = "final" if not row.pending else "pending " + ",".join(
-        f"l{i + 1}" for i in row.pending
-    )
-    return f"{head}{' '.join(f'{s:>2}' for s in syms)}  ; {tag} ; count={row_count(row)}"
+    return f"{head}{' '.join(f'{s:>2}' for s in syms)}  ; count={row_count(row)}"
 
 
 def rowset_to_text(rowset):
@@ -732,20 +709,13 @@ def row_to_json(row):
     return {
         "cells": list(row.cells),
         "groups": [group_to_json(g) for g in row.groups],
-        "pending": list(row.pending),
     }
 
 
 def row_from_json(d, width=None):
     cells = tuple(c if isinstance(c, str) else int(c) for c in d["cells"])
-    if width is None:
-        width = len(cells)
-    return make_row(
-        width,
-        cells,
-        tuple(group_from_json(g) for g in d.get("groups", ())),
-        tuple(d.get("pending", ())),
-    )
+    groups = tuple(group_from_json(g) for g in d.get("groups", ()))
+    return make_row(len(cells) if width is None else width, cells, groups)
 
 
 def rowset_to_json(rowset):
@@ -775,6 +745,11 @@ def poset_to_json(poset):
 def poset_from_json(d):
     if not isinstance(d, dict):
         raise ValueError("poset JSON must be an object")
+    covers = d.get("covers", [])
+    if not isinstance(d["points"], list) or not isinstance(covers, list) or not all(
+        isinstance(c, list) and len(c) == 2 for c in covers
+    ):
+        raise ValueError("'points' must be a list and 'covers' a list of [lower, upper] pairs")
     points = [str(p) for p in d["points"]]
     index = {p: i for i, p in enumerate(points)}
 
@@ -783,12 +758,14 @@ def poset_from_json(d):
             return x
         return index[str(x)]
 
-    covers = [(resolve(a), resolve(b)) for a, b in d.get("covers", ())]
+    covers = [(resolve(a), resolve(b)) for a, b in covers]
     return GroundPoset(len(points), tuple(covers), tuple(points))
 
 
 def lines_from_json(d, poset=None):
     raw = d["lines"] if isinstance(d, dict) else d
+    if not isinstance(raw, list) or not all(isinstance(line, list) for line in raw):
+        raise ValueError("lines must be a list of point lists")
     index = {}
     if poset is not None and poset.labels:
         index = {lab: i for i, lab in enumerate(poset.labels)}

@@ -218,6 +218,12 @@ def test_parse_set_system_spaced_and_compact():
     assert sys1.sets == (frozenset("ac"), frozenset("bc"))
 
 
+@pytest.mark.parametrize("text", ["0x\n", "1 0 2\n", "10,1\n"])
+def test_parse_set_system_rejects_other_characters(text):
+    with pytest.raises(ValueError):
+        parse_set_system(text)
+
+
 def test_set_system_text_roundtrip():
     sys = parse_set_system("110\n011\n101\n")
     assert parse_set_system(set_system_to_text(sys)) == sys

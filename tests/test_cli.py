@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -280,17 +281,96 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
         ("rebuild", "--lines", [[-1, 0, 1]]),
         ("analyze", "--lattice", [[0, 1]]),
         ("enumerate", "--poset", []),
+        ("rstar", None, [[0, 1]]),
+        ("enumerate", "--poset", {"points": 5}),
+        ("enumerate", "--lines", {"lines": [5]}),
     ],
 )
 def test_malformed_input_is_a_usage_error(files, tmp_path, capsys, command, flag, content):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))
-    argv = [command, flag, str(bad)]
+    argv = [command, flag, str(bad)] if flag else [command, str(bad)]
     if flag == "--lines":
         argv += ["--poset", files["poset"]]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "ValueError" in err and "Traceback" not in err
+
+
+def test_set_system_with_a_stray_character_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "sets.txt"
+    bad.write_text("0x\n")
+    assert main(["distributive", "--sets", str(bad)]) == 2
+    assert "ValueError" in capsys.readouterr().err
+
+
+# every CLI reader on mutated copies of valid files: exit 0 or 2, one line
+FUZZ_VALUES = [None, True, -1, 0, 2, 10**12, 1.5, "", "x", [], [0], [[0, 1]], {}, {"a": 1}]
+
+
+def _fuzz_json(rng, data):
+    """A copy of `data`, a non-empty object or array, with one node
+    replaced, deleted or duplicated, or a stray value in its place."""
+    data = json.loads(json.dumps(data))
+    if rng.random() < 0.1:
+        return rng.choice(FUZZ_VALUES)
+    node = data
+    while True:
+        key = rng.choice(range(len(node)) if isinstance(node, list) else list(node))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and rng.random() < 0.6:
+            node = child
+            continue
+        action = rng.randrange(3)
+        if action == 0:
+            node[key] = rng.choice(FUZZ_VALUES)
+        elif action == 1:
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, child)
+        else:
+            node[key] = [child, child]
+        return data
+
+
+def _fuzz_text(rng, text):
+    """`text` with one character deleted, inserted or replaced."""
+    k = rng.randrange(len(text) + 1)
+    c = rng.choice('{}[]",:01-5 ex\n\t')
+    action = rng.randrange(3)
+    if action == 0:
+        return text[:k] + text[k + 1:]
+    if action == 1:
+        return text[:k] + c + text[k:]
+    return text[:k] + c + text[k + 1:]
+
+
+def test_cli_readers_survive_mutated_input(files, tmp_path, capsys):
+    rng = random.Random(5)
+    bad = str(tmp_path / "mutant")
+    readers = [
+        ("poset", ["enumerate", "--poset", bad, "--lines", files["lines"], "--count"]),
+        ("lines", ["enumerate", "--poset", files["poset"], "--lines", bad, "--count"]),
+        ("m3", ["analyze", "--lattice", bad]),
+        ("seven", ["bol", "--lattice", bad]),
+        ("fano", ["rstar", bad]),
+        ("sets", ["distributive", "--sets", bad, "--count"]),
+    ]
+    for name, argv in readers:
+        text = open(files[name]).read()
+        for trial in range(40):
+            if name == "sets" or trial % 2:
+                mutant = _fuzz_text(rng, text)
+            else:
+                mutant = json.dumps(_fuzz_json(rng, json.loads(text)))
+            (tmp_path / "mutant").write_text(mutant)
+            try:
+                code = main(argv)
+            except Exception as exc:
+                raise AssertionError(f"{argv[0]} on {mutant!r} raised {exc!r}") from exc
+            err = capsys.readouterr().err
+            assert code in (0, 2), (argv[0], mutant, err)
+            assert "Traceback" not in err and len(err.splitlines()) <= 1, (argv[0], mutant, err)
 
 
 def test_bad_group_spec(capsys):

@@ -326,6 +326,13 @@ def test_lattice_json_roundtrip():
     assert M.names == L.names
 
 
+def test_lattice_json_rejects_an_element_on_no_cover():
+    # without names the size is the largest index plus one; a stray index
+    # must be rejected before anything of that size is built
+    with pytest.raises(NotALattice, match="element 1 lies on no cover"):
+        lattice_from_json({"covers": [[0, 10**12]]})
+
+
 def test_dot_export_mentions_every_element():
     L = m_n(3)
     dot = lattice_to_dot(L)

@@ -14,6 +14,7 @@ from modlat.wildcard import (
     GroundPoset,
     GroupSpec,
     OverlapFound,
+    WildcardError,
     all_free_row,
     contains,
     enumerate_ideals,
@@ -305,6 +306,11 @@ def test_ground_poset_rejects_bad_covers():
         GroundPoset(2, ((0, 5),))
 
 
+def test_ground_poset_rejects_a_wrong_label_count():
+    with pytest.raises(ValueError):
+        GroundPoset(2, (), ("a",))
+
+
 def test_down_closure_predicate():
     poset = GroundPoset(3, ((0, 1), (1, 2)))
     assert poset.is_down_closed((1, 1, 0))
@@ -340,6 +346,33 @@ def test_row_text_rendering():
     rows = enumerate_ideals(poset, seven_point_lines())
     text = rowset_to_text(rows)
     assert "total 13 in 6 rows" in text
-    assert "final" in text
-    free_row = all_free_row(3, pending=(0,))
-    assert "pending l1" in row_to_text(free_row)
+    assert row_to_text(all_free_row(3), "r1") == "r1:  2  2  2  ; count=8"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"cells": [0, 0], "groups": [{"kind": "xor", "members": [0, 1]}]},
+        {"cells": [0, 1], "groups": [{"kind": "eps", "members": [0, 1]}]},
+        {"cells": ["2"], "groups": []},
+        {
+            "cells": [0, 0],
+            "groups": [{"kind": "imp", "members": [0, 1], "premise": [0, 1], "conclusion": [1]}],
+        },
+        {"cells": [0, 0], "groups": [{"kind": "eps", "members": [0, 0]}]},
+        {"cells": [0, 0, 0], "groups": [{"kind": "d", "members": [0, 1]}]},
+    ],
+    ids=["unknown-kind", "missing-group", "short-row", "imp-overlap", "repeated-member", "stray-cell"],
+)
+def test_rowset_from_json_rejects_malformed_rows(row):
+    # the short row is one cell narrower than the row set
+    with pytest.raises(WildcardError):
+        rowset_from_json({"width": max(2, len(row["cells"])), "rows": [row]})
+
+
+def test_rowset_from_json_ignores_the_old_pending_key():
+    rows = enumerate_ideals(seven_point_poset(), seven_point_lines())
+    d = rowset_to_json(rows)
+    for r in d["rows"]:
+        r["pending"] = []
+    assert rowset_from_json(d).rows == rows.rows
