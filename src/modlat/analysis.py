@@ -38,6 +38,7 @@ from .lattice import (
     projectivity_classes,
     require_modular,
     transposes_up,
+    up_transposes,
 )
 from .pls import components, find_cycle, rstar
 
@@ -55,12 +56,16 @@ class NotALineTop(LatticeError):
 
 @dataclass(frozen=True, eq=False)
 class AnalysisContext:
-    """The facts about one modular lattice that the checks read.
+    """The facts about one modular lattice that the checks read, each
+    computed once per lattice.
 
     `sample` holds up to the cap's number of bases of lines and is never
     empty: when the cap stops the enumeration before its first base it
     is the canonical base by itself.  `truncated` says whether the cap
     cut it short.
+    `coverings` holds, per covering u -< v, the mask of J(u, v) and the
+    indices of the line intervals with top under v but not under u; every
+    base's localizations are read off them (`localizations`).
     `locally_acyclic` is True for an acyclic lattice, False once a
     sampled base has a cyclic localization, and None only when the
     sample was truncated before such a base turned up.
@@ -79,16 +84,21 @@ class AnalysisContext:
     sample: tuple
     truncated: bool
     acyclic: bool
-    locally_acyclic: bool | None
+    coverings: tuple  # (u, v, mask of J(u, v), qualifying interval indices)
+
+    @cached_property
+    def locally_acyclic(self):
+        if self.acyclic:
+            return True
+        if any(cyc for B in self.sample for *_, cyc in localizations(self.coverings, B)):
+            return False
+        return None if self.truncated else True
 
     @cached_property
     def up_transposes(self):
         """Per join-irreducible p, the prime quotients (p_*, p) transposes up to."""
         L = self.lattice
-        return {
-            p: frozenset(c for c in L.covers if transposes_up(L, (low, p), c))
-            for p, low in self.lower.items()
-        }
+        return {p: frozenset(up_transposes(L, (low, p))) for p, low in self.lower.items()}
 
     def perspective(self, p, q):
         """Distinct join-irreducibles with a common upper transpose."""
@@ -96,8 +106,31 @@ class AnalysisContext:
         return p != q and not up[p].isdisjoint(up[q])
 
 
-def _has_cyclic_localization(B):
-    return any(find_cycle(localize(B, u, v)) is not None for u, v in B.lattice.covers)
+def _coverings(L, ivs):
+    return tuple(
+        (u, v, sum(1 << p for p in ji_between(L, u, v)),
+         tuple(k for k, iv in enumerate(ivs) if L.leq(iv.top, v) and not L.leq(iv.top, u)))
+        for u, v in L.covers
+    )
+
+
+def localizations(coverings, B):
+    """Per covering of an `AnalysisContext`'s `coverings`, in cover order,
+    (u, v, c, cyclic): B's localization at u -< v has c components, and a
+    cycle iff E - V + c (`rstar`) > 0.  B's lines are in interval order."""
+    masks = [sum(1 << p for p in ln) for ln in B.lines]
+    for u, v, pts, qual in coverings:
+        comps, incidences = [], 0
+        for k in qual:
+            m = masks[k] & pts
+            incidences += m.bit_count()
+            for comp in [comp for comp in comps if comp & m]:
+                comps.remove(comp)
+                m |= comp
+            comps.append(m)
+        npts = pts.bit_count()
+        c = len(comps) + npts - sum(comps).bit_count()  # disjoint comps + isolated points
+        yield u, v, c, incidences - npts - len(qual) + c > 0
 
 
 def analysis_context(L, bols_cap=1000):
@@ -106,16 +139,8 @@ def analysis_context(L, bols_cap=1000):
     ivs = line_intervals(L)
     base = canonical_bol(L)
     sample, truncated = bol_sample(L, bols_cap)
-    sample = tuple(sample) or (base,)  # the cap struck before the first base
     lower = {ji.elem: ji.lower_star for ji in join_irreducibles(L)}
     classes = projectivity_classes(L)
-    acyclic = find_cycle(base.pls) is None
-    if acyclic:
-        locally_acyclic = True
-    elif any(_has_cyclic_localization(B) for B in sample):
-        locally_acyclic = False
-    else:
-        locally_acyclic = None if truncated else True
     return AnalysisContext(
         lattice=L,
         intervals=ivs,
@@ -127,15 +152,15 @@ def analysis_context(L, bols_cap=1000):
         mu=sum(iv.n for iv in ivs),
         lower=lower,
         class_of={q: k for k, cls in enumerate(classes) for q in cls},
-        sample=sample,
+        sample=tuple(sample) or (base,),  # the cap struck before the first base
         truncated=truncated,
-        acyclic=acyclic,
-        locally_acyclic=locally_acyclic,
+        acyclic=find_cycle(base.pls) is None,
+        coverings=_coverings(L, ivs),
     )
 
 
-def _context(L, bols_cap=1000):
-    return L if isinstance(L, AnalysisContext) else analysis_context(L, bols_cap)
+def _context(L):
+    return L if isinstance(L, AnalysisContext) else analysis_context(L)
 
 
 # -- parameter profile -------------------------------------------------
@@ -236,14 +261,14 @@ def params_to_json(report):
     }
 
 
-def check_point_count(L, bols_cap=1000):
+def check_point_count(L):
     """j <= mu - i + s, with equality exactly for acyclic lattices.
 
     Acyclicity of a finite modular lattice does not depend on the chosen
     base of lines, so all sampled bases must agree with the canonical one.
     `L` may be a lattice or its analysis context.
     """
-    ctx = _context(L, bols_cap)
+    ctx = _context(L)
     j, acyclic = ctx.j, ctx.acyclic
     rhs = ctx.mu - ctx.i + component_count(ctx, ctx.base)
     agree = all((find_cycle(Bk.pls) is None) == acyclic for Bk in ctx.sample)
@@ -259,7 +284,7 @@ def check_point_count(L, bols_cap=1000):
     )
 
 
-def check_interval_bounds(L, B, bols_cap=1000):
+def check_interval_bounds(L, B):
     """Bounds linking i, j, delta, s and the splitting number of B.
 
     Every clause whose hypothesis (o <= 2, acyclic, locally acyclic)
@@ -267,7 +292,7 @@ def check_interval_bounds(L, B, bols_cap=1000):
     acyclic clauses when the cap leaves local acyclicity unknown.  `L`
     may be a lattice or its analysis context.
     """
-    ctx = _context(L, bols_cap)
+    ctx = _context(L)
     i, j, o, delta = ctx.i, ctx.j, ctx.o, ctx.delta
     s = component_count(ctx, B)
     r = rstar(B.pls)
@@ -315,7 +340,8 @@ def is_locally_acyclic(L, mode="canonical-bol", cap=1000):
         bases = all_bols(L, cap=cap)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return not any(_has_cyclic_localization(B) for B in bases)
+    coverings = _coverings(L, line_intervals(L))
+    return not any(cyc for B in bases for *_, cyc in localizations(coverings, B))
 
 
 # -- triangle configurations -------------------------------------------
@@ -487,7 +513,10 @@ def top_cycles(L, maxlen=8):
     each reported once, anchored at its smallest top.
     """
     require_modular(L)
-    tops = _top_map(L)
+    return _top_cycles(L, _top_map(L), maxlen)
+
+
+def _top_cycles(L, tops, maxlen):
     verts = sorted(tops)
     nbr = {
         x: [y for y in verts if y != x and (
@@ -525,28 +554,22 @@ def _blocked_peak(L, tops, v, u, z):
     if not (_comparable(L, v, z) and _comparable(L, v, u) and _comparable(L, u, z)):
         return False
     u0 = tops[u].bottom
-    for uj in tops[u].atoms:
-        for vi in tops[v].atoms:
-            if not transposes_up(L, (vi, v), (u0, uj)):
-                continue
-            for zk in tops[z].atoms:
-                if transposes_up(L, (zk, z), (u0, uj)):
-                    return True
-    return False
+    return any(
+        any(transposes_up(L, (vi, v), (u0, uj)) for vi in tops[v].atoms)
+        and any(transposes_up(L, (zk, z), (u0, uj)) for zk in tops[z].atoms)
+        for uj in tops[u].atoms
+    )
 
 
 def _blocked_valley(L, tops, v, u, z):
     """v >* u <* z: mutually comparable and sharing the exit out of u."""
     if not (_comparable(L, v, z) and _comparable(L, v, u) and _comparable(L, u, z)):
         return False
-    for uj in tops[u].atoms:
-        for vi in tops[v].atoms:
-            if not transposes_up(L, (uj, u), (tops[v].bottom, vi)):
-                continue
-            for zk in tops[z].atoms:
-                if transposes_up(L, (uj, u), (tops[z].bottom, zk)):
-                    return True
-    return False
+    return any(
+        any(transposes_up(L, (uj, u), (tops[v].bottom, vi)) for vi in tops[v].atoms)
+        and any(transposes_up(L, (uj, u), (tops[z].bottom, zk)) for zk in tops[z].atoms)
+        for uj in tops[u].atoms
+    )
 
 
 def is_clean_cycle(L, cycle):
@@ -609,9 +632,7 @@ def check_components_match_projectivity(ctx, B):
 
 def check_localizations_connected(ctx, B):
     """Every localization of the base is a single component."""
-    L = ctx.lattice
-    for u, v in L.covers:
-        n = len(components(localize(B, u, v)))
+    for u, v, n, _ in localizations(ctx.coverings, B):
         if n != 1:
             return Verdict(
                 "localizations connected",
@@ -619,7 +640,7 @@ def check_localizations_connected(ctx, B):
                 f"covering ({u},{v}) has {n} components",
             )
     return Verdict(
-        "localizations connected", True, f"{len(L.covers)} coverings checked"
+        "localizations connected", True, f"{len(ctx.coverings)} coverings checked"
     )
 
 
@@ -715,9 +736,12 @@ def check_join_witness(L):
 
 
 def check_clean_cycles(L, maxlen=8):
-    """A clean cycle of line-tops forces cycles in the bases of lines."""
-    cycles = top_cycles(L, maxlen=maxlen)
-    tops = _top_map(L)
+    """A clean cycle of line-tops forces cycles in the bases of lines
+    (`L` may be a lattice or its analysis context)."""
+    ctx = _context(L)
+    L = ctx.lattice
+    tops = {iv.top: iv for iv in ctx.intervals}
+    cycles = _top_cycles(L, tops, maxlen)
     clean = [c for c in cycles if _is_clean(L, tops, c)]
     if not clean:
         return Verdict(
@@ -725,7 +749,7 @@ def check_clean_cycles(L, maxlen=8):
             True,
             f"untriggered ({len(cycles)} cycles, none clean)",
         )
-    cyclic = find_cycle(canonical_bol(L).pls) is not None
+    cyclic = not ctx.acyclic
     return Verdict(
         "clean cycles force base cycles",
         cyclic,
@@ -768,5 +792,5 @@ def verdict_suite(L, bols_cap=1000, maxlen=8):
     )
     out.append(check_perspective_intervals(ctx))
     out.append(check_join_witness(L))
-    out.append(check_clean_cycles(L, maxlen=maxlen))
+    out.append(check_clean_cycles(ctx, maxlen=maxlen))
     return tuple(out)

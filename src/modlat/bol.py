@@ -224,28 +224,20 @@ def induced(B, a):
     )
 
 
-def qualifying_lines(B, a, b):
-    """Lines with top under b but not under a."""
-    L = B.lattice
-    return [
-        ln
-        for ln in B.lines
-        if L.leq(B.top_of[ln], b) and not L.leq(B.top_of[ln], a)
-    ]
-
-
 def localize(B, a, b):
     """The localization of the base at a covering a -< b.
 
-    Points are the join-irreducibles under b but not a; every qualifying
-    line loses exactly one point and the trimmed lines (deduplicated) form
-    a point-line structure on them."""
+    Points are the join-irreducibles under b but not a; every line whose
+    top lies under b but not under a loses exactly one point, and the
+    trimmed lines (deduplicated) form a point-line structure on them."""
     L = B.lattice
     if b not in L.upper_covers(a):
         raise NotACovering(f"{b} does not cover {a}")
     pts = set(ji_between(L, a, b))
     trimmed = []
-    for ln in qualifying_lines(B, a, b):
+    for ln in B.lines:
+        if not L.leq(B.top_of[ln], b) or L.leq(B.top_of[ln], a):
+            continue
         rest = ln & pts
         if len(rest) != len(ln) - 1:
             raise LatticeError(f"a qualifying line loses {len(ln) - len(rest)} points, not one")

@@ -254,14 +254,6 @@ def build_lattice(elements, covers, names=None):
     return Lattice(len(names), covers, names)
 
 
-def join(L, x, y):
-    return L.join(x, y)
-
-
-def meet(L, x, y):
-    return L.meet(x, y)
-
-
 def is_modular(L):
     return L.modular
 
@@ -315,32 +307,39 @@ def transposes_up(L, quot1, quot2):
     return L.join(b, c) == d and L.meet(b, c) == a
 
 
+def up_transposes(L, quot):
+    """The covers (c, b + c) with c >= a and b * c = a, in order of c: the
+    prime quotients that the prime quotient quot = (a, b) transposes up
+    to.  Cover membership is tested, so non-modular lattices work too."""
+    a, b = quot
+    return [
+        (c, L.join(b, c))
+        for c in sorted(L.up_set(a))
+        if L.meet(b, c) == a and (c, L.join(b, c)) in L.cover_set
+    ]
+
+
 def projectivity_classes(L):
     """Partition of the prime quotients under the transposition closure.
 
     Two covering pairs land in one class iff a chain of up/down
-    transpositions links them.
+    transpositions links them; each is united with its up-transposes.
     """
-    quots = list(L.covers)
-    idx = {q: i for i, q in enumerate(quots)}
-    parent = list(range(len(quots)))
+    parent = {q: q for q in L.covers}
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(q):
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
 
-    for i, q1 in enumerate(quots):
-        for q2 in quots[i + 1 :]:
-            if transposes_up(L, q1, q2) or transposes_up(L, q2, q1):
-                ri, rj = find(i), find(idx[q2])
-                if ri != rj:
-                    parent[ri] = rj
+    for q in L.covers:
+        for up in up_transposes(L, q):
+            parent[find(up)] = find(q)
     classes = {}
-    for i, q in enumerate(quots):
-        classes.setdefault(find(i), []).append(q)
-    return [frozenset(v) for _, v in sorted((min(v), v) for v in classes.values())]
+    for q in L.covers:
+        classes.setdefault(find(q), []).append(q)
+    return sorted((frozenset(v) for v in classes.values()), key=min)
 
 
 def is_isomorphic(L1, L2, cap=200):

@@ -7,6 +7,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import gcd
 
+from modlat.lattice import transposes_up
 from modlat.pls import validate_pls
 from modlat.wildcard import FIXED0, FIXED1, FREE, GroupSpec, make_row
 
@@ -167,6 +168,24 @@ def min_splittings(P, limit):
             if forest and comps == base:
                 return k
     return None
+
+
+# -- lattices -------------------------------------------------------------
+
+
+def projectivity_partition(L):
+    """The prime quotients of L partitioned under up/down transposition,
+    by testing every pair of covers; classes ordered by their least
+    quotient."""
+    classes = [{q} for q in L.covers]
+    for q1, q2 in combinations(L.covers, 2):
+        if transposes_up(L, q1, q2) or transposes_up(L, q2, q1):
+            c1 = next(c for c in classes if q1 in c)
+            c2 = next(c for c in classes if q2 in c)
+            if c1 is not c2:
+                c1 |= c2
+                classes.remove(c2)
+    return sorted((frozenset(c) for c in classes), key=min)
 
 
 # -- groups --------------------------------------------------------------

@@ -12,6 +12,7 @@ from modlat.algebra import parse_group, subgroup_lattice
 from modlat.analysis import (
     ClaimViolated,
     NotALineTop,
+    analysis_context,
     check_clean_cycles,
     check_interval_bounds,
     check_point_count,
@@ -19,6 +20,7 @@ from modlat.analysis import (
     cyclic_localization_witness,
     is_clean_cycle,
     is_locally_acyclic,
+    localizations,
     params,
     params_to_json,
     tight_below,
@@ -27,7 +29,7 @@ from modlat.analysis import (
     triangle_configurations,
     verdict_suite,
 )
-from modlat.bol import canonical_bol
+from modlat.bol import canonical_bol, localize
 from modlat.corpus import (
     boolean_lattice,
     chain,
@@ -37,6 +39,7 @@ from modlat.corpus import (
     standard_corpus,
 )
 from modlat.lattice import CapExceeded, NotModular, build_lattice
+from modlat.pls import components, find_cycle
 
 
 def z2_cubed():
@@ -217,6 +220,20 @@ def test_acyclic_lattice_is_locally_acyclic_under_any_cap():
     assert rep.ok
 
 
+def test_shared_localization_pass_matches_localize():
+    lattices = [L for _, L in standard_corpus()] + [subgroup_lattice(parse_group("4,8"))]
+    seen = set()
+    for L in lattices:
+        ctx = analysis_context(L, 50)
+        for B in ctx.sample:
+            for u, v, c, cyclic in localizations(ctx.coverings, B):
+                P = localize(B, u, v)
+                assert c == len(components(P)), (L, u, v)
+                assert cyclic == (find_cycle(P) is not None), (L, u, v)
+                seen.add((len(P.lines) > 1, cyclic))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
 # -- triangle configurations -------------------------------------------------
 
 
@@ -353,7 +370,7 @@ def test_verdict_suite_survives_an_empty_bases_sample():
 @pytest.mark.parametrize("run", [params, verdict_suite], ids=["params", "suite"])
 def test_shared_facts_are_computed_once(monkeypatch, run):
     L = subgroup_lattice(parse_group("2,2,4"))
-    calls = {"all_bols": 0, "projectivity_classes": 0}
+    calls = {"all_bols": 0, "projectivity_classes": 0, "localize": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -369,8 +386,10 @@ def test_shared_facts_are_computed_once(monkeypatch, run):
         "projectivity_classes",
         counted("projectivity_classes", modlat.analysis.projectivity_classes),
     )
+    monkeypatch.setattr(modlat.analysis, "localize", counted("localize", modlat.analysis.localize))
     run(L)
-    assert calls == {"all_bols": 1, "projectivity_classes": 1}
+    # localizations are read off the context's coverings, never rebuilt
+    assert calls == {"all_bols": 1, "projectivity_classes": 1, "localize": 0}
 
 
 def test_verdict_rendering():

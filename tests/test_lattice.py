@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice
+from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, standard_corpus
 from modlat.algebra import parse_group, subgroup_lattice
 from modlat.wildcard import GroundPoset
 from modlat.lattice import (
@@ -29,9 +29,15 @@ from modlat.lattice import (
     projectivity_classes,
     require_modular,
     transposes_up,
+    up_transposes,
 )
 
-from oracles import least_upper_bound, order_relation, random_poset_covers
+from oracles import (
+    least_upper_bound,
+    order_relation,
+    projectivity_partition,
+    random_poset_covers,
+)
 
 
 def pentagon():
@@ -290,6 +296,21 @@ def test_projectivity_classes_partition_prime_quotients(L):
         for q2 in L.covers:
             if transposes_up(L, q1, q2) or transposes_up(L, q2, q1):
                 assert index[q1] == index[q2]
+
+
+def test_projectivity_classes_match_the_all_pairs_reference():
+    lattices = [pentagon()] + [L for _, L in standard_corpus()]
+    rng = random.Random(4)  # the random posets of the join/meet test above
+    for _ in range(400):
+        try:
+            lattices.append(build_lattice(*_bounded(rng, rng.randint(1, 7))))
+        except NotALattice:
+            pass
+    assert not all(L.modular for L in lattices)
+    for L in lattices:
+        assert projectivity_classes(L) == projectivity_partition(L)
+        for q in L.covers:
+            assert up_transposes(L, q) == [c for c in L.covers if transposes_up(L, q, c)]
 
 
 # -- isomorphism ------------------------------------------------------------
