@@ -15,8 +15,9 @@ from functools import cached_property
 from math import gcd, prod
 
 from .bol import lines_from_joins
-from .lattice import CapExceeded, LatticeError, _mask, build_lattice, covers_from_below
-from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
+from .lattice import (
+    CapExceeded, LatticeError, build_lattice, check_lattice_size, covers_from_below)
+from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_count
 
 ORDER_CAP = 4096
 
@@ -156,7 +157,7 @@ class _Numbered:
             if mask >> coset[0] & 1:  # coset[0] = kx, as ids[0] is 0
                 break
             out += coset
-        return out, _mask(out)
+        return out, sum(1 << i for i in out)
 
     def subgroup(self, ids):
         elements = self.G.elements
@@ -212,7 +213,7 @@ def _subgroup_family(num):
     order p, and K holds such an x because it is the join of the cyclic
     prime-power subgroups below it.  So a breadth-first search from the
     trivial subgroup along these steps finds every subgroup and every
-    cover.  Raises CapExceeded once the family outgrows ORDER_CAP
+    cover.  Raises CapExceeded once the family outgrows LATTICE_CAP
     members, which bounds the work as well as the output."""
     steps = [(ids[1], ids[p % len(ids)]) for ids, p in _cyclic_prime_power(num)]  # (x, px)
     family = {1: [0]}
@@ -230,8 +231,7 @@ def _subgroup_family(num):
             if J[1] not in family:
                 family[J[1]] = J[0]
                 queue.append(J)
-                if len(family) > ORDER_CAP:
-                    raise CapExceeded(f"{num.G} has more than {ORDER_CAP} subgroups")
+                check_lattice_size(len(family))
     for ids in family.values():
         ids.sort()
     # by order, then by member tuples, whose order is that of the sorted ids
@@ -257,7 +257,7 @@ def enumeration_input(G):
     jis = join_irreducible_subgroups(G)
     pos = {H: i for i, H in enumerate(jis)}
     # sorted by order, so proper subgroups come first
-    below = [[i for i in range(j) if subgroup_leq(jis[i], b)] for j, b in enumerate(jis)]
+    below = [sum(1 << i for i in range(j) if subgroup_leq(jis[i], b)) for j, b in enumerate(jis)]
     num = _Numbered(G)
     index = {x: i for i, x in enumerate(G.elements)}
     names = tuple(num.name([index[x] for x in H.elements]) for H in jis)
@@ -339,9 +339,10 @@ def distributive_lattice(sys):
 
     jis = distributive_ji(sys)
     # sorted by size, so proper subsets come first
-    below = [[i for i in range(j) if jis[i] < b] for j, b in enumerate(jis)]
+    below = [sum(1 << i for i in range(j) if jis[i] < b) for j, b in enumerate(jis)]
     poset = GroundPoset(len(jis), tuple(covers_from_below(below)))
     rows = enumerate_ideals(poset, [])
+    check_lattice_size(total_count(rows))
     unions = [
         frozenset().union(*(jis[i] for i in range(len(jis)) if bits[i]))
         for bits in rowset_bitstrings(rows)

@@ -30,9 +30,8 @@ from itertools import combinations
 from .bol import all_bols, bol_sample, canonical_bol, line_intervals, localize
 from .lattice import (
     LatticeError,
+    bits,
     ji_below,
-    ji_between,
-    ji_elements,
     join_irreducibles,
     lower_star,
     projectivity_classes,
@@ -69,6 +68,7 @@ class AnalysisContext:
     `locally_acyclic` is True for an acyclic lattice, False once a
     sampled base has a cyclic localization, and None only when the
     sample was truncated before such a base turned up.
+    `rstars` holds r* of each sampled base; a base is acyclic iff its r* is 0.
     """
 
     lattice: object
@@ -95,6 +95,14 @@ class AnalysisContext:
         return None if self.truncated else True
 
     @cached_property
+    def rstars(self):
+        pts, ks = self.lattice.ji_mask, range(self.i)  # every base's points and lines
+        return tuple(
+            _components_and_rstar([sum(1 << p for p in ln) for ln in B.lines], ks, pts)[1]
+            for B in self.sample
+        )
+
+    @cached_property
     def up_transposes(self):
         """Per join-irreducible p, the prime quotients (p_*, p) transposes up to."""
         L = self.lattice
@@ -108,29 +116,37 @@ class AnalysisContext:
 
 def _coverings(L, ivs):
     return tuple(
-        (u, v, sum(1 << p for p in ji_between(L, u, v)),
+        (u, v, L.down[v] & ~L.down[u] & L.ji_mask,
          tuple(k for k, iv in enumerate(ivs) if L.leq(iv.top, v) and not L.leq(iv.top, u)))
         for u, v in L.covers
     )
 
 
+def _components_and_rstar(masks, ks, pts):
+    """(c, r*) of the point-line structure on the point mask `pts` whose
+    lines are masks[k] & pts for k in ks: c components, isolated points
+    included, and the cyclomatic number E - V + c (`rstar`)."""
+    comps, incidences = [], 0
+    for k in ks:
+        m = masks[k] & pts
+        incidences += m.bit_count()
+        for comp in [comp for comp in comps if comp & m]:
+            comps.remove(comp)
+            m |= comp
+        comps.append(m)
+    npts = pts.bit_count()
+    c = len(comps) + npts - sum(comps).bit_count()  # disjoint comps + isolated points
+    return c, incidences - npts - len(ks) + c
+
+
 def localizations(coverings, B):
     """Per covering of an `AnalysisContext`'s `coverings`, in cover order,
     (u, v, c, cyclic): B's localization at u -< v has c components, and a
-    cycle iff E - V + c (`rstar`) > 0.  B's lines are in interval order."""
+    cycle iff r* > 0.  B's lines are in interval order."""
     masks = [sum(1 << p for p in ln) for ln in B.lines]
     for u, v, pts, qual in coverings:
-        comps, incidences = [], 0
-        for k in qual:
-            m = masks[k] & pts
-            incidences += m.bit_count()
-            for comp in [comp for comp in comps if comp & m]:
-                comps.remove(comp)
-                m |= comp
-            comps.append(m)
-        npts = pts.bit_count()
-        c = len(comps) + npts - sum(comps).bit_count()  # disjoint comps + isolated points
-        yield u, v, c, incidences - npts - len(qual) + c > 0
+        c, r = _components_and_rstar(masks, qual, pts)
+        yield u, v, c, r > 0
 
 
 def analysis_context(L, bols_cap=1000):
@@ -271,7 +287,7 @@ def check_point_count(L):
     ctx = _context(L)
     j, acyclic = ctx.j, ctx.acyclic
     rhs = ctx.mu - ctx.i + component_count(ctx, ctx.base)
-    agree = all((find_cycle(Bk.pls) is None) == acyclic for Bk in ctx.sample)
+    agree = all((r == 0) == acyclic for r in ctx.rstars)
     note = f"{len(ctx.sample)} bases" + (", truncated" if ctx.truncated else "")
     return (
         Verdict("point count bound", j <= rhs, f"j={j} <= mu-i+s={rhs}"),
@@ -713,17 +729,13 @@ def check_perspective_intervals(ctx):
 def check_join_witness(L):
     """r in J(a, a+q) with q, r incomparable forces some p in J(a) with
     p + q = r + q."""
-    pts = ji_elements(L)
+    up, down, jis = L.up, L.down, L.ji_mask
     tried = 0
     for a in range(L.n):
         below = ji_below(L, a)
-        for q in pts:
-            if L.leq(q, a):
-                continue
-            between = ji_between(L, a, L.join(a, q))
-            for r in between:
-                if _comparable(L, q, r):
-                    continue
+        for q in bits(jis & ~down[a]):
+            # J(a, a+q), less the points comparable with q
+            for r in bits(jis & down[L.join(a, q)] & ~down[a] & ~up[q] & ~down[q]):
                 tried += 1
                 want = L.join(r, q)
                 if not any(L.join(p, q) == want for p in below):
@@ -774,7 +786,7 @@ def verdict_suite(L, bols_cap=1000, maxlen=8):
     note = f"{len(ctx.sample)} bases" + (" (truncated)" if ctx.truncated else "")
     out = list(check_point_count(ctx))
     out += _merge_runs([check_interval_bounds(ctx, Bk) for Bk in ctx.sample], note)
-    observed = sorted({rstar(Bk.pls) for Bk in ctx.sample})
+    observed = sorted(set(ctx.rstars))
     out.append(
         Verdict("split counts observed", True, f"r* values {observed}; {note}")
     )

@@ -77,8 +77,8 @@ def line_intervals(L):
         x0 = L.meet_all(lows)
         if L.rank[x] - L.rank[x0] != 2:
             continue
-        between = [v for v in L.down_set(x) if L.leq(x0, v) and v not in (x0, x)]
-        if sorted(between) == sorted(lows):
+        # the lower covers of x lie in [x0, x]; it must hold nothing else
+        if (L.down[x] & L.up[x0]).bit_count() == len(lows) + 2:
             out.append(LineInterval(x0, x, tuple(sorted(lows))))
     return tuple(sorted(out, key=lambda iv: iv.top))
 

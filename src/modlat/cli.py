@@ -33,6 +33,7 @@ from .bol import bol_sample, bol_to_json, canonical_bol, line_intervals, localiz
 from .corpus import standard_corpus
 from .lattice import (
     LatticeError,
+    check_lattice_size,
     ji_elements,
     lattice_from_json,
     lattice_to_dot,
@@ -119,7 +120,9 @@ def cmd_enumerate(args):
 def cmd_rebuild(args):
     poset = poset_from_json(_load(args.poset))
     lines = lines_from_json(_load(args.lines), poset) if args.lines else []
-    L = closed_ideals_lattice(_members(enumerate_ideals(poset, lines)))
+    rows = enumerate_ideals(poset, lines)
+    check_lattice_size(total_count(rows))
+    L = closed_ideals_lattice(_members(rows))
     ok = roundtrip_check(L)
     if args.out:
         _write_json(args.out, lattice_to_json(L))

@@ -102,12 +102,11 @@ def subgroup_corpus():
 def random_poset(rng, max_points=8):
     """Random poset given by its cover relation, at most max_points points."""
     n = rng.randint(1, max_points)
-    below = [set() for _ in range(n)]
+    below = [0] * n
     for b in range(n):
         for a in range(b):
             if rng.random() < 0.3:
-                below[b].add(a)
-                below[b] |= below[a]
+                below[b] |= 1 << a | below[a]
     return GroundPoset(n, covers_from_below(below))
 
 

@@ -1,12 +1,14 @@
 """Finite lattices as explicit combinatorial objects.
 
 A lattice is built from its cover relation on dense integer element ids
-0..n-1.  The full order, join/meet tables and ranks are derived and cached
-at construction time; instances are immutable afterwards and safe to share
-between threads.  The join of x and y is the element whose up-set is
-up(x) & up(y), found by one dict lookup on int masks of the up-sets (and
-dually for meets); a pair with no such element has no least bound.
-Everything here targets desk scale (a few hundred elements).
+0..n-1.  The order is held only as int masks: bit y of `up[x]` is set when
+x <= y, `down[x]` dually, and `ji_mask` marks the join-irreducibles, so a
+point set such as J(a, b) is `down[b] & ~down[a] & ji_mask`.  The join of
+x and y is the element whose up-mask is up[x] & up[y], found by one dict
+lookup (dually for meets); a pair with no such element has no least bound.
+Tables are built at construction time; instances are immutable afterwards
+and safe to share between threads.  Everything here targets desk scale:
+no lattice past LATTICE_CAP elements is built.
 """
 
 from __future__ import annotations
@@ -35,12 +37,26 @@ class NotModular(LatticeError):
     pass
 
 
-class SizeCapExceeded(LatticeError):
-    pass
-
-
 class CapExceeded(LatticeError):
     """Some enumeration outgrew its configured cap."""
+
+
+# admits Z2^5 (374 subgroups); 512 elements build in a fraction of a second
+LATTICE_CAP = 512
+
+
+def check_lattice_size(n):
+    """Raise CapExceeded for a lattice of (at least) n > LATTICE_CAP elements."""
+    if n > LATTICE_CAP:
+        raise CapExceeded(f"at least {n} lattice elements, more than the cap of {LATTICE_CAP}")
+
+
+def bits(mask):
+    """The positions of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -56,12 +72,14 @@ class Lattice:
 
     `covers` is a set of (lower, upper) pairs that must already be the
     transitive reduction of the order.  Construction validates acyclicity,
-    reducedness and existence of all joins and meets.
+    reducedness and existence of all joins and meets.  `up[x]`, `down[x]`
+    and `ji_mask` are the order and the join-irreducibles as int masks.
     """
 
     def __init__(self, n, covers, names=None):
         if n <= 0:
             raise NotALattice("a lattice needs at least one element")
+        check_lattice_size(n)
         covers = sorted(set((int(a), int(b)) for a, b in covers))
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
@@ -82,25 +100,20 @@ class Lattice:
             self._lowcov[b].append(a)
 
         topo, up = topological_up_sets(n, covers)
-        self._up = up
-        down = [set() for _ in range(n)]
-        for v in range(n):
-            for w in up[v]:
-                down[w].add(v)
-        self._down = [frozenset(s) for s in down]
-        upm = [_mask(s) for s in self._up]
-        downm = [_mask(s) for s in down]
+        _, down = topological_up_sets(n, [(b, a) for a, b in covers])  # the dual order
+        self.up, self.down = tuple(up), tuple(down)
+        self.ji_mask = sum(1 << v for v in range(n) if len(self._lowcov[v]) == 1)
 
         for a, b in covers:
             # a shortcut through a third element means (a,b) is redundant
-            if (upm[a] & downm[b]).bit_count() > 2:
+            if (up[a] & down[b]).bit_count() > 2:
                 raise NotTransitivelyReduced(f"cover ({a},{b}) is implied")
 
         # x + y is the element whose up-set is up(x) & up(y); dually for meets
-        by_up = {m: v for v, m in enumerate(upm)}
-        by_down = {m: v for v, m in enumerate(downm)}
-        self._join = [[by_up.get(ux & u) for u in upm] for ux in upm]
-        self._meet = [[by_down.get(dx & d) for d in downm] for dx in downm]
+        by_up = {m: v for v, m in enumerate(up)}
+        by_down = {m: v for v, m in enumerate(down)}
+        self._join = [[by_up.get(ux & u) for u in up] for ux in up]
+        self._meet = [[by_down.get(dx & d) for d in down] for dx in down]
         for x in range(n):
             jx, mx = self._join[x], self._meet[x]
             if None in jx or None in mx:
@@ -115,13 +128,13 @@ class Lattice:
             if self._lowcov[v]:
                 self.rank[v] = 1 + max(self.rank[u] for u in self._lowcov[v])
         self.rank = tuple(self.rank)
-        self.bottom = min(range(n), key=lambda v: len(self._down[v]))
-        self.top = min(range(n), key=lambda v: len(self._up[v]))
+        full = (1 << n) - 1
+        self.bottom, self.top = up.index(full), down.index(full)
 
     # -- basic queries ------------------------------------------------
 
     def leq(self, x, y):
-        return y in self._up[x]
+        return self.up[x] >> y & 1 == 1
 
     def join(self, x, y):
         return self._join[x][y]
@@ -147,12 +160,6 @@ class Lattice:
     def lower_covers(self, x):
         return tuple(self._lowcov[x])
 
-    def up_set(self, x):
-        return self._up[x]
-
-    def down_set(self, x):
-        return self._down[x]
-
     def name(self, x):
         return self.names[x] if self.names else str(x)
 
@@ -172,7 +179,7 @@ class Lattice:
     def modular(self):
         # x <= z  =>  x + (y*z) = (x+y)*z
         for z in range(self.n):
-            for x in self._down[z]:
+            for x in bits(self.down[z]):
                 jx, mz = self._join[x], self._meet[z]
                 for y in range(self.n):
                     if jx[self._meet[y][z]] != mz[jx[y]]:
@@ -185,41 +192,28 @@ class Lattice:
 
     @cached_property
     def join_irreducible_list(self):
-        out = []
-        for v in range(self.n):
-            if len(self._lowcov[v]) == 1:
-                out.append(JoinIrreducible(v, self._lowcov[v][0]))
-        return tuple(out)
+        return tuple(JoinIrreducible(v, self._lowcov[v][0]) for v in bits(self.ji_mask))
 
     def __repr__(self):
         return f"Lattice(n={self.n}, covers={len(self.covers)})"
 
 
-def _mask(ids):
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
-
-
 def covers_from_below(below):
     """The sorted cover pairs (a, b) of a strict order on 0..n-1 given as
-    below[b] = the indices strictly below b.  The order must be
-    transitive; a is covered by b when nothing below b lies above a."""
-    masks = [_mask(s) for s in below]
+    below[b] = the int mask of the indices strictly below b.  The order
+    must be transitive; a is covered by b when nothing below b lies above a."""
     covers = []
-    for b, s in enumerate(below):
+    for b, m in enumerate(below):
         shadow = 0
-        for c in s:
-            shadow |= masks[c]
-        inner = masks[b] & ~shadow
-        covers.extend((a, b) for a in s if inner >> a & 1)
+        for c in bits(m):
+            shadow |= below[c]
+        covers.extend((a, b) for a in bits(m & ~shadow))
     return sorted(covers)
 
 
 def topological_up_sets(n, covers):
     """A topological order of 0..n-1 under the (lower, upper) pairs in
-    `covers`, and the inclusive up-set of each element as a frozenset.
+    `covers`, and the inclusive up-set of each element as an int mask.
     Raises CycleInCovers when the pairs contain a directed cycle."""
     upcov = [[] for _ in range(n)]
     indeg = [0] * n
@@ -234,12 +228,12 @@ def topological_up_sets(n, covers):
                 order.append(w)
     if len(order) != n:
         raise CycleInCovers("cover relation contains a directed cycle")
-    up = [None] * n
+    up = [0] * n
     for v in reversed(order):
-        s = {v}
+        m = 1 << v
         for w in upcov[v]:
-            s |= up[w]
-        up[v] = frozenset(s)
+            m |= up[w]
+        up[v] = m
     return order, up
 
 
@@ -273,17 +267,13 @@ def ji_elements(L):
 
 
 def ji_below(L, a):
-    """The join-irreducibles p with p <= a."""
-    return tuple(j.elem for j in L.join_irreducible_list if L.leq(j.elem, a))
+    """The join-irreducibles p with p <= a, ascending."""
+    return tuple(bits(L.down[a] & L.ji_mask))
 
 
 def ji_between(L, a, b):
-    """The join-irreducibles p with p <= b but p not<= a."""
-    return tuple(
-        j.elem
-        for j in L.join_irreducible_list
-        if L.leq(j.elem, b) and not L.leq(j.elem, a)
-    )
+    """The join-irreducibles p with p <= b but p not<= a, ascending."""
+    return tuple(bits(L.down[b] & ~L.down[a] & L.ji_mask))
 
 
 def lower_star(L, p):
@@ -314,7 +304,7 @@ def up_transposes(L, quot):
     a, b = quot
     return [
         (c, L.join(b, c))
-        for c in sorted(L.up_set(a))
+        for c in bits(L.up[a] & ~L.up[b])
         if L.meet(b, c) == a and (c, L.join(b, c)) in L.cover_set
     ]
 
@@ -349,7 +339,7 @@ def is_isomorphic(L1, L2, cap=200):
     canonical-form hashing, so keep inputs at desk scale (`cap`).
     """
     if max(L1.n, L2.n) > cap:
-        raise SizeCapExceeded(f"isomorphism test capped at {cap} elements")
+        raise CapExceeded(f"isomorphism test capped at {cap} elements")
     if L1.n != L2.n or len(L1.covers) != len(L2.covers):
         return False
 
@@ -358,8 +348,8 @@ def is_isomorphic(L1, L2, cap=200):
             L.rank[v],
             len(L.lower_covers(v)),
             len(L.upper_covers(v)),
-            len(L.down_set(v)),
-            len(L.up_set(v)),
+            L.down[v].bit_count(),
+            L.up[v].bit_count(),
         )
 
     inv1 = [invariant(L1, v) for v in range(L1.n)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bol import canonical_bol
-from .lattice import build_lattice, covers_from_below, ji_below, ji_elements
+from .lattice import bits, build_lattice, covers_from_below, ji_below, ji_elements
 from .pls import _pkey
 from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
 
@@ -45,7 +45,7 @@ def closed_ideals_lattice(members):
                     f"intersection of {_member_name(a)} and {_member_name(b)} is missing"
                 )
     # members are sorted by size, so proper subsets come first
-    below = [[i for i in range(j) if canon[i] < b] for j, b in enumerate(canon)]
+    below = [sum(1 << i for i in range(j) if canon[i] < b) for j, b in enumerate(canon)]
     L = build_lattice([_member_name(s) for s in canon], covers_from_below(below))
     L.member_sets = tuple(canon)
     return L
@@ -55,7 +55,7 @@ def ji_ground_poset(L):
     """The join-irreducibles of L as a ground poset (their inclusion
     order, transitively reduced), plus the element ids in position order."""
     points = sorted(ji_elements(L))
-    below = [[i for i, p in enumerate(points) if p != q and L.leq(p, q)] for q in points]
+    below = [sum(1 << i for i, p in enumerate(points) if p != q and L.leq(p, q)) for q in points]
     poset = GroundPoset(
         len(points), tuple(covers_from_below(below)), tuple(L.name(p) for p in points)
     )
@@ -73,11 +73,11 @@ def roundtrip_check(L):
     pos = {p: i for i, p in enumerate(points)}
     lines = [tuple(sorted(pos[p] for p in ln)) for ln in B.lines]
     rows = enumerate_ideals(poset, lines)
-    # point sets as bit masks over positions
+    # point sets as bit masks over element ids, like the ideals J(a)
     members = {
-        sum(1 << i for i, bit in enumerate(bits) if bit) for bits in rowset_bitstrings(rows)
+        sum(1 << points[i] for i, bit in enumerate(bs) if bit) for bs in rowset_bitstrings(rows)
     }
-    ideal = [sum(1 << pos[p] for p in ji_below(L, a)) for a in range(L.n)]
+    ideal = [L.down[a] & L.ji_mask for a in range(L.n)]
     if members != set(ideal) or len(members) != L.n:
         return False
     return all(
@@ -104,14 +104,11 @@ def natural_implication_base(B, poset=None):
     pts = sorted(B.points, key=_pkey)
     if poset is not None:
         downs = {
-            p: frozenset(pts[q] for q in poset.strict_down[i])
+            p: frozenset(pts[q] for q in bits(poset.strict_down[i]))
             for i, p in enumerate(pts)
         }
     else:
-        L = B.lattice
-        downs = {
-            p: frozenset(q for q in pts if q != p and L.leq(q, p)) for p in pts
-        }
+        downs = {p: frozenset(ji_below(B.lattice, p)) - {p} for p in pts}
     out = []
     for p in pts:
         if downs[p]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .lattice import CycleInCovers, topological_up_sets
+from .lattice import CycleInCovers, bits, topological_up_sets
 
 FIXED0 = "0"
 FIXED1 = "1"
@@ -420,7 +420,8 @@ def _one_hot_row(row, undet, mem):
 @dataclass(frozen=True)
 class GroundPoset:
     """The point poset lines live on, given by its cover relation.
-    `strict_up[p]` is derived: the points strictly above p."""
+    `strict_up[p]` is derived: the int mask of the points strictly above p
+    (`strict_down[p]` dually)."""
 
     width: int
     covers: tuple
@@ -441,18 +442,15 @@ class GroundPoset:
             _, up = topological_up_sets(self.width, covers)
         except CycleInCovers:
             raise ValueError("cover relation contains a cycle") from None
-        object.__setattr__(self, "strict_up", tuple(u - {p} for p, u in enumerate(up)))
+        object.__setattr__(self, "strict_up", tuple(u & ~(1 << p) for p, u in enumerate(up)))
 
     def label(self, p):
         return self.labels[p] if self.labels else f"p{p + 1}"
 
     @cached_property
     def strict_down(self):
-        down = [set() for _ in range(self.width)]
-        for p in range(self.width):
-            for q in self.strict_up[p]:
-                down[q].add(p)
-        return tuple(frozenset(s) for s in down)
+        _, down = topological_up_sets(self.width, [(b, a) for a, b in self.covers])
+        return tuple(d & ~(1 << p) for p, d in enumerate(down))
 
     def is_down_closed(self, bits):
         return all(bits[a] >= bits[b] for a, b in self.covers)
@@ -514,16 +512,16 @@ def seed_order_ideals(poset):
             return
         pivot = max(
             conflicted,
-            key=lambda p: (len(poset.strict_up[p]) + len(poset.strict_down[p]), -p),
+            key=lambda p: ((poset.strict_up[p] | poset.strict_down[p]).bit_count(), -p),
         )
         one = dict(fixed)
         one[pivot] = 1
-        for q in poset.strict_down[pivot]:
+        for q in bits(poset.strict_down[pivot]):
             one[q] = 1
         emit(one, f"{path};{poset.label(pivot)}=1")
         zero = dict(fixed)
         zero[pivot] = 0
-        for q in poset.strict_up[pivot]:
+        for q in bits(poset.strict_up[pivot]):
             zero[q] = 0
         emit(zero, f"{path};{poset.label(pivot)}=0")
 

@@ -106,7 +106,10 @@ def test_criterion_02_reconstruction():
     ]
     L = closed_ideals_lattice(members)
     jis = ji_elements(L)
-    downs = {frozenset({i}) | poset.strict_down[i] for i in range(poset.width)}
+    downs = {
+        frozenset(k for k in range(poset.width) if (poset.strict_down[i] | 1 << i) >> k & 1)
+        for i in range(poset.width)
+    }
     ji_poset, _ = ji_ground_poset(L)
     oracle_members, oracle_covers = inclusion_lattice(set(members))
     oracle = build_lattice(len(oracle_members), oracle_covers)

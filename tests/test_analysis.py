@@ -39,7 +39,7 @@ from modlat.corpus import (
     standard_corpus,
 )
 from modlat.lattice import CapExceeded, NotModular, build_lattice
-from modlat.pls import components, find_cycle
+from modlat.pls import components, find_cycle, rstar
 
 
 def z2_cubed():
@@ -225,6 +225,7 @@ def test_shared_localization_pass_matches_localize():
     seen = set()
     for L in lattices:
         ctx = analysis_context(L, 50)
+        assert ctx.rstars == tuple(rstar(B.pls) for B in ctx.sample)
         for B in ctx.sample:
             for u, v, c, cyclic in localizations(ctx.coverings, B):
                 P = localize(B, u, v)

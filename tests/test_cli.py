@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -219,6 +220,24 @@ def test_subgroup_lattice_caps_the_work(capsys):
     assert main(["subgroup-lattice", "--group", "2,2,2,2,2,2,2,2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("CapExceeded: ") and len(err.strip().splitlines()) == 1
+
+
+def test_lattices_past_the_size_cap_exit_2_fast(tmp_path, capsys):
+    # 2^16 closed ideals for the identity matrix and the antichain, 2825 subgroups of Z2^6
+    sets = tmp_path / "identity16.txt"
+    sets.write_text("".join("0" * k + "1" + "0" * (15 - k) + "\n" for k in range(16)))
+    poset = tmp_path / "antichain16.json"
+    poset.write_text(json.dumps({"points": [f"p{k}" for k in range(16)], "covers": []}))
+    for argv in (
+        ["distributive", "--sets", str(sets)],
+        ["subgroup-lattice", "--group", "2,2,2,2,2,2"],
+        ["rebuild", "--poset", str(poset)],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("CapExceeded: ") and len(err.strip().splitlines()) == 1
 
 
 def test_distributive_command(files, capsys):

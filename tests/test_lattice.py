@@ -10,6 +10,8 @@ from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, stan
 from modlat.algebra import parse_group, subgroup_lattice
 from modlat.wildcard import GroundPoset
 from modlat.lattice import (
+    LATTICE_CAP,
+    CapExceeded,
     CycleInCovers,
     NotALattice,
     NotModular,
@@ -105,6 +107,12 @@ def test_covers_from_below_inverts_strict_down():
             covers = random_poset_covers(rng, width)
             poset = GroundPoset(width, tuple(covers))
             assert covers_from_below(poset.strict_down) == covers
+
+
+def test_lattice_size_is_capped_before_the_tables():
+    assert chain(LATTICE_CAP).n == LATTICE_CAP
+    with pytest.raises(CapExceeded):
+        chain(LATTICE_CAP + 1)
 
 
 # -- join/meet ------------------------------------------------------------
@@ -214,6 +222,55 @@ def test_rank_is_longest_path_even_when_not_modular():
     N5 = pentagon()
     assert N5.rank[N5.top] == 3  # through the 2-chain side
     assert N5.height == 3
+
+
+# -- mask queries against the reachability closure -------------------------
+
+
+def _decode(mask, n):
+    return {k for k in range(n) if mask >> k & 1}
+
+
+def test_mask_queries_match_the_reachability_closure():
+    lattices = [pentagon()] + [L for _, L in standard_corpus()]
+    rng = random.Random(4)  # the random posets of the join/meet test above
+    for _ in range(400):
+        try:
+            lattices.append(build_lattice(*_bounded(rng, rng.randint(1, 7))))
+        except NotALattice:
+            pass
+    for L in lattices:
+        n = L.n
+        leq = order_relation(n, L.covers)
+        geq = [[leq[b][a] for b in range(n)] for a in range(n)]
+        assert [[L.leq(x, y) for y in range(n)] for x in range(n)] == leq
+        assert type(L.leq(L.bottom, L.top)) is bool
+        assert all(leq[L.bottom][y] and leq[y][L.top] for y in range(n))
+        jis = [v for v in range(n) if [b for _, b in L.covers].count(v) == 1]
+        for a in range(n):
+            assert ji_below(L, a) == tuple(p for p in jis if leq[p][a])
+            for b in range(n):
+                assert ji_between(L, a, b) == tuple(p for p in jis if leq[p][b] and not leq[p][a])
+        for a, b in L.covers:
+            want = []
+            for c in range(n):
+                d = least_upper_bound(leq, b, c)
+                if leq[a][c] and least_upper_bound(geq, b, c) == a and (c, d) in L.covers:
+                    want.append((c, d))
+            assert up_transposes(L, (a, b)) == want
+
+
+def test_ground_poset_masks_match_the_reachability_closure():
+    rng = random.Random(11)
+    for width in range(1, 9):
+        for _ in range(30):
+            covers = random_poset_covers(rng, width)
+            poset = GroundPoset(width, tuple(covers))
+            leq = order_relation(width, covers)
+            for p in range(width):
+                others = set(range(width)) - {p}
+                assert _decode(poset.strict_up[p], width) == {q for q in others if leq[p][q]}
+                assert _decode(poset.strict_down[p], width) == {q for q in others if leq[q][p]}
 
 
 # -- join-irreducibles -----------------------------------------------------
