@@ -58,10 +58,11 @@ class AnalysisContext:
     """The facts about one modular lattice that the checks read, each
     computed once per lattice.
 
-    `sample` holds up to the cap's number of bases of lines and is never
-    empty: when the cap stops the enumeration before its first base it
-    is the canonical base by itself.  `truncated` says whether the cap
-    cut it short.
+    `sample` holds up to `bols_cap` bases of lines and is never empty:
+    when the cap stops the enumeration before its first base it is the
+    canonical base by itself.  `truncated` says whether the cap cut it
+    short.  Both are computed on first use, so a check that reads neither
+    does not enumerate bases.
     `coverings` holds, per covering u -< v, the mask of J(u, v) and the
     indices of the line intervals with top under v but not under u; every
     base's localizations are read off them (`localizations`).
@@ -81,10 +82,22 @@ class AnalysisContext:
     mu: int
     lower: dict  # join-irreducible p -> p_*
     class_of: dict  # prime quotient -> index of its projectivity class
-    sample: tuple
-    truncated: bool
+    bols_cap: int
     acyclic: bool
     coverings: tuple  # (u, v, mask of J(u, v), qualifying interval indices)
+
+    @cached_property
+    def _bases(self):
+        sample, truncated = bol_sample(self.lattice, self.bols_cap, self.intervals)
+        return tuple(sample) or (self.base,), truncated  # the cap struck before the first base
+
+    @property
+    def sample(self):
+        return self._bases[0]
+
+    @property
+    def truncated(self):
+        return self._bases[1]
 
     @cached_property
     def locally_acyclic(self):
@@ -153,8 +166,7 @@ def analysis_context(L, bols_cap=1000):
     """Compute every shared fact about `L` once; modularity is required."""
     require_modular(L)
     ivs = line_intervals(L)
-    base = canonical_bol(L)
-    sample, truncated = bol_sample(L, bols_cap)
+    base = canonical_bol(L, ivs)
     lower = {ji.elem: ji.lower_star for ji in join_irreducibles(L)}
     classes = projectivity_classes(L)
     return AnalysisContext(
@@ -168,8 +180,7 @@ def analysis_context(L, bols_cap=1000):
         mu=sum(iv.n for iv in ivs),
         lower=lower,
         class_of={q: k for k, cls in enumerate(classes) for q in cls},
-        sample=tuple(sample) or (base,),  # the cap struck before the first base
-        truncated=truncated,
+        bols_cap=bols_cap,
         acyclic=find_cycle(base.pls) is None,
         coverings=_coverings(L, ivs),
     )
@@ -349,14 +360,14 @@ def is_locally_acyclic(L, mode="canonical-bol", cap=1000):
     "all-bols-capped" exhausts all bases and raises CapExceeded past
     `cap`.  An acyclic lattice is locally acyclic either way.
     """
-    require_modular(L)
+    ivs = line_intervals(L)
     if mode == "canonical-bol":
-        bases = [canonical_bol(L)]
+        bases = [canonical_bol(L, ivs)]
     elif mode == "all-bols-capped":
-        bases = all_bols(L, cap=cap)
+        bases = all_bols(L, cap=cap, ivs=ivs)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    coverings = _coverings(L, line_intervals(L))
+    coverings = _coverings(L, ivs)
     return not any(cyc for B in bases for *_, cyc in localizations(coverings, B))
 
 

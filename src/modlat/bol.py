@@ -123,22 +123,26 @@ def _assemble(L, lines, intervals):
     return BaseOfLines(pls, L, top_of, bottom_of, interval_of)
 
 
-def canonical_bol(L):
+def canonical_bol(L, ivs=None):
     """The base of lines under the default witness choice.
 
     Distributive lattices have no line intervals, so the line family is
-    empty and the structure is just the join-irreducibles."""
-    ivs = line_intervals(L)
+    empty and the structure is just the join-irreducibles.  `ivs`, when
+    given, is `line_intervals(L)`, computed once by the caller."""
+    if ivs is None:
+        ivs = line_intervals(L)
     lines = [extract_line(L, iv) for iv in ivs]
     return _assemble(L, lines, ivs)
 
 
-def all_bols(L, cap=1000):
+def all_bols(L, cap=1000, ivs=None):
     """Yield every base of lines (deduplicated), capped.
 
     Raises CapExceeded once a (cap+1)-th distinct base shows up, so a
-    consumer that completes without the error has seen them all."""
-    ivs = line_intervals(L)
+    consumer that completes without the error has seen them all.  `ivs`
+    is as for `canonical_bol`."""
+    if ivs is None:
+        ivs = line_intervals(L)
     per_interval = []
     for iv in ivs:
         seen = []
@@ -160,12 +164,12 @@ def all_bols(L, cap=1000):
         yield _assemble(L, list(combo), ivs)
 
 
-def bol_sample(L, cap=1000):
+def bol_sample(L, cap=1000, ivs=None):
     """Up to `cap` distinct bases of lines, and whether the cap cut the
-    list short (it may then be empty)."""
+    list short (it may then be empty).  `ivs` is as for `canonical_bol`."""
     out = []
     try:
-        for B in all_bols(L, cap=cap):
+        for B in all_bols(L, cap=cap, ivs=ivs):
             out.append(B)
     except CapExceeded:
         return out, True

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .algebra import (
@@ -105,6 +106,8 @@ def cmd_enumerate(args):
     poset = poset_from_json(_load(args.poset))
     lines = lines_from_json(_load(args.lines), poset) if args.lines else []
     rows = enumerate_ideals(poset, lines)
+    if args.stats:
+        print(json.dumps(asdict(rows.stats)), file=sys.stderr)
     if args.out:
         _write_json(args.out, rowset_to_json(rows))
     if args.count:
@@ -284,6 +287,7 @@ def _build_parser():
     e.add_argument("--count", action="store_true", help="print only the total")
     e.add_argument("--expand", action="store_true", help="print every bitstring")
     e.add_argument("--out", help="write the row set as JSON")
+    e.add_argument("--stats", action="store_true", help="print work counts as JSON on stderr")
     e.set_defaults(func=cmd_enumerate)
 
     r = sub.add_parser("rebuild", help="lattice of the closed order ideals")

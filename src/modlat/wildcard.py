@@ -15,7 +15,11 @@ as imp groups; line constraints ("at most one 1 on these positions, or all
 at most lambda+2 pairwise disjoint rows when the line meets no group and
 stays close to that bound otherwise.  `enumerate_ideals` drives a LIFO
 stack of (row, index of the next line to impose) entries and compresses
-complementary final rows into d groups.
+complementary final rows into d groups.  It drops a row as soon as a line
+still to come holds two fixed 1s and a fixed 0 (every string of the row
+breaks that line), and it steps over a line the row already satisfies
+without calling `impose_line`; neither changes the final rows.  The work
+it does is counted in an `EnumStats`.
 """
 
 from __future__ import annotations
@@ -456,12 +460,36 @@ class GroundPoset:
         return all(bits[a] >= bits[b] for a, b in self.covers)
 
 
+@dataclass
+class EnumStats:
+    """The work of one `enumerate_ideals` call.
+
+    `split_sizes` maps the number of rows one `impose_line` call returned
+    to how many calls returned that many; a call returning more than
+    lambda + 2 rows for a line of lambda points breaks the paper's bound
+    and is counted in `split_bound_violations`.  `dead_rows` are rows an
+    imposition turned into nothing, `pruned_rows` rows dropped before the
+    line that would kill them came up, `skipped` the lines stepped over
+    without an imposition because the row already satisfied them."""
+
+    seeds: int = 0
+    impositions: int = 0
+    skipped: int = 0
+    split_sizes: dict = field(default_factory=dict)
+    split_bound_violations: int = 0
+    dead_rows: int = 0
+    pruned_rows: int = 0
+    merges: int = 0
+    peak_stack: int = 0
+
+
 @dataclass(frozen=True)
 class RowSet:
     width: int
     rows: tuple
     labels: tuple = ()
     provenance: tuple = ()
+    stats: EnumStats = field(default=None, compare=False)
 
 
 def total_count(rowset):
@@ -551,20 +579,51 @@ def _try_merge(a, b):
     return make_row(a.width, cells, a.groups + (GroupSpec("d", tuple(diff)),))
 
 
+def _fixed_masks(row):
+    ones = zeros = 0
+    for p, c in enumerate(row.cells):
+        if c == FIXED1:
+            ones |= 1 << p
+        elif c == FIXED0:
+            zeros |= 1 << p
+    return ones, zeros
+
+
 def enumerate_ideals(poset, lines):
     """All order ideals closed under the line constraints, as a RowSet.
 
     Lines are imposed LIFO and in input order: the working stack holds
-    (row, k, label) entries, where k is the index of the next line to
-    impose, and the top entry gets line k.  A row with every line imposed
-    is final and lands in the store, where rows differing by one
+    (row, k, label, checked) entries, where k is the index of the next
+    line to impose, and the top entry gets line k.  A row with every line
+    imposed is final and lands in the store, where rows differing by one
     complementary 0/1 block are compressed into d rows.  A split's parts
     get fresh labels; a row an imposition leaves unchanged keeps its own.
+
+    Two shortcuts leave the final rows and their order as they are:
+
+    - prune: a popped row is dropped when some line from k on holds two
+      fixed 1s and a fixed 0, since every string of the row breaks it.
+      Only lines through a cell fixed since the row's parent was checked
+      (`checked` is the parent's fixed-cell mask, 0 for a seed) can have
+      turned so, and only those are looked at.
+    - skip: a line with no fixed 1 and at most one undetermined cell, or
+      with every cell fixed, at most one 1 or all 1s, holds on every
+      string of the row; the cursor steps over it without an
+      `impose_line` call.
+
+    The counts land in the result's `stats` (an `EnumStats`).
     """
     line_sets = [tuple(sorted(set(int(p) for p in line))) for line in lines]
+    masks = [sum(1 << p for p in line) for line in line_sets]
+    through = [0] * poset.width  # per point, the mask of the indices of its lines
+    for k, line in enumerate(line_sets):
+        for p in line:
+            through[p] |= 1 << k
     seeds = seed_order_ideals(poset)
+    stats = EnumStats(seeds=len(seeds.rows), peak_stack=len(seeds.rows))
+    sizes = Counter()
     counter = len(seeds.rows)
-    stack = [(row, 0, lab) for row, lab in zip(seeds.rows, seeds.labels)]
+    stack = [(row, 0, lab, 0) for row, lab in zip(seeds.rows, seeds.labels)]
     stack.reverse()
     finals, flabels, fprov = [], [], []
 
@@ -573,6 +632,7 @@ def enumerate_ideals(poset, lines):
         while i < len(finals):
             merged = _try_merge(finals[i], row)  # symmetric in its arguments
             if merged is not None:
+                stats.merges += 1
                 why = f"merge({flabels[i]},{label})"
                 del finals[i], flabels[i], fprov[i]
                 row = merged
@@ -583,19 +643,46 @@ def enumerate_ideals(poset, lines):
         flabels.append(label)
         fprov.append(why)
 
+    def doomed(ones, zeros, near):
+        return any(
+            (ones & masks[j]).bit_count() >= 2 and zeros & masks[j] for j in bits(near)
+        )
+
+    def satisfied(m, ones, undet):
+        o, u = ones & m, undet & m
+        return (not o and u.bit_count() <= 1) or (not u and (o.bit_count() <= 1 or o == m))
+
     while stack:
-        row, k, label = stack.pop()
-        if k == len(line_sets):
+        row, k, label, checked = stack.pop()
+        ones, zeros = _fixed_masks(row)
+        fixed = ones | zeros
+        near = 0
+        for p in bits(fixed & ~checked):
+            near |= through[p]
+        if doomed(ones, zeros, near >> k << k):
+            stats.pruned_rows += 1
+            continue
+        while k < len(masks) and satisfied(masks[k], ones, ~fixed):
+            stats.skipped += 1
+            k += 1
+        if k == len(masks):
             store(row, label, "exhausted")
             continue
         parts = impose_line(row, line_sets[k])
+        stats.impositions += 1
+        sizes[len(parts)] += 1
+        if len(parts) > len(line_sets[k]) + 2:
+            stats.split_bound_violations += 1
         if len(parts) == 1 and parts[0].same_content(row):
-            stack.append((parts[0], k + 1, label))
+            stack.append((parts[0], k + 1, label, fixed))
             continue
         for i in reversed(range(len(parts))):
-            stack.append((parts[i], k + 1, f"r{counter + 1 + i}"))
+            stack.append((parts[i], k + 1, f"r{counter + 1 + i}", fixed))
         counter += len(parts)
-    return RowSet(poset.width, tuple(finals), tuple(flabels), tuple(fprov))
+        stats.peak_stack = max(stats.peak_stack, len(stack))
+    stats.split_sizes = dict(sorted(sizes.items()))
+    stats.dead_rows = sizes[0]
+    return RowSet(poset.width, tuple(finals), tuple(flabels), tuple(fprov), stats)
 
 
 # -- validation ---------------------------------------------------------

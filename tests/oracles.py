@@ -9,6 +9,7 @@ from math import gcd
 
 from modlat.lattice import transposes_up
 from modlat.pls import validate_pls
+from modlat import wildcard
 from modlat.wildcard import FIXED0, FIXED1, FREE, GroupSpec, make_row
 
 
@@ -98,6 +99,49 @@ def random_row(rng, width):
             cells[pos[i]] = rng.choice((FIXED0, FIXED1, FREE, FREE))
             i += 1
     return make_row(width, cells, tuple(groups))
+
+
+def plain_enumerate(poset, lines):
+    """`enumerate_ideals` without its shortcuts: every row meets every
+    line through `impose_line`, and a row dies only when an imposition
+    returns nothing.  Its rows are the reference for the pruned and
+    skipping enumerator; its labels and provenance number every row the
+    plain traversal makes."""
+    line_sets = [tuple(sorted(set(int(p) for p in line))) for line in lines]
+    seeds = wildcard.seed_order_ideals(poset)
+    counter = len(seeds.rows)
+    stack = [(row, 0, lab) for row, lab in zip(seeds.rows, seeds.labels)]
+    stack.reverse()
+    finals, flabels, fprov = [], [], []
+
+    def store(row, label, why):
+        i = 0
+        while i < len(finals):
+            merged = wildcard._try_merge(finals[i], row)
+            if merged is not None:
+                why = f"merge({flabels[i]},{label})"
+                del finals[i], flabels[i], fprov[i]
+                row = merged
+                i = 0
+                continue
+            i += 1
+        finals.append(row)
+        flabels.append(label)
+        fprov.append(why)
+
+    while stack:
+        row, k, label = stack.pop()
+        if k == len(line_sets):
+            store(row, label, "exhausted")
+            continue
+        parts = wildcard.impose_line(row, line_sets[k])
+        if len(parts) == 1 and parts[0].same_content(row):
+            stack.append((parts[0], k + 1, label))
+            continue
+        for i in reversed(range(len(parts))):
+            stack.append((parts[i], k + 1, f"r{counter + 1 + i}"))
+        counter += len(parts)
+    return wildcard.RowSet(poset.width, tuple(finals), tuple(flabels), tuple(fprov))
 
 
 # -- partial linear spaces ----------------------------------------------

@@ -371,7 +371,7 @@ def test_verdict_suite_survives_an_empty_bases_sample():
 @pytest.mark.parametrize("run", [params, verdict_suite], ids=["params", "suite"])
 def test_shared_facts_are_computed_once(monkeypatch, run):
     L = subgroup_lattice(parse_group("2,2,4"))
-    calls = {"all_bols": 0, "projectivity_classes": 0, "localize": 0}
+    calls = {"all_bols": 0, "projectivity_classes": 0, "localize": 0, "line_intervals": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -388,9 +388,23 @@ def test_shared_facts_are_computed_once(monkeypatch, run):
         counted("projectivity_classes", modlat.analysis.projectivity_classes),
     )
     monkeypatch.setattr(modlat.analysis, "localize", counted("localize", modlat.analysis.localize))
+    line_intervals = counted("line_intervals", modlat.bol.line_intervals)
+    monkeypatch.setattr(modlat.bol, "line_intervals", line_intervals)
+    monkeypatch.setattr(modlat.analysis, "line_intervals", line_intervals)
     run(L)
     # localizations are read off the context's coverings, never rebuilt
-    assert calls == {"all_bols": 1, "projectivity_classes": 1, "localize": 0}
+    assert calls == {"all_bols": 1, "projectivity_classes": 1, "localize": 0, "line_intervals": 1}
+
+
+def test_component_count_does_not_build_the_bases_sample(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bases sample was built")
+
+    monkeypatch.setattr(modlat.analysis, "bol_sample", refuse)
+    for L, want in [(m_n(3), 1), (seven_point_lattice(), 1), (z4_squared(), 1)]:
+        assert component_count(L, canonical_bol(L)) == want
+    with pytest.raises(AssertionError, match="bases sample"):
+        analysis_context(z4_squared()).sample
 
 
 def test_verdict_rendering():

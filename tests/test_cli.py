@@ -73,6 +73,26 @@ def test_enumerate_text_and_out(files, capsys, tmp_path):
     assert total_count(rows) == 13
 
 
+def test_enumerate_stats_go_to_stderr_as_json(files, capsys, tmp_path):
+    argv = ["enumerate", "--poset", files["poset"], "--lines", files["lines"]]
+    assert main(argv + ["--out", str(tmp_path / "plain.json")]) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "stats.json"), "--stats"]) == 0
+    got = capsys.readouterr()
+    assert got.out == plain.out
+    assert plain.err == ""
+    assert (tmp_path / "stats.json").read_text() == (tmp_path / "plain.json").read_text()
+    stats = json.loads(got.err)
+    assert set(stats) == {
+        "seeds", "impositions", "skipped", "split_sizes", "split_bound_violations",
+        "dead_rows", "pruned_rows", "merges", "peak_stack",
+    }
+    assert stats["seeds"] == 2
+    assert stats["impositions"] == sum(stats["split_sizes"].values()) > 0
+    assert stats["split_bound_violations"] == 0
+    assert stats["merges"] >= 1
+
+
 def test_enumerate_without_lines(files, capsys):
     assert main(["enumerate", "--poset", files["poset"], "--count"]) == 0
     assert capsys.readouterr().out.strip() == "45"

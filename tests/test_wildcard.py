@@ -6,6 +6,8 @@ from collections import Counter
 
 import pytest
 
+from modlat import wildcard
+from modlat.algebra import enumeration_input, parse_group
 from modlat.corpus import fano_pls, seven_point_lines, seven_point_poset
 from modlat.wildcard import (
     FIXED0,
@@ -37,7 +39,14 @@ from modlat.wildcard import (
     with_group,
 )
 
-from oracles import brute_closed_ideals, line_admits, random_lines, random_poset_covers, random_row
+from oracles import (
+    brute_closed_ideals,
+    line_admits,
+    plain_enumerate,
+    random_lines,
+    random_poset_covers,
+    random_row,
+)
 
 
 def expansions(rows):
@@ -232,6 +241,18 @@ def test_seed_random_posets_exactly():
 # -- full enumeration --------------------------------------------------------------------
 
 
+def random_instances():
+    rng = random.Random(77)
+    for _ in range(60):
+        width = rng.randint(1, 10)
+        poset = GroundPoset(width, tuple(random_poset_covers(rng, width)))
+        yield poset, random_lines(rng, width)
+
+
+def fano_atom_instance():
+    return GroundPoset(7, ()), [tuple(sorted(p - 1 for p in l)) for l in fano_pls().lines]
+
+
 def test_seven_point_instance():
     poset = seven_point_poset()
     lines = seven_point_lines()
@@ -262,23 +283,65 @@ def test_line_order_does_not_change_the_set():
 
 
 def test_fano_atom_instance_counts_sixteen():
-    poset = GroundPoset(7, ())
-    lines = [tuple(sorted(p - 1 for p in l)) for l in fano_pls().lines]
+    poset, lines = fano_atom_instance()
     rows = enumerate_ideals(poset, lines)
     assert total_count(rows) == 16
     assert rowset_bitstrings(rows) == brute_closed_ideals(poset, lines)
 
 
 def test_random_instances_match_brute_force():
-    rng = random.Random(77)
-    for _ in range(60):
-        width = rng.randint(1, 10)
-        poset = GroundPoset(width, tuple(random_poset_covers(rng, width)))
-        lines = random_lines(rng, width)
+    for poset, lines in random_instances():
         rows = enumerate_ideals(poset, lines)
         assert rowset_bitstrings(rows) == brute_closed_ideals(poset, lines)
         assert total_count(rows) == len(rowset_bitstrings(rows))
         validate_rowset(rows)
+
+
+def test_rows_match_the_plain_enumeration_loop():
+    """Pruning doomed rows and skipping satisfied lines leave the final
+    rows, their groups and their order exactly as the plain loop makes
+    them."""
+    instances = [(seven_point_poset(), seven_point_lines()), fano_atom_instance()]
+    instances += [enumeration_input(parse_group(g)) for g in ("2,2,2,2", "2,4,8", "5,5,5")]
+    instances += random_instances()
+    for poset, lines in instances:
+        rows = enumerate_ideals(poset, lines)
+        assert rows.rows == plain_enumerate(poset, lines).rows
+        validate_rowset(rows)
+        stats = rows.stats
+        assert stats.impositions == sum(stats.split_sizes.values())
+        assert stats.split_bound_violations == 0
+
+
+def test_enumeration_work_bound_on_z3_4(monkeypatch):
+    calls = Counter()
+
+    def counted(row, positions):
+        calls["impose_line"] += 1
+        return impose_line(row, positions)
+
+    monkeypatch.setattr(wildcard, "impose_line", counted)  # as the benchmark tracer does
+    rows = enumerate_ideals(*enumeration_input(parse_group("3,3,3,3")))
+    assert total_count(rows) == 212
+    assert calls["impose_line"] == rows.stats.impositions < 5000
+    assert rows.stats.pruned_rows > 0
+    assert rows.stats.skipped > 0
+    assert rows.stats.seeds == 1
+    assert rows.stats.split_bound_violations == 0
+
+
+def test_a_doomed_row_is_pruned_before_its_line():
+    # 1 < 2 and a free point 0.  Imposing (0, 2) splits off the part with
+    # 2 = 1 and 0 = 0, and 2 = 1 forces 1 = 1; line (0, 1, 2) then holds two
+    # 1s and a 0, so that part is dropped without imposing it
+    poset = GroundPoset(3, ((1, 2),))
+    lines = [(0, 2), (0, 1, 2)]
+    rows = enumerate_ideals(poset, lines)
+    assert rows.rows == plain_enumerate(poset, lines).rows
+    assert rowset_bitstrings(rows) == brute_closed_ideals(poset, lines)
+    assert rows.stats.split_sizes == {1: 1, 4: 1}
+    assert rows.stats.pruned_rows == 1
+    assert rows.stats.dead_rows == 0
 
 
 # -- validation ---------------------------------------------------------------------------
