@@ -14,21 +14,23 @@ The profile collects
 
 and evaluates the identities and bounds that relate them, each reported
 as a named pass/fail verdict with the concrete numbers filled in.  The
-facts these checks share are computed once per lattice, in an
-`AnalysisContext`.  The
-module also houses the triangle machinery that manufactures a covering
-with a cyclic localization, and the cycles-of-line-tops vocabulary
-(tightly below, tightly comparable, clean cycles).
+facts these checks share are computed once per lattice, and those of
+each base of lines once per base, in the `AnalysisContext` that every
+check takes.  The module also houses the triangle machinery that
+manufactures a covering with a cyclic localization, and the
+cycles-of-line-tops vocabulary (tightly below, tightly comparable, clean
+cycles).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .bol import all_bols, bol_sample, canonical_bol, line_intervals, localize
+from .bol import bol_sample, canonical_bol, line_intervals, localize
 from .lattice import (
+    CapExceeded,
     LatticeError,
     bits,
     ji_below,
@@ -39,7 +41,7 @@ from .lattice import (
     transposes_up,
     up_transposes,
 )
-from .pls import components, find_cycle, rstar
+from .pls import find_cycle, mask_components
 
 
 class ClaimViolated(LatticeError):
@@ -64,12 +66,15 @@ class AnalysisContext:
     short.  Both are computed on first use, so a check that reads neither
     does not enumerate bases.
     `coverings` holds, per covering u -< v, the mask of J(u, v) and the
-    indices of the line intervals with top under v but not under u; every
-    base's localizations are read off them (`localizations`).
-    `locally_acyclic` is True for an acyclic lattice, False once a
-    sampled base has a cyclic localization, and None only when the
-    sample was truncated before such a base turned up.
-    `rstars` holds r* of each sampled base; a base is acyclic iff its r* is 0.
+    indices of the line intervals with top under v but not under u: a
+    base's localization there is its lines for those intervals, each
+    AND-ed with the mask.  Each base's facts, `base_facts` and
+    `localization_summary`, are computed at most once, from its line masks
+    in interval order.  `acyclic` says whether the canonical base has r* 0,
+    and `rstars` holds r* of each sampled base.  `locally_acyclic` is True
+    for an acyclic lattice, False once a sampled base has a cyclic
+    localization, and None only when the sample was truncated before such
+    a base turned up.
     """
 
     lattice: object
@@ -83,8 +88,9 @@ class AnalysisContext:
     lower: dict  # join-irreducible p -> p_*
     class_of: dict  # prime quotient -> index of its projectivity class
     bols_cap: int
-    acyclic: bool
     coverings: tuple  # (u, v, mask of J(u, v), qualifying interval indices)
+    _components: dict = field(default_factory=dict, init=False)  # base -> base_facts
+    _summaries: dict = field(default_factory=dict, init=False)  # base -> its summary
 
     @cached_property
     def _bases(self):
@@ -99,21 +105,35 @@ class AnalysisContext:
     def truncated(self):
         return self._bases[1]
 
+    def base_facts(self, B):
+        """(component masks, r*) of the base B, isolated points included."""
+        if B not in self._components:
+            self._components[B] = mask_components(_line_masks(B), self.lattice.ji_mask)
+        return self._components[B]
+
+    def localization_summary(self, B):
+        """(first, cyclic) over B's localizations in cover order: `first` is
+        (u, v, c) for the first covering u -< v whose localization has
+        c != 1 components, or None; `cyclic` says whether one has a cycle."""
+        if B not in self._summaries:
+            self._summaries[B] = _summarize_localizations(self.coverings, _line_masks(B))
+        return self._summaries[B]
+
+    @property
+    def acyclic(self):
+        return self.base_facts(self.base)[1] == 0
+
     @cached_property
     def locally_acyclic(self):
         if self.acyclic:
             return True
-        if any(cyc for B in self.sample for *_, cyc in localizations(self.coverings, B)):
+        if any(self.localization_summary(B)[1] for B in self.sample):
             return False
         return None if self.truncated else True
 
     @cached_property
     def rstars(self):
-        pts, ks = self.lattice.ji_mask, range(self.i)  # every base's points and lines
-        return tuple(
-            _components_and_rstar([sum(1 << p for p in ln) for ln in B.lines], ks, pts)[1]
-            for B in self.sample
-        )
+        return tuple(self.base_facts(B)[1] for B in self.sample)
 
     @cached_property
     def up_transposes(self):
@@ -127,39 +147,31 @@ class AnalysisContext:
         return p != q and not up[p].isdisjoint(up[q])
 
 
+def _line_masks(B):
+    return [sum(1 << p for p in ln) for ln in B.lines]
+
+
 def _coverings(L, ivs):
+    index = {iv.top: k for k, iv in enumerate(ivs)}  # ascending, as ivs are sorted by top
+    tops = sum(1 << top for top in index)
     return tuple(
         (u, v, L.down[v] & ~L.down[u] & L.ji_mask,
-         tuple(k for k, iv in enumerate(ivs) if L.leq(iv.top, v) and not L.leq(iv.top, u)))
+         tuple(index[top] for top in bits(tops & L.down[v] & ~L.down[u])))
         for u, v in L.covers
     )
 
 
-def _components_and_rstar(masks, ks, pts):
-    """(c, r*) of the point-line structure on the point mask `pts` whose
-    lines are masks[k] & pts for k in ks: c components, isolated points
-    included, and the cyclomatic number E - V + c (`rstar`)."""
-    comps, incidences = [], 0
-    for k in ks:
-        m = masks[k] & pts
-        incidences += m.bit_count()
-        for comp in [comp for comp in comps if comp & m]:
-            comps.remove(comp)
-            m |= comp
-        comps.append(m)
-    npts = pts.bit_count()
-    c = len(comps) + npts - sum(comps).bit_count()  # disjoint comps + isolated points
-    return c, incidences - npts - len(ks) + c
-
-
-def localizations(coverings, B):
-    """Per covering of an `AnalysisContext`'s `coverings`, in cover order,
-    (u, v, c, cyclic): B's localization at u -< v has c components, and a
-    cycle iff r* > 0.  B's lines are in interval order."""
-    masks = [sum(1 << p for p in ln) for ln in B.lines]
+def _summarize_localizations(coverings, masks):
+    # see AnalysisContext.localization_summary; stops once both are known
+    first, cyclic = None, False
     for u, v, pts, qual in coverings:
-        c, r = _components_and_rstar(masks, qual, pts)
-        yield u, v, c, r > 0
+        comps, r = mask_components([masks[k] & pts for k in qual], pts)
+        if first is None and len(comps) != 1:
+            first = (u, v, len(comps))
+        cyclic = cyclic or r > 0
+        if first is not None and cyclic:
+            break
+    return first, cyclic
 
 
 def analysis_context(L, bols_cap=1000):
@@ -181,13 +193,8 @@ def analysis_context(L, bols_cap=1000):
         lower=lower,
         class_of={q: k for k, cls in enumerate(classes) for q in cls},
         bols_cap=bols_cap,
-        acyclic=find_cycle(base.pls) is None,
         coverings=_coverings(L, ivs),
     )
-
-
-def _context(L):
-    return L if isinstance(L, AnalysisContext) else analysis_context(L)
 
 
 # -- parameter profile -------------------------------------------------
@@ -226,16 +233,15 @@ class ParamsReport:
         return all(v.passed for v in self.verdicts)
 
 
-def component_count(L, B):
+def component_count(ctx, B):
     """Number of connected components of the base of lines.
 
     Cross-computed as the number of projectivity classes met by the
     prime quotients (p_*, p) of join-irreducibles p; the two counts must
     agree, and their common value is the number of congruence-simple
-    factors of the lattice.  `L` may be a lattice or its analysis context.
+    factors of the lattice.
     """
-    ctx = _context(L)
-    from_pls = len(components(B.pls))
+    from_pls = len(ctx.base_facts(B)[0])
     from_classes = len({ctx.class_of[(low, p)] for p, low in ctx.lower.items()})
     if from_pls != from_classes:
         raise LatticeError(
@@ -263,7 +269,7 @@ def params(L, bols_cap=1000):
         i=ctx.i,
         o=ctx.o,
         mu=ctx.mu,
-        rstar_canonical=rstar(B.pls),
+        rstar_canonical=ctx.base_facts(B)[1],
         acyclic=ctx.acyclic,
         locally_acyclic=ctx.locally_acyclic,
         verdicts=check_point_count(ctx) + check_interval_bounds(ctx, B),
@@ -288,14 +294,12 @@ def params_to_json(report):
     }
 
 
-def check_point_count(L):
+def check_point_count(ctx):
     """j <= mu - i + s, with equality exactly for acyclic lattices.
 
     Acyclicity of a finite modular lattice does not depend on the chosen
     base of lines, so all sampled bases must agree with the canonical one.
-    `L` may be a lattice or its analysis context.
     """
-    ctx = _context(L)
     j, acyclic = ctx.j, ctx.acyclic
     rhs = ctx.mu - ctx.i + component_count(ctx, ctx.base)
     agree = all((r == 0) == acyclic for r in ctx.rstars)
@@ -311,18 +315,16 @@ def check_point_count(L):
     )
 
 
-def check_interval_bounds(L, B):
+def check_interval_bounds(ctx, B):
     """Bounds linking i, j, delta, s and the splitting number of B.
 
     Every clause whose hypothesis (o <= 2, acyclic, locally acyclic)
     holds is evaluated; the rest are skipped, including the locally
-    acyclic clauses when the cap leaves local acyclicity unknown.  `L`
-    may be a lattice or its analysis context.
+    acyclic clauses when the cap leaves local acyclicity unknown.
     """
-    ctx = _context(L)
     i, j, o, delta = ctx.i, ctx.j, ctx.o, ctx.delta
     s = component_count(ctx, B)
-    r = rstar(B.pls)
+    r = ctx.base_facts(B)[1]
     out = []
 
     def add(name, passed, detail):
@@ -353,22 +355,18 @@ def check_interval_bounds(L, B):
     return tuple(out)
 
 
-def is_locally_acyclic(L, mode="canonical-bol", cap=1000):
-    """Whether every localization of the selected bases is acyclic.
+def is_locally_acyclic(L, cap=1000):
+    """Whether every localization of every base of lines is acyclic.
 
-    mode "canonical-bol" inspects only the canonical base; mode
-    "all-bols-capped" exhausts all bases and raises CapExceeded past
-    `cap`.  An acyclic lattice is locally acyclic either way.
+    The bases are those of `analysis_context(L, cap)`; CapExceeded is
+    raised when more than `cap` bases exist and none of the first `cap`
+    has a cyclic localization.  An acyclic lattice is locally acyclic
+    without enumerating bases.
     """
-    ivs = line_intervals(L)
-    if mode == "canonical-bol":
-        bases = [canonical_bol(L, ivs)]
-    elif mode == "all-bols-capped":
-        bases = all_bols(L, cap=cap, ivs=ivs)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    coverings = _coverings(L, ivs)
-    return not any(cyc for B in bases for *_, cyc in localizations(coverings, B))
+    verdict = analysis_context(L, cap).locally_acyclic
+    if verdict is None:
+        raise CapExceeded(f"more than {cap} distinct bases of lines")
+    return verdict
 
 
 # -- triangle configurations -------------------------------------------
@@ -637,10 +635,7 @@ def _is_clean(L, tops, cycle):
 
 def check_components_match_projectivity(ctx, B):
     """Two points share a base component iff their quotients are projective."""
-    comp_of = {}
-    for k, comp in enumerate(components(B.pls)):
-        for p in comp:
-            comp_of[p] = k
+    comp_of = {p: k for k, comp in enumerate(ctx.base_facts(B)[0]) for p in bits(comp)}
     class_of, lower = ctx.class_of, ctx.lower
     pts = sorted(comp_of)
     for p, q in combinations(pts, 2):
@@ -659,13 +654,12 @@ def check_components_match_projectivity(ctx, B):
 
 def check_localizations_connected(ctx, B):
     """Every localization of the base is a single component."""
-    for u, v, n, _ in localizations(ctx.coverings, B):
-        if n != 1:
-            return Verdict(
-                "localizations connected",
-                False,
-                f"covering ({u},{v}) has {n} components",
-            )
+    first, _ = ctx.localization_summary(B)
+    if first is not None:
+        u, v, n = first
+        return Verdict(
+            "localizations connected", False, f"covering ({u},{v}) has {n} components"
+        )
     return Verdict(
         "localizations connected", True, f"{len(ctx.coverings)} coverings checked"
     )
@@ -758,10 +752,8 @@ def check_join_witness(L):
     return Verdict("join witness below a", True, f"{tried} triples checked")
 
 
-def check_clean_cycles(L, maxlen=8):
-    """A clean cycle of line-tops forces cycles in the bases of lines
-    (`L` may be a lattice or its analysis context)."""
-    ctx = _context(L)
+def check_clean_cycles(ctx, maxlen=8):
+    """A clean cycle of line-tops forces cycles in the bases of lines."""
     L = ctx.lattice
     tops = {iv.top: iv for iv in ctx.intervals}
     cycles = _top_cycles(L, tops, maxlen)

@@ -142,12 +142,6 @@ class Lattice:
     def meet(self, x, y):
         return self._meet[x][y]
 
-    def join_all(self, xs):
-        acc = self.bottom
-        for x in xs:
-            acc = self._join[acc][x]
-        return acc
-
     def meet_all(self, xs):
         acc = self.top
         for x in xs:

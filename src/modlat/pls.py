@@ -6,15 +6,19 @@ ints or strings.  Point ids of the form "+k" are reserved for the points
 that `split_point` mints, so inputs should avoid that shape.
 
 The cyclomatic number of the bipartite point-line incidence graph,
-`rstar`, counts the independent cycles.  `acyclifier` removes them one by
-one by splitting a point off a line that lies on a cycle; each split keeps
-the incidence count and the component count, adds one point, and therefore
-lowers the cyclomatic number by exactly one.
+`rstar`, counts the independent cycles.  `mask_components`, on int masks
+of points, is the one routine for components and r*: `components` and
+`rstar` call it on a `Pls`, `analysis` on bases of lines.  `acyclifier`
+removes the cycles one by one by splitting a point off a line that lies
+on a cycle; each split keeps the incidence count and the component count,
+adds one point, and therefore lowers the cyclomatic number by exactly one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .lattice import bits
 
 
 class PlsError(Exception):
@@ -50,9 +54,6 @@ class Pls:
     def sorted_points(self):
         return sorted(self.points, key=_pkey)
 
-    def line_list(self, i):
-        return sorted(self.lines[i], key=_pkey)
-
 
 @dataclass(frozen=True)
 class PlsCycle:
@@ -85,30 +86,45 @@ def validate_pls(points, lines):
     return Pls(pts, tuple(frozen))
 
 
+def mask_components(line_masks, pts):
+    """The components of the point-line structure on the point mask `pts`
+    whose lines are the list of submasks `line_masks`, and its r*.
+
+    Returns (component masks, r*): the components, isolated points
+    included (one bit each, after the others), and r* = E - V + c.
+    """
+    comps, incidences = [], 0
+    for m in line_masks:
+        incidences += m.bit_count()
+        apart = []
+        for comp in comps:
+            if comp & m:
+                m |= comp
+            else:
+                apart.append(comp)
+        apart.append(m)
+        comps = apart
+    isolated = pts & ~sum(comps)  # the components are disjoint
+    if isolated:
+        comps += [1 << p for p in bits(isolated)]
+    return comps, incidences - pts.bit_count() - len(line_masks) + len(comps)
+
+
+def _mask_components(P):
+    # bit i stands for the i-th point in `_pkey` order
+    pts = P.sorted_points()
+    index = {p: i for i, p in enumerate(pts)}
+    masks = [sum(1 << index[p] for p in line) for line in P.lines]
+    return pts, *mask_components(masks, (1 << len(pts)) - 1)
+
+
 def components(P):
     """Connected components of the point set; isolated points count.
 
-    Returned as a list of frozensets in a deterministic order.
+    Returned as a list of frozensets, ordered by their least point.
     """
-    parent = {p: p for p in P.points}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    for line in P.lines:
-        pts = sorted(line, key=_pkey)
-        for q in pts[1:]:
-            rp, rq = find(pts[0]), find(q)
-            if rp != rq:
-                parent[rq] = rp
-    groups = {}
-    for p in P.points:
-        groups.setdefault(find(p), set()).add(p)
-    comps = [frozenset(g) for g in groups.values()]
-    return sorted(comps, key=lambda c: _pkey(min(c, key=_pkey)))
+    pts, comps, _ = _mask_components(P)
+    return [frozenset(pts[i] for i in bits(m)) for m in sorted(comps, key=lambda m: m & -m)]
 
 
 def find_cycle(P):
@@ -209,10 +225,7 @@ def split_point(P, line_index, point):
 
 def rstar(P):
     """Cyclomatic number of the incidence graph: E - V + c."""
-    e = sum(len(line) for line in P.lines)
-    v = len(P.points) + len(P.lines)
-    c = len(components(P)) if P.points else 0
-    return e - v + c
+    return _mask_components(P)[2]
 
 
 def acyclifier(P):

@@ -8,7 +8,7 @@ from itertools import combinations, product
 from math import gcd
 
 from modlat.lattice import transposes_up
-from modlat.pls import validate_pls
+from modlat.pls import _pkey, validate_pls
 from modlat import wildcard
 from modlat.wildcard import FIXED0, FIXED1, FREE, GroupSpec, make_row
 
@@ -161,11 +161,43 @@ def random_pls(rng, max_lines=8, max_points=10):
     return validate_pls(points, lines)
 
 
+def union_find_components(P):
+    """Components of P's point set, isolated points included, by union-find
+    on the points: frozensets ordered by their least point in `_pkey` order."""
+    parent = {p: p for p in P.points}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for line in P.lines:
+        pts = sorted(line, key=_pkey)
+        for q in pts[1:]:
+            rp, rq = find(pts[0]), find(q)
+            if rp != rq:
+                parent[rq] = rp
+    groups = {}
+    for p in P.points:
+        groups.setdefault(find(p), set()).add(p)
+    comps = [frozenset(g) for g in groups.values()]
+    return sorted(comps, key=lambda c: _pkey(min(c, key=_pkey)))
+
+
+def union_find_rstar(P):
+    """E - V + c of P's incidence graph, c from `union_find_components`."""
+    e = sum(len(line) for line in P.lines)
+    v = len(P.points) + len(P.lines)
+    c = len(union_find_components(P)) if P.points else 0
+    return e - v + c
+
+
 def _incidences(P):
     return [
         (li, p)
         for li, line in enumerate(P.lines)
-        for p in sorted(line, key=lambda x: (x.__class__.__name__, str(x)))
+        for p in sorted(line, key=_pkey)
     ]
 
 

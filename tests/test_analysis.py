@@ -20,7 +20,6 @@ from modlat.analysis import (
     cyclic_localization_witness,
     is_clean_cycle,
     is_locally_acyclic,
-    localizations,
     params,
     params_to_json,
     tight_below,
@@ -40,6 +39,8 @@ from modlat.corpus import (
 )
 from modlat.lattice import CapExceeded, NotModular, build_lattice
 from modlat.pls import components, find_cycle, rstar
+
+from oracles import union_find_components
 
 
 def z2_cubed():
@@ -128,14 +129,14 @@ def test_params_requires_modularity():
 
 def test_component_count_values():
     for L, want in [(m_n(3), 1), (boolean_lattice(3), 3), (seven_point_lattice(), 1)]:
-        assert component_count(L, canonical_bol(L)) == want
+        assert component_count(analysis_context(L), canonical_bol(L)) == want
 
 
 # -- individual checks -----------------------------------------------------
 
 
 def test_point_count_verdict_names_and_details():
-    verdicts = check_point_count(m_n(3))
+    verdicts = check_point_count(analysis_context(m_n(3)))
     assert [v.name for v in verdicts] == [
         "point count bound",
         "point count equality iff acyclic",
@@ -146,7 +147,7 @@ def test_point_count_verdict_names_and_details():
 
 
 def test_point_count_detects_strictness_on_cyclic_lattices():
-    verdicts = check_point_count(z2_cubed())
+    verdicts = check_point_count(analysis_context(z2_cubed()))
     eq = _verdict(verdicts, "point count equality iff acyclic")
     assert eq.passed
     assert "j=7" in eq.detail and "mu-i+s=15" in eq.detail and "acyclic=False" in eq.detail
@@ -154,7 +155,7 @@ def test_point_count_detects_strictness_on_cyclic_lattices():
 
 def test_interval_bounds_on_z2_cubed():
     L = z2_cubed()
-    verdicts = check_interval_bounds(L, canonical_bol(L))
+    verdicts = check_interval_bounds(analysis_context(L), canonical_bol(L))
     assert [v.name for v in verdicts] == [
         "interval count lower bound",
         "point count lower bound",
@@ -170,7 +171,7 @@ def test_interval_bounds_on_z2_cubed():
 
 def test_interval_bounds_on_seven_point():
     L = seven_point_lattice()
-    verdicts = check_interval_bounds(L, canonical_bol(L))
+    verdicts = check_interval_bounds(analysis_context(L), canonical_bol(L))
     names = {v.name for v in verdicts}
     assert {
         "locally acyclic interval identity",
@@ -183,7 +184,7 @@ def test_interval_bounds_on_seven_point():
 
 
 def test_interval_bounds_skip_tight_clauses_for_wide_lines():
-    verdicts = check_interval_bounds(m_n(4), canonical_bol(m_n(4)))
+    verdicts = check_interval_bounds(analysis_context(m_n(4)), canonical_bol(m_n(4)))
     names = {v.name for v in verdicts}
     assert "split-adjusted point bound" not in names
     assert "acyclic point identity" not in names
@@ -194,22 +195,19 @@ def test_interval_bounds_skip_tight_clauses_for_wide_lines():
 # -- local acyclicity --------------------------------------------------------
 
 
-def test_locally_acyclic_modes():
+def test_is_locally_acyclic():
     assert is_locally_acyclic(boolean_lattice(3))
-    assert is_locally_acyclic(chain(4), mode="all-bols-capped")
+    assert is_locally_acyclic(chain(4))
     assert not is_locally_acyclic(z2_cubed())
-    assert not is_locally_acyclic(z2_cubed(), mode="all-bols-capped")
-    assert is_locally_acyclic(z4_squared(), mode="all-bols-capped", cap=100)
-
-
-def test_locally_acyclic_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        is_locally_acyclic(m_n(3), mode="everything")
+    assert is_locally_acyclic(z4_squared(), cap=100)
+    # acyclic, so no base is enumerated and no cap applies
+    assert is_locally_acyclic(seven_point_lattice(), cap=2)
 
 
 def test_locally_acyclic_cap_is_enforced():
+    # Z4 x Z4 is cyclic with 64 bases, none with a cyclic localization
     with pytest.raises(CapExceeded):
-        is_locally_acyclic(seven_point_lattice(), mode="all-bols-capped", cap=2)
+        is_locally_acyclic(z4_squared(), cap=2)
 
 
 def test_acyclic_lattice_is_locally_acyclic_under_any_cap():
@@ -225,14 +223,46 @@ def test_shared_localization_pass_matches_localize():
     seen = set()
     for L in lattices:
         ctx = analysis_context(L, 50)
-        assert ctx.rstars == tuple(rstar(B.pls) for B in ctx.sample)
         for B in ctx.sample:
-            for u, v, c, cyclic in localizations(ctx.coverings, B):
+            comps, r = ctx.base_facts(B)
+            assert sorted(comps) == sorted(
+                sum(1 << p for p in comp) for comp in union_find_components(B.pls)
+            ), L
+            assert r == rstar(B.pls) and (r == 0) == (find_cycle(B.pls) is None), L
+            first, cyclic = None, False
+            for u, v in L.covers:
                 P = localize(B, u, v)
-                assert c == len(components(P)), (L, u, v)
-                assert cyclic == (find_cycle(P) is not None), (L, u, v)
-                seen.add((len(P.lines) > 1, cyclic))
+                c = len(union_find_components(P))
+                if first is None and c != 1:
+                    first = (u, v, c)
+                cyclic = cyclic or find_cycle(P) is not None
+                seen.add((len(P.lines) > 1, find_cycle(P) is not None))
+            # the summary may stop early once both answers are known
+            got_first, got_cyclic = ctx.localization_summary(B)
+            assert got_cyclic == cyclic and got_first == first, (L, B)
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_localization_summaries_are_computed_once_per_base(monkeypatch):
+    # Z4 x Z8 has more bases than the default cap and no cyclic
+    # localization among them, so locally_acyclic reads every summary
+    # before verdict_suite's connectivity check does
+    L = subgroup_lattice(parse_group("4,8"))
+    counts = {}
+    summarize = modlat.analysis._summarize_localizations
+
+    def counted(coverings, masks):
+        key = tuple(masks)
+        counts[key] = counts.get(key, 0) + 1
+        return summarize(coverings, masks)
+
+    monkeypatch.setattr(modlat.analysis, "_summarize_localizations", counted)
+    ctx = analysis_context(L)
+    assert ctx.truncated and ctx.locally_acyclic is None
+    counts.clear()
+    verdict_suite(L)
+    assert len(counts) == len(ctx.sample) == 1000
+    assert set(counts.values()) == {1}
 
 
 # -- triangle configurations -------------------------------------------------
@@ -340,10 +370,10 @@ def test_clean_cycle_input_validation():
 
 
 def test_clean_cycle_verdicts():
-    v = check_clean_cycles(z4_squared())
+    v = check_clean_cycles(analysis_context(z4_squared()))
     assert v.passed
     assert "3 clean of 3" in v.detail and "cyclic=True" in v.detail
-    v2 = check_clean_cycles(boolean_lattice(3))
+    v2 = check_clean_cycles(analysis_context(boolean_lattice(3)))
     assert v2.passed and "untriggered" in v2.detail
 
 
@@ -379,9 +409,7 @@ def test_shared_facts_are_computed_once(monkeypatch, run):
             return fn(*args, **kwargs)
         return wrapper
 
-    all_bols = counted("all_bols", modlat.bol.all_bols)
-    monkeypatch.setattr(modlat.bol, "all_bols", all_bols)
-    monkeypatch.setattr(modlat.analysis, "all_bols", all_bols)
+    monkeypatch.setattr(modlat.bol, "all_bols", counted("all_bols", modlat.bol.all_bols))
     monkeypatch.setattr(
         modlat.analysis,
         "projectivity_classes",
@@ -402,7 +430,7 @@ def test_component_count_does_not_build_the_bases_sample(monkeypatch):
 
     monkeypatch.setattr(modlat.analysis, "bol_sample", refuse)
     for L, want in [(m_n(3), 1), (seven_point_lattice(), 1), (z4_squared(), 1)]:
-        assert component_count(L, canonical_bol(L)) == want
+        assert component_count(analysis_context(L), canonical_bol(L)) == want
     with pytest.raises(AssertionError, match="bases sample"):
         analysis_context(z4_squared()).sample
 

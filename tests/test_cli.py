@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -69,7 +70,7 @@ def test_enumerate_text_and_out(files, capsys, tmp_path):
     assert main(["enumerate", "--poset", files["poset"], "--lines", files["lines"], "--out", out]) == 0
     text = capsys.readouterr().out
     assert "total 13 in 6 rows" in text
-    rows = rowset_from_json(json.loads(open(out).read()))
+    rows = rowset_from_json(json.loads(Path(out).read_text()))
     assert total_count(rows) == 13
 
 
@@ -107,7 +108,7 @@ def test_rebuild_summary(files, capsys, tmp_path):
     assert rc == 0
     got = capsys.readouterr().out.strip()
     assert got == "13 elements, 7 join-irreducibles, 3 line intervals, roundtrip ok"
-    assert lattice_from_json(json.loads(open(out).read())).n == 13
+    assert lattice_from_json(json.loads(Path(out).read_text())).n == 13
 
 
 def test_rebuild_dot(files, capsys):
@@ -124,7 +125,7 @@ def test_analyze_m3(files, capsys, tmp_path):
     text = capsys.readouterr().out
     assert "j (join-irreducibles) 3" in text
     assert "[FAIL]" not in text
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert data["j"] == 3 and data["acyclic"] is True
 
 
@@ -190,7 +191,7 @@ def test_localize_coatom_covering_is_cyclic(files, capsys, tmp_path):
     assert main(["localize", "--lattice", files["z2cubed"], "--out", out, "8", "15"]) == 0
     summary = capsys.readouterr().out.strip().splitlines()[-1]
     assert summary == "4 points, 6 lines, 1 components, cyclic"
-    P = pls_from_json(json.loads(open(out).read()))
+    P = pls_from_json(json.loads(Path(out).read_text()))
     assert len(P.points) == 4 and len(P.lines) == 6
     assert main(["rstar", out]) == 0
     assert capsys.readouterr().out.strip() == "3"
@@ -227,7 +228,7 @@ def test_subgroup_lattice_outputs(files, capsys, tmp_path):
     out = str(tmp_path / "grp.json")
     assert main(["subgroup-lattice", "--group", "4,4", "--out", out, "--count"]) == 0
     capsys.readouterr()
-    assert lattice_from_json(json.loads(open(out).read())).n == 15
+    assert lattice_from_json(json.loads(Path(out).read_text())).n == 15
 
 
 def test_subgroup_lattice_dot(capsys):
@@ -396,7 +397,7 @@ def test_cli_readers_survive_mutated_input(files, tmp_path, capsys):
         ("sets", ["distributive", "--sets", bad, "--count"]),
     ]
     for name, argv in readers:
-        text = open(files[name]).read()
+        text = Path(files[name]).read_text()
         for trial in range(40):
             if name == "sets" or trial % 2:
                 mutant = _fuzz_text(rng, text)

@@ -22,7 +22,7 @@ from modlat.pls import (
     validate_pls,
 )
 
-from oracles import min_splittings, random_pls
+from oracles import min_splittings, random_pls, union_find_components, union_find_rstar
 
 
 # -- validation -----------------------------------------------------------
@@ -64,6 +64,21 @@ def test_component_counts():
     assert len(components(P)) == 1
     Q = validate_pls(range(6), [{0, 1, 2}, {3, 4, 5}])
     assert len(components(Q)) == 2
+
+
+def test_components_and_rstar_match_union_find():
+    # split until acyclic, so that "+k" points join the ints; "+10" sorts
+    # before "+2", and some instances get that far
+    rng = random.Random(31)
+    for _ in range(60):
+        P = random_pls(rng, max_lines=16, max_points=12)
+        while True:
+            assert components(P) == union_find_components(P)
+            assert rstar(P) == union_find_rstar(P)
+            cyc = find_cycle(P)
+            if cyc is None:
+                break
+            P = split_point(P, cyc.lines[0], cyc.junctions[0])
 
 
 # -- cycles -------------------------------------------------------------------
