@@ -70,7 +70,11 @@ class AnalysisContext:
     base's localization there is its lines for those intervals, each
     AND-ed with the mask.  Each base's facts, `base_facts` and
     `localization_summary`, are computed at most once, from its line masks
-    in interval order.  `acyclic` says whether the canonical base has r* 0,
+    in interval order.  The bases share their line objects, so each
+    line's mask is computed once per context (`line_masks`), and the
+    (components, r*) of a localization once per covering and trimmed
+    line masks: on Z4xZ8 the sample's 37,000 localizations hold only 119
+    distinct ones.  `acyclic` says whether the canonical base has r* 0,
     and `rstars` holds r* of each sampled base.  `locally_acyclic` is True
     for an acyclic lattice, False once a sampled base has a cyclic
     localization, and None only when the sample was truncated before such
@@ -91,6 +95,9 @@ class AnalysisContext:
     coverings: tuple  # (u, v, mask of J(u, v), qualifying interval indices)
     _components: dict = field(default_factory=dict, init=False)  # base -> base_facts
     _summaries: dict = field(default_factory=dict, init=False)  # base -> its summary
+    _masks: dict = field(default_factory=dict, init=False)  # line -> its point mask
+    # (covering index, trimmed line masks) -> (components, r*) of that localization
+    _localizations: dict = field(default_factory=dict, init=False)
 
     @cached_property
     def _bases(self):
@@ -105,10 +112,21 @@ class AnalysisContext:
     def truncated(self):
         return self._bases[1]
 
+    def line_masks(self, B):
+        """The lines of the base B as int masks of points, in B's order."""
+        masks = self._masks
+        out = []
+        for ln in B.lines:
+            m = masks.get(ln)
+            if m is None:
+                m = masks[ln] = sum(1 << p for p in ln)
+            out.append(m)
+        return out
+
     def base_facts(self, B):
         """(component masks, r*) of the base B, isolated points included."""
         if B not in self._components:
-            self._components[B] = mask_components(_line_masks(B), self.lattice.ji_mask)
+            self._components[B] = mask_components(self.line_masks(B), self.lattice.ji_mask)
         return self._components[B]
 
     def localization_summary(self, B):
@@ -116,7 +134,9 @@ class AnalysisContext:
         (u, v, c) for the first covering u -< v whose localization has
         c != 1 components, or None; `cyclic` says whether one has a cycle."""
         if B not in self._summaries:
-            self._summaries[B] = _summarize_localizations(self.coverings, _line_masks(B))
+            self._summaries[B] = _summarize_localizations(
+                self.coverings, self.line_masks(B), self._localizations
+            )
         return self._summaries[B]
 
     @property
@@ -147,10 +167,6 @@ class AnalysisContext:
         return p != q and not up[p].isdisjoint(up[q])
 
 
-def _line_masks(B):
-    return [sum(1 << p for p in ln) for ln in B.lines]
-
-
 def _coverings(L, ivs):
     index = {iv.top: k for k, iv in enumerate(ivs)}  # ascending, as ivs are sorted by top
     tops = sum(1 << top for top in index)
@@ -161,11 +177,16 @@ def _coverings(L, ivs):
     )
 
 
-def _summarize_localizations(coverings, masks):
-    # see AnalysisContext.localization_summary; stops once both are known
+def _summarize_localizations(coverings, masks, memo):
+    # see AnalysisContext.localization_summary; stops once both are known.
+    # memo maps (covering index, trimmed line masks) to mask_components
     first, cyclic = None, False
-    for u, v, pts, qual in coverings:
-        comps, r = mask_components([masks[k] & pts for k in qual], pts)
+    for k, (u, v, pts, qual) in enumerate(coverings):
+        key = (k, tuple([masks[i] & pts for i in qual]))
+        facts = memo.get(key)
+        if facts is None:
+            facts = memo[key] = mask_components(key[1], pts)
+        comps, r = facts
         if first is None and len(comps) != 1:
             first = (u, v, len(comps))
         cyclic = cyclic or r > 0
@@ -393,23 +414,24 @@ class TriangleConfig:
     p3: object
 
 
-def _single_meet(a, b):
-    common = a & b
-    if len(common) == 1:
-        return next(iter(common))
-    return None
+def _meet_bit(a, b):
+    """The one bit that the masks a and b share, or None."""
+    c = a & b
+    return c.bit_length() - 1 if c and not c & (c - 1) else None
 
 
-def _triangles(lines):
-    """The triangles among `lines`: index triples i < j < k, in
-    lexicographic order, whose lines meet pairwise in single points that
-    are three distinct corners, with the corners (ij, ik, jk).  Each
-    pair's meet is found once."""
-    meets = [{} for _ in lines]  # meets[i][j], j > i: the single common point
-    for i, j in combinations(range(len(lines)), 2):
-        c = _single_meet(lines[i], lines[j])
-        if c is not None:
-            meets[i][j] = c
+def _triangles(masks):
+    """The triangles among the lines given as int `masks`: index triples
+    i < j < k, in lexicographic order, whose lines meet pairwise in
+    single points that are three distinct corners, with the corners (ij,
+    ik, jk) as bit positions.  Each pair's meet is found once."""
+    meets = [{} for _ in masks]  # meets[i][j], j > i: the single common bit
+    for i, a in enumerate(masks):
+        mi = meets[i]
+        for j in range(i + 1, len(masks)):
+            c = a & masks[j]
+            if c and not c & (c - 1):
+                mi[j] = c.bit_length() - 1
     for i, mi in enumerate(meets):
         later = list(mi)  # ascending, as inserted
         for a, j in enumerate(later):
@@ -429,30 +451,34 @@ def triangle_configurations(B):
     role of l3 (the side opposite the corner s).
     """
     lines = list(B.lines)
+    pts = B.pls.sorted_points()  # bit i stands for pts[i]
+    index = {p: i for i, p in enumerate(pts)}
+    masks = [sum(1 << index[p] for p in ln) for ln in lines]
     out = []
-    for ia, ib, ic, corners in _triangles(lines):
-        tri = (lines[ia], lines[ib], lines[ic])
+    for ia, ib, ic, corners in _triangles(masks):
+        tri = (ia, ib, ic)
         corner_set = set(corners)
-        for it, transversal in enumerate(lines):
-            if it in (ia, ib, ic):
+        for it, transversal in enumerate(masks):
+            if it in tri:
                 continue
-            contacts = tuple(_single_meet(transversal, side) for side in tri)
+            contacts = tuple(_meet_bit(transversal, masks[side]) for side in tri)
             if any(c is None or c in corner_set for c in contacts):
                 continue
             # one configuration per choice of the side opposite s
             for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                lx, ly, lz = (masks[tri[w]] for w in (x, y, z))
                 out.append(
                     TriangleConfig(
-                        l1=tri[x],
-                        l2=tri[y],
-                        l3=tri[z],
-                        l4=transversal,
-                        s=_single_meet(tri[x], tri[y]),
-                        p1=_single_meet(tri[x], tri[z]),
-                        p2=_single_meet(tri[y], tri[z]),
-                        q=contacts[x],
-                        r=contacts[y],
-                        p3=contacts[z],
+                        l1=lines[tri[x]],
+                        l2=lines[tri[y]],
+                        l3=lines[tri[z]],
+                        l4=lines[it],
+                        s=pts[_meet_bit(lx, ly)],
+                        p1=pts[_meet_bit(lx, lz)],
+                        p2=pts[_meet_bit(ly, lz)],
+                        q=pts[contacts[x]],
+                        r=pts[contacts[y]],
+                        p3=pts[contacts[z]],
                     )
                 )
     return out
@@ -688,9 +714,9 @@ def check_line_feet(ctx, B):
 def check_triangle_tops(ctx, B):
     """The tops of a three-line cycle are never mutually comparable."""
     L = ctx.lattice
-    lines = list(B.lines)
+    lines = B.lines
     tried = 0
-    for ia, ib, ic, _ in _triangles(lines):
+    for ia, ib, ic, _ in _triangles(ctx.line_masks(B)):
         tried += 1
         ta, tb, tc = (B.top_of[lines[x]] for x in (ia, ib, ic))
         if (
@@ -734,16 +760,19 @@ def check_perspective_intervals(ctx):
 def check_join_witness(L):
     """r in J(a, a+q) with q, r incomparable forces some p in J(a) with
     p + q = r + q."""
-    up, down, jis = L.up, L.down, L.ji_mask
+    up, down, jis, join = L.up, L.down, L.ji_mask, L.join
     tried = 0
     for a in range(L.n):
         below = ji_below(L, a)
         for q in bits(jis & ~down[a]):
             # J(a, a+q), less the points comparable with q
-            for r in bits(jis & down[L.join(a, q)] & ~down[a] & ~up[q] & ~down[q]):
+            rs = jis & down[join(a, q)] & ~down[a] & ~up[q] & ~down[q]
+            if not rs:
+                continue
+            witnessed = {join(p, q) for p in below}
+            for r in bits(rs):
                 tried += 1
-                want = L.join(r, q)
-                if not any(L.join(p, q) == want for p in below):
+                if join(r, q) not in witnessed:
                     return Verdict(
                         "join witness below a",
                         False,

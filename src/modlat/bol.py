@@ -16,12 +16,13 @@ from itertools import product
 from .lattice import (
     CapExceeded,
     LatticeError,
+    bits,
     ji_below,
     ji_between,
     ji_elements,
     require_modular,
 )
-from .pls import Pls, _pkey, validate_pls
+from .pls import Pls, TwoPointIntersection, _pkey, validate_pls
 
 
 class EmptyChoice(LatticeError):
@@ -113,13 +114,12 @@ def extract_line(L, interval, chooser=None):
     return line
 
 
-def _assemble(L, lines, intervals):
+def _assemble(L, pls, intervals):
     top_of, bottom_of, interval_of = {}, {}, {}
-    for line, iv in zip(lines, intervals):
+    for line, iv in zip(pls.lines, intervals):
         top_of[line] = iv.top
         bottom_of[line] = iv.bottom
         interval_of[line] = iv
-    pls = validate_pls(ji_elements(L), lines)
     return BaseOfLines(pls, L, top_of, bottom_of, interval_of)
 
 
@@ -132,36 +132,60 @@ def canonical_bol(L, ivs=None):
     if ivs is None:
         ivs = line_intervals(L)
     lines = [extract_line(L, iv) for iv in ivs]
-    return _assemble(L, lines, ivs)
+    return _assemble(L, validate_pls(ji_elements(L), lines), ivs)
+
+
+def check_candidates(candidates):
+    """Raise TwoPointIntersection unless any two candidate lines of
+    different intervals share at most one point.
+
+    `candidates` holds, per interval, its candidate lines as int masks of
+    points.  Every base picks one line per interval, so this checks each
+    pair of lines that any base could hold.  A modular lattice always
+    passes: two points of a line join to the line's top, and the tops of
+    distinct intervals differ."""
+    for i, ci in enumerate(candidates):
+        for j in range(i + 1, len(candidates)):
+            for a in ci:
+                for b in candidates[j]:
+                    c = a & b
+                    if c & (c - 1):
+                        raise TwoPointIntersection(
+                            f"candidate lines of intervals {i} and {j} "
+                            f"share {list(bits(c))}"
+                        )
 
 
 def all_bols(L, cap=1000, ivs=None):
-    """Yield every base of lines (deduplicated), capped.
+    """Yield every base of lines, each once, capped.
 
     Raises CapExceeded once a (cap+1)-th distinct base shows up, so a
     consumer that completes without the error has seen them all.  `ivs`
-    is as for `canonical_bol`."""
+    is as for `canonical_bol`.  The partial-linear-space check runs once
+    per lattice, here, not once per base: a candidate line is a set of
+    at least three join-irreducibles by construction, and
+    `check_candidates` covers every pair of lines from different
+    intervals before the first base.  So each base's `Pls` is built
+    without `validate_pls`, and distinct choices of lines are distinct
+    bases."""
     if ivs is None:
         ivs = line_intervals(L)
-    per_interval = []
+    per_interval = []  # per interval, its candidate lines -> their masks
     for iv in ivs:
-        seen = []
+        seen = {}
         for combo in product(*interval_candidates(L, iv)):
             fs = frozenset(combo)
             if len(fs) == len(iv.atoms) and fs not in seen:
-                seen.append(fs)
+                seen[fs] = sum(1 << p for p in fs)
             if len(seen) > cap:
                 raise CapExceeded(f"more than {cap} line choices for one interval")
         per_interval.append(seen)
-    emitted = set()
-    for combo in product(*per_interval):
-        key = frozenset(combo)
-        if key in emitted:
-            continue
-        if len(emitted) >= cap:
+    check_candidates([list(seen.values()) for seen in per_interval])
+    points = frozenset(ji_elements(L))
+    for count, combo in enumerate(product(*per_interval)):
+        if count >= cap:
             raise CapExceeded(f"more than {cap} distinct bases of lines")
-        emitted.add(key)
-        yield _assemble(L, list(combo), ivs)
+        yield _assemble(L, Pls(points, combo), ivs)
 
 
 def bol_sample(L, cap=1000, ivs=None):

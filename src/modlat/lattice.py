@@ -171,12 +171,21 @@ class Lattice:
 
     @cached_property
     def modular(self):
-        # x <= z  =>  x + (y*z) = (x+y)*z
-        for z in range(self.n):
-            for x in bits(self.down[z]):
-                jx, mz = self._join[x], self._meet[z]
-                for y in range(self.n):
-                    if jx[self._meet[y][z]] != mz[jx[y]]:
+        # Birkhoff: a finite lattice is modular iff it is upper and lower
+        # semimodular, i.e. any two upper covers of an element join to a
+        # common upper cover of both, and dually for lower covers
+        covers = self.cover_set
+        for x in range(self.n):
+            ups, lows = self._upcov[x], self._lowcov[x]
+            for i, y in enumerate(ups):
+                for z in ups[i + 1 :]:
+                    j = self._join[y][z]
+                    if (y, j) not in covers or (z, j) not in covers:
+                        return False
+            for i, y in enumerate(lows):
+                for z in lows[i + 1 :]:
+                    m = self._meet[y][z]
+                    if (m, y) not in covers or (m, z) not in covers:
                         return False
         return True
 

@@ -264,6 +264,59 @@ def projectivity_partition(L):
     return sorted((frozenset(c) for c in classes), key=min)
 
 
+def random_intersection_closed(rng, width):
+    """A random family of subsets of 0..width-1 that holds the whole set
+    and is closed under intersection, hence a lattice under inclusion;
+    returns (n, covers) with the members sorted by size, then mask."""
+    fam = {(1 << width) - 1} | {rng.getrandbits(width) for _ in range(rng.randint(2, 8))}
+    grown = True
+    while grown:
+        new = {a & b for a in fam for b in fam} - fam
+        fam |= new
+        grown = bool(new)
+    members = sorted(fam, key=lambda m: (m.bit_count(), m))
+    covers = []
+    for j, b in enumerate(members):
+        below = [i for i, a in enumerate(members) if a != b and a & b == a]
+        covers += [
+            (i, j) for i in below
+            if not any(members[i] & members[k] == members[i] for k in below if k != i)
+        ]
+    return len(members), covers
+
+
+def identity_modular(L):
+    """Whether x <= z implies x + (y*z) = (x+y)*z for all x, y, z: the
+    modular law itself, checked over every triple."""
+    for z in range(L.n):
+        for x in range(L.n):
+            if not L.leq(x, z):
+                continue
+            for y in range(L.n):
+                if L.join(x, L.meet(y, z)) != L.meet(L.join(x, y), z):
+                    return False
+    return True
+
+
+def join_witness_failure(L):
+    """(triples tried, first (a, q, r) with q, r incomparable join-
+    irreducibles, r in J(a, a+q), and no join-irreducible p <= a with
+    p + q = r + q, or None), scanning a, q and r in ascending order."""
+    jis = [p for p in range(L.n) if len(L.lower_covers(p)) == 1]
+    tried = 0
+    for a in range(L.n):
+        for q in jis:
+            if L.leq(q, a):
+                continue
+            for r in jis:
+                if L.leq(r, q) or L.leq(q, r) or L.leq(r, a) or not L.leq(r, L.join(a, q)):
+                    continue
+                tried += 1
+                if not any(L.join(p, q) == L.join(r, q) for p in jis if L.leq(p, a)):
+                    return tried, (a, q, r)
+    return tried, None
+
+
 # -- groups --------------------------------------------------------------
 
 

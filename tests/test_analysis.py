@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from modlat.analysis import (
     analysis_context,
     check_clean_cycles,
     check_interval_bounds,
+    check_join_witness,
     check_point_count,
     component_count,
     cyclic_localization_witness,
@@ -40,7 +42,7 @@ from modlat.corpus import (
 from modlat.lattice import CapExceeded, NotModular, build_lattice
 from modlat.pls import components, find_cycle, rstar
 
-from oracles import union_find_components
+from oracles import join_witness_failure, random_intersection_closed, union_find_components
 
 
 def z2_cubed():
@@ -251,10 +253,10 @@ def test_localization_summaries_are_computed_once_per_base(monkeypatch):
     counts = {}
     summarize = modlat.analysis._summarize_localizations
 
-    def counted(coverings, masks):
+    def counted(coverings, masks, memo):
         key = tuple(masks)
         counts[key] = counts.get(key, 0) + 1
-        return summarize(coverings, masks)
+        return summarize(coverings, masks, memo)
 
     monkeypatch.setattr(modlat.analysis, "_summarize_localizations", counted)
     ctx = analysis_context(L)
@@ -263,6 +265,48 @@ def test_localization_summaries_are_computed_once_per_base(monkeypatch):
     verdict_suite(L)
     assert len(counts) == len(ctx.sample) == 1000
     assert set(counts.values()) == {1}
+
+
+def test_each_distinct_localization_is_decomposed_once(monkeypatch):
+    # the 1000 sampled bases of Z4 x Z8 share their localizations
+    L = subgroup_lattice(parse_group("4,8"))
+    calls = []
+    decompose = modlat.analysis.mask_components
+
+    def counted(line_masks, pts):
+        calls.append(pts)
+        return decompose(line_masks, pts)
+
+    monkeypatch.setattr(modlat.analysis, "mask_components", counted)
+    ctx = analysis_context(L)
+    distinct = set()
+    for B in ctx.sample:
+        masks = ctx.line_masks(B)
+        for k, (_, _, pts, qual) in enumerate(ctx.coverings):
+            distinct.add((k, tuple(masks[i] & pts for i in qual)))
+        # no localization is cyclic, so every covering is looked at
+        assert ctx.localization_summary(B) == (None, False)
+    assert len(calls) == len(distinct) < len(ctx.sample) * len(ctx.coverings) // 100
+
+
+def test_join_witness_matches_the_brute_force_scan():
+    # non-modular lattices can fail the check, so the first failing
+    # (a, q, r) is compared as well as the count of triples
+    rng = random.Random(12)
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [build_lattice(*random_intersection_closed(rng, rng.randint(3, 5)))
+                 for _ in range(300)]
+    failed = 0
+    for L in lattices:
+        tried, bad = join_witness_failure(L)
+        verdict = check_join_witness(L)
+        if bad is None:
+            assert verdict.passed and verdict.detail == f"{tried} triples checked"
+        else:
+            failed += 1
+            a, q, r = bad
+            assert not verdict.passed and verdict.detail == f"a={a}, q={q}, r={r}: no witness"
+    assert failed
 
 
 # -- triangle configurations -------------------------------------------------

@@ -13,8 +13,10 @@ from modlat.bol import (
     CapExceeded,
     NotACovering,
     all_bols,
+    bol_sample,
     bol_to_json,
     canonical_bol,
+    check_candidates,
     induced,
     line_intervals,
     lines_from_joins,
@@ -22,7 +24,7 @@ from modlat.bol import (
 )
 from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, standard_corpus
 from modlat.lattice import ji_between, ji_elements, lower_star
-from modlat.pls import components, find_cycle
+from modlat.pls import TwoPointIntersection, components, find_cycle, validate_pls
 
 
 def z2_cubed():
@@ -119,6 +121,24 @@ def test_all_bols_counts_and_cap():
     bols = list(all_bols(seven_point_lattice(), cap=10))
     line_sets = [frozenset(B.lines) for B in bols]
     assert len(set(line_sets)) == len(line_sets)
+
+
+def test_all_bols_yield_validated_structures():
+    # all_bols checks the axioms once per lattice, not per base
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [subgroup_lattice(parse_group(g)) for g in ("4,8", "8,8", "2,4,8")]
+    for L in lattices:
+        sample, _ = bol_sample(L)
+        assert sample
+        for B in sample:
+            assert B.pls == validate_pls(ji_elements(L), B.lines)
+
+
+def test_candidate_check_rejects_a_two_point_overlap():
+    # two candidates of one interval may overlap: a base holds only one
+    check_candidates([[0b00111, 0b01011], [0b11100]])
+    with pytest.raises(TwoPointIntersection, match=r"intervals 0 and 1 share \[1, 2\]"):
+        check_candidates([[0b00111, 0b01011], [0b10110]])
 
 
 def test_lines_from_joins_against_built_lattice():

@@ -35,9 +35,11 @@ from modlat.lattice import (
 )
 
 from oracles import (
+    identity_modular,
     least_upper_bound,
     order_relation,
     projectivity_partition,
+    random_intersection_closed,
     random_poset_covers,
 )
 
@@ -207,6 +209,17 @@ def test_modularity_verdicts():
         require_modular(pentagon())
     for g in ("2,2,2", "4,4", "2,4"):
         assert is_modular(subgroup_lattice(parse_group(g)))
+
+
+def test_semimodularity_test_matches_the_modular_law():
+    lattices = [pentagon(), m_n(3)] + [L for _, L in standard_corpus()]
+    rng = random.Random(11)
+    for _ in range(2000):
+        lattices.append(build_lattice(*random_intersection_closed(rng, rng.randint(3, 5))))
+    verdicts = [L.modular for L in lattices]
+    assert 500 < verdicts.count(False) < 1500  # both kinds are well represented
+    for L, verdict in zip(lattices, verdicts):
+        assert verdict == identity_modular(L), L.covers
 
 
 @pytest.mark.parametrize("L", small_corpus(), ids=lambda L: f"n{L.n}")
