@@ -93,7 +93,7 @@ def _params_table(rep):
         f"r* (canonical base)   {rep.rstar_canonical}",
         f"acyclic               {'yes' if rep.acyclic else 'no'}",
         "locally acyclic       "
-        + ("unknown" if rep.locally_acyclic is None else "yes" if rep.locally_acyclic else "no"),
+        + ("yes" if rep.locally_acyclic else "no"),
     ]
     lines.extend(str(v) for v in rep.verdicts)
     return "\n".join(lines)
@@ -353,6 +353,8 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "cap", 0) < 0:
+            raise ValueError(f"--cap must be at least 0, not {args.cap}")
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(exc, file=sys.stderr)

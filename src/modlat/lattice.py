@@ -304,10 +304,14 @@ def up_transposes(L, quot):
     """The covers (c, b + c) with c >= a and b * c = a, in order of c: the
     prime quotients that the prime quotient quot = (a, b) transposes up
     to.  Cover membership is tested, so non-modular lattices work too."""
+    return _transposes_among(L, quot, bits(L.up[quot[0]] & ~L.up[quot[1]]))
+
+
+def _transposes_among(L, quot, cs):
     a, b = quot
     return [
         (c, L.join(b, c))
-        for c in bits(L.up[a] & ~L.up[b])
+        for c in cs
         if L.meet(b, c) == a and (c, L.join(b, c)) in L.cover_set
     ]
 
@@ -316,7 +320,10 @@ def projectivity_classes(L):
     """Partition of the prime quotients under the transposition closure.
 
     Two covering pairs land in one class iff a chain of up/down
-    transpositions links them; each is united with its up-transposes.
+    transpositions links them; each is united with its up-transposes.  On
+    a modular lattice the up-transposes to the upper covers c != b of a
+    suffice: a transposition up to any c >= a splits into such steps
+    along a maximal chain from a to c.
     """
     parent = {q: q for q in L.covers}
 
@@ -327,7 +334,12 @@ def projectivity_classes(L):
         return q
 
     for q in L.covers:
-        for up in up_transposes(L, q):
+        a, b = q
+        if L.modular:
+            ups = _transposes_among(L, q, [c for c in L.upper_covers(a) if c != b])
+        else:
+            ups = up_transposes(L, q)
+        for up in ups:
             parent[find(up)] = find(q)
     classes = {}
     for q in L.covers:

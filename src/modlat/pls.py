@@ -8,7 +8,8 @@ that `split_point` mints, so inputs should avoid that shape.
 The cyclomatic number of the bipartite point-line incidence graph,
 `rstar`, counts the independent cycles.  `mask_components`, on int masks
 of points, is the one routine for components and r*: `components` and
-`rstar` call it on a `Pls`, `analysis` on bases of lines.  `acyclifier`
+`rstar` call it on a `Pls`, `analysis` on bases of lines.  Its merge step,
+`merge_masks`, also serves `analysis`' witness graphs.  `acyclifier`
 removes the cycles one by one by splitting a point off a line that lies
 on a cycle; each split keeps the incidence count and the component count,
 adds one point, and therefore lowers the cyclomatic number by exactly one.
@@ -86,16 +87,11 @@ def validate_pls(points, lines):
     return Pls(pts, tuple(frozen))
 
 
-def mask_components(line_masks, pts):
-    """The components of the point-line structure on the point mask `pts`
-    whose lines are the list of submasks `line_masks`, and its r*.
-
-    Returns (component masks, r*): the components, isolated points
-    included (one bit each, after the others), and r* = E - V + c.
-    """
-    comps, incidences = [], 0
-    for m in line_masks:
-        incidences += m.bit_count()
+def merge_masks(masks):
+    """The unions of the int `masks` that share bits, transitively: the
+    point sets of the components that the masks, as lines, span."""
+    comps = []
+    for m in masks:
         apart = []
         for comp in comps:
             if comp & m:
@@ -104,6 +100,18 @@ def mask_components(line_masks, pts):
                 apart.append(comp)
         apart.append(m)
         comps = apart
+    return comps
+
+
+def mask_components(line_masks, pts):
+    """The components of the point-line structure on the point mask `pts`
+    whose lines are the list of submasks `line_masks`, and its r*.
+
+    Returns (component masks, r*): the components, isolated points
+    included (one bit each, after the others), and r* = E - V + c.
+    """
+    comps = merge_masks(line_masks)
+    incidences = sum(m.bit_count() for m in line_masks)
     isolated = pts & ~sum(comps)  # the components are disjoint
     if isolated:
         comps += [1 << p for p in bits(isolated)]

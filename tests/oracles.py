@@ -317,6 +317,110 @@ def join_witness_failure(L):
     return tried, None
 
 
+# -- choices of lines ------------------------------------------------------
+#
+# A line of the line interval iv takes, for each atom a of iv, one
+# join-irreducible under a but not under the bottom of iv.  The functions
+# below enumerate such choices outright.
+
+
+def _ji_list(L):
+    return [p for p in range(L.n) if len(L.lower_covers(p)) == 1]
+
+
+def line_choices(L, iv, pts=None):
+    """Every line of the interval iv, as frozensets, kept to the points
+    `pts` (all join-irreducibles by default); an atom with no witness in
+    `pts` adds nothing."""
+    pts = _ji_list(L) if pts is None else pts
+    per_atom = [[p for p in pts if L.leq(p, a) and not L.leq(p, iv.bottom)] for a in iv.atoms]
+    return [frozenset(c) for c in product(*[ws for ws in per_atom if ws])]
+
+
+def localization_choices(L, intervals, u, v):
+    """Per interval whose top is under v but not under u, every line of it
+    kept to J(u, v): the lines a base's localization at u -< v can hold."""
+    pts = [p for p in _ji_list(L) if L.leq(p, v) and not L.leq(p, u)]
+    return [
+        line_choices(L, iv, pts)
+        for iv in intervals
+        if L.leq(iv.top, v) and not L.leq(iv.top, u)
+    ]
+
+
+def choice_count(choices):
+    count = 1
+    for lines in choices:
+        count *= len(lines)
+    return count
+
+
+def some_choice_has_a_cycle(choices):
+    """Whether some choice of one line per list gives a point-line
+    structure with a cycle, trying every choice.  Choices share their
+    prefixes; a line that joins two points already connected closes a
+    cycle, and then every completion has one."""
+
+    def find(parent, p):
+        while parent.get(p, p) != p:
+            p = parent[p]
+        return p
+
+    def extend(k, parent):
+        if k == len(choices):
+            return False
+        for line in choices[k]:
+            roots = {find(parent, p) for p in line}
+            if len(roots) < len(line):
+                return True
+            grown = dict(parent)
+            first, *rest = roots
+            for r in rest:
+                grown[r] = first
+            if extend(k + 1, grown):
+                return True
+        return False
+
+    return extend(0, {})
+
+
+def some_choice_is_a_triangle(choices):
+    """Whether some choice of one line from each of three lists gives
+    three lines that meet pairwise in single points, at three distinct
+    corners, trying every choice."""
+    first, second, third = choices
+    for a in first:
+        for b in second:
+            ab = a & b
+            if len(ab) != 1:
+                continue
+            for c in third:
+                ac, bc = a & c, b & c
+                if len(ac) == 1 and len(bc) == 1 and len(ab | ac | bc) == 3:
+                    return True
+    return False
+
+
+def blocked_by_transposition(L, tops, v, u, z, peak):
+    """Whether line-tops v, u, z are mutually comparable and, for a peak,
+    some prime quotient (vi, v) and some (zk, z) both transpose up to one
+    (u0, uj) of u's interval; for a valley, (uj, u) transposes up to
+    some (v0, vi) and to some (z0, zk).  Every atom is tried."""
+    if not all(L.leq(a, b) or L.leq(b, a) for a, b in ((v, z), (v, u), (u, z))):
+        return False
+    if peak:
+        return any(
+            any(transposes_up(L, (vi, v), (tops[u].bottom, uj)) for vi in tops[v].atoms)
+            and any(transposes_up(L, (zk, z), (tops[u].bottom, uj)) for zk in tops[z].atoms)
+            for uj in tops[u].atoms
+        )
+    return any(
+        any(transposes_up(L, (uj, u), (tops[v].bottom, vi)) for vi in tops[v].atoms)
+        and any(transposes_up(L, (uj, u), (tops[z].bottom, zk)) for zk in tops[z].atoms)
+        for uj in tops[u].atoms
+    )
+
+
 # -- groups --------------------------------------------------------------
 
 

@@ -15,9 +15,12 @@ from modlat.analysis import (
     NotALineTop,
     analysis_context,
     check_clean_cycles,
+    check_components_match_projectivity,
     check_interval_bounds,
     check_join_witness,
+    check_line_feet,
     check_point_count,
+    check_triangle_tops,
     component_count,
     cyclic_localization_witness,
     is_clean_cycle,
@@ -30,7 +33,7 @@ from modlat.analysis import (
     triangle_configurations,
     verdict_suite,
 )
-from modlat.bol import canonical_bol, localize
+from modlat.bol import BaseOfLines, canonical_bol, line_intervals, localize
 from modlat.corpus import (
     boolean_lattice,
     chain,
@@ -39,10 +42,20 @@ from modlat.corpus import (
     seven_point_lattice,
     standard_corpus,
 )
-from modlat.lattice import CapExceeded, NotModular, build_lattice
-from modlat.pls import components, find_cycle, rstar
+from modlat.lattice import NotModular, bits, build_lattice
+from modlat.pls import Pls, components, find_cycle, mask_components, rstar
 
-from oracles import join_witness_failure, random_intersection_closed, union_find_components
+from oracles import (
+    blocked_by_transposition,
+    choice_count,
+    join_witness_failure,
+    line_choices,
+    localization_choices,
+    random_intersection_closed,
+    some_choice_has_a_cycle,
+    some_choice_is_a_triangle,
+    union_find_components,
+)
 
 
 def z2_cubed():
@@ -201,15 +214,123 @@ def test_is_locally_acyclic():
     assert is_locally_acyclic(boolean_lattice(3))
     assert is_locally_acyclic(chain(4))
     assert not is_locally_acyclic(z2_cubed())
-    assert is_locally_acyclic(z4_squared(), cap=100)
-    # acyclic, so no base is enumerated and no cap applies
-    assert is_locally_acyclic(seven_point_lattice(), cap=2)
+    assert is_locally_acyclic(z4_squared())
+    assert is_locally_acyclic(seven_point_lattice())
 
 
-def test_locally_acyclic_cap_is_enforced():
-    # Z4 x Z4 is cyclic with 64 bases, none with a cyclic localization
-    with pytest.raises(CapExceeded):
-        is_locally_acyclic(z4_squared(), cap=2)
+EXACT_GROUPS = ["2,8", "4,4", "4,8", "9,9", "3,3,9", "2,2,2,2"]
+CHOICES_CAP = 200_000
+
+
+def _exact_lattices():
+    return [L for _, L in standard_corpus()] + [
+        subgroup_lattice(parse_group(g)) for g in EXACT_GROUPS
+    ]
+
+
+def test_cyclic_localizations_match_the_enumeration():
+    # every covering of these lattices has at most CHOICES_CAP choices of
+    # lines on its qualifying intervals, so each one is enumerated
+    outcomes = set()
+    for L in _exact_lattices():
+        ctx = analysis_context(L)
+        cyclic = []
+        for k, (u, v, _, _) in enumerate(ctx.coverings):
+            choices = localization_choices(L, ctx.intervals, u, v)
+            assert choice_count(choices) <= CHOICES_CAP
+            cyclic.append(some_choice_has_a_cycle(choices))
+            assert ctx.cyclic_at(k) == cyclic[-1], (L, u, v)
+        assert ctx.locally_acyclic is not any(cyclic), L
+        outcomes.update(cyclic)
+    assert outcomes == {False, True}
+
+
+def test_local_acyclicity_does_not_depend_on_the_cap():
+    # Z4 x Z4 is cyclic with 64 bases of lines, none with a cyclic
+    # localization; a cap of at most 5 truncates the bases sample
+    L = z4_squared()
+    ctx = analysis_context(L)
+    assert not any(
+        some_choice_has_a_cycle(localization_choices(L, ctx.intervals, u, v))
+        for u, v, _, _ in ctx.coverings
+    )
+    for cap in range(6):
+        rep = params(L, bols_cap=cap)
+        assert rep.locally_acyclic is True and rep.ok
+        assert "locally acyclic interval identity" in {v.name for v in rep.verdicts}
+
+
+def test_coloured_cycles_match_the_enumeration_on_random_witness_graphs():
+    # a witness graph is, per interval, disjoint point masks, one per atom;
+    # its lines take one point from each mask
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(600):
+        graph = []
+        for _ in range(rng.randint(1, 5)):
+            pts = rng.sample(range(9), rng.randint(2, 7))
+            cuts = sorted(rng.sample(range(1, len(pts)), rng.randint(1, min(3, len(pts) - 1))))
+            parts = [pts[a:b] for a, b in zip([0] + cuts, cuts + [len(pts)])]
+            graph.append([sum(1 << p for p in part) for part in parts])
+        choices = [[frozenset(c) for c in itertools.product(*[list(bits(m)) for m in colours])]
+                   for colours in graph]
+        want = some_choice_has_a_cycle(choices)
+        assert modlat.analysis._has_coloured_cycle(graph) == want, graph
+        outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+def test_triangles_match_the_enumeration():
+    # every triple with pairwise comparable tops, and a seeded sample of
+    # the others, on lattices with and without triangles
+    rng = random.Random(7)
+    outcomes = set()
+    for L in _exact_lattices():
+        ctx = analysis_context(L)
+        lines = [line_choices(L, iv) for iv in ctx.intervals]
+        tops = [iv.top for iv in ctx.intervals]
+        triples = list(itertools.combinations(range(len(lines)), 3))
+        comparable = [t for t in triples if all(
+            L.leq(tops[a], tops[b]) or L.leq(tops[b], tops[a])
+            for a, b in itertools.combinations(t, 2))]
+        for i, j, k in comparable + rng.sample(triples, min(len(triples), 200)):
+            choices = [lines[i], lines[j], lines[k]]
+            if choice_count(choices) <= CHOICES_CAP:
+                want = some_choice_is_a_triangle(choices)
+                assert ctx.triangle_at(i, j, k) == want, (L, i, j, k)
+                outcomes.add(want)
+        assert check_triangle_tops(ctx).passed
+    assert outcomes == {False, True}
+
+
+def test_some_base_cyclic_matches_the_enumeration():
+    seen = set()
+    for L in _exact_lattices():
+        ctx = analysis_context(L)
+        choices = [line_choices(L, iv) for iv in ctx.intervals]
+        if choice_count(choices) <= CHOICES_CAP:
+            assert ctx.some_base_cyclic == some_choice_has_a_cycle(choices), L
+            assert ctx.some_base_cyclic != ctx.acyclic, L
+            seen.add(ctx.acyclic)
+    assert seen == {False, True}
+    # with an acyclic canonical base, the verdict reads the answer over
+    # all bases: here a doctored witness graph with a coloured 6-cycle
+    ctx = analysis_context(m_n(3))
+    cyclic = dataclasses.replace(ctx, witnesses=((0b1, 0b10), (0b10, 0b100), (0b100, 0b1)))
+    assert _verdict(check_point_count(ctx), "acyclicity agrees across bases").passed
+    assert not _verdict(check_point_count(cyclic), "acyclicity agrees across bases").passed
+
+
+def test_line_feet_cover_every_witness_pair():
+    # a stray witness that no line of the canonical base holds is still checked
+    L = z4_squared()
+    ctx = analysis_context(L)
+    assert check_line_feet(ctx).detail == "15 point pairs checked"
+    stray = next(p for p in bits(L.ji_mask) if not L.leq(p, ctx.intervals[0].top))
+    ws = list(ctx.witnesses)
+    ws[0] = (ws[0][0] | 1 << stray,) + ws[0][1:]
+    verdict = check_line_feet(dataclasses.replace(ctx, witnesses=tuple(ws)))
+    assert not verdict.passed
 
 
 def test_acyclic_lattice_is_locally_acyclic_under_any_cap():
@@ -231,37 +352,39 @@ def test_shared_localization_pass_matches_localize():
                 sum(1 << p for p in comp) for comp in union_find_components(B.pls)
             ), L
             assert r == rstar(B.pls) and (r == 0) == (find_cycle(B.pls) is None), L
-            first, cyclic = None, False
-            for u, v in L.covers:
+            first = None
+            for k, (u, v, _, _) in enumerate(ctx.coverings):
                 P = localize(B, u, v)
                 c = len(union_find_components(P))
                 if first is None and c != 1:
                     first = (u, v, c)
-                cyclic = cyclic or find_cycle(P) is not None
-                seen.add((len(P.lines) > 1, find_cycle(P) is not None))
-            # the summary may stop early once both answers are known
-            got_first, got_cyclic = ctx.localization_summary(B)
-            assert got_cyclic == cyclic and got_first == first, (L, B)
+                cyclic = find_cycle(P) is not None
+                # a sampled base with a cyclic localization is one of all bases
+                assert ctx.cyclic_at(k) or not cyclic, (L, u, v)
+                seen.add((len(P.lines) > 1, cyclic))
+            assert ctx.localization_summary(B) == first, (L, B)
     assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_localization_summaries_are_computed_once_per_base(monkeypatch):
     # Z4 x Z8 has more bases than the default cap and no cyclic
-    # localization among them, so locally_acyclic reads every summary
-    # before verdict_suite's connectivity check does
+    # localization in any of them; local acyclicity reads no summary
     L = subgroup_lattice(parse_group("4,8"))
     counts = {}
     summarize = modlat.analysis._summarize_localizations
 
-    def counted(coverings, masks, memo):
+    def counted(ctx, masks):
         key = tuple(masks)
         counts[key] = counts.get(key, 0) + 1
-        return summarize(coverings, masks, memo)
+        return summarize(ctx, masks)
 
     monkeypatch.setattr(modlat.analysis, "_summarize_localizations", counted)
     ctx = analysis_context(L)
-    assert ctx.truncated and ctx.locally_acyclic is None
-    counts.clear()
+    assert ctx.truncated and ctx.locally_acyclic is True and not counts
+    assert not any(
+        some_choice_has_a_cycle(localization_choices(L, ctx.intervals, u, v))
+        for u, v, _, _ in ctx.coverings
+    )
     verdict_suite(L)
     assert len(counts) == len(ctx.sample) == 1000
     assert set(counts.values()) == {1}
@@ -284,9 +407,60 @@ def test_each_distinct_localization_is_decomposed_once(monkeypatch):
         masks = ctx.line_masks(B)
         for k, (_, _, pts, qual) in enumerate(ctx.coverings):
             distinct.add((k, tuple(masks[i] & pts for i in qual)))
-        # no localization is cyclic, so every covering is looked at
-        assert ctx.localization_summary(B) == (None, False)
+        assert ctx.localization_summary(B) is None
     assert len(calls) == len(distinct) < len(ctx.sample) * len(ctx.coverings) // 100
+
+
+def test_localization_summaries_match_a_scan_of_every_covering():
+    # bases with lines cut short, the canonical one among them, make some
+    # localizations fall apart; a summary reads only the coverings that a
+    # line differing from the canonical base reaches, and must still name
+    # the first covering that a scan of all coverings finds
+    L = subgroup_lattice(parse_group("2,2,4"))
+    ctx = analysis_context(L)
+    rng = random.Random(5)
+
+    def cut(B):
+        lines = tuple(
+            ln - {min(ln)} if rng.random() < 0.1 else ln for ln in B.lines
+        )
+        return BaseOfLines(Pls(B.points, lines), L, {}, {}, {})
+
+    def scan(ctx, B):
+        masks = ctx.line_masks(B)
+        for u, v, pts, qual in ctx.coverings:
+            n = len(mask_components([masks[i] & pts for i in qual], pts)[0])
+            if n != 1:
+                return u, v, n
+        return None
+
+    outcomes = set()
+    for _ in range(30):
+        doctored = dataclasses.replace(ctx, base=cut(ctx.base) if rng.random() < 0.5 else ctx.base)
+        for B in [doctored.base] + rng.sample(ctx.sample, 8):
+            B = cut(B) if rng.random() < 0.5 else B
+            want = scan(doctored, B)
+            assert doctored.localization_summary(B) == want
+            outcomes.add(want is None)
+    assert outcomes == {False, True}
+
+
+def test_components_match_projectivity_reports_the_first_split_pair():
+    # merging two of the three projectivity classes of the Boolean lattice
+    # on three atoms makes them coarser than the components of its base
+    boolean = analysis_context(boolean_lattice(3))
+    merged = {q: min(k, 1) for q, k in boolean.class_of.items()}
+    doctored = dataclasses.replace(boolean, class_of=merged)
+    lower = doctored.lower
+    comp_of = {p: k for k, comp in enumerate(doctored.base_facts(doctored.base)[0])
+               for p in bits(comp)}
+    want = next(
+        (p, q) for p, q in itertools.combinations(sorted(lower), 2)
+        if (comp_of[p] == comp_of[q]) != (merged[(lower[p], p)] == merged[(lower[q], q)])
+    )
+    verdict = check_components_match_projectivity(doctored, doctored.base)
+    assert not verdict.passed
+    assert verdict.detail == f"points {want[0]}, {want[1]}: component False, class True"
 
 
 def test_join_witness_matches_the_brute_force_scan():
@@ -369,6 +543,7 @@ def test_tight_comparability_on_z4_squared():
     }
     assert pairs == {(5, 11), (5, 12), (5, 13), (11, 14), (12, 14), (13, 14)}
     assert tight_below(L, 5, 11) and not tight_below(L, 11, 5)
+    assert not tight_below(L, 5, 5) and not tight_comparable(L, 5, 5)
 
 
 def test_tight_queries_reject_non_tops():
@@ -378,6 +553,20 @@ def test_tight_queries_reject_non_tops():
         tight_below(L, L.bottom, some_top)
     with pytest.raises(NotALineTop):
         tight_comparable(L, some_top, L.top)
+
+
+def test_blocked_patterns_match_the_transposition_scan():
+    seen = set()
+    for g in ["4,4", "4,8", "2,2,4"]:
+        L = subgroup_lattice(parse_group(g))
+        tops = {iv.top: iv for iv in line_intervals(L)}
+        for v, u, z in itertools.permutations(sorted(tops), 3):
+            peak = modlat.analysis._blocked_peak(L, tops, v, u, z)
+            valley = modlat.analysis._blocked_valley(L, tops, v, u, z)
+            assert peak == blocked_by_transposition(L, tops, v, u, z, True), (g, v, u, z)
+            assert valley == blocked_by_transposition(L, tops, v, u, z, False), (g, v, u, z)
+            seen.add((peak, valley))
+    assert {(True, False), (False, True), (False, False)} <= seen
 
 
 def test_incomparable_tops_never_cycle():

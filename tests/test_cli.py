@@ -129,6 +129,20 @@ def test_analyze_m3(files, capsys, tmp_path):
     assert data["j"] == 3 and data["acyclic"] is True
 
 
+def test_analyze_decides_local_acyclicity_past_the_cap(tmp_path, capsys):
+    # Z4 x Z8 has 9216 bases of lines, more than the default cap of 1000
+    lat = tmp_path / "z4z8.json"
+    lat.write_text(json.dumps(lattice_to_json(subgroup_lattice(parse_group("4,8")))))
+    assert main(["analyze", "--lattice", str(lat)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    k = lines.index("locally acyclic       yes")
+    assert lines[k + 1 :][-3:] == [
+        "[pass] locally acyclic interval identity: i=8 = delta-s+r*=8",
+        "[pass] locally acyclic point bound: j=13 >= i+delta=13",
+        "[pass] locally acyclic point identity: j=13 = i+delta=13",
+    ]
+
+
 def test_verify_runs_clean(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -335,6 +349,22 @@ def test_malformed_input_is_a_usage_error(files, tmp_path, capsys, command, flag
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "ValueError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--lattice", "{m3}"],
+        ["verify"],
+        ["bol", "--lattice", "{m3}", "--all-bols"],
+        ["subgroup-lattice", "--group", "2,2", "--analyze"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_cap_is_a_usage_error(files, capsys, argv):
+    assert main([arg.format(**files) for arg in argv] + ["--cap", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "ValueError: --cap must be at least 0, not -1\n"
 
 
 def test_set_system_with_a_stray_character_is_a_usage_error(tmp_path, capsys):
