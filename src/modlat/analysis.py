@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .bol import bol_sample, canonical_bol, line_intervals, localize
+from .bol import bol_sample, canonical_bol, line_intervals, localize, witness_masks
 from .lattice import (
     LatticeError,
     bits,
@@ -78,12 +78,13 @@ class AnalysisContext:
     distinct ones.  `acyclic` says whether the canonical base has r* 0,
     and `rstars` holds r* of each sampled base.
 
-    `witnesses` holds, per interval and per atom of it, the mask of the
-    join-irreducibles that can represent that atom on a line.  A base
-    picks one witness per (interval, atom) pair, and any choice is a
-    base, so questions of the form "does some base have ..." are asked of
-    these masks over all bases at once: `cyclic_at`, `triangle_at`,
-    `locally_acyclic` and `some_base_cyclic`.
+    `witnesses` is the witness table of `bol.witness_masks`: per interval
+    and per atom of it, the mask of the join-irreducibles that can
+    represent that atom on a line.  A base picks one witness per
+    (interval, atom) pair, and any choice is a base, so questions of the
+    form "does some base have ..." are asked of these masks over all
+    bases at once: `cyclic_at`, `triangle_at`, `locally_acyclic` and
+    `some_base_cyclic`.
     """
 
     lattice: object
@@ -324,9 +325,7 @@ def analysis_context(L, bols_cap=1000):
         class_of={q: k for k, cls in enumerate(classes) for q in cls},
         bols_cap=bols_cap,
         coverings=_coverings(L, ivs),
-        witnesses=tuple(
-            tuple(L.down[a] & ~L.down[iv.bottom] & L.ji_mask for a in iv.atoms) for iv in ivs
-        ),
+        witnesses=witness_masks(L, ivs),
     )
 
 

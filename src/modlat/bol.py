@@ -6,12 +6,17 @@ one join-irreducible witness per middle element; joining the bottom back
 onto a witness recovers the middle element, and any two witnesses join to
 x.  A base of lines carries one line per line interval, together with the
 point-line structure the lines form on the set of all join-irreducibles.
+
+`witness_masks` is the one table of the witnesses of each middle
+element; the canonical base, `all_bols` and the questions `analysis`
+asks of every base at once all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 from .lattice import (
     CapExceeded,
@@ -48,15 +53,14 @@ class LineInterval:
 class BaseOfLines:
     """Points are all join-irreducibles; lines are frozensets of points.
 
-    `lattice` is None when the base was built from an external join
-    oracle; in that case `bottom_of`/`interval_of` stay empty and
-    `top_of` maps to whatever objects the oracle produced."""
+    `tops` and `intervals` run parallel to `lines`; the bases of one
+    `all_bols` run share both.  A base from `lines_from_joins` has no
+    `lattice` or `intervals`, and its `tops` are the oracle's joins."""
 
     pls: Pls
     lattice: object
-    top_of: dict
-    bottom_of: dict
-    interval_of: dict
+    tops: tuple
+    intervals: tuple
 
     @property
     def lines(self):
@@ -84,108 +88,83 @@ def line_intervals(L):
     return tuple(sorted(out, key=lambda iv: iv.top))
 
 
-def interval_candidates(L, interval):
-    """Per middle element, the join-irreducibles that can represent it."""
-    cands = []
-    for a in interval.atoms:
-        opts = ji_between(L, interval.bottom, a)
-        if not opts:
-            raise EmptyChoice(f"no join-irreducible witness for {a} over {interval.bottom}")
-        cands.append(tuple(sorted(opts)))
-    return tuple(cands)
-
-
-def extract_line(L, interval, chooser=None):
-    """One line for the interval: a witness per middle element.
-
-    The default chooser takes the smallest element id.  The returned set
-    maps bijectively onto the middle layer via p -> bottom + p."""
-    chosen = []
-    for a, opts in zip(interval.atoms, interval_candidates(L, interval)):
-        p = chooser(interval, a, opts) if chooser else opts[0]
-        if p not in opts:
-            raise EmptyChoice(f"chooser returned {p}, not a witness for {a}")
-        chosen.append(p)
-    line = frozenset(chosen)
-    if len(line) != len(interval.atoms):
-        raise LatticeError("two middle elements share a witness")
-    if sorted(L.join(interval.bottom, p) for p in chosen) != sorted(interval.atoms):
-        raise LatticeError("the witnesses do not recover the middle layer")
-    return line
-
-
-def _assemble(L, pls, intervals):
-    top_of, bottom_of, interval_of = {}, {}, {}
-    for line, iv in zip(pls.lines, intervals):
-        top_of[line] = iv.top
-        bottom_of[line] = iv.bottom
-        interval_of[line] = iv
-    return BaseOfLines(pls, L, top_of, bottom_of, interval_of)
+def witness_masks(L, ivs):
+    """Per interval of `ivs`, per atom of it, the mask of the points that
+    can witness the atom on a line: those under it but not under the
+    bottom.  The masks of one interval are disjoint (two atoms meet in
+    the bottom), and any choice of one point per mask is a base."""
+    out = []
+    for iv in ivs:
+        ws = tuple(L.down[a] & ~L.down[iv.bottom] & L.ji_mask for a in iv.atoms)
+        for a, w in zip(iv.atoms, ws):
+            if not w:
+                raise EmptyChoice(f"no join-irreducible witness for {a} over {iv.bottom}")
+        out.append(ws)
+    return tuple(out)
 
 
 def canonical_bol(L, ivs=None):
-    """The base of lines under the default witness choice.
+    """The base of lines that takes the lowest-numbered witness per atom.
 
     Distributive lattices have no line intervals, so the line family is
     empty and the structure is just the join-irreducibles.  `ivs`, when
     given, is `line_intervals(L)`, computed once by the caller."""
     if ivs is None:
         ivs = line_intervals(L)
-    lines = [extract_line(L, iv) for iv in ivs]
-    return _assemble(L, validate_pls(ji_elements(L), lines), ivs)
+    lines = [frozenset(next(bits(w)) for w in ws) for ws in witness_masks(L, ivs)]
+    pls = validate_pls(ji_elements(L), lines)
+    return BaseOfLines(pls, L, tuple(iv.top for iv in ivs), tuple(ivs))
 
 
-def check_candidates(candidates):
+def check_candidates(witnesses):
     """Raise TwoPointIntersection unless any two candidate lines of
     different intervals share at most one point.
 
-    `candidates` holds, per interval, its candidate lines as int masks of
-    points.  Every base picks one line per interval, so this checks each
-    pair of lines that any base could hold.  A modular lattice always
-    passes: two points of a line join to the line's top, and the tops of
-    distinct intervals differ."""
-    for i, ci in enumerate(candidates):
-        for j in range(i + 1, len(candidates)):
-            for a in ci:
-                for b in candidates[j]:
-                    c = a & b
-                    if c & (c - 1):
-                        raise TwoPointIntersection(
-                            f"candidate lines of intervals {i} and {j} "
-                            f"share {list(bits(c))}"
-                        )
+    `witnesses` is a table as from `witness_masks`.  Lines of intervals i
+    and j share two points exactly when some point lies in a & b and
+    another in common & ~a & ~b, for an atom mask a of i, an atom mask b
+    of j, and `common` the points both intervals can use.  So this checks
+    each pair of lines that any base could hold without listing them.  A
+    modular lattice always passes: two points of a line join to the
+    line's top, and the tops of distinct intervals differ."""
+    spans = [sum(ws) for ws in witnesses]
+    for (i, wi), (j, wj) in combinations(enumerate(witnesses), 2):
+        common = spans[i] & spans[j]
+        if not common & (common - 1):
+            continue
+        for a, b in product(wi, wj):
+            other = common & ~a & ~b
+            if a & b and other:
+                pair = sorted((next(bits(a & b)), next(bits(other))))
+                msg = f"candidate lines of intervals {i} and {j} share {pair}"
+                raise TwoPointIntersection(msg)
 
 
 def all_bols(L, cap=1000, ivs=None):
-    """Yield every base of lines, each once, capped.
+    """Yield every base of lines, each once, in lexicographic order of
+    the witnesses, capped.
 
-    Raises CapExceeded once a (cap+1)-th distinct base shows up, so a
-    consumer that completes without the error has seen them all.  `ivs`
-    is as for `canonical_bol`.  The partial-linear-space check runs once
-    per lattice, here, not once per base: a candidate line is a set of
-    at least three join-irreducibles by construction, and
-    `check_candidates` covers every pair of lines from different
-    intervals before the first base.  So each base's `Pls` is built
-    without `validate_pls`, and distinct choices of lines are distinct
-    bases."""
+    Raises CapExceeded before the first base when one interval has more
+    than `cap` lines, and once a (cap+1)-th base shows up, so a consumer
+    that completes without the error has seen them all.  `ivs` is as for
+    `canonical_bol`.  The partial-linear-space check runs once per
+    lattice, here: a line has at least three points, and
+    `check_candidates` covers every pair of lines of different
+    intervals.  So each base's `Pls` is built without `validate_pls`."""
     if ivs is None:
         ivs = line_intervals(L)
-    per_interval = []  # per interval, its candidate lines -> their masks
-    for iv in ivs:
-        seen = {}
-        for combo in product(*interval_candidates(L, iv)):
-            fs = frozenset(combo)
-            if len(fs) == len(iv.atoms) and fs not in seen:
-                seen[fs] = sum(1 << p for p in fs)
-            if len(seen) > cap:
-                raise CapExceeded(f"more than {cap} line choices for one interval")
-        per_interval.append(seen)
-    check_candidates([list(seen.values()) for seen in per_interval])
+    witnesses = witness_masks(L, ivs)
+    for ws in witnesses:
+        if prod(w.bit_count() for w in ws) > cap:
+            raise CapExceeded(f"more than {cap} line choices for one interval")
+    check_candidates(witnesses)
+    per_interval = [[frozenset(c) for c in product(*map(bits, ws))] for ws in witnesses]
     points = frozenset(ji_elements(L))
+    tops, intervals = tuple(iv.top for iv in ivs), tuple(ivs)
     for count, combo in enumerate(product(*per_interval)):
         if count >= cap:
             raise CapExceeded(f"more than {cap} distinct bases of lines")
-        yield _assemble(L, Pls(points, combo), ivs)
+        yield BaseOfLines(Pls(points, combo), L, tops, intervals)
 
 
 def bol_sample(L, cap=1000, ivs=None):
@@ -230,25 +209,21 @@ def lines_from_joins(points, join_oracle):
                 if all(join_oracle(r, s) == x for s in line):
                     line.append(r)
             done[x] = frozenset(line)
-    lines = [done[x] for x in sorted(done, key=_pkey)]
-    pls = validate_pls(pts, lines)
-    top_of = {line: x for x, line in done.items()}
-    return BaseOfLines(pls, None, top_of, {}, {})
+    tops = tuple(sorted(done, key=_pkey))
+    pls = validate_pls(pts, [done[x] for x in tops])
+    return BaseOfLines(pls, None, tops, ())
 
 
 def induced(B, a):
     """The base of lines of the ideal below `a`: points under a, lines
     whose top is under a."""
     L = B.lattice
-    pts = [p for p in ji_below(L, a)]
-    lines = [ln for ln in B.lines if L.leq(B.top_of[ln], a)]
-    pls = validate_pls(pts, lines)
+    keep = [k for k, top in enumerate(B.tops) if L.down[a] >> top & 1]
     return BaseOfLines(
-        pls,
+        validate_pls(ji_below(L, a), [B.lines[k] for k in keep]),
         L,
-        {ln: B.top_of[ln] for ln in lines},
-        {ln: B.bottom_of[ln] for ln in lines if ln in B.bottom_of},
-        {ln: B.interval_of[ln] for ln in lines if ln in B.interval_of},
+        tuple(B.tops[k] for k in keep),
+        tuple(B.intervals[k] for k in keep),
     )
 
 
@@ -257,19 +232,18 @@ def localize(B, a, b):
 
     Points are the join-irreducibles under b but not a; every line whose
     top lies under b but not under a loses exactly one point, and the
-    trimmed lines (deduplicated) form a point-line structure on them."""
+    trimmed lines form a point-line structure on them."""
     L = B.lattice
     if b not in L.upper_covers(a):
         raise NotACovering(f"{b} does not cover {a}")
-    pts = set(ji_between(L, a, b))
+    pts = frozenset(ji_between(L, a, b))
+    qualifying = L.down[b] & ~L.down[a]
     trimmed = []
-    for ln in B.lines:
-        if not L.leq(B.top_of[ln], b) or L.leq(B.top_of[ln], a):
-            continue
-        rest = ln & pts
-        if len(rest) != len(ln) - 1:
-            raise LatticeError(f"a qualifying line loses {len(ln) - len(rest)} points, not one")
-        if rest not in trimmed:
+    for ln, top in zip(B.lines, B.tops):
+        if qualifying >> top & 1:
+            rest = ln & pts
+            if len(rest) != len(ln) - 1:
+                raise LatticeError(f"a qualifying line loses {len(ln - rest)} points, not one")
             trimmed.append(rest)
     return validate_pls(pts, trimmed)
 
@@ -278,10 +252,9 @@ def localize(B, a, b):
 
 
 def bol_to_json(B):
-    lines = list(B.lines)
     return {
         "points": sorted(B.points, key=_pkey),
-        "lines": [sorted(ln, key=_pkey) for ln in lines],
-        "tops": [B.top_of.get(ln) for ln in lines],
-        "bottoms": [B.bottom_of.get(ln) for ln in lines],
+        "lines": [sorted(ln, key=_pkey) for ln in B.lines],
+        "tops": list(B.tops),
+        "bottoms": [iv.bottom for iv in B.intervals] or [None] * len(B.lines),
     }

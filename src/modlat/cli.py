@@ -172,9 +172,9 @@ def cmd_bol(args):
     B = canonical_bol(L)
     if args.out:
         _write_json(args.out, bol_to_json(B))
-    for line in B.lines:
+    for line, top in zip(B.lines, B.tops):
         pts = ", ".join(L.name(p) for p in sorted(line))
-        print(f"{{{pts}}} top {L.name(B.top_of[line])}")
+        print(f"{{{pts}}} top {L.name(top)}")
     print(f"{len(B.points)} points, {len(B.lines)} lines, "
           f"{len(components(B.pls))} components")
     return 0
@@ -273,6 +273,8 @@ def cmd_witness_triangle(args):
 
 # -- parser -------------------------------------------------------------
 
+CAP_HELP = "bound on the bases of lines sampled and on the lines of one interval"
+
 
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -299,18 +301,18 @@ def _build_parser():
 
     a = sub.add_parser("analyze", help="parameter profile and verdicts")
     a.add_argument("--lattice", required=True, help="lattice JSON")
-    a.add_argument("--cap", type=int, default=1000, help="bases-of-lines cap")
+    a.add_argument("--cap", type=int, default=1000, help=CAP_HELP)
     a.add_argument("--out", help="write the report as JSON")
     a.set_defaults(func=cmd_analyze)
 
     v = sub.add_parser("verify", help="run every check over the stock corpus")
-    v.add_argument("--cap", type=int, default=1000)
+    v.add_argument("--cap", type=int, default=1000, help=CAP_HELP)
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bol", help="canonical base of lines")
     b.add_argument("--lattice", required=True)
-    b.add_argument("--all-bols", action="store_true", help="count all bases")
-    b.add_argument("--cap", type=int, default=1000)
+    b.add_argument("--all-bols", action="store_true", help="count bases, up to --cap")
+    b.add_argument("--cap", type=int, default=1000, help=CAP_HELP)
     b.add_argument("--out", help="write the base as JSON")
     b.set_defaults(func=cmd_bol)
 
@@ -326,7 +328,7 @@ def _build_parser():
     g.add_argument("--count", action="store_true")
     g.add_argument("--analyze", action="store_true")
     g.add_argument("--dot", action="store_true")
-    g.add_argument("--cap", type=int, default=1000)
+    g.add_argument("--cap", type=int, default=1000, help=CAP_HELP)
     g.add_argument("--out")
     g.set_defaults(func=cmd_subgroup_lattice)
 

@@ -8,7 +8,7 @@ from itertools import combinations, product
 from math import gcd
 
 from modlat.lattice import transposes_up
-from modlat.pls import _pkey, validate_pls
+from modlat.pls import TwoPointIntersection, _pkey, validate_pls
 from modlat import wildcard
 from modlat.wildcard import FIXED0, FIXED1, FREE, GroupSpec, make_row
 
@@ -346,6 +346,32 @@ def localization_choices(L, intervals, u, v):
         for iv in intervals
         if L.leq(iv.top, v) and not L.leq(iv.top, u)
     ]
+
+
+def check_candidate_lines(candidates):
+    """Raise TwoPointIntersection unless any two candidate lines of
+    different intervals share at most one point, trying every pair.
+    `candidates` holds, per interval, its candidate lines as int masks."""
+    for i, ci in enumerate(candidates):
+        for j in range(i + 1, len(candidates)):
+            for a in ci:
+                for b in candidates[j]:
+                    c = a & b
+                    if c & (c - 1):
+                        shared = [p for p in range(c.bit_length()) if c >> p & 1]
+                        raise TwoPointIntersection(
+                            f"candidate lines of intervals {i} and {j} share {shared}"
+                        )
+
+
+def candidate_lines(witnesses):
+    """Per interval of a witness table, every line as an int mask: one
+    point of each atom mask."""
+    out = []
+    for ws in witnesses:
+        per_atom = [[p for p in range(w.bit_length()) if w >> p & 1] for w in ws]
+        out.append([sum(1 << p for p in c) for c in product(*per_atom)])
+    return out
 
 
 def choice_count(choices):

@@ -424,7 +424,7 @@ def test_localization_summaries_match_a_scan_of_every_covering():
         lines = tuple(
             ln - {min(ln)} if rng.random() < 0.1 else ln for ln in B.lines
         )
-        return BaseOfLines(Pls(B.points, lines), L, {}, {}, {})
+        return BaseOfLines(Pls(B.points, lines), L, B.tops, B.intervals)
 
     def scan(ctx, B):
         masks = ctx.line_masks(B)

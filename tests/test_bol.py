@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import random
+import re
+from itertools import islice, product
+
 import pytest
 
 from modlat.algebra import (
@@ -25,6 +29,7 @@ from modlat.bol import (
 from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, standard_corpus
 from modlat.lattice import ji_between, ji_elements, lower_star
 from modlat.pls import TwoPointIntersection, components, find_cycle, validate_pls
+from oracles import candidate_lines, check_candidate_lines, line_choices
 
 
 def z2_cubed():
@@ -84,10 +89,10 @@ def test_canonical_bol_points_are_all_join_irreducibles():
 def test_line_invariants(name, L):
     B = canonical_bol(L)
     assert len(B.lines) == len(line_intervals(L))
-    for line in B.lines:
-        top = B.top_of[line]
-        bottom = B.bottom_of[line]
-        iv = B.interval_of[line]
+    assert B.intervals == line_intervals(L)
+    assert B.tops == tuple(iv.top for iv in B.intervals)
+    for line, top, iv in zip(B.lines, B.tops, B.intervals):
+        bottom = iv.bottom
         assert len(line) == iv.n
         pts = sorted(line)
         for i, p in enumerate(pts):
@@ -134,11 +139,95 @@ def test_all_bols_yield_validated_structures():
             assert B.pls == validate_pls(ji_elements(L), B.lines)
 
 
+# the corpus and cyclic-factor groups whose intervals have several lines
+ORDER_CASES = standard_corpus() + [
+    (f"L({g})", subgroup_lattice(parse_group(g))) for g in ("2,8", "4,4", "4,8", "9,9")
+]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 1000])
+def test_all_bols_is_the_product_of_the_line_choices(cap):
+    for name, L in ORDER_CASES:
+        ivs = line_intervals(L)
+        choices = [line_choices(L, iv) for iv in ivs]
+        got, raised = [], False
+        try:
+            for B in all_bols(L, cap=cap):
+                got.append(B)
+        except CapExceeded:
+            raised = True
+        if any(len(lines) > cap for lines in choices):
+            assert raised and not got, name
+            continue
+        want = list(islice(product(*choices), cap + 1))
+        assert [B.lines for B in got] == want[:cap], name
+        assert raised == (len(want) > cap), name
+        for B in got:
+            # every base shares one tops tuple and one intervals tuple
+            assert B.tops == tuple(iv.top for iv in ivs) and B.intervals == ivs
+            assert B.tops is got[0].tops and B.intervals is got[0].intervals
+
+
+def test_all_bols_caps_a_wide_interval_before_the_first_base():
+    bases = all_bols(subgroup_lattice(parse_group("25,25")))
+    with pytest.raises(CapExceeded, match="line choices for one interval"):
+        next(bases)
+
+
+@pytest.mark.parametrize("name,L", ORDER_CASES, ids=lambda v: v if isinstance(v, str) else "")
+def test_canonical_bol_is_the_first_base(name, L):
+    assert canonical_bol(L).lines == next(all_bols(L)).lines
+
+
 def test_candidate_check_rejects_a_two_point_overlap():
-    # two candidates of one interval may overlap: a base holds only one
-    check_candidates([[0b00111, 0b01011], [0b11100]])
+    # interval 0 has the lines {0, 1, 2} and {0, 1, 3}, which overlap: a
+    # base holds only one of them
+    check_candidates([(0b0001, 0b0010, 0b1100), (0b00100, 0b01000, 0b10000)])
     with pytest.raises(TwoPointIntersection, match=r"intervals 0 and 1 share \[1, 2\]"):
-        check_candidates([[0b00111, 0b01011], [0b10110]])
+        check_candidates([(0b0001, 0b0010, 0b1100), (0b00010, 0b00100, 0b10000)])
+
+
+def _random_witness_table(rng):
+    """Two to four intervals, each with two to four points over up to
+    twelve, cut into disjoint nonempty atom masks."""
+    width = rng.randint(4, 12)
+    table = []
+    for _ in range(rng.randint(2, 4)):
+        pts = rng.sample(range(width), rng.randint(2, 4))
+        cuts = sorted(rng.sample(range(1, len(pts)), min(len(pts) - 1, rng.randint(1, 3))))
+        parts = [pts[i:j] for i, j in zip([0] + cuts, cuts + [len(pts)])]
+        table.append(tuple(sum(1 << p for p in part) for part in parts))
+    return table
+
+
+def _candidate_verdict(check, arg):
+    try:
+        check(arg)
+    except TwoPointIntersection as exc:
+        i, j, shared = re.search(r"intervals (\d+) and (\d+) share \[(.*)\]", str(exc)).groups()
+        return int(i), int(j), [int(p) for p in shared.split(", ")]
+    return None
+
+
+def test_candidate_check_matches_the_pairwise_loop():
+    rng = random.Random(12)
+    raised = 0
+    for _ in range(3000):
+        table = _random_witness_table(rng)
+        candidates = candidate_lines(table)
+        got = _candidate_verdict(check_candidates, table)
+        want = _candidate_verdict(check_candidate_lines, candidates)
+        assert (got is None) == (want is None), table
+        if got is None:
+            continue
+        raised += 1
+        assert got[:2] == want[:2], table
+        # the two named points lie on one line of each named interval
+        pair = sum(1 << p for p in got[2])
+        assert len(got[2]) == 2
+        for k in got[:2]:
+            assert any(line & pair == pair for line in candidates[k]), table
+    assert 1000 < raised < 2000
 
 
 def test_lines_from_joins_against_built_lattice():
@@ -217,8 +306,8 @@ def test_localized_lines_lose_exactly_one_point():
     for a, b in L.covers:
         live = {
             line
-            for line in B.lines
-            if L.leq(B.top_of[line], b) and not L.leq(B.top_of[line], a)
+            for line, top in zip(B.lines, B.tops)
+            if L.leq(top, b) and not L.leq(top, a)
         }
         P = localize(B, a, b)
         between = set(ji_between(L, a, b))
