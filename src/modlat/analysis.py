@@ -16,13 +16,13 @@ and evaluates the identities and bounds that relate them, each reported
 as a named pass/fail verdict with the concrete numbers filled in.  The
 facts these checks share are computed once per lattice, and those of
 each base of lines once per base, in the `AnalysisContext` that every
-check takes.  Whether some base of lines has a cycle, a cyclic
-localization or a triangle is decided over every base at once, as a
-properly coloured cycle in a witness graph (Yeo's theorem), not by
-enumerating bases.  The module also houses the triangle machinery that
-manufactures a covering with a cyclic localization, and the
-cycles-of-line-tops vocabulary (tightly below, tightly comparable, clean
-cycles).
+check takes; a base of lines there is its tuple of line masks.  Whether
+some base of lines has a cycle, a cyclic localization or a triangle is
+decided over every base at once, as a properly coloured cycle in a
+witness graph (Yeo's theorem), not by enumerating bases.  The module
+also houses the triangle machinery that manufactures a covering with a
+cyclic localization, and the cycles-of-line-tops vocabulary (tightly
+below, tightly comparable, clean cycles).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .bol import bol_sample, canonical_bol, line_intervals, localize, witness_masks
+from .bol import bol_sample, canonical_masks, line_intervals, localize, witness_masks
 from .lattice import (
     LatticeError,
     bits,
@@ -61,35 +61,36 @@ class AnalysisContext:
     """The facts about one modular lattice that the checks read, each
     computed once per lattice.
 
-    `sample` holds up to `bols_cap` bases of lines and is never empty:
-    when the cap stops the enumeration before its first base it is the
-    canonical base by itself.  `truncated` says whether the cap cut it
-    short.  Both are computed on first use, so a check that reads neither
-    does not enumerate bases.
+    Every base here, `base` and those of `sample`, is a tuple of int
+    line masks, one per interval in interval order, read off `witnesses`:
+    the witness table of `bol.witness_masks`, computed and checked once
+    per lattice.  Per interval and per atom of it, the table holds the
+    mask of the join-irreducibles that can represent that atom on a line.
+    A base picks one witness per (interval, atom) pair, and any choice is
+    a base, so questions of the form "does some base have ..." are asked
+    of these masks over all bases at once: `cyclic_at`, `triangle_at`,
+    `locally_acyclic` and `some_base_cyclic`.  `base` is the canonical
+    base, the lowest witness per atom.
+
+    `sample` holds up to `bols_cap` bases of lines, the canonical base
+    first, and is never empty: at cap 0 it is the canonical base by
+    itself.  `truncated` says whether the cap cut it short.  Both are
+    computed on first use, so a check that reads neither does not
+    enumerate bases.
     `coverings` holds, per covering u -< v, the mask of J(u, v) and the
     indices of the line intervals with top under v but not under u: a
     base's localization there is its lines for those intervals, each
     AND-ed with the mask.  Each base's facts, `base_facts` and
-    `localization_summary`, are computed at most once, from its line masks
-    in interval order.  The bases share their line objects, so each
-    line's mask is computed once per context (`line_masks`), and the
-    component count of a localization once per covering and trimmed
-    line masks: on Z4xZ8 the sample's 37,000 localizations hold only 119
-    distinct ones.  `acyclic` says whether the canonical base has r* 0,
-    and `rstars` holds r* of each sampled base.
-
-    `witnesses` is the witness table of `bol.witness_masks`: per interval
-    and per atom of it, the mask of the join-irreducibles that can
-    represent that atom on a line.  A base picks one witness per
-    (interval, atom) pair, and any choice is a base, so questions of the
-    form "does some base have ..." are asked of these masks over all
-    bases at once: `cyclic_at`, `triangle_at`, `locally_acyclic` and
-    `some_base_cyclic`.
+    `localization_summary`, are computed at most once, and the component
+    count of a localization once per covering and trimmed line masks: on
+    Z4xZ8 the sample's 37,000 localizations hold only 119 distinct ones.
+    `acyclic` says whether the canonical base has r* 0, and `rstars`
+    holds r* of each sampled base.
     """
 
     lattice: object
     intervals: tuple
-    base: object
+    base: tuple  # the canonical base's line masks
     j: int
     delta: int
     i: int
@@ -102,14 +103,13 @@ class AnalysisContext:
     witnesses: tuple  # per interval, per atom: the mask of its witnesses
     _components: dict = field(default_factory=dict, init=False)  # base -> base_facts
     _summaries: dict = field(default_factory=dict, init=False)  # base -> its summary
-    _masks: dict = field(default_factory=dict, init=False)  # line -> its point mask
     # (covering index, trimmed line masks) -> component count of that localization
     _localizations: dict = field(default_factory=dict, init=False)
 
     @cached_property
     def _bases(self):
-        sample, truncated = bol_sample(self.lattice, self.bols_cap, self.intervals)
-        return tuple(sample) or (self.base,), truncated  # the cap struck before the first base
+        sample, truncated = bol_sample(self.witnesses, self.bols_cap)
+        return tuple(sample) or (self.base,), truncated  # cap 0 yields no base
 
     @property
     def sample(self):
@@ -119,28 +119,17 @@ class AnalysisContext:
     def truncated(self):
         return self._bases[1]
 
-    def line_masks(self, B):
-        """The lines of the base B as int masks of points, in B's order."""
-        masks = self._masks
-        out = []
-        for ln in B.lines:
-            m = masks.get(ln)
-            if m is None:
-                m = masks[ln] = sum(1 << p for p in ln)
-            out.append(m)
-        return out
-
     def base_facts(self, B):
         """(component masks, r*) of the base B, isolated points included."""
         if B not in self._components:
-            self._components[B] = mask_components(self.line_masks(B), self.lattice.ji_mask)
+            self._components[B] = mask_components(B, self.lattice.ji_mask)
         return self._components[B]
 
     def localization_summary(self, B):
         """(u, v, c) for the first covering u -< v, in cover order, where
         B's localization has c != 1 components, or None."""
         if B not in self._summaries:
-            self._summaries[B] = _summarize_localizations(self, self.line_masks(B))
+            self._summaries[B] = _summarize_localizations(self, B)
         return self._summaries[B]
 
     def _component_count_at(self, k, masks):
@@ -166,10 +155,8 @@ class AnalysisContext:
     def _canonical_disconnected(self):
         """The mask of the coverings where the canonical base's
         localization is not connected."""
-        masks = self.line_masks(self.base)
-        return sum(
-            1 << k for k in range(len(self.coverings)) if self._component_count_at(k, masks) != 1
-        )
+        count = self._component_count_at
+        return sum(1 << k for k in range(len(self.coverings)) if count(k, self.base) != 1)
 
     @property
     def acyclic(self):
@@ -250,7 +237,7 @@ def _summarize_localizations(ctx, masks):
     # of `masks` other than the canonical base's qualifies for has the
     # canonical base's localization, so only the others are looked at.
     ks = ctx._canonical_disconnected
-    for i, (m, c) in enumerate(zip(masks, ctx.line_masks(ctx.base))):
+    for i, (m, c) in enumerate(zip(masks, ctx.base)):
         if m != c:
             ks |= ctx._coverings_of[i]
     for k in bits(ks):
@@ -309,13 +296,13 @@ def analysis_context(L, bols_cap=1000):
     """Compute every shared fact about `L` once; modularity is required."""
     require_modular(L)
     ivs = line_intervals(L)
-    base = canonical_bol(L, ivs)
+    witnesses = witness_masks(L, ivs)
     lower = {ji.elem: ji.lower_star for ji in join_irreducibles(L)}
     classes = projectivity_classes(L)
     return AnalysisContext(
         lattice=L,
         intervals=ivs,
-        base=base,
+        base=canonical_masks(witnesses),
         j=len(lower),
         delta=L.height,
         i=len(ivs),
@@ -325,7 +312,7 @@ def analysis_context(L, bols_cap=1000):
         class_of={q: k for k, cls in enumerate(classes) for q in cls},
         bols_cap=bols_cap,
         coverings=_coverings(L, ivs),
-        witnesses=witness_masks(L, ivs),
+        witnesses=witnesses,
     )
 
 
@@ -365,7 +352,7 @@ class ParamsReport:
 
 
 def component_count(ctx, B):
-    """Number of connected components of the base of lines.
+    """Number of connected components of the base of lines B.
 
     Cross-computed as the number of projectivity classes met by the
     prime quotients (p_*, p) of join-irreducibles p; the two counts must
@@ -862,7 +849,7 @@ def check_triangle_tops(ctx):
                         False,
                         f"tops {ta},{tb},{tc} are mutually comparable",
                     )
-    tried = sum(1 for _ in _triangles(ctx.line_masks(ctx.base)))
+    tried = sum(1 for _ in _triangles(ctx.base))
     return Verdict("triangle tops incomparable", True, f"{tried} triangles")
 
 
@@ -916,24 +903,20 @@ def check_join_witness(L):
 
 
 def check_clean_cycles(ctx, maxlen=8):
-    """A clean cycle of line-tops forces cycles in the bases of lines."""
+    """A clean cycle of line-tops forces cycles in the bases of lines.
+    Only an acyclic canonical base can fail this, so a cyclic one passes
+    at once: listing its cycles may take minutes (Z16xZ16)."""
+    name = "clean cycles force base cycles"
+    if not ctx.acyclic:
+        return Verdict(name, True, "base cyclic, so nothing to force")
     L = ctx.lattice
     tops = {iv.top: iv for iv in ctx.intervals}
     below = _tight_masks(L, tops)
     cycles = _top_cycles(below, maxlen)
     clean = [c for c in cycles if _is_clean(L, tops, below, c)]
     if not clean:
-        return Verdict(
-            "clean cycles force base cycles",
-            True,
-            f"untriggered ({len(cycles)} cycles, none clean)",
-        )
-    cyclic = not ctx.acyclic
-    return Verdict(
-        "clean cycles force base cycles",
-        cyclic,
-        f"{len(clean)} clean of {len(cycles)} cycles; base cyclic={cyclic}",
-    )
+        return Verdict(name, True, f"untriggered ({len(cycles)} cycles, none clean)")
+    return Verdict(name, False, f"{len(clean)} clean of {len(cycles)} cycles; base cyclic=False")
 
 
 def _merge_runs(runs, note):

@@ -8,15 +8,15 @@ x.  A base of lines carries one line per line interval, together with the
 point-line structure the lines form on the set of all join-irreducibles.
 
 `witness_masks` is the one table of the witnesses of each middle
-element; the canonical base, `all_bols` and the questions `analysis`
-asks of every base at once all read it.
+element, checked once per lattice; the canonical base, `all_bols` and
+the questions `analysis` asks of every base at once all read it.  Bar
+the canonical `BaseOfLines`, a base is its tuple of line masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import prod
+from itertools import combinations, islice, product
 
 from .lattice import (
     CapExceeded,
@@ -53,9 +53,10 @@ class LineInterval:
 class BaseOfLines:
     """Points are all join-irreducibles; lines are frozensets of points.
 
-    `tops` and `intervals` run parallel to `lines`; the bases of one
-    `all_bols` run share both.  A base from `lines_from_joins` has no
-    `lattice` or `intervals`, and its `tops` are the oracle's joins."""
+    `tops` and `intervals` run parallel to `lines`.  A sampled base is
+    a tuple of line masks instead (see `all_bols`).  A base from
+    `lines_from_joins` has no `lattice` or `intervals`, and its `tops`
+    are the oracle's joins."""
 
     pls: Pls
     lattice: object
@@ -92,7 +93,8 @@ def witness_masks(L, ivs):
     """Per interval of `ivs`, per atom of it, the mask of the points that
     can witness the atom on a line: those under it but not under the
     bottom.  The masks of one interval are disjoint (two atoms meet in
-    the bottom), and any choice of one point per mask is a base."""
+    the bottom).  The table is checked once, here, so any choice of one
+    point per mask is a base and a partial linear space."""
     out = []
     for iv in ivs:
         ws = tuple(L.down[a] & ~L.down[iv.bottom] & L.ji_mask for a in iv.atoms)
@@ -100,18 +102,22 @@ def witness_masks(L, ivs):
             if not w:
                 raise EmptyChoice(f"no join-irreducible witness for {a} over {iv.bottom}")
         out.append(ws)
+    check_candidates(out)
     return tuple(out)
 
 
-def canonical_bol(L, ivs=None):
+def canonical_masks(witnesses):
+    """The canonical base's line masks: the lowest witness of each atom."""
+    return tuple(sum(w & -w for w in ws) for ws in witnesses)
+
+
+def canonical_bol(L):
     """The base of lines that takes the lowest-numbered witness per atom.
 
     Distributive lattices have no line intervals, so the line family is
-    empty and the structure is just the join-irreducibles.  `ivs`, when
-    given, is `line_intervals(L)`, computed once by the caller."""
-    if ivs is None:
-        ivs = line_intervals(L)
-    lines = [frozenset(next(bits(w)) for w in ws) for ws in witness_masks(L, ivs)]
+    empty and the structure is just the join-irreducibles."""
+    ivs = line_intervals(L)
+    lines = [frozenset(bits(m)) for m in canonical_masks(witness_masks(L, ivs))]
     pls = validate_pls(ji_elements(L), lines)
     return BaseOfLines(pls, L, tuple(iv.top for iv in ivs), tuple(ivs))
 
@@ -140,40 +146,32 @@ def check_candidates(witnesses):
                 raise TwoPointIntersection(msg)
 
 
-def all_bols(L, cap=1000, ivs=None):
-    """Yield every base of lines, each once, in lexicographic order of
-    the witnesses, capped.
+def all_bols(witnesses, cap=1000):
+    """Yield every base of lines of the witness table `witnesses`, each
+    once, as its tuple of line masks in interval order, capped.
 
-    Raises CapExceeded before the first base when one interval has more
-    than `cap` lines, and once a (cap+1)-th base shows up, so a consumer
-    that completes without the error has seen them all.  `ivs` is as for
-    `canonical_bol`.  The partial-linear-space check runs once per
-    lattice, here: a line has at least three points, and
-    `check_candidates` covers every pair of lines of different
-    intervals.  So each base's `Pls` is built without `validate_pls`."""
-    if ivs is None:
-        ivs = line_intervals(L)
-    witnesses = witness_masks(L, ivs)
-    for ws in witnesses:
-        if prod(w.bit_count() for w in ws) > cap:
-            raise CapExceeded(f"more than {cap} line choices for one interval")
-    check_candidates(witnesses)
-    per_interval = [[frozenset(c) for c in product(*map(bits, ws))] for ws in witnesses]
-    points = frozenset(ji_elements(L))
-    tops, intervals = tuple(iv.top for iv in ivs), tuple(ivs)
-    for count, combo in enumerate(product(*per_interval)):
+    The bases come in lexicographic order of the witnesses, per
+    (interval, atom) pair, so the canonical base is the first.  Raises
+    CapExceeded once a (cap+1)-th base shows up, so a consumer that
+    completes without the error has seen them all.  The k-th base uses
+    no line of an interval past its k-th, so each interval's lines are
+    listed up to the (cap+1)-th, in the product of its atoms' witnesses."""
+    picks = [[[1 << p for p in bits(w)] for w in ws] for ws in witnesses]
+    lines = [[sum(c) for c in islice(product(*ps), cap + 1)] for ps in picks]
+    for count, masks in enumerate(product(*lines)):
         if count >= cap:
             raise CapExceeded(f"more than {cap} distinct bases of lines")
-        yield BaseOfLines(Pls(points, combo), L, tops, intervals)
+        yield masks
 
 
-def bol_sample(L, cap=1000, ivs=None):
-    """Up to `cap` distinct bases of lines, and whether the cap cut the
-    list short (it may then be empty).  `ivs` is as for `canonical_bol`."""
+def bol_sample(witnesses, cap=1000):
+    """Up to `cap` bases of lines of the witness table, as from
+    `all_bols`, and whether the cap cut the list short (it is empty at
+    cap 0)."""
     out = []
     try:
-        for B in all_bols(L, cap=cap, ivs=ivs):
-            out.append(B)
+        for masks in all_bols(witnesses, cap=cap):
+            out.append(masks)
     except CapExceeded:
         return out, True
     return out, False

@@ -30,7 +30,7 @@ from .analysis import (
     triangle_configurations,
     verdict_suite,
 )
-from .bol import bol_sample, bol_to_json, canonical_bol, line_intervals, localize
+from .bol import bol_sample, bol_to_json, canonical_bol, line_intervals, localize, witness_masks
 from .corpus import standard_corpus
 from .lattice import (
     LatticeError,
@@ -40,7 +40,9 @@ from .lattice import (
     lattice_to_dot,
     lattice_to_json,
 )
-from .pls import PlsError, components, find_cycle, pls_from_json, pls_to_json, rstar
+from .pls import (
+    PlsError, components, find_cycle, mask_components, pls_from_json, pls_to_json, rstar
+)
 from .rebuild import NotAClosureSystem, closed_ideals_lattice, roundtrip_check
 from .wildcard import (
     WildcardError,
@@ -165,9 +167,9 @@ def cmd_verify(args):
 def cmd_bol(args):
     L = lattice_from_json(_load(args.lattice))
     if args.all_bols:
-        sample, truncated = bol_sample(L, args.cap)
+        sample, truncated = bol_sample(witness_masks(L, line_intervals(L)), args.cap)
         note = f"{len(sample)} bases" + (" (truncated)" if truncated else "")
-        print(f"{note}; r* values {sorted({rstar(B.pls) for B in sample})}")
+        print(f"{note}; r* values {sorted({mask_components(m, L.ji_mask)[1] for m in sample})}")
         return 0
     B = canonical_bol(L)
     if args.out:
@@ -273,7 +275,7 @@ def cmd_witness_triangle(args):
 
 # -- parser -------------------------------------------------------------
 
-CAP_HELP = "bound on the bases of lines sampled and on the lines of one interval"
+CAP_HELP = "bound on the bases of lines sampled"
 
 
 def _build_parser():

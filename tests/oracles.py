@@ -193,19 +193,26 @@ def union_find_rstar(P):
     return e - v + c
 
 
-def _incidences(P):
-    return [
-        (li, p)
+def _incidence_graph(P):
+    """(vertex count, incidences) of P's incidence graph: points are the
+    vertices 0.., in `_pkey` order, lines follow, and each incidence is a
+    (line vertex, point vertex) pair."""
+    pts = sorted(P.points, key=_pkey)
+    index = {p: i for i, p in enumerate(pts)}
+    edges = [
+        (len(pts) + li, index[p])
         for li, line in enumerate(P.lines)
         for p in sorted(line, key=_pkey)
     ]
+    return len(pts) + len(P.lines), edges
 
 
-def _forest_state(P, removed):
-    """(is_forest, component_count) of the incidence graph after detaching
-    the incidences in `removed` onto fresh pendant vertices."""
-    incid = _incidences(P)
-    parent = {}
+def _detached_forest_components(n, edges, removed):
+    """The component count of the incidence graph (`n` vertices, `edges`)
+    after detaching the incidences in `removed` onto fresh pendant
+    vertices, or None if that graph has a cycle.  Fresh pendants hang off
+    their line, so only the original vertices are counted."""
+    parent = list(range(n + len(edges)))  # incidence i's pendant is n + i
 
     def find(x):
         while parent[x] != x:
@@ -213,35 +220,22 @@ def _forest_state(P, removed):
             x = parent[x]
         return x
 
-    nodes = [("p", p) for p in P.points]
-    nodes += [("l", i) for i in range(len(P.lines))]
-    nodes += [("f", i) for i in removed]
-    for v in nodes:
-        parent[v] = v
-    forest = True
-    for i, (li, p) in enumerate(incid):
-        a = ("l", li)
-        b = ("f", i) if i in removed else ("p", p)
-        ra, rb = find(a), find(b)
+    for i, (line, p) in enumerate(edges):
+        ra, rb = find(line), find(n + i if i in removed else p)
         if ra == rb:
-            forest = False
-            continue
+            return None
         parent[ra] = rb
-    # fresh pendants always hang off their line, so counting only the
-    # original vertices gives the structure's component count
-    comps = len({find(v) for v in nodes if v[0] != "f"})
-    return forest, comps
+    return len({find(v) for v in range(n)})
 
 
 def min_splittings(P, limit):
     """Fewest detachments that leave a forest with the original component
     count, by exhaustive subset search.  None if above `limit`."""
-    _, base = _forest_state(P, set())
-    incid = _incidences(P)
+    n, edges = _incidence_graph(P)
+    base = len(union_find_components(P))  # every line holds a point
     for k in range(limit + 1):
-        for removed in combinations(range(len(incid)), k):
-            forest, comps = _forest_state(P, set(removed))
-            if forest and comps == base:
+        for removed in combinations(range(len(edges)), k):
+            if _detached_forest_components(n, edges, set(removed)) == base:
                 return k
     return None
 

@@ -144,7 +144,8 @@ def test_params_requires_modularity():
 
 def test_component_count_values():
     for L, want in [(m_n(3), 1), (boolean_lattice(3), 3), (seven_point_lattice(), 1)]:
-        assert component_count(analysis_context(L), canonical_bol(L)) == want
+        ctx = analysis_context(L)
+        assert component_count(ctx, ctx.base) == want
 
 
 # -- individual checks -----------------------------------------------------
@@ -169,8 +170,8 @@ def test_point_count_detects_strictness_on_cyclic_lattices():
 
 
 def test_interval_bounds_on_z2_cubed():
-    L = z2_cubed()
-    verdicts = check_interval_bounds(analysis_context(L), canonical_bol(L))
+    ctx = analysis_context(z2_cubed())
+    verdicts = check_interval_bounds(ctx, ctx.base)
     assert [v.name for v in verdicts] == [
         "interval count lower bound",
         "point count lower bound",
@@ -185,8 +186,8 @@ def test_interval_bounds_on_z2_cubed():
 
 
 def test_interval_bounds_on_seven_point():
-    L = seven_point_lattice()
-    verdicts = check_interval_bounds(analysis_context(L), canonical_bol(L))
+    ctx = analysis_context(seven_point_lattice())
+    verdicts = check_interval_bounds(ctx, ctx.base)
     names = {v.name for v in verdicts}
     assert {
         "locally acyclic interval identity",
@@ -199,7 +200,8 @@ def test_interval_bounds_on_seven_point():
 
 
 def test_interval_bounds_skip_tight_clauses_for_wide_lines():
-    verdicts = check_interval_bounds(analysis_context(m_n(4)), canonical_bol(m_n(4)))
+    ctx = analysis_context(m_n(4))
+    verdicts = check_interval_bounds(ctx, ctx.base)
     names = {v.name for v in verdicts}
     assert "split-adjusted point bound" not in names
     assert "acyclic point identity" not in names
@@ -346,8 +348,11 @@ def test_shared_localization_pass_matches_localize():
     seen = set()
     for L in lattices:
         ctx = analysis_context(L, 50)
-        for B in ctx.sample:
-            comps, r = ctx.base_facts(B)
+        canonical = canonical_bol(L)
+        for masks in ctx.sample:
+            lines = [frozenset(bits(m)) for m in masks]
+            B = BaseOfLines(Pls(canonical.points, lines), L, canonical.tops, canonical.intervals)
+            comps, r = ctx.base_facts(masks)
             assert sorted(comps) == sorted(
                 sum(1 << p for p in comp) for comp in union_find_components(B.pls)
             ), L
@@ -362,7 +367,7 @@ def test_shared_localization_pass_matches_localize():
                 # a sampled base with a cyclic localization is one of all bases
                 assert ctx.cyclic_at(k) or not cyclic, (L, u, v)
                 seen.add((len(P.lines) > 1, cyclic))
-            assert ctx.localization_summary(B) == first, (L, B)
+            assert ctx.localization_summary(masks) == first, (L, masks)
     assert seen == {(False, False), (True, False), (True, True)}
 
 
@@ -403,11 +408,10 @@ def test_each_distinct_localization_is_decomposed_once(monkeypatch):
     monkeypatch.setattr(modlat.analysis, "mask_components", counted)
     ctx = analysis_context(L)
     distinct = set()
-    for B in ctx.sample:
-        masks = ctx.line_masks(B)
+    for masks in ctx.sample:
         for k, (_, _, pts, qual) in enumerate(ctx.coverings):
             distinct.add((k, tuple(masks[i] & pts for i in qual)))
-        assert ctx.localization_summary(B) is None
+        assert ctx.localization_summary(masks) is None
     assert len(calls) == len(distinct) < len(ctx.sample) * len(ctx.coverings) // 100
 
 
@@ -420,14 +424,11 @@ def test_localization_summaries_match_a_scan_of_every_covering():
     ctx = analysis_context(L)
     rng = random.Random(5)
 
-    def cut(B):
-        lines = tuple(
-            ln - {min(ln)} if rng.random() < 0.1 else ln for ln in B.lines
-        )
-        return BaseOfLines(Pls(B.points, lines), L, B.tops, B.intervals)
+    def cut(masks):
+        # drop the lowest point of some lines
+        return tuple(m & (m - 1) if rng.random() < 0.1 else m for m in masks)
 
-    def scan(ctx, B):
-        masks = ctx.line_masks(B)
+    def scan(ctx, masks):
         for u, v, pts, qual in ctx.coverings:
             n = len(mask_components([masks[i] & pts for i in qual], pts)[0])
             if n != 1:
@@ -603,11 +604,31 @@ def test_clean_cycle_input_validation():
 
 
 def test_clean_cycle_verdicts():
-    v = check_clean_cycles(analysis_context(z4_squared()))
-    assert v.passed
-    assert "3 clean of 3" in v.detail and "cyclic=True" in v.detail
+    # all 3 cycles of line-tops of Z4 x Z4 are clean, and its canonical
+    # base is cyclic, so the verdict passes without listing them
+    L = z4_squared()
+    cycles = top_cycles(L)
+    assert len(cycles) == 3 and all(is_clean_cycle(L, c) for c in cycles)
+    ctx = analysis_context(L)
+    assert not ctx.acyclic
+    v = check_clean_cycles(ctx)
+    assert v.passed and v.detail == "base cyclic, so nothing to force"
     v2 = check_clean_cycles(analysis_context(boolean_lattice(3)))
-    assert v2.passed and "untriggered" in v2.detail
+    assert v2.passed and v2.detail == "untriggered (0 cycles, none clean)"
+
+
+def test_clean_cycles_on_a_cyclic_base_list_no_cycles(monkeypatch):
+    # Z16 x Z16 has 3,487,761 cycles of at most 8 line-tops; listing them
+    # took minutes, and on Z32 x Z32 ran out of memory
+    def refuse(*args, **kwargs):
+        raise AssertionError("cycles of line-tops were listed")
+
+    monkeypatch.setattr(modlat.analysis, "_top_cycles", refuse)
+    verdicts = verdict_suite(subgroup_lattice(parse_group("16,16")))
+    assert all(v.passed for v in verdicts), [str(v) for v in verdicts if not v.passed]
+    assert _verdict(verdicts, "clean cycles force base cycles").detail == (
+        "base cyclic, so nothing to force"
+    )
 
 
 # -- the full suite --------------------------------------------------------
@@ -623,10 +644,20 @@ def test_verdict_suite_is_clean_on_the_corpus(name, L):
         assert v.passed, str(v)
 
 
+@pytest.mark.parametrize("group", ["25,25", "27,27", "32,32"])
+def test_verdict_suite_passes_on_wide_cyclic_products(group):
+    # each has an interval with more lines than the default cap, which
+    # once cut the sample to the canonical base; Z32 x Z32 also ran out
+    # of memory listing cycles of line-tops
+    verdicts = verdict_suite(subgroup_lattice(parse_group(group)))
+    assert all(v.passed for v in verdicts), [str(v) for v in verdicts if not v.passed]
+    assert "1000 bases (truncated)" in _verdict(verdicts, "split counts observed").detail
+
+
 def test_verdict_suite_survives_an_empty_bases_sample():
-    # an interval of Z4 x Z4 has two lines, so cap 1 stops all_bols before
-    # it yields a base; the suite then runs on the canonical base alone
-    verdicts = verdict_suite(z4_squared(), bols_cap=1)
+    # cap 0 stops all_bols before it yields a base; the suite then runs on
+    # the canonical base alone
+    verdicts = verdict_suite(z4_squared(), bols_cap=0)
     assert all(v.passed for v in verdicts), [str(v) for v in verdicts if not v.passed]
     assert "1 bases (truncated)" in _verdict(verdicts, "split counts observed").detail
 
@@ -634,7 +665,10 @@ def test_verdict_suite_survives_an_empty_bases_sample():
 @pytest.mark.parametrize("run", [params, verdict_suite], ids=["params", "suite"])
 def test_shared_facts_are_computed_once(monkeypatch, run):
     L = subgroup_lattice(parse_group("2,2,4"))
-    calls = {"all_bols": 0, "projectivity_classes": 0, "localize": 0, "line_intervals": 0}
+    calls = {
+        "all_bols": 0, "projectivity_classes": 0, "localize": 0, "line_intervals": 0,
+        "witness_masks": 0, "canonical_bol": 0,
+    }
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -652,9 +686,17 @@ def test_shared_facts_are_computed_once(monkeypatch, run):
     line_intervals = counted("line_intervals", modlat.bol.line_intervals)
     monkeypatch.setattr(modlat.bol, "line_intervals", line_intervals)
     monkeypatch.setattr(modlat.analysis, "line_intervals", line_intervals)
+    witness_masks = counted("witness_masks", modlat.bol.witness_masks)
+    monkeypatch.setattr(modlat.bol, "witness_masks", witness_masks)
+    monkeypatch.setattr(modlat.analysis, "witness_masks", witness_masks)
+    monkeypatch.setattr(modlat.bol, "canonical_bol", counted("canonical_bol", modlat.bol.canonical_bol))
     run(L)
-    # localizations are read off the context's coverings, never rebuilt
-    assert calls == {"all_bols": 1, "projectivity_classes": 1, "localize": 0, "line_intervals": 1}
+    # localizations are read off the context's coverings, never rebuilt,
+    # and every base is read off one witness table
+    assert calls == {
+        "all_bols": 1, "projectivity_classes": 1, "localize": 0, "line_intervals": 1,
+        "witness_masks": 1, "canonical_bol": 0,
+    }
 
 
 def test_component_count_does_not_build_the_bases_sample(monkeypatch):
@@ -663,7 +705,8 @@ def test_component_count_does_not_build_the_bases_sample(monkeypatch):
 
     monkeypatch.setattr(modlat.analysis, "bol_sample", refuse)
     for L, want in [(m_n(3), 1), (seven_point_lattice(), 1), (z4_squared(), 1)]:
-        assert component_count(analysis_context(L), canonical_bol(L)) == want
+        ctx = analysis_context(L)
+        assert component_count(ctx, ctx.base) == want
     with pytest.raises(AssertionError, match="bases sample"):
         analysis_context(z4_squared()).sample
 

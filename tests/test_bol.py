@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 from itertools import islice, product
+from math import prod
 
 import pytest
 
@@ -25,15 +26,28 @@ from modlat.bol import (
     line_intervals,
     lines_from_joins,
     localize,
+    witness_masks,
 )
+from modlat.analysis import analysis_context
 from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, standard_corpus
-from modlat.lattice import ji_between, ji_elements, lower_star
+from modlat.lattice import bits, ji_between, ji_elements, lower_star
 from modlat.pls import TwoPointIntersection, components, find_cycle, validate_pls
 from oracles import candidate_lines, check_candidate_lines, line_choices
 
 
 def z2_cubed():
     return subgroup_lattice(parse_group("2,2,2"))
+
+
+def bases(L, cap=1000):
+    return all_bols(witness_masks(L, line_intervals(L)), cap=cap)
+
+
+def as_base(B, masks):
+    """The base with the points, tops and intervals of B and the lines
+    given as int `masks`, checked as a partial linear space."""
+    lines = [frozenset(bits(m)) for m in masks]
+    return BaseOfLines(validate_pls(B.points, lines), B.lattice, B.tops, B.intervals)
 
 
 # -- line intervals ----------------------------------------------------------
@@ -106,9 +120,9 @@ def test_line_invariants(name, L):
 
 def test_z2_cubed_has_exactly_one_bol_shaped_like_a_projective_plane():
     L = z2_cubed()
-    bols = list(all_bols(L, cap=10))
+    bols = list(bases(L, cap=10))
     assert len(bols) == 1
-    P = bols[0].pls
+    P = as_base(canonical_bol(L), bols[0]).pls
     assert len(P.points) == 7
     assert len(P.lines) == 7
     assert all(len(l) == 3 for l in P.lines)
@@ -120,23 +134,24 @@ def test_z2_cubed_has_exactly_one_bol_shaped_like_a_projective_plane():
 
 
 def test_all_bols_counts_and_cap():
-    assert sum(1 for _ in all_bols(seven_point_lattice(), cap=10)) == 4
+    assert sum(1 for _ in bases(seven_point_lattice(), cap=10)) == 4
     with pytest.raises(CapExceeded):
-        list(all_bols(seven_point_lattice(), cap=2))
-    bols = list(all_bols(seven_point_lattice(), cap=10))
-    line_sets = [frozenset(B.lines) for B in bols]
-    assert len(set(line_sets)) == len(line_sets)
+        list(bases(seven_point_lattice(), cap=2))
+    bols = list(bases(seven_point_lattice(), cap=10))
+    assert len(set(bols)) == len(bols)
 
 
 def test_all_bols_yield_validated_structures():
-    # all_bols checks the axioms once per lattice, not per base
+    # witness_masks checks the axioms once per lattice, not per base
     lattices = [L for _, L in standard_corpus()]
     lattices += [subgroup_lattice(parse_group(g)) for g in ("4,8", "8,8", "2,4,8")]
     for L in lattices:
-        sample, _ = bol_sample(L)
+        ivs = line_intervals(L)
+        sample, _ = bol_sample(witness_masks(L, ivs))
         assert sample
-        for B in sample:
-            assert B.pls == validate_pls(ji_elements(L), B.lines)
+        for masks in sample:
+            assert [m.bit_count() for m in masks] == [iv.n for iv in ivs]
+            validate_pls(ji_elements(L), [frozenset(bits(m)) for m in masks])
 
 
 # the corpus and cyclic-factor groups whose intervals have several lines
@@ -149,34 +164,34 @@ ORDER_CASES = standard_corpus() + [
 def test_all_bols_is_the_product_of_the_line_choices(cap):
     for name, L in ORDER_CASES:
         ivs = line_intervals(L)
-        choices = [line_choices(L, iv) for iv in ivs]
+        choices = [[sum(1 << p for p in ln) for ln in line_choices(L, iv)] for iv in ivs]
         got, raised = [], False
         try:
-            for B in all_bols(L, cap=cap):
-                got.append(B)
+            for masks in all_bols(witness_masks(L, ivs), cap=cap):
+                got.append(masks)
         except CapExceeded:
             raised = True
-        if any(len(lines) > cap for lines in choices):
-            assert raised and not got, name
-            continue
         want = list(islice(product(*choices), cap + 1))
-        assert [B.lines for B in got] == want[:cap], name
+        assert got == want[:cap], name
         assert raised == (len(want) > cap), name
-        for B in got:
-            # every base shares one tops tuple and one intervals tuple
-            assert B.tops == tuple(iv.top for iv in ivs) and B.intervals == ivs
-            assert B.tops is got[0].tops and B.intervals is got[0].intervals
 
 
-def test_all_bols_caps_a_wide_interval_before_the_first_base():
-    bases = all_bols(subgroup_lattice(parse_group("25,25")))
-    with pytest.raises(CapExceeded, match="line choices for one interval"):
-        next(bases)
+def test_all_bols_samples_past_a_wide_interval():
+    # one interval of Z25 x Z25 has 15,625 lines, more than the cap; that
+    # no longer stops the sample before its first base
+    L = subgroup_lattice(parse_group("25,25"))
+    witnesses = witness_masks(L, line_intervals(L))
+    assert max(prod(w.bit_count() for w in ws) for ws in witnesses) == 15625
+    sample, truncated = bol_sample(witnesses)
+    assert truncated and len(sample) == len(set(sample)) == 1000
 
 
 @pytest.mark.parametrize("name,L", ORDER_CASES, ids=lambda v: v if isinstance(v, str) else "")
 def test_canonical_bol_is_the_first_base(name, L):
-    assert canonical_bol(L).lines == next(all_bols(L)).lines
+    ctx = analysis_context(L)
+    first = next(all_bols(ctx.witnesses))
+    assert first == ctx.base
+    assert list(canonical_bol(L).lines) == [frozenset(bits(m)) for m in first]
 
 
 def test_candidate_check_rejects_a_two_point_overlap():
@@ -332,7 +347,9 @@ def test_every_coatom_localization_of_the_plane():
 
 @pytest.mark.parametrize("name,L", standard_corpus(), ids=lambda v: v if isinstance(v, str) else "")
 def test_localizations_are_connected_corpus_wide(name, L):
-    for B in all_bols(L, cap=200):
+    canonical = canonical_bol(L)
+    for masks in all_bols(witness_masks(L, canonical.intervals), cap=200):
+        B = as_base(canonical, masks)
         for a, b in L.covers:
             P = localize(B, a, b)
             assert P.points

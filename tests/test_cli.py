@@ -151,7 +151,7 @@ def test_verify_runs_clean(capsys):
 
 
 def test_verify_with_a_small_cap(capsys):
-    # cap 5 leaves some lattices without a single sampled base
+    # cap 5 truncates the bases sample of several lattices
     assert main(["verify", "--cap", "5"]) == 0
     out, err = capsys.readouterr()
     assert out.strip().splitlines()[-1] == "33 lattices, 0 failing checks"
@@ -176,6 +176,14 @@ def test_bol_all_bases(files, capsys):
 def test_bol_all_bases_truncates(files, capsys):
     assert main(["bol", "--lattice", files["seven"], "--all-bols", "--cap", "2"]) == 0
     assert "(truncated)" in capsys.readouterr().out
+
+
+def test_bol_all_bases_samples_up_to_the_cap(tmp_path, capsys):
+    # an interval of Z4 x Z4 has 8 lines; the cap bounds only the bases
+    lat = tmp_path / "z4z4.json"
+    lat.write_text(json.dumps(lattice_to_json(subgroup_lattice(parse_group("4,4")))))
+    assert main(["bol", "--lattice", str(lat), "--all-bols", "--cap", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "2 bases (truncated); r* values [2]"
 
 
 def test_bol_all_bases_at_cap_zero(files, capsys):
