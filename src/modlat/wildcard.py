@@ -15,11 +15,18 @@ as imp groups; line constraints ("at most one 1 on these positions, or all
 at most lambda+2 pairwise disjoint rows when the line meets no group and
 stays close to that bound otherwise.  `enumerate_ideals` drives a LIFO
 stack of (row, index of the next line to impose) entries and compresses
-complementary final rows into d groups.  It drops a row as soon as a line
-still to come holds two fixed 1s and a fixed 0 (every string of the row
-breaks that line), and it steps over a line the row already satisfies
-without calling `impose_line`; neither changes the final rows.  The work
-it does is counted in an `EnumStats`.
+complementary final rows into d groups; its `FinalRows` store looks for a
+merge partner only among stored rows of the same shape (groups, and which
+cells are fixed), by an int test on their masks of fixed 1s.  It drops a
+row as soon as a line still to come holds two fixed 1s and a fixed 0
+(every string of the row breaks that line), and it steps over a line the
+row already satisfies without calling `impose_line`; neither changes the
+final rows.  The work it does is counted in an `EnumStats`.
+
+Rows are checked where they enter: `make_row` (and so `row_from_json`)
+rejects a row that is not well formed.  The rows that `force`,
+`with_group`, `_try_merge` and the seeding build out of well-formed rows
+go through the unchecked `_row`, which only renumbers their groups.
 """
 
 from __future__ import annotations
@@ -134,7 +141,8 @@ class Row:
 def make_row(width, cells, groups=()):
     """Normalize and sanity-check a row; groups are renumbered by their
     smallest member so equal contents compare equal.  Raises WildcardError
-    on a row that is not well formed."""
+    on a row that is not well formed.  This is the checked entry point for
+    rows from outside (JSON, callers); the row builders below use `_row`."""
     if len(cells) != width:
         raise WildcardError(f"row has {len(cells)} cells, width {width}")
     order = sorted(range(len(groups)), key=lambda i: groups[i].members[0])
@@ -149,6 +157,18 @@ def make_row(width, cells, groups=()):
     if sum(not isinstance(c, str) for c in out_cells) != sum(len(g.members) for g in out_groups):
         raise WildcardError("a cell points at a group it is no member of")
     return Row(width, out_cells, out_groups)
+
+
+def _row(width, cells, groups):
+    """The Row of `cells` and `groups`, a dict from the ids the cells hold
+    to their specs, with groups renumbered by their smallest member as
+    `make_row` numbers them.  Unchecked: for rows built out of well-formed
+    rows by `force`, `with_group`, `_try_merge` and the seeding."""
+    keys = sorted(groups, key=lambda k: groups[k].members[0])
+    if keys != list(range(len(keys))):
+        renum = {k: i for i, k in enumerate(keys)}
+        cells = [renum[c] if isinstance(c, int) else c for c in cells]
+    return Row(width, tuple(cells), tuple(groups[k] for k in keys))
 
 
 def all_free_row(width):
@@ -186,7 +206,8 @@ def expand(row, cap=1_000_000):
                 bits[p] = v
         out.append(tuple(bits))
     out.sort()
-    assert len(out) == row_count(row)
+    if len(out) != row_count(row):
+        raise WildcardError(f"row expands to {len(out)} strings but counts {row_count(row)}")
     return out
 
 
@@ -295,37 +316,33 @@ def force(row, assignments):
                 else:
                     del groups[gid]
                     free_and_push(prem)
-    keys = sorted(groups)
-    renum = {k: i for i, k in enumerate(keys)}
-    cells = [renum[c] if isinstance(c, int) else c for c in cells]
-    return make_row(row.width, cells, tuple(groups[k] for k in keys))
+    return _row(row.width, cells, groups)
 
 
 def with_group(row, kind, positions, premise=(), conclusion=()):
     """Attach a new group over currently free cells."""
     positions = tuple(sorted(positions))
-    assert all(row.cells[p] == FREE for p in positions)
     gid = len(row.groups)
     cells = list(row.cells)
     for p in positions:
+        if cells[p] != FREE:
+            raise WildcardError(f"cell {p} is not free, so it cannot join a new group")
         cells[p] = gid
-    spec = GroupSpec(kind, positions, tuple(sorted(premise)), tuple(sorted(conclusion)))
-    return make_row(row.width, cells, row.groups + (spec,))
+    groups = dict(enumerate(row.groups))
+    groups[gid] = GroupSpec(kind, positions, tuple(sorted(premise)), tuple(sorted(conclusion)))
+    return _row(row.width, cells, groups)
 
 
 def _retype_to_g(row, members):
+    """Turn the eps, ell or g group on exactly `members` into a g group."""
     members = tuple(sorted(members))
-    groups = []
-    hit = False
-    for spec in row.groups:
+    for gid, spec in enumerate(row.groups):
         if spec.members == members:
-            assert spec.kind in ("eps", "ell", "g")
-            groups.append(GroupSpec("g", members))
-            hit = True
-        else:
-            groups.append(spec)
-    assert hit
-    return make_row(row.width, row.cells, tuple(groups))
+            if spec.kind not in ("eps", "ell", "g"):
+                raise WildcardError(f"a {spec.kind} group cannot become exactly-one")
+            groups = row.groups[:gid] + (GroupSpec("g", members),) + row.groups[gid + 1 :]
+            return Row(row.width, row.cells, groups)  # same members, same numbering
+    raise WildcardError(f"no group has the members {list(members)}")
 
 
 # -- line imposition ---------------------------------------------------
@@ -467,13 +484,15 @@ class EnumStats:
     `split_sizes` maps the number of rows one `impose_line` call returned
     to how many calls returned that many; a call returning more than
     lambda + 2 rows for a line of lambda points breaks the paper's bound
-    and is counted in `split_bound_violations`.  `dead_rows` are rows an
+    and is counted in `split_bound_violations`.  `noop_impositions` are
+    the calls that returned the row unchanged.  `dead_rows` are rows an
     imposition turned into nothing, `pruned_rows` rows dropped before the
     line that would kill them came up, `skipped` the lines stepped over
     without an imposition because the row already satisfied them."""
 
     seeds: int = 0
     impositions: int = 0
+    noop_impositions: int = 0
     skipped: int = 0
     split_sizes: dict = field(default_factory=dict)
     split_bound_violations: int = 0
@@ -535,7 +554,7 @@ def seed_order_ideals(poset):
                 groups.append(
                     GroupSpec("imp", tuple(sorted((lo, hi))), (hi,), (lo,))
                 )
-            rows.append(make_row(poset.width, cells, tuple(groups)))
+            rows.append(_row(poset.width, cells, dict(enumerate(groups))))
             prov.append("seed" + (path or ""))
             return
         pivot = max(
@@ -572,11 +591,13 @@ def _try_merge(a, b):
     cells = list(a.cells)
     if len(diff) == 1:
         cells[diff[0]] = FREE
-        return make_row(a.width, cells, a.groups)
+        return Row(a.width, tuple(cells), a.groups)
     gid = len(a.groups)
     for p in diff:
         cells[p] = gid
-    return make_row(a.width, cells, a.groups + (GroupSpec("d", tuple(diff)),))
+    groups = dict(enumerate(a.groups))
+    groups[gid] = GroupSpec("d", tuple(diff))
+    return _row(a.width, cells, groups)
 
 
 def _fixed_masks(row):
@@ -589,15 +610,72 @@ def _fixed_masks(row):
     return ones, zeros
 
 
+class FinalRows:
+    """The final rows of an enumeration, with their labels and provenance,
+    in arrival order.
+
+    An arriving row merges with the first stored row, in arrival order,
+    that differs from it only on a block that is all 0 in one row and all 1
+    in the other (`_try_merge`); the merged row arrives in its place, and
+    the row that is finally kept goes to the end, with the provenance
+    "exhausted" or, after a merge, "merge(stored label,arriving label)"
+    and the arriving row's label.  Only rows of one shape
+    can merge, the shape being the groups and the cells with 0 and 1 made
+    alike, so the stored rows are bucketed by shape.  Within a bucket the
+    rows fix the same cells, and two of them merge exactly when x = a1 ^ b1
+    of their ones masks is not 0 and lies inside a1 or inside b1: x is the
+    block, all 1 in one row and all 0 in the other."""
+
+    def __init__(self):
+        self.merges = 0
+        self._rows = {}  # arrival number -> (row, label, provenance)
+        self._shapes = {}  # shape -> {arrival number: ones mask}, in arrival order
+        self._arrivals = 0
+
+    def add(self, row, label):
+        ones = _fixed_masks(row)[0]
+        why = "exhausted"
+        while True:
+            shape = (tuple(FIXED0 if c == FIXED1 else c for c in row.cells), row.groups)
+            bucket = self._shapes.setdefault(shape, {})
+            for i, a1 in bucket.items():
+                x = a1 ^ ones
+                if x and (x & a1 == x or x & ones == x):
+                    break
+            else:
+                bucket[self._arrivals] = ones
+                self._rows[self._arrivals] = (row, label, why)
+                self._arrivals += 1
+                return
+            del bucket[i]
+            kept, kept_label, _ = self._rows.pop(i)
+            self.merges += 1
+            why = f"merge({kept_label},{label})"
+            row = _try_merge(kept, row)
+            ones &= a1
+
+    def rowset(self, width, stats=None):
+        entries = self._rows.values()
+        return RowSet(
+            width,
+            tuple(e[0] for e in entries),
+            tuple(e[1] for e in entries),
+            tuple(e[2] for e in entries),
+            stats,
+        )
+
+
 def enumerate_ideals(poset, lines):
     """All order ideals closed under the line constraints, as a RowSet.
 
     Lines are imposed LIFO and in input order: the working stack holds
     (row, k, label, checked) entries, where k is the index of the next
     line to impose, and the top entry gets line k.  A row with every line
-    imposed is final and lands in the store, where rows differing by one
-    complementary 0/1 block are compressed into d rows.  A split's parts
-    get fresh labels; a row an imposition leaves unchanged keeps its own.
+    imposed is final and lands in a `FinalRows` store, where rows differing
+    by one complementary 0/1 block are compressed into d rows; the store
+    looks for a merge partner only among the stored rows of the same shape.
+    A split's parts get fresh labels; a row an imposition leaves unchanged
+    keeps its own.
 
     Two shortcuts leave the final rows and their order as they are:
 
@@ -611,10 +689,14 @@ def enumerate_ideals(poset, lines):
       string of the row; the cursor steps over it without an
       `impose_line` call.
 
-    The counts land in the result's `stats` (an `EnumStats`).
+    Both tests are int operations on the row's masks of fixed 1s and 0s.
+    Rows are checked at the boundaries (`make_row`, `row_from_json`); the
+    rows built in between come from well-formed rows and are not
+    re-checked.  The counts land in the result's `stats` (an `EnumStats`).
     """
     line_sets = [tuple(sorted(set(int(p) for p in line))) for line in lines]
     masks = [sum(1 << p for p in line) for line in line_sets]
+    nlines = len(masks)
     through = [0] * poset.width  # per point, the mask of the indices of its lines
     for k, line in enumerate(line_sets):
         for p in line:
@@ -625,64 +707,65 @@ def enumerate_ideals(poset, lines):
     counter = len(seeds.rows)
     stack = [(row, 0, lab, 0) for row, lab in zip(seeds.rows, seeds.labels)]
     stack.reverse()
-    finals, flabels, fprov = [], [], []
-
-    def store(row, label, why):
-        i = 0
-        while i < len(finals):
-            merged = _try_merge(finals[i], row)  # symmetric in its arguments
-            if merged is not None:
-                stats.merges += 1
-                why = f"merge({flabels[i]},{label})"
-                del finals[i], flabels[i], fprov[i]
-                row = merged
-                i = 0
-                continue
-            i += 1
-        finals.append(row)
-        flabels.append(label)
-        fprov.append(why)
-
-    def doomed(ones, zeros, near):
-        return any(
-            (ones & masks[j]).bit_count() >= 2 and zeros & masks[j] for j in bits(near)
-        )
-
-    def satisfied(m, ones, undet):
-        o, u = ones & m, undet & m
-        return (not o and u.bit_count() <= 1) or (not u and (o.bit_count() <= 1 or o == m))
+    finals = FinalRows()
+    skipped = pruned = noops = 0
 
     while stack:
         row, k, label, checked = stack.pop()
         ones, zeros = _fixed_masks(row)
         fixed = ones | zeros
+        # prune: the lines from k on through a newly fixed cell
+        new = fixed & ~checked
         near = 0
-        for p in bits(fixed & ~checked):
-            near |= through[p]
-        if doomed(ones, zeros, near >> k << k):
-            stats.pruned_rows += 1
+        while new:
+            low = new & -new
+            near |= through[low.bit_length() - 1]
+            new ^= low
+        near = near >> k << k
+        while near:
+            low = near & -near
+            m = masks[low.bit_length() - 1]
+            if zeros & m and (ones & m).bit_count() >= 2:
+                break
+            near ^= low
+        if near:
+            pruned += 1
             continue
-        while k < len(masks) and satisfied(masks[k], ones, ~fixed):
-            stats.skipped += 1
+        # skip: o and u are the line's fixed 1s and undetermined cells
+        start = k
+        while k < nlines:
+            m = masks[k]
+            o, u = ones & m, m & ~fixed
+            if o:
+                if u or (o & (o - 1) and o != m):
+                    break
+            elif u & (u - 1):
+                break
             k += 1
-        if k == len(masks):
-            store(row, label, "exhausted")
+        skipped += k - start
+        if k == nlines:
+            finals.add(row, label)
             continue
         parts = impose_line(row, line_sets[k])
-        stats.impositions += 1
         sizes[len(parts)] += 1
         if len(parts) > len(line_sets[k]) + 2:
             stats.split_bound_violations += 1
         if len(parts) == 1 and parts[0].same_content(row):
+            noops += 1
             stack.append((parts[0], k + 1, label, fixed))
             continue
         for i in reversed(range(len(parts))):
             stack.append((parts[i], k + 1, f"r{counter + 1 + i}", fixed))
         counter += len(parts)
         stats.peak_stack = max(stats.peak_stack, len(stack))
+    stats.impositions = sum(sizes.values())
+    stats.noop_impositions = noops
+    stats.skipped = skipped
+    stats.pruned_rows = pruned
     stats.split_sizes = dict(sorted(sizes.items()))
     stats.dead_rows = sizes[0]
-    return RowSet(poset.width, tuple(finals), tuple(flabels), tuple(fprov), stats)
+    stats.merges = finals.merges
+    return finals.rowset(poset.width, stats)
 
 
 # -- validation ---------------------------------------------------------

@@ -101,38 +101,51 @@ def random_row(rng, width):
     return make_row(width, cells, tuple(groups))
 
 
+class LinearStore:
+    """The final-row store as a linear scan: an arriving row is tried
+    against every stored row in arrival order with `_try_merge`, the scan
+    restarting after each merge, and the row finally kept goes to the end.
+    The reference for `wildcard.FinalRows`."""
+
+    def __init__(self):
+        self.finals, self.labels, self.provenance = [], [], []
+        self.merges = 0
+
+    def add(self, row, label):
+        why = "exhausted"
+        i = 0
+        while i < len(self.finals):
+            merged = wildcard._try_merge(self.finals[i], row)
+            if merged is not None:
+                self.merges += 1
+                why = f"merge({self.labels[i]},{label})"
+                del self.finals[i], self.labels[i], self.provenance[i]
+                row = merged
+                i = 0
+                continue
+            i += 1
+        self.finals.append(row)
+        self.labels.append(label)
+        self.provenance.append(why)
+
+
 def plain_enumerate(poset, lines):
     """`enumerate_ideals` without its shortcuts: every row meets every
-    line through `impose_line`, and a row dies only when an imposition
-    returns nothing.  Its rows are the reference for the pruned and
-    skipping enumerator; its labels and provenance number every row the
-    plain traversal makes."""
+    line through `impose_line`, a row dies only when an imposition
+    returns nothing, and final rows go to a `LinearStore`.  Its rows are
+    the reference for the pruned and skipping enumerator; its labels and
+    provenance number every row the plain traversal makes."""
     line_sets = [tuple(sorted(set(int(p) for p in line))) for line in lines]
     seeds = wildcard.seed_order_ideals(poset)
     counter = len(seeds.rows)
     stack = [(row, 0, lab) for row, lab in zip(seeds.rows, seeds.labels)]
     stack.reverse()
-    finals, flabels, fprov = [], [], []
-
-    def store(row, label, why):
-        i = 0
-        while i < len(finals):
-            merged = wildcard._try_merge(finals[i], row)
-            if merged is not None:
-                why = f"merge({flabels[i]},{label})"
-                del finals[i], flabels[i], fprov[i]
-                row = merged
-                i = 0
-                continue
-            i += 1
-        finals.append(row)
-        flabels.append(label)
-        fprov.append(why)
+    store = LinearStore()
 
     while stack:
         row, k, label = stack.pop()
         if k == len(line_sets):
-            store(row, label, "exhausted")
+            store.add(row, label)
             continue
         parts = wildcard.impose_line(row, line_sets[k])
         if len(parts) == 1 and parts[0].same_content(row):
@@ -141,7 +154,9 @@ def plain_enumerate(poset, lines):
         for i in reversed(range(len(parts))):
             stack.append((parts[i], k + 1, f"r{counter + 1 + i}"))
         counter += len(parts)
-    return wildcard.RowSet(poset.width, tuple(finals), tuple(flabels), tuple(fprov))
+    return wildcard.RowSet(
+        poset.width, tuple(store.finals), tuple(store.labels), tuple(store.provenance)
+    )
 
 
 # -- partial linear spaces ----------------------------------------------

@@ -85,11 +85,12 @@ def test_enumerate_stats_go_to_stderr_as_json(files, capsys, tmp_path):
     assert (tmp_path / "stats.json").read_text() == (tmp_path / "plain.json").read_text()
     stats = json.loads(got.err)
     assert set(stats) == {
-        "seeds", "impositions", "skipped", "split_sizes", "split_bound_violations",
-        "dead_rows", "pruned_rows", "merges", "peak_stack",
+        "seeds", "impositions", "noop_impositions", "skipped", "split_sizes",
+        "split_bound_violations", "dead_rows", "pruned_rows", "merges", "peak_stack",
     }
     assert stats["seeds"] == 2
     assert stats["impositions"] == sum(stats["split_sizes"].values()) > 0
+    assert 0 <= stats["noop_impositions"] <= stats["split_sizes"].get("1", 0)
     assert stats["split_bound_violations"] == 0
     assert stats["merges"] >= 1
 

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from modlat import wildcard
 from modlat.algebra import enumeration_input, parse_group
-from modlat.corpus import fano_pls, seven_point_lines, seven_point_poset
+from modlat.corpus import fano_pls, seven_point_lines, seven_point_poset, standard_corpus
+from modlat.rebuild import roundtrip_check
 from modlat.wildcard import (
     FIXED0,
     FIXED1,
     FREE,
+    FinalRows,
     GroundPoset,
     GroupSpec,
     OverlapFound,
@@ -40,6 +44,7 @@ from modlat.wildcard import (
 )
 
 from oracles import (
+    LinearStore,
     brute_closed_ideals,
     line_admits,
     plain_enumerate,
@@ -85,6 +90,13 @@ def test_all_fixed_row_counts_one():
     row = make_row(3, (FIXED0, FIXED1, FIXED0))
     assert row_count(row) == 1
     assert expand(row) == [(0, 1, 0)]
+
+
+def test_expand_rejects_strings_that_disagree_with_the_count(monkeypatch):
+    row = make_row(2, (0, 0), (GroupSpec("eps", (0, 1)),))
+    monkeypatch.setattr(GroupSpec, "count", lambda self: 4)
+    with pytest.raises(WildcardError, match="expands to 3 strings but counts 4"):
+        expand(row)
 
 
 # -- expansion and membership -------------------------------------------------
@@ -203,6 +215,79 @@ def test_impose_line_is_exact_split():
         assert set(seen) == expected
 
 
+def test_with_group_rejects_a_cell_that_is_not_free():
+    row = make_row(3, (FREE, FIXED0, FREE))
+    with pytest.raises(WildcardError, match="cell 1 is not free"):
+        with_group(row, "eps", (0, 1, 2))
+
+
+def test_retype_to_g_rejects_a_d_group():
+    row = make_row(3, (0, 0, FREE), (GroupSpec("d", (0, 1)),))
+    with pytest.raises(WildcardError, match="a d group cannot become exactly-one"):
+        wildcard._retype_to_g(row, (0, 1))
+
+
+def test_retype_to_g_rejects_members_of_no_group():
+    row = make_row(3, (0, 0, FREE), (GroupSpec("eps", (0, 1)),))
+    with pytest.raises(WildcardError, match=r"no group has the members \[1, 2\]"):
+        wildcard._retype_to_g(row, (2, 1))
+
+
+# -- rows built without checks ---------------------------------------------------------
+
+BUILDERS = ("force", "impose_line", "with_group", "_retype_to_g", "_try_merge")
+
+
+def check_built_rows(monkeypatch):
+    """Wrap the row builders of `wildcard` so that every row they return,
+    to a caller or to each other, is checked to be what `make_row` makes
+    of it.  Returns the count of rows checked per builder."""
+    checked = Counter()
+    for name in BUILDERS:
+        def wrapper(*args, _fn=getattr(wildcard, name), _name=name, **kw):
+            out = _fn(*args, **kw)
+            for r in out if isinstance(out, list) else [out]:
+                if r is not None:
+                    assert make_row(r.width, r.cells, r.groups) == r, (_name, r)
+                    checked[_name] += 1
+            return out
+        monkeypatch.setattr(wildcard, name, wrapper)
+    return checked
+
+
+def test_built_rows_are_well_formed_on_random_rows(monkeypatch):
+    checked = check_built_rows(monkeypatch)
+    rng = random.Random(23)
+    for _ in range(300):
+        width = rng.randint(2, 10)
+        row = random_row(rng, width)
+        k = rng.randint(1, min(3, width))
+        wildcard.force(row, {p: rng.randint(0, 1) for p in rng.sample(range(width), k)})
+        wildcard.impose_line(row, tuple(sorted(rng.sample(range(width), rng.randint(2, width)))))
+        free = [p for p, c in enumerate(row.cells) if c == FREE]
+        if len(free) >= 2:
+            kind = rng.choice(("d", "eps", "g", "ell"))
+            wildcard.with_group(row, kind, rng.sample(free, rng.randint(2, len(free))))
+        if free:
+            # forcing free cells touches no group: the two rows differ on the block alone
+            block = rng.sample(free, rng.randint(1, len(free)))
+            lo = wildcard.force(row, dict.fromkeys(block, 0))
+            hi = wildcard.force(row, dict.fromkeys(block, 1))
+            assert wildcard._try_merge(lo, hi) is not None
+    assert all(checked[name] for name in BUILDERS), checked
+
+
+def test_built_rows_are_well_formed_in_enumerations(monkeypatch):
+    checked = check_built_rows(monkeypatch)
+    for _, L in standard_corpus():
+        assert roundtrip_check(L)
+    for g in ("2,2,2,2", "2,4,8", "5,5,5"):
+        rows = enumerate_ideals(*enumeration_input(parse_group(g)))
+        assert all(make_row(r.width, r.cells, r.groups) == r for r in rows.rows)
+    # these inputs never retype a group to g; the random rows reach `_retype_to_g`
+    assert all(checked[name] for name in BUILDERS if name != "_retype_to_g"), checked
+
+
 # -- seeding --------------------------------------------------------------------------
 
 
@@ -311,6 +396,113 @@ def test_rows_match_the_plain_enumeration_loop():
         stats = rows.stats
         assert stats.impositions == sum(stats.split_sizes.values())
         assert stats.split_bound_violations == 0
+
+
+LADDER_GROUPS = ("2,2,2,2", "2,4,8", "5,5,5", "4,4,4", "2,2,2,2,2")
+
+
+def stores_agree(width, arrivals):
+    """Feed the same rows to the indexed and the linear store; both must
+    keep the same rows, labels and provenance, after as many merges."""
+    indexed, linear = FinalRows(), LinearStore()
+    for row, label in arrivals:
+        indexed.add(row, label)
+        linear.add(row, label)
+    got = indexed.rowset(width)
+    assert got.rows == tuple(linear.finals)
+    assert got.labels == tuple(linear.labels)
+    assert got.provenance == tuple(linear.provenance)
+    assert indexed.merges == linear.merges
+    return linear
+
+
+def test_indexed_store_matches_the_linear_scan(monkeypatch):
+    instances = [enumeration_input(parse_group(g)) for g in LADDER_GROUPS]
+    instances += random_instances()
+    merges = 0
+    for poset, lines in instances:
+        arrivals = []
+
+        class Recording(FinalRows):
+            def add(self, row, label):
+                arrivals.append((row, label))
+                super().add(row, label)
+
+        with monkeypatch.context() as m:
+            m.setattr(wildcard, "FinalRows", Recording)
+            rows = enumerate_ideals(poset, lines)
+        linear = stores_agree(poset.width, arrivals)
+        assert rows.rows == tuple(linear.finals)
+        assert rows.labels == tuple(linear.labels)
+        assert rows.provenance == tuple(linear.provenance)
+        assert rows.stats.merges == linear.merges
+        merges += linear.merges
+    assert merges > 0
+
+
+def test_indexed_store_matches_the_linear_scan_on_shuffled_blocks():
+    # every 0/1 filling of up to five free cells of a few random rows, in
+    # random order: merges chain, and rows of several shapes interleave
+    rng = random.Random(31)
+    merges = 0
+    for _ in range(80):
+        width = rng.randint(1, 8)
+        arrivals = []
+        for _ in range(rng.randint(1, 3)):
+            row = random_row(rng, width)
+            free = [p for p, c in enumerate(row.cells) if c == FREE][:5]
+            for vals in product((0, 1), repeat=len(free)):
+                if rng.random() < 0.8:
+                    arrivals.append(force(row, dict(zip(free, vals))))
+        rng.shuffle(arrivals)
+        merges += stores_agree(width, [(r, f"r{i + 1}") for i, r in enumerate(arrivals)]).merges
+    assert merges > 100
+
+
+# sha256 of json.dumps(rowset_to_json(enumerate_ideals(...)), sort_keys=True)
+GOLDEN = {
+    "seven-point": "ad14f51bd5706f9a9d74bf8fc4ba5361d1b77ff71d948031b443cc4486bc106f",
+    "fano-atoms": "ee00cb16a07cca9a163315a6b95860908745c396ab4a4d36f01f833d5f2ba6c4",
+    "2,2,2,2": "71766854010626044a8babff7892b16d09ab7dbf112671587395aa9000c72666",
+    "2,4,8": "75729a1e7effc88033883669966510811fbba85d45573e1182d9958a26faca87",
+    "5,5,5": "61333b3c8067221f4e0069b397b5e78c3b497cca673a54581a447f50fc33d81c",
+    "4,4,4": "9b46d016d7230be4171969723c4fd57f8809cab174030e3c58c606f09b301eed",
+    "2,2,2,2,2": "d7e94bcad72652b9fb50c5ff34f411a0e9ac59e03cfc0dbca5b1e7a4ac0af39e",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_enumeration_output_is_pinned(name):
+    if name == "seven-point":
+        poset, lines = seven_point_poset(), seven_point_lines()
+    elif name == "fano-atoms":
+        poset, lines = fano_atom_instance()
+    else:
+        poset, lines = enumeration_input(parse_group(name))
+    text = json.dumps(rowset_to_json(enumerate_ideals(poset, lines)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+def test_noop_impositions_count_the_rows_left_unchanged(monkeypatch):
+    instances = [(seven_point_poset(), seven_point_lines()), fano_atom_instance()]
+    instances += [enumeration_input(parse_group(g)) for g in ("2,2,2,2", "2,4,8")]
+    instances += random_instances()
+    total = 0
+    for poset, lines in instances:
+        unchanged = 0
+
+        def counted(row, positions):
+            nonlocal unchanged
+            out = impose_line(row, positions)
+            unchanged += len(out) == 1 and out[0].same_content(row)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(wildcard, "impose_line", counted)
+            stats = enumerate_ideals(poset, lines).stats
+        assert stats.noop_impositions == unchanged <= stats.split_sizes.get(1, 0)
+        total += unchanged
+    assert total > 0
 
 
 def test_enumeration_work_bound_on_z3_4(monkeypatch):
