@@ -6,9 +6,14 @@ x <= y, `down[x]` dually, and `ji_mask` marks the join-irreducibles, so a
 point set such as J(a, b) is `down[b] & ~down[a] & ji_mask`.  The join of
 x and y is the element whose up-mask is up[x] & up[y], found by one dict
 lookup (dually for meets); a pair with no such element has no least bound.
-Tables are built at construction time; instances are immutable afterwards
-and safe to share between threads.  Everything here targets desk scale:
-no lattice past LATTICE_CAP elements is built.
+Construction checks that the order is a lattice in time linear in the pairs
+of upper covers, without building any n x n table.  The join and meet
+tables that `join` and `meet` index are built on the first call to each;
+`modular` and `meet_all` read the masks and build neither.  Instances are
+immutable apart from those two cached tables, so sharing one between
+threads is safe: at worst two threads each build the same table.
+Everything here targets desk scale: no lattice past LATTICE_CAP elements
+is built.
 """
 
 from __future__ import annotations
@@ -110,25 +115,37 @@ class Lattice:
                 raise NotTransitivelyReduced(f"cover ({a},{b}) is implied")
 
         # x + y is the element whose up-set is up(x) & up(y); dually for meets
-        by_up = {m: v for v, m in enumerate(up)}
-        by_down = {m: v for v, m in enumerate(down)}
-        self._join = [[by_up.get(ux & u) for u in up] for ux in up]
-        self._meet = [[by_down.get(dx & d) for d in down] for dx in down]
-        for x in range(n):
-            jx, mx = self._join[x], self._meet[x]
-            if None in jx or None in mx:
-                # report the first pair (x, y), y >= x, in row order
+        full = (1 << n) - 1
+        self._by_up = by_up = {m: v for v, m in enumerate(up)}
+        self._by_down = by_down = {m: v for v, m in enumerate(down)}
+        # A finite poset with a least element is a lattice iff any two upper
+        # covers a != b of a common element have a join.  By induction on z
+        # from the top down, any u, v >= z have a join: take upper covers
+        # a <= u and b <= v of z (if u or v is z there is nothing to show,
+        # and a == b falls to the claim at a), and j = a + b.  Then
+        # p = u + j exists by the claim at a, q = v + j by the claim at b,
+        # and r = p + q by the claim at j; every upper bound of u and v lies
+        # above a, b, j, p and q, so r = u + v.  At the bottom this gives
+        # every join, and a meet is the join of the (nonempty) lower bounds.
+        if full not in by_up or any(
+            up[a] & up[b] not in by_up
+            for ups in self._upcov
+            for i, a in enumerate(ups)
+            for b in ups[i + 1 :]
+        ):
+            # report the first pair (x, y), y >= x, in row order
+            for x in range(n):
                 for y in range(x, n):
-                    if jx[y] is None or mx[y] is None:
-                        side = "upper" if jx[y] is None else "lower"
-                        raise NotALattice(f"elements {x},{y} have no least {side} bound")
+                    if up[x] & up[y] not in by_up:
+                        raise NotALattice(f"elements {x},{y} have no least upper bound")
+                    if down[x] & down[y] not in by_down:
+                        raise NotALattice(f"elements {x},{y} have no least lower bound")
 
         self.rank = [0] * n
         for v in topo:
             if self._lowcov[v]:
                 self.rank[v] = 1 + max(self.rank[u] for u in self._lowcov[v])
         self.rank = tuple(self.rank)
-        full = (1 << n) - 1
         self.bottom, self.top = up.index(full), down.index(full)
 
     # -- basic queries ------------------------------------------------
@@ -143,10 +160,20 @@ class Lattice:
         return self._meet[x][y]
 
     def meet_all(self, xs):
-        acc = self.top
+        acc = self.down[self.top]
         for x in xs:
-            acc = self._meet[acc][x]
-        return acc
+            acc &= self.down[x]
+        return self._by_down[acc]
+
+    @cached_property
+    def _join(self):
+        by_up, up = self._by_up, self.up
+        return [[by_up[ux & u] for u in up] for ux in up]
+
+    @cached_property
+    def _meet(self):
+        by_down, down = self._by_down, self.down
+        return [[by_down[dx & d] for d in down] for dx in down]
 
     def upper_covers(self, x):
         return tuple(self._upcov[x])
@@ -174,17 +201,17 @@ class Lattice:
         # Birkhoff: a finite lattice is modular iff it is upper and lower
         # semimodular, i.e. any two upper covers of an element join to a
         # common upper cover of both, and dually for lower covers
-        covers = self.cover_set
+        covers, up, down = self.cover_set, self.up, self.down
         for x in range(self.n):
             ups, lows = self._upcov[x], self._lowcov[x]
             for i, y in enumerate(ups):
                 for z in ups[i + 1 :]:
-                    j = self._join[y][z]
+                    j = self._by_up[up[y] & up[z]]
                     if (y, j) not in covers or (z, j) not in covers:
                         return False
             for i, y in enumerate(lows):
                 for z in lows[i + 1 :]:
-                    m = self._meet[y][z]
+                    m = self._by_down[down[y] & down[z]]
                     if (m, y) not in covers or (m, z) not in covers:
                         return False
         return True
@@ -251,10 +278,6 @@ def build_lattice(elements, covers, names=None):
     return Lattice(len(names), covers, names)
 
 
-def is_modular(L):
-    return L.modular
-
-
 def require_modular(L):
     if not L.modular:
         raise NotModular("operation requires a modular lattice")
@@ -285,19 +308,6 @@ def lower_star(L, p):
     if len(lows) != 1:
         raise LatticeError(f"element {p} is not join-irreducible")
     return lows[0]
-
-
-def transposes_up(L, quot1, quot2):
-    """Whether the quotient quot1 = [a,b] transposes up to quot2 = [c,d].
-
-    Defined for arbitrary quotients, not only prime ones: true iff
-    d = b + c and a = b * c.
-    """
-    a, b = quot1
-    c, d = quot2
-    if not (L.leq(a, b) and L.leq(c, d)):
-        raise LatticeError("transposes_up expects quotients a<=b, c<=d")
-    return L.join(b, c) == d and L.meet(b, c) == a
 
 
 def up_transposes(L, quot):

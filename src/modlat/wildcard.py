@@ -669,7 +669,7 @@ def enumerate_ideals(poset, lines):
     """All order ideals closed under the line constraints, as a RowSet.
 
     Lines are imposed LIFO and in input order: the working stack holds
-    (row, k, label, checked) entries, where k is the index of the next
+    (row, k, label, checked, held) entries, where k is the index of the next
     line to impose, and the top entry gets line k.  A row with every line
     imposed is final and lands in a `FinalRows` store, where rows differing
     by one complementary 0/1 block are compressed into d rows; the store
@@ -681,13 +681,19 @@ def enumerate_ideals(poset, lines):
 
     - prune: a popped row is dropped when some line from k on holds two
       fixed 1s and a fixed 0, since every string of the row breaks it.
-      Only lines through a cell fixed since the row's parent was checked
-      (`checked` is the parent's fixed-cell mask, 0 for a seed) can have
-      turned so, and only those are looked at.
     - skip: a line with no fixed 1 and at most one undetermined cell, or
       with every cell fixed, at most one 1 or all 1s, holds on every
       string of the row; the cursor steps over it without an
       `impose_line` call.
+
+    A line's standing changes only when one of its cells gets fixed, and
+    a line that holds keeps holding in every row below, whose strings are
+    a subset.  So each stack entry also carries the mask `checked` of the
+    cells fixed in its parent (0 for a seed) and the mask `held` of the
+    lines known to hold (the parent's; for a seed, the lines of at most
+    one cell).  One walk over the lines from k on through a newly fixed
+    cell, not yet in `held`, does both tests, and the cursor jumps to the
+    lowest line from k on that is not in `held`.
 
     Both tests are int operations on the row's masks of fixed 1s and 0s.
     Rows are checked at the boundaries (`make_row`, `row_from_json`); the
@@ -705,43 +711,42 @@ def enumerate_ideals(poset, lines):
     stats = EnumStats(seeds=len(seeds.rows), peak_stack=len(seeds.rows))
     sizes = Counter()
     counter = len(seeds.rows)
-    stack = [(row, 0, lab, 0) for row, lab in zip(seeds.rows, seeds.labels)]
+    small = sum(1 << k for k, m in enumerate(masks) if m & (m - 1) == 0)
+    stack = [(row, 0, lab, 0, small) for row, lab in zip(seeds.rows, seeds.labels)]
     stack.reverse()
     finals = FinalRows()
     skipped = pruned = noops = 0
 
     while stack:
-        row, k, label, checked = stack.pop()
+        row, k, label, checked, held = stack.pop()
         ones, zeros = _fixed_masks(row)
         fixed = ones | zeros
-        # prune: the lines from k on through a newly fixed cell
+        # the lines from k on through a newly fixed cell, not known to hold
         new = fixed & ~checked
         near = 0
         while new:
             low = new & -new
             near |= through[low.bit_length() - 1]
             new ^= low
-        near = near >> k << k
+        near = near >> k << k & ~held
         while near:
             low = near & -near
             m = masks[low.bit_length() - 1]
-            if zeros & m and (ones & m).bit_count() >= 2:
-                break
+            # o and u are the line's fixed 1s and undetermined cells
+            o, u = ones & m, m & ~fixed
+            if o & (o - 1):
+                if zeros & m:
+                    break  # prune
+                if o == m:
+                    held |= low
+            elif not u or not o and not u & (u - 1):
+                held |= low
             near ^= low
         if near:
             pruned += 1
             continue
-        # skip: o and u are the line's fixed 1s and undetermined cells
-        start = k
-        while k < nlines:
-            m = masks[k]
-            o, u = ones & m, m & ~fixed
-            if o:
-                if u or (o & (o - 1) and o != m):
-                    break
-            elif u & (u - 1):
-                break
-            k += 1
+        h = held >> k
+        start, k = k, k + ((h + 1) & ~h).bit_length() - 1
         skipped += k - start
         if k == nlines:
             finals.add(row, label)
@@ -752,10 +757,10 @@ def enumerate_ideals(poset, lines):
             stats.split_bound_violations += 1
         if len(parts) == 1 and parts[0].same_content(row):
             noops += 1
-            stack.append((parts[0], k + 1, label, fixed))
+            stack.append((parts[0], k + 1, label, fixed, held))
             continue
         for i in reversed(range(len(parts))):
-            stack.append((parts[i], k + 1, f"r{counter + 1 + i}", fixed))
+            stack.append((parts[i], k + 1, f"r{counter + 1 + i}", fixed, held))
         counter += len(parts)
         stats.peak_stack = max(stats.peak_stack, len(stack))
     stats.impositions = sum(sizes.values())

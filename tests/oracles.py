@@ -7,7 +7,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import gcd
 
-from modlat.lattice import transposes_up
+from modlat.lattice import LatticeError
 from modlat.pls import TwoPointIntersection, _pkey, validate_pls
 from modlat import wildcard
 from modlat.wildcard import FIXED0, FIXED1, FREE, GroupSpec, make_row
@@ -256,6 +256,19 @@ def min_splittings(P, limit):
 
 
 # -- lattices -------------------------------------------------------------
+
+
+def transposes_up(L, quot1, quot2):
+    """Whether the quotient quot1 = [a,b] transposes up to quot2 = [c,d].
+
+    Defined for arbitrary quotients, not only prime ones: true iff
+    d = b + c and a = b * c.
+    """
+    a, b = quot1
+    c, d = quot2
+    if not (L.leq(a, b) and L.leq(c, d)):
+        raise LatticeError("transposes_up expects quotients a<=b, c<=d")
+    return L.join(b, c) == d and L.meet(b, c) == a
 
 
 def projectivity_partition(L):

@@ -20,7 +20,7 @@ from modlat.algebra import (
     trivial_subgroup,
 )
 from modlat.corpus import CORPUS_GROUPS, boolean_lattice, chain
-from modlat.lattice import CapExceeded, build_lattice, is_isomorphic, is_modular, ji_elements
+from modlat.lattice import CapExceeded, build_lattice, is_isomorphic, ji_elements
 from modlat.wildcard import enumerate_ideals, total_count
 from oracles import (
     brute_subgroups,
@@ -168,7 +168,7 @@ def test_join_subgroups_is_the_least_common_supergroup():
 def test_subgroup_lattice_structure(spec):
     G = parse_group(spec)
     L = subgroup_lattice(G)
-    assert is_modular(L)
+    assert L.modular
     assert L.subgroups[L.bottom].order == 1
     assert L.subgroups[L.top].order == G.order
     for i in range(L.n):

@@ -12,7 +12,7 @@ from modlat.corpus import (
     seven_point_lattice,
     standard_corpus,
 )
-from modlat.lattice import is_isomorphic, is_modular
+from modlat.lattice import is_isomorphic
 from modlat.pls import components
 
 
@@ -28,7 +28,7 @@ def test_standard_corpus_composition():
     ]
     assert sum(1 for n in names if n.startswith("distributive-")) == 20
     for _, L in corpus:
-        assert is_modular(L)
+        assert L.modular
 
 
 def test_random_distributive_is_deterministic():
@@ -65,5 +65,5 @@ def test_fano_shape():
 def test_seven_point_lattice_is_modular():
     L = seven_point_lattice()
     assert L.n == 13
-    assert is_modular(L)
+    assert L.modular
     assert not is_isomorphic(L, boolean_lattice(3))

@@ -7,8 +7,16 @@ import random
 import pytest
 
 from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, standard_corpus
-from modlat.algebra import parse_group, subgroup_lattice
-from modlat.wildcard import GroundPoset
+from modlat.algebra import (
+    distributive_lattice,
+    enumeration_input,
+    parse_group,
+    parse_set_system,
+    subgroup_lattice,
+)
+from modlat.bol import line_intervals
+from modlat.rebuild import closed_ideals_lattice, roundtrip_check
+from modlat.wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
 from modlat.lattice import (
     LATTICE_CAP,
     CapExceeded,
@@ -19,7 +27,6 @@ from modlat.lattice import (
     build_lattice,
     covers_from_below,
     is_isomorphic,
-    is_modular,
     ji_below,
     ji_between,
     ji_elements,
@@ -30,7 +37,6 @@ from modlat.lattice import (
     lower_star,
     projectivity_classes,
     require_modular,
-    transposes_up,
     up_transposes,
 )
 
@@ -41,6 +47,7 @@ from oracles import (
     projectivity_partition,
     random_intersection_closed,
     random_poset_covers,
+    transposes_up,
 )
 
 
@@ -136,31 +143,66 @@ def _bounded(rng, width):
     return n, covers
 
 
+def _agrees_with_brute_force(n, covers):
+    """Build (n, covers) and compare with a search for least bounds: a
+    poset missing one must raise NotALattice naming the first pair (x, y),
+    y >= x, in row order; a lattice must carry the searched joins and
+    meets.  Returns whether (n, covers) is a lattice."""
+    leq = order_relation(n, covers)
+    geq = [[leq[b][a] for b in range(n)] for a in range(n)]
+    joins = [[least_upper_bound(leq, x, y) for y in range(n)] for x in range(n)]
+    meets = [[least_upper_bound(geq, x, y) for y in range(n)] for x in range(n)]
+    missing = [
+        (x, y, "upper" if joins[x][y] is None else "lower")
+        for x in range(n)
+        for y in range(x, n)
+        if joins[x][y] is None or meets[x][y] is None
+    ]
+    if missing:
+        x, y, side = missing[0]
+        with pytest.raises(NotALattice, match=f"^elements {x},{y} have no least {side} bound$"):
+            build_lattice(n, covers)
+        return False
+    L = build_lattice(n, covers)
+    assert [[L.join(x, y) for y in range(n)] for x in range(n)] == joins
+    assert [[L.meet(x, y) for y in range(n)] for x in range(n)] == meets
+    return True
+
+
 def test_join_meet_against_brute_force_on_random_posets():
     rng = random.Random(4)
     seen = {True: 0, False: 0}
     for _ in range(400):
-        n, covers = _bounded(rng, rng.randint(1, 7))
-        leq = order_relation(n, covers)
-        geq = [[leq[b][a] for b in range(n)] for a in range(n)]
-        joins = [[least_upper_bound(leq, x, y) for y in range(n)] for x in range(n)]
-        meets = [[least_upper_bound(geq, x, y) for y in range(n)] for x in range(n)]
-        missing = [
-            (x, y, "upper" if joins[x][y] is None else "lower")
-            for x in range(n)
-            for y in range(x, n)
-            if joins[x][y] is None or meets[x][y] is None
-        ]
-        seen[not missing] += 1
-        if missing:
-            x, y, side = missing[0]
-            with pytest.raises(NotALattice, match=f"^elements {x},{y} have no least {side} bound$"):
-                build_lattice(n, covers)
-            continue
-        L = build_lattice(n, covers)
-        assert [[L.join(x, y) for y in range(n)] for x in range(n)] == joins
-        assert [[L.meet(x, y) for y in range(n)] for x in range(n)] == meets
+        seen[_agrees_with_brute_force(*_bounded(rng, rng.randint(1, 7)))] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def _random_posets_up_to_12(count=600):
+    """Seeded random posets of up to 12 elements, some of them without a
+    least element, as (n, covers)."""
+    rng = random.Random(12)
+    return [_bounded(rng, rng.randint(1, 10)) for _ in range(count)]
+
+
+def test_cover_pair_check_against_brute_force_up_to_12_elements():
+    seen = {True: 0, False: 0}
+    no_bottom = 0
+    for n, covers in _random_posets_up_to_12():
+        seen[_agrees_with_brute_force(n, covers)] += 1
+        leq = order_relation(n, covers)
+        no_bottom += not any(all(row) for row in leq)
+    assert min(seen.values()) >= 150 and no_bottom >= 50, (seen, no_bottom)
+
+
+def test_a_missing_join_above_the_atoms_is_found():
+    # the atoms 1, 2 join to 3, but the upper covers 4, 5 of 3 have the
+    # two minimal upper bounds 6 and 7, so only a check above the atoms
+    # sees that this is no lattice
+    covers = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5),
+              (4, 6), (4, 7), (5, 6), (5, 7), (6, 8), (7, 8)]
+    assert not _agrees_with_brute_force(9, covers)
+    with pytest.raises(NotALattice, match="^elements 4,5 have no least upper bound$"):
+        build_lattice(9, covers)
 
 
 def test_m3_joins_and_meets():
@@ -203,12 +245,12 @@ def test_lattice_axioms(L):
 
 
 def test_modularity_verdicts():
-    assert is_modular(m_n(3))
-    assert not is_modular(pentagon())
+    assert m_n(3).modular
+    assert not pentagon().modular
     with pytest.raises(NotModular):
         require_modular(pentagon())
     for g in ("2,2,2", "4,4", "2,4"):
-        assert is_modular(subgroup_lattice(parse_group(g)))
+        assert subgroup_lattice(parse_group(g)).modular
 
 
 def test_semimodularity_test_matches_the_modular_law():
@@ -235,6 +277,59 @@ def test_rank_is_longest_path_even_when_not_modular():
     N5 = pentagon()
     assert N5.rank[N5.top] == 3  # through the 2-chain side
     assert N5.height == 3
+
+
+def _greatest_lower_bound(leq, xs):
+    n = len(leq)
+    lowers = [z for z in range(n) if all(leq[z][x] for x in xs)]
+    return next(z for z in lowers if all(leq[w][z] for w in lowers))
+
+
+def test_modular_and_meet_all_match_brute_force():
+    lattices = [pentagon(), m_n(3)] + [L for _, L in standard_corpus()]
+    for n, covers in _random_posets_up_to_12():
+        try:
+            lattices.append(build_lattice(n, covers))
+        except NotALattice:
+            pass
+    rng = random.Random(5)
+    verdicts = [L.modular for L in lattices]
+    assert True in verdicts and False in verdicts
+    for L, verdict in zip(lattices, verdicts):
+        assert verdict == identity_modular(L), L.covers
+        leq = order_relation(L.n, L.covers)
+        for size in (0, 1, 2, 3, 4):
+            xs = [rng.randrange(L.n) for _ in range(size)]
+            assert L.meet_all(xs) == _greatest_lower_bound(leq, xs), (L.covers, xs)
+        for x in range(L.n):
+            lows = L.lower_covers(x)
+            assert L.meet_all(lows) == _greatest_lower_bound(leq, lows)
+
+
+def _tables_built(L):
+    return {"_join", "_meet"} & set(vars(L))
+
+
+def test_table_free_paths_build_no_join_or_meet_table():
+    L = subgroup_lattice(parse_group("2,2,2,2,2"))
+    assert L.n == 374 and L.modular and not _tables_built(L)
+    rng = random.Random(9)  # a 6 x 12 matrix of density 0.4, as in the benchmark
+    text = "\n".join(
+        "".join("1" if rng.random() < 0.4 else "0" for _ in range(12)) for _ in range(6)
+    )
+    L = distributive_lattice(parse_set_system(text))
+    assert L.n == 184 and not _tables_built(L)
+    for spec in ("2,2,2", "2,2,4", "3,3,3"):
+        poset, lines = enumeration_input(parse_group(spec))
+        rows = enumerate_ideals(poset, lines)
+        members = [
+            frozenset(k for k, bit in enumerate(bits) if bit) for bits in rowset_bitstrings(rows)
+        ]
+        L = closed_ideals_lattice(members)
+        assert roundtrip_check(L) and line_intervals(L)
+        assert not _tables_built(L), spec
+    L.join(0, 0)
+    assert _tables_built(L) == {"_join"}
 
 
 # -- mask queries against the reachability closure -------------------------
