@@ -262,8 +262,8 @@ def enumeration_input(G):
     index = {x: i for i, x in enumerate(G.elements)}
     names = tuple(num.name([index[x] for x in H.elements]) for H in jis)
     poset = GroundPoset(len(jis), tuple(covers_from_below(below)), names)
-    B = lines_from_joins(jis, lambda H, K: join_subgroups(G, H, K))
-    lines = [tuple(sorted(pos[H] for H in ln)) for ln in B.lines]
+    P = lines_from_joins(jis, lambda H, K: join_subgroups(G, H, K))
+    lines = [tuple(sorted(pos[H] for H in ln)) for ln in P.lines]
     lines.sort()
     return poset, lines
 

@@ -42,7 +42,7 @@ from .lattice import (
     require_modular,
     up_transposes,
 )
-from .pls import find_cycle, mask_components, merge_masks
+from .pls import mask_components, merge_masks
 
 
 class ClaimViolated(LatticeError):
@@ -488,97 +488,86 @@ def is_locally_acyclic(L):
 
 @dataclass(frozen=True)
 class TriangleConfig:
-    """Three mutually meeting lines plus a transversal.
+    """Three mutually meeting lines plus a transversal, as line masks
+    and point ids.
 
     l1 and l2 meet in s, l3 meets them in p1 and p2, and the transversal
     l4 touches l1, l2, l3 in q, r, p3, none of which is a corner of the
     triangle s, p1, p2.
     """
 
-    l1: frozenset
-    l2: frozenset
-    l3: frozenset
-    l4: frozenset
-    s: object
-    p1: object
-    p2: object
-    q: object
-    r: object
-    p3: object
-
-
-def _meet_bit(a, b):
-    """The one bit that the masks a and b share, or None."""
-    c = a & b
-    return c.bit_length() - 1 if c and not c & (c - 1) else None
+    l1: int
+    l2: int
+    l3: int
+    l4: int
+    s: int
+    p1: int
+    p2: int
+    q: int
+    r: int
+    p3: int
 
 
 def _triangles(masks):
     """The triangles among the lines given as int `masks`: index triples
-    i < j < k, in lexicographic order, whose lines meet pairwise in
-    single points that are three distinct corners, with the corners (ij,
-    ik, jk) as bit positions.  Each pair's meet is found once."""
+    (i, j, k), i < j < k in lexicographic order, whose lines meet pairwise
+    in single points that are three distinct corners, each with its
+    corners (ij, ik, jk) as bit positions and the mask of the indices of
+    its transversals.  Those are the lines that meet each side in exactly
+    one point, less the lines through a corner; a side meets itself in all
+    its points, so none is a transversal.  Each pair's meet is found once."""
     meets = [{} for _ in masks]  # meets[i][j], j > i: the single common bit
+    once = [0] * len(masks)  # per line, the lines that meet it in one point
+    through = {}  # per point, the lines through it
     for i, a in enumerate(masks):
-        mi = meets[i]
+        for p in bits(a):
+            through[p] = through.get(p, 0) | 1 << i
         for j in range(i + 1, len(masks)):
             c = a & masks[j]
             if c and not c & (c - 1):
-                mi[j] = c.bit_length() - 1
+                meets[i][j] = c.bit_length() - 1
+                once[i] |= 1 << j
+                once[j] |= 1 << i
     for i, mi in enumerate(meets):
         later = list(mi)  # ascending, as inserted
         for a, j in enumerate(later):
             mj = meets[j]
             for k in later[a + 1 :]:
                 if k in mj:
-                    corners = (mi[j], mi[k], mj[k])
+                    c, d, e = corners = (mi[j], mi[k], mj[k])
                     if len(set(corners)) == 3:
-                        yield i, j, k, corners
+                        corner_lines = through[c] | through[d] | through[e]
+                        yield (i, j, k), corners, once[i] & once[j] & once[k] & ~corner_lines
 
 
-def triangle_configurations(B):
-    """All triangle configurations of the base, in a deterministic order.
+def triangle_configurations(masks):
+    """Yield the triangle configurations of the base with line masks
+    `masks`, in a deterministic order.
 
     Each unordered triangle with a qualifying transversal contributes
     three configurations, one per choice of which triangle line plays the
     role of l3 (the side opposite the corner s).
     """
-    lines = list(B.lines)
-    pts = B.pls.sorted_points()  # bit i stands for pts[i]
-    index = {p: i for i, p in enumerate(pts)}
-    masks = [sum(1 << index[p] for p in ln) for ln in lines]
-    out = []
-    for ia, ib, ic, corners in _triangles(masks):
-        tri = (ia, ib, ic)
-        corner_set = set(corners)
-        for it, transversal in enumerate(masks):
-            if it in tri:
-                continue
-            contacts = tuple(_meet_bit(transversal, masks[side]) for side in tri)
-            if any(c is None or c in corner_set for c in contacts):
-                continue
+    for (i, j, k), (ij, ik, jk), transversals in _triangles(masks):
+        l1, l2, l3 = masks[i], masks[j], masks[k]
+        for t in bits(transversals):
+            l4 = masks[t]
+            c1, c2, c3 = ((l4 & m).bit_length() - 1 for m in (l1, l2, l3))
             # one configuration per choice of the side opposite s
-            for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                lx, ly, lz = (masks[tri[w]] for w in (x, y, z))
-                out.append(
-                    TriangleConfig(
-                        l1=lines[tri[x]],
-                        l2=lines[tri[y]],
-                        l3=lines[tri[z]],
-                        l4=lines[it],
-                        s=pts[_meet_bit(lx, ly)],
-                        p1=pts[_meet_bit(lx, lz)],
-                        p2=pts[_meet_bit(ly, lz)],
-                        q=pts[contacts[x]],
-                        r=pts[contacts[y]],
-                        p3=pts[contacts[z]],
-                    )
-                )
-    return out
+            yield TriangleConfig(l1, l2, l3, l4, ij, ik, jk, c1, c2, c3)
+            yield TriangleConfig(l1, l3, l2, l4, ik, ij, jk, c1, c3, c2)
+            yield TriangleConfig(l2, l3, l1, l4, jk, ij, ik, c2, c3, c1)
 
 
-def cyclic_localization_witness(L, B, config):
-    """A covering (a, b) whose localization of B contains a cycle.
+def triangle_configuration_count(masks):
+    """How many configurations `triangle_configurations` yields, without
+    building them: three per triangle and transversal."""
+    return 3 * sum(t.bit_count() for *_, t in _triangles(masks))
+
+
+def cyclic_localization_witness(L, ivs, masks, config):
+    """A covering (a, b) where the localization of the base with line
+    masks `masks`, over the intervals `ivs`, contains a cycle.
 
     Builds u = q + r, requires s not under u, and returns
     (u + s_*, u + s).  Every intermediate fact is checked and a failure
@@ -598,7 +587,8 @@ def cyclic_localization_witness(L, B, config):
     for point in (s, p1, p2):
         if not L.leq(point, b) or L.leq(point, a):
             raise ClaimViolated(f"corner {point} is not in J({a}, {b})")
-    if find_cycle(localize(B, a, b)) is None:
+    pts, trimmed = localize(L, ivs, masks, a, b)
+    if mask_components(trimmed, pts)[1] == 0:
         raise ClaimViolated("localization has no cycle")
     return a, b
 

@@ -4,13 +4,15 @@ A line interval is an interval [x0, x] of length two whose middle layer
 has at least three elements, all of them lower covers of x.  A line picks
 one join-irreducible witness per middle element; joining the bottom back
 onto a witness recovers the middle element, and any two witnesses join to
-x.  A base of lines carries one line per line interval, together with the
-point-line structure the lines form on the set of all join-irreducibles.
+x.  A base of lines carries one line per line interval; its points are all
+the join-irreducibles.
 
-`witness_masks` is the one table of the witnesses of each middle
-element, checked once per lattice; the canonical base, `all_bols` and
-the questions `analysis` asks of every base at once all read it.  Bar
-the canonical `BaseOfLines`, a base is its tuple of line masks.
+A base is its tuple of int line masks over element ids, one mask per
+interval in interval order.  `witness_masks` is the one table of the
+witnesses of each middle element, checked once per lattice; the canonical
+base, `all_bols` and the questions `analysis` asks of every base at once
+all read it.  Only `lines_from_joins`, which reads external join data,
+returns a checked `Pls`.
 """
 
 from __future__ import annotations
@@ -18,16 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 
-from .lattice import (
-    CapExceeded,
-    LatticeError,
-    bits,
-    ji_below,
-    ji_between,
-    ji_elements,
-    require_modular,
-)
-from .pls import Pls, TwoPointIntersection, _pkey, validate_pls
+from .lattice import CapExceeded, LatticeError, bits, require_modular
+from .pls import TwoPointIntersection, _pkey, validate_pls
 
 
 class EmptyChoice(LatticeError):
@@ -47,29 +41,6 @@ class LineInterval:
     @property
     def n(self):
         return len(self.atoms)
-
-
-@dataclass(frozen=True, eq=False)
-class BaseOfLines:
-    """Points are all join-irreducibles; lines are frozensets of points.
-
-    `tops` and `intervals` run parallel to `lines`.  A sampled base is
-    a tuple of line masks instead (see `all_bols`).  A base from
-    `lines_from_joins` has no `lattice` or `intervals`, and its `tops`
-    are the oracle's joins."""
-
-    pls: Pls
-    lattice: object
-    tops: tuple
-    intervals: tuple
-
-    @property
-    def lines(self):
-        return self.pls.lines
-
-    @property
-    def points(self):
-        return self.pls.points
 
 
 def line_intervals(L):
@@ -112,14 +83,14 @@ def canonical_masks(witnesses):
 
 
 def canonical_bol(L):
-    """The base of lines that takes the lowest-numbered witness per atom.
+    """The line intervals of L and the line masks of the base of lines
+    that takes the lowest-numbered witness per atom, as (ivs, masks).
 
-    Distributive lattices have no line intervals, so the line family is
-    empty and the structure is just the join-irreducibles."""
+    `witness_masks` has checked every base, so this one needs no further
+    check.  Distributive lattices have no line intervals, so both are
+    empty and the points are just the join-irreducibles."""
     ivs = line_intervals(L)
-    lines = [frozenset(bits(m)) for m in canonical_masks(witness_masks(L, ivs))]
-    pls = validate_pls(ji_elements(L), lines)
-    return BaseOfLines(pls, L, tuple(iv.top for iv in ivs), tuple(ivs))
+    return ivs, canonical_masks(witness_masks(L, ivs))
 
 
 def check_candidates(witnesses):
@@ -178,7 +149,8 @@ def bol_sample(witnesses, cap=1000):
 
 
 def lines_from_joins(points, join_oracle):
-    """Build a base of lines from raw points and a join function.
+    """Build the lines of a base from raw points and a join function, as
+    a checked `Pls`, its lines in `_pkey` order of their joins.
 
     Scans pairs in a canonical order; a pair whose join x admits a third
     point with the same pairwise joins seeds a line, which is then
@@ -207,52 +179,47 @@ def lines_from_joins(points, join_oracle):
                 if all(join_oracle(r, s) == x for s in line):
                     line.append(r)
             done[x] = frozenset(line)
-    tops = tuple(sorted(done, key=_pkey))
-    pls = validate_pls(pts, [done[x] for x in tops])
-    return BaseOfLines(pls, None, tops, ())
+    return validate_pls(pts, [done[x] for x in sorted(done, key=_pkey)])
 
 
-def induced(B, a):
-    """The base of lines of the ideal below `a`: points under a, lines
-    whose top is under a."""
-    L = B.lattice
-    keep = [k for k, top in enumerate(B.tops) if L.down[a] >> top & 1]
-    return BaseOfLines(
-        validate_pls(ji_below(L, a), [B.lines[k] for k in keep]),
-        L,
-        tuple(B.tops[k] for k in keep),
-        tuple(B.intervals[k] for k in keep),
-    )
+def localize(L, ivs, masks, a, b):
+    """The localization of the base with line masks `masks`, over the
+    intervals `ivs`, at a covering a -< b, as (mask of J(a, b), trimmed
+    line masks).
 
-
-def localize(B, a, b):
-    """The localization of the base at a covering a -< b.
-
-    Points are the join-irreducibles under b but not a; every line whose
-    top lies under b but not under a loses exactly one point, and the
-    trimmed lines form a point-line structure on them."""
-    L = B.lattice
+    Its points are the join-irreducibles under b but not a; every line
+    whose top lies under b but not under a loses exactly one point, and
+    the trimmed lines form a point-line structure on them."""
     if b not in L.upper_covers(a):
         raise NotACovering(f"{b} does not cover {a}")
-    pts = frozenset(ji_between(L, a, b))
     qualifying = L.down[b] & ~L.down[a]
+    pts = qualifying & L.ji_mask
     trimmed = []
-    for ln, top in zip(B.lines, B.tops):
-        if qualifying >> top & 1:
-            rest = ln & pts
-            if len(rest) != len(ln) - 1:
-                raise LatticeError(f"a qualifying line loses {len(ln - rest)} points, not one")
+    for m, iv in zip(masks, ivs):
+        if qualifying >> iv.top & 1:
+            rest = m & pts
+            lost = m.bit_count() - rest.bit_count()
+            if lost != 1:
+                raise LatticeError(f"a qualifying line loses {lost} points, not one")
             trimmed.append(rest)
-    return validate_pls(pts, trimmed)
+    return pts, tuple(trimmed)
 
 
 # -- serialization ----------------------------------------------------
 
 
-def bol_to_json(B):
+def masks_to_json(pts, masks):
+    """The point mask `pts` and the line `masks` as `pls.pls_to_json`
+    writes a structure: point ids in `_pkey` order."""
     return {
-        "points": sorted(B.points, key=_pkey),
-        "lines": [sorted(ln, key=_pkey) for ln in B.lines],
-        "tops": list(B.tops),
-        "bottoms": [iv.bottom for iv in B.intervals] or [None] * len(B.lines),
+        "points": sorted(bits(pts), key=_pkey),
+        "lines": [sorted(bits(m), key=_pkey) for m in masks],
+    }
+
+
+def bol_to_json(L, ivs, masks):
+    return {
+        **masks_to_json(L.ji_mask, masks),
+        "tops": [iv.top for iv in ivs],
+        "bottoms": [iv.bottom for iv in ivs],
     }

@@ -27,22 +27,24 @@ from .analysis import (
     cyclic_localization_witness,
     params,
     params_to_json,
+    triangle_configuration_count,
     triangle_configurations,
     verdict_suite,
 )
-from .bol import bol_sample, bol_to_json, canonical_bol, line_intervals, localize, witness_masks
+from .bol import (
+    bol_sample, bol_to_json, canonical_bol, line_intervals, localize, masks_to_json, witness_masks
+)
 from .corpus import standard_corpus
 from .lattice import (
     LatticeError,
+    bits,
     check_lattice_size,
     ji_elements,
     lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
 )
-from .pls import (
-    PlsError, components, find_cycle, mask_components, pls_from_json, pls_to_json, rstar
-)
+from .pls import PlsError, mask_components, pls_from_json, rstar
 from .rebuild import NotAClosureSystem, closed_ideals_lattice, roundtrip_check
 from .wildcard import (
     WildcardError,
@@ -75,6 +77,10 @@ def _resolve_elem(L, token):
     if not 0 <= x < L.n:
         raise ValueError(f"element index {x} out of range 0..{L.n - 1}")
     return x
+
+
+def _line_names(L, m):
+    return "{" + ", ".join(L.name(p) for p in bits(m)) + "}"
 
 
 def _members(rows):
@@ -171,14 +177,13 @@ def cmd_bol(args):
         note = f"{len(sample)} bases" + (" (truncated)" if truncated else "")
         print(f"{note}; r* values {sorted({mask_components(m, L.ji_mask)[1] for m in sample})}")
         return 0
-    B = canonical_bol(L)
+    ivs, masks = canonical_bol(L)
     if args.out:
-        _write_json(args.out, bol_to_json(B))
-    for line, top in zip(B.lines, B.tops):
-        pts = ", ".join(L.name(p) for p in sorted(line))
-        print(f"{{{pts}}} top {L.name(top)}")
-    print(f"{len(B.points)} points, {len(B.lines)} lines, "
-          f"{len(components(B.pls))} components")
+        _write_json(args.out, bol_to_json(L, ivs, masks))
+    for m, iv in zip(masks, ivs):
+        print(f"{_line_names(L, m)} top {L.name(iv.top)}")
+    print(f"{L.ji_mask.bit_count()} points, {len(masks)} lines, "
+          f"{len(mask_components(masks, L.ji_mask)[0])} components")
     return 0
 
 
@@ -186,16 +191,15 @@ def cmd_localize(args):
     L = lattice_from_json(_load(args.lattice))
     a = _resolve_elem(L, args.a)
     b = _resolve_elem(L, args.b)
-    P = localize(canonical_bol(L), a, b)
+    pts, trimmed = localize(L, *canonical_bol(L), a, b)
     if args.out:
-        _write_json(args.out, pls_to_json(P))
-    for line in P.lines:
-        print("{" + ", ".join(L.name(p) for p in sorted(line)) + "}")
-    cyc = find_cycle(P)
+        _write_json(args.out, masks_to_json(pts, trimmed))
+    for m in trimmed:
+        print(_line_names(L, m))
+    comps, r = mask_components(trimmed, pts)
     print(
-        f"{len(P.points)} points, {len(P.lines)} lines, "
-        f"{len(components(P))} components, "
-        + ("cyclic" if cyc else "acyclic")
+        f"{pts.bit_count()} points, {len(trimmed)} lines, {len(comps)} components, "
+        + ("cyclic" if r else "acyclic")
     )
     return 0
 
@@ -238,31 +242,30 @@ def cmd_distributive(args):
 
 def cmd_rstar(args):
     if args.lattice:
-        P = canonical_bol(lattice_from_json(_load(args.lattice))).pls
+        L = lattice_from_json(_load(args.lattice))
+        print(mask_components(canonical_bol(L)[1], L.ji_mask)[1])
     elif args.structure:
-        P = pls_from_json(_load(args.structure))
+        print(rstar(pls_from_json(_load(args.structure))))
     else:
         print("rstar needs --lattice or a point-line JSON file", file=sys.stderr)
         return 2
-    print(rstar(P))
     return 0
 
 
 def cmd_witness_triangle(args):
     L = lattice_from_json(_load(args.lattice))
-    B = canonical_bol(L)
-    configs = triangle_configurations(B)
+    ivs, masks = canonical_bol(L)
     if args.count:
-        print(len(configs))
+        print(triangle_configuration_count(masks))
         return 0
-    if not configs:
+    cfg = next(triangle_configurations(masks), None)
+    if cfg is None:
         print("no triangle configurations")
         return 0
-    cfg = configs[0]
-    a, b = cyclic_localization_witness(L, B, cfg)
+    a, b = cyclic_localization_witness(L, ivs, masks, cfg)
     print("triangle lines:")
-    for line in (cfg.l1, cfg.l2, cfg.l3, cfg.l4):
-        print("  {" + ", ".join(L.name(p) for p in sorted(line)) + "}")
+    for m in (cfg.l1, cfg.l2, cfg.l3, cfg.l4):
+        print(f"  {_line_names(L, m)}")
     print(
         "corners "
         + ", ".join(L.name(p) for p in (cfg.s, cfg.p1, cfg.p2))

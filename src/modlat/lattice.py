@@ -9,9 +9,10 @@ lookup (dually for meets); a pair with no such element has no least bound.
 Construction checks that the order is a lattice in time linear in the pairs
 of upper covers, without building any n x n table.  The join and meet
 tables that `join` and `meet` index are built on the first call to each;
-`modular` and `meet_all` read the masks and build neither.  Instances are
-immutable apart from those two cached tables, so sharing one between
-threads is safe: at worst two threads each build the same table.
+`modular`, `meet_all` and `projectivity_classes` read the masks and build
+neither.  Instances are immutable apart from those two cached tables, so
+sharing one between threads is safe: at worst two threads each build the
+same table.
 Everything here targets desk scale: no lattice past LATTICE_CAP elements
 is built.
 """
@@ -318,12 +319,12 @@ def up_transposes(L, quot):
 
 
 def _transposes_among(L, quot, cs):
+    # b * c and b + c are read off the order masks, so neither the join
+    # nor the meet table is built
     a, b = quot
-    return [
-        (c, L.join(b, c))
-        for c in cs
-        if L.meet(b, c) == a and (c, L.join(b, c)) in L.cover_set
-    ]
+    up, down, by_up = L.up, L.down, L._by_up
+    pairs = ((c, by_up[up[b] & up[c]]) for c in cs if down[b] & down[c] == down[a])
+    return [pair for pair in pairs if pair in L.cover_set]
 
 
 def projectivity_classes(L):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bol import canonical_bol
-from .lattice import bits, build_lattice, covers_from_below, ji_below, ji_elements
+from .lattice import bits, build_lattice, covers_from_below, ji_elements
 from .pls import _pkey
 from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
 
@@ -68,10 +68,10 @@ def roundtrip_check(L):
     p <= a} is an isomorphism onto the enumerated family: the family is
     exactly {J(a)} with one member per element, and a <= b holds exactly
     when J(a) is a subset of J(b)."""
-    B = canonical_bol(L)
+    _, masks = canonical_bol(L)
     poset, points = ji_ground_poset(L)
     pos = {p: i for i, p in enumerate(points)}
-    lines = [tuple(sorted(pos[p] for p in ln)) for ln in B.lines]
+    lines = [tuple(pos[p] for p in bits(m)) for m in masks]  # ascending, as points are
     rows = enumerate_ideals(poset, lines)
     # point sets as bit masks over element ids, like the ideals J(a)
     members = {
@@ -94,26 +94,22 @@ class Implication:
     conclusion: frozenset
 
 
-def natural_implication_base(B, poset=None):
+def natural_implication_base(lines, poset, points):
     """The stock Horn base for the closure system of closed ideals.
 
     One implication {p} -> (strict down-set of p) per non-minimal point,
-    and one {p,q} -> l per unordered pair of a line l.  The point order
-    comes from the lattice behind B, or from `poset` (positions resolved
-    against sorted points) when B was built externally."""
-    pts = sorted(B.points, key=_pkey)
-    if poset is not None:
-        downs = {
-            p: frozenset(pts[q] for q in bits(poset.strict_down[i]))
-            for i, p in enumerate(pts)
-        }
-    else:
-        downs = {p: frozenset(ji_below(B.lattice, p)) - {p} for p in pts}
+    and one {p,q} -> l per unordered pair of a line l.  `lines` are sets
+    of point ids; `poset` and `points` are as from `ji_ground_poset`, the
+    p-th position of the poset standing for points[p]."""
+    downs = {
+        p: frozenset(points[q] for q in bits(poset.strict_down[i]))
+        for i, p in enumerate(points)
+    }
     out = []
-    for p in pts:
+    for p in sorted(points, key=_pkey):
         if downs[p]:
             out.append(Implication(frozenset([p]), downs[p]))
-    for ln in B.lines:
+    for ln in lines:
         mem = sorted(ln, key=_pkey)
         for i, p in enumerate(mem):
             for q in mem[i + 1 :]:

@@ -370,6 +370,53 @@ def localization_choices(L, intervals, u, v):
     ]
 
 
+def localize(L, lines, tops, a, b):
+    """The localization at the covering a -< b of the base with the
+    frozenset `lines` and their `tops`, as a checked partial linear
+    space: the join-irreducibles under b but not under a, and each line
+    whose top is, cut down to them."""
+    if (a, b) not in L.covers:
+        raise LatticeError(f"{b} does not cover {a}")
+    pts = frozenset(p for p in _ji_list(L) if L.leq(p, b) and not L.leq(p, a))
+    trimmed = []
+    for line, top in zip(lines, tops):
+        if L.leq(top, b) and not L.leq(top, a):
+            if len(line - pts) != 1:
+                raise LatticeError(f"a qualifying line loses {len(line - pts)} points")
+            trimmed.append(line & pts)
+    return validate_pls(pts, trimmed)
+
+
+def triangle_configurations(lines):
+    """Every triangle configuration of the frozenset `lines`, listed.
+
+    Per index triple i < j < k in lexicographic order whose lines meet
+    pairwise in one point each, at three distinct corners, and per other
+    line t in index order that meets each side in one point, none a
+    corner: three tuples (l1, l2, l3, l4, s, p1, p2, q, r, p3), one per
+    side l3 opposite the corner s = l1 & l2, with l4 = lines[t]."""
+
+    def meet(x, y):
+        common = x & y
+        return next(iter(common)) if len(common) == 1 else None
+
+    out = []
+    for tri in combinations(range(len(lines)), 3):
+        sides = [lines[i] for i in tri]
+        corners = [meet(x, y) for x, y in combinations(sides, 2)]
+        if None in corners or len(set(corners)) != 3:
+            continue
+        for t, l4 in enumerate(lines):
+            contacts = [meet(l4, side) for side in sides]
+            if t in tri or any(c is None or c in corners for c in contacts):
+                continue
+            for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                lx, ly, lz = sides[x], sides[y], sides[z]
+                out.append((lx, ly, lz, l4, meet(lx, ly), meet(lx, lz), meet(ly, lz),
+                            contacts[x], contacts[y], contacts[z]))
+    return out
+
+
 def check_candidate_lines(candidates):
     """Raise TwoPointIntersection unless any two candidate lines of
     different intervals share at most one point, trying every pair.

@@ -37,8 +37,8 @@ from modlat.corpus import (
     seven_point_poset,
     standard_corpus,
 )
-from modlat.lattice import build_lattice, is_isomorphic, ji_elements
-from modlat.pls import acyclifier, components, find_cycle, rstar, split_point
+from modlat.lattice import bits, build_lattice, is_isomorphic, ji_elements
+from modlat.pls import acyclifier, components, find_cycle, mask_components, rstar, split_point
 from modlat.rebuild import (
     Implication,
     closed_ideals_lattice,
@@ -56,6 +56,7 @@ from modlat.wildcard import (
     seed_order_ideals,
     total_count,
 )
+import oracles
 from oracles import (
     brute_closed_ideals,
     brute_subgroups,
@@ -167,13 +168,13 @@ def test_criterion_04_subgroup_pipeline():
 
 def test_criterion_05_coatom_localizations():
     L = subgroup_lattice(parse_group("2,2,2"))
-    B = canonical_bol(L)
+    ivs, masks = canonical_bol(L)
     checked = 0
     for a in L.coatoms:
-        P = localize(B, a, L.top)
-        assert len(P.lines) == 6, f"coatom {a}: {len(P.lines)} lines"
-        assert len(P.points) == 4, f"coatom {a}: {len(P.points)} points"
-        assert len(components(P)) == 1, f"coatom {a} disconnected"
+        pts, lines = localize(L, ivs, masks, a, L.top)
+        assert len(lines) == 6, f"coatom {a}: {len(lines)} lines"
+        assert pts.bit_count() == 4, f"coatom {a}: {pts.bit_count()} points"
+        assert len(mask_components(lines, pts)[0]) == 1, f"coatom {a} disconnected"
         checked += 1
     _report(5, checked == 7, f"{checked} coatoms, each 6 lines / 4 points / connected")
 
@@ -199,12 +200,13 @@ def test_criterion_06_theorem_suite_over_corpus(capsys):
 
 def test_criterion_07_triangle_machinery():
     L = subgroup_lattice(parse_group("2,2,2"))
-    B = canonical_bol(L)
-    configs = triangle_configurations(B)
+    ivs, masks = canonical_bol(L)
+    lines, tops = [frozenset(bits(m)) for m in masks], [iv.top for iv in ivs]
+    configs = list(triangle_configurations(masks))
     witnesses = set()
     for cfg in configs:
-        a, b = cyclic_localization_witness(L, B, cfg)
-        assert find_cycle(localize(B, a, b)) is not None
+        a, b = cyclic_localization_witness(L, ivs, masks, cfg)
+        assert find_cycle(oracles.localize(L, lines, tops, a, b)) is not None
         witnesses.add((a, b))
     ok = len(configs) > 0 and len(witnesses) > 0
     _report(

@@ -30,10 +30,11 @@ from modlat.analysis import (
     tight_below,
     tight_comparable,
     top_cycles,
+    triangle_configuration_count,
     triangle_configurations,
     verdict_suite,
 )
-from modlat.bol import BaseOfLines, canonical_bol, line_intervals, localize
+from modlat.bol import canonical_bol, line_intervals
 from modlat.corpus import (
     boolean_lattice,
     chain,
@@ -45,6 +46,7 @@ from modlat.corpus import (
 from modlat.lattice import NotModular, bits, build_lattice
 from modlat.pls import Pls, components, find_cycle, mask_components, rstar
 
+import oracles
 from oracles import (
     blocked_by_transposition,
     choice_count,
@@ -348,18 +350,18 @@ def test_shared_localization_pass_matches_localize():
     seen = set()
     for L in lattices:
         ctx = analysis_context(L, 50)
-        canonical = canonical_bol(L)
+        points, tops = frozenset(bits(L.ji_mask)), [iv.top for iv in ctx.intervals]
         for masks in ctx.sample:
             lines = [frozenset(bits(m)) for m in masks]
-            B = BaseOfLines(Pls(canonical.points, lines), L, canonical.tops, canonical.intervals)
+            B = Pls(points, tuple(lines))
             comps, r = ctx.base_facts(masks)
             assert sorted(comps) == sorted(
-                sum(1 << p for p in comp) for comp in union_find_components(B.pls)
+                sum(1 << p for p in comp) for comp in union_find_components(B)
             ), L
-            assert r == rstar(B.pls) and (r == 0) == (find_cycle(B.pls) is None), L
+            assert r == rstar(B) and (r == 0) == (find_cycle(B) is None), L
             first = None
             for k, (u, v, _, _) in enumerate(ctx.coverings):
-                P = localize(B, u, v)
+                P = oracles.localize(L, lines, tops, u, v)
                 c = len(union_find_components(P))
                 if first is None and c != 1:
                     first = (u, v, c)
@@ -488,35 +490,61 @@ def test_join_witness_matches_the_brute_force_scan():
 
 
 def test_small_bases_have_no_triangles():
-    assert triangle_configurations(canonical_bol(m_n(3))) == []
-    assert triangle_configurations(canonical_bol(seven_point_lattice())) == []
+    for L in (m_n(3), seven_point_lattice()):
+        masks = canonical_bol(L)[1]
+        assert list(triangle_configurations(masks)) == []
+        assert triangle_configuration_count(masks) == 0
 
 
 def test_fano_base_has_84_configurations():
-    cfgs = triangle_configurations(canonical_bol(z2_cubed()))
-    assert len(cfgs) == 84
+    masks = canonical_bol(z2_cubed())[1]
+    assert len(list(triangle_configurations(masks))) == 84
+    assert triangle_configuration_count(masks) == 84
+
+
+@pytest.mark.parametrize("group", ["2,2,2", "2,2,2,2", "3,3,3", "4,4"])
+def test_triangle_configurations_match_the_oracle(group):
+    masks = canonical_bol(subgroup_lattice(parse_group(group)))[1]
+    want = oracles.triangle_configurations([frozenset(bits(m)) for m in masks])
+    got = [
+        tuple(frozenset(bits(m)) for m in (c.l1, c.l2, c.l3, c.l4))
+        + (c.s, c.p1, c.p2, c.q, c.r, c.p3)
+        for c in triangle_configurations(masks)
+    ]
+    assert got == want
+    assert triangle_configuration_count(masks) == len(want)
+
+
+# configuration counts of the canonical base, listed once by
+# oracles.triangle_configurations (3-5 s each)
+TRIANGLE_COUNTS = {"2,2,2,2,2": 13020, "3,3,3,3": 112320, "5,5,5": 186000, "2,2,4,4": 5796}
+
+
+@pytest.mark.parametrize("group", sorted(TRIANGLE_COUNTS))
+def test_triangle_configuration_count_on_larger_groups(group):
+    masks = canonical_bol(subgroup_lattice(parse_group(group)))[1]
+    assert triangle_configuration_count(masks) == TRIANGLE_COUNTS[group]
 
 
 def test_configuration_geometry():
-    B = canonical_bol(z2_cubed())
-    for cfg in triangle_configurations(B):
+    for cfg in triangle_configurations(canonical_bol(z2_cubed())[1]):
         corners = {cfg.s, cfg.p1, cfg.p2}
         assert len(corners) == 3
-        assert cfg.l1 & cfg.l2 == {cfg.s}
-        assert cfg.l1 & cfg.l3 == {cfg.p1}
-        assert cfg.l2 & cfg.l3 == {cfg.p2}
-        assert cfg.q in cfg.l1 & cfg.l4
-        assert cfg.r in cfg.l2 & cfg.l4
-        assert cfg.p3 in cfg.l3 & cfg.l4
+        assert cfg.l1 & cfg.l2 == 1 << cfg.s
+        assert cfg.l1 & cfg.l3 == 1 << cfg.p1
+        assert cfg.l2 & cfg.l3 == 1 << cfg.p2
+        assert cfg.l1 & cfg.l4 == 1 << cfg.q
+        assert cfg.l2 & cfg.l4 == 1 << cfg.r
+        assert cfg.l3 & cfg.l4 == 1 << cfg.p3
         assert corners.isdisjoint({cfg.q, cfg.r, cfg.p3})
 
 
 def test_every_fano_configuration_yields_a_cyclic_covering():
     L = z2_cubed()
-    B = canonical_bol(L)
+    ivs, masks = canonical_bol(L)
     seen = set()
-    for cfg in triangle_configurations(B):
-        a, b = cyclic_localization_witness(L, B, cfg)
+    for cfg in triangle_configurations(masks):
+        a, b = cyclic_localization_witness(L, ivs, masks, cfg)
         assert b == L.top
         assert b in L.upper_covers(a)
         seen.add(a)
@@ -525,11 +553,11 @@ def test_every_fano_configuration_yields_a_cyclic_covering():
 
 def test_witness_rejects_a_doctored_configuration():
     L = z2_cubed()
-    B = canonical_bol(L)
-    cfg = triangle_configurations(B)[0]
+    ivs, masks = canonical_bol(L)
+    cfg = next(triangle_configurations(masks))
     broken = dataclasses.replace(cfg, s=cfg.q)
     with pytest.raises(ClaimViolated):
-        cyclic_localization_witness(L, B, broken)
+        cyclic_localization_witness(L, ivs, masks, broken)
 
 
 # -- cycles of line-tops -------------------------------------------------

@@ -14,7 +14,6 @@ from modlat.algebra import (
     subgroup_lattice,
 )
 from modlat.bol import (
-    BaseOfLines,
     CapExceeded,
     NotACovering,
     all_bols,
@@ -22,7 +21,6 @@ from modlat.bol import (
     bol_to_json,
     canonical_bol,
     check_candidates,
-    induced,
     line_intervals,
     lines_from_joins,
     localize,
@@ -31,7 +29,8 @@ from modlat.bol import (
 from modlat.analysis import analysis_context
 from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, standard_corpus
 from modlat.lattice import bits, ji_between, ji_elements, lower_star
-from modlat.pls import TwoPointIntersection, components, find_cycle, validate_pls
+from modlat.pls import Pls, TwoPointIntersection, components, find_cycle, mask_components, validate_pls
+import oracles
 from oracles import candidate_lines, check_candidate_lines, line_choices
 
 
@@ -43,11 +42,16 @@ def bases(L, cap=1000):
     return all_bols(witness_masks(L, line_intervals(L)), cap=cap)
 
 
-def as_base(B, masks):
-    """The base with the points, tops and intervals of B and the lines
-    given as int `masks`, checked as a partial linear space."""
-    lines = [frozenset(bits(m)) for m in masks]
-    return BaseOfLines(validate_pls(B.points, lines), B.lattice, B.tops, B.intervals)
+def as_pls(L, masks):
+    """The base of L with the lines given as int `masks`, checked as a
+    partial linear space on all join-irreducibles."""
+    return validate_pls(ji_elements(L), [frozenset(bits(m)) for m in masks])
+
+
+def induced(L, ivs, masks, a):
+    """The base of the ideal below `a`, as (point mask, line masks): the
+    points under a and the lines whose top is under a."""
+    return L.down[a] & L.ji_mask, [m for m, iv in zip(masks, ivs) if L.leq(iv.top, a)]
 
 
 # -- line intervals ----------------------------------------------------------
@@ -95,18 +99,18 @@ def test_interval_shape_invariants(name, L):
 
 def test_canonical_bol_points_are_all_join_irreducibles():
     L = seven_point_lattice()
-    B = canonical_bol(L)
-    assert set(B.points) == set(ji_elements(L))
+    ivs, masks = canonical_bol(L)
+    assert set(bol_to_json(L, ivs, masks)["points"]) == set(ji_elements(L))
+    assert all(m & ~L.ji_mask == 0 for m in masks)
 
 
 @pytest.mark.parametrize("name,L", standard_corpus(), ids=lambda v: v if isinstance(v, str) else "")
 def test_line_invariants(name, L):
-    B = canonical_bol(L)
-    assert len(B.lines) == len(line_intervals(L))
-    assert B.intervals == line_intervals(L)
-    assert B.tops == tuple(iv.top for iv in B.intervals)
-    for line, top, iv in zip(B.lines, B.tops, B.intervals):
-        bottom = iv.bottom
+    ivs, masks = canonical_bol(L)
+    assert len(masks) == len(line_intervals(L))
+    assert ivs == line_intervals(L)
+    for m, iv in zip(masks, ivs):
+        line, top, bottom = frozenset(bits(m)), iv.top, iv.bottom
         assert len(line) == iv.n
         pts = sorted(line)
         for i, p in enumerate(pts):
@@ -122,7 +126,7 @@ def test_z2_cubed_has_exactly_one_bol_shaped_like_a_projective_plane():
     L = z2_cubed()
     bols = list(bases(L, cap=10))
     assert len(bols) == 1
-    P = as_base(canonical_bol(L), bols[0]).pls
+    P = as_pls(L, bols[0])
     assert len(P.points) == 7
     assert len(P.lines) == 7
     assert all(len(l) == 3 for l in P.lines)
@@ -191,7 +195,7 @@ def test_canonical_bol_is_the_first_base(name, L):
     ctx = analysis_context(L)
     first = next(all_bols(ctx.witnesses))
     assert first == ctx.base
-    assert list(canonical_bol(L).lines) == [frozenset(bits(m)) for m in first]
+    assert canonical_bol(L) == (line_intervals(L), first)
 
 
 def test_candidate_check_rejects_a_two_point_overlap():
@@ -248,11 +252,11 @@ def test_candidate_check_matches_the_pairwise_loop():
 def test_lines_from_joins_against_built_lattice():
     G = parse_group("4,4")
     points = join_irreducible_subgroups(G)
-    B = lines_from_joins(points, lambda h, k: join_subgroups(G, h, k))
+    P = lines_from_joins(points, lambda h, k: join_subgroups(G, h, k))
     L = subgroup_lattice(G)
-    assert len(B.lines) == len(line_intervals(L))
-    assert isinstance(B, BaseOfLines)
-    assert B.lattice is None
+    assert len(P.lines) == len(line_intervals(L))
+    assert isinstance(P, Pls)
+    assert P.points == frozenset(points)
 
 
 def test_lines_from_joins_trivial_cases():
@@ -269,22 +273,22 @@ def test_lines_from_joins_trivial_cases():
 
 def test_induced_at_top_and_bottom():
     L = z2_cubed()
-    B = canonical_bol(L)
-    full = induced(B, L.top)
-    assert set(full.lines) == set(B.lines)
-    empty = induced(B, L.bottom)
-    assert not empty.points
-    assert not empty.lines
+    ivs, masks = canonical_bol(L)
+    pts, lines = induced(L, ivs, masks, L.top)
+    assert pts == L.ji_mask and set(lines) == set(masks)
+    pts, lines = induced(L, ivs, masks, L.bottom)
+    assert not pts
+    assert not lines
 
 
 def test_induced_at_a_coatom_is_a_diamond_slice():
     L = z2_cubed()
-    B = canonical_bol(L)
     a = L.coatoms[0]
-    Ba = induced(B, a)
-    assert len(Ba.points) == 3
-    assert len(Ba.lines) == 1
-    assert all(L.leq(p, a) for p in Ba.points)
+    pts, lines = induced(L, *canonical_bol(L), a)
+    assert pts.bit_count() == 3
+    assert len(lines) == 1
+    assert all(L.leq(p, a) for p in bits(pts))
+    assert lines[0] & ~pts == 0
 
 
 # -- localization --------------------------------------------------------------------
@@ -292,68 +296,74 @@ def test_induced_at_a_coatom_is_a_diamond_slice():
 
 def test_localize_on_chain_covering():
     L = chain(3)
-    B = canonical_bol(L)
-    P = localize(B, 0, 1)
-    assert len(P.points) == 1
-    assert not P.lines
+    pts, lines = localize(L, *canonical_bol(L), 0, 1)
+    assert pts.bit_count() == 1
+    assert not lines
 
 
 def test_localize_on_m3_side_covering():
     L = m_n(3)
-    B = canonical_bol(L)
     a = L.atoms[0]
-    P = localize(B, a, L.top)
-    assert len(P.points) == 2
-    assert len(P.lines) == 1
-    assert all(len(l) == 2 for l in P.lines)
+    pts, lines = localize(L, *canonical_bol(L), a, L.top)
+    assert pts.bit_count() == 2
+    assert len(lines) == 1
+    assert all(m.bit_count() == 2 for m in lines)
 
 
 def test_localize_rejects_non_coverings():
     L = z2_cubed()
-    B = canonical_bol(L)
     with pytest.raises(NotACovering):
-        localize(B, L.bottom, L.top)
+        localize(L, *canonical_bol(L), L.bottom, L.top)
 
 
 def test_localized_lines_lose_exactly_one_point():
     L = z2_cubed()
-    B = canonical_bol(L)
+    ivs, masks = canonical_bol(L)
     for a, b in L.covers:
-        live = {
-            line
-            for line, top in zip(B.lines, B.tops)
-            if L.leq(top, b) and not L.leq(top, a)
-        }
-        P = localize(B, a, b)
-        between = set(ji_between(L, a, b))
-        assert set(P.points) == between
-        restricted = {frozenset(l & between) for l in live}
-        assert set(P.lines) <= restricted
-        for line in live:
-            assert len(line & between) == len(line) - 1
+        live = {m for m, iv in zip(masks, ivs) if L.leq(iv.top, b) and not L.leq(iv.top, a)}
+        pts, lines = localize(L, ivs, masks, a, b)
+        between = sum(1 << p for p in ji_between(L, a, b))
+        assert pts == between
+        assert set(lines) <= {m & between for m in live}
+        for m in live:
+            assert (m & between).bit_count() == m.bit_count() - 1
+
+
+@pytest.mark.parametrize("name,L", standard_corpus(), ids=lambda v: v if isinstance(v, str) else "")
+def test_localize_matches_the_frozenset_oracle(name, L):
+    ivs, masks = canonical_bol(L)
+    lines, tops = [frozenset(bits(m)) for m in masks], [iv.top for iv in ivs]
+    for a, b in L.covers:
+        pts, trimmed = localize(L, ivs, masks, a, b)
+        P = oracles.localize(L, lines, tops, a, b)
+        assert P.points == frozenset(bits(pts)), (a, b)
+        assert P.lines == tuple(frozenset(bits(m)) for m in trimmed), (a, b)
 
 
 def test_every_coatom_localization_of_the_plane():
     L = z2_cubed()
-    B = canonical_bol(L)
+    ivs, masks = canonical_bol(L)
+    lines, tops = [frozenset(bits(m)) for m in masks], [iv.top for iv in ivs]
     for a in L.coatoms:
-        P = localize(B, a, L.top)
-        assert len(P.points) == 4
-        assert len(P.lines) == 6
-        assert all(len(l) == 2 for l in P.lines)
+        pts, trimmed = localize(L, ivs, masks, a, L.top)
+        assert pts.bit_count() == 4
+        assert len(trimmed) == 6
+        assert all(m.bit_count() == 2 for m in trimmed)
+        comps, r = mask_components(trimmed, pts)
+        assert len(comps) == 1 and r > 0
+        P = oracles.localize(L, lines, tops, a, L.top)
         assert len(components(P)) == 1
         assert find_cycle(P) is not None
 
 
 @pytest.mark.parametrize("name,L", standard_corpus(), ids=lambda v: v if isinstance(v, str) else "")
 def test_localizations_are_connected_corpus_wide(name, L):
-    canonical = canonical_bol(L)
-    for masks in all_bols(witness_masks(L, canonical.intervals), cap=200):
-        B = as_base(canonical, masks)
+    ivs = line_intervals(L)
+    for masks in all_bols(witness_masks(L, ivs), cap=200):
         for a, b in L.covers:
-            P = localize(B, a, b)
-            assert P.points
-            assert len(components(P)) == 1
+            pts, lines = localize(L, ivs, masks, a, b)
+            assert pts
+            assert len(mask_components(lines, pts)[0]) == 1
 
 
 def test_connector_counts_against_induced_components():
@@ -361,14 +371,14 @@ def test_connector_counts_against_induced_components():
     # least as many localized lines as the induced base has components,
     # and one more point than that
     for name, L in standard_corpus():
-        B = canonical_bol(L)
-        if len(components(B.pls)) != 1 or L.n == 1:
+        ivs, masks = canonical_bol(L)
+        if len(mask_components(masks, L.ji_mask)[0]) != 1 or L.n == 1:
             continue
         for a in L.coatoms:
-            s_a = len(components(induced(B, a).pls))
-            P = localize(B, a, L.top)
-            assert len(P.lines) >= s_a
-            assert len(P.points) >= s_a + 1
+            s_a = len(mask_components(*reversed(induced(L, ivs, masks, a)))[0])
+            pts, lines = localize(L, ivs, masks, a, L.top)
+            assert len(lines) >= s_a
+            assert pts.bit_count() >= s_a + 1
 
 
 # -- serialization -----------------------------------------------------------------------
@@ -376,8 +386,7 @@ def test_connector_counts_against_induced_components():
 
 def test_bol_json_shape():
     L = z2_cubed()
-    B = canonical_bol(L)
-    d = bol_to_json(B)
+    d = bol_to_json(L, *canonical_bol(L))
     assert set(d) == {"points", "lines", "tops", "bottoms"}
     assert len(d["lines"]) == len(d["tops"]) == len(d["bottoms"]) == 7
-    assert sorted(d["points"]) == sorted(B.points)
+    assert sorted(d["points"]) == sorted(ji_elements(L))

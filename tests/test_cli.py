@@ -200,6 +200,23 @@ def test_bol_out_feeds_rstar(files, capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "8"
 
 
+def test_bol_out_lists_points_in_pkey_order(tmp_path, capsys):
+    # JSON lists point ids as `pls_to_json` does: in string order
+    lat, out = tmp_path / "z2z2z4.json", tmp_path / "bol.json"
+    lat.write_text(json.dumps(lattice_to_json(subgroup_lattice(parse_group("2,2,4")))))
+    assert main(["bol", "--lattice", str(lat), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip().endswith("11 points, 13 lines, 1 components")
+    assert json.loads(out.read_text()) == {
+        "points": [1, 10, 12, 14, 2, 3, 4, 5, 6, 7, 8],
+        "lines": [
+            [1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [2, 5, 7], [3, 4, 7], [3, 5, 6],
+            [10, 2, 8], [12, 4, 8], [14, 6, 8], [12, 14, 2], [10, 14, 4], [10, 12, 6],
+        ],
+        "tops": [9, 11, 13, 15, 16, 17, 18, 19, 20, 21, 23, 24, 25],
+        "bottoms": [0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1],
+    }
+
+
 # -- localize -----------------------------------------------------------------
 
 
@@ -318,6 +335,14 @@ def test_witness_triangle(files, capsys):
 
     assert main(["witness-triangle", "--lattice", files["m3"]]) == 0
     assert capsys.readouterr().out.strip() == "no triangle configurations"
+
+
+def test_witness_triangle_count_on_z3_to_the_4th(tmp_path, capsys):
+    # counted per triangle, without listing the 112,320 configurations
+    lat = tmp_path / "z3z3z3z3.json"
+    lat.write_text(json.dumps(lattice_to_json(subgroup_lattice(parse_group("3,3,3,3")))))
+    assert main(["witness-triangle", "--lattice", str(lat), "--count"]) == 0
+    assert capsys.readouterr().out.strip() == "112320"
 
 
 # -- error handling -------------------------------------------------------

@@ -16,7 +16,7 @@ from modlat.corpus import (
     seven_point_poset,
     standard_corpus,
 )
-from modlat.lattice import is_isomorphic, ji_below, ji_elements
+from modlat.lattice import bits, is_isomorphic, ji_below, ji_elements
 from modlat.rebuild import (
     Implication,
     NotAClosureSystem,
@@ -123,13 +123,29 @@ def test_roundtrip_over_corpus(name, L):
 # -- natural implication base --------------------------------------------
 
 
+def natural_base(L):
+    """The natural implication base of L's canonical base of lines."""
+    lines = [frozenset(bits(m)) for m in canonical_bol(L)[1]]
+    return natural_implication_base(lines, *ji_ground_poset(L))
+
+
+def singleton_down_sets(base):
+    return {next(iter(imp.premise)): imp.conclusion for imp in base if len(imp.premise) == 1}
+
+
+def lattice_down_sets(L):
+    """Per non-minimal join-irreducible p, the join-irreducibles below it."""
+    downs = {p: frozenset(ji_below(L, p)) - {p} for p in ji_elements(L)}
+    return {p: d for p, d in downs.items() if d}
+
+
 def test_boolean_lattice_needs_no_implications():
-    assert natural_implication_base(canonical_bol(boolean_lattice(3))) == ()
+    assert natural_base(boolean_lattice(3)) == ()
 
 
 def test_chain_gives_singleton_premises_only():
     L = chain(5)
-    base = natural_implication_base(canonical_bol(L))
+    base = natural_base(L)
     assert len(base) == 3
     assert all(len(imp.premise) == 1 for imp in base)
     downs = sorted(len(imp.conclusion) for imp in base)
@@ -139,7 +155,7 @@ def test_chain_gives_singleton_premises_only():
 
 def test_m3_gives_line_implications_only():
     L = m_n(3)
-    base = natural_implication_base(canonical_bol(L))
+    base = natural_base(L)
     atoms = frozenset(ji_elements(L))
     assert len(base) == 3
     for imp in base:
@@ -149,7 +165,7 @@ def test_m3_gives_line_implications_only():
 
 
 def test_seven_point_base_shape_and_size():
-    base = natural_implication_base(canonical_bol(seven_point_lattice()))
+    base = natural_base(seven_point_lattice())
     singles = [imp for imp in base if len(imp.premise) == 1]
     pairs = [imp for imp in base if len(imp.premise) == 2]
     assert len(singles) == 4
@@ -161,7 +177,7 @@ def test_seven_point_base_shape_and_size():
 
 def test_closure_under_base_recovers_exactly_the_members():
     L = seven_point_lattice()
-    base = natural_implication_base(canonical_bol(L))
+    base = natural_base(L)
     points = sorted(ji_elements(L))
     members = {frozenset(ji_below(L, a)) for a in range(L.n)}
     for k in range(len(points) + 1):
@@ -173,13 +189,22 @@ def test_closure_under_base_recovers_exactly_the_members():
 
 def test_poset_argument_reproduces_lattice_downsets():
     L = seven_point_lattice()
-    B = canonical_bol(L)
-    external = lines_from_joins(B.points, L.join)
-    assert external.lattice is None
-    poset, _ = ji_ground_poset(L)
-    assert set(natural_implication_base(external, poset=poset)) == set(
-        natural_implication_base(B)
-    )
+    external = lines_from_joins(ji_elements(L), L.join)
+    assert set(external.lines) == {frozenset(bits(m)) for m in canonical_bol(L)[1]}
+    base = natural_implication_base(external.lines, *ji_ground_poset(L))
+    assert set(base) == set(natural_base(L))
+    assert singleton_down_sets(base) == lattice_down_sets(L)
+
+
+def test_down_sets_follow_the_poset_past_point_nine():
+    # on Z2 x Z2 x Z4 the points 10, 12 and 14 sort before 2 as strings;
+    # the poset numbers its positions by the numeric order of the points
+    L = subgroup_lattice(parse_group("2,2,4"))
+    external = lines_from_joins(ji_elements(L), L.join)
+    base = natural_implication_base(external.lines, *ji_ground_poset(L))
+    assert singleton_down_sets(base) == lattice_down_sets(L)
+    assert singleton_down_sets(base)[10] == frozenset({1})
+    assert set(base) == set(natural_base(L))
 
 
 # -- horn_closure --------------------------------------------------------
@@ -191,7 +216,7 @@ def _member_elem(L, point_set):
 
 def test_closure_of_fixture_sets():
     L = seven_point_lattice()
-    base = natural_implication_base(canonical_bol(L))
+    base = natural_base(L)
     p = {k: _member_elem(L, s) for k, s in enumerate([{0}, {1}, {2}, {0, 3}], 1)}
     assert horn_closure(base, {p[4]}) == frozenset({p[1], p[4]})
     assert horn_closure(base, {p[2], p[3]}) == frozenset({p[1], p[2], p[3]})
@@ -200,7 +225,7 @@ def test_closure_of_fixture_sets():
 
 def test_closure_is_extensive_monotone_idempotent():
     L = seven_point_lattice()
-    base = natural_implication_base(canonical_bol(L))
+    base = natural_base(L)
     points = sorted(ji_elements(L))
     rng = random.Random(3)
     for _ in range(60):
@@ -225,7 +250,7 @@ def test_base_size_arithmetic():
 
 
 def test_implications_json_roundtrip():
-    base = natural_implication_base(canonical_bol(seven_point_lattice()))
+    base = natural_base(seven_point_lattice())
     data = implications_to_json(base)
     assert all(set(d) == {"if", "then"} for d in data)
     assert implications_from_json(data) == base
