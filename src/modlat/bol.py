@@ -209,8 +209,8 @@ def localize(L, ivs, masks, a, b):
 
 
 def masks_to_json(pts, masks):
-    """The point mask `pts` and the line `masks` as `pls.pls_to_json`
-    writes a structure: point ids in `_pkey` order."""
+    """The point mask `pts` and the line `masks` as `pls.pls_from_json`
+    reads a structure: point ids in `_pkey` order."""
     return {
         "points": sorted(bits(pts), key=_pkey),
         "lines": [sorted(bits(m), key=_pkey) for m in masks],

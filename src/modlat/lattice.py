@@ -7,12 +7,8 @@ point set such as J(a, b) is `down[b] & ~down[a] & ji_mask`.  The join of
 x and y is the element whose up-mask is up[x] & up[y], found by one dict
 lookup (dually for meets); a pair with no such element has no least bound.
 Construction checks that the order is a lattice in time linear in the pairs
-of upper covers, without building any n x n table.  The join and meet
-tables that `join` and `meet` index are built on the first call to each;
-`modular`, `meet_all` and `projectivity_classes` read the masks and build
-neither.  Instances are immutable apart from those two cached tables, so
-sharing one between threads is safe: at worst two threads each build the
-same table.
+of upper covers, and no n x n table is ever built.  Instances are immutable
+apart from cached derived facts, so sharing one between threads is safe.
 Everything here targets desk scale: no lattice past LATTICE_CAP elements
 is built.
 """
@@ -155,26 +151,16 @@ class Lattice:
         return self.up[x] >> y & 1 == 1
 
     def join(self, x, y):
-        return self._join[x][y]
+        return self._by_up[self.up[x] & self.up[y]]
 
     def meet(self, x, y):
-        return self._meet[x][y]
+        return self._by_down[self.down[x] & self.down[y]]
 
     def meet_all(self, xs):
         acc = self.down[self.top]
         for x in xs:
             acc &= self.down[x]
         return self._by_down[acc]
-
-    @cached_property
-    def _join(self):
-        by_up, up = self._by_up, self.up
-        return [[by_up[ux & u] for u in up] for ux in up]
-
-    @cached_property
-    def _meet(self):
-        by_down, down = self._by_down, self.down
-        return [[by_down[dx & d] for d in down] for dx in down]
 
     def upper_covers(self, x):
         return tuple(self._upcov[x])
@@ -293,16 +279,6 @@ def ji_elements(L):
     return tuple(j.elem for j in L.join_irreducible_list)
 
 
-def ji_below(L, a):
-    """The join-irreducibles p with p <= a, ascending."""
-    return tuple(bits(L.down[a] & L.ji_mask))
-
-
-def ji_between(L, a, b):
-    """The join-irreducibles p with p <= b but p not<= a, ascending."""
-    return tuple(bits(L.down[b] & ~L.down[a] & L.ji_mask))
-
-
 def lower_star(L, p):
     """The unique lower cover of a join-irreducible element."""
     lows = L.lower_covers(p)
@@ -319,8 +295,6 @@ def up_transposes(L, quot):
 
 
 def _transposes_among(L, quot, cs):
-    # b * c and b + c are read off the order masks, so neither the join
-    # nor the meet table is built
     a, b = quot
     up, down, by_up = L.up, L.down, L._by_up
     pairs = ((c, by_up[up[b] & up[c]]) for c in cs if down[b] & down[c] == down[a])

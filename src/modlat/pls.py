@@ -257,13 +257,6 @@ def acyclifier(P):
 # -- serialization -----------------------------------------------------
 
 
-def pls_to_json(P):
-    return {
-        "points": [p for p in P.sorted_points()],
-        "lines": [sorted(line, key=_pkey) for line in P.lines],
-    }
-
-
 def pls_from_json(d):
     def ids(x):
         return isinstance(x, list) and all(isinstance(p, (int, str)) for p in x)

@@ -255,7 +255,28 @@ def min_splittings(P, limit):
     return None
 
 
+def pls_to_json(P):
+    """P as `modlat.pls.pls_from_json` reads it: points and each line's
+    points in `_pkey` order."""
+    return {
+        "points": P.sorted_points(),
+        "lines": [sorted(line, key=_pkey) for line in P.lines],
+    }
+
+
 # -- lattices -------------------------------------------------------------
+
+
+def ji_below(L, a):
+    """The join-irreducibles p with p <= a, ascending, read off the masks."""
+    return tuple(p for p in range(L.n) if (L.down[a] & L.ji_mask) >> p & 1)
+
+
+def ji_between(L, a, b):
+    """The join-irreducibles p with p <= b but p not<= a, ascending, read
+    off the masks `down` and `ji_mask`."""
+    m = L.down[b] & ~L.down[a] & L.ji_mask
+    return tuple(p for p in range(L.n) if m >> p & 1)
 
 
 def transposes_up(L, quot1, quot2):

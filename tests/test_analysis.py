@@ -13,6 +13,8 @@ from modlat.algebra import parse_group, subgroup_lattice
 from modlat.analysis import (
     ClaimViolated,
     NotALineTop,
+    _triangle_count,
+    _triangles,
     analysis_context,
     check_clean_cycles,
     check_components_match_projectivity,
@@ -484,6 +486,58 @@ def test_join_witness_matches_the_brute_force_scan():
             a, q, r = bad
             assert not verdict.passed and verdict.detail == f"a={a}, q={q}, r={r}: no witness"
     assert failed
+
+
+def test_join_witness_does_not_depend_on_element_ids():
+    # with the ids reversed, every cover runs from a higher id to a lower
+    rng = random.Random(13)
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [build_lattice(*random_intersection_closed(rng, rng.randint(3, 5)))
+                 for _ in range(100)]
+    failed = 0
+    for L in lattices:
+        n = L.n
+        R = build_lattice(n, [(n - 1 - a, n - 1 - b) for a, b in L.covers])
+        tried, bad = join_witness_failure(R)
+        if bad is None:
+            assert check_join_witness(R).detail == f"{tried} triples checked"
+        else:
+            failed += 1
+            a, q, r = bad
+            assert check_join_witness(R).detail == f"a={a}, q={q}, r={r}: no witness"
+    assert failed
+
+
+# per group, the join-witness triples (counted once by
+# oracles.join_witness_failure) and the canonical base's triangles
+# (counted once by listing analysis._triangles)
+VERDICT_COUNTS = {
+    "3,3,3,3": (68640, 9360),
+    "2,2,2,2,2": (47430, 4340),
+    "2,2,4,4": (62574, 1996),
+    "32,32": (531660, 58),
+}
+
+
+@pytest.mark.parametrize("group", sorted(VERDICT_COUNTS))
+def test_join_witness_and_triangle_counts_on_larger_groups(group):
+    L = subgroup_lattice(parse_group(group))
+    triples, triangles = VERDICT_COUNTS[group]
+    assert check_join_witness(L).detail == f"{triples} triples checked"
+    tops = check_triangle_tops(analysis_context(L))
+    assert tops.passed and tops.detail == f"{triangles} triangles"
+
+
+def test_triangle_count_matches_the_listing():
+    # the canonical bases of the corpus and the exact groups, and the
+    # lines of seeded random point-line structures
+    bases = [canonical_bol(L)[1] for L in _exact_lattices()]
+    rng = random.Random(17)
+    randoms = [oracles.random_pls(rng, max_lines=10) for _ in range(400)]
+    bases += [tuple(sum(1 << p for p in line) for line in P.lines) for P in randoms]
+    counts = [_triangle_count(masks) for masks in bases]
+    assert counts == [sum(1 for _ in _triangles(masks)) for masks in bases]
+    assert max(counts[: -len(randoms)]) > 0 and max(counts[-len(randoms) :]) > 0
 
 
 # -- triangle configurations -------------------------------------------------

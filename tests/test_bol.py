@@ -28,10 +28,10 @@ from modlat.bol import (
 )
 from modlat.analysis import analysis_context
 from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, standard_corpus
-from modlat.lattice import bits, ji_between, ji_elements, lower_star
+from modlat.lattice import bits, ji_elements, lower_star
 from modlat.pls import Pls, TwoPointIntersection, components, find_cycle, mask_components, validate_pls
 import oracles
-from oracles import candidate_lines, check_candidate_lines, line_choices
+from oracles import candidate_lines, check_candidate_lines, ji_between, line_choices
 
 
 def z2_cubed():

@@ -17,8 +17,10 @@ from modlat.corpus import (
     seven_point_poset,
 )
 from modlat.lattice import lattice_from_json, lattice_to_json
-from modlat.pls import pls_from_json, pls_to_json
+from modlat.pls import pls_from_json
 from modlat.wildcard import poset_to_json, rowset_from_json, total_count
+
+from oracles import pls_to_json
 
 
 @pytest.fixture

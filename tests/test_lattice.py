@@ -9,14 +9,11 @@ import pytest
 from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, standard_corpus
 from modlat.algebra import (
     distributive_lattice,
-    enumeration_input,
     parse_group,
     parse_set_system,
     subgroup_lattice,
 )
-from modlat.bol import line_intervals
-from modlat.rebuild import closed_ideals_lattice, roundtrip_check
-from modlat.wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
+from modlat.wildcard import GroundPoset
 from modlat.lattice import (
     LATTICE_CAP,
     CapExceeded,
@@ -27,8 +24,6 @@ from modlat.lattice import (
     build_lattice,
     covers_from_below,
     is_isomorphic,
-    ji_below,
-    ji_between,
     ji_elements,
     join_irreducibles,
     lattice_from_json,
@@ -42,6 +37,8 @@ from modlat.lattice import (
 
 from oracles import (
     identity_modular,
+    ji_below,
+    ji_between,
     least_upper_bound,
     order_relation,
     projectivity_partition,
@@ -306,30 +303,48 @@ def test_modular_and_meet_all_match_brute_force():
             assert L.meet_all(lows) == _greatest_lower_bound(leq, lows)
 
 
-def _tables_built(L):
-    return {"_join", "_meet"} & set(vars(L))
+def _cones(n, pairs):
+    """Per element, the frozenset of the elements at or above it under the
+    (lower, upper) pairs, by recursion over the pairs."""
+    above = [[] for _ in range(n)]
+    for a, b in pairs:
+        above[a].append(b)
+    cones = [None] * n
+
+    def cone(x):
+        if cones[x] is None:
+            cones[x] = frozenset({x}).union(*map(cone, above[x]))
+        return cones[x]
+
+    return [cone(x) for x in range(n)]
+
+
+def _least_bound(cones, x, y):
+    # the common bound whose cone is every common bound, or None
+    common = cones[x] & cones[y]
+    best = max(common, key=lambda z: len(cones[z]))
+    return best if cones[best] == common else None
 
 
 def test_table_free_paths_build_no_join_or_meet_table():
-    L = subgroup_lattice(parse_group("2,2,2,2,2"))
-    assert L.n == 374 and L.modular and not _tables_built(L)
     rng = random.Random(9)  # a 6 x 12 matrix of density 0.4, as in the benchmark
     text = "\n".join(
         "".join("1" if rng.random() < 0.4 else "0" for _ in range(12)) for _ in range(6)
     )
-    L = distributive_lattice(parse_set_system(text))
-    assert L.n == 184 and not _tables_built(L)
-    for spec in ("2,2,2", "2,2,4", "3,3,3"):
-        poset, lines = enumeration_input(parse_group(spec))
-        rows = enumerate_ideals(poset, lines)
-        members = [
-            frozenset(k for k, bit in enumerate(bits) if bit) for bits in rowset_bitstrings(rows)
-        ]
-        L = closed_ideals_lattice(members)
-        assert roundtrip_check(L) and line_intervals(L)
-        assert not _tables_built(L), spec
-    L.join(0, 0)
-    assert _tables_built(L) == {"_join"}
+    lattices = [
+        subgroup_lattice(parse_group("2,2,2,2,2")),
+        distributive_lattice(parse_set_system(text)),
+    ]
+    assert [L.n for L in lattices] == [374, 184] and lattices[0].modular
+    for L in lattices:
+        ups = _cones(L.n, L.covers)
+        downs = _cones(L.n, [(b, a) for a, b in L.covers])
+        for x in range(L.n):
+            for y in range(x, L.n):
+                assert L.join(x, y) == _least_bound(ups, x, y), (x, y)
+                assert L.meet(x, y) == _least_bound(downs, x, y), (x, y)
+        assert not {"_join", "_meet"} & set(vars(L))
+        assert not hasattr(L, "_join") and not hasattr(L, "_meet")
 
 
 # -- mask queries against the reachability closure -------------------------

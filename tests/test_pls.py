@@ -16,13 +16,12 @@ from modlat.pls import (
     find_cycle,
     fresh_point,
     pls_from_json,
-    pls_to_json,
     rstar,
     split_point,
     validate_pls,
 )
 
-from oracles import min_splittings, random_pls, union_find_components, union_find_rstar
+from oracles import min_splittings, pls_to_json, random_pls, union_find_components, union_find_rstar
 
 
 # -- validation -----------------------------------------------------------

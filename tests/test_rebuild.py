@@ -16,7 +16,7 @@ from modlat.corpus import (
     seven_point_poset,
     standard_corpus,
 )
-from modlat.lattice import bits, is_isomorphic, ji_below, ji_elements
+from modlat.lattice import bits, is_isomorphic, ji_elements
 from modlat.rebuild import (
     Implication,
     NotAClosureSystem,
@@ -29,6 +29,8 @@ from modlat.rebuild import (
     natural_implication_base,
     roundtrip_check,
 )
+
+from oracles import ji_below
 
 
 # -- closed_ideals_lattice -----------------------------------------------
