@@ -17,6 +17,7 @@ from math import gcd, prod
 from .bol import lines_from_joins
 from .lattice import (
     CapExceeded, LatticeError, build_lattice, check_lattice_size, covers_from_below)
+from .rebuild import _member_key, closed_ideals_lattice
 from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_count
 
 ORDER_CAP = 4096
@@ -311,13 +312,6 @@ def parse_set_system(text, universe=None):
     return SetSystem(tuple(universe), tuple(sets))
 
 
-def set_system_to_text(sys):
-    out = []
-    for s in sys.sets:
-        out.append("".join("1" if v in s else "0" for v in sys.universe))
-    return "\n".join(out) + "\n"
-
-
 def distributive_ji(sys):
     """The join-irreducibles of the generated distributive lattice:
     deduplicated sets A_v = intersection of all members containing v.
@@ -328,15 +322,13 @@ def distributive_ji(sys):
         if not containing:
             continue
         out.add(frozenset.intersection(*containing))
-    return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(map(str, s))))))
+    return tuple(sorted(out, key=_member_key))
 
 
 def distributive_lattice(sys):
     """The distributive lattice the sets generate, realized as the family
     of unions of down-sets of the join-irreducibles (always including the
     empty set)."""
-    from .rebuild import closed_ideals_lattice
-
     jis = distributive_ji(sys)
     # sorted by size, so proper subsets come first
     below = [sum(1 << i for i in range(j) if jis[i] < b) for j, b in enumerate(jis)]

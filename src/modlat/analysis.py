@@ -21,8 +21,8 @@ some base of lines has a cycle, a cyclic localization or a triangle is
 decided over every base at once, as a properly coloured cycle in a
 witness graph (Yeo's theorem), not by enumerating bases.  The module
 also houses the triangle machinery that manufactures a covering with a
-cyclic localization, and the cycles-of-line-tops vocabulary (tightly
-below, tightly comparable, clean cycles).
+cyclic localization, and `check_clean_cycles`, which lists the cycles of
+line-tops of an acyclic canonical base and tests each for cleanness.
 """
 
 from __future__ import annotations
@@ -392,24 +392,6 @@ def params(L, bols_cap=1000):
     )
 
 
-def params_to_json(report):
-    return {
-        "j": report.j,
-        "delta": report.delta,
-        "s": report.s,
-        "i": report.i,
-        "o": report.o,
-        "mu": report.mu,
-        "rstar_canonical": report.rstar_canonical,
-        "acyclic": report.acyclic,
-        "locally_acyclic": report.locally_acyclic,
-        "verdicts": [
-            {"name": v.name, "passed": v.passed, "detail": v.detail}
-            for v in report.verdicts
-        ],
-    }
-
-
 def check_point_count(ctx):
     """j <= mu - i + s, with equality exactly for acyclic lattices.
 
@@ -631,9 +613,6 @@ class TopCycle:
         return len(self.tops)
 
 
-def _top_map(L):
-    return {iv.top: iv for iv in line_intervals(L)}
-
 def _require_top(tops, x):
     if x not in tops:
         raise NotALineTop(f"{x} is not the top of a line interval")
@@ -645,35 +624,13 @@ def _tight_masks(L, tops):
     return {y: L.down[y] & ~L.down[iv.bottom] & mask & ~(1 << y) for y, iv in tops.items()}
 
 
-def tight_below(L, x, y):
-    """Whether line-top x sits strictly below y but not below y's bottom."""
-    tops = _top_map(L)
-    _require_top(tops, x)
-    _require_top(tops, y)
-    return _tight_masks(L, tops)[y] >> x & 1 == 1
-
-
-def tight_comparable(L, x, y):
-    """Whether one of the two line-tops is tightly below the other."""
-    tops = _top_map(L)
-    _require_top(tops, x)
-    _require_top(tops, y)
-    below = _tight_masks(L, tops)
-    return (below[y] >> x | below[x] >> y) & 1 == 1
-
-
-def top_cycles(L, maxlen=8):
-    """Cycles of line-tops up to rotation and reflection.
+def _top_cycles(below, maxlen):
+    """Cycles of line-tops up to rotation and reflection, from the
+    tight-below masks of `_tight_masks`.
 
     Simple cycles of length 3..maxlen in the tight-comparability graph,
     each reported once, anchored at its smallest top.
     """
-    require_modular(L)
-    return _top_cycles(_tight_masks(L, _top_map(L)), maxlen)
-
-
-def _top_cycles(below, maxlen):
-    # below: the tight-below mask of each line-top, as from _tight_masks
     above = dict.fromkeys(below, 0)
     for y, m in below.items():
         for x in bits(m):
@@ -738,18 +695,13 @@ def _blocked_valley(L, tops, v, u, z):
     )
 
 
-def is_clean_cycle(L, cycle):
+def _is_clean(L, tops, below, cycle):
     """Whether a cycle of line-tops avoids the blocked local patterns.
 
     Around every peak v <* u >* z and every valley v >* u <* z the three
     tops must not be simultaneously mutually comparable and wired to a
     single covering of u's interval; repeated tops are never clean.
     """
-    tops = _top_map(L)
-    return _is_clean(L, tops, _tight_masks(L, tops), cycle)
-
-
-def _is_clean(L, tops, below, cycle):
     seq = tuple(cycle.tops) if isinstance(cycle, TopCycle) else tuple(cycle)
     if len(seq) < 3:
         raise ValueError("a cycle needs at least three line-tops")
@@ -924,17 +876,18 @@ def check_join_witness(L):
     return Verdict("join witness below a", not fails, msg or f"{tried} triples checked")
 
 
-def check_clean_cycles(ctx, maxlen=8):
+def check_clean_cycles(ctx):
     """A clean cycle of line-tops forces cycles in the bases of lines.
     Only an acyclic canonical base can fail this, so a cyclic one passes
-    at once: listing its cycles may take minutes (Z16xZ16)."""
+    at once: listing its cycles of at most 8 line-tops may take minutes
+    (Z16xZ16)."""
     name = "clean cycles force base cycles"
     if not ctx.acyclic:
         return Verdict(name, True, "base cyclic, so nothing to force")
     L = ctx.lattice
     tops = {iv.top: iv for iv in ctx.intervals}
     below = _tight_masks(L, tops)
-    cycles = _top_cycles(below, maxlen)
+    cycles = _top_cycles(below, 8)
     clean = [c for c in cycles if _is_clean(L, tops, below, c)]
     if not clean:
         return Verdict(name, True, f"untriggered ({len(cycles)} cycles, none clean)")
@@ -952,7 +905,7 @@ def _merge_runs(runs, note):
     return merged
 
 
-def verdict_suite(L, bols_cap=1000, maxlen=8):
+def verdict_suite(L, bols_cap=1000):
     """Every check the module knows, aggregated over sampled bases."""
     ctx = analysis_context(L, bols_cap)
     note = f"{len(ctx.sample)} bases" + (" (truncated)" if ctx.truncated else "")
@@ -975,5 +928,5 @@ def verdict_suite(L, bols_cap=1000, maxlen=8):
     out += _merge_runs([(check_line_feet(ctx), check_triangle_tops(ctx))], note)
     out.append(check_perspective_intervals(ctx))
     out.append(check_join_witness(L))
-    out.append(check_clean_cycles(ctx, maxlen=maxlen))
+    out.append(check_clean_cycles(ctx))
     return tuple(out)

@@ -26,7 +26,6 @@ from .algebra import (
 from .analysis import (
     cyclic_localization_witness,
     params,
-    params_to_json,
     triangle_configuration_count,
     triangle_configurations,
     verdict_suite,
@@ -153,7 +152,7 @@ def cmd_analyze(args):
     rep = params(L, bols_cap=args.cap)
     print(_params_table(rep))
     if args.out:
-        _write_json(args.out, params_to_json(rep))
+        _write_json(args.out, asdict(rep))
     return 0 if rep.ok else 1
 
 

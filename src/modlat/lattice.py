@@ -417,9 +417,9 @@ def lattice_from_json(data):
     return Lattice(n, covers)
 
 
-def lattice_to_dot(L, graph_name="lattice"):
+def lattice_to_dot(L):
     """Hasse diagram in DOT form, edges drawn bottom-to-top."""
-    lines = [f"digraph {graph_name} {{", "  rankdir=BT;", "  node [shape=box];"]
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for v in range(L.n):
         lines.append(f'  n{v} [label="{L.name(v)}"];')
     for a, b in L.covers:

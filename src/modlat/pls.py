@@ -191,22 +191,6 @@ def _as_cycle(walk):
     return PlsCycle(lines, junctions)
 
 
-def cycle_is_valid(P, cyc):
-    """Sanity predicate used by tests: consecutive lines really meet in
-    the stated junction and nothing repeats."""
-    k = len(cyc.lines)
-    if k < 3 or len(cyc.junctions) != k:
-        return False
-    if len(set(cyc.lines)) != k or len(set(cyc.junctions)) != k:
-        return False
-    for i in range(k):
-        a, b = cyc.lines[i], cyc.lines[(i + 1) % k]
-        p = cyc.junctions[i]
-        if p not in P.lines[a] or p not in P.lines[b]:
-            return False
-    return True
-
-
 def fresh_point(P):
     """Next unused id from the reserved "+k" namespace."""
     used = -1

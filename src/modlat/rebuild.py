@@ -26,6 +26,11 @@ def _member_name(s):
     return "{" + ",".join(str(e) for e in sorted(s, key=_pkey)) + "}"
 
 
+def _member_key(s):
+    """Sort key of a member set: by size, then by its sorted names."""
+    return (len(s), tuple(sorted(map(str, s))))
+
+
 def closed_ideals_lattice(members):
     """The lattice an intersection-closed family forms under inclusion.
 
@@ -33,8 +38,7 @@ def closed_ideals_lattice(members):
     intersection; joins exist whenever the family has a top, which the
     lattice constructor verifies.  The canonical member order is attached
     to the result as `member_sets`."""
-    canon = sorted({frozenset(m) for m in members},
-                   key=lambda s: (len(s), tuple(sorted(map(str, s)))))
+    canon = sorted({frozenset(m) for m in members}, key=_member_key)
     if not canon or canon[0] != frozenset():
         raise NotAClosureSystem("the empty set must be a member")
     index = {s: i for i, s in enumerate(canon)}

@@ -51,12 +51,6 @@ class ExpansionCapExceeded(WildcardError):
     pass
 
 
-class OverlapFound(WildcardError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """One wildcard group.  `premise`/`conclusion` are used by imp only."""
@@ -169,10 +163,6 @@ def _row(width, cells, groups):
         renum = {k: i for i, k in enumerate(keys)}
         cells = [renum[c] if isinstance(c, int) else c for c in cells]
     return Row(width, tuple(cells), tuple(groups[k] for k in keys))
-
-
-def all_free_row(width):
-    return Row(width, (FREE,) * width)
 
 
 def row_count(row):
@@ -773,62 +763,6 @@ def enumerate_ideals(poset, lines):
     return finals.rowset(poset.width, stats)
 
 
-# -- validation ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RowSetReport:
-    total: int
-    rows: int
-    pairs: int
-    certified: int
-    expanded: int
-    unverified: tuple
-
-
-def validate_rowset(rowset, expand_cap=100_000):
-    """Check pairwise disjointness.
-
-    A 0-vs-1 clash on some position certifies a pair cheaply; remaining
-    pairs are compared by expansion when small enough, otherwise reported
-    as unverified.  Raises OverlapFound with a witness bitstring."""
-    rows = rowset.rows
-    certified = expanded = 0
-    unverified = []
-    cache = {}
-
-    def strings(i):
-        if i not in cache:
-            cache[i] = set(expand(rows[i], expand_cap))
-        return cache[i]
-
-    pairs = 0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            pairs += 1
-            a, b = rows[i], rows[j]
-            clash = any(
-                (a.cells[p], b.cells[p]) in ((FIXED0, FIXED1), (FIXED1, FIXED0))
-                for p in range(a.width)
-            )
-            if clash:
-                certified += 1
-                continue
-            if row_count(a) > expand_cap or row_count(b) > expand_cap:
-                unverified.append((i, j))
-                continue
-            common = strings(i) & strings(j)
-            expanded += 1
-            if common:
-                w = min(common)
-                raise OverlapFound(
-                    f"rows {i} and {j} share {''.join(map(str, w))}", witness=w
-                )
-    return RowSetReport(
-        total_count(rowset), len(rows), pairs, certified, expanded, tuple(unverified)
-    )
-
-
 # -- text and JSON forms -------------------------------------------------
 
 
@@ -929,24 +863,26 @@ def poset_from_json(d):
     def resolve(x):
         if isinstance(x, int):
             return x
+        if str(x) not in index:
+            raise ValueError(f"cover names unknown point {str(x)!r}")
         return index[str(x)]
 
     covers = [(resolve(a), resolve(b)) for a, b in covers]
     return GroundPoset(len(points), tuple(covers), tuple(points))
 
 
-def lines_from_json(d, poset=None):
+def lines_from_json(d, poset):
     raw = d["lines"] if isinstance(d, dict) else d
     if not isinstance(raw, list) or not all(isinstance(line, list) for line in raw):
         raise ValueError("lines must be a list of point lists")
-    index = {}
-    if poset is not None and poset.labels:
-        index = {lab: i for i, lab in enumerate(poset.labels)}
+    index = {lab: i for i, lab in enumerate(poset.labels or ())}
 
     def resolve(x):
         if not isinstance(x, int):
+            if str(x) not in index:
+                raise ValueError(f"line names unknown point {str(x)!r}")
             return index[str(x)]
-        if poset is not None and not 0 <= x < poset.width:
+        if not 0 <= x < poset.width:
             raise ValueError(f"line point {x} out of range 0..{poset.width - 1}")
         return x
 

@@ -264,6 +264,30 @@ def pls_to_json(P):
     }
 
 
+def cycle_is_valid(P, cyc):
+    """Consecutive lines of the `PlsCycle` really meet in the stated
+    junction, and no line or junction repeats."""
+    k = len(cyc.lines)
+    if k < 3 or len(cyc.junctions) != k:
+        return False
+    if len(set(cyc.lines)) != k or len(set(cyc.junctions)) != k:
+        return False
+    for i in range(k):
+        a, b = cyc.lines[i], cyc.lines[(i + 1) % k]
+        p = cyc.junctions[i]
+        if p not in P.lines[a] or p not in P.lines[b]:
+            return False
+    return True
+
+
+def set_system_to_text(sys):
+    """The 0/1 matrix `modlat.algebra.parse_set_system` reads back."""
+    out = []
+    for s in sys.sets:
+        out.append("".join("1" if v in s else "0" for v in sys.universe))
+    return "\n".join(out) + "\n"
+
+
 # -- lattices -------------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from modlat.algebra import (
     join_subgroups,
     parse_group,
     parse_set_system,
-    set_system_to_text,
     subgroup_lattice,
     subgroup_leq,
     trivial_subgroup,
@@ -28,6 +27,7 @@ from oracles import (
     family_join_irreducibles,
     inclusion_lattice,
     rank_two_subgroup_count,
+    set_system_to_text,
     union_intersection_closure,
 )
 

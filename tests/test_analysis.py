@@ -13,6 +13,9 @@ from modlat.algebra import parse_group, subgroup_lattice
 from modlat.analysis import (
     ClaimViolated,
     NotALineTop,
+    _is_clean,
+    _tight_masks,
+    _top_cycles,
     _triangle_count,
     _triangles,
     analysis_context,
@@ -25,13 +28,8 @@ from modlat.analysis import (
     check_triangle_tops,
     component_count,
     cyclic_localization_witness,
-    is_clean_cycle,
     is_locally_acyclic,
     params,
-    params_to_json,
-    tight_below,
-    tight_comparable,
-    top_cycles,
     triangle_configuration_count,
     triangle_configurations,
     verdict_suite,
@@ -617,25 +615,33 @@ def test_witness_rejects_a_doctored_configuration():
 # -- cycles of line-tops -------------------------------------------------
 
 
+def _tight(L):
+    """The line-top map and tight-below masks that `check_clean_cycles` reads."""
+    tops = {iv.top: iv for iv in line_intervals(L)}
+    return tops, _tight_masks(L, tops)
+
+
 def test_tight_comparability_on_z4_squared():
     L = z4_squared()
+    below = _tight(L)[1]
     pairs = {
         (x, y)
         for x, y in itertools.combinations([5, 11, 12, 13, 14], 2)
-        if tight_comparable(L, x, y)
+        if (below[y] >> x | below[x] >> y) & 1
     }
     assert pairs == {(5, 11), (5, 12), (5, 13), (11, 14), (12, 14), (13, 14)}
-    assert tight_below(L, 5, 11) and not tight_below(L, 11, 5)
-    assert not tight_below(L, 5, 5) and not tight_comparable(L, 5, 5)
+    assert below[11] >> 5 & 1 and not below[5] >> 11 & 1
+    assert not below[5] >> 5 & 1
 
 
 def test_tight_queries_reject_non_tops():
     L = z2_cubed()
-    some_top = sorted(L.coatoms)[0]
+    tops, below = _tight(L)
+    some_top, other = sorted(L.coatoms)[:2]
     with pytest.raises(NotALineTop):
-        tight_below(L, L.bottom, some_top)
+        _is_clean(L, tops, below, (L.bottom, some_top, other))
     with pytest.raises(NotALineTop):
-        tight_comparable(L, some_top, L.top)
+        _is_clean(L, tops, below, (some_top, L.top, other))
 
 
 def test_blocked_patterns_match_the_transposition_scan():
@@ -653,13 +659,14 @@ def test_blocked_patterns_match_the_transposition_scan():
 
 
 def test_incomparable_tops_never_cycle():
-    assert top_cycles(z2_cubed()) == []
-    assert top_cycles(boolean_lattice(3)) == []
+    assert _top_cycles(_tight(z2_cubed())[1], 8) == []
+    assert _top_cycles(_tight(boolean_lattice(3))[1], 8) == []
 
 
 def test_top_cycles_of_z4_squared():
     L = z4_squared()
-    cycles = top_cycles(L)
+    tops, below = _tight(L)
+    cycles = _top_cycles(below, 8)
     assert sorted(c.tops for c in cycles) == [
         (5, 11, 14, 12),
         (5, 11, 14, 13),
@@ -670,27 +677,29 @@ def test_top_cycles_of_z4_squared():
         assert len(c) == 4
         assert c.tops[0] == min(c.tops)
         assert c.tops[1] < c.tops[-1]
-        assert is_clean_cycle(L, c)
-    assert top_cycles(L, maxlen=3) == []
+        assert _is_clean(L, tops, below, c)
+    assert _top_cycles(below, 3) == []
 
 
 def test_clean_cycle_input_validation():
     L = z4_squared()
+    tops, below = _tight(L)
     with pytest.raises(ValueError):
-        is_clean_cycle(L, (5, 11))
+        _is_clean(L, tops, below, (5, 11))
     with pytest.raises(ValueError):
-        is_clean_cycle(L, (5, 11, 12))
+        _is_clean(L, tops, below, (5, 11, 12))
     with pytest.raises(NotALineTop):
-        is_clean_cycle(L, (5, 11, L.bottom))
-    assert is_clean_cycle(L, (5, 11, 5)) is False
+        _is_clean(L, tops, below, (5, 11, L.bottom))
+    assert _is_clean(L, tops, below, (5, 11, 5)) is False
 
 
 def test_clean_cycle_verdicts():
     # all 3 cycles of line-tops of Z4 x Z4 are clean, and its canonical
     # base is cyclic, so the verdict passes without listing them
     L = z4_squared()
-    cycles = top_cycles(L)
-    assert len(cycles) == 3 and all(is_clean_cycle(L, c) for c in cycles)
+    tops, below = _tight(L)
+    cycles = _top_cycles(below, 8)
+    assert len(cycles) == 3 and all(_is_clean(L, tops, below, c) for c in cycles)
     ctx = analysis_context(L)
     assert not ctx.acyclic
     v = check_clean_cycles(ctx)
@@ -801,7 +810,7 @@ def test_verdict_rendering():
 
 def test_params_report_serializes():
     rep = params(seven_point_lattice())
-    data = params_to_json(rep)
+    data = dataclasses.asdict(rep)
     assert set(data) == {
         "j", "delta", "s", "i", "o", "mu",
         "rstar_canonical", "acyclic", "locally_acyclic", "verdicts",

@@ -102,6 +102,24 @@ def test_enumerate_without_lines(files, capsys):
     assert capsys.readouterr().out.strip() == "45"
 
 
+def test_unknown_label_in_lines_exits_2_naming_it(files, capsys, tmp_path):
+    lines = tmp_path / "lines.json"
+    lines.write_text(json.dumps({"lines": [["p1", "zz"]]}))
+    for cmd in ("enumerate", "rebuild"):
+        assert main([cmd, "--poset", files["poset"], "--lines", str(lines)]) == 2
+        err = capsys.readouterr().err
+        assert err == "ValueError: line names unknown point 'zz'\n", cmd
+
+
+def test_unknown_label_in_covers_exits_2_naming_it(capsys, tmp_path):
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"points": ["a", "b"], "covers": [["a", "zz"]]}))
+    for cmd in ("enumerate", "rebuild"):
+        assert main([cmd, "--poset", str(poset)]) == 2
+        err = capsys.readouterr().err
+        assert err == "ValueError: cover names unknown point 'zz'\n", cmd
+
+
 # -- rebuild ---------------------------------------------------------------
 
 

@@ -12,7 +12,6 @@ from modlat.pls import (
     UnknownPoint,
     acyclifier,
     components,
-    cycle_is_valid,
     find_cycle,
     fresh_point,
     pls_from_json,
@@ -21,7 +20,14 @@ from modlat.pls import (
     validate_pls,
 )
 
-from oracles import min_splittings, pls_to_json, random_pls, union_find_components, union_find_rstar
+from oracles import (
+    cycle_is_valid,
+    min_splittings,
+    pls_to_json,
+    random_pls,
+    union_find_components,
+    union_find_rstar,
+)
 
 
 # -- validation -----------------------------------------------------------
