@@ -863,9 +863,10 @@ def poset_from_json(d):
     def resolve(x):
         if isinstance(x, int):
             return x
-        if str(x) not in index:
-            raise ValueError(f"cover names unknown point {str(x)!r}")
-        return index[str(x)]
+        key = str(x)
+        if key not in index:
+            raise ValueError(f"cover names unknown point {key!r}")
+        return index[key]
 
     covers = [(resolve(a), resolve(b)) for a, b in covers]
     return GroundPoset(len(points), tuple(covers), tuple(points))
@@ -879,9 +880,10 @@ def lines_from_json(d, poset):
 
     def resolve(x):
         if not isinstance(x, int):
-            if str(x) not in index:
-                raise ValueError(f"line names unknown point {str(x)!r}")
-            return index[str(x)]
+            key = str(x)
+            if key not in index:
+                raise ValueError(f"line names unknown point {key!r}")
+            return index[key]
         if not 0 <= x < poset.width:
             raise ValueError(f"line point {x} out of range 0..{poset.width - 1}")
         return x
