@@ -35,7 +35,6 @@ from .bol import bol_sample, canonical_masks, line_intervals, localize, witness_
 from .lattice import (
     LatticeError,
     bits,
-    join_irreducibles,
     lower_star,
     projectivity_classes,
     require_modular,
@@ -296,7 +295,7 @@ def analysis_context(L, bols_cap=1000):
     require_modular(L)
     ivs = line_intervals(L)
     witnesses = witness_masks(L, ivs)
-    lower = {ji.elem: ji.lower_star for ji in join_irreducibles(L)}
+    lower = {p: lower_star(L, p) for p in bits(L.ji_mask)}
     classes = projectivity_classes(L)
     return AnalysisContext(
         lattice=L,

@@ -37,14 +37,13 @@ from .corpus import standard_corpus
 from .lattice import (
     LatticeError,
     bits,
-    check_lattice_size,
     ji_elements,
     lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
 )
 from .pls import PlsError, mask_components, pls_from_json, rstar
-from .rebuild import NotAClosureSystem, closed_ideals_lattice, roundtrip_check
+from .rebuild import NotAClosureSystem, ideals_lattice, roundtrip_check
 from .wildcard import (
     WildcardError,
     enumerate_ideals,
@@ -80,13 +79,6 @@ def _resolve_elem(L, token):
 
 def _line_names(L, m):
     return "{" + ", ".join(L.name(p) for p in bits(m)) + "}"
-
-
-def _members(rows):
-    return [
-        frozenset(k for k, bit in enumerate(bits) if bit)
-        for bits in rowset_bitstrings(rows)
-    ]
 
 
 def _params_table(rep):
@@ -130,9 +122,7 @@ def cmd_enumerate(args):
 def cmd_rebuild(args):
     poset = poset_from_json(_load(args.poset))
     lines = lines_from_json(_load(args.lines), poset) if args.lines else []
-    rows = enumerate_ideals(poset, lines)
-    check_lattice_size(total_count(rows))
-    L = closed_ideals_lattice(_members(rows))
+    L = ideals_lattice(poset, lines)
     ok = roundtrip_check(L)
     if args.out:
         _write_json(args.out, lattice_to_json(L))

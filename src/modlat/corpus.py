@@ -12,8 +12,8 @@ import random
 from .algebra import parse_group, subgroup_lattice
 from .lattice import build_lattice, covers_from_below
 from .pls import validate_pls
-from .rebuild import closed_ideals_lattice
-from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
+from .rebuild import ideals_lattice
+from .wildcard import GroundPoset
 
 
 def m_n(n):
@@ -71,20 +71,13 @@ def seven_point_lines():
     return ((0, 1, 2), (0, 4, 5), (3, 5, 6))
 
 
+def seven_point_lattice():
+    return ideals_lattice(seven_point_poset(), seven_point_lines())
+
+
 def seven_point_members():
     """The thirteen closed ideals, as frozensets of point indices."""
-    rows = enumerate_ideals(seven_point_poset(), seven_point_lines())
-    return sorted(
-        (
-            frozenset(k for k, bit in enumerate(bits) if bit)
-            for bits in rowset_bitstrings(rows)
-        ),
-        key=lambda m: (len(m), sorted(m)),
-    )
-
-
-def seven_point_lattice():
-    return closed_ideals_lattice(seven_point_members())
+    return list(seven_point_lattice().member_sets)
 
 
 # -- subgroup lattices ---------------------------------------------------
@@ -112,12 +105,7 @@ def random_poset(rng, max_points=8):
 
 def downset_lattice(poset):
     """The distributive lattice of all down-closed point sets."""
-    members = []
-    for mask in range(1 << poset.width):
-        bits = tuple(mask >> k & 1 for k in range(poset.width))
-        if poset.is_down_closed(bits):
-            members.append(frozenset(k for k in range(poset.width) if mask >> k & 1))
-    return closed_ideals_lattice(members)
+    return ideals_lattice(poset, [])
 
 
 def random_distributive(seed, max_points=8):

@@ -15,7 +15,6 @@ is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -59,14 +58,6 @@ def bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-@dataclass(frozen=True)
-class JoinIrreducible:
-    """An element with exactly one lower cover, which is `lower_star`."""
-
-    elem: int
-    lower_star: int
 
 
 class Lattice:
@@ -207,10 +198,6 @@ class Lattice:
     def cover_set(self):
         return frozenset(self.covers)
 
-    @cached_property
-    def join_irreducible_list(self):
-        return tuple(JoinIrreducible(v, self._lowcov[v][0]) for v in bits(self.ji_mask))
-
     def __repr__(self):
         return f"Lattice(n={self.n}, covers={len(self.covers)})"
 
@@ -270,13 +257,9 @@ def require_modular(L):
         raise NotModular("operation requires a modular lattice")
 
 
-def join_irreducibles(L):
-    """All elements with exactly one lower cover, paired with that cover."""
-    return L.join_irreducible_list
-
-
 def ji_elements(L):
-    return tuple(j.elem for j in L.join_irreducible_list)
+    """The join-irreducible elements, ascending."""
+    return tuple(bits(L.ji_mask))
 
 
 def lower_star(L, p):
@@ -401,6 +384,8 @@ def lattice_to_json(L):
 def lattice_from_json(data):
     if not isinstance(data, dict):
         raise ValueError("lattice JSON must be an object")
+    if "covers" not in data:
+        raise ValueError("lattice JSON has no 'covers' key")
     names, covers = data.get("names"), data["covers"]
     if not isinstance(names, (list, type(None))) or not isinstance(covers, list) or not all(
         isinstance(c, list) and len(c) == 2 and all(isinstance(v, int) for v in c) for c in covers

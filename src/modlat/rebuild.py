@@ -5,7 +5,8 @@ join-irreducibles plus a base of lines: the map a -> {p join-irreducible,
 p <= a} is an isomorphism onto the family of order ideals closed under
 the line constraints, ordered by inclusion.  This module turns such
 families back into lattices and provides the implication-base view of the
-same closure system (Horn clauses over the points).
+same closure system (Horn clauses over the points).  `ideals_lattice`
+is the one path from a poset and its lines to the rebuilt lattice.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bol import canonical_bol
-from .lattice import bits, build_lattice, covers_from_below, ji_elements
+from .lattice import bits, build_lattice, check_lattice_size, covers_from_below, ji_elements
 from .pls import _pkey
-from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings
+from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_count
 
 
 class NotAClosureSystem(Exception):
@@ -53,6 +54,18 @@ def closed_ideals_lattice(members):
     L = build_lattice([_member_name(s) for s in canon], covers_from_below(below))
     L.member_sets = tuple(canon)
     return L
+
+
+def ideals_lattice(poset, lines):
+    """The lattice of the order ideals of `poset` closed under `lines`
+    (tuples of positions), each member the frozenset of its positions.
+    Raises CapExceeded from the row count, before any member is listed,
+    when there are more than LATTICE_CAP of them."""
+    rows = enumerate_ideals(poset, lines)
+    check_lattice_size(total_count(rows))
+    return closed_ideals_lattice(
+        frozenset(k for k, bit in enumerate(bs) if bit) for bs in rowset_bitstrings(rows)
+    )
 
 
 def ji_ground_poset(L):

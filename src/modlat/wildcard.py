@@ -852,6 +852,8 @@ def poset_to_json(poset):
 def poset_from_json(d):
     if not isinstance(d, dict):
         raise ValueError("poset JSON must be an object")
+    if "points" not in d:
+        raise ValueError("poset JSON has no 'points' key")
     covers = d.get("covers", [])
     if not isinstance(d["points"], list) or not isinstance(covers, list) or not all(
         isinstance(c, list) and len(c) == 2 for c in covers
@@ -873,6 +875,8 @@ def poset_from_json(d):
 
 
 def lines_from_json(d, poset):
+    if isinstance(d, dict) and "lines" not in d:
+        raise ValueError("lines JSON has no 'lines' key")
     raw = d["lines"] if isinstance(d, dict) else d
     if not isinstance(raw, list) or not all(isinstance(line, list) for line in raw):
         raise ValueError("lines must be a list of point lists")

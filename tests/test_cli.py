@@ -120,6 +120,34 @@ def test_unknown_label_in_covers_exits_2_naming_it(capsys, tmp_path):
         assert err == "ValueError: cover names unknown point 'zz'\n", cmd
 
 
+def _missing_key_error(capsys, argv, key):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{key}'" in err, err
+    assert "KeyError" not in err
+
+
+def test_poset_without_points_exits_2_naming_the_key(capsys, tmp_path):
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"covers": []}))
+    for cmd in ("enumerate", "rebuild"):
+        _missing_key_error(capsys, [cmd, "--poset", str(poset)], "points")
+
+
+def test_lines_without_lines_exits_2_naming_the_key(files, capsys, tmp_path):
+    lines = tmp_path / "lines.json"
+    lines.write_text(json.dumps({"line": []}))
+    for cmd in ("enumerate", "rebuild"):
+        _missing_key_error(capsys, [cmd, "--poset", files["poset"], "--lines", str(lines)], "lines")
+
+
+def test_lattice_without_covers_exits_2_naming_the_key(capsys, tmp_path):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"names": ["a"]}))
+    for cmd in ("analyze", "bol"):
+        _missing_key_error(capsys, [cmd, "--lattice", str(lattice)], "covers")
+
+
 # -- rebuild ---------------------------------------------------------------
 
 

@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from modlat.corpus import (
     CORPUS_GROUPS,
     boolean_lattice,
     chain,
+    downset_lattice,
     fano_pls,
     m_n,
     random_distributive,
+    random_poset,
     seven_point_lattice,
     standard_corpus,
 )
 from modlat.lattice import is_isomorphic
 from modlat.pls import components
+from modlat.wildcard import GroundPoset
+
+from oracles import brute_closed_ideals
 
 
 def test_standard_corpus_composition():
@@ -67,3 +74,26 @@ def test_seven_point_lattice_is_modular():
     assert L.n == 13
     assert L.modular
     assert not is_isomorphic(L, boolean_lattice(3))
+
+
+HAND_MADE_POSETS = [
+    GroundPoset(1, ()),
+    GroundPoset(3, ()),  # antichain
+    GroundPoset(4, ((0, 1), (1, 2), (2, 3))),  # chain
+    GroundPoset(3, ((0, 2), (1, 2))),  # two points below one
+    GroundPoset(4, ((0, 1), (0, 2), (1, 3), (2, 3))),  # diamond
+    GroundPoset(4, ((0, 2), (1, 2), (1, 3))),  # N
+    GroundPoset(6, ((0, 2), (1, 2), (3, 5), (4, 5))),  # two disjoint Λs
+]
+
+
+@pytest.mark.parametrize(
+    "poset", [random_poset(random.Random(seed)) for seed in range(20)] + HAND_MADE_POSETS
+)
+def test_downset_lattice_members_are_the_brute_force_down_sets(poset):
+    expected = {
+        frozenset(k for k, bit in enumerate(bs) if bit)
+        for bs in brute_closed_ideals(poset, [])
+    }
+    members = downset_lattice(poset).member_sets
+    assert len(members) == len(expected) and set(members) == expected
