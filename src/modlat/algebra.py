@@ -16,7 +16,7 @@ from math import gcd, prod
 
 from .bol import lines_from_joins
 from .lattice import (
-    CapExceeded, LatticeError, build_lattice, check_lattice_size, covers_from_below)
+    CapExceeded, LatticeError, bits, build_lattice, check_lattice_size, covers_from_below)
 from .rebuild import _member_key, closed_ideals_lattice
 from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_count
 
@@ -128,51 +128,71 @@ class _Numbered:
     """G with its elements numbered 0..|G|-1 in `G.elements` order, so that
     0 is the identity and a subgroup is an int mask over the ids.
 
-    `G.elements` is the mixed-radix order of the factors, so id(y + x) is
-    id(y) + id(x), less f * stride for each coordinate of factor f where
-    the digits of y and x add up to f or more."""
+    `G.elements` is the mixed-radix order of the factors: the digit of a
+    factor f sits at stride s, the product of the later factors.  Adding a
+    to that digit moves the ids whose digit is below f - a up by a * s and
+    wraps the others down by (f - a) * s.  The ids with a low digit form
+    the mask `low`, a block of (f - a) * s ones repeated with period f * s,
+    so a whole mask moves by x with two shifts per nonzero digit of x."""
 
     def __init__(self, G):
         self.G = G
-        self.digits = [[e[c] for e in G.elements] for c in range(len(G.factors))]
-        self.wraps = [f * prod(G.factors[c + 1 :]) for c, f in enumerate(G.factors)]
+        self._moves = {}  # x -> ((low, up, down) per nonzero digit of x)
 
-    def translate(self, ids, x):
-        """The ids of y + x for y with id in `ids`."""
-        out = [y + x for y in ids]
-        for digit, wrap, f, a in zip(self.digits, self.wraps, self.G.factors, self.G.elements[x]):
-            if a:
-                limit = f - a
-                out = [z - wrap if digit[y] >= limit else z for z, y in zip(out, ids)]
-        return out
+    def _moves_of(self, x):
+        moves = self._moves.get(x)
+        if moves is None:
+            factors, n = self.G.factors, self.G.order
+            moves, s = [], n
+            for f, a in zip(factors, self.G.elements[x]):
+                s //= f
+                if a:
+                    period = f * s
+                    repunit = ((1 << n) - 1) // ((1 << period) - 1)
+                    low = ((1 << (f - a) * s) - 1) * repunit
+                    moves.append((low, a * s, (f - a) * s))
+            self._moves[x] = moves
+        return moves
 
-    def join_cyclic(self, ids, mask, x):
-        """H + <x> as (ids, mask), for H given by its ids (identity first)
-        and mask: H's translates by x, 2x, ... until one lands back in H,
-        which costs |H + <x>| steps.  From H = 0 the ids come in the order
-        0, x, 2x, ..."""
-        out = list(ids)
-        coset = ids
+    def translate(self, mask, x):
+        """The mask of y + x for y in `mask`."""
+        for low, up, down in self._moves_of(x):
+            stay = mask & low
+            mask = stay << up | (mask ^ stay) >> down
+        return mask
+
+    def join_cyclic(self, mask, x):
+        """The mask of H + <x>: H's translates by x, 2x, ... until one
+        meets H, which it then equals."""
+        out = coset = mask
         while True:
             coset = self.translate(coset, x)
-            if mask >> coset[0] & 1:  # coset[0] = kx, as ids[0] is 0
-                break
-            out += coset
-        return out, sum(1 << i for i in out)
+            if coset & mask:
+                return out
+            out |= coset
 
-    def subgroup(self, ids):
+    def multiples(self, x):
+        """The ids of 0, x, 2x, ... up to the order of x."""
+        ids, m = [0], self.translate(1, x)
+        while m != 1:
+            ids.append(m.bit_length() - 1)
+            m = self.translate(m, x)
+        return ids
+
+    def subgroup(self, mask):
         elements = self.G.elements
-        return Subgroup(tuple(elements[i] for i in sorted(ids)))
+        return Subgroup(tuple(elements[i] for i in bits(mask)))
 
-    def name(self, ids):
+    def name(self, mask):
         """Greedy generators of H: each element, in order, that the span of
         the earlier ones misses."""
         gens = []
-        span, span_mask = [0], 1
-        for x in sorted(ids):
-            if not span_mask >> x & 1:
-                gens.append(self.G.elements[x])
-                span, span_mask = self.join_cyclic(span, span_mask, x)
+        span, rest = 1, mask & ~1
+        while rest:
+            x = (rest & -rest).bit_length() - 1  # the least element outside the span
+            gens.append(self.G.elements[x])
+            span = self.join_cyclic(span, x)
+            rest = mask & ~span
         if not gens:
             return "0"
         return "<" + ",".join(",".join(map(str, g)) for g in gens) + ">"
@@ -186,7 +206,7 @@ def _cyclic_prime_power(num):
     for x in range(1, num.G.order):
         if found[x]:
             continue
-        ids, _ = num.join_cyclic([0], 1, x)
+        ids = num.multiples(x)
         n = len(ids)
         for k in range(1, n):
             if gcd(k, n) == 1:
@@ -201,13 +221,13 @@ def join_irreducible_subgroups(G):
     """Nontrivial cyclic subgroups of prime-power order, each of which has
     a unique maximal proper subgroup and is therefore join-irreducible."""
     num = _Numbered(G)
-    subs = [num.subgroup(ids) for ids, _ in _cyclic_prime_power(num)]
+    subs = [num.subgroup(sum(1 << i for i in ids)) for ids, _ in _cyclic_prime_power(num)]
     return tuple(sorted(subs, key=subgroup_key))
 
 
 def _subgroup_family(num):
-    """Every subgroup of the group, as sorted id lists in `subgroup_key`
-    order, and the cover pairs of their indices.
+    """Every subgroup of the group, as masks and as Subgroups in
+    `subgroup_key` order, and the cover pairs of their indices.
 
     K covers H exactly when K = H + <x> for a generator x of a cyclic
     subgroup of order p^k with x not in H but px in H: K/H has prime
@@ -217,28 +237,26 @@ def _subgroup_family(num):
     cover.  Raises CapExceeded once the family outgrows LATTICE_CAP
     members, which bounds the work as well as the output."""
     steps = [(ids[1], ids[p % len(ids)]) for ids, p in _cyclic_prime_power(num)]  # (x, px)
-    family = {1: [0]}
+    family = [1]
+    seen = {1}
     edges = []
-    queue = [([0], 1)]
-    for ids, mask in queue:  # breadth first, so that the cap strikes early
+    for mask in family:  # breadth first, so that the cap strikes early
         covered = mask  # H and its covers found so far
         for x, px in steps:
             # a cover K of H is H + <x> for every x in K but not in H
             if covered >> x & 1 or not mask >> px & 1:
                 continue
-            J = num.join_cyclic(ids, mask, x)
-            covered |= J[1]
-            edges.append((mask, J[1]))
-            if J[1] not in family:
-                family[J[1]] = J[0]
-                queue.append(J)
+            K = num.join_cyclic(mask, x)
+            covered |= K
+            edges.append((mask, K))
+            if K not in seen:
+                seen.add(K)
+                family.append(K)
                 check_lattice_size(len(family))
-    for ids in family.values():
-        ids.sort()
-    # by order, then by member tuples, whose order is that of the sorted ids
-    order = sorted(family, key=lambda m: (len(family[m]), family[m]))
+    subs = {m: num.subgroup(m) for m in family}
+    order = sorted(family, key=lambda m: subgroup_key(subs[m]))
     index = {m: i for i, m in enumerate(order)}
-    return [family[m] for m in order], sorted((index[a], index[b]) for a, b in edges)
+    return order, tuple(subs[m] for m in order), sorted((index[a], index[b]) for a, b in edges)
 
 
 def subgroup_lattice(G):
@@ -246,9 +264,9 @@ def subgroup_lattice(G):
     prime-power subgroups.  Every subgroup is such a join, so the family
     is complete.  Member subgroups are attached as `subgroups`."""
     num = _Numbered(G)
-    family, covers = _subgroup_family(num)
-    L = build_lattice([num.name(ids) for ids in family], covers)
-    L.subgroups = tuple(num.subgroup(ids) for ids in family)
+    family, subgroups, covers = _subgroup_family(num)
+    L = build_lattice([num.name(m) for m in family], covers)
+    L.subgroups = subgroups
     return L
 
 
@@ -261,7 +279,7 @@ def enumeration_input(G):
     below = [sum(1 << i for i in range(j) if subgroup_leq(jis[i], b)) for j, b in enumerate(jis)]
     num = _Numbered(G)
     index = {x: i for i, x in enumerate(G.elements)}
-    names = tuple(num.name([index[x] for x in H.elements]) for H in jis)
+    names = tuple(num.name(sum(1 << index[x] for x in H.elements)) for H in jis)
     poset = GroundPoset(len(jis), tuple(covers_from_below(below)), names)
     P = lines_from_joins(jis, lambda H, K: join_subgroups(G, H, K))
     lines = [tuple(sorted(pos[H] for H in ln)) for ln in P.lines]

@@ -346,8 +346,12 @@ def _build_parser():
     return p
 
 
+# built once per process, at import, and shared by every `main` call
+PARSER = _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         if getattr(args, "cap", 0) < 0:
             raise ValueError(f"--cap must be at least 0, not {args.cap}")

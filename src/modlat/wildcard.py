@@ -122,11 +122,27 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class Row:
-    """A compressed set of bitstrings."""
+    """A compressed set of bitstrings.  `ones` and `zeros` are the int
+    masks of the cells fixed to 1 and to 0; the builders below derive them
+    from their parent rows, and a Row made without them scans its cells.
+    They take no part in equality or hashing."""
 
     width: int
     cells: tuple
     groups: tuple = ()
+    ones: int = field(default=None, compare=False, repr=False)
+    zeros: int = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.ones is None or self.zeros is None:
+            ones = zeros = 0
+            for p, c in enumerate(self.cells):
+                if c == FIXED1:
+                    ones |= 1 << p
+                elif c == FIXED0:
+                    zeros |= 1 << p
+            object.__setattr__(self, "ones", ones)
+            object.__setattr__(self, "zeros", zeros)
 
     def same_content(self, other):
         return self.cells == other.cells and self.groups == other.groups
@@ -150,19 +166,20 @@ def make_row(width, cells, groups=()):
                 raise WildcardError(f"cell {p} does not point at group {gid}")
     if sum(not isinstance(c, str) for c in out_cells) != sum(len(g.members) for g in out_groups):
         raise WildcardError("a cell points at a group it is no member of")
-    return Row(width, out_cells, out_groups)
+    return Row(width, out_cells, out_groups)  # which scans the cells for its masks
 
 
-def _row(width, cells, groups):
+def _row(width, cells, groups, ones, zeros):
     """The Row of `cells` and `groups`, a dict from the ids the cells hold
     to their specs, with groups renumbered by their smallest member as
-    `make_row` numbers them.  Unchecked: for rows built out of well-formed
-    rows by `force`, `with_group`, `_try_merge` and the seeding."""
+    `make_row` numbers them, and with the masks `ones` and `zeros` of its
+    fixed cells.  Unchecked: for rows built out of well-formed rows by
+    `force`, `with_group`, `_try_merge` and the seeding."""
     keys = sorted(groups, key=lambda k: groups[k].members[0])
     if keys != list(range(len(keys))):
         renum = {k: i for i, k in enumerate(keys)}
         cells = [renum[c] if isinstance(c, int) else c for c in cells]
-    return Row(width, tuple(cells), tuple(groups[k] for k in keys))
+    return Row(width, tuple(cells), tuple(groups[k] for k in keys), ones, zeros)
 
 
 def row_count(row):
@@ -226,6 +243,7 @@ def force(row, assignments):
     """
     cells = list(row.cells)
     groups = dict(enumerate(row.groups))
+    fixed = [row.zeros, row.ones]  # indexed by the value fixed
     queue = [(int(p), 1 if v else 0) for p, v in assignments.items()]
 
     def free_and_push(ps, val=None):
@@ -242,11 +260,11 @@ def force(row, assignments):
             continue
         if cur in (FIXED0, FIXED1):
             return None
+        cells[pos] = sym
+        fixed[val] |= 1 << pos
         if cur == FREE:
-            cells[pos] = sym
             continue
         gid, spec = cur, groups[cur]
-        cells[pos] = sym
         rest = tuple(q for q in spec.members if q != pos and cells[q] == gid)
         if spec.kind == "d":
             del groups[gid]
@@ -306,7 +324,7 @@ def force(row, assignments):
                 else:
                     del groups[gid]
                     free_and_push(prem)
-    return _row(row.width, cells, groups)
+    return _row(row.width, cells, groups, fixed[1], fixed[0])
 
 
 def with_group(row, kind, positions, premise=(), conclusion=()):
@@ -320,7 +338,7 @@ def with_group(row, kind, positions, premise=(), conclusion=()):
         cells[p] = gid
     groups = dict(enumerate(row.groups))
     groups[gid] = GroupSpec(kind, positions, tuple(sorted(premise)), tuple(sorted(conclusion)))
-    return _row(row.width, cells, groups)
+    return _row(row.width, cells, groups, row.ones, row.zeros)
 
 
 def _retype_to_g(row, members):
@@ -331,7 +349,8 @@ def _retype_to_g(row, members):
             if spec.kind not in ("eps", "ell", "g"):
                 raise WildcardError(f"a {spec.kind} group cannot become exactly-one")
             groups = row.groups[:gid] + (GroupSpec("g", members),) + row.groups[gid + 1 :]
-            return Row(row.width, row.cells, groups)  # same members, same numbering
+            # same members, same numbering
+            return Row(row.width, row.cells, groups, row.ones, row.zeros)
     raise WildcardError(f"no group has the members {list(members)}")
 
 
@@ -351,19 +370,23 @@ def impose_line(row, positions):
     pos = sorted(set(int(p) for p in positions))
     if len(pos) < 2:
         raise ValueError("a line needs at least two positions")
-    ones = [p for p in pos if row.cells[p] == FIXED1]
-    zeros = [p for p in pos if row.cells[p] == FIXED0]
-    undet = [p for p in pos if row.cells[p] not in (FIXED0, FIXED1)]
+    line = 0
+    for p in pos:
+        line |= 1 << p
+    ones = (row.ones & line).bit_count()  # the fixed 1s on the line
+    zeros = row.zeros & line
+    fixed = row.ones | row.zeros
+    undet = [p for p in pos if not fixed >> p & 1]
 
     if not undet:
-        ok = len(ones) <= 1 or len(ones) == len(pos)
+        ok = ones <= 1 or ones == len(pos)
         return [row] if ok else []
-    if len(ones) >= 2:
+    if ones >= 2:
         if zeros:
             return []  # two 1s demand all 1s, but a fixed 0 forbids that
         r = force(row, {p: 1 for p in undet})
         return [r] if r else []
-    if len(ones) == 1:
+    if ones == 1:
         if not zeros and len(undet) == 1:
             return [row]  # two-point case: the undetermined cell may go either way
         out = [force(row, {p: 0 for p in undet})]
@@ -535,8 +558,10 @@ def seed_order_ideals(poset):
         conflicted = [p for p, d in deg.items() if d >= 2]
         if not conflicted:
             cells = [FREE] * poset.width
+            masks = [0, 0]  # the fixed 0s and 1s
             for p, v in fixed.items():
                 cells[p] = FIXED1 if v else FIXED0
+                masks[v] |= 1 << p
             groups = []
             for gid, (lo, hi) in enumerate(active):
                 cells[lo] = gid
@@ -544,7 +569,7 @@ def seed_order_ideals(poset):
                 groups.append(
                     GroupSpec("imp", tuple(sorted((lo, hi))), (hi,), (lo,))
                 )
-            rows.append(_row(poset.width, cells, dict(enumerate(groups))))
+            rows.append(_row(poset.width, cells, dict(enumerate(groups)), masks[1], masks[0]))
             prov.append("seed" + (path or ""))
             return
         pivot = max(
@@ -579,25 +604,16 @@ def _try_merge(a, b):
     if len(lo) != 1 or len(hi) != 1 or lo | hi != {FIXED0, FIXED1}:
         return None
     cells = list(a.cells)
+    ones, zeros = a.ones & b.ones, a.zeros & b.zeros  # the block is fixed in neither
     if len(diff) == 1:
         cells[diff[0]] = FREE
-        return Row(a.width, tuple(cells), a.groups)
+        return Row(a.width, tuple(cells), a.groups, ones, zeros)
     gid = len(a.groups)
     for p in diff:
         cells[p] = gid
     groups = dict(enumerate(a.groups))
     groups[gid] = GroupSpec("d", tuple(diff))
-    return _row(a.width, cells, groups)
-
-
-def _fixed_masks(row):
-    ones = zeros = 0
-    for p, c in enumerate(row.cells):
-        if c == FIXED1:
-            ones |= 1 << p
-        elif c == FIXED0:
-            zeros |= 1 << p
-    return ones, zeros
+    return _row(a.width, cells, groups, ones, zeros)
 
 
 class FinalRows:
@@ -611,7 +627,8 @@ class FinalRows:
     "exhausted" or, after a merge, "merge(stored label,arriving label)"
     and the arriving row's label.  Only rows of one shape
     can merge, the shape being the groups and the cells with 0 and 1 made
-    alike, so the stored rows are bucketed by shape.  Within a bucket the
+    alike, so the stored rows are bucketed by shape; the groups and the
+    mask of fixed cells determine it.  Within a bucket the
     rows fix the same cells, and two of them merge exactly when x = a1 ^ b1
     of their ones masks is not 0 and lies inside a1 or inside b1: x is the
     block, all 1 in one row and all 0 in the other."""
@@ -623,10 +640,10 @@ class FinalRows:
         self._arrivals = 0
 
     def add(self, row, label):
-        ones = _fixed_masks(row)[0]
         why = "exhausted"
         while True:
-            shape = (tuple(FIXED0 if c == FIXED1 else c for c in row.cells), row.groups)
+            ones = row.ones
+            shape = (ones | row.zeros, row.groups)
             bucket = self._shapes.setdefault(shape, {})
             for i, a1 in bucket.items():
                 x = a1 ^ ones
@@ -642,7 +659,6 @@ class FinalRows:
             self.merges += 1
             why = f"merge({kept_label},{label})"
             row = _try_merge(kept, row)
-            ones &= a1
 
     def rowset(self, width, stats=None):
         entries = self._rows.values()
@@ -709,7 +725,7 @@ def enumerate_ideals(poset, lines):
 
     while stack:
         row, k, label, checked, held = stack.pop()
-        ones, zeros = _fixed_masks(row)
+        ones, zeros = row.ones, row.zeros
         fixed = ones | zeros
         # the lines from k on through a newly fixed cell, not known to hold
         new = fixed & ~checked

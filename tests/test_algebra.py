@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from modlat.algebra import (
     Group,
     SetSystem,
     Subgroup,
+    _Numbered,
     cyclic_subgroup,
     distributive_ji,
     distributive_lattice,
@@ -123,6 +126,52 @@ def test_join_irreducible_subgroups_match_lattice(spec):
     L = subgroup_lattice(G)
     lattice_jis = {L.subgroups[e] for e in ji_elements(L)}
     assert lattice_jis == set(join_irreducible_subgroups(G))
+
+
+# -- element masks -----------------------------------------------------------
+
+
+def _ids(G):
+    return {e: i for i, e in enumerate(G.elements)}
+
+
+def _check_translate(G, pairs, rng):
+    """`translate` moves one id as `G.add` does, and a random mask (for
+    the first 30 x) id by id."""
+    num, index = _Numbered(G), _ids(G)
+    for x, y in pairs:
+        assert num.translate(1 << y, x) == 1 << index[G.add(G.elements[y], G.elements[x])]
+    for x in sorted({x for x, _ in pairs})[:30]:
+        ys = rng.sample(range(G.order), rng.randint(0, G.order))
+        want = sum(1 << index[G.add(G.elements[y], G.elements[x])] for y in ys)
+        assert num.translate(sum(1 << y for y in ys), x) == want
+
+
+@pytest.mark.parametrize("spec", ["1", "1,6", "12", "9,3", "4,2,8", "2,3,4,5"])
+def test_mask_translate_matches_add_on_every_pair(spec):
+    G = parse_group(spec)
+    pairs = [(x, y) for x in range(G.order) for y in range(G.order)]
+    _check_translate(G, pairs, random.Random(spec))
+
+
+@pytest.mark.parametrize("spec", ["4096", "2,2,2,2,2,2,2,2,2,2,2,2"])
+def test_mask_translate_matches_add_on_a_sample(spec):
+    G = parse_group(spec)
+    rng = random.Random(spec)
+    pairs = [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(300)]
+    _check_translate(G, pairs, rng)
+
+
+@pytest.mark.parametrize("spec", ["2,2,4", "3,9"])
+def test_join_cyclic_matches_join_subgroups_on_every_pair(spec):
+    G = parse_group(spec)
+    num, index = _Numbered(G), _ids(G)
+    for H in brute_subgroups(G.factors):
+        H = Subgroup(tuple(sorted(H)))
+        for x, e in enumerate(G.elements):
+            want = join_subgroups(G, H, cyclic_subgroup(G, e))
+            got = num.join_cyclic(sum(1 << index[h] for h in H.elements), x)
+            assert num.subgroup(got) == want
 
 
 # -- subgroup lattices -------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from modlat import cli
 from modlat.algebra import parse_group, subgroup_lattice
 from modlat.cli import main
 from modlat.corpus import (
@@ -317,6 +318,16 @@ def test_subgroup_lattice_outputs(files, capsys, tmp_path):
     assert main(["subgroup-lattice", "--group", "4,4", "--out", out, "--count"]) == 0
     capsys.readouterr()
     assert lattice_from_json(json.loads(Path(out).read_text())).n == 15
+
+
+def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("main built a parser of its own")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    for _ in range(2):
+        assert main(["subgroup-lattice", "--group", "2,2", "--count"]) == 0
+        assert capsys.readouterr().out.strip() == "5"
 
 
 def test_subgroup_lattice_dot(capsys):

@@ -36,6 +36,9 @@ def test_tracer_installs_and_uninstalls_on_the_current_names(tmp_path, capsys):
         assert modlat.bol.canonical_bol is not canonical_bol
         lat = tmp_path / "z3z3.json"
         assert modlat.cli.main(["subgroup-lattice", "--group", "3,3", "--out", str(lat)]) == 0
+        # the traced subgroup_lattice ran, and its cover search joined no sets
+        assert tracer.counts["algebra.subgroups"] == 6
+        assert tracer.counts["algebra.join_subgroups_calls"] == 0
         assert modlat.cli.main(["bol", "--lattice", str(lat)]) == 0
         assert tracer.counts["bol.canonical_bol_calls"] == 1
         assert modlat.cli.main(["rebuild", "--poset", str(poset), "--lines", str(lines)]) == 0

@@ -60,6 +60,37 @@ def expansions(rows):
     return out
 
 
+def scanned_masks(row):
+    """The masks of the cells fixed to 1 and to 0, from a scan of the cells."""
+    ones = sum(1 << p for p, c in enumerate(row.cells) if c == FIXED1)
+    zeros = sum(1 << p for p, c in enumerate(row.cells) if c == FIXED0)
+    return ones, zeros
+
+
+def assert_scanned_masks(row):
+    assert (row.ones, row.zeros) == scanned_masks(row), row
+
+
+@pytest.fixture(autouse=True)
+def final_rows_carry_scanned_masks(monkeypatch):
+    """In every enumeration of this module, each row that reaches the
+    store of final rows, and each row the store keeps, carries the masks
+    that a scan of its cells gives."""
+
+    class Checked(FinalRows):
+        def add(self, row, label):
+            assert_scanned_masks(row)
+            super().add(row, label)
+
+        def rowset(self, width, stats=None):
+            out = super().rowset(width, stats)
+            for r in out.rows:
+                assert_scanned_masks(r)
+            return out
+
+    monkeypatch.setattr(wildcard, "FinalRows", Checked)
+
+
 # -- group weights ---------------------------------------------------------
 
 
@@ -165,6 +196,15 @@ def test_force_is_exact_restriction():
             assert set(expand(out)) == expected
 
 
+def test_row_masks_are_scanned_and_left_out_of_equality():
+    row = Row(3, (FIXED1, FREE, FIXED0))
+    assert (row.ones, row.zeros) == (0b001, 0b100)
+    made = make_row(3, row.cells)
+    assert (made.ones, made.zeros) == (row.ones, row.zeros)
+    assert made == row and hash(made) == hash(row)
+    assert repr(row) == "Row(width=3, cells=('1', '2', '0'), groups=())"
+
+
 def test_force_contradiction():
     row = make_row(2, (FIXED0, FREE))
     assert force(row, {0: 1}) is None
@@ -248,6 +288,7 @@ def check_built_rows(monkeypatch):
             for r in out if isinstance(out, list) else [out]:
                 if r is not None:
                     assert make_row(r.width, r.cells, r.groups) == r, (_name, r)
+                    assert_scanned_masks(r)
                     checked[_name] += 1
             return out
         monkeypatch.setattr(wildcard, name, wrapper)
@@ -281,7 +322,10 @@ def test_built_rows_are_well_formed_in_enumerations(monkeypatch):
     for _, L in standard_corpus():
         assert roundtrip_check(L)
     for g in ("2,2,2,2", "2,4,8", "5,5,5"):
-        rows = enumerate_ideals(*enumeration_input(parse_group(g)))
+        poset, lines = enumeration_input(parse_group(g))
+        for r in seed_order_ideals(poset).rows:
+            assert_scanned_masks(r)
+        rows = enumerate_ideals(poset, lines)
         assert all(make_row(r.width, r.cells, r.groups) == r for r in rows.rows)
     # these inputs never retype a group to g; the random rows reach `_retype_to_g`
     assert all(checked[name] for name in BUILDERS if name != "_retype_to_g"), checked
