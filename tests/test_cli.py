@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from modlat import cli
-from modlat.algebra import parse_group, subgroup_lattice
+from modlat.algebra import enumeration_input, parse_group, subgroup_lattice
 from modlat.cli import main
 from modlat.corpus import (
     fano_pls,
@@ -19,9 +20,9 @@ from modlat.corpus import (
 )
 from modlat.lattice import lattice_from_json, lattice_to_json
 from modlat.pls import pls_from_json
-from modlat.wildcard import poset_to_json, rowset_from_json, total_count
+from modlat.wildcard import GroundPoset, poset_to_json, rowset_from_json, total_count
 
-from oracles import pls_to_json
+from oracles import pls_to_json, random_lines, random_poset_covers
 
 
 @pytest.fixture
@@ -548,3 +549,45 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# -- enumerate output, pinned ------------------------------------------------
+
+
+def _pinned_enumerate_input(name):
+    if name == "seven-point":
+        return seven_point_poset(), seven_point_lines()
+    if name == "random":
+        rng = random.Random(4267)
+        width = 11
+        poset = GroundPoset(width, tuple(random_poset_covers(rng, width)))
+        return poset, random_lines(rng, width, max_lines=6)
+    return enumeration_input(parse_group(name))
+
+
+# sha256 over the exit code, stdout, stderr and --out bytes of `enumerate`
+# plain, with --stats, with --out and with --expand, in that order
+ENUMERATE_PINNED = {
+    "seven-point": "e7d8a4d1af994fb03ff04b36242371aa9856aff7f1a15fb9fb757d354b36e11b",
+    "2,2,2,2": "11c93c83fdb7a750ecfcfb1aee6ef5fb1ac52892359705df6d2db7a560dd797d",
+    "2,4,8": "8187473afdb7d023b39f1c44fd232da3e08f2f1854ac006237bdca2c5e25dc48",
+    "3,3,3": "9f59474c3d171bd6df7849ae36f693c533cc9aa660a362e1f83269f10dd29338",
+    "random": "988f90d002e2e0a5ae749aeb40fa50438d692fb8f21a43999d6cb652d261c241",
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATE_PINNED)
+def test_enumerate_output_is_pinned(name, capsys, tmp_path):
+    poset, lines = _pinned_enumerate_input(name)
+    (tmp_path / "poset.json").write_text(json.dumps(poset_to_json(poset)))
+    (tmp_path / "lines.json").write_text(json.dumps({"lines": [list(ln) for ln in lines]}))
+    argv = ["enumerate", "--poset", str(tmp_path / "poset.json"),
+            "--lines", str(tmp_path / "lines.json")]
+    out = tmp_path / "rows.json"
+    digest = hashlib.sha256()
+    for extra in ([], ["--stats"], ["--out", str(out)], ["--expand"]):
+        code = main(argv + extra)
+        got = capsys.readouterr()
+        digest.update(f"{code}\n{got.out}\n{got.err}\n".encode())
+    digest.update(out.read_bytes())
+    assert digest.hexdigest() == ENUMERATE_PINNED[name]
