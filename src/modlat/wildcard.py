@@ -1,13 +1,21 @@
 """Compressed enumeration of constrained order ideals.
 
-A Row denotes a set of bitstrings of a fixed width.  Every cell is fixed
-("0"/"1"), free ("2"), or holds the integer id of a wildcard group:
+A Row denotes a set of bitstrings of a fixed width.  It holds the int
+masks `ones` and `zeros` of the cells fixed to 1 and to 0, and its
+wildcard groups; every other cell is free.  A group is a kind and the
+mask of its members, and an imp group also has the mask of its premise
+(its conclusion is the other members):
 
     imp  premise/conclusion cells: any premise 1 forces all conclusions 1
     d    all members equal
     eps  at most one member is 1
     g    exactly one member is 1
     ell  at most one member is 1, or all of them are
+
+A row's groups are disjoint and ordered by their lowest member, which is
+how the cell form numbers them: `row.cells` lists per position "0", "1",
+"2" (free) or the index of the position's group, and the text and JSON
+forms are written from it.
 
 Constraints arrive in two shapes.  Cover constraints of a poset are seeded
 as imp groups; line constraints ("at most one 1 on these positions, or all
@@ -26,21 +34,24 @@ final rows.  The work it does is counted in an `EnumStats`.
 Rows are checked where they enter: `make_row` (and so `row_from_json`)
 rejects a row that is not well formed.  The rows that `force`,
 `with_group`, `_try_merge` and the seeding build out of well-formed rows
-go through the unchecked `_row`, which only renumbers their groups.
+are not re-checked.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 from .lattice import CycleInCovers, bits, topological_up_sets
 
 FIXED0 = "0"
 FIXED1 = "1"
 FREE = "2"
+
+# the most strings `expand` lists for one row
+EXPAND_CAP = 1_000_000
 
 
 class WildcardError(Exception):
@@ -51,28 +62,45 @@ class ExpansionCapExceeded(WildcardError):
     pass
 
 
+def _single(mask):
+    """True when `mask` has at most one bit set."""
+    return not mask & (mask - 1)
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    """One wildcard group.  `premise`/`conclusion` are used by imp only."""
+    """One wildcard group: its kind and the mask of its members.  An imp
+    group also has the mask of its premise; its conclusion is the rest."""
 
     kind: str
-    members: tuple
-    premise: tuple = ()
-    conclusion: tuple = ()
+    members: int
+    premise: int = 0
 
-    def __post_init__(self):
-        m, prem, conc = self.members, self.premise, self.conclusion
+    @property
+    def conclusion(self):
+        return self.members & ~self.premise
+
+    def well_formed(self):
+        m, prem = self.members, self.premise
+        if type(m) is not int or type(prem) is not int or m < 0 or prem < 0 or prem & ~m:
+            return False
         if self.kind == "imp":
-            ok = prem and conc and not set(prem) & set(conc) and tuple(sorted(prem + conc)) == m
-        else:
-            ok = self.kind in ("d", "eps", "g", "ell") and not prem and not conc and len(m) >= 2
-        if not ok or m != tuple(sorted(set(m))):
-            raise WildcardError(f"malformed group {self}")
+            return 0 < prem < m
+        return self.kind in ("d", "eps", "g", "ell") and not prem and not _single(m)
 
     def count(self):
-        lam = len(self.members)
+        lam = self.members.bit_count()
         if self.kind == "imp":
-            return 2 ** len(self.conclusion) + 2 ** len(self.premise) - 1
+            return 2 ** self.conclusion.bit_count() + 2 ** self.premise.bit_count() - 1
         if self.kind == "d":
             return 2
         if self.kind == "eps":
@@ -82,151 +110,147 @@ class GroupSpec:
         return lam + 2  # ell
 
     def assignments(self):
-        """All member valuations the group admits, as dicts."""
+        """The masks of the members set to 1, one per valuation the group
+        admits."""
         m = self.members
         if self.kind == "d":
-            return [dict.fromkeys(m, 0), dict.fromkeys(m, 1)]
-        if self.kind in ("eps", "g", "ell"):
-            out = [] if self.kind == "g" else [dict.fromkeys(m, 0)]
-            for p in m:
-                one = dict.fromkeys(m, 0)
-                one[p] = 1
-                out.append(one)
-            if self.kind == "ell" and len(m) > 1:
-                out.append(dict.fromkeys(m, 1))
-            return out
-        out = []
-        for pa in product((0, 1), repeat=len(self.premise)):
-            for pb in product((0, 1), repeat=len(self.conclusion)):
-                if any(pa) and not all(pb):
-                    continue
-                d = dict(zip(self.premise, pa))
-                d.update(zip(self.conclusion, pb))
-                out.append(d)
+            return [0, m]
+        if self.kind == "imp":
+            conc = self.conclusion
+            return list(_submasks(conc)) + [p | conc for p in _submasks(self.premise) if p]
+        out = [] if self.kind == "g" else [0]
+        out += [1 << p for p in bits(m)]
+        if self.kind == "ell":
+            out.append(m)
         return out
 
-    def admits(self, value_at):
-        vals = [value_at(p) for p in self.members]
+    def admits(self, ones):
+        """Whether the valuation setting the members in `ones` to 1 is one
+        the group admits."""
+        x = ones & self.members
         if self.kind == "d":
-            return len(set(vals)) == 1
+            return x in (0, self.members)
         if self.kind == "eps":
-            return sum(vals) <= 1
+            return _single(x)
         if self.kind == "g":
-            return sum(vals) == 1
+            return x != 0 and _single(x)
         if self.kind == "ell":
-            return sum(vals) <= 1 or all(vals)
-        if any(value_at(p) for p in self.premise):
-            return all(value_at(p) for p in self.conclusion)
-        return True
+            return _single(x) or x == self.members
+        return not x & self.premise or not self.conclusion & ~x
+
+
+def _low(spec):
+    """The sort key of a group among a row's groups: its lowest member."""
+    return spec.members & -spec.members
+
+
+def _inserted(groups, spec):
+    """The tuple `groups` with `spec` added in the order of their lowest members."""
+    out = list(groups)
+    insort(out, spec, key=_low)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Row:
-    """A compressed set of bitstrings.  `ones` and `zeros` are the int
-    masks of the cells fixed to 1 and to 0; the builders below derive them
-    from their parent rows, and a Row made without them scans its cells.
-    They take no part in equality or hashing."""
+    """A compressed set of bitstrings of `width` bits: `ones` and `zeros`
+    are the masks of the cells fixed to 1 and to 0, and `groups` the
+    wildcard groups, disjoint and ordered by their lowest member."""
 
     width: int
-    cells: tuple
-    groups: tuple = ()
-    ones: int = field(default=None, compare=False, repr=False)
-    zeros: int = field(default=None, compare=False, repr=False)
+    ones: int
+    zeros: int
+    groups: tuple
 
-    def __post_init__(self):
-        if self.ones is None or self.zeros is None:
-            ones = zeros = 0
-            for p, c in enumerate(self.cells):
-                if c == FIXED1:
-                    ones |= 1 << p
-                elif c == FIXED0:
-                    zeros |= 1 << p
-            object.__setattr__(self, "ones", ones)
-            object.__setattr__(self, "zeros", zeros)
+    @property
+    def free(self):
+        """The mask of the cells neither fixed nor in a group."""
+        taken = self.ones | self.zeros
+        for spec in self.groups:
+            taken |= spec.members
+        return (1 << self.width) - 1 & ~taken
+
+    @property
+    def cells(self):
+        """The cell form: per position "0", "1", "2" (free) or the index
+        of the position's group.  `make_row` reads it back."""
+        cells = [FREE] * self.width
+        for p in bits(self.ones):
+            cells[p] = FIXED1
+        for p in bits(self.zeros):
+            cells[p] = FIXED0
+        for gid, spec in enumerate(self.groups):
+            for p in bits(spec.members):
+                cells[p] = gid
+        return tuple(cells)
 
     def same_content(self, other):
-        return self.cells == other.cells and self.groups == other.groups
+        """Equality; `perfbench/tracing.py` asks it of `impose_line`'s parts."""
+        return self == other
 
 
 def make_row(width, cells, groups=()):
-    """Normalize and sanity-check a row; groups are renumbered by their
-    smallest member so equal contents compare equal.  Raises WildcardError
-    on a row that is not well formed.  This is the checked entry point for
-    rows from outside (JSON, callers); the row builders below use `_row`."""
+    """The Row of a cell form: `cells` holds per position "0", "1", "2"
+    (free) or the index into `groups` of the position's group.  Raises
+    WildcardError on a row that is not well formed.  This is the checked
+    entry point for rows from outside (JSON, callers); the row builders
+    below make rows out of well-formed rows."""
     if len(cells) != width:
         raise WildcardError(f"row has {len(cells)} cells, width {width}")
-    order = sorted(range(len(groups)), key=lambda i: groups[i].members[0])
-    remap = {old: new for new, old in enumerate(order)}
-    # an unknown symbol or group id maps to None, which no check below accepts
-    out_cells = tuple(c if c in (FIXED0, FIXED1, FREE) else remap.get(c) for c in cells)
-    out_groups = tuple(groups[i] for i in order)
-    for gid, spec in enumerate(out_groups):
-        for p in spec.members:
-            if not 0 <= p < width or out_cells[p] != gid:
-                raise WildcardError(f"cell {p} does not point at group {gid}")
-    if sum(not isinstance(c, str) for c in out_cells) != sum(len(g.members) for g in out_groups):
-        raise WildcardError("a cell points at a group it is no member of")
-    return Row(width, out_cells, out_groups)  # which scans the cells for its masks
-
-
-def _row(width, cells, groups, ones, zeros):
-    """The Row of `cells` and `groups`, a dict from the ids the cells hold
-    to their specs, with groups renumbered by their smallest member as
-    `make_row` numbers them, and with the masks `ones` and `zeros` of its
-    fixed cells.  Unchecked: for rows built out of well-formed rows by
-    `force`, `with_group`, `_try_merge` and the seeding."""
-    keys = sorted(groups, key=lambda k: groups[k].members[0])
-    if keys != list(range(len(keys))):
-        renum = {k: i for i, k in enumerate(keys)}
-        cells = [renum[c] if isinstance(c, int) else c for c in cells]
-    return Row(width, tuple(cells), tuple(groups[k] for k in keys), ones, zeros)
+    ones = zeros = 0
+    pointed = [0] * len(groups)  # per group, the mask of the cells holding its index
+    for p, c in enumerate(cells):
+        if c == FIXED1:
+            ones |= 1 << p
+        elif c == FIXED0:
+            zeros |= 1 << p
+        elif type(c) is int and 0 <= c < len(groups):
+            pointed[c] |= 1 << p
+        elif c != FREE:
+            raise WildcardError(f"cell {p} holds {c!r}, which is neither a symbol nor a group")
+    for gid, spec in enumerate(groups):
+        if not spec.well_formed():
+            raise WildcardError(f"malformed group {spec}")
+        missing = spec.members & ~pointed[gid]
+        if missing:
+            raise WildcardError(f"cell {next(bits(missing))} does not point at group {gid}")
+        if pointed[gid] != spec.members:
+            raise WildcardError("a cell points at a group it is no member of")
+    return Row(width, ones, zeros, tuple(sorted(groups, key=_low)))
 
 
 def row_count(row):
-    n = 1
-    for c in row.cells:
-        if c == FREE:
-            n *= 2
+    n = 1 << row.free.bit_count()
     for spec in row.groups:
         n *= spec.count()
     return n
 
 
-def expand(row, cap=1_000_000):
-    """All bitstrings the row denotes, sorted.  Guarded by `cap`."""
-    if cap is not None and row_count(row) > cap:
-        raise ExpansionCapExceeded(f"row denotes {row_count(row)} > cap {cap}")
-    base = [0] * row.width
-    choice_sets = []
-    for p, c in enumerate(row.cells):
-        if c == FIXED1:
-            base[p] = 1
-        elif c == FREE:
-            choice_sets.append([{p: 0}, {p: 1}])
+def expand(row):
+    """All bitstrings the row denotes, as sorted tuples of 0s and 1s.
+    Raises ExpansionCapExceeded on a row of more than `EXPAND_CAP`."""
+    count = row_count(row)
+    if count > EXPAND_CAP:
+        raise ExpansionCapExceeded(f"row denotes {count} > cap {EXPAND_CAP}")
+    strings = [row.ones]
+    for p in bits(row.free):
+        strings += [s | 1 << p for s in strings]
     for spec in row.groups:
-        choice_sets.append(spec.assignments())
-    out = []
-    for combo in product(*choice_sets):
-        bits = base[:]
-        for d in combo:
-            for p, v in d.items():
-                bits[p] = v
-        out.append(tuple(bits))
-    out.sort()
-    if len(out) != row_count(row):
-        raise WildcardError(f"row expands to {len(out)} strings but counts {row_count(row)}")
+        strings = [s | a for s in strings for a in spec.assignments()]
+    width = range(row.width)
+    out = sorted(tuple([s >> p & 1 for p in width]) for s in strings)
+    if len(out) != count:
+        raise WildcardError(f"row expands to {len(out)} strings but counts {count}")
     return out
 
 
-def contains(row, bits):
-    if len(bits) != row.width:
+def contains(row, string):
+    if len(string) != row.width:
         return False
-    for p, c in enumerate(row.cells):
-        if c == FIXED0 and bits[p] != 0:
-            return False
-        if c == FIXED1 and bits[p] != 1:
-            return False
-    return all(spec.admits(lambda p: bits[p]) for spec in row.groups)
+    ones = sum(1 << p for p, b in enumerate(string) if b)
+    if ones & row.zeros or row.ones & ~ones:
+        return False
+    return all(spec.admits(ones) for spec in row.groups)
 
 
 # -- forcing ----------------------------------------------------------
@@ -235,123 +259,93 @@ def contains(row, bits):
 def force(row, assignments):
     """Fix cells to 0/1 and propagate through groups.
 
-    Returns the rewritten Row, or None when the assignment contradicts the
-    row.  Group rewrites follow the wildcard semantics: a d member carries
-    the others with it, a 1 in an eps/g zeroes its mates, an ell collapses
-    to d (hit by 1) or eps (hit by 0), an imp premise 1 fires the
-    conclusions while a conclusion 0 kills the premises.
+    `assignments` maps positions to values.  Returns the rewritten Row,
+    or None when the assignment contradicts the row.  Group rewrites
+    follow the wildcard semantics: a d member carries the others with it,
+    a 1 in an eps/g zeroes its mates, an ell collapses to d (hit by 1) or
+    eps (hit by 0), an imp premise 1 fires the conclusions while a
+    conclusion 0 kills the premises.  What is left of a group goes back
+    into the group order by its new lowest member.
     """
-    cells = list(row.cells)
-    groups = dict(enumerate(row.groups))
     fixed = [row.zeros, row.ones]  # indexed by the value fixed
+    groups = list(row.groups)
     queue = [(int(p), 1 if v else 0) for p, v in assignments.items()]
 
-    def free_and_push(ps, val=None):
-        for q in ps:
-            cells[q] = FREE
-            if val is not None:
-                queue.append((q, val))
+    def push(mask, val):
+        queue.extend((q, val) for q in bits(mask))
 
     while queue:
         pos, val = queue.pop()
-        sym = FIXED1 if val else FIXED0
-        cur = cells[pos]
-        if cur == sym:
+        bit = 1 << pos
+        if fixed[val] & bit:
             continue
-        if cur in (FIXED0, FIXED1):
+        if fixed[1 - val] & bit:
             return None
-        cells[pos] = sym
-        fixed[val] |= 1 << pos
-        if cur == FREE:
-            continue
-        gid, spec = cur, groups[cur]
-        rest = tuple(q for q in spec.members if q != pos and cells[q] == gid)
-        if spec.kind == "d":
-            del groups[gid]
-            free_and_push(rest, val)
-        elif spec.kind == "eps":
+        fixed[val] |= bit
+        for i, spec in enumerate(groups):
+            if spec.members & bit:
+                break
+        else:
+            continue  # a free cell
+        del groups[i]
+        kind, rest = spec.kind, spec.members & ~bit
+        new = None  # what is left of the group
+        if kind == "d":
+            push(rest, val)
+        elif kind in ("eps", "g"):
             if val:
-                del groups[gid]
-                free_and_push(rest, 0)
-            elif len(rest) >= 2:
-                groups[gid] = GroupSpec("eps", rest)
-            else:
-                del groups[gid]
-                free_and_push(rest)
-        elif spec.kind == "g":
-            if val:
-                del groups[gid]
-                free_and_push(rest, 0)
-            elif len(rest) >= 2:
-                groups[gid] = GroupSpec("g", rest)
-            elif len(rest) == 1:
-                del groups[gid]
-                free_and_push(rest, 1)
-            else:
-                return None
-        elif spec.kind == "ell":
-            if len(rest) < 2:
-                del groups[gid]
-                free_and_push(rest)  # a lone survivor is unconstrained
-            elif val:
-                groups[gid] = GroupSpec("d", rest)
-            else:
-                groups[gid] = GroupSpec("eps", rest)
+                push(rest, 0)
+            elif not _single(rest):
+                new = GroupSpec(kind, rest)
+            elif kind == "g":
+                if not rest:
+                    return None
+                push(rest, 1)
+        elif kind == "ell":
+            if not _single(rest):  # a lone survivor is unconstrained
+                new = GroupSpec("d" if val else "eps", rest)
         else:  # imp
-            prem = tuple(q for q in spec.premise if q != pos and cells[q] == gid)
-            conc = tuple(q for q in spec.conclusion if q != pos and cells[q] == gid)
-            if pos in spec.premise:
+            prem = spec.premise & ~bit
+            if spec.premise & bit:
                 if val:
-                    del groups[gid]
-                    free_and_push(conc, 1)
-                    free_and_push(prem)
+                    push(rest & ~prem, 1)
                 elif prem:
-                    groups[gid] = GroupSpec(
-                        "imp", tuple(sorted(prem + conc)), prem, conc
-                    )
-                else:
-                    del groups[gid]
-                    free_and_push(conc)
-            else:
-                if not val:
-                    del groups[gid]
-                    free_and_push(prem, 0)
-                    free_and_push(conc)
-                elif conc:
-                    groups[gid] = GroupSpec(
-                        "imp", tuple(sorted(prem + conc)), prem, conc
-                    )
-                else:
-                    del groups[gid]
-                    free_and_push(prem)
-    return _row(row.width, cells, groups, fixed[1], fixed[0])
+                    new = GroupSpec("imp", rest, prem)
+            elif not val:
+                push(prem, 0)
+            elif rest & ~prem:
+                new = GroupSpec("imp", rest, prem)
+        if new is not None:
+            insort(groups, new, lo=i, key=_low)
+    return Row(row.width, fixed[1], fixed[0], tuple(groups))
 
 
-def with_group(row, kind, positions, premise=(), conclusion=()):
-    """Attach a new group over currently free cells."""
-    positions = tuple(sorted(positions))
-    gid = len(row.groups)
-    cells = list(row.cells)
-    for p in positions:
-        if cells[p] != FREE:
-            raise WildcardError(f"cell {p} is not free, so it cannot join a new group")
-        cells[p] = gid
-    groups = dict(enumerate(row.groups))
-    groups[gid] = GroupSpec(kind, positions, tuple(sorted(premise)), tuple(sorted(conclusion)))
-    return _row(row.width, cells, groups, row.ones, row.zeros)
+def with_group(row, kind, members):
+    """Attach a new group of `kind` (d, eps, g or ell) on `members`, a
+    mask of free cells."""
+    taken = members & ~row.free
+    if taken:
+        raise WildcardError(f"cell {next(bits(taken))} is not free, so it cannot join a new group")
+    return Row(row.width, row.ones, row.zeros, _inserted(row.groups, GroupSpec(kind, members)))
 
 
 def _retype_to_g(row, members):
     """Turn the eps, ell or g group on exactly `members` into a g group."""
-    members = tuple(sorted(members))
-    for gid, spec in enumerate(row.groups):
+    for i, spec in enumerate(row.groups):
         if spec.members == members:
             if spec.kind not in ("eps", "ell", "g"):
                 raise WildcardError(f"a {spec.kind} group cannot become exactly-one")
-            groups = row.groups[:gid] + (GroupSpec("g", members),) + row.groups[gid + 1 :]
-            # same members, same numbering
-            return Row(row.width, row.cells, groups, row.ones, row.zeros)
-    raise WildcardError(f"no group has the members {list(members)}")
+            groups = row.groups[:i] + (GroupSpec("g", members),) + row.groups[i + 1 :]
+            return Row(row.width, row.ones, row.zeros, groups)
+    raise WildcardError(f"no group has the members {list(bits(members))}")
+
+
+def _group_at(row, p):
+    """The group holding position p, or None."""
+    for spec in row.groups:
+        if spec.members >> p & 1:
+            return spec
+    return None
 
 
 # -- line imposition ---------------------------------------------------
@@ -367,82 +361,73 @@ def impose_line(row, positions):
     line), all 1.  Lines lying on free groupless cells compress to a
     single eps or ell row instead.
     """
-    pos = sorted(set(int(p) for p in positions))
-    if len(pos) < 2:
-        raise ValueError("a line needs at least two positions")
     line = 0
-    for p in pos:
-        line |= 1 << p
+    for p in positions:
+        line |= 1 << int(p)
+    if _single(line):
+        raise ValueError("a line needs at least two positions")
     ones = (row.ones & line).bit_count()  # the fixed 1s on the line
     zeros = row.zeros & line
-    fixed = row.ones | row.zeros
-    undet = [p for p in pos if not fixed >> p & 1]
+    undet = line & ~(row.ones | row.zeros)
+    all_zero = dict.fromkeys(bits(undet), 0)
+    all_one = dict.fromkeys(bits(undet), 1)
 
     if not undet:
-        ok = ones <= 1 or ones == len(pos)
+        ok = ones <= 1 or ones == line.bit_count()
         return [row] if ok else []
     if ones >= 2:
         if zeros:
             return []  # two 1s demand all 1s, but a fixed 0 forbids that
-        r = force(row, {p: 1 for p in undet})
-        return [r] if r else []
+        r = force(row, all_one)
+        return [r] if r is not None else []
     if ones == 1:
-        if not zeros and len(undet) == 1:
+        if not zeros and _single(undet):
             return [row]  # two-point case: the undetermined cell may go either way
-        out = [force(row, {p: 0 for p in undet})]
+        out = [force(row, all_zero)]
         if not zeros:
-            out.append(force(row, {p: 1 for p in undet}))
+            out.append(force(row, all_one))
         return [r for r in out if r is not None]
 
     # no fixed 1 yet
-    if len(undet) <= 1:
+    if _single(undet):
         return [row]  # at most one 1 is guaranteed
-    free_u = [p for p in undet if row.cells[p] == FREE]
-    if len(free_u) == len(undet):
-        if not zeros:
-            return [with_group(row, "ell", undet)]
-        return [with_group(row, "eps", undet)]
+    if not undet & ~row.free:
+        return [with_group(row, "eps" if zeros else "ell", undet)]
 
-    out = [force(row, {p: 0 for p in undet})]
+    out = [force(row, all_zero)]
     for mem in _line_units(row, undet):
         out.append(_one_hot_row(row, undet, mem))
     if not zeros:
-        out.append(force(row, {p: 1 for p in undet}))
+        out.append(force(row, all_one))
     return [r for r in out if r is not None]
 
 
 def _line_units(row, undet):
-    """Blocks of line positions that can share one "exactly one 1 here"
-    sub-row: free cells merge, as do same-group eps/ell/g/d members; imp
-    cells stay individual because premise and conclusion react
-    differently."""
-    blocks = {}
-    for p in undet:
-        c = row.cells[p]
-        if c == FREE:
-            key = ("free",)
-        elif row.groups[c].kind == "imp":
-            key = ("pos", p)
-        else:
-            key = ("grp", c)
-        blocks.setdefault(key, []).append(p)
-    return sorted(blocks.values(), key=min)
+    """Masks of line positions that can share one "exactly one 1 here"
+    sub-row, ordered by their lowest position: free cells merge, as do
+    same-group eps/ell/g/d members; imp cells stay individual because
+    premise and conclusion react differently."""
+    units = {}
+    for p in bits(undet):
+        spec = _group_at(row, p)
+        key = p if spec is not None and spec.kind == "imp" else spec  # None: free
+        units[key] = units.get(key, 0) | 1 << p
+    return list(units.values())
 
 
 def _one_hot_row(row, undet, mem):
     """The sub-row whose strings have their single line-1 inside `mem`."""
-    if len(mem) == 1:
-        return force(row, {mem[0]: 1, **{p: 0 for p in undet if p != mem[0]}})
-    others = {p: 0 for p in undet if p not in mem}
-    c = row.cells[mem[0]]
-    if c == FREE:
+    low = (mem & -mem).bit_length() - 1
+    others = dict.fromkeys(bits(undet & ~mem), 0)
+    if _single(mem):
+        return force(row, {low: 1, **others})
+    spec = _group_at(row, low)
+    if spec is None:
         base = force(row, others)
         return with_group(base, "g", mem) if base is not None else None
-    spec = row.groups[c]
     if spec.kind == "d":
         return None  # d members are all-equal; a single 1 among >= 2 is impossible
-    offline = {p: 0 for p in spec.members if p not in mem}
-    base = force(row, {**others, **offline})
+    base = force(row, {**others, **dict.fromkeys(bits(spec.members & ~mem), 0)})
     if base is None:
         return None
     return _retype_to_g(base, mem)
@@ -528,10 +513,10 @@ def total_count(rowset):
     return sum(row_count(r) for r in rowset.rows)
 
 
-def rowset_bitstrings(rowset, cap=1_000_000):
+def rowset_bitstrings(rowset):
     out = set()
     for r in rowset.rows:
-        out.update(expand(r, cap))
+        out.update(expand(r))
     return out
 
 
@@ -544,50 +529,32 @@ def seed_order_ideals(poset):
     ends undetermined become pairwise imp groups.
     """
     rows, prov = [], []
+    # covers left unresolved are disjoint, so in this order they come
+    # ordered by their lowest member, as a row's groups are
+    covers = sorted(poset.covers, key=min)
 
-    def emit(fixed, path):
-        active = [
-            (lo, hi)
-            for lo, hi in poset.covers
-            if lo not in fixed and hi not in fixed
-        ]
+    def emit(ones, zeros, path):
+        fixed = ones | zeros
+        active = [(lo, hi) for lo, hi in covers if not (fixed >> lo | fixed >> hi) & 1]
         deg = Counter()
         for lo, hi in active:
             deg[lo] += 1
             deg[hi] += 1
         conflicted = [p for p, d in deg.items() if d >= 2]
         if not conflicted:
-            cells = [FREE] * poset.width
-            masks = [0, 0]  # the fixed 0s and 1s
-            for p, v in fixed.items():
-                cells[p] = FIXED1 if v else FIXED0
-                masks[v] |= 1 << p
-            groups = []
-            for gid, (lo, hi) in enumerate(active):
-                cells[lo] = gid
-                cells[hi] = gid
-                groups.append(
-                    GroupSpec("imp", tuple(sorted((lo, hi))), (hi,), (lo,))
-                )
-            rows.append(_row(poset.width, cells, dict(enumerate(groups)), masks[1], masks[0]))
-            prov.append("seed" + (path or ""))
+            groups = tuple(GroupSpec("imp", 1 << lo | 1 << hi, 1 << hi) for lo, hi in active)
+            rows.append(Row(poset.width, ones, zeros, groups))
+            prov.append("seed" + path)
             return
         pivot = max(
             conflicted,
             key=lambda p: ((poset.strict_up[p] | poset.strict_down[p]).bit_count(), -p),
         )
-        one = dict(fixed)
-        one[pivot] = 1
-        for q in bits(poset.strict_down[pivot]):
-            one[q] = 1
-        emit(one, f"{path};{poset.label(pivot)}=1")
-        zero = dict(fixed)
-        zero[pivot] = 0
-        for q in bits(poset.strict_up[pivot]):
-            zero[q] = 0
-        emit(zero, f"{path};{poset.label(pivot)}=0")
+        name = poset.label(pivot)
+        emit(ones | 1 << pivot | poset.strict_down[pivot], zeros, f"{path};{name}=1")
+        emit(ones, zeros | 1 << pivot | poset.strict_up[pivot], f"{path};{name}=0")
 
-    emit({}, "")
+    emit(0, 0, "")
     labels = tuple(f"r{i + 1}" for i in range(len(rows)))
     return RowSet(poset.width, tuple(rows), labels, tuple(prov))
 
@@ -596,24 +563,14 @@ def _try_merge(a, b):
     """Merge rows differing only on a block where one is all-0 and the
     other all-1 (block of length 1 becomes a free cell, longer ones a d
     group).  Returns the merged row or None."""
-    if a.groups != b.groups:
+    if a.groups != b.groups or a.ones | a.zeros != b.ones | b.zeros:
         return None
-    diff = [p for p in range(a.width) if a.cells[p] != b.cells[p]]
-    lo = {a.cells[p] for p in diff}
-    hi = {b.cells[p] for p in diff}
-    if len(lo) != 1 or len(hi) != 1 or lo | hi != {FIXED0, FIXED1}:
+    block = a.ones ^ b.ones
+    if not block or block & ~a.ones and block & ~b.ones:
         return None
-    cells = list(a.cells)
-    ones, zeros = a.ones & b.ones, a.zeros & b.zeros  # the block is fixed in neither
-    if len(diff) == 1:
-        cells[diff[0]] = FREE
-        return Row(a.width, tuple(cells), a.groups, ones, zeros)
-    gid = len(a.groups)
-    for p in diff:
-        cells[p] = gid
-    groups = dict(enumerate(a.groups))
-    groups[gid] = GroupSpec("d", tuple(diff))
-    return _row(a.width, cells, groups, ones, zeros)
+    groups = a.groups if _single(block) else _inserted(a.groups, GroupSpec("d", block))
+    # the block is fixed in neither parent's masks
+    return Row(a.width, a.ones & b.ones, a.zeros & b.zeros, groups)
 
 
 class FinalRows:
@@ -680,8 +637,8 @@ def enumerate_ideals(poset, lines):
     imposed is final and lands in a `FinalRows` store, where rows differing
     by one complementary 0/1 block are compressed into d rows; the store
     looks for a merge partner only among the stored rows of the same shape.
-    A split's parts get fresh labels; a row an imposition leaves unchanged
-    keeps its own.
+    A split's parts get fresh labels; a row an imposition returns
+    unchanged (the one part equals it) keeps its own.
 
     Two shortcuts leave the final rows and their order as they are:
 
@@ -701,8 +658,8 @@ def enumerate_ideals(poset, lines):
     cell, not yet in `held`, does both tests, and the cursor jumps to the
     lowest line from k on that is not in `held`.
 
-    Both tests are int operations on the row's masks of fixed 1s and 0s.
-    Rows are checked at the boundaries (`make_row`, `row_from_json`); the
+    Both tests are int operations on the row's `ones` and `zeros` masks,
+    as are the imposition and the store's merge test.  Rows are checked at the boundaries (`make_row`, `row_from_json`); the
     rows built in between come from well-formed rows and are not
     re-checked.  The counts land in the result's `stats` (an `EnumStats`).
     """
@@ -761,7 +718,7 @@ def enumerate_ideals(poset, lines):
         sizes[len(parts)] += 1
         if len(parts) > len(line_sets[k]) + 2:
             stats.split_bound_violations += 1
-        if len(parts) == 1 and parts[0].same_content(row):
+        if len(parts) == 1 and parts[0] == row:
             noops += 1
             stack.append((parts[0], k + 1, label, fixed, held))
             continue
@@ -791,7 +748,7 @@ def _symbols(row):
             spec = row.groups[c]
             k = c + 1
             if spec.kind == "imp":
-                syms.append(f"a{k}" if p in spec.premise else f"b{k}")
+                syms.append(f"a{k}" if spec.premise >> p & 1 else f"b{k}")
             else:
                 syms.append({"d": "d", "eps": "e", "g": "g", "ell": "l"}[spec.kind] + str(k))
     return syms
@@ -812,20 +769,25 @@ def rowset_to_text(rowset):
 
 
 def group_to_json(spec):
-    d = {"kind": spec.kind, "members": list(spec.members)}
+    d = {"kind": spec.kind, "members": list(bits(spec.members))}
     if spec.kind == "imp":
-        d["premise"] = list(spec.premise)
-        d["conclusion"] = list(spec.conclusion)
+        d["premise"] = list(bits(spec.premise))
+        d["conclusion"] = list(bits(spec.conclusion))
     return d
 
 
-def group_from_json(d):
-    return GroupSpec(
-        d["kind"],
-        tuple(sorted(d["members"])),
-        tuple(sorted(d.get("premise", ()))),
-        tuple(sorted(d.get("conclusion", ()))),
-    )
+def _positions_mask(ps, width, key):
+    """The mask of the list `ps` of distinct positions below `width`."""
+    if not isinstance(ps, list):
+        raise WildcardError(f"group {key!r} must be a list of positions")
+    mask = 0
+    for p in ps:
+        if type(p) is not int or not 0 <= p < width:
+            raise WildcardError(f"group {key!r} holds {p!r}, not a position below {width}")
+        if mask >> p & 1:
+            raise WildcardError(f"group {key!r} repeats position {p}")
+        mask |= 1 << p
+    return mask
 
 
 def row_to_json(row):
@@ -836,9 +798,27 @@ def row_to_json(row):
 
 
 def row_from_json(d, width=None):
-    cells = tuple(c if isinstance(c, str) else int(c) for c in d["cells"])
-    groups = tuple(group_from_json(g) for g in d.get("groups", ()))
-    return make_row(len(cells) if width is None else width, cells, groups)
+    """The Row of a JSON row.  The premise and conclusion of an imp group
+    must split its members, and other kinds have neither; `make_row`
+    checks the rest."""
+    if not isinstance(d, dict) or not isinstance(d.get("cells"), list):
+        raise WildcardError("a row must be an object with a 'cells' list")
+    if not isinstance(d.get("groups", []), list):
+        raise WildcardError("a row's 'groups' must be a list")
+    cells = d["cells"]
+    groups = []
+    for g in d.get("groups", []):
+        if not isinstance(g, dict):
+            raise WildcardError("a group must be an object")
+        members, premise, conclusion = (
+            _positions_mask(g.get(key, []), len(cells), key)
+            for key in ("members", "premise", "conclusion")
+        )
+        kind = g.get("kind")
+        if premise & conclusion or premise | conclusion != (members if kind == "imp" else 0):
+            raise WildcardError(f"malformed group {g}")
+        groups.append(GroupSpec(kind, members, premise))
+    return make_row(len(cells) if width is None else width, cells, tuple(groups))
 
 
 def rowset_to_json(rowset):
@@ -852,6 +832,8 @@ def rowset_to_json(rowset):
 
 
 def rowset_from_json(d):
+    if not isinstance(d, dict) or type(d.get("width")) is not int or not isinstance(d.get("rows"), list):
+        raise WildcardError("a row set must be an object with an int 'width' and a 'rows' list")
     rows = tuple(row_from_json(r, d["width"]) for r in d["rows"])
     labels = tuple(d.get("labels", ()))
     prov = tuple(d.get("provenance", ()))

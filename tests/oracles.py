@@ -79,18 +79,14 @@ def random_row(rng, width):
             mem = tuple(sorted(pos[i : i + size]))
             i += size
             kind = rng.choice(("imp", "d", "eps", "g", "ell"))
+            members = sum(1 << p for p in mem)
             if kind == "imp":
                 picks = list(mem)
                 rng.shuffle(picks)
                 cut = rng.randint(1, size - 1)
-                spec = GroupSpec(
-                    "imp",
-                    mem,
-                    tuple(sorted(picks[:cut])),
-                    tuple(sorted(picks[cut:])),
-                )
+                spec = GroupSpec("imp", members, sum(1 << p for p in picks[:cut]))
             else:
-                spec = GroupSpec(kind, mem)
+                spec = GroupSpec(kind, members)
             gid = len(groups)
             groups.append(spec)
             for p in mem:

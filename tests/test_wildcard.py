@@ -19,7 +19,6 @@ from modlat.wildcard import (
     FinalRows,
     GroundPoset,
     GroupSpec,
-    Row,
     RowSet,
     WildcardError,
     contains,
@@ -32,6 +31,8 @@ from modlat.wildcard import (
     poset_from_json,
     poset_to_json,
     row_count,
+    row_from_json,
+    row_to_json,
     row_to_text,
     rowset_bitstrings,
     rowset_from_json,
@@ -60,32 +61,27 @@ def expansions(rows):
     return out
 
 
-def scanned_masks(row):
-    """The masks of the cells fixed to 1 and to 0, from a scan of the cells."""
-    ones = sum(1 << p for p, c in enumerate(row.cells) if c == FIXED1)
-    zeros = sum(1 << p for p, c in enumerate(row.cells) if c == FIXED0)
-    return ones, zeros
-
-
-def assert_scanned_masks(row):
-    assert (row.ones, row.zeros) == scanned_masks(row), row
+def assert_well_formed(row):
+    """The row is what `make_row` makes of its cell form: its fixed masks
+    are disjoint and inside the width, and its groups are well formed,
+    disjoint, clear of the fixed cells and ordered by their lowest member."""
+    assert make_row(row.width, row.cells, row.groups) == row, row
 
 
 @pytest.fixture(autouse=True)
-def final_rows_carry_scanned_masks(monkeypatch):
+def final_rows_are_well_formed(monkeypatch):
     """In every enumeration of this module, each row that reaches the
-    store of final rows, and each row the store keeps, carries the masks
-    that a scan of its cells gives."""
+    store of final rows, and each row the store keeps, is well formed."""
 
     class Checked(FinalRows):
         def add(self, row, label):
-            assert_scanned_masks(row)
+            assert_well_formed(row)
             super().add(row, label)
 
         def rowset(self, width, stats=None):
             out = super().rowset(width, stats)
             for r in out.rows:
-                assert_scanned_masks(r)
+                assert_well_formed(r)
             return out
 
     monkeypatch.setattr(wildcard, "FinalRows", Checked)
@@ -95,11 +91,11 @@ def final_rows_carry_scanned_masks(monkeypatch):
 
 
 def test_group_counts():
-    assert GroupSpec("imp", (0, 1), (0,), (1,)).count() == 3
-    assert GroupSpec("d", (0, 1, 2)).count() == 2
-    assert GroupSpec("eps", (0, 1, 2)).count() == 4
-    assert GroupSpec("g", (0, 1, 2)).count() == 3
-    assert GroupSpec("ell", (0, 1, 2)).count() == 5
+    assert GroupSpec("imp", 0b11, 0b01).count() == 3
+    assert GroupSpec("d", 0b111).count() == 2
+    assert GroupSpec("eps", 0b111).count() == 4
+    assert GroupSpec("g", 0b111).count() == 3
+    assert GroupSpec("ell", 0b111).count() == 5
 
 
 def test_seed_row_weight_example():
@@ -108,8 +104,8 @@ def test_seed_row_weight_example():
         6,
         (0, FREE, 1, 0, 1, FREE),
         (
-            GroupSpec("imp", (0, 3), (3,), (0,)),
-            GroupSpec("imp", (2, 4), (4,), (2,)),
+            GroupSpec("imp", 0b01001, 0b01000),
+            GroupSpec("imp", 0b10100, 0b10000),
         ),
     )
     assert row_count(row) == 36
@@ -123,7 +119,7 @@ def test_all_fixed_row_counts_one():
 
 
 def test_expand_rejects_strings_that_disagree_with_the_count(monkeypatch):
-    row = make_row(2, (0, 0), (GroupSpec("eps", (0, 1)),))
+    row = make_row(2, (0, 0), (GroupSpec("eps", 0b11),))
     monkeypatch.setattr(GroupSpec, "count", lambda self: 4)
     with pytest.raises(WildcardError, match="expands to 3 strings but counts 4"):
         expand(row)
@@ -155,7 +151,7 @@ def test_eps_row_expansion_fixture():
     row = make_row(
         7,
         (FIXED0, FIXED1, FIXED0, FIXED0, 0, 0, FIXED0),
-        (GroupSpec("eps", (4, 5)),),
+        (GroupSpec("eps", 0b110000),),
     )
     assert set(expand(row)) == {
         (0, 1, 0, 0, 0, 0, 0),
@@ -168,7 +164,7 @@ def test_d_group_semantics():
     row = make_row(
         7,
         (FIXED1, FIXED1, FIXED1, 0, FIXED1, FIXED1, 0),
-        (GroupSpec("d", (3, 6)),),
+        (GroupSpec("d", 0b1001000),),
     )
     assert contains(row, (1, 1, 1, 1, 1, 1, 1))
     assert contains(row, (1, 1, 1, 0, 1, 1, 0))
@@ -196,13 +192,14 @@ def test_force_is_exact_restriction():
             assert set(expand(out)) == expected
 
 
-def test_row_masks_are_scanned_and_left_out_of_equality():
-    row = Row(3, (FIXED1, FREE, FIXED0))
+def test_row_masks_are_scanned_and_make_equality():
+    row = make_row(3, (FIXED1, FREE, FIXED0))
     assert (row.ones, row.zeros) == (0b001, 0b100)
+    assert row.cells == (FIXED1, FREE, FIXED0)
     made = make_row(3, row.cells)
-    assert (made.ones, made.zeros) == (row.ones, row.zeros)
     assert made == row and hash(made) == hash(row)
-    assert repr(row) == "Row(width=3, cells=('1', '2', '0'), groups=())"
+    assert made != make_row(3, (FIXED0, FREE, FIXED1))
+    assert repr(row) == "Row(width=3, ones=1, zeros=4, groups=())"
 
 
 def test_force_contradiction():
@@ -214,7 +211,7 @@ def test_force_contradiction():
 
 
 def test_impose_line_on_free_cells_compresses():
-    row = Row(5, (FREE,) * 5)
+    row = make_row(5, (FREE,) * 5)
     out = impose_line(row, (0, 1, 2, 3))
     assert len(out) == 1
     (r,) = out
@@ -257,19 +254,19 @@ def test_impose_line_is_exact_split():
 def test_with_group_rejects_a_cell_that_is_not_free():
     row = make_row(3, (FREE, FIXED0, FREE))
     with pytest.raises(WildcardError, match="cell 1 is not free"):
-        with_group(row, "eps", (0, 1, 2))
+        with_group(row, "eps", 0b111)
 
 
 def test_retype_to_g_rejects_a_d_group():
-    row = make_row(3, (0, 0, FREE), (GroupSpec("d", (0, 1)),))
+    row = make_row(3, (0, 0, FREE), (GroupSpec("d", 0b011),))
     with pytest.raises(WildcardError, match="a d group cannot become exactly-one"):
-        wildcard._retype_to_g(row, (0, 1))
+        wildcard._retype_to_g(row, 0b011)
 
 
 def test_retype_to_g_rejects_members_of_no_group():
-    row = make_row(3, (0, 0, FREE), (GroupSpec("eps", (0, 1)),))
+    row = make_row(3, (0, 0, FREE), (GroupSpec("eps", 0b011),))
     with pytest.raises(WildcardError, match=r"no group has the members \[1, 2\]"):
-        wildcard._retype_to_g(row, (2, 1))
+        wildcard._retype_to_g(row, 0b110)
 
 
 # -- rows built without checks ---------------------------------------------------------
@@ -288,7 +285,6 @@ def check_built_rows(monkeypatch):
             for r in out if isinstance(out, list) else [out]:
                 if r is not None:
                     assert make_row(r.width, r.cells, r.groups) == r, (_name, r)
-                    assert_scanned_masks(r)
                     checked[_name] += 1
             return out
         monkeypatch.setattr(wildcard, name, wrapper)
@@ -307,7 +303,8 @@ def test_built_rows_are_well_formed_on_random_rows(monkeypatch):
         free = [p for p, c in enumerate(row.cells) if c == FREE]
         if len(free) >= 2:
             kind = rng.choice(("d", "eps", "g", "ell"))
-            wildcard.with_group(row, kind, rng.sample(free, rng.randint(2, len(free))))
+            members = rng.sample(free, rng.randint(2, len(free)))
+            wildcard.with_group(row, kind, sum(1 << p for p in members))
         if free:
             # forcing free cells touches no group: the two rows differ on the block alone
             block = rng.sample(free, rng.randint(1, len(free)))
@@ -324,7 +321,7 @@ def test_built_rows_are_well_formed_in_enumerations(monkeypatch):
     for g in ("2,2,2,2", "2,4,8", "5,5,5"):
         poset, lines = enumeration_input(parse_group(g))
         for r in seed_order_ideals(poset).rows:
-            assert_scanned_masks(r)
+            assert_well_formed(r)
         rows = enumerate_ideals(poset, lines)
         assert all(make_row(r.width, r.cells, r.groups) == r for r in rows.rows)
     # these inputs never retype a group to g; the random rows reach `_retype_to_g`
@@ -583,7 +580,7 @@ def test_a_doomed_row_is_pruned_before_its_line():
 
 def test_overlap_detection():
     # rows that overlap count their common strings twice
-    rowset = RowSet(width=2, rows=(Row(2, (FREE,) * 2),) * 2)
+    rowset = RowSet(width=2, rows=(make_row(2, (FREE,) * 2),) * 2)
     assert total_count(rowset) == 8
     assert len(rowset_bitstrings(rowset)) == 4
 
@@ -641,7 +638,7 @@ def test_row_text_rendering():
     rows = enumerate_ideals(poset, seven_point_lines())
     text = rowset_to_text(rows)
     assert "total 13 in 6 rows" in text
-    assert row_to_text(Row(3, (FREE,) * 3), "r1") == "r1:  2  2  2  ; count=8"
+    assert row_to_text(make_row(3, (FREE,) * 3), "r1") == "r1:  2  2  2  ; count=8"
 
 
 @pytest.mark.parametrize(
@@ -656,13 +653,25 @@ def test_row_text_rendering():
         },
         {"cells": [0, 0], "groups": [{"kind": "eps", "members": [0, 0]}]},
         {"cells": [0, 0, 0], "groups": [{"kind": "d", "members": [0, 1]}]},
+        {"cells": [0, 0], "groups": [{"kind": "d", "members": [0, 5]}]},
+        {"cells": [0, 0], "groups": [{"kind": "d", "members": [-1, 0]}]},
+        {"cells": [0.7, 0.2], "groups": [{"kind": "d", "members": [0, 1]}]},
+        {"cells": [0, 0], "groups": [{"kind": "d", "members": ["0", 1]}]},
+        {"cells": [0, 0], "groups": [{"kind": "d", "members": [0.0, 1]}]},
+        {"cells": [0, 0], "groups": [{"kind": "d", "members": 3}]},
+        ["2", "2"],
     ],
-    ids=["unknown-kind", "missing-group", "short-row", "imp-overlap", "repeated-member", "stray-cell"],
+    ids=[
+        "unknown-kind", "missing-group", "short-row", "imp-overlap", "repeated-member",
+        "stray-cell", "member-out-of-range", "negative-member", "float-cell",
+        "string-member", "float-member", "members-not-a-list", "row-not-an-object",
+    ],
 )
 def test_rowset_from_json_rejects_malformed_rows(row):
     # the short row is one cell narrower than the row set
+    width = max(2, len(row["cells"])) if isinstance(row, dict) else 2
     with pytest.raises(WildcardError):
-        rowset_from_json({"width": max(2, len(row["cells"])), "rows": [row]})
+        rowset_from_json({"width": width, "rows": [row]})
 
 
 def test_rowset_from_json_ignores_the_old_pending_key():
@@ -671,3 +680,14 @@ def test_rowset_from_json_ignores_the_old_pending_key():
     for r in d["rows"]:
         r["pending"] = []
     assert rowset_from_json(d).rows == rows.rows
+
+
+def test_rows_round_trip_through_json_and_the_cell_form():
+    rng = random.Random(41)
+    rows = [random_row(rng, rng.randint(1, 12)) for _ in range(300)]
+    for g in ("2,2,2,2", "2,4,8"):
+        rows += enumerate_ideals(*enumeration_input(parse_group(g))).rows
+    assert any(r.groups for r in rows)
+    for r in rows:
+        assert row_from_json(json.loads(json.dumps(row_to_json(r)))) == r
+        assert make_row(r.width, r.cells, r.groups) == r
