@@ -591,3 +591,32 @@ def test_enumerate_output_is_pinned(name, capsys, tmp_path):
         digest.update(f"{code}\n{got.out}\n{got.err}\n".encode())
     digest.update(out.read_bytes())
     assert digest.hexdigest() == ENUMERATE_PINNED[name]
+
+
+# -- subgroup-lattice output, pinned -------------------------------------------
+
+
+# sha256 over the exit code, stdout, stderr of `subgroup-lattice` plain, with
+# --count, --dot, --out and --analyze, in that order, then the --out bytes
+SUBGROUP_LATTICE_PINNED = {
+    "2,2,2,2": "fcc5c34d84d45a01fd677f56cfe404996493107384e16b46e3513273f81733fa",
+    "2,4,8": "b90fb0e8ac360b8a84bf3a3368226d35e608819509cbc8ad63ed05cb88e11f3c",
+    "3,3,3": "881aff150692b7861c9a06190280df08c6a4673c4c4b0eb66e4c209a36b2644e",
+    "25,25": "8c9d9ff8b99feb385b9470e8f1f52817cb66aae1b0dceeecf3b78a8c39f086e3",
+    "32,32": "c923da45f702cdf5efa720e815a5e74ccc3401a1d24afc5bb0c134effbbb09fb",
+    # past the cap: every form exits 2 with one CapExceeded line, no --out file
+    "2,2,2,2,2,2": "d6b7ed4402f5cce1009bd964a457d3d7de7f0a6c3fe1d8a0f561b10a0b0917f1",
+}
+
+
+@pytest.mark.parametrize("group", SUBGROUP_LATTICE_PINNED)
+def test_subgroup_lattice_output_is_pinned(group, capsys, tmp_path):
+    out = tmp_path / "lattice.json"
+    digest = hashlib.sha256()
+    for extra in ([], ["--count"], ["--dot"], ["--out", str(out)], ["--analyze"]):
+        code = main(["subgroup-lattice", "--group", group] + extra)
+        got = capsys.readouterr()
+        digest.update(f"{code}\n{got.out}\n{got.err}\n".encode())
+    if out.exists():
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == SUBGROUP_LATTICE_PINNED[group]
