@@ -1,11 +1,12 @@
 """Concrete modular and distributive lattices from algebra.
 
-Finite abelian groups are given as products of cyclic groups; their
-subgroup lattices are generated by joining the cyclic subgroups of
-prime-power order (the join-irreducibles), with the group elements
-numbered and each subgroup held as an int mask over the numbers.  Set systems generate
-distributive sublattices of a powerset; their join-irreducibles are the
-minimal generated sets A_v containing each universe element.
+Finite abelian groups are given as products of cyclic groups.  Their
+elements are numbered in sorted order, and a subgroup is the int mask of
+the ids of its elements, everywhere: the subgroup lattice is found by
+joining cyclic prime-power subgroups onto masks, and `L.subgroups` holds
+the masks.  Set systems generate distributive sublattices of a powerset;
+their join-irreducibles are the minimal generated sets A_v containing
+each universe element.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
 
-from .bol import lines_from_joins
-from .lattice import (
-    CapExceeded, LatticeError, bits, build_lattice, check_lattice_size, covers_from_below)
-from .rebuild import _member_key, closed_ideals_lattice
+from .lattice import CapExceeded, LatticeError, build_lattice, check_lattice_size, covers_from_below
+from .rebuild import _member_key, closed_ideals_lattice, enumeration_data
 from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_count
 
 ORDER_CAP = 4096
@@ -62,54 +61,6 @@ def parse_group(text):
     """Moduli list like "4,4" or "2 2 4"."""
     parts = [p for p in text.replace(",", " ").split() if p]
     return Group(tuple(int(p) for p in parts))
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    elements: tuple  # sorted element tuples
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def __contains__(self, x):
-        return x in self.elements
-
-    def __str__(self):
-        gen = min((e for e in self.elements if any(e)), default=None)
-        return f"<{self.order}:{gen if gen else '0'}>"
-
-
-def subgroup_key(H):
-    return (H.order, H.elements)
-
-
-def subgroup_leq(H, K):
-    return set(H.elements) <= set(K.elements)
-
-
-def cyclic_subgroup(G, x):
-    seen = {G.zero}
-    cur = x
-    while cur not in seen:
-        seen.add(cur)
-        cur = G.add(cur, x)
-    return Subgroup(tuple(sorted(seen)))
-
-
-def join_subgroups(G, H, K):
-    """The subgroup generated by H and K: the union of the cosets H + k for
-    k in K.  A coset is added only for a k not yet covered, so the work is
-    |H + K| additions rather than |H||K|."""
-    span = set(H.elements)
-    for k in K.elements:
-        if k not in span:
-            span.update(G.add(h, k) for h in H.elements)
-    return Subgroup(tuple(sorted(span)))
-
-
-def trivial_subgroup(G):
-    return Subgroup((G.zero,))
 
 
 def _prime_base(n):
@@ -179,10 +130,6 @@ class _Numbered:
             m = self.translate(m, x)
         return ids
 
-    def subgroup(self, mask):
-        elements = self.G.elements
-        return Subgroup(tuple(elements[i] for i in bits(mask)))
-
     def name(self, mask):
         """Greedy generators of H: each element, in order, that the span of
         the earlier ones misses."""
@@ -196,6 +143,17 @@ class _Numbered:
         if not gens:
             return "0"
         return "<" + ",".join(",".join(map(str, g)) for g in gens) + ">"
+
+
+def join_subgroups(G, H, K):
+    """The mask of H + K, for subgroup masks H and K: H joined with <k>
+    for the least id k of K outside the span, until none is left."""
+    num = _Numbered(G)
+    rest = K & ~H
+    while rest:
+        H = num.join_cyclic(H, (rest & -rest).bit_length() - 1)
+        rest &= ~H
+    return H
 
 
 def _cyclic_prime_power(num):
@@ -217,17 +175,9 @@ def _cyclic_prime_power(num):
     return out
 
 
-def join_irreducible_subgroups(G):
-    """Nontrivial cyclic subgroups of prime-power order, each of which has
-    a unique maximal proper subgroup and is therefore join-irreducible."""
-    num = _Numbered(G)
-    subs = [num.subgroup(sum(1 << i for i in ids)) for ids, _ in _cyclic_prime_power(num)]
-    return tuple(sorted(subs, key=subgroup_key))
-
-
 def _subgroup_family(num):
-    """Every subgroup of the group, as masks and as Subgroups in
-    `subgroup_key` order, and the cover pairs of their indices.
+    """Every subgroup of the group as a mask, by size and then by the
+    sorted list of its ids, and the cover pairs of their indices.
 
     K covers H exactly when K = H + <x> for a generator x of a cyclic
     subgroup of order p^k with x not in H but px in H: K/H has prime
@@ -253,38 +203,33 @@ def _subgroup_family(num):
                 seen.add(K)
                 family.append(K)
                 check_lattice_size(len(family))
-    subs = {m: num.subgroup(m) for m in family}
-    order = sorted(family, key=lambda m: subgroup_key(subs[m]))
+    # two masks of one size first differ, in their sorted id lists, at the
+    # least id that only one of them holds; that one sorts first, as its
+    # complement read from id 0 up has a 0 there
+    n = num.G.order
+    full = (1 << n) - 1
+    order = tuple(sorted(family, key=lambda m: (m.bit_count(), format(full ^ m, f"0{n}b")[::-1])))
     index = {m: i for i, m in enumerate(order)}
-    return order, tuple(subs[m] for m in order), sorted((index[a], index[b]) for a, b in edges)
+    return order, sorted((index[a], index[b]) for a, b in edges)
 
 
 def subgroup_lattice(G):
     """The lattice of all subgroups, generated by joins of the cyclic
     prime-power subgroups.  Every subgroup is such a join, so the family
-    is complete.  Member subgroups are attached as `subgroups`."""
+    is complete.  The subgroups' masks are attached as `subgroups`."""
     num = _Numbered(G)
-    family, subgroups, covers = _subgroup_family(num)
+    family, covers = _subgroup_family(num)
     L = build_lattice([num.name(m) for m in family], covers)
-    L.subgroups = subgroups
+    L.subgroups = family
     return L
 
 
 def enumeration_input(G):
-    """The ground data the ideal enumerator needs for G: the poset of
-    join-irreducible subgroups and a base of lines found by join scans."""
-    jis = join_irreducible_subgroups(G)
-    pos = {H: i for i, H in enumerate(jis)}
-    # sorted by order, so proper subgroups come first
-    below = [sum(1 << i for i in range(j) if subgroup_leq(jis[i], b)) for j, b in enumerate(jis)]
-    num = _Numbered(G)
-    index = {x: i for i, x in enumerate(G.elements)}
-    names = tuple(num.name(sum(1 << index[x] for x in H.elements)) for H in jis)
-    poset = GroundPoset(len(jis), tuple(covers_from_below(below)), names)
-    P = lines_from_joins(jis, lambda H, K: join_subgroups(G, H, K))
-    lines = [tuple(sorted(pos[H] for H in ln)) for ln in P.lines]
-    lines.sort()
-    return poset, lines
+    """The ground data the ideal enumerator needs for G: the poset of the
+    join-irreducible subgroups and the sorted lines of the canonical base
+    of lines, both read off the subgroup lattice."""
+    poset, _, lines = enumeration_data(subgroup_lattice(G))
+    return poset, sorted(lines)
 
 
 # -- set systems and generated distributive lattices --------------------

@@ -11,8 +11,8 @@ A base is its tuple of int line masks over element ids, one mask per
 interval in interval order.  `witness_masks` is the one table of the
 witnesses of each middle element, checked once per lattice; the canonical
 base, `all_bols` and the questions `analysis` asks of every base at once
-all read it.  Only `lines_from_joins`, which reads external join data,
-returns a checked `Pls`.
+all read it.  `localize` trims a base to the points of one covering,
+and the JSON writers turn masks into lists of point ids.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 
 from .lattice import CapExceeded, LatticeError, bits, require_modular
-from .pls import TwoPointIntersection, _pkey, validate_pls
+from .pls import TwoPointIntersection, _pkey
 
 
 class EmptyChoice(LatticeError):
@@ -146,40 +146,6 @@ def bol_sample(witnesses, cap=1000):
     except CapExceeded:
         return out, True
     return out, False
-
-
-def lines_from_joins(points, join_oracle):
-    """Build the lines of a base from raw points and a join function, as
-    a checked `Pls`, its lines in `_pkey` order of their joins.
-
-    Scans pairs in a canonical order; a pair whose join x admits a third
-    point with the same pairwise joins seeds a line, which is then
-    extended to a maximal set with all pairwise joins equal to x.  One
-    line per join value."""
-    pts = sorted(points, key=_pkey)
-    done = {}
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            x = join_oracle(p, q)
-            if x in done:
-                continue
-            third = None
-            for r in pts:
-                if r in (p, q):
-                    continue
-                if join_oracle(p, r) == x and join_oracle(q, r) == x:
-                    third = r
-                    break
-            if third is None:
-                continue
-            line = [p, q, third]
-            for r in pts:
-                if r in line:
-                    continue
-                if all(join_oracle(r, s) == x for s in line):
-                    line.append(r)
-            done[x] = frozenset(line)
-    return validate_pls(pts, [done[x] for x in sorted(done, key=_pkey)])
 
 
 def localize(L, ivs, masks, a, b):

@@ -75,11 +75,6 @@ def seven_point_lattice():
     return ideals_lattice(seven_point_poset(), seven_point_lines())
 
 
-def seven_point_members():
-    """The thirteen closed ideals, as frozensets of point indices."""
-    return list(seven_point_lattice().member_sets)
-
-
 # -- subgroup lattices ---------------------------------------------------
 
 CORPUS_GROUPS = ("2,2,2", "4,4", "2,4", "8", "3,3", "2,2,4")

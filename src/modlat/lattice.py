@@ -381,6 +381,12 @@ def lattice_to_json(L):
     }
 
 
+def first_repeat(names):
+    """The first name in `names` that occurs again later, or None."""
+    last = {x: i for i, x in enumerate(names)}
+    return next((x for i, x in enumerate(names) if last[x] != i), None)
+
+
 def lattice_from_json(data):
     if not isinstance(data, dict):
         raise ValueError("lattice JSON must be an object")
@@ -392,6 +398,9 @@ def lattice_from_json(data):
     ):
         raise ValueError("'names' must be a list and 'covers' a list of [lower, upper] pairs")
     if names is not None:
+        dup = first_repeat([str(x) for x in names])
+        if dup is not None:
+            raise ValueError(f"lattice JSON names element {dup!r} more than once")
         return Lattice(len(names), covers, names)
     ids = {v for c in covers for v in c}
     n = 1 + max(ids, default=0)

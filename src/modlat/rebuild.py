@@ -3,10 +3,11 @@
 A finite lattice is recovered, up to isomorphism, from the poset of its
 join-irreducibles plus a base of lines: the map a -> {p join-irreducible,
 p <= a} is an isomorphism onto the family of order ideals closed under
-the line constraints, ordered by inclusion.  This module turns such
-families back into lattices and provides the implication-base view of the
-same closure system (Horn clauses over the points).  `ideals_lattice`
-is the one path from a poset and its lines to the rebuilt lattice.
+the line constraints, ordered by inclusion.  `enumeration_data` reads
+that poset and the canonical base's lines off a lattice, and
+`ideals_lattice` is the one path from a poset and its lines back to the
+rebuilt lattice.  An `Implication` is one Horn clause over the points,
+and `implication_base_size` the size of a set of them.
 """
 
 from __future__ import annotations
@@ -79,16 +80,24 @@ def ji_ground_poset(L):
     return poset, tuple(points)
 
 
+def enumeration_data(L):
+    """The input the ideal enumerator rebuilds L from, as (poset, points,
+    lines): the join-irreducible poset and its element ids as from
+    `ji_ground_poset`, and the canonical base's lines as ascending
+    position tuples, in interval order."""
+    _, masks = canonical_bol(L)
+    poset, points = ji_ground_poset(L)
+    pos = {p: i for i, p in enumerate(points)}
+    return poset, points, [tuple(pos[p] for p in bits(m)) for m in masks]
+
+
 def roundtrip_check(L):
     """Rebuild L from its join-irreducible poset and canonical base of
     lines.  True when the ideal map a -> J(a) = {p join-irreducible,
     p <= a} is an isomorphism onto the enumerated family: the family is
     exactly {J(a)} with one member per element, and a <= b holds exactly
     when J(a) is a subset of J(b)."""
-    _, masks = canonical_bol(L)
-    poset, points = ji_ground_poset(L)
-    pos = {p: i for i, p in enumerate(points)}
-    lines = [tuple(pos[p] for p in bits(m)) for m in masks]  # ascending, as points are
+    poset, points, lines = enumeration_data(L)
     rows = enumerate_ideals(poset, lines)
     # point sets as bit masks over element ids, like the ideals J(a)
     members = {
@@ -102,7 +111,7 @@ def roundtrip_check(L):
     )
 
 
-# -- implication view ---------------------------------------------------
+# -- implications -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -111,55 +120,6 @@ class Implication:
     conclusion: frozenset
 
 
-def natural_implication_base(lines, poset, points):
-    """The stock Horn base for the closure system of closed ideals.
-
-    One implication {p} -> (strict down-set of p) per non-minimal point,
-    and one {p,q} -> l per unordered pair of a line l.  `lines` are sets
-    of point ids; `poset` and `points` are as from `ji_ground_poset`, the
-    p-th position of the poset standing for points[p]."""
-    downs = {
-        p: frozenset(points[q] for q in bits(poset.strict_down[i]))
-        for i, p in enumerate(points)
-    }
-    out = []
-    for p in sorted(points, key=_pkey):
-        if downs[p]:
-            out.append(Implication(frozenset([p]), downs[p]))
-    for ln in lines:
-        mem = sorted(ln, key=_pkey)
-        for i, p in enumerate(mem):
-            for q in mem[i + 1 :]:
-                out.append(Implication(frozenset([p, q]), frozenset(ln)))
-    return tuple(out)
-
-
-def horn_closure(implications, xs):
-    """Least superset of xs stable under every implication."""
-    closed = set(xs)
-    changed = True
-    while changed:
-        changed = False
-        for imp in implications:
-            if imp.premise <= closed and not imp.conclusion <= closed:
-                closed |= imp.conclusion
-                changed = True
-    return frozenset(closed)
-
-
 def implication_base_size(implications):
     """s(Sigma) = sum of premise and conclusion cardinalities."""
     return sum(len(i.premise) + len(i.conclusion) for i in implications)
-
-
-def implications_to_json(implications):
-    return [
-        {"if": sorted(i.premise, key=_pkey), "then": sorted(i.conclusion, key=_pkey)}
-        for i in implications
-    ]
-
-
-def implications_from_json(data):
-    return tuple(
-        Implication(frozenset(d["if"]), frozenset(d["then"])) for d in data
-    )

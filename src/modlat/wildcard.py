@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .lattice import CycleInCovers, bits, topological_up_sets
+from .lattice import CycleInCovers, bits, first_repeat, topological_up_sets
 
 FIXED0 = "0"
 FIXED1 = "1"
@@ -123,20 +123,6 @@ class GroupSpec:
         if self.kind == "ell":
             out.append(m)
         return out
-
-    def admits(self, ones):
-        """Whether the valuation setting the members in `ones` to 1 is one
-        the group admits."""
-        x = ones & self.members
-        if self.kind == "d":
-            return x in (0, self.members)
-        if self.kind == "eps":
-            return _single(x)
-        if self.kind == "g":
-            return x != 0 and _single(x)
-        if self.kind == "ell":
-            return _single(x) or x == self.members
-        return not x & self.premise or not self.conclusion & ~x
 
 
 def _low(spec):
@@ -242,15 +228,6 @@ def expand(row):
     if len(out) != count:
         raise WildcardError(f"row expands to {len(out)} strings but counts {count}")
     return out
-
-
-def contains(row, string):
-    if len(string) != row.width:
-        return False
-    ones = sum(1 << p for p, b in enumerate(string) if b)
-    if ones & row.zeros or row.ones & ~ones:
-        return False
-    return all(spec.admits(ones) for spec in row.groups)
 
 
 # -- forcing ----------------------------------------------------------
@@ -470,9 +447,6 @@ class GroundPoset:
     def strict_down(self):
         _, down = topological_up_sets(self.width, [(b, a) for a, b in self.covers])
         return tuple(d & ~(1 << p) for p, d in enumerate(down))
-
-    def is_down_closed(self, bits):
-        return all(bits[a] >= bits[b] for a, b in self.covers)
 
 
 @dataclass
@@ -858,6 +832,9 @@ def poset_from_json(d):
     ):
         raise ValueError("'points' must be a list and 'covers' a list of [lower, upper] pairs")
     points = [str(p) for p in d["points"]]
+    dup = first_repeat(points)
+    if dup is not None:
+        raise ValueError(f"poset JSON names point {dup!r} more than once")
     index = {p: i for i, p in enumerate(points)}
 
     def resolve(x):

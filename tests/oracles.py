@@ -7,8 +7,9 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import gcd
 
-from modlat.lattice import LatticeError
+from modlat.lattice import LatticeError, bits
 from modlat.pls import TwoPointIntersection, _pkey, validate_pls
+from modlat.rebuild import Implication
 from modlat import wildcard
 from modlat.wildcard import FIXED0, FIXED1, FREE, GroupSpec, make_row
 
@@ -21,12 +22,16 @@ def line_admits(bits, line):
     return hits <= 1 or hits == len(line)
 
 
+def is_down_closed(poset, string):
+    return all(string[a] >= string[b] for a, b in poset.covers)
+
+
 def brute_closed_ideals(poset, lines):
     """All bitstrings that are downward closed and satisfy every line."""
     out = set()
-    for bits in product((0, 1), repeat=poset.width):
-        if poset.is_down_closed(bits) and all(line_admits(bits, l) for l in lines):
-            out.add(bits)
+    for string in product((0, 1), repeat=poset.width):
+        if is_down_closed(poset, string) and all(line_admits(string, l) for l in lines):
+            out.add(string)
     return out
 
 
@@ -95,6 +100,32 @@ def random_row(rng, width):
             cells[pos[i]] = rng.choice((FIXED0, FIXED1, FREE, FREE))
             i += 1
     return make_row(width, cells, tuple(groups))
+
+
+def group_admits(spec, ones):
+    """Whether the valuation setting the members in `ones` to 1 is one
+    the group admits."""
+    x = ones & spec.members
+    single = not x & (x - 1)
+    if spec.kind == "d":
+        return x in (0, spec.members)
+    if spec.kind == "eps":
+        return single
+    if spec.kind == "g":
+        return x != 0 and single
+    if spec.kind == "ell":
+        return single or x == spec.members
+    return not x & spec.premise or not spec.conclusion & ~x
+
+
+def contains(row, string):
+    """Whether the bitstring `string` is one of the row's members."""
+    if len(string) != row.width:
+        return False
+    ones = sum(1 << p for p, b in enumerate(string) if b)
+    if ones & row.zeros or row.ones & ~ones:
+        return False
+    return all(group_admits(spec, ones) for spec in row.groups)
 
 
 class LinearStore:
@@ -684,3 +715,90 @@ def inclusion_lattice(fam):
             if a < b and not any(a < c < b for c in canon):
                 covers.append((i, j))
     return canon, covers
+
+
+# -- bases of lines from external join data ----------------------------------
+
+
+def lines_from_joins(points, join_oracle):
+    """Build the lines of a base from raw points and a join function, as
+    a checked `Pls`, its lines in `_pkey` order of their joins.
+
+    Scans pairs in a canonical order; a pair whose join x admits a third
+    point with the same pairwise joins seeds a line, which is then
+    extended to a maximal set with all pairwise joins equal to x.  One
+    line per join value."""
+    pts = sorted(points, key=_pkey)
+    done = {}
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            x = join_oracle(p, q)
+            if x in done:
+                continue
+            third = None
+            for r in pts:
+                if r in (p, q):
+                    continue
+                if join_oracle(p, r) == x and join_oracle(q, r) == x:
+                    third = r
+                    break
+            if third is None:
+                continue
+            line = [p, q, third]
+            for r in pts:
+                if r in line:
+                    continue
+                if all(join_oracle(r, s) == x for s in line):
+                    line.append(r)
+            done[x] = frozenset(line)
+    return validate_pls(pts, [done[x] for x in sorted(done, key=_pkey)])
+
+
+# -- implication bases -----------------------------------------------------------
+
+
+def natural_implication_base(lines, poset, points):
+    """The stock Horn base for the closure system of closed ideals.
+
+    One implication {p} -> (strict down-set of p) per non-minimal point,
+    and one {p,q} -> l per unordered pair of a line l.  `lines` are sets
+    of point ids; `poset` and `points` are as from `ji_ground_poset`, the
+    p-th position of the poset standing for points[p]."""
+    downs = {
+        p: frozenset(points[q] for q in bits(poset.strict_down[i]))
+        for i, p in enumerate(points)
+    }
+    out = []
+    for p in sorted(points, key=_pkey):
+        if downs[p]:
+            out.append(Implication(frozenset([p]), downs[p]))
+    for ln in lines:
+        mem = sorted(ln, key=_pkey)
+        for i, p in enumerate(mem):
+            for q in mem[i + 1 :]:
+                out.append(Implication(frozenset([p, q]), frozenset(ln)))
+    return tuple(out)
+
+
+def horn_closure(implications, xs):
+    """Least superset of xs stable under every implication."""
+    closed = set(xs)
+    changed = True
+    while changed:
+        changed = False
+        for imp in implications:
+            if imp.premise <= closed and not imp.conclusion <= closed:
+                closed |= imp.conclusion
+                changed = True
+    return frozenset(closed)
+
+
+def implications_to_json(implications):
+    return [
+        {"if": sorted(i.premise, key=_pkey), "then": sorted(i.conclusion, key=_pkey)}
+        for i in implications
+    ]
+
+
+def implications_from_json(data):
+    return tuple(Implication(frozenset(d["if"]), frozenset(d["then"])) for d in data)

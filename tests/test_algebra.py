@@ -7,22 +7,18 @@ import pytest
 from modlat.algebra import (
     Group,
     SetSystem,
-    Subgroup,
     _Numbered,
-    cyclic_subgroup,
     distributive_ji,
     distributive_lattice,
     enumeration_input,
-    join_irreducible_subgroups,
     join_subgroups,
     parse_group,
     parse_set_system,
     subgroup_lattice,
-    subgroup_leq,
-    trivial_subgroup,
 )
+from modlat.bol import line_intervals
 from modlat.corpus import CORPUS_GROUPS, boolean_lattice, chain
-from modlat.lattice import CapExceeded, build_lattice, is_isomorphic, ji_elements
+from modlat.lattice import CapExceeded, bits, build_lattice, is_isomorphic, ji_elements
 from modlat.wildcard import enumerate_ideals, total_count
 from oracles import (
     brute_subgroups,
@@ -78,67 +74,101 @@ def test_group_arithmetic():
 
 
 # -- subgroups -------------------------------------------------------------
+#
+# A subgroup is the int mask of the ids of its elements, an id being the
+# element's place in `G.elements`.
+
+
+def _elements(G, mask):
+    return {G.elements[i] for i in bits(mask)}
+
+
+def _mask(G, elements):
+    index = {e: i for i, e in enumerate(G.elements)}
+    return sum(1 << index[e] for e in elements)
+
+
+def _cyclic(G, x):
+    """The mask of the cyclic subgroup <x> of the element x."""
+    return _Numbered(G).join_cyclic(1, G.elements.index(x))
+
+
+def _ji_masks(G):
+    L = subgroup_lattice(G)
+    return [L.subgroups[e] for e in ji_elements(L)]
 
 
 def test_cyclic_subgroups_of_z4xz4():
     G = parse_group("4,4")
-    assert cyclic_subgroup(G, (0, 0)) == trivial_subgroup(G)
-    H = cyclic_subgroup(G, (1, 3))
-    assert set(H.elements) == {(0, 0), (1, 3), (2, 2), (3, 1)}
-    assert cyclic_subgroup(G, (2, 2)).order == 2
+    assert _cyclic(G, (0, 0)) == 1  # the trivial subgroup holds only id 0
+    H = _cyclic(G, (1, 3))
+    assert _elements(G, H) == {(0, 0), (1, 3), (2, 2), (3, 1)}
+    assert _cyclic(G, (2, 2)).bit_count() == 2
 
 
 def test_join_with_trivial_is_identity():
     G = parse_group("4,4")
-    H = cyclic_subgroup(G, (1, 3))
-    assert join_subgroups(G, H, trivial_subgroup(G)) == H
+    H = _cyclic(G, (1, 3))
+    assert join_subgroups(G, H, 1) == H
+    assert join_subgroups(G, 1, H) == H
 
 
 def test_join_of_two_involutions_is_klein():
     G = parse_group("4,4")
-    J = join_subgroups(G, cyclic_subgroup(G, (0, 2)), cyclic_subgroup(G, (2, 0)))
-    assert set(J.elements) == {(0, 0), (0, 2), (2, 0), (2, 2)}
+    J = join_subgroups(G, _cyclic(G, (0, 2)), _cyclic(G, (2, 0)))
+    assert _elements(G, J) == {(0, 0), (0, 2), (2, 0), (2, 2)}
 
 
 def test_join_can_reach_the_whole_group():
     G = parse_group("4,4")
-    J = join_subgroups(G, cyclic_subgroup(G, (1, 0)), cyclic_subgroup(G, (0, 1)))
-    assert J.order == 16
+    J = join_subgroups(G, _cyclic(G, (1, 0)), _cyclic(G, (0, 1)))
+    assert J.bit_count() == 16
 
 
 def test_join_irreducible_subgroup_counts():
-    assert len(join_irreducible_subgroups(parse_group("2,2,2"))) == 7
-    jis = join_irreducible_subgroups(parse_group("4,4"))
+    assert len(_ji_masks(parse_group("2,2,2"))) == 7
+    jis = _ji_masks(parse_group("4,4"))
     assert len(jis) == 9
-    assert sorted(H.order for H in jis) == [2, 2, 2, 4, 4, 4, 4, 4, 4]
-    assert len(join_irreducible_subgroups(parse_group("6"))) == 2
+    assert sorted(H.bit_count() for H in jis) == [2, 2, 2, 4, 4, 4, 4, 4, 4]
+    assert len(_ji_masks(parse_group("6"))) == 2
 
 
 def test_whole_group_can_be_join_reducible():
-    G = parse_group("6")
-    jis = join_irreducible_subgroups(G)
-    assert all(H.order < 6 for H in jis)
+    jis = _ji_masks(parse_group("6"))
+    assert all(H.bit_count() < 6 for H in jis)
+
+
+def _cyclic_prime_power_subgroups(G):
+    """The nontrivial cyclic subgroups of prime-power order, as element
+    sets, found by adding each element to itself."""
+    out = set()
+    for x in G.elements:
+        seen, cur = {G.zero}, x
+        while cur not in seen:
+            seen.add(cur)
+            cur = G.add(cur, x)
+        divisors = [d for d in range(2, len(seen) + 1) if len(seen) % d == 0]
+        # a prime power: every divisor past 1 is a multiple of the least
+        if divisors and all(d % divisors[0] == 0 for d in divisors):
+            out.add(frozenset(seen))
+    return out
 
 
 @pytest.mark.parametrize("spec", CORPUS_GROUPS)
 def test_join_irreducible_subgroups_match_lattice(spec):
+    # the join-irreducibles are exactly the cyclic subgroups of prime-power order
     G = parse_group(spec)
-    L = subgroup_lattice(G)
-    lattice_jis = {L.subgroups[e] for e in ji_elements(L)}
-    assert lattice_jis == set(join_irreducible_subgroups(G))
+    lattice_jis = {frozenset(_elements(G, H)) for H in _ji_masks(G)}
+    assert lattice_jis == _cyclic_prime_power_subgroups(G)
 
 
 # -- element masks -----------------------------------------------------------
 
 
-def _ids(G):
-    return {e: i for i, e in enumerate(G.elements)}
-
-
 def _check_translate(G, pairs, rng):
     """`translate` moves one id as `G.add` does, and a random mask (for
     the first 30 x) id by id."""
-    num, index = _Numbered(G), _ids(G)
+    num, index = _Numbered(G), {e: i for i, e in enumerate(G.elements)}
     for x, y in pairs:
         assert num.translate(1 << y, x) == 1 << index[G.add(G.elements[y], G.elements[x])]
     for x in sorted({x for x, _ in pairs})[:30]:
@@ -163,15 +193,15 @@ def test_mask_translate_matches_add_on_a_sample(spec):
 
 
 @pytest.mark.parametrize("spec", ["2,2,4", "3,9"])
-def test_join_cyclic_matches_join_subgroups_on_every_pair(spec):
+def test_join_cyclic_matches_brute_force_on_every_pair(spec):
+    # H + <x> is the least subgroup, by brute force, holding H and x
     G = parse_group(spec)
-    num, index = _Numbered(G), _ids(G)
-    for H in brute_subgroups(G.factors):
-        H = Subgroup(tuple(sorted(H)))
+    num = _Numbered(G)
+    subs = brute_subgroups(G.factors)
+    for H in subs:
         for x, e in enumerate(G.elements):
-            want = join_subgroups(G, H, cyclic_subgroup(G, e))
-            got = num.join_cyclic(sum(1 << index[h] for h in H.elements), x)
-            assert num.subgroup(got) == want
+            want = min((S for S in subs if H <= S and e in S), key=len)
+            assert _elements(G, num.join_cyclic(_mask(G, H), x)) == want
 
 
 # -- subgroup lattices -------------------------------------------------------
@@ -183,7 +213,7 @@ def test_subgroup_lattice_against_brute_force(spec):
     L = subgroup_lattice(G)
     brute = brute_subgroups(G.factors)
     assert L.n == len(brute) == EXPECTED_SUBGROUP_COUNTS[spec]
-    assert {frozenset(H.elements) for H in L.subgroups} == brute
+    assert {frozenset(_elements(G, H)) for H in L.subgroups} == brute
 
 
 # spec -> (count, the count from a formula: Gaussian binomials for Z_p^n,
@@ -206,11 +236,11 @@ def test_join_subgroups_is_the_least_common_supergroup():
     for spec in ("2,4", "3,3", "2,2,4"):
         G = parse_group(spec)
         subs = brute_subgroups(G.factors)
-        members = [Subgroup(tuple(sorted(H))) for H in subs]
-        for H in members:
-            for K in members:
-                above = [S for S in subs if set(H.elements) | set(K.elements) <= S]
-                assert set(join_subgroups(G, H, K).elements) == min(above, key=len)
+        for H in subs:
+            for K in subs:
+                above = [S for S in subs if H | K <= S]
+                got = join_subgroups(G, _mask(G, H), _mask(G, K))
+                assert _elements(G, got) == min(above, key=len)
 
 
 @pytest.mark.parametrize("spec", EXPECTED_SUBGROUP_COUNTS)
@@ -218,11 +248,14 @@ def test_subgroup_lattice_structure(spec):
     G = parse_group(spec)
     L = subgroup_lattice(G)
     assert L.modular
-    assert L.subgroups[L.bottom].order == 1
-    assert L.subgroups[L.top].order == G.order
+    assert L.subgroups[L.bottom] == 1
+    assert L.subgroups[L.top] == (1 << G.order) - 1
     for i in range(L.n):
         for j in range(L.n):
-            assert L.leq(i, j) == subgroup_leq(L.subgroups[i], L.subgroups[j])
+            assert L.leq(i, j) == (L.subgroups[i] & ~L.subgroups[j] == 0)
+    # the elements come by subgroup order, then by the sorted element list
+    keys = [(H.bit_count(), sorted(_elements(G, H))) for H in L.subgroups]
+    assert keys == sorted(keys)
 
 
 # -- enumeration input -------------------------------------------------------
@@ -254,6 +287,28 @@ def test_ideal_count_equals_subgroup_count(spec):
     poset, lines = enumeration_input(G)
     rows = enumerate_ideals(poset, lines)
     assert total_count(rows) == len(brute_subgroups(G.factors))
+
+
+@pytest.mark.parametrize("spec", CORPUS_GROUPS + ("4,16", "2,32", "16,16", "25,25"))
+def test_enumeration_input_takes_the_canonical_lines(spec):
+    # each point of a line is the least join-irreducible under its middle
+    # element but not under the interval's bottom, one line per interval
+    L = subgroup_lattice(parse_group(spec))
+    poset, lines = enumeration_input(parse_group(spec))
+    points = sorted(ji_elements(L))
+    assert poset.labels == tuple(L.name(p) for p in points)
+    tops = set()
+    for line in lines:
+        ids = [points[i] for i in line]
+        top = L.join(ids[0], ids[1])
+        bottom = L.meet_all(L.lower_covers(top))
+        for p in ids:
+            middle = L.join(p, bottom)
+            assert middle in L.lower_covers(top)
+            witnesses = L.down[middle] & ~L.down[bottom] & L.ji_mask
+            assert p == (witnesses & -witnesses).bit_length() - 1
+        tops.add(top)
+    assert len(tops) == len(lines) == len(line_intervals(L))
 
 
 # -- set systems ---------------------------------------------------------

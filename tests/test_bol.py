@@ -7,12 +7,7 @@ from math import prod
 
 import pytest
 
-from modlat.algebra import (
-    join_irreducible_subgroups,
-    join_subgroups,
-    parse_group,
-    subgroup_lattice,
-)
+from modlat.algebra import join_subgroups, parse_group, subgroup_lattice
 from modlat.bol import (
     CapExceeded,
     NotACovering,
@@ -22,7 +17,6 @@ from modlat.bol import (
     canonical_bol,
     check_candidates,
     line_intervals,
-    lines_from_joins,
     localize,
     witness_masks,
 )
@@ -31,7 +25,7 @@ from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, stan
 from modlat.lattice import bits, ji_elements, lower_star
 from modlat.pls import Pls, TwoPointIntersection, components, find_cycle, mask_components, validate_pls
 import oracles
-from oracles import candidate_lines, check_candidate_lines, ji_between, line_choices
+from oracles import candidate_lines, check_candidate_lines, ji_between, line_choices, lines_from_joins
 
 
 def z2_cubed():
@@ -250,10 +244,11 @@ def test_candidate_check_matches_the_pairwise_loop():
 
 
 def test_lines_from_joins_against_built_lattice():
+    # the join-irreducible subgroups as element masks, joined in the group
     G = parse_group("4,4")
-    points = join_irreducible_subgroups(G)
-    P = lines_from_joins(points, lambda h, k: join_subgroups(G, h, k))
     L = subgroup_lattice(G)
+    points = [L.subgroups[p] for p in ji_elements(L)]
+    P = lines_from_joins(points, lambda h, k: join_subgroups(G, h, k))
     assert len(P.lines) == len(line_intervals(L))
     assert isinstance(P, Pls)
     assert P.points == frozenset(points)

@@ -136,6 +136,28 @@ def test_poset_without_points_exits_2_naming_the_key(capsys, tmp_path):
         _missing_key_error(capsys, [cmd, "--poset", str(poset)], "points")
 
 
+def test_poset_with_a_repeated_point_name_exits_2(capsys, tmp_path):
+    # otherwise the cover would resolve "a" to its last point, (2, 1)
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"points": ["a", "b", "a"], "covers": [["a", "b"]]}))
+    for cmd in ("enumerate", "rebuild"):
+        assert main([cmd, "--poset", str(poset)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError:") and "'a'" in err
+
+
+def test_lattice_with_a_repeated_element_name_exits_2(capsys, tmp_path):
+    # otherwise `localize ... x` would resolve "x" to its first element
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"names": ["0", "x", "x", "1"],
+                                   "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}))
+    for argv in (["localize", "--lattice", str(lattice), "x", "1"],
+                 ["analyze", "--lattice", str(lattice)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError:") and "'x'" in err
+
+
 def test_lines_without_lines_exits_2_naming_the_key(files, capsys, tmp_path):
     lines = tmp_path / "lines.json"
     lines.write_text(json.dumps({"line": []}))

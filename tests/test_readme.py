@@ -1,9 +1,13 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's examples match what the code runs and prints."""
 
 from __future__ import annotations
 
+import json
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from modlat.wildcard import EnumStats
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +21,12 @@ def test_library_example_prints_the_values_in_its_comments(capsys):
     assert out[0] == "13"
     assert "total 13 in 6 rows" in out  # six disjoint wildcard rows
     assert out[-2:] == ["13 True", "7 4 3 True"]
+
+
+def test_stats_sample_lists_every_enum_stats_field_in_order():
+    text = README.read_text()
+    block = re.search(r"--count --stats\n((?:# .*\n)+)", text)
+    assert block is not None, "README has no --stats example"
+    sample = "".join(line[2:] for line in block.group(1).splitlines(True))
+    sample = sample[: sample.rindex("}") + 1]
+    assert list(json.loads(sample)) == [f.name for f in fields(EnumStats)]

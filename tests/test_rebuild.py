@@ -6,13 +6,12 @@ import random
 import pytest
 
 from modlat.algebra import parse_group, subgroup_lattice
-from modlat.bol import canonical_bol, lines_from_joins
+from modlat.bol import canonical_bol
 from modlat.corpus import (
     boolean_lattice,
     chain,
     m_n,
     seven_point_lattice,
-    seven_point_members,
     seven_point_poset,
     standard_corpus,
 )
@@ -21,16 +20,19 @@ from modlat.rebuild import (
     Implication,
     NotAClosureSystem,
     closed_ideals_lattice,
-    horn_closure,
     implication_base_size,
-    implications_from_json,
-    implications_to_json,
     ji_ground_poset,
-    natural_implication_base,
     roundtrip_check,
 )
 
-from oracles import ji_below
+from oracles import (
+    horn_closure,
+    implications_from_json,
+    implications_to_json,
+    ji_below,
+    lines_from_joins,
+    natural_implication_base,
+)
 
 
 # -- closed_ideals_lattice -----------------------------------------------

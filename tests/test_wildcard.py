@@ -21,7 +21,6 @@ from modlat.wildcard import (
     GroupSpec,
     RowSet,
     WildcardError,
-    contains,
     enumerate_ideals,
     expand,
     force,
@@ -46,6 +45,8 @@ from modlat.wildcard import (
 from oracles import (
     LinearStore,
     brute_closed_ideals,
+    contains,
+    is_down_closed,
     line_admits,
     plain_enumerate,
     random_lines,
@@ -605,8 +606,8 @@ def test_ground_poset_rejects_a_wrong_label_count():
 
 def test_down_closure_predicate():
     poset = GroundPoset(3, ((0, 1), (1, 2)))
-    assert poset.is_down_closed((1, 1, 0))
-    assert not poset.is_down_closed((0, 1, 0))
+    assert is_down_closed(poset, (1, 1, 0))
+    assert not is_down_closed(poset, (0, 1, 0))
 
 
 # -- serialization ------------------------------------------------------------------------------
