@@ -642,3 +642,71 @@ def test_subgroup_lattice_output_is_pinned(group, capsys, tmp_path):
     if out.exists():
         digest.update(out.read_bytes())
     assert digest.hexdigest() == SUBGROUP_LATTICE_PINNED[group]
+
+
+# -- outputs of the value-type commands, pinned --------------------------------
+
+
+def _pinned_lattice_file(tmp_path, name):
+    if name == "m3":
+        L = m_n(3)
+    elif name == "seven-point":
+        L = seven_point_lattice()
+    else:
+        L = subgroup_lattice(parse_group(name))
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(lattice_to_json(L)))
+    return str(path), L
+
+
+def _pinned_runs(tmp_path, case):
+    """The argument lists of one pinned case, and the files its runs write."""
+    command, _, name = case.partition(" ")
+    outs = [str(tmp_path / "first.json"), str(tmp_path / "second.json")]
+    if command == "distributive":
+        sets = tmp_path / "sets.txt"
+        sets.write_text("11000\n01100\n00110\n10011\n11110\n")
+        argv = ["distributive", "--sets", str(sets)]
+        return [argv, argv + ["--dot"], argv + ["--out", outs[0]]], outs[:1]
+    lat, L = _pinned_lattice_file(tmp_path, name)
+    if command == "analyze":
+        argv = ["analyze", "--lattice", lat]
+        return [argv, argv + ["--out", outs[0]]], outs[:1]
+    if command == "witness-triangle":
+        argv = ["witness-triangle", "--lattice", lat]
+        return [argv, argv + ["--count"]], []
+    a, b = L.covers[-1]  # a coatom covering
+    return [
+        ["bol", "--lattice", lat, "--out", outs[0]],
+        ["localize", "--lattice", lat, str(a), str(b), "--out", outs[1]],
+        ["rstar", "--lattice", lat],
+        ["rstar", outs[0]],
+        ["rstar", outs[1]],
+    ], outs
+
+
+# sha256 over the exit code, stdout and stderr of each run of a case, in
+# order, then the bytes of each file the runs write
+OUTPUTS_PINNED = {
+    "analyze m3": "c0b68839ef02287c787dfa8981a6a2c53b59a28a99795a9c6b117a0de1e64d9b",
+    "analyze seven-point": "86e5ecfe87591f6bfb4a9f3e2e7944dc2f6db51ecf7f65b974f95d582e05f3f0",
+    "analyze 2,2,2,2": "a49b93825fed24f8571e96feb38f872a896429f709d7c0924e19750e610b2f49",
+    "analyze 4,8": "c3ac3acc6978a643523a01714eaa06f1ee780035b8bb7627de5f5206359eed4d",
+    "witness-triangle 2,2,2": "06ca2928760189b998d7e15b442b7a98fde2d79b08b03da893c26db17482200f",
+    "witness-triangle 3,3,3": "ea0c5b31b86fdd8c09af5dfe144b646c1a776d0fe9c899890276ff67a1a033bf",
+    "bol-localize-rstar 4,4": "4e22473deb7867d575de87fbbfffefcf125a07693d102f2feed3f47f22dad846",
+    "distributive": "1e4f3abe30c1f96ca4c194eb0d2f68c74fce92be24caf8e6b0e69fbb4426d400",
+}
+
+
+@pytest.mark.parametrize("case", OUTPUTS_PINNED)
+def test_command_output_is_pinned(case, capsys, tmp_path):
+    runs, outs = _pinned_runs(tmp_path, case)
+    digest = hashlib.sha256()
+    for argv in runs:
+        code = main(argv)
+        got = capsys.readouterr()
+        digest.update(f"{code}\n{got.out}\n{got.err}\n".encode())
+    for path in outs:
+        digest.update(Path(path).read_bytes())
+    assert digest.hexdigest() == OUTPUTS_PINNED[case]
