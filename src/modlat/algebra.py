@@ -11,7 +11,6 @@ each universe element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
 
@@ -22,22 +21,17 @@ from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_co
 ORDER_CAP = 4096
 
 
-@dataclass(frozen=True)
 class Group:
-    """A finite abelian group: the direct product of Z_n over `factors`."""
+    """A finite abelian group: the direct product of Z_n over `factors`,
+    of order at most ORDER_CAP."""
 
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(f) for f in self.factors))
+    def __init__(self, factors):
+        self.factors = tuple(int(f) for f in factors)
         if not self.factors or any(f < 1 for f in self.factors):
             raise ValueError("factors must be positive integers")
+        self.order = prod(self.factors)
         if self.order > ORDER_CAP:
             raise CapExceeded(f"group order {self.order} exceeds {ORDER_CAP}")
-
-    @property
-    def order(self):
-        return prod(self.factors)
 
     @property
     def zero(self):
@@ -235,14 +229,13 @@ def enumeration_input(G):
 # -- set systems and generated distributive lattices --------------------
 
 
-@dataclass(frozen=True)
 class SetSystem:
-    universe: tuple
-    sets: tuple
+    """Sets over `universe`, each checked to lie inside it."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
-        ground = set(self.universe)
+    def __init__(self, universe, sets):
+        self.universe = universe
+        self.sets = tuple(frozenset(s) for s in sets)
+        ground = set(universe)
         for s in self.sets:
             if not s <= ground:
                 raise ValueError("set uses elements outside the universe")

@@ -27,9 +27,9 @@ line-tops of an acyclic canonical base and tests each for cleanness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .bol import bol_sample, canonical_masks, line_intervals, localize, witness_masks
 from .lattice import (
@@ -54,10 +54,9 @@ class NotALineTop(LatticeError):
 # -- analysis context --------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class AnalysisContext:
-    """The facts about one modular lattice that the checks read, each
-    computed once per lattice.
+    """The facts about one modular lattice `L` that the checks read, each
+    computed once per lattice; modularity is required.
 
     Every base here, `base` and those of `sample`, is a tuple of int
     line masks, one per interval in interval order, read off `witnesses`:
@@ -86,23 +85,25 @@ class AnalysisContext:
     holds r* of each sampled base.
     """
 
-    lattice: object
-    intervals: tuple
-    base: tuple  # the canonical base's line masks
-    j: int
-    delta: int
-    i: int
-    o: int
-    mu: int
-    lower: dict  # join-irreducible p -> p_*
-    class_of: dict  # prime quotient -> index of its projectivity class
-    bols_cap: int
-    coverings: tuple  # (u, v, mask of J(u, v), qualifying interval indices)
-    witnesses: tuple  # per interval, per atom: the mask of its witnesses
-    _components: dict = field(default_factory=dict, init=False)  # base -> base_facts
-    _summaries: dict = field(default_factory=dict, init=False)  # base -> its summary
-    # (covering index, trimmed line masks) -> component count of that localization
-    _localizations: dict = field(default_factory=dict, init=False)
+    def __init__(self, L, bols_cap=1000):
+        require_modular(L)
+        self.lattice, self.bols_cap = L, bols_cap
+        self.intervals = ivs = line_intervals(L)
+        # per interval, per atom: the mask of its witnesses
+        self.witnesses = witness_masks(L, ivs)
+        self.lower = {p: lower_star(L, p) for p in bits(L.ji_mask)}  # join-irreducible p -> p_*
+        # prime quotient -> index of its projectivity class
+        self.class_of = {q: k for k, cls in enumerate(projectivity_classes(L)) for q in cls}
+        self.base = canonical_masks(self.witnesses)  # the canonical base's line masks
+        self.j, self.delta, self.i = len(self.lower), L.height, len(ivs)
+        self.o = max((iv.n - 1 for iv in ivs), default=1)
+        self.mu = sum(iv.n for iv in ivs)
+        # (u, v, mask of J(u, v), qualifying interval indices)
+        self.coverings = _coverings(L, ivs)
+        self._components = {}  # base -> base_facts
+        self._summaries = {}  # base -> its summary
+        # (covering index, trimmed line masks) -> component count of that localization
+        self._localizations = {}
 
     @cached_property
     def _bases(self):
@@ -290,35 +291,10 @@ def _has_coloured_cycle(graph):
             return True
 
 
-def analysis_context(L, bols_cap=1000):
-    """Compute every shared fact about `L` once; modularity is required."""
-    require_modular(L)
-    ivs = line_intervals(L)
-    witnesses = witness_masks(L, ivs)
-    lower = {p: lower_star(L, p) for p in bits(L.ji_mask)}
-    classes = projectivity_classes(L)
-    return AnalysisContext(
-        lattice=L,
-        intervals=ivs,
-        base=canonical_masks(witnesses),
-        j=len(lower),
-        delta=L.height,
-        i=len(ivs),
-        o=max((iv.n - 1 for iv in ivs), default=1),
-        mu=sum(iv.n for iv in ivs),
-        lower=lower,
-        class_of={q: k for k, cls in enumerate(classes) for q in cls},
-        bols_cap=bols_cap,
-        coverings=_coverings(L, ivs),
-        witnesses=witnesses,
-    )
-
-
 # -- parameter profile -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -328,8 +304,7 @@ class Verdict:
         return f"[{flag}] {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ParamsReport:
+class ParamsReport(NamedTuple):
     """The profile of a lattice; `locally_acyclic` is decided over every
     base of lines."""
 
@@ -375,7 +350,7 @@ def params(L, bols_cap=1000):
     base; the point-count check reads a sample of at most `bols_cap`
     bases.
     """
-    ctx = analysis_context(L, bols_cap)
+    ctx = AnalysisContext(L, bols_cap)
     B = ctx.base
     return ParamsReport(
         j=ctx.j,
@@ -460,14 +435,13 @@ def check_interval_bounds(ctx, B):
 def is_locally_acyclic(L):
     """Whether every localization of every base of lines is acyclic,
     decided over all bases without enumerating them."""
-    return analysis_context(L).locally_acyclic
+    return AnalysisContext(L).locally_acyclic
 
 
 # -- triangle configurations -------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriangleConfig:
+class TriangleConfig(NamedTuple):
     """Three mutually meeting lines plus a transversal, as line masks
     and point ids.
 
@@ -596,8 +570,7 @@ def cyclic_localization_witness(L, ivs, masks, config):
 # -- cycles of line-tops -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopCycle:
+class TopCycle(NamedTuple):
     """Cyclic sequence of at least three distinct line-tops.
 
     Consecutive entries, wrapping around, are tightly comparable;
@@ -607,9 +580,6 @@ class TopCycle:
 
     tops: tuple
     directions: tuple
-
-    def __len__(self):
-        return len(self.tops)
 
 
 def _require_top(tops, x):
@@ -906,7 +876,7 @@ def _merge_runs(runs, note):
 
 def verdict_suite(L, bols_cap=1000):
     """Every check the module knows, aggregated over sampled bases."""
-    ctx = analysis_context(L, bols_cap)
+    ctx = AnalysisContext(L, bols_cap)
     note = f"{len(ctx.sample)} bases" + (" (truncated)" if ctx.truncated else "")
     out = list(check_point_count(ctx))
     out += _merge_runs([check_interval_bounds(ctx, Bk) for Bk in ctx.sample], note)

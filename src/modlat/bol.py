@@ -17,8 +17,8 @@ and the JSON writers turn masks into lists of point ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice, product
+from typing import NamedTuple
 
 from .lattice import CapExceeded, LatticeError, bits, require_modular
 from .pls import TwoPointIntersection, _pkey
@@ -32,8 +32,7 @@ class NotACovering(LatticeError):
     pass
 
 
-@dataclass(frozen=True)
-class LineInterval:
+class LineInterval(NamedTuple):
     bottom: int
     top: int
     atoms: tuple  # the middle layer = all lower covers of top

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .algebra import (
@@ -106,7 +105,7 @@ def cmd_enumerate(args):
     lines = lines_from_json(_load(args.lines), poset) if args.lines else []
     rows = enumerate_ideals(poset, lines)
     if args.stats:
-        print(json.dumps(asdict(rows.stats)), file=sys.stderr)
+        print(json.dumps(rows.stats._asdict()), file=sys.stderr)
     if args.out:
         _write_json(args.out, rowset_to_json(rows))
     if args.count:
@@ -142,7 +141,8 @@ def cmd_analyze(args):
     rep = params(L, bols_cap=args.cap)
     print(_params_table(rep))
     if args.out:
-        _write_json(args.out, asdict(rep))
+        report = {**rep._asdict(), "verdicts": [v._asdict() for v in rep.verdicts]}
+        _write_json(args.out, report)
     return 0 if rep.ok else 1
 
 

@@ -7,8 +7,11 @@ point set such as J(a, b) is `down[b] & ~down[a] & ji_mask`.  The join of
 x and y is the element whose up-mask is up[x] & up[y], found by one dict
 lookup (dually for meets); a pair with no such element has no least bound.
 Construction checks that the order is a lattice in time linear in the pairs
-of upper covers, and no n x n table is ever built.  Instances are immutable
-apart from cached derived facts, so sharing one between threads is safe.
+of upper covers, and no n x n table is ever built.  The order is fixed at
+construction.  Later writes only cache derived facts (`atoms`, `height`,
+`modular`, `cover_set`), or, in `algebra.subgroup_lattice` and
+`rebuild.closed_ideals_lattice`, attach `subgroups` and `member_sets` to
+the lattice just built.
 Everything here targets desk scale: no lattice past LATTICE_CAP elements
 is built.
 """
@@ -394,9 +397,13 @@ def lattice_from_json(data):
         raise ValueError("lattice JSON has no 'covers' key")
     names, covers = data.get("names"), data["covers"]
     if not isinstance(names, (list, type(None))) or not isinstance(covers, list) or not all(
-        isinstance(c, list) and len(c) == 2 and all(isinstance(v, int) for v in c) for c in covers
+        isinstance(c, list) and len(c) == 2 for c in covers
     ):
         raise ValueError("'names' must be a list and 'covers' a list of [lower, upper] pairs")
+    for c in covers:
+        for v in c:
+            if type(v) is not int:  # a JSON boolean is an int to isinstance
+                raise ValueError(f"cover {c} holds {v!r}, not an element index")
     if names is not None:
         dup = first_repeat([str(x) for x in names])
         if dup is not None:

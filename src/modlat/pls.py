@@ -17,9 +17,9 @@ adds one point, and therefore lowers the cyclomatic number by exactly one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .lattice import bits
+from .lattice import bits, first_repeat
 
 
 class PlsError(Exception):
@@ -47,8 +47,7 @@ def _pkey(p):
     return (p.__class__.__name__, str(p))
 
 
-@dataclass(frozen=True)
-class Pls:
+class Pls(NamedTuple):
     points: frozenset
     lines: tuple
 
@@ -56,8 +55,7 @@ class Pls:
         return sorted(self.points, key=_pkey)
 
 
-@dataclass(frozen=True)
-class PlsCycle:
+class PlsCycle(NamedTuple):
     """A simple cycle: lines[i] and lines[i+1] meet in junctions[i]
     (indices mod the length).  At least three lines are involved."""
 
@@ -242,10 +240,17 @@ def acyclifier(P):
 
 
 def pls_from_json(d):
-    def ids(x):
-        return isinstance(x, list) and all(isinstance(p, (int, str)) for p in x)
-
-    lines = d.get("lines") if isinstance(d, dict) else None
-    if not (isinstance(lines, list) and ids(d.get("points")) and all(map(ids, lines))):
+    """The structure of a JSON object of a 'points' list, which names each
+    point once, and a 'lines' list of point lists; a point is an int or a
+    string, and a JSON boolean is neither."""
+    points, lines = (d.get("points"), d.get("lines")) if isinstance(d, dict) else (None, None)
+    if not (isinstance(points, list) and isinstance(lines, list)
+            and all(isinstance(line, list) for line in lines)):
         raise ValueError("point-line JSON must be an object of 'points' and 'lines' lists")
-    return validate_pls(d["points"], [frozenset(l) for l in lines])
+    for p in points + [p for line in lines for p in line]:
+        if type(p) not in (int, str):
+            raise ValueError(f"point-line JSON holds {p!r}, which is neither an int nor a string")
+    dup = first_repeat(points)
+    if dup is not None:
+        raise ValueError(f"point-line JSON names point {dup!r} more than once")
+    return validate_pls(points, [frozenset(line) for line in lines])

@@ -12,7 +12,7 @@ and `implication_base_size` the size of a set of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bol import canonical_bol
 from .lattice import bits, build_lattice, check_lattice_size, covers_from_below, ji_elements
@@ -114,8 +114,7 @@ def roundtrip_check(L):
 # -- implications -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Implication:
+class Implication(NamedTuple):
     premise: frozenset
     conclusion: frozenset
 

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .lattice import CycleInCovers, bits, first_repeat, topological_up_sets
 
@@ -76,10 +76,11 @@ def _submasks(mask):
         sub = (sub - 1) & mask
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """One wildcard group: its kind and the mask of its members.  An imp
-    group also has the mask of its premise; its conclusion is the rest."""
+    group also has the mask of its premise; its conclusion is the rest.
+    `count` is the number of valuations the group admits; it shadows
+    `tuple.count`."""
 
     kind: str
     members: int
@@ -137,8 +138,7 @@ def _inserted(groups, spec):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """A compressed set of bitstrings of `width` bits: `ones` and `zeros`
     are the masks of the cells fixed to 1 and to 0, and `groups` the
     wildcard groups, disjoint and ordered by their lowest member."""
@@ -413,32 +413,28 @@ def _one_hot_row(row, undet, mem):
 # -- ground posets and seeding -----------------------------------------
 
 
-@dataclass(frozen=True)
 class GroundPoset:
-    """The point poset lines live on, given by its cover relation.
-    `strict_up[p]` is derived: the int mask of the points strictly above p
-    (`strict_down[p]` dually)."""
+    """The point poset lines live on, given by its cover relation on the
+    points 0..width-1, which construction checks.  `strict_up[p]` is
+    derived: the int mask of the points strictly above p (`strict_down[p]`
+    dually)."""
 
-    width: int
-    covers: tuple
-    labels: tuple = None
-    strict_up: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        covers = tuple(sorted((int(a), int(b)) for a, b in self.covers))
-        object.__setattr__(self, "covers", covers)
+    def __init__(self, width, covers, labels=None):
+        self.width = width
+        self.covers = covers = tuple(sorted((int(a), int(b)) for a, b in covers))
         for a, b in covers:
-            if not (0 <= a < self.width and 0 <= b < self.width) or a == b:
+            if not (0 <= a < width and 0 <= b < width) or a == b:
                 raise ValueError(f"bad cover ({a},{b})")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-            if len(self.labels) != self.width:
-                raise ValueError(f"{len(self.labels)} labels for {self.width} points")
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
+            if len(labels) != width:
+                raise ValueError(f"{len(labels)} labels for {width} points")
+        self.labels = labels
         try:
-            _, up = topological_up_sets(self.width, covers)
+            _, up = topological_up_sets(width, covers)
         except CycleInCovers:
             raise ValueError("cover relation contains a cycle") from None
-        object.__setattr__(self, "strict_up", tuple(u & ~(1 << p) for p, u in enumerate(up)))
+        self.strict_up = tuple(u & ~(1 << p) for p, u in enumerate(up))
 
     def label(self, p):
         return self.labels[p] if self.labels else f"p{p + 1}"
@@ -449,8 +445,7 @@ class GroundPoset:
         return tuple(d & ~(1 << p) for p, d in enumerate(down))
 
 
-@dataclass
-class EnumStats:
+class EnumStats(NamedTuple):
     """The work of one `enumerate_ideals` call.
 
     `split_sizes` maps the number of rows one `impose_line` call returned
@@ -462,25 +457,24 @@ class EnumStats:
     line that would kill them came up, `skipped` the lines stepped over
     without an imposition because the row already satisfied them."""
 
-    seeds: int = 0
-    impositions: int = 0
-    noop_impositions: int = 0
-    skipped: int = 0
-    split_sizes: dict = field(default_factory=dict)
-    split_bound_violations: int = 0
-    dead_rows: int = 0
-    pruned_rows: int = 0
-    merges: int = 0
-    peak_stack: int = 0
+    seeds: int
+    impositions: int
+    noop_impositions: int
+    skipped: int
+    split_sizes: dict
+    split_bound_violations: int
+    dead_rows: int
+    pruned_rows: int
+    merges: int
+    peak_stack: int
 
 
-@dataclass(frozen=True)
-class RowSet:
+class RowSet(NamedTuple):
     width: int
     rows: tuple
     labels: tuple = ()
     provenance: tuple = ()
-    stats: EnumStats = field(default=None, compare=False)
+    stats: EnumStats = None
 
 
 def total_count(rowset):
@@ -645,14 +639,14 @@ def enumerate_ideals(poset, lines):
         for p in line:
             through[p] |= 1 << k
     seeds = seed_order_ideals(poset)
-    stats = EnumStats(seeds=len(seeds.rows), peak_stack=len(seeds.rows))
     sizes = Counter()
     counter = len(seeds.rows)
     small = sum(1 << k for k, m in enumerate(masks) if m & (m - 1) == 0)
     stack = [(row, 0, lab, 0, small) for row, lab in zip(seeds.rows, seeds.labels)]
     stack.reverse()
     finals = FinalRows()
-    skipped = pruned = noops = 0
+    skipped = pruned = noops = violations = 0
+    peak = len(stack)
 
     while stack:
         row, k, label, checked, held = stack.pop()
@@ -691,7 +685,7 @@ def enumerate_ideals(poset, lines):
         parts = impose_line(row, line_sets[k])
         sizes[len(parts)] += 1
         if len(parts) > len(line_sets[k]) + 2:
-            stats.split_bound_violations += 1
+            violations += 1
         if len(parts) == 1 and parts[0] == row:
             noops += 1
             stack.append((parts[0], k + 1, label, fixed, held))
@@ -699,14 +693,19 @@ def enumerate_ideals(poset, lines):
         for i in reversed(range(len(parts))):
             stack.append((parts[i], k + 1, f"r{counter + 1 + i}", fixed, held))
         counter += len(parts)
-        stats.peak_stack = max(stats.peak_stack, len(stack))
-    stats.impositions = sum(sizes.values())
-    stats.noop_impositions = noops
-    stats.skipped = skipped
-    stats.pruned_rows = pruned
-    stats.split_sizes = dict(sorted(sizes.items()))
-    stats.dead_rows = sizes[0]
-    stats.merges = finals.merges
+        peak = max(peak, len(stack))
+    stats = EnumStats(
+        seeds=len(seeds.rows),
+        impositions=sum(sizes.values()),
+        noop_impositions=noops,
+        skipped=skipped,
+        split_sizes=dict(sorted(sizes.items())),
+        split_bound_violations=violations,
+        dead_rows=sizes[0],
+        pruned_rows=pruned,
+        merges=finals.merges,
+        peak_stack=peak,
+    )
     return finals.rowset(poset.width, stats)
 
 
@@ -838,7 +837,7 @@ def poset_from_json(d):
     index = {p: i for i, p in enumerate(points)}
 
     def resolve(x):
-        if isinstance(x, int):
+        if type(x) is int:  # a JSON boolean is a label, as is any other non-int
             return x
         key = str(x)
         if key not in index:
@@ -858,7 +857,7 @@ def lines_from_json(d, poset):
     index = {lab: i for i, lab in enumerate(poset.labels or ())}
 
     def resolve(x):
-        if not isinstance(x, int):
+        if type(x) is not int:  # a JSON boolean is a label, as is any other non-int
             key = str(x)
             if key not in index:
                 raise ValueError(f"line names unknown point {key!r}")

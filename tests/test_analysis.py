@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -11,6 +10,7 @@ import modlat.analysis
 import modlat.bol
 from modlat.algebra import parse_group, subgroup_lattice
 from modlat.analysis import (
+    AnalysisContext,
     ClaimViolated,
     NotALineTop,
     _is_clean,
@@ -18,7 +18,6 @@ from modlat.analysis import (
     _top_cycles,
     _triangle_count,
     _triangles,
-    analysis_context,
     check_clean_cycles,
     check_components_match_projectivity,
     check_interval_bounds,
@@ -146,7 +145,7 @@ def test_params_requires_modularity():
 
 def test_component_count_values():
     for L, want in [(m_n(3), 1), (boolean_lattice(3), 3), (seven_point_lattice(), 1)]:
-        ctx = analysis_context(L)
+        ctx = AnalysisContext(L)
         assert component_count(ctx, ctx.base) == want
 
 
@@ -154,7 +153,7 @@ def test_component_count_values():
 
 
 def test_point_count_verdict_names_and_details():
-    verdicts = check_point_count(analysis_context(m_n(3)))
+    verdicts = check_point_count(AnalysisContext(m_n(3)))
     assert [v.name for v in verdicts] == [
         "point count bound",
         "point count equality iff acyclic",
@@ -165,14 +164,14 @@ def test_point_count_verdict_names_and_details():
 
 
 def test_point_count_detects_strictness_on_cyclic_lattices():
-    verdicts = check_point_count(analysis_context(z2_cubed()))
+    verdicts = check_point_count(AnalysisContext(z2_cubed()))
     eq = _verdict(verdicts, "point count equality iff acyclic")
     assert eq.passed
     assert "j=7" in eq.detail and "mu-i+s=15" in eq.detail and "acyclic=False" in eq.detail
 
 
 def test_interval_bounds_on_z2_cubed():
-    ctx = analysis_context(z2_cubed())
+    ctx = AnalysisContext(z2_cubed())
     verdicts = check_interval_bounds(ctx, ctx.base)
     assert [v.name for v in verdicts] == [
         "interval count lower bound",
@@ -188,7 +187,7 @@ def test_interval_bounds_on_z2_cubed():
 
 
 def test_interval_bounds_on_seven_point():
-    ctx = analysis_context(seven_point_lattice())
+    ctx = AnalysisContext(seven_point_lattice())
     verdicts = check_interval_bounds(ctx, ctx.base)
     names = {v.name for v in verdicts}
     assert {
@@ -202,7 +201,7 @@ def test_interval_bounds_on_seven_point():
 
 
 def test_interval_bounds_skip_tight_clauses_for_wide_lines():
-    ctx = analysis_context(m_n(4))
+    ctx = AnalysisContext(m_n(4))
     verdicts = check_interval_bounds(ctx, ctx.base)
     names = {v.name for v in verdicts}
     assert "split-adjusted point bound" not in names
@@ -237,7 +236,7 @@ def test_cyclic_localizations_match_the_enumeration():
     # lines on its qualifying intervals, so each one is enumerated
     outcomes = set()
     for L in _exact_lattices():
-        ctx = analysis_context(L)
+        ctx = AnalysisContext(L)
         cyclic = []
         for k, (u, v, _, _) in enumerate(ctx.coverings):
             choices = localization_choices(L, ctx.intervals, u, v)
@@ -253,7 +252,7 @@ def test_local_acyclicity_does_not_depend_on_the_cap():
     # Z4 x Z4 is cyclic with 64 bases of lines, none with a cyclic
     # localization; a cap of at most 5 truncates the bases sample
     L = z4_squared()
-    ctx = analysis_context(L)
+    ctx = AnalysisContext(L)
     assert not any(
         some_choice_has_a_cycle(localization_choices(L, ctx.intervals, u, v))
         for u, v, _, _ in ctx.coverings
@@ -290,7 +289,7 @@ def test_triangles_match_the_enumeration():
     rng = random.Random(7)
     outcomes = set()
     for L in _exact_lattices():
-        ctx = analysis_context(L)
+        ctx = AnalysisContext(L)
         lines = [line_choices(L, iv) for iv in ctx.intervals]
         tops = [iv.top for iv in ctx.intervals]
         triples = list(itertools.combinations(range(len(lines)), 3))
@@ -310,7 +309,7 @@ def test_triangles_match_the_enumeration():
 def test_some_base_cyclic_matches_the_enumeration():
     seen = set()
     for L in _exact_lattices():
-        ctx = analysis_context(L)
+        ctx = AnalysisContext(L)
         choices = [line_choices(L, iv) for iv in ctx.intervals]
         if choice_count(choices) <= CHOICES_CAP:
             assert ctx.some_base_cyclic == some_choice_has_a_cycle(choices), L
@@ -319,8 +318,9 @@ def test_some_base_cyclic_matches_the_enumeration():
     assert seen == {False, True}
     # with an acyclic canonical base, the verdict reads the answer over
     # all bases: here a doctored witness graph with a coloured 6-cycle
-    ctx = analysis_context(m_n(3))
-    cyclic = dataclasses.replace(ctx, witnesses=((0b1, 0b10), (0b10, 0b100), (0b100, 0b1)))
+    ctx = AnalysisContext(m_n(3))
+    cyclic = AnalysisContext(m_n(3))
+    cyclic.witnesses = ((0b1, 0b10), (0b10, 0b100), (0b100, 0b1))
     assert _verdict(check_point_count(ctx), "acyclicity agrees across bases").passed
     assert not _verdict(check_point_count(cyclic), "acyclicity agrees across bases").passed
 
@@ -328,12 +328,14 @@ def test_some_base_cyclic_matches_the_enumeration():
 def test_line_feet_cover_every_witness_pair():
     # a stray witness that no line of the canonical base holds is still checked
     L = z4_squared()
-    ctx = analysis_context(L)
+    ctx = AnalysisContext(L)
     assert check_line_feet(ctx).detail == "15 point pairs checked"
     stray = next(p for p in bits(L.ji_mask) if not L.leq(p, ctx.intervals[0].top))
     ws = list(ctx.witnesses)
     ws[0] = (ws[0][0] | 1 << stray,) + ws[0][1:]
-    verdict = check_line_feet(dataclasses.replace(ctx, witnesses=tuple(ws)))
+    doctored = AnalysisContext(L)
+    doctored.witnesses = tuple(ws)
+    verdict = check_line_feet(doctored)
     assert not verdict.passed
 
 
@@ -349,7 +351,7 @@ def test_shared_localization_pass_matches_localize():
     lattices = [L for _, L in standard_corpus()] + [subgroup_lattice(parse_group("4,8"))]
     seen = set()
     for L in lattices:
-        ctx = analysis_context(L, 50)
+        ctx = AnalysisContext(L, 50)
         points, tops = frozenset(bits(L.ji_mask)), [iv.top for iv in ctx.intervals]
         for masks in ctx.sample:
             lines = [frozenset(bits(m)) for m in masks]
@@ -386,7 +388,7 @@ def test_localization_summaries_are_computed_once_per_base(monkeypatch):
         return summarize(ctx, masks)
 
     monkeypatch.setattr(modlat.analysis, "_summarize_localizations", counted)
-    ctx = analysis_context(L)
+    ctx = AnalysisContext(L)
     assert ctx.truncated and ctx.locally_acyclic is True and not counts
     assert not any(
         some_choice_has_a_cycle(localization_choices(L, ctx.intervals, u, v))
@@ -408,7 +410,7 @@ def test_each_distinct_localization_is_decomposed_once(monkeypatch):
         return decompose(line_masks, pts)
 
     monkeypatch.setattr(modlat.analysis, "mask_components", counted)
-    ctx = analysis_context(L)
+    ctx = AnalysisContext(L)
     distinct = set()
     for masks in ctx.sample:
         for k, (_, _, pts, qual) in enumerate(ctx.coverings):
@@ -423,7 +425,7 @@ def test_localization_summaries_match_a_scan_of_every_covering():
     # line differing from the canonical base reaches, and must still name
     # the first covering that a scan of all coverings finds
     L = subgroup_lattice(parse_group("2,2,4"))
-    ctx = analysis_context(L)
+    ctx = AnalysisContext(L)
     rng = random.Random(5)
 
     def cut(masks):
@@ -439,7 +441,8 @@ def test_localization_summaries_match_a_scan_of_every_covering():
 
     outcomes = set()
     for _ in range(30):
-        doctored = dataclasses.replace(ctx, base=cut(ctx.base) if rng.random() < 0.5 else ctx.base)
+        doctored = AnalysisContext(L)
+        doctored.base = cut(ctx.base) if rng.random() < 0.5 else ctx.base
         for B in [doctored.base] + rng.sample(ctx.sample, 8):
             B = cut(B) if rng.random() < 0.5 else B
             want = scan(doctored, B)
@@ -451,9 +454,10 @@ def test_localization_summaries_match_a_scan_of_every_covering():
 def test_components_match_projectivity_reports_the_first_split_pair():
     # merging two of the three projectivity classes of the Boolean lattice
     # on three atoms makes them coarser than the components of its base
-    boolean = analysis_context(boolean_lattice(3))
+    boolean = AnalysisContext(boolean_lattice(3))
     merged = {q: min(k, 1) for q, k in boolean.class_of.items()}
-    doctored = dataclasses.replace(boolean, class_of=merged)
+    doctored = AnalysisContext(boolean_lattice(3))
+    doctored.class_of = merged
     lower = doctored.lower
     comp_of = {p: k for k, comp in enumerate(doctored.base_facts(doctored.base)[0])
                for p in bits(comp)}
@@ -522,7 +526,7 @@ def test_join_witness_and_triangle_counts_on_larger_groups(group):
     L = subgroup_lattice(parse_group(group))
     triples, triangles = VERDICT_COUNTS[group]
     assert check_join_witness(L).detail == f"{triples} triples checked"
-    tops = check_triangle_tops(analysis_context(L))
+    tops = check_triangle_tops(AnalysisContext(L))
     assert tops.passed and tops.detail == f"{triangles} triangles"
 
 
@@ -607,7 +611,7 @@ def test_witness_rejects_a_doctored_configuration():
     L = z2_cubed()
     ivs, masks = canonical_bol(L)
     cfg = next(triangle_configurations(masks))
-    broken = dataclasses.replace(cfg, s=cfg.q)
+    broken = cfg._replace(s=cfg.q)
     with pytest.raises(ClaimViolated):
         cyclic_localization_witness(L, ivs, masks, broken)
 
@@ -674,7 +678,7 @@ def test_top_cycles_of_z4_squared():
     ]
     for c in cycles:
         assert c.directions == ("up", "up", "down", "down")
-        assert len(c) == 4
+        assert len(c.tops) == 4
         assert c.tops[0] == min(c.tops)
         assert c.tops[1] < c.tops[-1]
         assert _is_clean(L, tops, below, c)
@@ -700,11 +704,11 @@ def test_clean_cycle_verdicts():
     tops, below = _tight(L)
     cycles = _top_cycles(below, 8)
     assert len(cycles) == 3 and all(_is_clean(L, tops, below, c) for c in cycles)
-    ctx = analysis_context(L)
+    ctx = AnalysisContext(L)
     assert not ctx.acyclic
     v = check_clean_cycles(ctx)
     assert v.passed and v.detail == "base cyclic, so nothing to force"
-    v2 = check_clean_cycles(analysis_context(boolean_lattice(3)))
+    v2 = check_clean_cycles(AnalysisContext(boolean_lattice(3)))
     assert v2.passed and v2.detail == "untriggered (0 cycles, none clean)"
 
 
@@ -796,10 +800,10 @@ def test_component_count_does_not_build_the_bases_sample(monkeypatch):
 
     monkeypatch.setattr(modlat.analysis, "bol_sample", refuse)
     for L, want in [(m_n(3), 1), (seven_point_lattice(), 1), (z4_squared(), 1)]:
-        ctx = analysis_context(L)
+        ctx = AnalysisContext(L)
         assert component_count(ctx, ctx.base) == want
     with pytest.raises(AssertionError, match="bases sample"):
-        analysis_context(z4_squared()).sample
+        AnalysisContext(z4_squared()).sample
 
 
 def test_verdict_rendering():
@@ -810,11 +814,11 @@ def test_verdict_rendering():
 
 def test_params_report_serializes():
     rep = params(seven_point_lattice())
-    data = dataclasses.asdict(rep)
+    data = rep._asdict()
     assert set(data) == {
         "j", "delta", "s", "i", "o", "mu",
         "rstar_canonical", "acyclic", "locally_acyclic", "verdicts",
     }
     assert data["j"] == 7 and data["mu"] == 9
-    assert all(set(v) == {"name", "passed", "detail"} for v in data["verdicts"])
+    assert all(set(v._asdict()) == {"name", "passed", "detail"} for v in data["verdicts"])
     json.dumps(data)

@@ -20,7 +20,7 @@ from modlat.bol import (
     localize,
     witness_masks,
 )
-from modlat.analysis import analysis_context
+from modlat.analysis import AnalysisContext
 from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, standard_corpus
 from modlat.lattice import bits, ji_elements, lower_star
 from modlat.pls import Pls, TwoPointIntersection, components, find_cycle, mask_components, validate_pls
@@ -186,7 +186,7 @@ def test_all_bols_samples_past_a_wide_interval():
 
 @pytest.mark.parametrize("name,L", ORDER_CASES, ids=lambda v: v if isinstance(v, str) else "")
 def test_canonical_bol_is_the_first_base(name, L):
-    ctx = analysis_context(L)
+    ctx = AnalysisContext(L)
     first = next(all_bols(ctx.witnesses))
     assert first == ctx.base
     assert canonical_bol(L) == (line_intervals(L), first)

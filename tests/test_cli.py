@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -51,6 +54,23 @@ def files(tmp_path):
     out["fano"].write_text(json.dumps(pls_to_json(fano_pls())))
     out["sets"].write_text("100\n010\n001\n")
     return {k: str(v) for k, v in out.items()}
+
+
+# -- start-up ----------------------------------------------------------------
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the value types are NamedTuples and plain classes; `dataclasses`
+    # alone cost about a third of the import, and it pulls in `inspect`
+    code = (
+        "import sys; before = set(sys.modules); import modlat.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # -- enumerate -------------------------------------------------------------
@@ -488,6 +508,31 @@ def test_set_system_with_a_stray_character_is_a_usage_error(tmp_path, capsys):
     bad.write_text("0x\n")
     assert main(["distributive", "--sets", str(bad)]) == 2
     assert "ValueError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,content,err",
+    [
+        (["analyze", "--lattice"], {"covers": [[False, True]]},
+         "cover [False, True] holds False, not an element index"),
+        (["enumerate", "--poset"], {"points": ["a", "b"], "covers": [[0, True]]},
+         "cover names unknown point 'True'"),
+        (["enumerate", "--poset", "{poset}", "--lines"], {"lines": [[0, True, 2]]},
+         "line names unknown point 'True'"),
+        (["rstar"], {"points": [1, 1, 2], "lines": [[1, 2]]},
+         "point-line JSON names point 1 more than once"),
+        (["rstar"], {"points": [1, True, 2], "lines": [[1, 2]]},
+         "point-line JSON holds True, which is neither an int nor a string"),
+    ],
+    ids=["lattice", "poset", "lines", "pls-repeat", "pls-bool"],
+)
+def test_json_booleans_and_repeated_points_exit_2_naming_them(files, tmp_path, capsys, argv,
+                                                                content, err):
+    # isinstance(True, int) holds, so a JSON boolean once passed for an index
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    assert main([arg.format(**files) for arg in argv] + [str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"ValueError: {err}\n")
 
 
 # every CLI reader on mutated copies of valid files: exit 0 or 2, one line

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
 from pathlib import Path
 
 from modlat.wildcard import EnumStats
@@ -29,4 +28,4 @@ def test_stats_sample_lists_every_enum_stats_field_in_order():
     assert block is not None, "README has no --stats example"
     sample = "".join(line[2:] for line in block.group(1).splitlines(True))
     sample = sample[: sample.rindex("}") + 1]
-    assert list(json.loads(sample)) == [f.name for f in fields(EnumStats)]
+    assert list(json.loads(sample)) == list(EnumStats._fields)
