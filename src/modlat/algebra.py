@@ -7,6 +7,13 @@ joining cyclic prime-power subgroups onto masks, and `L.subgroups` holds
 the masks.  Set systems generate distributive sublattices of a powerset;
 their join-irreducibles are the minimal generated sets A_v containing
 each universe element.
+
+The subgroup half needs only `lattice`.  The set-system half reaches into
+`rebuild` and `wildcard`: `distributive_ji` for `rebuild._member_key`,
+`distributive_lattice` for the ideal enumerator and
+`rebuild.closed_ideals_lattice`, and `enumeration_input` for
+`rebuild.enumeration_data`.  Those three import them inside their bodies,
+so that `subgroup-lattice` loads neither module.
 """
 
 from __future__ import annotations
@@ -15,8 +22,6 @@ from functools import cached_property
 from math import gcd, prod
 
 from .lattice import CapExceeded, LatticeError, build_lattice, check_lattice_size, covers_from_below
-from .rebuild import _member_key, closed_ideals_lattice, enumeration_data
-from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_count
 
 ORDER_CAP = 4096
 
@@ -83,6 +88,7 @@ class _Numbered:
     def __init__(self, G):
         self.G = G
         self._moves = {}  # x -> ((low, up, down) per nonzero digit of x)
+        self._spans = {}  # (span, x) -> span + <x>, for the greedy prefixes `name` shares
 
     def _moves_of(self, x):
         moves = self._moves.get(x)
@@ -126,13 +132,18 @@ class _Numbered:
 
     def name(self, mask):
         """Greedy generators of H: each element, in order, that the span of
-        the earlier ones misses."""
+        the earlier ones misses.  The span of a prefix of these generators
+        is the subgroup that the prefix names, so subgroups share prefix
+        spans, and each (span, x) step is joined once per `_Numbered`."""
         gens = []
         span, rest = 1, mask & ~1
         while rest:
             x = (rest & -rest).bit_length() - 1  # the least element outside the span
             gens.append(self.G.elements[x])
-            span = self.join_cyclic(span, x)
+            key = span, x
+            span = self._spans.get(key)
+            if span is None:
+                span = self._spans[key] = self.join_cyclic(*key)
             rest = mask & ~span
         if not gens:
             return "0"
@@ -222,6 +233,8 @@ def enumeration_input(G):
     """The ground data the ideal enumerator needs for G: the poset of the
     join-irreducible subgroups and the sorted lines of the canonical base
     of lines, both read off the subgroup lattice."""
+    from .rebuild import enumeration_data
+
     poset, _, lines = enumeration_data(subgroup_lattice(G))
     return poset, sorted(lines)
 
@@ -272,6 +285,8 @@ def distributive_ji(sys):
     """The join-irreducibles of the generated distributive lattice:
     deduplicated sets A_v = intersection of all members containing v.
     Elements in no member are skipped."""
+    from .rebuild import _member_key
+
     out = set()
     for v in sys.universe:
         containing = [s for s in sys.sets if v in s]
@@ -285,6 +300,9 @@ def distributive_lattice(sys):
     """The distributive lattice the sets generate, realized as the family
     of unions of down-sets of the join-irreducibles (always including the
     empty set)."""
+    from .rebuild import closed_ideals_lattice
+    from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_count
+
     jis = distributive_ji(sys)
     # sorted by size, so proper subsets come first
     below = [sum(1 << i for i in range(j) if jis[i] < b) for j, b in enumerate(jis)]

@@ -6,6 +6,13 @@ Subcommands chain through JSON files: `enumerate` emits row sets,
 `verify` runs the verdict suite over the stock corpus.  Exit status is
 0 for success, 1 for a verification failure, 2 for usage or input
 errors.
+
+Every command runs in a fresh process, so what the module imports is paid
+on every run.  It imports only `lattice` at load, and each `cmd_*`
+imports the modules it runs at the top of its own body:
+`subgroup-lattice` loads `algebra` alone, `enumerate` loads `wildcard`,
+and `bol` loads `bol` and `pls`.  The error bases that `main` catches
+live in `lattice` for the same reason.
 """
 
 from __future__ import annotations
@@ -13,45 +20,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .algebra import (
-    distributive_ji,
-    distributive_lattice,
-    parse_group,
-    parse_set_system,
-    subgroup_lattice,
-)
-from .analysis import (
-    cyclic_localization_witness,
-    params,
-    triangle_configuration_count,
-    triangle_configurations,
-    verdict_suite,
-)
-from .bol import (
-    bol_sample, bol_to_json, canonical_bol, line_intervals, localize, masks_to_json, witness_masks
-)
-from .corpus import standard_corpus
 from .lattice import (
     LatticeError,
+    NotAClosureSystem,
+    PlsError,
+    WildcardError,
     bits,
     ji_elements,
     lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
-)
-from .pls import PlsError, mask_components, pls_from_json, rstar
-from .rebuild import NotAClosureSystem, ideals_lattice, roundtrip_check
-from .wildcard import (
-    WildcardError,
-    enumerate_ideals,
-    lines_from_json,
-    poset_from_json,
-    rowset_bitstrings,
-    rowset_to_json,
-    rowset_to_text,
-    total_count,
 )
 
 
@@ -61,7 +40,8 @@ def _load(path):
 
 
 def _write_json(path, data):
-    Path(path).write_text(json.dumps(data, indent=2, default=str) + "\n")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(data, indent=2, default=str) + "\n")
 
 
 def _resolve_elem(L, token):
@@ -101,6 +81,16 @@ def _params_table(rep):
 
 
 def cmd_enumerate(args):
+    from .wildcard import (
+        enumerate_ideals,
+        lines_from_json,
+        poset_from_json,
+        rowset_bitstrings,
+        rowset_to_json,
+        rowset_to_text,
+        total_count,
+    )
+
     poset = poset_from_json(_load(args.poset))
     lines = lines_from_json(_load(args.lines), poset) if args.lines else []
     rows = enumerate_ideals(poset, lines)
@@ -119,6 +109,10 @@ def cmd_enumerate(args):
 
 
 def cmd_rebuild(args):
+    from .bol import line_intervals
+    from .rebuild import ideals_lattice, roundtrip_check
+    from .wildcard import lines_from_json, poset_from_json
+
     poset = poset_from_json(_load(args.poset))
     lines = lines_from_json(_load(args.lines), poset) if args.lines else []
     L = ideals_lattice(poset, lines)
@@ -137,6 +131,8 @@ def cmd_rebuild(args):
 
 
 def cmd_analyze(args):
+    from .analysis import params
+
     L = lattice_from_json(_load(args.lattice))
     rep = params(L, bols_cap=args.cap)
     print(_params_table(rep))
@@ -147,6 +143,9 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
+    from .analysis import verdict_suite
+    from .corpus import standard_corpus
+
     results = [(name, verdict_suite(L, bols_cap=args.cap)) for name, L in standard_corpus()]
     failures = 0
     for name, verdicts in results:
@@ -160,6 +159,9 @@ def cmd_verify(args):
 
 
 def cmd_bol(args):
+    from .bol import bol_sample, bol_to_json, canonical_bol, line_intervals, witness_masks
+    from .pls import mask_components
+
     L = lattice_from_json(_load(args.lattice))
     if args.all_bols:
         sample, truncated = bol_sample(witness_masks(L, line_intervals(L)), args.cap)
@@ -177,6 +179,9 @@ def cmd_bol(args):
 
 
 def cmd_localize(args):
+    from .bol import canonical_bol, localize, masks_to_json
+    from .pls import mask_components
+
     L = lattice_from_json(_load(args.lattice))
     a = _resolve_elem(L, args.a)
     b = _resolve_elem(L, args.b)
@@ -194,6 +199,8 @@ def cmd_localize(args):
 
 
 def cmd_subgroup_lattice(args):
+    from .algebra import parse_group, subgroup_lattice
+
     G = parse_group(args.group)
     L = subgroup_lattice(G)
     if args.out:
@@ -206,12 +213,17 @@ def cmd_subgroup_lattice(args):
         return 0
     print(f"{G}: {L.n} subgroups")
     if args.analyze:
+        from .analysis import params
+
         print(_params_table(params(L, bols_cap=args.cap)))
     return 0
 
 
 def cmd_distributive(args):
-    system = parse_set_system(Path(args.sets).read_text())
+    from .algebra import distributive_ji, distributive_lattice, parse_set_system
+
+    with open(args.sets) as fh:
+        system = parse_set_system(fh.read())
     L = distributive_lattice(system)
     if args.out:
         _write_json(args.out, lattice_to_json(L))
@@ -230,6 +242,9 @@ def cmd_distributive(args):
 
 
 def cmd_rstar(args):
+    from .bol import canonical_bol
+    from .pls import mask_components, pls_from_json, rstar
+
     if args.lattice:
         L = lattice_from_json(_load(args.lattice))
         print(mask_components(canonical_bol(L)[1], L.ji_mask)[1])
@@ -242,6 +257,13 @@ def cmd_rstar(args):
 
 
 def cmd_witness_triangle(args):
+    from .analysis import (
+        cyclic_localization_witness,
+        triangle_configuration_count,
+        triangle_configurations,
+    )
+    from .bol import canonical_bol
+
     L = lattice_from_json(_load(args.lattice))
     ivs, masks = canonical_bol(L)
     if args.count:

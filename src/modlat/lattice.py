@@ -45,6 +45,24 @@ class CapExceeded(LatticeError):
     """Some enumeration outgrew its configured cap."""
 
 
+# The error bases of the pls, wildcard and rebuild layers are defined here,
+# so that the command line catches them without importing those modules;
+# each module imports its own, and `modlat.pls.PlsError` and the others
+# name the same classes.
+
+
+class PlsError(Exception):
+    """Base class for point-line structure failures (`modlat.pls`)."""
+
+
+class WildcardError(Exception):
+    """Base class for wildcard row failures (`modlat.wildcard`)."""
+
+
+class NotAClosureSystem(Exception):
+    """A family that is not intersection-closed (`modlat.rebuild`)."""
+
+
 # admits Z2^5 (374 subgroups); 512 elements build in a fraction of a second
 LATTICE_CAP = 512
 

@@ -19,11 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lattice import bits, first_repeat
-
-
-class PlsError(Exception):
-    pass
+from .lattice import PlsError, bits, first_repeat
 
 
 class TwoPointIntersection(PlsError):
@@ -253,4 +249,8 @@ def pls_from_json(d):
     dup = first_repeat(points)
     if dup is not None:
         raise ValueError(f"point-line JSON names point {dup!r} more than once")
+    for line in lines:
+        dup = first_repeat(line)
+        if dup is not None:
+            raise ValueError(f"point-line JSON line {line} names point {dup!r} more than once")
     return validate_pls(points, [frozenset(line) for line in lines])

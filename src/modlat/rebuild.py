@@ -15,13 +15,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bol import canonical_bol
-from .lattice import bits, build_lattice, check_lattice_size, covers_from_below, ji_elements
+from .lattice import (
+    NotAClosureSystem,
+    bits,
+    build_lattice,
+    check_lattice_size,
+    covers_from_below,
+    ji_elements,
+)
 from .pls import _pkey
 from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_count
-
-
-class NotAClosureSystem(Exception):
-    pass
 
 
 def _member_name(s):

@@ -44,7 +44,7 @@ from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
-from .lattice import CycleInCovers, bits, first_repeat, topological_up_sets
+from .lattice import CycleInCovers, WildcardError, bits, first_repeat, topological_up_sets
 
 FIXED0 = "0"
 FIXED1 = "1"
@@ -52,10 +52,6 @@ FREE = "2"
 
 # the most strings `expand` lists for one row
 EXPAND_CAP = 1_000_000
-
-
-class WildcardError(Exception):
-    pass
 
 
 class ExpansionCapExceeded(WildcardError):
@@ -866,4 +862,12 @@ def lines_from_json(d, poset):
             raise ValueError(f"line point {x} out of range 0..{poset.width - 1}")
         return x
 
-    return [tuple(sorted(resolve(p) for p in line)) for line in raw]
+    out = []
+    for line in raw:
+        ids = [resolve(p) for p in line]
+        dup = first_repeat(ids)
+        if dup is not None:
+            name = poset.labels[dup] if poset.labels else dup
+            raise ValueError(f"line names point {name!r} more than once")
+        out.append(tuple(sorted(ids)))
+    return out

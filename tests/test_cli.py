@@ -59,6 +59,16 @@ def files(tmp_path):
 # -- start-up ----------------------------------------------------------------
 
 
+def _run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this checkout's
+    modlat, and return its stdout."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # the value types are NamedTuples and plain classes; `dataclasses`
     # alone cost about a third of the import, and it pulls in `inspect`
@@ -66,11 +76,45 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         "import sys; before = set(sys.modules); import modlat.cli; "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert _run_fresh(code) == "[]\n"
+
+
+def test_import_and_each_command_load_only_their_own_modules(files):
+    # every command is a fresh process, so `import modlat.cli` loads only
+    # `lattice`, and a command adds the modules it runs
+    code = f"""
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("modlat"))
+import modlat.cli
+steps = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    steps.append(modlat.cli.main(["subgroup-lattice", "--group", "2,2", "--count"]))
+    steps.append(loaded())
+    steps.append(modlat.cli.main(["bol", "--lattice", {files["m3"]!r}]))
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+    imported, code_sub, after_sub, code_bol, after_bol = json.loads(_run_fresh(code))
+    assert imported == ["modlat", "modlat.cli", "modlat.lattice"]
+    assert code_sub == 0 and after_sub == ["modlat", "modlat.algebra", "modlat.cli", "modlat.lattice"]
+    assert code_bol == 0 and "modlat.bol" in after_bol and "modlat.pls" in after_bol
+    skipped = {"modlat.analysis", "modlat.wildcard", "modlat.rebuild", "modlat.corpus"}
+    assert not skipped & set(after_bol)
+
+
+def test_error_bases_keep_their_old_import_paths_and_identity():
+    # `main` catches these four from `lattice`; each layer re-exports its own
+    import modlat.lattice
+    import modlat.pls
+    import modlat.rebuild
+    import modlat.wildcard
+
+    assert modlat.pls.PlsError is modlat.lattice.PlsError
+    assert modlat.wildcard.WildcardError is modlat.lattice.WildcardError
+    assert modlat.rebuild.NotAClosureSystem is modlat.lattice.NotAClosureSystem
+    assert issubclass(modlat.pls.TwoPointIntersection, modlat.lattice.PlsError)
+    assert issubclass(modlat.wildcard.ExpansionCapExceeded, modlat.lattice.WildcardError)
 
 
 # -- enumerate -------------------------------------------------------------
@@ -523,8 +567,14 @@ def test_set_system_with_a_stray_character_is_a_usage_error(tmp_path, capsys):
          "point-line JSON names point 1 more than once"),
         (["rstar"], {"points": [1, True, 2], "lines": [[1, 2]]},
          "point-line JSON holds True, which is neither an int nor a string"),
+        (["rstar"], {"points": [1, 2, 3], "lines": [[1, 1, 2], [2, 3]]},
+         "point-line JSON line [1, 1, 2] names point 1 more than once"),
+        (["enumerate", "--poset", "{poset}", "--lines"],
+         {"lines": [["p1", "p1", "p2", "p3"], ["p1", "p5", "p6"], ["p4", "p6", "p7"]]},
+         "line names point 'p1' more than once"),
     ],
-    ids=["lattice", "poset", "lines", "pls-repeat", "pls-bool"],
+    ids=["lattice", "poset", "lines", "pls-repeat", "pls-bool", "pls-line-repeat",
+         "lines-repeat"],
 )
 def test_json_booleans_and_repeated_points_exit_2_naming_them(files, tmp_path, capsys, argv,
                                                                 content, err):
