@@ -764,12 +764,20 @@ def check_triangle_tops(ctx):
 
     Only intervals with pairwise comparable tops can fail, so each such
     triple is asked whether some base makes a triangle of its lines.  The
-    pass detail counts the triangles of the canonical base."""
+    lines of a triangle meet pairwise, so a triple is asked only when
+    each two of its intervals share a point of their witness spans (the
+    points that can lie on their lines).  The pass detail counts the
+    triangles of the canonical base."""
     up, down = ctx.lattice.up, ctx.lattice.down
     index = {iv.top: k for k, iv in enumerate(ctx.intervals)}
+    span = {iv.top: sum(ws) for iv, ws in zip(ctx.intervals, ctx.witnesses)}
     tops = sum(1 << t for t in index)
-    # per top, the later tops comparable with it (index grows with the top)
-    later = {t: (up[t] | down[t]) & tops & -(2 << t) for t in index}
+    # per top, the later tops comparable with it whose spans meet its
+    # own (index grows with the top)
+    later = {
+        t: sum(1 << u for u in bits((up[t] | down[t]) & tops & -(2 << t)) if span[u] & span[t])
+        for t in index
+    }
     for ta in index:
         for tb in bits(later[ta]):
             for tc in bits(later[ta] & later[tb]):

@@ -46,15 +46,27 @@ def closed_ideals_lattice(members):
     canon = sorted({frozenset(m) for m in members}, key=_member_key)
     if not canon or canon[0] != frozenset():
         raise NotAClosureSystem("the empty set must be a member")
-    index = {s: i for i, s in enumerate(canon)}
-    for i, a in enumerate(canon):
-        for b in canon[i + 1 :]:
-            if a & b not in index:
-                raise NotAClosureSystem(
-                    f"intersection of {_member_name(a)} and {_member_name(b)} is missing"
-                )
-    # members are sorted by size, so proper subsets come first
-    below = [sum(1 << i for i in range(j) if canon[i] < b) for j, b in enumerate(canon)]
+    # each member as an int mask over the union of the members
+    bit = {e: 1 << i for i, e in enumerate(frozenset().union(*canon))}
+    masks = [sum(bit[e] for e in s) for s in canon]
+    present = set(masks)
+    for i, a in enumerate(masks):
+        if not {a & b for b in masks[i + 1 :]} <= present:
+            j = next(j for j in range(i + 1, len(masks)) if a & masks[j] not in present)
+            raise NotAClosureSystem(
+                f"intersection of {_member_name(canon[i])} and {_member_name(canon[j])} is missing"
+            )
+    # per element of the union, the mask of the members without it
+    lacking = [sum(1 << i for i, m in enumerate(masks) if not m >> e & 1) for e in range(len(bit))]
+    full = (1 << len(bit)) - 1
+    # members are sorted by size, so of two distinct members the earlier
+    # one is inside the later only as a proper subset
+    below = []
+    for j, b in enumerate(masks):
+        inside = (1 << j) - 1
+        for e in bits(full & ~b):
+            inside &= lacking[e]
+        below.append(inside)
     L = build_lattice([_member_name(s) for s in canon], covers_from_below(below))
     L.member_sets = tuple(canon)
     return L

@@ -229,68 +229,72 @@ def expand(row):
 # -- forcing ----------------------------------------------------------
 
 
-def force(row, assignments):
-    """Fix cells to 0/1 and propagate through groups.
+def force(row, one=0, zero=0):
+    """Fix the cells of the mask `one` to 1 and those of `zero` to 0, and
+    propagate through groups.
 
-    `assignments` maps positions to values.  Returns the rewritten Row,
-    or None when the assignment contradicts the row.  Group rewrites
-    follow the wildcard semantics: a d member carries the others with it,
-    a 1 in an eps/g zeroes its mates, an ell collapses to d (hit by 1) or
-    eps (hit by 0), an imp premise 1 fires the conclusions while a
-    conclusion 0 kills the premises.  What is left of a group goes back
-    into the group order by its new lowest member.
+    Returns the rewritten Row, or None when the masks contradict the row
+    or each other.  Each group hit is rewritten once, for all its hit
+    members together, following the wildcard semantics: a d member
+    carries the others with it, a 1 in an eps/g zeroes its mates, an ell
+    collapses to d (one 1) or eps (a 0), an imp premise 1 fires the
+    conclusions while a conclusion 0 kills the premises.  What is left of
+    a group goes back into the group order by its new lowest member; a
+    lone survivor of an eps or ell is a free cell.
     """
-    fixed = [row.zeros, row.ones]  # indexed by the value fixed
-    groups = list(row.groups)
-    queue = [(int(p), 1 if v else 0) for p, v in assignments.items()]
-
-    def push(mask, val):
-        queue.extend((q, val) for q in bits(mask))
-
-    while queue:
-        pos, val = queue.pop()
-        bit = 1 << pos
-        if fixed[val] & bit:
+    one &= ~row.ones
+    zero &= ~row.zeros
+    if one & (zero | row.zeros) or zero & row.ones:
+        return None
+    hit = one | zero
+    groups, moved = [], False
+    for spec in row.groups:
+        m = spec.members
+        if not m & hit:
+            groups.append(spec)
             continue
-        if fixed[1 - val] & bit:
-            return None
-        fixed[val] |= bit
-        for i, spec in enumerate(groups):
-            if spec.members & bit:
-                break
-        else:
-            continue  # a free cell
-        del groups[i]
-        kind, rest = spec.kind, spec.members & ~bit
+        kind, o, z = spec.kind, one & m, zero & m
+        rest = m & ~hit
         new = None  # what is left of the group
         if kind == "d":
-            push(rest, val)
-        elif kind in ("eps", "g"):
-            if val:
-                push(rest, 0)
-            elif not _single(rest):
-                new = GroupSpec(kind, rest)
-            elif kind == "g":
-                if not rest:
+            if o and z:
+                return None
+            if o:
+                one |= rest
+            else:
+                zero |= rest
+        elif kind == "imp":
+            prem = spec.premise
+            if o & prem:  # a premise 1: every conclusion is 1
+                if z & ~prem:
                     return None
-                push(rest, 1)
-        elif kind == "ell":
-            if not _single(rest):  # a lone survivor is unconstrained
-                new = GroupSpec("d" if val else "eps", rest)
-        else:  # imp
-            prem = spec.premise & ~bit
-            if spec.premise & bit:
-                if val:
-                    push(rest & ~prem, 1)
-                elif prem:
-                    new = GroupSpec("imp", rest, prem)
-            elif not val:
-                push(prem, 0)
-            elif rest & ~prem:
-                new = GroupSpec("imp", rest, prem)
+                one |= rest & ~prem
+            elif z & ~prem:  # a conclusion 0: every premise is 0
+                zero |= rest & prem
+            elif rest & prem and rest & ~prem:
+                new = GroupSpec("imp", rest, rest & prem)
+        elif not _single(o):  # two 1s: only an ell admits them, all 1
+            if kind != "ell" or z:
+                return None
+            one |= rest
+        elif o:  # one 1: the rest is 0, or for an ell with no 0 all equal
+            if kind == "ell" and not z:
+                if not _single(rest):
+                    new = GroupSpec("d", rest)
+            else:
+                zero |= rest
+        elif kind == "g" and _single(rest):  # only 0s: the last one left is the 1
+            if not rest:
+                return None
+            one |= rest
+        elif not _single(rest):  # only 0s: a g stays g, an eps or ell becomes eps
+            new = GroupSpec("g" if kind == "g" else "eps", rest)
         if new is not None:
-            insort(groups, new, lo=i, key=_low)
-    return Row(row.width, fixed[1], fixed[0], tuple(groups))
+            groups.append(new)
+            moved = moved or new.members & -new.members != m & -m
+    if moved:
+        groups.sort(key=_low)
+    return Row(row.width, row.ones | one, row.zeros | zero, tuple(groups))
 
 
 def with_group(row, kind, members):
@@ -342,8 +346,6 @@ def impose_line(row, positions):
     ones = (row.ones & line).bit_count()  # the fixed 1s on the line
     zeros = row.zeros & line
     undet = line & ~(row.ones | row.zeros)
-    all_zero = dict.fromkeys(bits(undet), 0)
-    all_one = dict.fromkeys(bits(undet), 1)
 
     if not undet:
         ok = ones <= 1 or ones == line.bit_count()
@@ -351,14 +353,14 @@ def impose_line(row, positions):
     if ones >= 2:
         if zeros:
             return []  # two 1s demand all 1s, but a fixed 0 forbids that
-        r = force(row, all_one)
+        r = force(row, one=undet)
         return [r] if r is not None else []
     if ones == 1:
         if not zeros and _single(undet):
             return [row]  # two-point case: the undetermined cell may go either way
-        out = [force(row, all_zero)]
+        out = [force(row, zero=undet)]
         if not zeros:
-            out.append(force(row, all_one))
+            out.append(force(row, one=undet))
         return [r for r in out if r is not None]
 
     # no fixed 1 yet
@@ -367,11 +369,11 @@ def impose_line(row, positions):
     if not undet & ~row.free:
         return [with_group(row, "eps" if zeros else "ell", undet)]
 
-    out = [force(row, all_zero)]
+    out = [force(row, zero=undet)]
     for mem in _line_units(row, undet):
         out.append(_one_hot_row(row, undet, mem))
     if not zeros:
-        out.append(force(row, all_one))
+        out.append(force(row, one=undet))
     return [r for r in out if r is not None]
 
 
@@ -390,17 +392,16 @@ def _line_units(row, undet):
 
 def _one_hot_row(row, undet, mem):
     """The sub-row whose strings have their single line-1 inside `mem`."""
-    low = (mem & -mem).bit_length() - 1
-    others = dict.fromkeys(bits(undet & ~mem), 0)
+    others = undet & ~mem
     if _single(mem):
-        return force(row, {low: 1, **others})
-    spec = _group_at(row, low)
+        return force(row, one=mem, zero=others)
+    spec = _group_at(row, (mem & -mem).bit_length() - 1)
     if spec is None:
-        base = force(row, others)
+        base = force(row, zero=others)
         return with_group(base, "g", mem) if base is not None else None
     if spec.kind == "d":
         return None  # d members are all-equal; a single 1 among >= 2 is impossible
-    base = force(row, {**others, **dict.fromkeys(bits(spec.members & ~mem), 0)})
+    base = force(row, zero=others | spec.members & ~mem)
     if base is None:
         return None
     return _retype_to_g(base, mem)
@@ -490,35 +491,36 @@ def seed_order_ideals(poset):
     Recursively branches on a pivot point lying on several unresolved
     covers (highest up+down degree, ties to the lowest index); membership
     propagates down-sets on 1 and up-sets on 0.  Covers left with both
-    ends undetermined become pairwise imp groups.
+    ends undetermined become pairwise imp groups.  Each branch keeps the
+    covers still unresolved as (members, premise) masks, filtered from
+    its parent's, and finds the points on two of them by an OR over them.
     """
     rows, prov = [], []
+    up, down = poset.strict_up, poset.strict_down
+    # the pivot is the first point in this order lying on two unresolved covers
+    order = sorted(range(poset.width), key=lambda p: (-(up[p] | down[p]).bit_count(), p))
     # covers left unresolved are disjoint, so in this order they come
     # ordered by their lowest member, as a row's groups are
-    covers = sorted(poset.covers, key=min)
+    covers = [(1 << lo | 1 << hi, 1 << hi) for lo, hi in sorted(poset.covers, key=min)]
 
-    def emit(ones, zeros, path):
+    def emit(ones, zeros, path, covers):
         fixed = ones | zeros
-        active = [(lo, hi) for lo, hi in covers if not (fixed >> lo | fixed >> hi) & 1]
-        deg = Counter()
-        for lo, hi in active:
-            deg[lo] += 1
-            deg[hi] += 1
-        conflicted = [p for p, d in deg.items() if d >= 2]
-        if not conflicted:
-            groups = tuple(GroupSpec("imp", 1 << lo | 1 << hi, 1 << hi) for lo, hi in active)
+        active = [c for c in covers if not c[0] & fixed]
+        once = twice = 0
+        for m, _ in active:
+            twice |= once & m
+            once |= m
+        if not twice:
+            groups = tuple(GroupSpec("imp", m, hi) for m, hi in active)
             rows.append(Row(poset.width, ones, zeros, groups))
             prov.append("seed" + path)
             return
-        pivot = max(
-            conflicted,
-            key=lambda p: ((poset.strict_up[p] | poset.strict_down[p]).bit_count(), -p),
-        )
+        pivot = next(p for p in order if twice >> p & 1)
         name = poset.label(pivot)
-        emit(ones | 1 << pivot | poset.strict_down[pivot], zeros, f"{path};{name}=1")
-        emit(ones, zeros | 1 << pivot | poset.strict_up[pivot], f"{path};{name}=0")
+        emit(ones | 1 << pivot | down[pivot], zeros, f"{path};{name}=1", active)
+        emit(ones, zeros | 1 << pivot | up[pivot], f"{path};{name}=0", active)
 
-    emit(0, 0, "")
+    emit(0, 0, "", covers)
     labels = tuple(f"r{i + 1}" for i in range(len(rows)))
     return RowSet(poset.width, tuple(rows), labels, tuple(prov))
 
@@ -596,7 +598,7 @@ def enumerate_ideals(poset, lines):
     """All order ideals closed under the line constraints, as a RowSet.
 
     Lines are imposed LIFO and in input order: the working stack holds
-    (row, k, label, checked, held) entries, where k is the index of the next
+    (row, k, label, standing) entries, where k is the index of the next
     line to impose, and the top entry gets line k.  A row with every line
     imposed is final and lands in a `FinalRows` store, where rows differing
     by one complementary 0/1 block are compressed into d rows; the store
@@ -615,65 +617,74 @@ def enumerate_ideals(poset, lines):
 
     A line's standing changes only when one of its cells gets fixed, and
     a line that holds keeps holding in every row below, whose strings are
-    a subset.  So each stack entry also carries the mask `checked` of the
-    cells fixed in its parent (0 for a seed) and the mask `held` of the
-    lines known to hold (the parent's; for a seed, the lines of at most
-    one cell).  One walk over the lines from k on through a newly fixed
-    cell, not yet in `held`, does both tests, and the cursor jumps to the
-    lowest line from k on that is not in `held`.
+    a subset.  So each stack entry carries the standing of all lines in
+    its parent (for a seed, that of no fixed cell) as int masks with one
+    field of c + 1 bits per line, where 2^c exceeds every line's size:
+    `checked`, the cells fixed in the parent; `held`, the lines known to
+    hold (for a seed, the lines of at most one cell); `once` and `twice`,
+    the lines with at least one and two fixed 1s; `zero`, those with a
+    fixed 0; and `count`, per line 2^c - |line| plus its fixed cells, so
+    that bit c of a field says "no undetermined cell", and of the field
+    plus 1 "at most one".  Each newly fixed cell adds its lines to these;
+    both tests are then mask expressions over the lines through a newly
+    fixed cell, from k on and not yet in `held`, and the cursor jumps to
+    the lowest line from k on that is not in `held`.
 
-    Both tests are int operations on the row's `ones` and `zeros` masks,
-    as are the imposition and the store's merge test.  Rows are checked at the boundaries (`make_row`, `row_from_json`); the
+    The tests, the imposition (`impose_line`, `force`) and the store's
+    merge test are int operations on the row's `ones` and `zeros` masks.
+    Rows are checked at the boundaries (`make_row`, `row_from_json`); the
     rows built in between come from well-formed rows and are not
     re-checked.  The counts land in the result's `stats` (an `EnumStats`).
     """
     line_sets = [tuple(sorted(set(int(p) for p in line))) for line in lines]
-    masks = [sum(1 << p for p in line) for line in line_sets]
-    nlines = len(masks)
-    through = [0] * poset.width  # per point, the mask of the indices of its lines
+    nlines = len(line_sets)
+    c = max(map(len, line_sets), default=0).bit_length()
+    s = c + 1  # line k is the field at bit k * s
+    through = [0] * poset.width  # per point, its lines
     for k, line in enumerate(line_sets):
         for p in line:
-            through[p] |= 1 << k
+            through[p] |= 1 << k * s
+    lined = sum(1 << p for p, t in enumerate(through) if t)  # the points on some line
+    units = sum(1 << k * s for k in range(nlines + 1))  # every line, and one past the last
+    small = sum(1 << k * s for k, line in enumerate(line_sets) if len(line) <= 1)
+    count = sum((1 << c) - len(line) << k * s for k, line in enumerate(line_sets))
+    blank = (0, small, 0, 0, 0, count)  # the standing of no fixed cell
     seeds = seed_order_ideals(poset)
     sizes = Counter()
     counter = len(seeds.rows)
-    small = sum(1 << k for k, m in enumerate(masks) if m & (m - 1) == 0)
-    stack = [(row, 0, lab, 0, small) for row, lab in zip(seeds.rows, seeds.labels)]
+    stack = [(row, 0, lab, blank) for row, lab in zip(seeds.rows, seeds.labels)]
     stack.reverse()
     finals = FinalRows()
     skipped = pruned = noops = violations = 0
     peak = len(stack)
 
     while stack:
-        row, k, label, checked, held = stack.pop()
-        ones, zeros = row.ones, row.zeros
-        fixed = ones | zeros
-        # the lines from k on through a newly fixed cell, not known to hold
-        new = fixed & ~checked
-        near = 0
-        while new:
-            low = new & -new
-            near |= through[low.bit_length() - 1]
-            new ^= low
-        near = near >> k << k & ~held
-        while near:
-            low = near & -near
-            m = masks[low.bit_length() - 1]
-            # o and u are the line's fixed 1s and undetermined cells
-            o, u = ones & m, m & ~fixed
-            if o & (o - 1):
-                if zeros & m:
-                    break  # prune
-                if o == m:
-                    held |= low
-            elif not u or not o and not u & (u - 1):
-                held |= low
-            near ^= low
-        if near:
-            pruned += 1
-            continue
-        h = held >> k
-        start, k = k, k + ((h + 1) & ~h).bit_length() - 1
+        row, k, label, standing = stack.pop()
+        checked, held, once, twice, zero, count = standing
+        ones = row.ones
+        fixed = ones | row.zeros
+        new = fixed & ~checked & lined
+        if new:
+            near = 0
+            while new:
+                low = new & -new
+                new ^= low
+                t = through[low.bit_length() - 1]
+                near |= t
+                count += t
+                if ones & low:
+                    twice |= once & t
+                    once |= t
+                else:
+                    zero |= t
+            near = near >> k * s << k * s & ~held
+            if near & twice & zero:
+                pruned += 1
+                continue
+            held |= near & (count >> c | ~once & (count + units) >> c)
+            standing = (fixed, held, once, twice, zero, count)
+        free = ~(held >> k * s) & units >> k * s  # the lines from k on not held
+        start, k = k, k + ((free & -free).bit_length() - 1) // s
         skipped += k - start
         if k == nlines:
             finals.add(row, label)
@@ -684,10 +695,10 @@ def enumerate_ideals(poset, lines):
             violations += 1
         if len(parts) == 1 and parts[0] == row:
             noops += 1
-            stack.append((parts[0], k + 1, label, fixed, held))
+            stack.append((parts[0], k + 1, label, standing))
             continue
         for i in reversed(range(len(parts))):
-            stack.append((parts[i], k + 1, f"r{counter + 1 + i}", fixed, held))
+            stack.append((parts[i], k + 1, f"r{counter + 1 + i}", standing))
         counter += len(parts)
         peak = max(peak, len(stack))
     stats = EnumStats(

@@ -4,6 +4,7 @@ with the modules under test."""
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 from math import gcd
 
@@ -183,6 +184,69 @@ def plain_enumerate(poset, lines):
         counter += len(parts)
     return wildcard.RowSet(
         poset.width, tuple(store.finals), tuple(store.labels), tuple(store.provenance)
+    )
+
+
+def scanning_enumerate(poset, lines):
+    """`enumerate_ideals` with each popped row's line standing found by a
+    scan: every line from k on is tested on the row's own fixed cells,
+    with no memo of the lines that held above it.  A row is pruned when
+    one of them holds two fixed 1s and a fixed 0, and the cursor steps
+    over the lines that hold; final rows go to a `LinearStore`.  The
+    reference for the enumerator's rows, labels, provenance and stats."""
+    line_sets = [tuple(sorted(set(int(p) for p in line))) for line in lines]
+    masks = [sum(1 << p for p in line) for line in line_sets]
+    seeds = wildcard.seed_order_ideals(poset)
+    counter = len(seeds.rows)
+    stack = [(row, 0, lab) for row, lab in zip(seeds.rows, seeds.labels)]
+    stack.reverse()
+    store = LinearStore()
+    sizes = Counter()
+    skipped = pruned = noops = violations = 0
+    peak = len(stack)
+
+    def holds(row, m):
+        ones = (row.ones & m).bit_count()
+        undet = (m & ~(row.ones | row.zeros)).bit_count()
+        return ones == m.bit_count() or ones <= 1 and not undet or not ones and undet <= 1
+
+    while stack:
+        row, k, label = stack.pop()
+        if any((row.ones & m).bit_count() >= 2 and row.zeros & m for m in masks[k:]):
+            pruned += 1
+            continue
+        start = k
+        while k < len(masks) and holds(row, masks[k]):
+            k += 1
+        skipped += k - start
+        if k == len(masks):
+            store.add(row, label)
+            continue
+        parts = wildcard.impose_line(row, line_sets[k])
+        sizes[len(parts)] += 1
+        violations += len(parts) > len(line_sets[k]) + 2
+        if len(parts) == 1 and parts[0].same_content(row):
+            noops += 1
+            stack.append((parts[0], k + 1, label))
+            continue
+        for i in reversed(range(len(parts))):
+            stack.append((parts[i], k + 1, f"r{counter + 1 + i}"))
+        counter += len(parts)
+        peak = max(peak, len(stack))
+    stats = wildcard.EnumStats(
+        seeds=len(seeds.rows),
+        impositions=sum(sizes.values()),
+        noop_impositions=noops,
+        skipped=skipped,
+        split_sizes=dict(sorted(sizes.items())),
+        split_bound_violations=violations,
+        dead_rows=sizes[0],
+        pruned_rows=pruned,
+        merges=store.merges,
+        peak_stack=peak,
+    )
+    return wildcard.RowSet(
+        poset.width, tuple(store.finals), tuple(store.labels), tuple(store.provenance), stats
     )
 
 

@@ -306,6 +306,27 @@ def test_triangles_match_the_enumeration():
     assert outcomes == {False, True}
 
 
+def test_triangle_tops_skip_only_triples_without_a_triangle():
+    # the triples of intervals with pairwise comparable tops that
+    # `check_triangle_tops` skips, since two of their witness spans are
+    # disjoint, have no triangle in any base
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [subgroup_lattice(parse_group(g)) for g in ("2,4,8", "8,8", "32,32")]
+    skipped = 0
+    for L in lattices:
+        ctx = AnalysisContext(L)
+        tops = [iv.top for iv in ctx.intervals]
+        spans = [sum(ws) for ws in ctx.witnesses]
+        for t in itertools.combinations(range(len(tops)), 3):
+            pairs = list(itertools.combinations(t, 2))
+            if all(L.leq(tops[a], tops[b]) or L.leq(tops[b], tops[a]) for a, b in pairs) and not all(
+                spans[a] & spans[b] for a, b in pairs
+            ):
+                skipped += 1
+                assert not ctx.triangle_at(*t), (L, t)
+    assert skipped > 3000
+
+
 def test_some_base_cyclic_matches_the_enumeration():
     seen = set()
     for L in _exact_lattices():

@@ -690,6 +690,9 @@ ENUMERATE_PINNED = {
     "2,4,8": "8187473afdb7d023b39f1c44fd232da3e08f2f1854ac006237bdca2c5e25dc48",
     "3,3,3": "9f59474c3d171bd6df7849ae36f693c533cc9aa660a362e1f83269f10dd29338",
     "random": "988f90d002e2e0a5ae749aeb40fa50438d692fb8f21a43999d6cb652d261c241",
+    "2,2,2,2,2": "912275670f88fe135f289eed751fdc0af200ffa0b8fc6251aa2df3a47f9945b1",
+    "5,5,5": "b977197dcd4c6c60518b9100a05e44416d3cf2f46a7282f87b1a1355c1dcf026",
+    "4,4,4": "2f6b94071475696c09920404ebe2d1bbbe78199c6ad062c7d2f99312edb810a9",
 }
 
 

@@ -11,6 +11,7 @@ import pytest
 from modlat import wildcard
 from modlat.algebra import enumeration_input, parse_group
 from modlat.corpus import fano_pls, seven_point_lines, seven_point_poset, standard_corpus
+from modlat.lattice import bits
 from modlat.rebuild import roundtrip_check
 from modlat.wildcard import (
     FIXED0,
@@ -52,6 +53,7 @@ from oracles import (
     random_lines,
     random_poset_covers,
     random_row,
+    scanning_enumerate,
 )
 
 
@@ -175,6 +177,13 @@ def test_d_group_semantics():
 # -- force ----------------------------------------------------------------------
 
 
+def _forced_strings(row, one, zero):
+    return {
+        b for b in expand(row)
+        if all(b[p] for p in bits(one)) and not any(b[p] for p in bits(zero))
+    }
+
+
 def test_force_is_exact_restriction():
     rng = random.Random(9)
     for _ in range(150):
@@ -182,15 +191,40 @@ def test_force_is_exact_restriction():
         row = random_row(rng, width)
         k = rng.randint(1, min(3, width))
         positions = rng.sample(range(width), k)
-        assignment = {p: rng.randint(0, 1) for p in positions}
-        out = force(row, assignment)
-        expected = {
-            b for b in expand(row) if all(b[p] == v for p, v in assignment.items())
-        }
+        one = sum(1 << p for p in positions if rng.randint(0, 1))
+        zero = sum(1 << p for p in positions) & ~one
+        out = force(row, one, zero)
+        expected = _forced_strings(row, one, zero)
         if out is None:
             assert expected == set()
         else:
             assert set(expand(out)) == expected
+
+
+def test_force_on_overlapping_and_fixed_cells():
+    # `one` and `zero` may share cells, and may name cells the row already
+    # fixes, to the same value or to the other one
+    rng = random.Random(91)
+    seen = Counter()
+    for _ in range(400):
+        width = rng.randint(2, 9)
+        row = random_row(rng, width)
+        one = rng.getrandbits(width) & rng.getrandbits(width)
+        zero = rng.getrandbits(width) & rng.getrandbits(width)
+        if rng.random() < 0.5:
+            one, zero = one | row.ones, zero | row.zeros  # restating fixed cells changes nothing
+        out = force(row, one, zero)
+        expected = _forced_strings(row, one, zero)
+        seen[out is None, bool(one & zero), bool(one & row.zeros or zero & row.ones)] += 1
+        if out is None:
+            assert expected == set()
+        else:
+            assert set(expand(out)) == expected
+            assert make_row(out.width, out.cells, out.groups) == out
+    assert force(make_row(2, (FIXED1, FREE)), one=0b01) == make_row(2, (FIXED1, FREE))
+    assert force(make_row(3, (FREE,) * 3), one=0b011, zero=0b110) is None
+    # overlaps and clashes with fixed cells came up, and so did rows
+    assert seen[True, True, False] and seen[True, False, True] and seen[False, False, False], seen
 
 
 def test_row_masks_are_scanned_and_make_equality():
@@ -205,7 +239,7 @@ def test_row_masks_are_scanned_and_make_equality():
 
 def test_force_contradiction():
     row = make_row(2, (FIXED0, FREE))
-    assert force(row, {0: 1}) is None
+    assert force(row, one=0b01) is None
 
 
 # -- impose_line -------------------------------------------------------------------
@@ -299,7 +333,9 @@ def test_built_rows_are_well_formed_on_random_rows(monkeypatch):
         width = rng.randint(2, 10)
         row = random_row(rng, width)
         k = rng.randint(1, min(3, width))
-        wildcard.force(row, {p: rng.randint(0, 1) for p in rng.sample(range(width), k)})
+        picked = rng.sample(range(width), k)
+        one = sum(1 << p for p in picked if rng.randint(0, 1))
+        wildcard.force(row, one, sum(1 << p for p in picked) & ~one)
         wildcard.impose_line(row, tuple(sorted(rng.sample(range(width), rng.randint(2, width)))))
         free = [p for p, c in enumerate(row.cells) if c == FREE]
         if len(free) >= 2:
@@ -308,9 +344,9 @@ def test_built_rows_are_well_formed_on_random_rows(monkeypatch):
             wildcard.with_group(row, kind, sum(1 << p for p in members))
         if free:
             # forcing free cells touches no group: the two rows differ on the block alone
-            block = rng.sample(free, rng.randint(1, len(free)))
-            lo = wildcard.force(row, dict.fromkeys(block, 0))
-            hi = wildcard.force(row, dict.fromkeys(block, 1))
+            block = sum(1 << p for p in rng.sample(free, rng.randint(1, len(free))))
+            lo = wildcard.force(row, zero=block)
+            hi = wildcard.force(row, one=block)
             assert wildcard._try_merge(lo, hi) is not None
     assert all(checked[name] for name in BUILDERS), checked
 
@@ -493,7 +529,9 @@ def test_indexed_store_matches_the_linear_scan_on_shuffled_blocks():
             free = [p for p, c in enumerate(row.cells) if c == FREE][:5]
             for vals in product((0, 1), repeat=len(free)):
                 if rng.random() < 0.8:
-                    arrivals.append(force(row, dict(zip(free, vals))))
+                    one = sum(1 << p for p, v in zip(free, vals) if v)
+                    zero = sum(1 << p for p, v in zip(free, vals) if not v)
+                    arrivals.append(force(row, one, zero))
         rng.shuffle(arrivals)
         merges += stores_agree(width, [(r, f"r{i + 1}") for i, r in enumerate(arrivals)]).merges
     assert merges > 100
@@ -560,6 +598,30 @@ def test_enumeration_work_bound_on_z3_4(monkeypatch):
     assert rows.stats.skipped > 0
     assert rows.stats.seeds == 1
     assert rows.stats.split_bound_violations == 0
+
+
+def test_line_standing_matches_the_scan():
+    """The masks of line standing, the per-line fixed-cell counts among
+    them, prune and skip exactly the rows a scan of every line from k on
+    does: rows, labels, provenance and every stats field agree.  Lines
+    of 2 to 7 points give count fields of 3 and 4 bits."""
+    rng = random.Random(2503)
+    widths, pruned, skipped = Counter(), 0, 0
+    for _ in range(220):
+        width = rng.randint(3, 11)
+        poset = GroundPoset(width, tuple(random_poset_covers(rng, width)))
+        longest = rng.randint(2, min(7, width))
+        lines = [
+            tuple(sorted(rng.sample(range(width), rng.randint(2, longest))))
+            for _ in range(rng.randint(1, 9))
+        ]
+        rows, ref = enumerate_ideals(poset, lines), scanning_enumerate(poset, lines)
+        assert (rows.rows, rows.labels, rows.provenance) == (ref.rows, ref.labels, ref.provenance)
+        assert rows.stats == ref.stats
+        widths[max(map(len, lines)).bit_length()] += 1
+        pruned += rows.stats.pruned_rows
+        skipped += rows.stats.skipped
+    assert widths[2] and widths[3] and pruned and skipped, (widths, pruned, skipped)
 
 
 def test_a_doomed_row_is_pruned_before_its_line():
