@@ -32,14 +32,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .bol import bol_sample, canonical_masks, line_intervals, localize, witness_masks
-from .lattice import (
-    LatticeError,
-    bits,
-    lower_star,
-    projectivity_classes,
-    require_modular,
-    up_transposes,
-)
+from .lattice import LatticeError, bits, lower_star, require_modular, transpose_masks
 from .pls import mask_components, merge_masks
 
 
@@ -83,6 +76,11 @@ class AnalysisContext:
     Z4xZ8 the sample's 37,000 localizations hold only 119 distinct ones.
     `acyclic` says whether the canonical base has r* 0, and `rstars`
     holds r* of each sampled base.
+    `transposes` holds, per cover a -< b, the mask S(a, b) of the points
+    whose quotient (p_*, p) transposes up to (a, b) (`transpose_masks`).
+    `class_partition`, the points by projectivity class, is their merge,
+    and p, q are perspective when p != q and some S holds both: a bit
+    test in `shares`, which only the verdict suite reads.
     """
 
     def __init__(self, L, bols_cap=1000):
@@ -92,8 +90,8 @@ class AnalysisContext:
         # per interval, per atom: the mask of its witnesses
         self.witnesses = witness_masks(L, ivs)
         self.lower = {p: lower_star(L, p) for p in bits(L.ji_mask)}  # join-irreducible p -> p_*
-        # prime quotient -> index of its projectivity class
-        self.class_of = {q: k for k, cls in enumerate(projectivity_classes(L)) for q in cls}
+        # per cover, the points p whose quotient (p_*, p) transposes up to it
+        self.transposes = transpose_masks(L)
         self.base = canonical_masks(self.witnesses)  # the canonical base's line masks
         self.j, self.delta, self.i = len(self.lower), L.height, len(ivs)
         self.o = max((iv.n - 1 for iv in ivs), default=1)
@@ -202,23 +200,24 @@ class AnalysisContext:
 
     @cached_property
     def class_partition(self):
-        """The points as masks, grouped by the projectivity class of (p_*, p)."""
-        out = {}
-        for p, low in self.lower.items():
-            k = self.class_of[(low, p)]
-            out[k] = out.get(k, 0) | 1 << p
-        return frozenset(out.values())
+        """The points as masks, grouped by the projectivity class of
+        (p_*, p): the unions of the transpose masks that share points."""
+        return frozenset(merge_masks(self.transposes))
 
     @cached_property
-    def up_transposes(self):
-        """Per join-irreducible p, the prime quotients (p_*, p) transposes up to."""
-        L = self.lattice
-        return {p: frozenset(up_transposes(L, (low, p))) for p, low in self.lower.items()}
+    def shares(self):
+        """Per element, the mask of the points that share a transpose mask
+        with it: for a point p, p itself and the points perspective to p."""
+        out = [0] * self.lattice.n
+        for m in self.transposes:
+            for p in bits(m):
+                out[p] |= m
+        return out
 
     def perspective(self, p, q):
-        """Distinct join-irreducibles with a common upper transpose."""
-        up = self.up_transposes
-        return p != q and not up[p].isdisjoint(up[q])
+        """Distinct join-irreducibles with a common upper transpose, that
+        is, with some transpose mask holding both."""
+        return p != q and self.shares[p] >> q & 1 == 1
 
 
 def _coverings(L, ivs):
@@ -707,10 +706,10 @@ def check_components_match_projectivity(ctx, B):
         return Verdict("components match projectivity", True, f"{ctx.j} points agree")
     # the partitions differ, so some pair of points is split differently
     comp_of = {p: k for k, comp in enumerate(comps) for p in bits(comp)}
-    class_of, lower = ctx.class_of, ctx.lower
+    class_of = {p: k for k, cls in enumerate(ctx.class_partition) for p in bits(cls)}
     for p, q in combinations(sorted(comp_of), 2):
         same_comp = comp_of[p] == comp_of[q]
-        same_class = class_of[(lower[p], p)] == class_of[(lower[q], q)]
+        same_class = class_of[p] == class_of[q]
         if same_comp != same_class:
             return Verdict(
                 "components match projectivity",
@@ -791,25 +790,26 @@ def check_triangle_tops(ctx):
 
 
 def check_perspective_intervals(ctx):
-    """Perspective pairs p, q land in the line interval [p_*+q_*, p+q]."""
-    L, lower = ctx.lattice, ctx.lower
+    """Perspective pairs p, q land in the line interval [p_*+q_*, p+q].
+    The pairs are walked in order: each point p with the points above p
+    in its `shares` mask."""
+    L, lower, shares = ctx.lattice, ctx.lower, ctx.shares
     ivs = {iv.top: iv for iv in ctx.intervals}
     tried = 0
-    for p, q in combinations(lower, 2):
-        if not ctx.perspective(p, q):
-            continue
-        tried += 1
-        top = L.join(p, q)
-        iv = ivs.get(top)
-        msg = None
-        if iv is None:
-            msg = f"join {top} of {p},{q} is not a line-top"
-        elif iv.bottom != L.join(lower[p], lower[q]):
-            msg = f"interval at {top} does not start at p_*+q_*"
-        elif L.join(iv.bottom, p) not in iv.atoms or L.join(iv.bottom, q) not in iv.atoms:
-            msg = f"{p} or {q} misses the middle layer at {top}"
-        if msg:
-            return Verdict("perspective pairs span line intervals", False, msg)
+    for p in lower:
+        for q in bits(shares[p] & -(2 << p)):
+            tried += 1
+            top = L.join(p, q)
+            iv = ivs.get(top)
+            msg = None
+            if iv is None:
+                msg = f"join {top} of {p},{q} is not a line-top"
+            elif iv.bottom != L.join(lower[p], lower[q]):
+                msg = f"interval at {top} does not start at p_*+q_*"
+            elif L.join(iv.bottom, p) not in iv.atoms or L.join(iv.bottom, q) not in iv.atoms:
+                msg = f"{p} or {q} misses the middle layer at {top}"
+            if msg:
+                return Verdict("perspective pairs span line intervals", False, msg)
     return Verdict(
         "perspective pairs span line intervals", True, f"{tried} pairs"
     )

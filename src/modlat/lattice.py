@@ -291,48 +291,42 @@ def lower_star(L, p):
     return lows[0]
 
 
-def up_transposes(L, quot):
-    """The covers (c, b + c) with c >= a and b * c = a, in order of c: the
-    prime quotients that the prime quotient quot = (a, b) transposes up
-    to.  Cover membership is tested, so non-modular lattices work too."""
-    return _transposes_among(L, quot, bits(L.up[quot[0]] & ~L.up[quot[1]]))
-
-
-def _transposes_among(L, quot, cs):
-    a, b = quot
-    up, down, by_up = L.up, L.down, L._by_up
-    pairs = ((c, by_up[up[b] & up[c]]) for c in cs if down[b] & down[c] == down[a])
-    return [pair for pair in pairs if pair in L.cover_set]
+def transpose_masks(L):
+    """Per cover (a, b) of `L.covers`, in that order, the mask S(a, b) of
+    the join-irreducibles p <= b, p not<= a with p_* <= a: the points p
+    whose prime quotient (p_*, p) transposes up to (a, b).  S(a, b) is
+    never empty, as a minimal element of {x <= b : x not<= a} lies in it.
+    One pass in rank order builds, per element a, the points p with
+    p_* <= a."""
+    low = L._lowcov
+    okat = [0] * L.n
+    for p in bits(L.ji_mask):
+        okat[low[p][0]] |= 1 << p
+    for a in sorted(range(L.n), key=L.rank.__getitem__):
+        for c in low[a]:
+            okat[a] |= okat[c]
+    down = L.down
+    return [down[b] & ~down[a] & okat[a] for a, b in L.covers]
 
 
 def projectivity_classes(L):
-    """Partition of the prime quotients under the transposition closure.
+    """Partition of the prime quotients under the transposition closure,
+    read off the masks S of `transpose_masks`.
 
-    Two covering pairs land in one class iff a chain of up/down
-    transpositions links them; each is united with its up-transposes.  On
-    a modular lattice the up-transposes to the upper covers c != b of a
-    suffice: a transposition up to any c >= a splits into such steps
-    along a maximal chain from a to c.
+    If (a, b) transposes up to (c, d), a minimal element of {x <= b : x
+    not<= a} lies in S(a, b) and in S(c, d); and the points of one S
+    have quotients that transpose up to a common cover.  So the unions
+    of the S masks that share points, transitively, are the classes
+    restricted to the quotients (p_*, p), and each cover lies in the
+    class of the lowest point of its S.  No step uses modularity.
     """
-    parent = {q: q for q in L.covers}
+    from .pls import merge_masks  # pls imports this module
 
-    def find(q):
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    for q in L.covers:
-        a, b = q
-        if L.modular:
-            ups = _transposes_among(L, q, [c for c in L.upper_covers(a) if c != b])
-        else:
-            ups = up_transposes(L, q)
-        for up in ups:
-            parent[find(up)] = find(q)
+    masks = transpose_masks(L)
+    home = {p: comp for comp in merge_masks(masks) for p in bits(comp)}
     classes = {}
-    for q in L.covers:
-        classes.setdefault(find(q), []).append(q)
+    for q, m in zip(L.covers, masks):
+        classes.setdefault(home[(m & -m).bit_length() - 1], []).append(q)
     return sorted((frozenset(v) for v in classes.values()), key=min)
 
 

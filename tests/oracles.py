@@ -407,6 +407,19 @@ def transposes_up(L, quot1, quot2):
     return L.join(b, c) == d and L.meet(b, c) == a
 
 
+def up_transposes(L, quot):
+    """The covers (c, b + c) with c >= a and b * c = a, in order of c: the
+    prime quotients that the prime quotient quot = (a, b) transposes up
+    to.  Cover membership is tested, so non-modular lattices work too."""
+    a, b = quot
+    pairs = (
+        (c, L.join(b, c))
+        for c in range(L.n)
+        if L.leq(a, c) and not L.leq(b, c) and L.meet(b, c) == a
+    )
+    return [pair for pair in pairs if pair in L.cover_set]
+
+
 def projectivity_partition(L):
     """The prime quotients of L partitioned under up/down transposition,
     by testing every pair of covers; classes ordered by their least

@@ -42,7 +42,7 @@ from modlat.corpus import (
     seven_point_lattice,
     standard_corpus,
 )
-from modlat.lattice import NotModular, bits, build_lattice
+from modlat.lattice import NotModular, bits, build_lattice, projectivity_classes, transpose_masks
 from modlat.pls import Pls, components, find_cycle, mask_components, rstar
 
 import oracles
@@ -475,20 +475,57 @@ def test_localization_summaries_match_a_scan_of_every_covering():
 def test_components_match_projectivity_reports_the_first_split_pair():
     # merging two of the three projectivity classes of the Boolean lattice
     # on three atoms makes them coarser than the components of its base
-    boolean = AnalysisContext(boolean_lattice(3))
-    merged = {q: min(k, 1) for q, k in boolean.class_of.items()}
     doctored = AnalysisContext(boolean_lattice(3))
-    doctored.class_of = merged
-    lower = doctored.lower
+    first, second, third = sorted(doctored.class_partition)  # one point each
+    merged = second | third
+    doctored.class_partition = frozenset({first, merged})
     comp_of = {p: k for k, comp in enumerate(doctored.base_facts(doctored.base)[0])
                for p in bits(comp)}
     want = next(
-        (p, q) for p, q in itertools.combinations(sorted(lower), 2)
-        if (comp_of[p] == comp_of[q]) != (merged[(lower[p], p)] == merged[(lower[q], q)])
+        (p, q) for p, q in itertools.combinations(sorted(doctored.lower), 2)
+        if (comp_of[p] == comp_of[q]) != (merged >> p & merged >> q & 1 == 1)
     )
     verdict = check_components_match_projectivity(doctored, doctored.base)
     assert not verdict.passed
     assert verdict.detail == f"points {want[0]}, {want[1]}: component False, class True"
+
+
+def test_transpose_masks_decide_projectivity_and_perspectivity():
+    # half the random lattices have their ids reversed, so that every
+    # cover runs from a higher id to a lower; about half are not modular
+    rng = random.Random(5)
+    lattices = [L for _, L in standard_corpus()]
+    groups = ["2,2,2,2", "3,3,3", "2,4,8", "8,8", "4,8"]
+    lattices += [subgroup_lattice(parse_group(g)) for g in groups]
+    for k in range(300):
+        n, covers = random_intersection_closed(rng, rng.randint(3, 6))
+        if k % 2:
+            covers = [(n - 1 - a, n - 1 - b) for a, b in covers]
+        lattices.append(build_lattice(n, covers))
+    assert sum(not L.modular for L in lattices) > 100
+    for L in lattices:
+        masks = transpose_masks(L)
+        assert all(masks)
+        assert projectivity_classes(L) == oracles.projectivity_partition(L)
+        lower = {p: L.lower_covers(p)[0] for p in bits(L.ji_mask)}
+        ups = {p: set(oracles.up_transposes(L, (low, p))) for p, low in lower.items()}
+        for q, m in zip(L.covers, masks):
+            assert m == sum(1 << p for p in lower if q in ups[p])
+        perspective = {
+            (p, q): bool(ups[p] & ups[q]) for p, q in itertools.permutations(lower, 2)
+        }
+        for (p, q), want in perspective.items():
+            assert any(m >> p & m >> q & 1 for m in masks) == want
+        if not L.modular:
+            continue
+        ctx = AnalysisContext(L)
+        assert {(p, q): ctx.perspective(p, q) for p, q in perspective} == perspective
+        assert not any(ctx.perspective(p, p) for p in lower)
+        restricted = {
+            sum(1 << p for p, low in lower.items() if (low, p) in cls)
+            for cls in oracles.projectivity_partition(L)
+        }
+        assert ctx.class_partition == restricted - {0}
 
 
 def test_join_witness_matches_the_brute_force_scan():
@@ -782,7 +819,7 @@ def test_verdict_suite_survives_an_empty_bases_sample():
 def test_shared_facts_are_computed_once(monkeypatch, run):
     L = subgroup_lattice(parse_group("2,2,4"))
     calls = {
-        "all_bols": 0, "projectivity_classes": 0, "localize": 0, "line_intervals": 0,
+        "all_bols": 0, "transpose_masks": 0, "localize": 0, "line_intervals": 0,
         "witness_masks": 0, "canonical_bol": 0,
     }
 
@@ -795,8 +832,8 @@ def test_shared_facts_are_computed_once(monkeypatch, run):
     monkeypatch.setattr(modlat.bol, "all_bols", counted("all_bols", modlat.bol.all_bols))
     monkeypatch.setattr(
         modlat.analysis,
-        "projectivity_classes",
-        counted("projectivity_classes", modlat.analysis.projectivity_classes),
+        "transpose_masks",
+        counted("transpose_masks", modlat.analysis.transpose_masks),
     )
     monkeypatch.setattr(modlat.analysis, "localize", counted("localize", modlat.analysis.localize))
     line_intervals = counted("line_intervals", modlat.bol.line_intervals)
@@ -810,7 +847,7 @@ def test_shared_facts_are_computed_once(monkeypatch, run):
     # localizations are read off the context's coverings, never rebuilt,
     # and every base is read off one witness table
     assert calls == {
-        "all_bols": 1, "projectivity_classes": 1, "localize": 0, "line_intervals": 1,
+        "all_bols": 1, "transpose_masks": 1, "localize": 0, "line_intervals": 1,
         "witness_masks": 1, "canonical_bol": 0,
     }
 

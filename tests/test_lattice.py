@@ -31,7 +31,6 @@ from modlat.lattice import (
     lower_star,
     projectivity_classes,
     require_modular,
-    up_transposes,
 )
 
 from oracles import (
@@ -44,6 +43,7 @@ from oracles import (
     random_intersection_closed,
     random_poset_covers,
     transposes_up,
+    up_transposes,
 )
 
 
