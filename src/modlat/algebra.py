@@ -6,20 +6,21 @@ the ids of its elements, everywhere: the subgroup lattice is found by
 joining cyclic prime-power subgroups onto masks, and `L.subgroups` holds
 the masks.  Set systems generate distributive sublattices of a powerset;
 their join-irreducibles are the minimal generated sets A_v containing
-each universe element.
+each universe element, each an int mask over the universe, and a
+down-set of them stands for the OR of its masks.
 
-The subgroup half needs only `lattice`.  The set-system half reaches into
-`rebuild` and `wildcard`: `distributive_ji` for `rebuild._member_key`,
-`distributive_lattice` for the ideal enumerator and
-`rebuild.closed_ideals_lattice`, and `enumeration_input` for
-`rebuild.enumeration_data`.  Those three import them inside their bodies,
+The subgroup half needs only `lattice`.  Two functions reach into
+`rebuild` and `wildcard`: `distributive_lattice` for the ideal
+enumerator and `rebuild.closed_ideals_lattice`, and `enumeration_input`
+for `rebuild.enumeration_data`.  Both import them inside their bodies,
 so that `subgroup-lattice` loads neither module.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, prod
+from operator import and_, or_
 
 from .lattice import CapExceeded, LatticeError, build_lattice, check_lattice_size, covers_from_below
 
@@ -281,19 +282,24 @@ def parse_set_system(text, universe=None):
     return SetSystem(tuple(universe), tuple(sets))
 
 
+def _ji_masks(sys):
+    """The sets A_v as int masks over `sys.universe`, by size, then mask."""
+    bit = {v: 1 << i for i, v in enumerate(sys.universe)}
+    set_masks = [sum(bit[v] for v in s) for s in sys.sets]
+    out = set()
+    for b in bit.values():
+        containing = [m for m in set_masks if m & b]
+        if containing:
+            out.add(reduce(and_, containing))
+    return sorted(out, key=lambda m: (m.bit_count(), m))
+
+
 def distributive_ji(sys):
     """The join-irreducibles of the generated distributive lattice:
-    deduplicated sets A_v = intersection of all members containing v.
-    Elements in no member are skipped."""
-    from .rebuild import _member_key
-
-    out = set()
-    for v in sys.universe:
-        containing = [s for s in sys.sets if v in s]
-        if not containing:
-            continue
-        out.add(frozenset.intersection(*containing))
-    return tuple(sorted(out, key=_member_key))
+    deduplicated sets A_v = intersection of all members containing v, by
+    size.  Elements in no member are skipped."""
+    universe = sys.universe
+    return tuple(frozenset(v for i, v in enumerate(universe) if m >> i & 1) for m in _ji_masks(sys))
 
 
 def distributive_lattice(sys):
@@ -301,19 +307,18 @@ def distributive_lattice(sys):
     of unions of down-sets of the join-irreducibles (always including the
     empty set)."""
     from .rebuild import closed_ideals_lattice
-    from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_count
+    from .wildcard import GroundPoset, enumerate_ideals, rowset_masks, total_count
 
-    jis = distributive_ji(sys)
+    jis = _ji_masks(sys)
     # sorted by size, so proper subsets come first
-    below = [sum(1 << i for i in range(j) if jis[i] < b) for j, b in enumerate(jis)]
+    below = [sum(1 << i for i in range(j) if not jis[i] & ~b) for j, b in enumerate(jis)]
     poset = GroundPoset(len(jis), tuple(covers_from_below(below)))
     rows = enumerate_ideals(poset, [])
     check_lattice_size(total_count(rows))
     unions = [
-        frozenset().union(*(jis[i] for i in range(len(jis)) if bits[i]))
-        for bits in rowset_bitstrings(rows)
+        reduce(or_, (a for i, a in enumerate(jis) if d >> i & 1), 0) for d in rowset_masks(rows)
     ]
-    L = closed_ideals_lattice(unions)
+    L = closed_ideals_lattice(unions, sys.universe)
     if L.n != len(unions):
         raise LatticeError(f"{len(unions)} down-sets have only {L.n} distinct unions")
     return L

@@ -7,11 +7,11 @@ point set such as J(a, b) is `down[b] & ~down[a] & ji_mask`.  The join of
 x and y is the element whose up-mask is up[x] & up[y], found by one dict
 lookup (dually for meets); a pair with no such element has no least bound.
 Construction checks that the order is a lattice in time linear in the pairs
-of upper covers, and no n x n table is ever built.  The order is fixed at
-construction.  Later writes only cache derived facts (`atoms`, `height`,
-`modular`, `cover_set`), or, in `algebra.subgroup_lattice` and
-`rebuild.closed_ideals_lattice`, attach `subgroups` and `member_sets` to
-the lattice just built.
+of upper covers, and no n x n table is ever built.  Every builder hands
+it covers, and the order is fixed at construction.  Later writes only
+cache derived facts (`atoms`, `height`, `modular`, `cover_set`) or attach
+`subgroups` (in `algebra.subgroup_lattice`) and `member_sets` (in
+`rebuild.closed_ideals_lattice`, from masks) to the lattice just built.
 Everything here targets desk scale: no lattice past LATTICE_CAP elements
 is built.
 """

@@ -6,8 +6,9 @@ p <= a} is an isomorphism onto the family of order ideals closed under
 the line constraints, ordered by inclusion.  `enumeration_data` reads
 that poset and the canonical base's lines off a lattice, and
 `ideals_lattice` is the one path from a poset and its lines back to the
-rebuilt lattice.  An `Implication` is one Horn clause over the points,
-and `implication_base_size` the size of a set of them.
+rebuilt lattice; members stay int masks over the points all the way.  An
+`Implication` is one Horn clause over the points, and
+`implication_base_size` the size of a set of them.
 """
 
 from __future__ import annotations
@@ -15,50 +16,39 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bol import canonical_bol
-from .lattice import (
-    NotAClosureSystem,
-    bits,
-    build_lattice,
-    check_lattice_size,
-    covers_from_below,
-    ji_elements,
-)
-from .pls import _pkey
-from .wildcard import GroundPoset, enumerate_ideals, rowset_bitstrings, total_count
+from .lattice import NotAClosureSystem, bits, build_lattice, check_lattice_size, covers_from_below
+from .wildcard import GroundPoset, enumerate_ideals, rowset_masks, total_count
 
 
-def _member_name(s):
-    return "{" + ",".join(str(e) for e in sorted(s, key=_pkey)) + "}"
-
-
-def _member_key(s):
-    """Sort key of a member set: by size, then by its sorted names."""
-    return (len(s), tuple(sorted(map(str, s))))
-
-
-def closed_ideals_lattice(members):
+def closed_ideals_lattice(members, labels):
     """The lattice an intersection-closed family forms under inclusion.
 
-    The family must contain the empty set and be closed under pairwise
-    intersection; joins exist whenever the family has a top, which the
-    lattice constructor verifies.  The canonical member order is attached
-    to the result as `member_sets`."""
-    canon = sorted({frozenset(m) for m in members}, key=_member_key)
-    if not canon or canon[0] != frozenset():
+    Each member is an int mask over the points `labels` (bit i is
+    `labels[i]`).  The family must contain the empty set and be closed
+    under pairwise intersection; joins exist whenever the family has a
+    top, which the lattice constructor verifies.  Members are ordered by
+    size, then by their sorted point names as strings, and named by those
+    names; the members in that order are attached to the result as
+    `member_sets`, each the frozenset of its points."""
+    names = [str(x) for x in labels]
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    keyed = sorted(
+        (m.bit_count(), [names[i] for i in by_name if m >> i & 1], m) for m in set(members)
+    )
+    if not keyed or keyed[0][2]:
         raise NotAClosureSystem("the empty set must be a member")
-    # each member as an int mask over the union of the members
-    bit = {e: 1 << i for i, e in enumerate(frozenset().union(*canon))}
-    masks = [sum(bit[e] for e in s) for s in canon]
+    masks = [m for _, _, m in keyed]
+    member_names = ["{" + ",".join(ns) + "}" for _, ns, _ in keyed]
     present = set(masks)
     for i, a in enumerate(masks):
         if not {a & b for b in masks[i + 1 :]} <= present:
             j = next(j for j in range(i + 1, len(masks)) if a & masks[j] not in present)
             raise NotAClosureSystem(
-                f"intersection of {_member_name(canon[i])} and {_member_name(canon[j])} is missing"
+                f"intersection of {member_names[i]} and {member_names[j]} is missing"
             )
-    # per element of the union, the mask of the members without it
-    lacking = [sum(1 << i for i, m in enumerate(masks) if not m >> e & 1) for e in range(len(bit))]
-    full = (1 << len(bit)) - 1
+    # per point, the mask of the members without it
+    full = (1 << len(names)) - 1
+    lacking = [sum(1 << i for i, m in enumerate(masks) if not m >> e & 1) for e in bits(full)]
     # members are sorted by size, so of two distinct members the earlier
     # one is inside the later only as a proper subset
     below = []
@@ -67,8 +57,8 @@ def closed_ideals_lattice(members):
         for e in bits(full & ~b):
             inside &= lacking[e]
         below.append(inside)
-    L = build_lattice([_member_name(s) for s in canon], covers_from_below(below))
-    L.member_sets = tuple(canon)
+    L = build_lattice(member_names, covers_from_below(below))
+    L.member_sets = tuple(frozenset(labels[i] for i in bits(m)) for m in masks)
     return L
 
 
@@ -79,20 +69,20 @@ def ideals_lattice(poset, lines):
     when there are more than LATTICE_CAP of them."""
     rows = enumerate_ideals(poset, lines)
     check_lattice_size(total_count(rows))
-    return closed_ideals_lattice(
-        frozenset(k for k, bit in enumerate(bs) if bit) for bs in rowset_bitstrings(rows)
-    )
+    return closed_ideals_lattice(rowset_masks(rows), range(poset.width))
 
 
 def ji_ground_poset(L):
     """The join-irreducibles of L as a ground poset (their inclusion
     order, transitively reduced), plus the element ids in position order."""
-    points = sorted(ji_elements(L))
-    below = [sum(1 << i for i, p in enumerate(points) if p != q and L.leq(p, q)) for q in points]
+    points = tuple(bits(L.ji_mask))
+    below = [
+        sum(1 << i for i, p in enumerate(points) if p != q and L.down[q] >> p & 1) for q in points
+    ]
     poset = GroundPoset(
         len(points), tuple(covers_from_below(below)), tuple(L.name(p) for p in points)
     )
-    return poset, tuple(points)
+    return poset, points
 
 
 def enumeration_data(L):
@@ -108,22 +98,14 @@ def enumeration_data(L):
 
 def roundtrip_check(L):
     """Rebuild L from its join-irreducible poset and canonical base of
-    lines.  True when the ideal map a -> J(a) = {p join-irreducible,
-    p <= a} is an isomorphism onto the enumerated family: the family is
-    exactly {J(a)} with one member per element, and a <= b holds exactly
-    when J(a) is a subset of J(b)."""
+    lines.  True when the enumerated family is exactly {J(a)}, one member
+    per element, J(a) = {p join-irreducible, p <= a} over the poset's
+    positions.  Then a -> J(a) is an isomorphism onto the family: each
+    element is the join of its J(a), so a <= b exactly when J(a) <= J(b)."""
     poset, points, lines = enumeration_data(L)
-    rows = enumerate_ideals(poset, lines)
-    # point sets as bit masks over element ids, like the ideals J(a)
-    members = {
-        sum(1 << points[i] for i, bit in enumerate(bs) if bit) for bs in rowset_bitstrings(rows)
-    }
-    ideal = [L.down[a] & L.ji_mask for a in range(L.n)]
-    if members != set(ideal) or len(members) != L.n:
-        return False
-    return all(
-        L.leq(a, b) == (ideal[a] & ~ideal[b] == 0) for a in range(L.n) for b in range(L.n)
-    )
+    members = rowset_masks(enumerate_ideals(poset, lines))
+    ideal = {sum(1 << i for i, p in enumerate(points) if L.down[a] >> p & 1) for a in range(L.n)}
+    return len(members) == L.n and members == ideal
 
 
 # -- implications -------------------------------------------------------

@@ -29,7 +29,8 @@ cells are fixed), by an int test on their masks of fixed 1s.  It drops a
 row as soon as a line still to come holds two fixed 1s and a fixed 0
 (every string of the row breaks that line), and it steps over a line the
 row already satisfies without calling `impose_line`; neither changes the
-final rows.  The work it does is counted in an `EnumStats`.
+final rows.  The work it does is counted in an `EnumStats`.  `row_masks`
+lists a row's strings as int masks; `expand` is its 0/1-tuple view.
 
 Rows are checked where they enter: `make_row` (and so `row_from_json`)
 rejects a row that is not well formed.  The rows that `force`,
@@ -50,7 +51,7 @@ FIXED0 = "0"
 FIXED1 = "1"
 FREE = "2"
 
-# the most strings `expand` lists for one row
+# the most strings `row_masks` lists for one row
 EXPAND_CAP = 1_000_000
 
 
@@ -208,8 +209,8 @@ def row_count(row):
     return n
 
 
-def expand(row):
-    """All bitstrings the row denotes, as sorted tuples of 0s and 1s.
+def row_masks(row):
+    """All bitstrings the row denotes, as int masks (bit p is cell p).
     Raises ExpansionCapExceeded on a row of more than `EXPAND_CAP`."""
     count = row_count(row)
     if count > EXPAND_CAP:
@@ -219,11 +220,14 @@ def expand(row):
         strings += [s | 1 << p for s in strings]
     for spec in row.groups:
         strings = [s | a for s in strings for a in spec.assignments()]
-    width = range(row.width)
-    out = sorted(tuple([s >> p & 1 for p in width]) for s in strings)
-    if len(out) != count:
-        raise WildcardError(f"row expands to {len(out)} strings but counts {count}")
-    return out
+    if len(strings) != count:
+        raise WildcardError(f"row expands to {len(strings)} strings but counts {count}")
+    return strings
+
+
+def expand(row):
+    """The strings of `row_masks`, as sorted tuples of 0s and 1s."""
+    return sorted(tuple([s >> p & 1 for p in range(row.width)]) for s in row_masks(row))
 
 
 # -- forcing ----------------------------------------------------------
@@ -478,11 +482,14 @@ def total_count(rowset):
     return sum(row_count(r) for r in rowset.rows)
 
 
+def rowset_masks(rowset):
+    """The set of all bitstrings the rows denote, as int masks."""
+    return {s for r in rowset.rows for s in row_masks(r)}
+
+
 def rowset_bitstrings(rowset):
-    out = set()
-    for r in rowset.rows:
-        out.update(expand(r))
-    return out
+    """The strings of `rowset_masks`, as tuples of 0s and 1s."""
+    return {tuple([s >> p & 1 for p in range(rowset.width)]) for s in rowset_masks(rowset)}
 
 
 def seed_order_ideals(poset):
@@ -812,12 +819,15 @@ def rowset_to_json(rowset):
 
 
 def rowset_from_json(d):
-    if not isinstance(d, dict) or type(d.get("width")) is not int or not isinstance(d.get("rows"), list):
-        raise WildcardError("a row set must be an object with an int 'width' and a 'rows' list")
+    if not isinstance(d, dict) or type(d.get("width")) is not int or d["width"] < 0:
+        raise WildcardError("a row set must be an object with a non-negative int 'width'")
+    if not isinstance(d.get("rows"), list):
+        raise WildcardError("a row set must have a 'rows' list")
+    for key in ("labels", "provenance"):
+        if not isinstance(d.get(key, []), list):
+            raise WildcardError(f"a row set's {key!r} must be a list")
     rows = tuple(row_from_json(r, d["width"]) for r in d["rows"])
-    labels = tuple(d.get("labels", ()))
-    prov = tuple(d.get("provenance", ()))
-    return RowSet(d["width"], rows, labels, prov)
+    return RowSet(d["width"], rows, tuple(d.get("labels", ())), tuple(d.get("provenance", ())))
 
 
 def poset_to_json(poset):

@@ -105,7 +105,7 @@ def test_criterion_02_reconstruction():
         frozenset(k for k, bit in enumerate(bits) if bit)
         for bits in rowset_bitstrings(enumerate_ideals(poset, seven_point_lines()))
     ]
-    L = closed_ideals_lattice(members)
+    L = closed_ideals_lattice([sum(1 << k for k in m) for m in members], range(poset.width))
     jis = ji_elements(L)
     downs = {
         frozenset(k for k in range(poset.width) if (poset.strict_down[i] | 1 << i) >> k & 1)

@@ -248,6 +248,27 @@ def test_rebuild_summary(files, capsys, tmp_path):
     assert lattice_from_json(json.loads(Path(out).read_text())).n == 13
 
 
+def test_rebuild_reports_a_failed_roundtrip(files, capsys, monkeypatch):
+    # the first enumeration builds the lattice; the roundtrip's second one
+    # is doctored to lose its last row
+    import modlat.rebuild
+
+    real = modlat.rebuild.enumerate_ideals
+    calls = []
+
+    def second_drops_a_row(poset, lines):
+        rows = real(poset, lines)
+        calls.append(rows)
+        return rows if len(calls) == 1 else rows._replace(rows=rows.rows[:-1])
+
+    monkeypatch.setattr(modlat.rebuild, "enumerate_ideals", second_drops_a_row)
+    rc = main(["rebuild", "--poset", files["poset"], "--lines", files["lines"]])
+    assert len(calls) == 2
+    assert rc == 1
+    got = capsys.readouterr().out.strip()
+    assert got == "13 elements, 7 join-irreducibles, 3 line intervals, roundtrip FAILED"
+
+
 def test_rebuild_dot(files, capsys):
     assert main(["rebuild", "--poset", files["poset"], "--lines", files["lines"], "--dot"]) == 0
     assert capsys.readouterr().out.startswith("digraph")
@@ -766,6 +787,13 @@ def _pinned_runs(tmp_path, case):
         sets.write_text("11000\n01100\n00110\n10011\n11110\n")
         argv = ["distributive", "--sets", str(sets)]
         return [argv, argv + ["--dot"], argv + ["--out", outs[0]]], outs[:1]
+    if command == "rebuild":
+        poset, lines = _pinned_enumerate_input(name)
+        (tmp_path / "poset.json").write_text(json.dumps(poset_to_json(poset)))
+        (tmp_path / "lines.json").write_text(json.dumps({"lines": [list(ln) for ln in lines]}))
+        argv = ["rebuild", "--poset", str(tmp_path / "poset.json"),
+                "--lines", str(tmp_path / "lines.json")]
+        return [argv, argv + ["--dot"], argv + ["--out", outs[0]]], outs[:1]
     lat, L = _pinned_lattice_file(tmp_path, name)
     if command == "analyze":
         argv = ["analyze", "--lattice", lat]
@@ -794,6 +822,10 @@ OUTPUTS_PINNED = {
     "witness-triangle 3,3,3": "ea0c5b31b86fdd8c09af5dfe144b646c1a776d0fe9c899890276ff67a1a033bf",
     "bol-localize-rstar 4,4": "4e22473deb7867d575de87fbbfffefcf125a07693d102f2feed3f47f22dad846",
     "distributive": "1e4f3abe30c1f96ca4c194eb0d2f68c74fce92be24caf8e6b0e69fbb4426d400",
+    # the member order and names: by size, then by sorted names as strings,
+    # so on Z2 x Z2 x Z4 (width 11, 27 members) {0,10} comes before {0,7}
+    "rebuild seven-point": "b2bbd95b6ee2d0805c6fcd5bc8b00721b7b75668865854d2874f16270d8e1f79",
+    "rebuild 2,2,4": "c031398e33ac9ff79ee55b23eb64ee6342f9116d2bed7fbb95f8cfbdd1deb76c",
 }
 
 

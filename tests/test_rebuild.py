@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from modlat import rebuild
 from modlat.algebra import parse_group, subgroup_lattice
 from modlat.bol import canonical_bol
 from modlat.corpus import (
@@ -15,7 +16,7 @@ from modlat.corpus import (
     seven_point_poset,
     standard_corpus,
 )
-from modlat.lattice import bits, is_isomorphic, ji_elements
+from modlat.lattice import bits, build_lattice, is_isomorphic, ji_elements
 from modlat.rebuild import (
     Implication,
     NotAClosureSystem,
@@ -32,14 +33,20 @@ from oracles import (
     ji_below,
     lines_from_joins,
     natural_implication_base,
+    random_intersection_closed,
 )
 
 
 # -- closed_ideals_lattice -----------------------------------------------
 
 
+def as_masks(sets, labels):
+    """Each set of labels as an int mask over `labels`."""
+    return [sum(1 << labels.index(x) for x in s) for s in sets]
+
+
 def test_empty_set_alone_gives_one_element():
-    L = closed_ideals_lattice([frozenset()])
+    L = closed_ideals_lattice([0], ())
     assert L.n == 1
     assert L.bottom == L.top
     assert L.member_sets == (frozenset(),)
@@ -47,7 +54,7 @@ def test_empty_set_alone_gives_one_element():
 
 def test_power_set_gives_boolean_lattice():
     members = [frozenset(s) for k in range(4) for s in itertools.combinations("abc", k)]
-    L = closed_ideals_lattice(members)
+    L = closed_ideals_lattice(as_masks(members, "abc"), "abc")
     assert L.n == 8
     assert is_isomorphic(L, boolean_lattice(3))
 
@@ -64,19 +71,19 @@ def test_member_order_matches_inclusion():
 def test_missing_intersection_is_rejected():
     bad = [frozenset(), frozenset("ab"), frozenset("bc")]
     with pytest.raises(NotAClosureSystem):
-        closed_ideals_lattice(bad)
+        closed_ideals_lattice(as_masks(bad, "abc"), "abc")
 
 
 def test_missing_empty_set_is_rejected():
     with pytest.raises(NotAClosureSystem):
-        closed_ideals_lattice([frozenset("a"), frozenset("ab")])
+        closed_ideals_lattice(as_masks([frozenset("a"), frozenset("ab")], "ab"), "ab")
     with pytest.raises(NotAClosureSystem):
-        closed_ideals_lattice([])
+        closed_ideals_lattice([], ())
 
 
 def test_duplicate_members_collapse():
     members = [frozenset(), frozenset("a"), frozenset("a"), frozenset("ab")]
-    assert closed_ideals_lattice(members).n == 3
+    assert closed_ideals_lattice(as_masks(members, "ab"), "ab").n == 3
 
 
 def test_seven_point_reconstruction():
@@ -122,6 +129,42 @@ def test_ji_poset_of_m3_is_antichain():
 )
 def test_roundtrip_over_corpus(name, L):
     assert roundtrip_check(L)
+
+
+def test_roundtrip_fails_when_its_enumeration_drops_a_row(monkeypatch):
+    L = seven_point_lattice()
+    real = rebuild.enumerate_ideals
+
+    def dropping(poset, lines):
+        rows = real(poset, lines)
+        return rows._replace(rows=rows.rows[:-1])
+
+    monkeypatch.setattr(rebuild, "enumerate_ideals", dropping)
+    assert roundtrip_check(L) is False
+
+
+ROUNDTRIP_GROUPS = ("2,2,2", "2,2,4", "8,8", "3,3,3")
+
+
+def test_the_ideal_map_is_an_order_embedding():
+    # every element of a finite lattice is the join of the join-irreducibles
+    # below it, so a <= b exactly when J(a) is inside J(b), and a -> J(a) is
+    # one-to-one: `roundtrip_check` needs no order test of its own
+    rng = random.Random(11)
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [subgroup_lattice(parse_group(g)) for g in ROUNDTRIP_GROUPS]
+    for k in range(300):
+        n, covers = random_intersection_closed(rng, rng.randint(3, 6))
+        if k % 2:
+            covers = [(n - 1 - a, n - 1 - b) for a, b in covers]
+        lattices.append(build_lattice(n, covers))
+    assert sum(not L.modular for L in lattices) > 100
+    for L in lattices:
+        jis = ji_elements(L)
+        ideal = [frozenset(p for p in jis if L.leq(p, a)) for a in range(L.n)]
+        assert len(set(ideal)) == L.n
+        for a, b in itertools.product(range(L.n), repeat=2):
+            assert L.leq(a, b) == (ideal[a] <= ideal[b])
 
 
 # -- natural implication base --------------------------------------------

@@ -737,6 +737,26 @@ def test_rowset_from_json_rejects_malformed_rows(row):
         rowset_from_json({"width": width, "rows": [row]})
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"width": -1, "rows": []},
+        {"width": 2},
+        {"width": 2, "rows": [], "labels": 5},
+        {"width": 2, "rows": [], "labels": "ab"},
+        {"width": 2, "rows": [], "provenance": None},
+        [2, []],
+    ],
+    ids=[
+        "negative-width", "no-rows", "labels-an-int", "labels-a-string",
+        "provenance-null", "not-an-object",
+    ],
+)
+def test_rowset_from_json_rejects_malformed_row_sets(d):
+    with pytest.raises(WildcardError):
+        rowset_from_json(d)
+
+
 def test_rowset_from_json_ignores_the_old_pending_key():
     rows = enumerate_ideals(seven_point_poset(), seven_point_lines())
     d = rowset_to_json(rows)
