@@ -819,14 +819,14 @@ def check_join_witness(L):
     """r in J(a, a+q) with q, r incomparable forces some p in J(a) with
     p + q = r + q.
 
-    Per point q, one sweep up the covers in rank order, past the elements
+    Per point q, one sweep up `L.linear_extension`, past the elements
     above q (untested, and under no tested element), sets ok[a] to the
     points r with r + q = p + q for some point p <= a: the OR of ok[b]
     over a's lower covers b, and for a point a of the t with t + q = a + q.
     That needs no modularity.  Each (a, q) is one mask test, and a failure
     reports the least (a, q, r)."""
     up, down, jis, join = L.up, L.down, L.ji_mask, L.join
-    order = [(a, L.lower_covers(a)) for a in sorted(range(L.n), key=L.rank.__getitem__)]
+    order = [(a, L.lower_covers(a)) for a in L.linear_extension]
     tried, fails = 0, []
     for q in bits(jis):
         uq = up[q]

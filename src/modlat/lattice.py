@@ -1,7 +1,9 @@
 """Finite lattices as explicit combinatorial objects.
 
 A lattice is built from its cover relation on dense integer element ids
-0..n-1.  The order is held only as int masks: bit y of `up[x]` is set when
+0..n-1.  `cover_order` is the one core that checks a cover relation and
+derives its order; `Lattice` and `wildcard.GroundPoset` both call it.
+The order is held only as int masks: bit y of `up[x]` is set when
 x <= y, `down[x]` dually, and `ji_mask` marks the join-irreducibles, so a
 point set such as J(a, b) is `down[b] & ~down[a] & ji_mask`.  The join of
 x and y is the element whose up-mask is up[x] & up[y], found by one dict
@@ -81,47 +83,71 @@ def bits(mask):
         mask ^= low
 
 
+def cover_order(n, covers):
+    """The order on 0..n-1 whose covering (lower, upper) pairs are `covers`,
+    as (covers, order, upcov, lowcov, up, down): the pairs deduped and
+    sorted, a linear extension, each element's upper and lower covers, and
+    its inclusive up-set and down-set masks.  Raises NotALattice for a pair
+    out of range, CycleInCovers for a self-loop or a cycle, and
+    NotTransitivelyReduced for a pair implied by two others."""
+    covers = tuple(sorted(set((int(a), int(b)) for a, b in covers)))
+    upcov = [[] for _ in range(n)]
+    lowcov = [[] for _ in range(n)]
+    for a, b in covers:
+        if not (0 <= a < n and 0 <= b < n):
+            raise NotALattice(f"cover ({a},{b}) out of range for n={n}")
+        if a == b:
+            raise CycleInCovers(f"self-loop at {a}")
+        upcov[a].append(b)
+        lowcov[b].append(a)
+    indeg = [len(lows) for lows in lowcov]
+    order = [v for v in range(n) if not indeg[v]]
+    for v in order:
+        for w in upcov[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    if len(order) != n:
+        raise CycleInCovers("cover relation contains a directed cycle")
+    up, down = [1 << v for v in range(n)], [1 << v for v in range(n)]
+    for v in reversed(order):
+        for w in upcov[v]:
+            up[v] |= up[w]
+    for v in order:
+        for w in lowcov[v]:
+            down[v] |= down[w]
+    for a, b in covers:
+        # a shortcut through a third element means (a,b) is redundant
+        if (up[a] & down[b]).bit_count() > 2:
+            raise NotTransitivelyReduced(f"cover ({a},{b}) is implied")
+    return covers, order, upcov, lowcov, up, down
+
+
 class Lattice:
     """A finite lattice given by its cover relation.
 
-    `covers` is a set of (lower, upper) pairs that must already be the
-    transitive reduction of the order.  Construction validates acyclicity,
-    reducedness and existence of all joins and meets.  `up[x]`, `down[x]`
-    and `ji_mask` are the order and the join-irreducibles as int masks.
+    `covers` are (lower, upper) pairs, the transitive reduction of the
+    order; `cover_order`, shared with `wildcard.GroundPoset`, checks them
+    and derives the order, and construction then checks that all joins
+    and meets exist.  `up[x]`, `down[x]` and `ji_mask` are the order and
+    the join-irreducibles as int masks; `linear_extension` lists every
+    element after its lower covers.
     """
 
     def __init__(self, n, covers, names=None):
         if n <= 0:
             raise NotALattice("a lattice needs at least one element")
         check_lattice_size(n)
-        covers = sorted(set((int(a), int(b)) for a, b in covers))
-        for a, b in covers:
-            if not (0 <= a < n and 0 <= b < n):
-                raise NotALattice(f"cover ({a},{b}) out of range for n={n}")
-            if a == b:
-                raise CycleInCovers(f"self-loop at {a}")
         if names is not None:
             names = tuple(str(x) for x in names)
             if len(names) != n:
                 raise NotALattice("names length does not match element count")
+        self.covers, order, self._upcov, self._lowcov, up, down = cover_order(n, covers)
         self.n = n
         self.names = names
-        self.covers = tuple(covers)
-        self._upcov = [[] for _ in range(n)]
-        self._lowcov = [[] for _ in range(n)]
-        for a, b in covers:
-            self._upcov[a].append(b)
-            self._lowcov[b].append(a)
-
-        topo, up = topological_up_sets(n, covers)
-        _, down = topological_up_sets(n, [(b, a) for a, b in covers])  # the dual order
+        self.linear_extension = tuple(order)
         self.up, self.down = tuple(up), tuple(down)
         self.ji_mask = sum(1 << v for v in range(n) if len(self._lowcov[v]) == 1)
-
-        for a, b in covers:
-            # a shortcut through a third element means (a,b) is redundant
-            if (up[a] & down[b]).bit_count() > 2:
-                raise NotTransitivelyReduced(f"cover ({a},{b}) is implied")
 
         # x + y is the element whose up-set is up(x) & up(y); dually for meets
         full = (1 << n) - 1
@@ -151,7 +177,7 @@ class Lattice:
                         raise NotALattice(f"elements {x},{y} have no least lower bound")
 
         self.rank = [0] * n
-        for v in topo:
+        for v in order:
             if self._lowcov[v]:
                 self.rank[v] = 1 + max(self.rank[u] for u in self._lowcov[v])
         self.rank = tuple(self.rank)
@@ -236,32 +262,6 @@ def covers_from_below(below):
     return sorted(covers)
 
 
-def topological_up_sets(n, covers):
-    """A topological order of 0..n-1 under the (lower, upper) pairs in
-    `covers`, and the inclusive up-set of each element as an int mask.
-    Raises CycleInCovers when the pairs contain a directed cycle."""
-    upcov = [[] for _ in range(n)]
-    indeg = [0] * n
-    for a, b in covers:
-        upcov[a].append(b)
-        indeg[b] += 1
-    order = [v for v in range(n) if indeg[v] == 0]
-    for v in order:
-        for w in upcov[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order.append(w)
-    if len(order) != n:
-        raise CycleInCovers("cover relation contains a directed cycle")
-    up = [0] * n
-    for v in reversed(order):
-        m = 1 << v
-        for w in upcov[v]:
-            m |= up[w]
-        up[v] = m
-    return order, up
-
-
 def build_lattice(elements, covers, names=None):
     """Build and validate a lattice.
 
@@ -296,13 +296,13 @@ def transpose_masks(L):
     the join-irreducibles p <= b, p not<= a with p_* <= a: the points p
     whose prime quotient (p_*, p) transposes up to (a, b).  S(a, b) is
     never empty, as a minimal element of {x <= b : x not<= a} lies in it.
-    One pass in rank order builds, per element a, the points p with
-    p_* <= a."""
+    One pass along `L.linear_extension` builds, per element a, the points
+    p with p_* <= a."""
     low = L._lowcov
     okat = [0] * L.n
     for p in bits(L.ji_mask):
         okat[low[p][0]] |= 1 << p
-    for a in sorted(range(L.n), key=L.rank.__getitem__):
+    for a in L.linear_extension:
         for c in low[a]:
             okat[a] |= okat[c]
     down = L.down

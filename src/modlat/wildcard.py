@@ -42,10 +42,9 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from functools import cached_property
 from typing import NamedTuple
 
-from .lattice import CycleInCovers, WildcardError, bits, first_repeat, topological_up_sets
+from .lattice import LatticeError, WildcardError, bits, cover_order, first_repeat
 
 FIXED0 = "0"
 FIXED1 = "1"
@@ -416,34 +415,26 @@ def _one_hot_row(row, undet, mem):
 
 class GroundPoset:
     """The point poset lines live on, given by its cover relation on the
-    points 0..width-1, which construction checks.  `strict_up[p]` is
-    derived: the int mask of the points strictly above p (`strict_down[p]`
-    dually)."""
+    points 0..width-1, which construction checks with `lattice.cover_order`
+    as `Lattice` does, raising ValueError.  `strict_up[p]` is the int mask
+    of the points strictly above p (`strict_down[p]` dually)."""
 
     def __init__(self, width, covers, labels=None):
-        self.width = width
-        self.covers = covers = tuple(sorted((int(a), int(b)) for a, b in covers))
-        for a, b in covers:
-            if not (0 <= a < width and 0 <= b < width) or a == b:
-                raise ValueError(f"bad cover ({a},{b})")
+        try:
+            self.covers, _, _, _, up, down = cover_order(width, covers)
+        except LatticeError as exc:
+            raise ValueError(str(exc)) from None
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != width:
                 raise ValueError(f"{len(labels)} labels for {width} points")
+        self.width = width
         self.labels = labels
-        try:
-            _, up = topological_up_sets(width, covers)
-        except CycleInCovers:
-            raise ValueError("cover relation contains a cycle") from None
         self.strict_up = tuple(u & ~(1 << p) for p, u in enumerate(up))
+        self.strict_down = tuple(d & ~(1 << p) for p, d in enumerate(down))
 
     def label(self, p):
         return self.labels[p] if self.labels else f"p{p + 1}"
-
-    @cached_property
-    def strict_down(self):
-        _, down = topological_up_sets(self.width, [(b, a) for a, b in self.covers])
-        return tuple(d & ~(1 << p) for p, d in enumerate(down))
 
 
 class EnumStats(NamedTuple):

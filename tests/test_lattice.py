@@ -18,6 +18,8 @@ from modlat.lattice import (
     LATTICE_CAP,
     CapExceeded,
     CycleInCovers,
+    Lattice,
+    LatticeError,
     NotALattice,
     NotModular,
     NotTransitivelyReduced,
@@ -382,8 +384,46 @@ def test_mask_queries_match_the_reachability_closure():
             assert up_transposes(L, (a, b)) == want
 
 
+def _cover_variants(rng, n, covers):
+    """(list, rejected) pairs: the reduced pairs `covers` of an order on
+    0..n-1, a copy with a repeated pair, and copies with an implied pair, a
+    self-loop, a 2-cycle, a 3-cycle or a pair out of range, each shuffled."""
+    leq = order_relation(n, covers)
+    implied = [(a, b) for a in range(n) for b in range(n)
+               if a != b and leq[a][b] and (a, b) not in covers]
+    chains = [(a, c) for a, b in covers for b2, c in covers if b == b2]
+    p = rng.randrange(n)
+    extras = [([], False), ([(p, p)], True),
+              ([(rng.randrange(n), rng.choice([-1, n, n + 3]))], True)]
+    if covers:
+        a, b = rng.choice(covers)
+        extras += [([(a, b)], False), ([(b, a)], True)]
+    if implied:
+        extras.append(([rng.choice(implied)], True))
+    if chains:
+        a, c = rng.choice(chains)
+        extras.append(([(c, a)], True))
+    out = []
+    for extra, rejected in extras:
+        pairs = list(covers) + extra
+        rng.shuffle(pairs)
+        out.append((pairs, rejected))
+    return out
+
+
+def _built_or_message(cls, n, pairs):
+    try:
+        return cls(n, pairs)
+    except (ValueError, LatticeError) as exc:
+        return str(exc)
+
+
 def test_ground_poset_masks_match_the_reachability_closure():
-    rng = random.Random(11)
+    # Lattice and GroundPoset share one cover core: on the same cover
+    # lists they reject the same ones with the same text, and otherwise
+    # both hold the order of the reachability closure
+    rng, mutate = random.Random(11), random.Random(12)
+    built = 0
     for width in range(1, 9):
         for _ in range(30):
             covers = random_poset_covers(rng, width)
@@ -393,6 +433,33 @@ def test_ground_poset_masks_match_the_reachability_closure():
                 others = set(range(width)) - {p}
                 assert _decode(poset.strict_up[p], width) == {q for q in others if leq[p][q]}
                 assert _decode(poset.strict_down[p], width) == {q for q in others if leq[q][p]}
+            for n, reduced in ((width, covers), _bounded(mutate, width)):
+                leq = order_relation(n, reduced)
+                for pairs, rejected in _cover_variants(mutate, n, reduced):
+                    poset = _built_or_message(GroundPoset, n, pairs)
+                    L = _built_or_message(Lattice, n, pairs)
+                    assert isinstance(poset, str) == rejected, pairs
+                    if rejected:
+                        assert L == poset, pairs
+                        continue
+                    assert poset.covers == tuple(sorted(reduced))
+                    for p in range(n):
+                        assert _decode(poset.strict_up[p] | 1 << p, n) == {
+                            q for q in range(n) if leq[p][q]}
+                        assert _decode(poset.strict_down[p] | 1 << p, n) == {
+                            q for q in range(n) if leq[q][p]}
+                    if isinstance(L, str):
+                        assert "have no least" in L, pairs  # a valid order, not a lattice
+                        continue
+                    built += 1
+                    assert L.covers == poset.covers
+                    assert all(_decode(L.up[p], n) == {q for q in range(n) if leq[p][q]}
+                               and _decode(L.down[p], n) == {q for q in range(n) if leq[q][p]}
+                               for p in range(n))
+                    pos = {v: i for i, v in enumerate(L.linear_extension)}
+                    assert sorted(pos) == list(range(n))
+                    assert all(pos[a] < pos[b] for a, b in reduced)
+    assert built > 100
 
 
 # -- join-irreducibles -----------------------------------------------------

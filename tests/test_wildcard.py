@@ -666,6 +666,20 @@ def test_ground_poset_rejects_a_wrong_label_count():
         GroundPoset(2, (), ("a",))
 
 
+def test_ground_poset_counts_a_repeated_cover_once_and_rejects_an_implied_one():
+    # the chain a < b < c once seeded other rows when a cover came twice
+    chain = GroundPoset(3, ((0, 1), (1, 2)))
+    repeated = GroundPoset(3, ((1, 2), (0, 1), (0, 1)))
+    assert repeated.covers == chain.covers
+    assert repeated.strict_down == chain.strict_down == (0, 0b1, 0b11)
+    want = rowset_to_text(enumerate_ideals(chain, []))
+    assert rowset_to_text(enumerate_ideals(repeated, [])) == want
+    with pytest.raises(ValueError, match=r"^cover \(0,2\) is implied$"):
+        GroundPoset(3, ((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(ValueError, match=r"^self-loop at 1$"):
+        GroundPoset(3, ((1, 1),))
+
+
 def test_down_closure_predicate():
     poset = GroundPoset(3, ((0, 1), (1, 2)))
     assert is_down_closed(poset, (1, 1, 0))
