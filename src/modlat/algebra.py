@@ -260,9 +260,10 @@ class SetSystem:
         return tuple(v for v in self.universe if v not in hit)
 
 
-def parse_set_system(text, universe=None):
-    """0/1 matrix, one row per set, columns in universe order.  Whitespace
-    between the cells is ignored; any other character is an error."""
+def parse_set_system(text):
+    """0/1 matrix, one row per set, one column per universe element, named
+    a, b, c, ... (v0, v1, ... past 26 columns).  Whitespace between the
+    cells is ignored; any other character is an error."""
     rows = []
     for k, line in enumerate(text.splitlines(), 1):
         bits = "".join(line.split())
@@ -275,11 +276,10 @@ def parse_set_system(text, universe=None):
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged matrix")
-    if universe is None:
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        universe = tuple(letters[i] if width <= 26 else f"v{i}" for i in range(width))
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    universe = tuple(letters[i] if width <= 26 else f"v{i}" for i in range(width))
     sets = [frozenset(universe[i] for i, b in enumerate(row) if b) for row in rows]
-    return SetSystem(tuple(universe), tuple(sets))
+    return SetSystem(universe, tuple(sets))
 
 
 def _ji_masks(sys):

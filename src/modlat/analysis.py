@@ -16,13 +16,15 @@ and evaluates the identities and bounds that relate them, each reported
 as a named pass/fail verdict with the concrete numbers filled in.  The
 facts these checks share are computed once per lattice, and those of
 each base of lines once per base, in the `AnalysisContext` that every
-check takes; a base of lines there is its tuple of line masks.  Whether
-some base of lines has a cycle, a cyclic localization or a triangle is
-decided over every base at once, as a properly coloured cycle in a
-witness graph (Yeo's theorem), not by enumerating bases.  The module
-also houses the triangle machinery that manufactures a covering with a
-cyclic localization, and `check_clean_cycles`, which lists the cycles of
-line-tops of an acyclic canonical base and tests each for cleanness.
+check takes; a base of lines there is its tuple of line masks.  The
+verdict suite asks each check once, walking the sampled bases only until
+one fails.  Whether some base of lines has a cycle, a cyclic
+localization or a triangle is decided over every base at once, as a
+properly coloured cycle in a witness graph (Yeo's theorem), not by
+enumerating bases.  The module also houses the triangle machinery that
+manufactures a covering with a cyclic localization, and
+`check_clean_cycles`, which lists the cycles of line-tops of an acyclic
+canonical base and tests each for cleanness.
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ class AnalysisContext:
     `coverings` holds, per covering u -< v, the mask of J(u, v) and the
     indices of the line intervals with top under v but not under u: a
     base's localization there is its lines for those intervals, each
-    AND-ed with the mask.  Each base's facts, `base_facts` and
-    `localization_summary`, are computed at most once, and the component
-    count of a localization once per covering and trimmed line masks: on
-    Z4xZ8 the sample's 37,000 localizations hold only 119 distinct ones.
+    AND-ed with the mask.  Each base's `base_facts` are computed at most
+    once, and the component count of a localization once per covering and
+    trimmed line masks: on Z4xZ8 the sample's 37,000 localizations hold
+    only 119 distinct ones; `localization_summary` reads those counts.
     `acyclic` says whether the canonical base has r* 0, and `rstars`
     holds r* of each sampled base.
     `transposes` holds, per cover a -< b, the mask S(a, b) of the points
@@ -99,7 +101,6 @@ class AnalysisContext:
         # (u, v, mask of J(u, v), qualifying interval indices)
         self.coverings = _coverings(L, ivs)
         self._components = {}  # base -> base_facts
-        self._summaries = {}  # base -> its summary
         # (covering index, trimmed line masks) -> component count of that localization
         self._localizations = {}
 
@@ -125,9 +126,7 @@ class AnalysisContext:
     def localization_summary(self, B):
         """(u, v, c) for the first covering u -< v, in cover order, where
         B's localization has c != 1 components, or None."""
-        if B not in self._summaries:
-            self._summaries[B] = _summarize_localizations(self, B)
-        return self._summaries[B]
+        return _summarize_localizations(self, B)
 
     def _component_count_at(self, k, masks):
         """The component count of the localization at the k-th covering of
@@ -569,18 +568,6 @@ def cyclic_localization_witness(L, ivs, masks, config):
 # -- cycles of line-tops -----------------------------------------------
 
 
-class TopCycle(NamedTuple):
-    """Cyclic sequence of at least three distinct line-tops.
-
-    Consecutive entries, wrapping around, are tightly comparable;
-    directions[k] is "up" when tops[k] is tightly below its successor
-    and "down" otherwise.
-    """
-
-    tops: tuple
-    directions: tuple
-
-
 def _require_top(tops, x):
     if x not in tops:
         raise NotALineTop(f"{x} is not the top of a line interval")
@@ -597,7 +584,9 @@ def _top_cycles(below, maxlen):
     tight-below masks of `_tight_masks`.
 
     Simple cycles of length 3..maxlen in the tight-comparability graph,
-    each reported once, anchored at its smallest top.
+    each reported once as a tuple of at least three distinct tops,
+    anchored at its smallest top; consecutive tops, wrapping around, are
+    tightly comparable.
     """
     above = dict.fromkeys(below, 0)
     for y, m in below.items():
@@ -619,14 +608,7 @@ def _top_cycles(below, maxlen):
 
     for start in sorted(below):
         walk([start], 1 << start)
-    out = []
-    for seq in found:
-        dirs = tuple(
-            "up" if below[seq[(k + 1) % len(seq)]] >> seq[k] & 1 else "down"
-            for k in range(len(seq))
-        )
-        out.append(TopCycle(tops=seq, directions=dirs))
-    return out
+    return found
 
 
 def _comparable(L, x, y):
@@ -670,7 +652,7 @@ def _is_clean(L, tops, below, cycle):
     tops must not be simultaneously mutually comparable and wired to a
     single covering of u's interval; repeated tops are never clean.
     """
-    seq = tuple(cycle.tops) if isinstance(cycle, TopCycle) else tuple(cycle)
+    seq = tuple(cycle)
     if len(seq) < 3:
         raise ValueError("a cycle needs at least three line-tops")
     for x in seq:
@@ -871,39 +853,36 @@ def check_clean_cycles(ctx):
     return Verdict(name, False, f"{len(clean)} clean of {len(cycles)} cycles; base cyclic=False")
 
 
-def _merge_runs(runs, note):
-    """Collapse per-base verdict tuples into one verdict per name."""
-    merged = []
-    for idx, first in enumerate(runs[0]):
-        bad = next((run[idx] for run in runs if not run[idx].passed), None)
-        merged.append(
-            bad or Verdict(first.name, True, f"{first.detail}; {note}")
-        )
-    return merged
-
-
 def verdict_suite(L, bols_cap=1000):
-    """Every check the module knows, aggregated over sampled bases."""
+    """Every check the module knows, each asked once.
+
+    A check of one base reports the first verdict that fails over the
+    sampled bases, in sample order, or else the first base's pass with
+    the sample note.  `check_interval_bounds` reads a base only through
+    its component count and r*, so it runs once per distinct pair of
+    them: once per lattice on real bases, as r* = mu - j - i + s.  The
+    components and localizations checks walk the sample and stop at the
+    first base that fails."""
     ctx = AnalysisContext(L, bols_cap)
     note = f"{len(ctx.sample)} bases" + (" (truncated)" if ctx.truncated else "")
+
+    def first_failing(runs):
+        # the first verdict of `runs` that fails, else the first with the note
+        runs = iter(runs)
+        first = next(runs)
+        bad = first if not first.passed else next((v for v in runs if not v.passed), None)
+        return bad or first._replace(detail=f"{first.detail}; {note}")
+
     out = list(check_point_count(ctx))
-    out += _merge_runs([check_interval_bounds(ctx, Bk) for Bk in ctx.sample], note)
+    firsts = {}  # (component count, r*) -> the first base with them
+    for B in ctx.sample:
+        comps, r = ctx.base_facts(B)
+        firsts.setdefault((len(comps), r), B)
+    out += map(first_failing, zip(*[check_interval_bounds(ctx, B) for B in firsts.values()]))
     observed = sorted(set(ctx.rstars))
-    out.append(
-        Verdict("split counts observed", True, f"r* values {observed}; {note}")
-    )
-    out += _merge_runs(
-        [
-            (
-                check_components_match_projectivity(ctx, Bk),
-                check_localizations_connected(ctx, Bk),
-            )
-            for Bk in ctx.sample
-        ],
-        note,
-    )
-    out += _merge_runs([(check_line_feet(ctx), check_triangle_tops(ctx))], note)
-    out.append(check_perspective_intervals(ctx))
-    out.append(check_join_witness(L))
-    out.append(check_clean_cycles(ctx))
+    out.append(Verdict("split counts observed", True, f"r* values {observed}; {note}"))
+    for check in (check_components_match_projectivity, check_localizations_connected):
+        out.append(first_failing(check(ctx, B) for B in ctx.sample))
+    out += [first_failing([check_line_feet(ctx)]), first_failing([check_triangle_tops(ctx)]),
+            check_perspective_intervals(ctx), check_join_witness(L), check_clean_cycles(ctx)]
     return tuple(out)

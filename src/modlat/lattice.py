@@ -83,13 +83,14 @@ def bits(mask):
         mask ^= low
 
 
-def cover_order(n, covers):
+def cover_order(n, covers, name=str):
     """The order on 0..n-1 whose covering (lower, upper) pairs are `covers`,
     as (covers, order, upcov, lowcov, up, down): the pairs deduped and
     sorted, a linear extension, each element's upper and lower covers, and
     its inclusive up-set and down-set masks.  Raises NotALattice for a pair
     out of range, CycleInCovers for a self-loop or a cycle, and
-    NotTransitivelyReduced for a pair implied by two others."""
+    NotTransitivelyReduced for a pair implied by two others; `name` writes
+    an element in range into those messages."""
     covers = tuple(sorted(set((int(a), int(b)) for a, b in covers)))
     upcov = [[] for _ in range(n)]
     lowcov = [[] for _ in range(n)]
@@ -97,7 +98,7 @@ def cover_order(n, covers):
         if not (0 <= a < n and 0 <= b < n):
             raise NotALattice(f"cover ({a},{b}) out of range for n={n}")
         if a == b:
-            raise CycleInCovers(f"self-loop at {a}")
+            raise CycleInCovers(f"self-loop at {name(a)}")
         upcov[a].append(b)
         lowcov[b].append(a)
     indeg = [len(lows) for lows in lowcov]
@@ -119,7 +120,7 @@ def cover_order(n, covers):
     for a, b in covers:
         # a shortcut through a third element means (a,b) is redundant
         if (up[a] & down[b]).bit_count() > 2:
-            raise NotTransitivelyReduced(f"cover ({a},{b}) is implied")
+            raise NotTransitivelyReduced(f"cover ({name(a)},{name(b)}) is implied")
     return covers, order, upcov, lowcov, up, down
 
 

@@ -416,18 +416,20 @@ def _one_hot_row(row, undet, mem):
 class GroundPoset:
     """The point poset lines live on, given by its cover relation on the
     points 0..width-1, which construction checks with `lattice.cover_order`
-    as `Lattice` does, raising ValueError.  `strict_up[p]` is the int mask
-    of the points strictly above p (`strict_down[p]` dually)."""
+    as `Lattice` does, raising ValueError that names the points by their
+    labels, if any.  `strict_up[p]` is the int mask of the points strictly
+    above p (`strict_down[p]` dually)."""
 
     def __init__(self, width, covers, labels=None):
-        try:
-            self.covers, _, _, _, up, down = cover_order(width, covers)
-        except LatticeError as exc:
-            raise ValueError(str(exc)) from None
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != width:
                 raise ValueError(f"{len(labels)} labels for {width} points")
+        name = labels.__getitem__ if labels else str
+        try:
+            self.covers, _, _, _, up, down = cover_order(width, covers, name)
+        except LatticeError as exc:
+            raise ValueError(str(exc)) from None
         self.width = width
         self.labels = labels
         self.strict_up = tuple(u & ~(1 << p) for p, u in enumerate(up))

@@ -879,3 +879,38 @@ def implications_to_json(implications):
 
 def implications_from_json(data):
     return tuple(Implication(frozenset(d["if"]), frozenset(d["then"])) for d in data)
+
+
+# -- the verdict suite --------------------------------------------------------
+
+
+def merged_verdict_suite(L, bols_cap=1000):
+    """`modlat.analysis.verdict_suite` as a merge over every sampled base.
+
+    Unlike the rest of this module it calls the package's own checks:
+    what it stands in for is the merge, not the checks.  Each check of
+    one base runs on every base of the sample, and per verdict name the
+    first failing verdict in sample order is kept, or else the first
+    base's verdict with the sample note appended."""
+    from modlat import analysis as an
+
+    ctx = an.AnalysisContext(L, bols_cap)
+    note = f"{len(ctx.sample)} bases" + (" (truncated)" if ctx.truncated else "")
+
+    def merge(runs):
+        out = []
+        for k, first in enumerate(runs[0]):
+            bad = [run[k] for run in runs if not run[k].passed]
+            out.append(bad[0] if bad else first._replace(detail=f"{first.detail}; {note}"))
+        return out
+
+    out = list(an.check_point_count(ctx))
+    out += merge([an.check_interval_bounds(ctx, B) for B in ctx.sample])
+    observed = sorted(set(ctx.rstars))
+    out.append(an.Verdict("split counts observed", True, f"r* values {observed}; {note}"))
+    out += merge([(an.check_components_match_projectivity(ctx, B),
+                   an.check_localizations_connected(ctx, B)) for B in ctx.sample])
+    out += merge([(an.check_line_feet(ctx), an.check_triangle_tops(ctx))])
+    out += [an.check_perspective_intervals(ctx), an.check_join_witness(L),
+            an.check_clean_cycles(ctx)]
+    return tuple(out)

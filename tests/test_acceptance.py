@@ -281,8 +281,6 @@ NINE_SETS = "\n".join(
     ]
 )
 
-NINE_UNIVERSE = tuple("abcdefgh") + ("k",)
-
 SIGMA_OPT = tuple(
     Implication(frozenset(premise), frozenset(conclusion))
     for premise, conclusion in [
@@ -308,7 +306,7 @@ SIGMA_OPT = tuple(
 
 
 def test_criterion_10_generated_distributive_lattice():
-    system = parse_set_system(NINE_SETS, universe=NINE_UNIVERSE)
+    system = parse_set_system(NINE_SETS)
     closure = union_intersection_closure(system.sets) | {frozenset()}
     jis = set(distributive_ji(system))
     L = distributive_lattice(system)

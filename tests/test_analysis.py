@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -42,7 +43,14 @@ from modlat.corpus import (
     seven_point_lattice,
     standard_corpus,
 )
-from modlat.lattice import NotModular, bits, build_lattice, projectivity_classes, transpose_masks
+from modlat.lattice import (
+    LatticeError,
+    NotModular,
+    bits,
+    build_lattice,
+    projectivity_classes,
+    transpose_masks,
+)
 from modlat.pls import Pls, components, find_cycle, mask_components, rstar
 
 import oracles
@@ -729,16 +737,17 @@ def test_top_cycles_of_z4_squared():
     L = z4_squared()
     tops, below = _tight(L)
     cycles = _top_cycles(below, 8)
-    assert sorted(c.tops for c in cycles) == [
+    assert sorted(cycles) == [
         (5, 11, 14, 12),
         (5, 11, 14, 13),
         (5, 12, 14, 13),
     ]
     for c in cycles:
-        assert c.directions == ("up", "up", "down", "down")
-        assert len(c.tops) == 4
-        assert c.tops[0] == min(c.tops)
-        assert c.tops[1] < c.tops[-1]
+        # up, up, down, down: each top tightly below its successor or above it
+        assert [below[c[(k + 1) % 4]] >> c[k] & 1 for k in range(4)] == [1, 1, 0, 0]
+        assert len(c) == 4
+        assert c[0] == min(c)
+        assert c[1] < c[-1]
         assert _is_clean(L, tops, below, c)
     assert _top_cycles(below, 3) == []
 
@@ -813,6 +822,71 @@ def test_verdict_suite_survives_an_empty_bases_sample():
     verdicts = verdict_suite(z4_squared(), bols_cap=0)
     assert all(v.passed for v in verdicts), [str(v) for v in verdicts if not v.passed]
     assert "1 bases (truncated)" in _verdict(verdicts, "split counts observed").detail
+
+
+# sha256 over str(v) + "\n" for every verdict of verdict_suite(L, cap): the
+# strings that `verify` prints only when they fail
+SUITE_PINNED = {
+    ("4,8", 1000): "b8983c0ee385b453aa1a2fe8d77f81c5f435905dcb6b90a02bb072f06024567b",
+    ("2,2,4", 1000): "66e158eb0ac100a20f73ed2a9a3a9ca07531745417a8f0b73516b30730fb12d2",
+    ("2,4,8", 1000): "e756d1d3f41d76c3b3b16677269e4aaee577e68be29204d8ffe4c34af9d6dbb4",
+    ("seven-point", 1000): "6a01bdf5e29e95984857cbd9d0cd4e703a3f41bdbf1083886f23d1a2b9296106",
+    ("4,4", 0): "e095097ea52e7a12a46cf3bd3198a4127cb496ce89616105f7a75d1b4c9d7aa5",
+    ("4,4", 7): "5ef2982b9fde2e3a4c66de0c3f75fcb9202d50ac8c0fd3529e0598f86cb99420",
+}
+
+
+@pytest.mark.parametrize("name,cap", SUITE_PINNED, ids=lambda v: str(v))
+def test_verdict_suite_strings_are_pinned(name, cap):
+    L = seven_point_lattice() if name == "seven-point" else subgroup_lattice(parse_group(name))
+    text = "".join(f"{v}\n" for v in verdict_suite(L, cap))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_PINNED[name, cap], text
+
+
+def test_verdict_suite_matches_the_merge_over_every_sampled_base(monkeypatch):
+    # samples with lines cut short make the per-base checks fail on some
+    # bases and not on others, or break the component count, which raises
+    rng = random.Random(3)
+    sample_of = modlat.analysis.bol_sample
+    outcomes = set()
+    for name in ["2,2,2", "2,2,4", "4,4", "seven-point"] * 10:
+        L = seven_point_lattice() if name == "seven-point" else subgroup_lattice(parse_group(name))
+        cap, p = rng.choice([0, 5, 40, 1000]), rng.choice([0.02, 0.1, 0.3])
+        ctx = AnalysisContext(L)
+        sample, truncated = sample_of(ctx.witnesses, cap)
+        sample = sample or [ctx.base]
+        doctored = [tuple(m & (m - 1) if rng.random() < p else m for m in B) for B in sample]
+        monkeypatch.setattr(modlat.analysis, "bol_sample", lambda w, cap: (doctored, truncated))
+        try:
+            want = oracles.merged_verdict_suite(L, cap)
+        except LatticeError as exc:
+            with pytest.raises(type(exc)) as got:
+                verdict_suite(L, cap)
+            assert str(got.value) == str(exc)
+            outcomes.add("raised")
+            continue
+        assert verdict_suite(L, cap) == want, (name, cap)
+        outcomes.add(all(v.passed for v in want))
+    assert outcomes == {"raised", True, False}
+
+
+def test_interval_bounds_run_once_per_component_count_and_split_number(monkeypatch):
+    # all 1000 sampled bases of Z4 x Z8 have one (count, r*) pair, since
+    # r* = mu - j - i + s
+    L = subgroup_lattice(parse_group("4,8"))
+    ctx = AnalysisContext(L)
+    pairs = {(len(comps), r) for comps, r in map(ctx.base_facts, ctx.sample)}
+    calls = []
+    bounds = modlat.analysis.check_interval_bounds
+
+    def counted(ctx, B):
+        calls.append(B)
+        return bounds(ctx, B)
+
+    monkeypatch.setattr(modlat.analysis, "check_interval_bounds", counted)
+    verdict_suite(L)
+    assert ctx.truncated and len(ctx.sample) == 1000
+    assert len(pairs) == 1 and calls == [ctx.sample[0]]
 
 
 @pytest.mark.parametrize("run", [params, verdict_suite], ids=["params", "suite"])

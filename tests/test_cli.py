@@ -187,7 +187,8 @@ def test_unknown_label_in_covers_exits_2_naming_it(capsys, tmp_path):
 
 
 def test_poset_cover_repeated_counts_once_and_implied_exits_2(capsys, tmp_path):
-    # a repeated or an implied cover once changed the rows of the same poset
+    # a repeated or an implied cover once changed the rows of the same poset;
+    # a bad cover is reported in the labels the file uses
     poset = tmp_path / "poset.json"
     runs = []
     for covers in ([["a", "b"], ["b", "c"]], [["a", "b"], ["b", "c"], ["a", "b"]]):
@@ -197,11 +198,12 @@ def test_poset_cover_repeated_counts_once_and_implied_exits_2(capsys, tmp_path):
             runs.append(capsys.readouterr())
     assert runs[:2] == runs[2:]
     assert runs[0].out.startswith("r1:  1  1  2  ; count=2\nr2:  2  0  0  ; count=2\n")
-    poset.write_text(json.dumps({"points": ["a", "b", "c"],
-                                 "covers": [["a", "b"], ["b", "c"], ["a", "c"]]}))
-    for cmd in ("enumerate", "rebuild"):
-        assert main([cmd, "--poset", str(poset)]) == 2
-        assert capsys.readouterr() == ("", "ValueError: cover (0,2) is implied\n"), cmd
+    for covers, err in [([["a", "b"], ["b", "c"], ["a", "c"]], "cover (a,c) is implied"),
+                        ([["a", "b"], ["c", "c"]], "self-loop at c")]:
+        poset.write_text(json.dumps({"points": ["a", "b", "c"], "covers": covers}))
+        for cmd in ("enumerate", "rebuild"):
+            assert main([cmd, "--poset", str(poset)]) == 2
+            assert capsys.readouterr() == ("", f"ValueError: {err}\n"), cmd
 
 
 def _missing_key_error(capsys, argv, key):

@@ -678,6 +678,11 @@ def test_ground_poset_counts_a_repeated_cover_once_and_rejects_an_implied_one():
         GroundPoset(3, ((0, 1), (1, 2), (0, 2)))
     with pytest.raises(ValueError, match=r"^self-loop at 1$"):
         GroundPoset(3, ((1, 1),))
+    # a labelled poset names the points by their labels
+    with pytest.raises(ValueError, match=r"^cover \(x,z\) is implied$"):
+        GroundPoset(3, ((0, 1), (1, 2), (0, 2)), "xyz")
+    with pytest.raises(ValueError, match=r"^self-loop at y$"):
+        GroundPoset(3, ((1, 1),), "xyz")
 
 
 def test_down_closure_predicate():
