@@ -254,11 +254,6 @@ class SetSystem:
             if not s <= ground:
                 raise ValueError("set uses elements outside the universe")
 
-    def uncovered(self):
-        """Universe elements in no set; they play no role downstream."""
-        hit = set().union(*self.sets) if self.sets else set()
-        return tuple(v for v in self.universe if v not in hit)
-
 
 def parse_set_system(text):
     """0/1 matrix, one row per set, one column per universe element, named

@@ -34,7 +34,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .bol import bol_sample, canonical_masks, line_intervals, localize, witness_masks
-from .lattice import LatticeError, bits, lower_star, require_modular, transpose_masks
+from .lattice import BOLS_CAP, LatticeError, bits, lower_star, require_modular, transpose_masks
 from .pls import mask_components, merge_masks
 
 
@@ -85,7 +85,7 @@ class AnalysisContext:
     test in `shares`, which only the verdict suite reads.
     """
 
-    def __init__(self, L, bols_cap=1000):
+    def __init__(self, L, bols_cap=BOLS_CAP):
         require_modular(L)
         self.lattice, self.bols_cap = L, bols_cap
         self.intervals = ivs = line_intervals(L)
@@ -340,7 +340,7 @@ def component_count(ctx, B):
     return from_pls
 
 
-def params(L, bols_cap=1000):
+def params(L, bols_cap=BOLS_CAP):
     """Profile the lattice; modularity is required.
 
     `locally_acyclic` is decided over every base of lines.  The verdicts
@@ -853,7 +853,7 @@ def check_clean_cycles(ctx):
     return Verdict(name, False, f"{len(clean)} clean of {len(cycles)} cycles; base cyclic=False")
 
 
-def verdict_suite(L, bols_cap=1000):
+def verdict_suite(L, bols_cap=BOLS_CAP):
     """Every check the module knows, each asked once.
 
     A check of one base reports the first verdict that fails over the

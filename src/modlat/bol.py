@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import combinations, islice, product
 from typing import NamedTuple
 
-from .lattice import CapExceeded, LatticeError, bits, require_modular
+from .lattice import BOLS_CAP, CapExceeded, LatticeError, bits, require_modular
 from .pls import TwoPointIntersection, _pkey
 
 
@@ -116,7 +116,7 @@ def check_candidates(witnesses):
                 raise TwoPointIntersection(msg)
 
 
-def all_bols(witnesses, cap=1000):
+def all_bols(witnesses, cap=BOLS_CAP):
     """Yield every base of lines of the witness table `witnesses`, each
     once, as its tuple of line masks in interval order, capped.
 
@@ -134,7 +134,7 @@ def all_bols(witnesses, cap=1000):
         yield masks
 
 
-def bol_sample(witnesses, cap=1000):
+def bol_sample(witnesses, cap=BOLS_CAP):
     """Up to `cap` bases of lines of the witness table, as from
     `all_bols`, and whether the cap cut the list short (it is empty at
     cap 0)."""

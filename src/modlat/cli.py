@@ -1,8 +1,9 @@
 """Command line front end.
 
-Subcommands chain through JSON files: `enumerate` emits row sets,
-`rebuild` turns enumerations into lattices, `analyze`, `bol`,
-`localize`, `rstar` and `witness-triangle` consume lattice files, and
+Subcommands chain through JSON files: `enumerate` writes row sets,
+which no command reads back; `rebuild` reads a poset and lines and
+writes the lattice of their closed order ideals; `analyze`, `bol`,
+`localize`, `rstar` and `witness-triangle` consume lattice files; and
 `verify` runs the verdict suite over the stock corpus.  Exit status is
 0 for success, 1 for a verification failure, 2 for usage or input
 errors.
@@ -22,6 +23,7 @@ import json
 import sys
 
 from .lattice import (
+    BOLS_CAP,
     LatticeError,
     NotAClosureSystem,
     PlsError,
@@ -317,18 +319,18 @@ def _build_parser():
 
     a = sub.add_parser("analyze", help="parameter profile and verdicts")
     a.add_argument("--lattice", required=True, help="lattice JSON")
-    a.add_argument("--cap", type=int, default=1000, help=CAP_HELP)
+    a.add_argument("--cap", type=int, default=BOLS_CAP, help=CAP_HELP)
     a.add_argument("--out", help="write the report as JSON")
     a.set_defaults(func=cmd_analyze)
 
     v = sub.add_parser("verify", help="run every check over the stock corpus")
-    v.add_argument("--cap", type=int, default=1000, help=CAP_HELP)
+    v.add_argument("--cap", type=int, default=BOLS_CAP, help=CAP_HELP)
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bol", help="canonical base of lines")
     b.add_argument("--lattice", required=True)
     b.add_argument("--all-bols", action="store_true", help="count bases, up to --cap")
-    b.add_argument("--cap", type=int, default=1000, help=CAP_HELP)
+    b.add_argument("--cap", type=int, default=BOLS_CAP, help=CAP_HELP)
     b.add_argument("--out", help="write the base as JSON")
     b.set_defaults(func=cmd_bol)
 
@@ -344,7 +346,7 @@ def _build_parser():
     g.add_argument("--count", action="store_true")
     g.add_argument("--analyze", action="store_true")
     g.add_argument("--dot", action="store_true")
-    g.add_argument("--cap", type=int, default=1000, help=CAP_HELP)
+    g.add_argument("--cap", type=int, default=BOLS_CAP, help=CAP_HELP)
     g.add_argument("--out")
     g.set_defaults(func=cmd_subgroup_lattice)
 

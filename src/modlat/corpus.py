@@ -98,13 +98,9 @@ def random_poset(rng, max_points=8):
     return GroundPoset(n, covers_from_below(below))
 
 
-def downset_lattice(poset):
-    """The distributive lattice of all down-closed point sets."""
-    return ideals_lattice(poset, [])
-
-
 def random_distributive(seed, max_points=8):
-    return downset_lattice(random_poset(random.Random(seed), max_points))
+    """The distributive lattice of all down-closed point sets of a random poset."""
+    return ideals_lattice(random_poset(random.Random(seed), max_points), [])
 
 
 def standard_corpus(distributive_count=20):

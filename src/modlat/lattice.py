@@ -68,6 +68,9 @@ class NotAClosureSystem(Exception):
 # admits Z2^5 (374 subgroups); 512 elements build in a fraction of a second
 LATTICE_CAP = 512
 
+# the default bound on the bases of lines listed or sampled (`modlat.bol`)
+BOLS_CAP = 1000
+
 
 def check_lattice_size(n):
     """Raise CapExceeded for a lattice of (at least) n > LATTICE_CAP elements."""

@@ -32,10 +32,11 @@ row already satisfies without calling `impose_line`; neither changes the
 final rows.  The work it does is counted in an `EnumStats`.  `row_masks`
 lists a row's strings as int masks; `expand` is its 0/1-tuple view.
 
-Rows are checked where they enter: `make_row` (and so `row_from_json`)
-rejects a row that is not well formed.  The rows that `force`,
-`with_group`, `_try_merge` and the seeding build out of well-formed rows
-are not re-checked.
+Row sets are written as text and JSON (`rowset_to_text`,
+`rowset_to_json`) and never read back.  `make_row` is the one checked
+constructor: it rejects a row that is not well formed.  The rows that
+`force`, `with_group`, `_try_merge` and the seeding build out of
+well-formed rows are not re-checked.
 """
 
 from __future__ import annotations
@@ -175,8 +176,8 @@ def make_row(width, cells, groups=()):
     """The Row of a cell form: `cells` holds per position "0", "1", "2"
     (free) or the index into `groups` of the position's group.  Raises
     WildcardError on a row that is not well formed.  This is the checked
-    entry point for rows from outside (JSON, callers); the row builders
-    below make rows out of well-formed rows."""
+    entry point for rows built by callers; the row builders below make
+    rows out of well-formed rows."""
     if len(cells) != width:
         raise WildcardError(f"row has {len(cells)} cells, width {width}")
     ones = zeros = 0
@@ -488,22 +489,25 @@ def rowset_bitstrings(rowset):
 def seed_order_ideals(poset):
     """Rows jointly denoting all downward-closed subsets of the poset.
 
-    Recursively branches on a pivot point lying on several unresolved
-    covers (highest up+down degree, ties to the lowest index); membership
-    propagates down-sets on 1 and up-sets on 0.  Covers left with both
-    ends undetermined become pairwise imp groups.  Each branch keeps the
-    covers still unresolved as (members, premise) masks, filtered from
-    its parent's, and finds the points on two of them by an OR over them.
+    Branches on a pivot point lying on several unresolved covers (highest
+    up+down degree, ties to the lowest index); membership propagates
+    down-sets on 1 and up-sets on 0.  Covers left with both ends
+    undetermined become pairwise imp groups.  The branches wait on one
+    LIFO stack of (ones, zeros, covers) entries, each holding the covers
+    its parent left unresolved as (members, premise) masks; the 0-branch
+    goes on first, so the 1-branch's rows come out first.  The points on
+    two unresolved covers are found by an OR over them.
     """
-    rows, prov = [], []
+    rows = []
     up, down = poset.strict_up, poset.strict_down
     # the pivot is the first point in this order lying on two unresolved covers
-    order = sorted(range(poset.width), key=lambda p: (-(up[p] | down[p]).bit_count(), p))
+    order = [p for _, p in sorted((-(up[p] | down[p]).bit_count(), p) for p in range(poset.width))]
     # covers left unresolved are disjoint, so in this order they come
     # ordered by their lowest member, as a row's groups are
     covers = [(1 << lo | 1 << hi, 1 << hi) for lo, hi in sorted(poset.covers, key=min)]
-
-    def emit(ones, zeros, path, covers):
+    stack = [(0, 0, covers)]
+    while stack:
+        ones, zeros, covers = stack.pop()
         fixed = ones | zeros
         active = [c for c in covers if not c[0] & fixed]
         once = twice = 0
@@ -513,16 +517,12 @@ def seed_order_ideals(poset):
         if not twice:
             groups = tuple(GroupSpec("imp", m, hi) for m, hi in active)
             rows.append(Row(poset.width, ones, zeros, groups))
-            prov.append("seed" + path)
-            return
+            continue
         pivot = next(p for p in order if twice >> p & 1)
-        name = poset.label(pivot)
-        emit(ones | 1 << pivot | down[pivot], zeros, f"{path};{name}=1", active)
-        emit(ones, zeros | 1 << pivot | up[pivot], f"{path};{name}=0", active)
-
-    emit(0, 0, "", covers)
+        stack.append((ones, zeros | 1 << pivot | up[pivot], active))
+        stack.append((ones | 1 << pivot | down[pivot], zeros, active))
     labels = tuple(f"r{i + 1}" for i in range(len(rows)))
-    return RowSet(poset.width, tuple(rows), labels, tuple(prov))
+    return RowSet(poset.width, tuple(rows), labels)
 
 
 def _try_merge(a, b):
@@ -632,9 +632,8 @@ def enumerate_ideals(poset, lines):
 
     The tests, the imposition (`impose_line`, `force`) and the store's
     merge test are int operations on the row's `ones` and `zeros` masks.
-    Rows are checked at the boundaries (`make_row`, `row_from_json`); the
-    rows built in between come from well-formed rows and are not
-    re-checked.  The counts land in the result's `stats` (an `EnumStats`).
+    The rows it builds come from well-formed rows and are not re-checked.
+    The counts land in the result's `stats` (an `EnumStats`).
     """
     line_sets = [tuple(sorted(set(int(p) for p in line))) for line in lines]
     nlines = len(line_sets)
@@ -756,49 +755,11 @@ def group_to_json(spec):
     return d
 
 
-def _positions_mask(ps, width, key):
-    """The mask of the list `ps` of distinct positions below `width`."""
-    if not isinstance(ps, list):
-        raise WildcardError(f"group {key!r} must be a list of positions")
-    mask = 0
-    for p in ps:
-        if type(p) is not int or not 0 <= p < width:
-            raise WildcardError(f"group {key!r} holds {p!r}, not a position below {width}")
-        if mask >> p & 1:
-            raise WildcardError(f"group {key!r} repeats position {p}")
-        mask |= 1 << p
-    return mask
-
-
 def row_to_json(row):
     return {
         "cells": list(row.cells),
         "groups": [group_to_json(g) for g in row.groups],
     }
-
-
-def row_from_json(d, width=None):
-    """The Row of a JSON row.  The premise and conclusion of an imp group
-    must split its members, and other kinds have neither; `make_row`
-    checks the rest."""
-    if not isinstance(d, dict) or not isinstance(d.get("cells"), list):
-        raise WildcardError("a row must be an object with a 'cells' list")
-    if not isinstance(d.get("groups", []), list):
-        raise WildcardError("a row's 'groups' must be a list")
-    cells = d["cells"]
-    groups = []
-    for g in d.get("groups", []):
-        if not isinstance(g, dict):
-            raise WildcardError("a group must be an object")
-        members, premise, conclusion = (
-            _positions_mask(g.get(key, []), len(cells), key)
-            for key in ("members", "premise", "conclusion")
-        )
-        kind = g.get("kind")
-        if premise & conclusion or premise | conclusion != (members if kind == "imp" else 0):
-            raise WildcardError(f"malformed group {g}")
-        groups.append(GroupSpec(kind, members, premise))
-    return make_row(len(cells) if width is None else width, cells, tuple(groups))
 
 
 def rowset_to_json(rowset):
@@ -809,18 +770,6 @@ def rowset_to_json(rowset):
         "provenance": list(rowset.provenance),
         "total": str(total_count(rowset)),
     }
-
-
-def rowset_from_json(d):
-    if not isinstance(d, dict) or type(d.get("width")) is not int or d["width"] < 0:
-        raise WildcardError("a row set must be an object with a non-negative int 'width'")
-    if not isinstance(d.get("rows"), list):
-        raise WildcardError("a row set must have a 'rows' list")
-    for key in ("labels", "provenance"):
-        if not isinstance(d.get(key, []), list):
-            raise WildcardError(f"a row set's {key!r} must be a list")
-    rows = tuple(row_from_json(r, d["width"]) for r in d["rows"])
-    return RowSet(d["width"], rows, tuple(d.get("labels", ())), tuple(d.get("provenance", ())))
 
 
 def poset_to_json(poset):

@@ -334,11 +334,6 @@ def test_set_system_text_roundtrip():
     assert (back.universe, back.sets) == (sys.universe, sys.sets)
 
 
-def test_uncovered_elements_are_reported():
-    sys = parse_set_system("100\n110\n")
-    assert sys.uncovered() == ("c",)
-
-
 def test_parse_rejects_bad_matrices():
     with pytest.raises(ValueError):
         parse_set_system("")

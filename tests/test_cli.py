@@ -23,7 +23,7 @@ from modlat.corpus import (
 )
 from modlat.lattice import lattice_from_json, lattice_to_json
 from modlat.pls import pls_from_json
-from modlat.wildcard import GroundPoset, poset_to_json, rowset_from_json, total_count
+from modlat.wildcard import GroundPoset, enumerate_ideals, poset_to_json, rowset_to_json
 
 from oracles import pls_to_json, random_lines, random_poset_covers
 
@@ -138,8 +138,22 @@ def test_enumerate_text_and_out(files, capsys, tmp_path):
     assert main(["enumerate", "--poset", files["poset"], "--lines", files["lines"], "--out", out]) == 0
     text = capsys.readouterr().out
     assert "total 13 in 6 rows" in text
-    rows = rowset_from_json(json.loads(Path(out).read_text()))
-    assert total_count(rows) == 13
+    rows = enumerate_ideals(seven_point_poset(), seven_point_lines())
+    assert json.loads(Path(out).read_text()) == rowset_to_json(rows)
+
+
+@pytest.fixture
+def long_chain(tmp_path):
+    """A chain of 2100 points, deeper than the default recursion limit."""
+    path = tmp_path / "chain.json"
+    points = [f"c{k}" for k in range(2100)]
+    path.write_text(json.dumps({"points": points, "covers": list(zip(points, points[1:]))}))
+    return str(path)
+
+
+def test_enumerate_counts_the_ideals_of_a_long_chain(long_chain, capsys):
+    assert main(["enumerate", "--poset", long_chain, "--count"]) == 0
+    assert capsys.readouterr().out == "2101\n"
 
 
 def test_enumerate_stats_go_to_stderr_as_json(files, capsys, tmp_path):
@@ -266,6 +280,13 @@ def test_rebuild_summary(files, capsys, tmp_path):
     got = capsys.readouterr().out.strip()
     assert got == "13 elements, 7 join-irreducibles, 3 line intervals, roundtrip ok"
     assert lattice_from_json(json.loads(Path(out).read_text())).n == 13
+
+
+def test_rebuild_of_a_long_chain_exits_2_past_the_cap(long_chain, capsys):
+    assert main(["rebuild", "--poset", long_chain]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CapExceeded: at least 2101 lattice elements, ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_rebuild_reports_a_failed_roundtrip(files, capsys, monkeypatch):

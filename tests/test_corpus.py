@@ -8,7 +8,6 @@ from modlat.corpus import (
     CORPUS_GROUPS,
     boolean_lattice,
     chain,
-    downset_lattice,
     fano_pls,
     m_n,
     random_distributive,
@@ -18,6 +17,7 @@ from modlat.corpus import (
 )
 from modlat.lattice import is_isomorphic
 from modlat.pls import components
+from modlat.rebuild import ideals_lattice
 from modlat.wildcard import GroundPoset
 
 from oracles import brute_closed_ideals
@@ -95,5 +95,5 @@ def test_downset_lattice_members_are_the_brute_force_down_sets(poset):
         frozenset(k for k, bit in enumerate(bs) if bit)
         for bs in brute_closed_ideals(poset, [])
     }
-    members = downset_lattice(poset).member_sets
+    members = ideals_lattice(poset, []).member_sets
     assert len(members) == len(expected) and set(members) == expected

@@ -31,11 +31,9 @@ from modlat.wildcard import (
     poset_from_json,
     poset_to_json,
     row_count,
-    row_from_json,
     row_to_json,
     row_to_text,
     rowset_bitstrings,
-    rowset_from_json,
     rowset_to_json,
     rowset_to_text,
     seed_order_ideals,
@@ -372,6 +370,7 @@ def test_seed_rows_for_the_seven_point_poset():
     poset = seven_point_poset()
     seeds = seed_order_ideals(poset)
     assert sorted(row_count(r) for r in seeds.rows) == [9, 36]
+    assert (seeds.labels, seeds.provenance) == (("r1", "r2"), ())
     assert total_count(seeds) == 45
     assert rowset_bitstrings(seeds) == brute_closed_ideals(poset, [])
 
@@ -694,15 +693,6 @@ def test_down_closure_predicate():
 # -- serialization ------------------------------------------------------------------------------
 
 
-def test_rowset_json_roundtrip():
-    poset = seven_point_poset()
-    rows = enumerate_ideals(poset, seven_point_lines())
-    d = json.loads(json.dumps(rowset_to_json(rows)))
-    back = rowset_from_json(d)
-    assert rowset_bitstrings(back) == rowset_bitstrings(rows)
-    assert total_count(back) == 13
-
-
 def test_poset_json_roundtrip_and_line_labels():
     poset = seven_point_poset()
     back = poset_from_json(json.loads(json.dumps(poset_to_json(poset))))
@@ -724,64 +714,28 @@ def test_row_text_rendering():
 
 
 @pytest.mark.parametrize(
-    "row",
+    "width, cells, groups",
     [
-        {"cells": [0, 0], "groups": [{"kind": "xor", "members": [0, 1]}]},
-        {"cells": [0, 1], "groups": [{"kind": "eps", "members": [0, 1]}]},
-        {"cells": ["2"], "groups": []},
-        {
-            "cells": [0, 0],
-            "groups": [{"kind": "imp", "members": [0, 1], "premise": [0, 1], "conclusion": [1]}],
-        },
-        {"cells": [0, 0], "groups": [{"kind": "eps", "members": [0, 0]}]},
-        {"cells": [0, 0, 0], "groups": [{"kind": "d", "members": [0, 1]}]},
-        {"cells": [0, 0], "groups": [{"kind": "d", "members": [0, 5]}]},
-        {"cells": [0, 0], "groups": [{"kind": "d", "members": [-1, 0]}]},
-        {"cells": [0.7, 0.2], "groups": [{"kind": "d", "members": [0, 1]}]},
-        {"cells": [0, 0], "groups": [{"kind": "d", "members": ["0", 1]}]},
-        {"cells": [0, 0], "groups": [{"kind": "d", "members": [0.0, 1]}]},
-        {"cells": [0, 0], "groups": [{"kind": "d", "members": 3}]},
-        ["2", "2"],
+        (2, (0, 0), (GroupSpec("xor", 0b11),)),
+        (2, (0, 1), (GroupSpec("eps", 0b11),)),
+        (2, (FREE,), ()),
+        (2, (0, 0), (GroupSpec("imp", 0b11, 0b11),)),
+        (3, (0, 0, 0), (GroupSpec("d", 0b011),)),
+        (2, (0, 0), (GroupSpec("d", 0b100001),)),
+        (2, (0, 0), (GroupSpec("d", -1),)),
+        (2, (0.7, 0.2), (GroupSpec("d", 0b11),)),
+        (2, (0, 0), (GroupSpec("d", "3"),)),
+        (2, (0, 0), (GroupSpec("d", 3.0),)),
     ],
     ids=[
-        "unknown-kind", "missing-group", "short-row", "imp-overlap", "repeated-member",
-        "stray-cell", "member-out-of-range", "negative-member", "float-cell",
-        "string-member", "float-member", "members-not-a-list", "row-not-an-object",
+        "unknown-kind", "missing-group", "short-row", "imp-overlap", "stray-cell",
+        "member-out-of-range", "negative-member", "float-cell", "string-member",
+        "float-member",
     ],
 )
-def test_rowset_from_json_rejects_malformed_rows(row):
-    # the short row is one cell narrower than the row set
-    width = max(2, len(row["cells"])) if isinstance(row, dict) else 2
+def test_make_row_rejects_malformed_rows(width, cells, groups):
     with pytest.raises(WildcardError):
-        rowset_from_json({"width": width, "rows": [row]})
-
-
-@pytest.mark.parametrize(
-    "d",
-    [
-        {"width": -1, "rows": []},
-        {"width": 2},
-        {"width": 2, "rows": [], "labels": 5},
-        {"width": 2, "rows": [], "labels": "ab"},
-        {"width": 2, "rows": [], "provenance": None},
-        [2, []],
-    ],
-    ids=[
-        "negative-width", "no-rows", "labels-an-int", "labels-a-string",
-        "provenance-null", "not-an-object",
-    ],
-)
-def test_rowset_from_json_rejects_malformed_row_sets(d):
-    with pytest.raises(WildcardError):
-        rowset_from_json(d)
-
-
-def test_rowset_from_json_ignores_the_old_pending_key():
-    rows = enumerate_ideals(seven_point_poset(), seven_point_lines())
-    d = rowset_to_json(rows)
-    for r in d["rows"]:
-        r["pending"] = []
-    assert rowset_from_json(d).rows == rows.rows
+        make_row(width, cells, groups)
 
 
 def test_rows_round_trip_through_json_and_the_cell_form():
@@ -791,5 +745,5 @@ def test_rows_round_trip_through_json_and_the_cell_form():
         rows += enumerate_ideals(*enumeration_input(parse_group(g))).rows
     assert any(r.groups for r in rows)
     for r in rows:
-        assert row_from_json(json.loads(json.dumps(row_to_json(r)))) == r
+        assert json.loads(json.dumps(row_to_json(r)))["cells"] == list(r.cells)
         assert make_row(r.width, r.cells, r.groups) == r
