@@ -16,13 +16,14 @@ and evaluates the identities and bounds that relate them, each reported
 as a named pass/fail verdict with the concrete numbers filled in.  The
 facts these checks share are computed once per lattice, and those of
 each base of lines once per base, in the `AnalysisContext` that every
-check takes; a base of lines there is its tuple of line masks.  The
-verdict suite asks each check once, walking the sampled bases only until
-one fails.  Whether some base of lines has a cycle, a cyclic
-localization or a triangle is decided over every base at once, as a
-properly coloured cycle in a witness graph (Yeo's theorem), not by
-enumerating bases.  The module also houses the triangle machinery that
-manufactures a covering with a cyclic localization, and
+check takes; a base of lines there is its tuple of line masks.  Only
+the verdict suite samples bases, and it walks them only until one fails.
+Whether some base of lines has a cycle, a cyclic localization or a
+triangle is decided over every base at once, as a properly coloured
+cycle in a witness graph (Yeo's theorem), and whether every base is
+cyclic with the canonical one from witness spans and projectivity
+classes, not by enumerating bases.  The module also houses the triangle
+machinery that manufactures a covering with a cyclic localization, and
 `check_clean_cycles`, which lists the cycles of line-tops of an acyclic
 canonical base and tests each for cleanness.
 """
@@ -67,8 +68,7 @@ class AnalysisContext:
     `sample` holds up to `bols_cap` bases of lines, the canonical base
     first, and is never empty: at cap 0 it is the canonical base by
     itself.  `truncated` says whether the cap cut it short.  Both are
-    computed on first use, so a check that reads neither does not
-    enumerate bases.
+    computed on first use, and only the verdict suite reads them.
     `coverings` holds, per covering u -< v, the mask of J(u, v) and the
     indices of the line intervals with top under v but not under u: a
     base's localization there is its lines for those intervals, each
@@ -76,8 +76,7 @@ class AnalysisContext:
     once, and the component count of a localization once per covering and
     trimmed line masks: on Z4xZ8 the sample's 37,000 localizations hold
     only 119 distinct ones; `localization_summary` reads those counts.
-    `acyclic` says whether the canonical base has r* 0, and `rstars`
-    holds r* of each sampled base.
+    `acyclic` says whether the canonical base has r* 0.
     `transposes` holds, per cover a -< b, the mask S(a, b) of the points
     whose quotient (p_*, p) transposes up to (a, b) (`transpose_masks`).
     `class_partition`, the points by projectivity class, is their merge,
@@ -194,10 +193,6 @@ class AnalysisContext:
         return _has_coloured_cycle(self.witnesses)
 
     @cached_property
-    def rstars(self):
-        return tuple(self.base_facts(B)[1] for B in self.sample)
-
-    @cached_property
     def class_partition(self):
         """The points as masks, grouped by the projectivity class of
         (p_*, p): the unions of the transpose masks that share points."""
@@ -303,8 +298,8 @@ class Verdict(NamedTuple):
 
 
 class ParamsReport(NamedTuple):
-    """The profile of a lattice; `locally_acyclic` is decided over every
-    base of lines."""
+    """The profile of a lattice, with no bases of lines sampled:
+    `locally_acyclic` and the verdicts read the witness table."""
 
     j: int
     delta: int
@@ -340,15 +335,14 @@ def component_count(ctx, B):
     return from_pls
 
 
-def params(L, bols_cap=BOLS_CAP):
+def params(L):
     """Profile the lattice; modularity is required.
 
-    `locally_acyclic` is decided over every base of lines.  The verdicts
-    bundle the point-count and interval-bound checks for the canonical
-    base; the point-count check reads a sample of at most `bols_cap`
-    bases.
+    The verdicts bundle the point-count and interval-bound checks for the
+    canonical base.  `locally_acyclic` and "acyclicity agrees across
+    bases" are decided over every base of lines, so no bases are sampled.
     """
-    ctx = AnalysisContext(L, bols_cap)
+    ctx = AnalysisContext(L)
     B = ctx.base
     return ParamsReport(
         j=ctx.j,
@@ -368,18 +362,25 @@ def check_point_count(ctx):
     """j <= mu - i + s, with equality exactly for acyclic lattices.
 
     Acyclicity of a finite modular lattice does not depend on the chosen
-    base of lines, so every base must agree with the canonical one.  When
-    the canonical base is acyclic, that is decided over every base;
-    otherwise over the sampled bases, as "some base is acyclic" has no
-    coloured-cycle form.
+    base of lines, so every base must agree with the canonical one; that
+    is decided over all bases.  An acyclic canonical base agrees when no
+    base has a coloured cycle.  A cyclic one agrees when each interval's
+    witness span lies in one projectivity class: then every base B has
+    s(B) >= c = s(canonical) (`component_count`), so r*(B) = mu - j - i +
+    s(B) >= r*(canonical) > 0.  Modularity puts every span in one class:
+    for a witness p of the atom a of [x0, x], (p_*, p) transposes up to
+    (x0, a), and that up to (b, x) for each other atom b.  So only a
+    doctored table has a span that crosses classes; it fails the verdict,
+    which names the interval's top.
     """
     j, acyclic = ctx.j, ctx.acyclic
     rhs = ctx.mu - ctx.i + component_count(ctx, ctx.base)
     if acyclic:
-        agree = not ctx.some_base_cyclic
+        agree, note = not ctx.some_base_cyclic, "some base has a cycle"
     else:
-        agree = all(r > 0 for r in ctx.rstars)
-    note = f"{len(ctx.sample)} bases" + (", truncated" if ctx.truncated else "")
+        crossing = next((iv.top for iv, ws in zip(ctx.intervals, ctx.witnesses)
+                         if all(sum(ws) & ~cls for cls in ctx.class_partition)), None)
+        agree, note = crossing is None, f"witness span at top {crossing} crosses classes"
     return (
         Verdict("point count bound", j <= rhs, f"j={j} <= mu-i+s={rhs}"),
         Verdict(
@@ -387,7 +388,7 @@ def check_point_count(ctx):
             (j == rhs) == acyclic,
             f"j={j}, mu-i+s={rhs}, acyclic={acyclic}",
         ),
-        Verdict("acyclicity agrees across bases", agree, note),
+        Verdict("acyclicity agrees across bases", agree, "all bases" if agree else note),
     )
 
 
@@ -879,7 +880,7 @@ def verdict_suite(L, bols_cap=BOLS_CAP):
         comps, r = ctx.base_facts(B)
         firsts.setdefault((len(comps), r), B)
     out += map(first_failing, zip(*[check_interval_bounds(ctx, B) for B in firsts.values()]))
-    observed = sorted(set(ctx.rstars))
+    observed = sorted({r for _, r in firsts})
     out.append(Verdict("split counts observed", True, f"r* values {observed}; {note}"))
     for check in (check_components_match_projectivity, check_localizations_connected):
         out.append(first_failing(check(ctx, B) for B in ctx.sample))

@@ -136,7 +136,7 @@ def cmd_analyze(args):
     from .analysis import params
 
     L = lattice_from_json(_load(args.lattice))
-    rep = params(L, bols_cap=args.cap)
+    rep = params(L)
     print(_params_table(rep))
     if args.out:
         report = {**rep._asdict(), "verdicts": [v._asdict() for v in rep.verdicts]}
@@ -217,7 +217,7 @@ def cmd_subgroup_lattice(args):
     if args.analyze:
         from .analysis import params
 
-        print(_params_table(params(L, bols_cap=args.cap)))
+        print(_params_table(params(L)))
     return 0
 
 
@@ -319,7 +319,6 @@ def _build_parser():
 
     a = sub.add_parser("analyze", help="parameter profile and verdicts")
     a.add_argument("--lattice", required=True, help="lattice JSON")
-    a.add_argument("--cap", type=int, default=BOLS_CAP, help=CAP_HELP)
     a.add_argument("--out", help="write the report as JSON")
     a.set_defaults(func=cmd_analyze)
 
@@ -346,7 +345,6 @@ def _build_parser():
     g.add_argument("--count", action="store_true")
     g.add_argument("--analyze", action="store_true")
     g.add_argument("--dot", action="store_true")
-    g.add_argument("--cap", type=int, default=BOLS_CAP, help=CAP_HELP)
     g.add_argument("--out")
     g.set_defaults(func=cmd_subgroup_lattice)
 

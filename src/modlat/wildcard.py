@@ -51,7 +51,8 @@ FIXED0 = "0"
 FIXED1 = "1"
 FREE = "2"
 
-# the most strings `row_masks` lists for one row
+# the most strings `row_masks` lists for one row, and `rowset_masks` for
+# a whole row set
 EXPAND_CAP = 1_000_000
 
 
@@ -477,7 +478,12 @@ def total_count(rowset):
 
 
 def rowset_masks(rowset):
-    """The set of all bitstrings the rows denote, as int masks."""
+    """The set of all bitstrings the rows denote, as int masks.  Raises
+    ExpansionCapExceeded, before listing any, when the rows denote more
+    than `EXPAND_CAP`."""
+    count = total_count(rowset)
+    if count > EXPAND_CAP:
+        raise ExpansionCapExceeded(f"rows denote {count} > cap {EXPAND_CAP}")
     return {s for r in rowset.rows for s in row_masks(r)}
 
 

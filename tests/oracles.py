@@ -601,9 +601,21 @@ def choice_count(choices):
 
 def some_choice_has_a_cycle(choices):
     """Whether some choice of one line per list gives a point-line
-    structure with a cycle, trying every choice.  Choices share their
-    prefixes; a line that joins two points already connected closes a
-    cycle, and then every completion has one."""
+    structure with a cycle, trying every choice."""
+    return _some_choice(choices, cyclic=True)
+
+
+def every_choice_has_a_cycle(choices):
+    """Whether every choice of one line per list gives a point-line
+    structure with a cycle, trying every choice."""
+    return not _some_choice(choices, cyclic=False)
+
+
+def _some_choice(choices, cyclic):
+    """Whether some choice of one line per list gives a structure that has
+    a cycle (`cyclic`) or none.  Choices share their prefixes; a line that
+    joins two points already connected closes a cycle, and then every
+    completion has one."""
 
     def find(parent, p):
         while parent.get(p, p) != p:
@@ -612,11 +624,13 @@ def some_choice_has_a_cycle(choices):
 
     def extend(k, parent):
         if k == len(choices):
-            return False
+            return not cyclic
         for line in choices[k]:
             roots = {find(parent, p) for p in line}
             if len(roots) < len(line):
-                return True
+                if cyclic:
+                    return True
+                continue
             grown = dict(parent)
             first, *rest = roots
             for r in rest:
@@ -906,7 +920,7 @@ def merged_verdict_suite(L, bols_cap=1000):
 
     out = list(an.check_point_count(ctx))
     out += merge([an.check_interval_bounds(ctx, B) for B in ctx.sample])
-    observed = sorted(set(ctx.rstars))
+    observed = sorted({ctx.base_facts(B)[1] for B in ctx.sample})
     out.append(an.Verdict("split counts observed", True, f"r* values {observed}; {note}"))
     out += merge([(an.check_components_match_projectivity(ctx, B),
                    an.check_localizations_connected(ctx, B)) for B in ctx.sample])

@@ -57,6 +57,7 @@ import oracles
 from oracles import (
     blocked_by_transposition,
     choice_count,
+    every_choice_has_a_cycle,
     join_witness_failure,
     line_choices,
     localization_choices,
@@ -266,9 +267,11 @@ def test_local_acyclicity_does_not_depend_on_the_cap():
         for u, v, _, _ in ctx.coverings
     )
     for cap in range(6):
-        rep = params(L, bols_cap=cap)
-        assert rep.locally_acyclic is True and rep.ok
-        assert "locally acyclic interval identity" in {v.name for v in rep.verdicts}
+        ctx = AnalysisContext(L, cap)
+        verdicts = check_point_count(ctx) + check_interval_bounds(ctx, ctx.base)
+        assert ctx.locally_acyclic is True and all(v.passed for v in verdicts)
+        assert "locally acyclic interval identity" in {v.name for v in verdicts}
+        assert ctx.truncated
 
 
 def test_coloured_cycles_match_the_enumeration_on_random_witness_graphs():
@@ -354,6 +357,39 @@ def test_some_base_cyclic_matches_the_enumeration():
     assert not _verdict(check_point_count(cyclic), "acyclicity agrees across bases").passed
 
 
+def test_acyclicity_agreement_matches_the_enumeration():
+    # every base is tried; Z2^3 x Z3, Z4 x Z4 x Z3 and Z4 x Z8 x Z3 are
+    # cyclic with two projectivity classes
+    groups = ("2,2,2,3", "4,4,3", "4,8,3")
+    seen = set()
+    for L in _exact_lattices() + [subgroup_lattice(parse_group(g)) for g in groups]:
+        ctx = AnalysisContext(L)
+        choices = [line_choices(L, iv) for iv in ctx.intervals]
+        if choice_count(choices) <= CHOICES_CAP:
+            if ctx.acyclic:
+                want = not some_choice_has_a_cycle(choices)
+            else:
+                want = every_choice_has_a_cycle(choices)
+            verdict = _verdict(check_point_count(ctx), "acyclicity agrees across bases")
+            assert verdict.passed == want, L
+            seen.add((ctx.acyclic, len(ctx.class_partition) > 1))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_a_witness_span_across_two_classes_fails_the_agreement():
+    # Z2^3 x Z3 is cyclic with two projectivity classes; a witness from
+    # the other class on the last interval breaks its span, and only it
+    ctx = AnalysisContext(subgroup_lattice(parse_group("2,2,2,3")))
+    assert not ctx.acyclic and len(ctx.class_partition) == 2
+    ws = list(ctx.witnesses)
+    other = next(c for c in ctx.class_partition if not c & sum(ws[-1]))
+    ws[-1] = (ws[-1][0] | other & -other,) + ws[-1][1:]
+    ctx.witnesses = tuple(ws)
+    verdict = _verdict(check_point_count(ctx), "acyclicity agrees across bases")
+    assert not verdict.passed
+    assert verdict.detail == f"witness span at top {ctx.intervals[-1].top} crosses classes"
+
+
 def test_line_feet_cover_every_witness_pair():
     # a stray witness that no line of the canonical base holds is still checked
     L = z4_squared()
@@ -370,10 +406,11 @@ def test_line_feet_cover_every_witness_pair():
 
 def test_acyclic_lattice_is_locally_acyclic_under_any_cap():
     # cap 0 leaves the bases sample truncated, but M3 is acyclic
-    rep = params(m_n(3), bols_cap=0)
-    assert rep.locally_acyclic is True
-    assert "locally acyclic interval identity" in {v.name for v in rep.verdicts}
-    assert rep.ok
+    ctx = AnalysisContext(m_n(3), 0)
+    verdicts = check_point_count(ctx) + check_interval_bounds(ctx, ctx.base)
+    assert ctx.locally_acyclic is True and ctx.truncated
+    assert "locally acyclic interval identity" in {v.name for v in verdicts}
+    assert all(v.passed for v in verdicts)
 
 
 def test_shared_localization_pass_matches_localize():
@@ -827,12 +864,12 @@ def test_verdict_suite_survives_an_empty_bases_sample():
 # sha256 over str(v) + "\n" for every verdict of verdict_suite(L, cap): the
 # strings that `verify` prints only when they fail
 SUITE_PINNED = {
-    ("4,8", 1000): "b8983c0ee385b453aa1a2fe8d77f81c5f435905dcb6b90a02bb072f06024567b",
-    ("2,2,4", 1000): "66e158eb0ac100a20f73ed2a9a3a9ca07531745417a8f0b73516b30730fb12d2",
-    ("2,4,8", 1000): "e756d1d3f41d76c3b3b16677269e4aaee577e68be29204d8ffe4c34af9d6dbb4",
-    ("seven-point", 1000): "6a01bdf5e29e95984857cbd9d0cd4e703a3f41bdbf1083886f23d1a2b9296106",
-    ("4,4", 0): "e095097ea52e7a12a46cf3bd3198a4127cb496ce89616105f7a75d1b4c9d7aa5",
-    ("4,4", 7): "5ef2982b9fde2e3a4c66de0c3f75fcb9202d50ac8c0fd3529e0598f86cb99420",
+    ("4,8", 1000): "b9f6fc81400221634da3217246247416cb59d767e6e70afd7a39d6fbf3808afc",
+    ("2,2,4", 1000): "52da83de0993b3ce661f70581e8885b90687f6bd9e64f55a5d99353d661f0143",
+    ("2,4,8", 1000): "8487416cd98096f7ddc78a41649c2154d6606ff29a16e58c9b4e5d59aece2672",
+    ("seven-point", 1000): "f5d5aa1d974b742817b47efdcaaae5ddf6441f13aad1448fcf3ed937b128ce19",
+    ("4,4", 0): "3ad41d3e969d6c31798ca9b889f80bc5ff9c16d08a68a7806244ab5267a1f862",
+    ("4,4", 7): "a84c0e199b10127cb57dcd9579bd536b77d03393dbf044ee014d73f72d2e23c5",
 }
 
 
@@ -919,10 +956,11 @@ def test_shared_facts_are_computed_once(monkeypatch, run):
     monkeypatch.setattr(modlat.bol, "canonical_bol", counted("canonical_bol", modlat.bol.canonical_bol))
     run(L)
     # localizations are read off the context's coverings, never rebuilt,
-    # and every base is read off one witness table
+    # every base is read off one witness table, and only the suite
+    # samples bases
     assert calls == {
-        "all_bols": 1, "transpose_masks": 1, "localize": 0, "line_intervals": 1,
-        "witness_masks": 1, "canonical_bol": 0,
+        "all_bols": int(run is verdict_suite), "transpose_masks": 1, "localize": 0,
+        "line_intervals": 1, "witness_masks": 1, "canonical_bol": 0,
     }
 
 

@@ -133,6 +133,23 @@ def test_enumerate_expand(files, capsys):
     assert all(len(r) == 7 and set(r) <= {"0", "1"} for r in rows)
 
 
+def test_enumerate_expand_stops_past_the_cap_in_total(tmp_path, capsys):
+    # 9 disjoint Λs (a, b below c) have 5^9 = 1,953,125 ideals, spread over
+    # rows that each stay under the cap; the total stops the listing first
+    k = 9
+    poset = tmp_path / "lambdas.json"
+    poset.write_text(json.dumps({
+        "points": [f"{c}{i}" for i in range(k) for c in "abc"],
+        "covers": [[f"{c}{i}", f"c{i}"] for i in range(k) for c in "ab"],
+    }))
+    start = time.perf_counter()
+    assert main(["enumerate", "--poset", str(poset), "--expand"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "ExpansionCapExceeded: rows denote 1953125 > cap 1000000\n"
+
+
 def test_enumerate_text_and_out(files, capsys, tmp_path):
     out = str(tmp_path / "rows.json")
     assert main(["enumerate", "--poset", files["poset"], "--lines", files["lines"], "--out", out]) == 0
@@ -595,18 +612,26 @@ def test_malformed_input_is_a_usage_error(files, tmp_path, capsys, command, flag
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["analyze", "--lattice", "{m3}"],
-        ["verify"],
-        ["bol", "--lattice", "{m3}", "--all-bols"],
-        ["subgroup-lattice", "--group", "2,2", "--analyze"],
-    ],
+    [["verify"], ["bol", "--lattice", "{m3}", "--all-bols"]],
     ids=lambda argv: argv[0],
 )
 def test_negative_cap_is_a_usage_error(files, capsys, argv):
     assert main([arg.format(**files) for arg in argv] + ["--cap", "-1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "ValueError: --cap must be at least 0, not -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--lattice", "{m3}"], ["subgroup-lattice", "--group", "2,2", "--analyze"]],
+    ids=lambda argv: argv[0],
+)
+def test_cap_is_gone_where_no_bases_are_sampled(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**files) for arg in argv] + ["--cap", "5"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --cap 5" in err
 
 
 def test_set_system_with_a_stray_character_is_a_usage_error(tmp_path, capsys):
@@ -781,11 +806,11 @@ def test_enumerate_output_is_pinned(name, capsys, tmp_path):
 # sha256 over the exit code, stdout, stderr of `subgroup-lattice` plain, with
 # --count, --dot, --out and --analyze, in that order, then the --out bytes
 SUBGROUP_LATTICE_PINNED = {
-    "2,2,2,2": "fcc5c34d84d45a01fd677f56cfe404996493107384e16b46e3513273f81733fa",
-    "2,4,8": "b90fb0e8ac360b8a84bf3a3368226d35e608819509cbc8ad63ed05cb88e11f3c",
-    "3,3,3": "881aff150692b7861c9a06190280df08c6a4673c4c4b0eb66e4c209a36b2644e",
-    "25,25": "8c9d9ff8b99feb385b9470e8f1f52817cb66aae1b0dceeecf3b78a8c39f086e3",
-    "32,32": "c923da45f702cdf5efa720e815a5e74ccc3401a1d24afc5bb0c134effbbb09fb",
+    "2,2,2,2": "8518f83a476f1566abd2b369ed009b5bd20f9abe47e6770932b26533da9acbf9",
+    "2,4,8": "67cb8711d30118e0bfc676ff0f99f057d9a233f0d812799001f982ccff39dcb1",
+    "3,3,3": "ed4b14c83a5203ca9de81ed67e1f89cd24ffdfb0fd4de83dedc36b8de1d5e510",
+    "25,25": "1c77a1e8726ba101802eda0c7dc7db448ad0e95d180d10a1c29432e0ff9b586e",
+    "32,32": "2922a6ebb8ecb0715e853852a57b57bdf7fe3da468af7876ad4e8f6f92c1de95",
     # past the cap: every form exits 2 with one CapExceeded line, no --out file
     "2,2,2,2,2,2": "d6b7ed4402f5cce1009bd964a457d3d7de7f0a6c3fe1d8a0f561b10a0b0917f1",
 }
@@ -855,10 +880,10 @@ def _pinned_runs(tmp_path, case):
 # sha256 over the exit code, stdout and stderr of each run of a case, in
 # order, then the bytes of each file the runs write
 OUTPUTS_PINNED = {
-    "analyze m3": "c0b68839ef02287c787dfa8981a6a2c53b59a28a99795a9c6b117a0de1e64d9b",
-    "analyze seven-point": "86e5ecfe87591f6bfb4a9f3e2e7944dc2f6db51ecf7f65b974f95d582e05f3f0",
-    "analyze 2,2,2,2": "a49b93825fed24f8571e96feb38f872a896429f709d7c0924e19750e610b2f49",
-    "analyze 4,8": "c3ac3acc6978a643523a01714eaa06f1ee780035b8bb7627de5f5206359eed4d",
+    "analyze m3": "cfeb2cb6faadde6e9a4d793bbabe5e59be9e2cfff4ac0eadb75a4d3f4895aaf6",
+    "analyze seven-point": "f9a6345ac64c8c30f25cf5a3ec4ae589be82c8c23e4905f807ea4b64cb4a2e8b",
+    "analyze 2,2,2,2": "0abe9547c5cc27ae014c6b4b8a561a912cd12c46b57556fdb7f83de1e8d9edbd",
+    "analyze 4,8": "ccd3dea48c04c195d82fef0658bf5002d3418dbdaea9a3c9c12ca8b12cac3652",
     "witness-triangle 2,2,2": "06ca2928760189b998d7e15b442b7a98fde2d79b08b03da893c26db17482200f",
     "witness-triangle 3,3,3": "ea0c5b31b86fdd8c09af5dfe144b646c1a776d0fe9c899890276ff67a1a033bf",
     "bol-localize-rstar 4,4": "4e22473deb7867d575de87fbbfffefcf125a07693d102f2feed3f47f22dad846",
