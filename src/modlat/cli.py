@@ -6,7 +6,9 @@ writes the lattice of their closed order ideals; `analyze`, `bol`,
 `localize`, `rstar` and `witness-triangle` consume lattice files; and
 `verify` runs the verdict suite over the stock corpus.  Exit status is
 0 for success, 1 for a verification failure, 2 for usage or input
-errors.
+errors.  Every file is read and written as UTF-8, whatever the locale,
+and each `--out` file holds the bytes of `json.dumps(data, indent=2)`,
+so a non-ASCII character is written as an escape (see `_write_json`).
 
 Every command runs in a fresh process, so what the module imports is paid
 on every run.  It imports only `lattice` at load, and each `cmd_*`
@@ -37,13 +39,74 @@ from .lattice import (
 
 
 def _load(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
+# the types that `json`'s C encoder writes as one token each
+_SCALARS = {str, int, float, bool, type(None)}
+
+
 def _write_json(path, data):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(data, indent=2, default=str) + "\n")
+    """Write `data` to `path` as the bytes of `json.dumps(data, indent=2)`
+    and a newline, in UTF-8.
+
+    `indent` sends `json.dumps` down its pure-Python encoder, which does
+    Python work per scalar; this writer does it per container.  A list of
+    scalars is one call to the C encoder, with a newline and the indent
+    as its item separator.  A list of int lists of one length, such as a
+    lattice's covers, is one `%d` template.  A dict, and any other list,
+    recurses.  Values are dict, list, tuple, str, int, float, bool and
+    None, and keys are str; anything else raises TypeError.
+    """
+    out = []
+    put = out.append
+    encoders = {}
+
+    def encoder(pad):
+        if pad not in encoders:
+            encoders[pad] = json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
+        return encoders[pad]
+
+    def walk(x, pad):
+        inner = pad + "  "
+        if isinstance(x, dict):
+            if not x:
+                return put("{}")
+            key = encoder(inner)
+            sep = "{\n" + inner
+            for k, v in x.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                put(sep + key(k) + ": ")
+                sep = ",\n" + inner
+                walk(v, inner)
+            return put("\n" + pad + "}")
+        if not isinstance(x, (list, tuple)):
+            return put(encoder(pad)(x))
+        if not x:
+            return put("[]")
+        types = set(map(type, x))
+        if types <= _SCALARS:
+            return put("[\n" + inner + encoder(inner)(x)[1:-1] + "\n" + pad + "]")
+        lengths = set(map(len, x)) if types <= {list, tuple} else ()
+        flat = [v for xs in x for v in xs] if len(lengths) == 1 else ()
+        if flat and set(map(type, flat)) == {int}:  # not bool: %d prints True as 1
+            deep = inner + "  "
+            one = "[\n" + deep + (",\n" + deep).join(["%d"] * len(x[0])) + "\n" + inner + "]"
+            return put("[\n" + inner + (",\n" + inner).join([one] * len(x)) % tuple(flat)
+                       + "\n" + pad + "]")
+        sep = "[\n" + inner
+        for v in x:
+            put(sep)
+            sep = ",\n" + inner
+            walk(v, inner)
+        put("\n" + pad + "]")
+
+    walk(data, "")
+    put("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(out))
 
 
 def _resolve_elem(L, token):
@@ -224,7 +287,7 @@ def cmd_subgroup_lattice(args):
 def cmd_distributive(args):
     from .algebra import distributive_ji, distributive_lattice, parse_set_system
 
-    with open(args.sets) as fh:
+    with open(args.sets, encoding="utf-8") as fh:
         system = parse_set_system(fh.read())
     L = distributive_lattice(system)
     if args.out:

@@ -906,3 +906,104 @@ def test_command_output_is_pinned(case, capsys, tmp_path):
     for path in outs:
         digest.update(Path(path).read_bytes())
     assert digest.hexdigest() == OUTPUTS_PINNED[case]
+
+
+# -- JSON files ----------------------------------------------------------------
+
+
+def _written_as_indent_2(path, data):
+    """Whether `path` holds the bytes of `json.dumps(data, indent=2)` and a
+    newline."""
+    return Path(path).read_bytes() == (json.dumps(data, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["subgroup-lattice", "rebuild", "distributive", "enumerate", "analyze", "bol", "localize"],
+)
+def test_every_out_document_has_the_bytes_of_indent_2(kind, files, capsys, tmp_path, monkeypatch):
+    out = str(tmp_path / "out.json")
+    argv = {
+        "subgroup-lattice": ["subgroup-lattice", "--group", "2,2,4"],
+        "rebuild": ["rebuild", "--poset", files["poset"], "--lines", files["lines"]],
+        "distributive": ["distributive", "--sets", files["sets"]],
+        "enumerate": ["enumerate", "--poset", files["poset"], "--lines", files["lines"]],
+        "analyze": ["analyze", "--lattice", files["seven"]],
+        "bol": ["bol", "--lattice", files["z2cubed"]],
+        "localize": ["localize", "--lattice", files["z2cubed"], "0", "1"],
+    }[kind]
+    written, write = [], cli._write_json
+
+    def record(path, data):
+        written.append(data)
+        write(path, data)
+
+    monkeypatch.setattr(cli, "_write_json", record)
+    assert main(argv + ["--out", out]) == 0
+    capsys.readouterr()
+    assert len(written) == 1
+    assert _written_as_indent_2(out, written[0])
+
+
+_EDGE_STRINGS = ["", "plain", "α, β, γ", "\x00\x1f\x7f", '"quoted"', "back\\slash", "\u2028", "\U0001f600"]
+_EDGE_SCALARS = [None, True, False, 0, -1, 7, 2**64, 2**64 + 1, -(2**70), 1.5, -0.0, 1e300] + _EDGE_STRINGS
+
+
+def _random_json(rng, depth=0):
+    """A random document of the types `_write_json` takes, leaning on the
+    shapes it treats apart: scalar lists, int lists of one length, and
+    their near misses."""
+    kind = rng.randrange(4 if depth >= 4 else 9)
+    if kind == 0:
+        return rng.choice(_EDGE_SCALARS)
+    if kind == 1:
+        return [rng.choice(_EDGE_SCALARS) for _ in range(rng.randrange(4))]
+    if kind == 2:  # int lists of one length, at times with a bool among them
+        k, ints = rng.randrange(4), [0, 1, -5, 2**64 + 1, -(2**70), True, False]
+        return [[rng.choice(ints) for _ in range(k)] for _ in range(rng.randrange(4))]
+    if kind == 3:  # int lists of unequal lengths, as in a bol's lines
+        return [[rng.randrange(-3, 30) for _ in range(rng.randrange(4))] for _ in range(rng.randrange(5))]
+    if kind in (4, 5):
+        keys = [rng.choice(_EDGE_STRINGS) + str(i) for i in range(rng.randrange(4))]
+        return {key: _random_json(rng, depth + 1) for key in keys}
+    items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return tuple(items) if kind == 6 else items
+
+
+def test_write_json_has_the_bytes_of_indent_2_on_random_documents(tmp_path):
+    path = tmp_path / "doc.json"
+    rng = random.Random(20261020)
+    edge_cases = [
+        [], {}, [[]], [[], []], [{}], {"": {}}, [[1, 2], [3]], [[1, True]], [[False, 0]],
+        [[-1, 2**64 + 1], [-(2**70), 0]], [(1, 2), [3, 4]], [[1.0, 2]], [None, {"a": None}],
+        {"α\x00\"\\": ["β\n", "\ud800"]}, {"a": {"b": {"c": [[0]]}}},
+    ]
+    for doc in edge_cases + [_random_json(rng) for _ in range(400)]:
+        cli._write_json(path, doc)
+        assert _written_as_indent_2(path, doc), doc
+        assert path.read_bytes().isascii()
+
+
+@pytest.mark.parametrize("doc", [{"a": {1, 2}}, [object()], [b"bytes"], {1: "int key"}])
+def test_write_json_takes_only_json_types(doc, tmp_path):
+    with pytest.raises(TypeError):
+        cli._write_json(tmp_path / "doc.json", doc)
+
+
+def test_files_are_read_as_utf_8_under_an_ascii_locale(tmp_path):
+    # with UTF-8 mode off, `open` without an encoding reads ASCII here and
+    # fails on the first byte of "α"
+    lattice, out = tmp_path / "greek.json", tmp_path / "report.json"
+    names = ["0", "α", "β", "γ", "1"]
+    covers = [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]
+    lattice.write_bytes(json.dumps({"names": names, "covers": covers}, ensure_ascii=False).encode())
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "modlat.cli", "analyze", "--lattice", str(lattice),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text(encoding="utf-8"))["j"] == 3
