@@ -17,7 +17,8 @@ as a named pass/fail verdict with the concrete numbers filled in.  The
 facts these checks share are computed once per lattice, and those of
 each base of lines once per base, in the `AnalysisContext` that every
 check takes; a base of lines there is its tuple of line masks.  Only
-the verdict suite samples bases, and it walks them only until one fails.
+the verdict suite samples bases, for its two checks of one base, and it
+walks them only until one fails; the other checks read the canonical base.
 Whether some base of lines has a cycle, a cyclic localization or a
 triangle is decided over every base at once, as a properly coloured
 cycle in a witness graph (Yeo's theorem), and whether every base is
@@ -124,8 +125,19 @@ class AnalysisContext:
 
     def localization_summary(self, B):
         """(u, v, c) for the first covering u -< v, in cover order, where
-        B's localization has c != 1 components, or None."""
-        return _summarize_localizations(self, B)
+        B's localization has c != 1 components, or None.  A covering that
+        no line of B other than the canonical base's qualifies for has the
+        canonical base's localization, so only the others are looked at."""
+        ks = self._canonical_disconnected
+        for i, (m, c) in enumerate(zip(B, self.base)):
+            if m != c:
+                ks |= self._coverings_of[i]
+        for k in bits(ks):
+            count = self._component_count_at(k, B)
+            if count != 1:
+                u, v, _, _ = self.coverings[k]
+                return u, v, count
+        return None
 
     def _component_count_at(self, k, masks):
         """The component count of the localization at the k-th covering of
@@ -224,22 +236,6 @@ def _coverings(L, ivs):
     )
 
 
-def _summarize_localizations(ctx, masks):
-    # see AnalysisContext.localization_summary.  A covering that no line
-    # of `masks` other than the canonical base's qualifies for has the
-    # canonical base's localization, so only the others are looked at.
-    ks = ctx._canonical_disconnected
-    for i, (m, c) in enumerate(zip(masks, ctx.base)):
-        if m != c:
-            ks |= ctx._coverings_of[i]
-    for k in bits(ks):
-        count = ctx._component_count_at(k, masks)
-        if count != 1:
-            u, v, _, _ = ctx.coverings[k]
-            return u, v, count
-    return None
-
-
 def _has_coloured_cycle(graph):
     """Whether the witness graph has a properly coloured cycle, one whose
     consecutive edges differ in colour.
@@ -317,15 +313,15 @@ class ParamsReport(NamedTuple):
         return all(v.passed for v in self.verdicts)
 
 
-def component_count(ctx, B):
-    """Number of connected components of the base of lines B.
+def component_count(ctx):
+    """Number of connected components of the canonical base of lines.
 
     Cross-computed as the number of projectivity classes met by the
     prime quotients (p_*, p) of join-irreducibles p; the two counts must
     agree, and their common value is the number of congruence-simple
     factors of the lattice.
     """
-    from_pls = len(ctx.base_facts(B)[0])
+    from_pls = len(ctx.base_facts(ctx.base)[0])
     from_classes = len(ctx.class_partition)
     if from_pls != from_classes:
         raise LatticeError(
@@ -343,18 +339,17 @@ def params(L):
     bases" are decided over every base of lines, so no bases are sampled.
     """
     ctx = AnalysisContext(L)
-    B = ctx.base
     return ParamsReport(
         j=ctx.j,
         delta=ctx.delta,
-        s=component_count(ctx, B),
+        s=component_count(ctx),
         i=ctx.i,
         o=ctx.o,
         mu=ctx.mu,
-        rstar_canonical=ctx.base_facts(B)[1],
+        rstar_canonical=ctx.base_facts(ctx.base)[1],
         acyclic=ctx.acyclic,
         locally_acyclic=ctx.locally_acyclic,
-        verdicts=check_point_count(ctx) + check_interval_bounds(ctx, B),
+        verdicts=check_point_count(ctx) + check_interval_bounds(ctx),
     )
 
 
@@ -374,7 +369,7 @@ def check_point_count(ctx):
     which names the interval's top.
     """
     j, acyclic = ctx.j, ctx.acyclic
-    rhs = ctx.mu - ctx.i + component_count(ctx, ctx.base)
+    rhs = ctx.mu - ctx.i + component_count(ctx)
     if acyclic:
         agree, note = not ctx.some_base_cyclic, "some base has a cycle"
     else:
@@ -392,15 +387,18 @@ def check_point_count(ctx):
     )
 
 
-def check_interval_bounds(ctx, B):
-    """Bounds linking i, j, delta, s and the splitting number of B.
+def check_interval_bounds(ctx):
+    """Bounds linking i, j, delta, s and the splitting number r* of the
+    canonical base.
 
     Every clause whose hypothesis (o <= 2, acyclic, locally acyclic)
-    holds is evaluated; the rest are skipped.
+    holds is evaluated; the rest are skipped.  Any base B has r*(B) =
+    mu - j - i + s(B), so its bounds are these whenever s(B) = s, which
+    "components match projectivity" checks per sampled base.
     """
     i, j, o, delta = ctx.i, ctx.j, ctx.o, ctx.delta
-    s = component_count(ctx, B)
-    r = ctx.base_facts(B)[1]
+    s = component_count(ctx)
+    r = ctx.base_facts(ctx.base)[1]
     out = []
 
     def add(name, passed, detail):
@@ -857,33 +855,33 @@ def check_clean_cycles(ctx):
 def verdict_suite(L, bols_cap=BOLS_CAP):
     """Every check the module knows, each asked once.
 
-    A check of one base reports the first verdict that fails over the
-    sampled bases, in sample order, or else the first base's pass with
-    the sample note.  `check_interval_bounds` reads a base only through
-    its component count and r*, so it runs once per distinct pair of
-    them: once per lattice on real bases, as r* = mu - j - i + s.  The
-    components and localizations checks walk the sample and stop at the
-    first base that fails."""
+    Only the two checks of one base (components match projectivity,
+    localizations connected) walk the bases sample, each to the first
+    base that fails it, in sample order, else reporting the first base's
+    pass with the sample note.  The rest read the canonical base or all
+    bases at once; passes of the interval bounds, line feet and triangle
+    tops carry the note too, as does the sample's list of r* values."""
     ctx = AnalysisContext(L, bols_cap)
     note = f"{len(ctx.sample)} bases" + (" (truncated)" if ctx.truncated else "")
 
-    def first_failing(runs):
-        # the first verdict of `runs` that fails, else the first with the note
-        runs = iter(runs)
-        first = next(runs)
-        bad = first if not first.passed else next((v for v in runs if not v.passed), None)
-        return bad or first._replace(detail=f"{first.detail}; {note}")
+    def noted(v):
+        return v._replace(detail=f"{v.detail}; {note}") if v.passed else v
 
-    out = list(check_point_count(ctx))
-    firsts = {}  # (component count, r*) -> the first base with them
-    for B in ctx.sample:
-        comps, r = ctx.base_facts(B)
-        firsts.setdefault((len(comps), r), B)
-    out += map(first_failing, zip(*[check_interval_bounds(ctx, B) for B in firsts.values()]))
-    observed = sorted({r for _, r in firsts})
-    out.append(Verdict("split counts observed", True, f"r* values {observed}; {note}"))
-    for check in (check_components_match_projectivity, check_localizations_connected):
-        out.append(first_failing(check(ctx, B) for B in ctx.sample))
-    out += [first_failing([check_line_feet(ctx)]), first_failing([check_triangle_tops(ctx)]),
-            check_perspective_intervals(ctx), check_join_witness(L), check_clean_cycles(ctx)]
-    return tuple(out)
+    def per_base(check):
+        runs = (check(ctx, B) for B in ctx.sample)
+        first = next(runs)
+        return noted(next((v for v in runs if not v.passed), first) if first.passed else first)
+
+    observed = sorted({ctx.base_facts(B)[1] for B in ctx.sample})
+    return (
+        *check_point_count(ctx),
+        *map(noted, check_interval_bounds(ctx)),
+        Verdict("split counts observed", True, f"r* values {observed}; {note}"),
+        per_base(check_components_match_projectivity),
+        per_base(check_localizations_connected),
+        noted(check_line_feet(ctx)),
+        noted(check_triangle_tops(ctx)),
+        check_perspective_intervals(ctx),
+        check_join_witness(L),
+        check_clean_cycles(ctx),
+    )

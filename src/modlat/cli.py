@@ -26,6 +26,7 @@ import sys
 
 from .lattice import (
     BOLS_CAP,
+    CapExceeded,
     LatticeError,
     NotAClosureSystem,
     PlsError,
@@ -211,7 +212,7 @@ def cmd_verify(args):
     from .analysis import verdict_suite
     from .corpus import standard_corpus
 
-    results = [(name, verdict_suite(L, bols_cap=args.cap)) for name, L in standard_corpus()]
+    results = [(name, verdict_suite(L)) for name, L in standard_corpus()]
     failures = 0
     for name, verdicts in results:
         bad = [v for v in verdicts if not v.passed]
@@ -224,14 +225,18 @@ def cmd_verify(args):
 
 
 def cmd_bol(args):
-    from .bol import bol_sample, bol_to_json, canonical_bol, line_intervals, witness_masks
+    from .bol import all_bols, bol_to_json, canonical_bol, line_intervals, witness_masks
     from .pls import mask_components
 
     L = lattice_from_json(_load(args.lattice))
     if args.all_bols:
-        sample, truncated = bol_sample(witness_masks(L, line_intervals(L)), args.cap)
-        note = f"{len(sample)} bases" + (" (truncated)" if truncated else "")
-        print(f"{note}; r* values {sorted({mask_components(m, L.ji_mask)[1] for m in sample})}")
+        count, rs, note = 0, set(), ""
+        try:  # counted as they come: memory does not grow with the cap
+            for count, m in enumerate(all_bols(witness_masks(L, line_intervals(L)), args.cap), 1):
+                rs.add(mask_components(m, L.ji_mask)[1])
+        except CapExceeded:
+            note = " (truncated)"
+        print(f"{count} bases{note}; r* values {sorted(rs)}")
         return 0
     ivs, masks = canonical_bol(L)
     if args.out:
@@ -310,14 +315,14 @@ def cmd_rstar(args):
     from .bol import canonical_bol
     from .pls import mask_components, pls_from_json, rstar
 
+    if bool(args.lattice) == bool(args.structure):
+        print("rstar needs --lattice or a point-line JSON file, not both", file=sys.stderr)
+        return 2
     if args.lattice:
         L = lattice_from_json(_load(args.lattice))
         print(mask_components(canonical_bol(L)[1], L.ji_mask)[1])
-    elif args.structure:
-        print(rstar(pls_from_json(_load(args.structure))))
     else:
-        print("rstar needs --lattice or a point-line JSON file", file=sys.stderr)
-        return 2
+        print(rstar(pls_from_json(_load(args.structure))))
     return 0
 
 
@@ -354,9 +359,6 @@ def cmd_witness_triangle(args):
 
 # -- parser -------------------------------------------------------------
 
-CAP_HELP = "bound on the bases of lines sampled"
-
-
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="modlat",
@@ -386,13 +388,12 @@ def _build_parser():
     a.set_defaults(func=cmd_analyze)
 
     v = sub.add_parser("verify", help="run every check over the stock corpus")
-    v.add_argument("--cap", type=int, default=BOLS_CAP, help=CAP_HELP)
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bol", help="canonical base of lines")
     b.add_argument("--lattice", required=True)
     b.add_argument("--all-bols", action="store_true", help="count bases, up to --cap")
-    b.add_argument("--cap", type=int, default=BOLS_CAP, help=CAP_HELP)
+    b.add_argument("--cap", type=int, default=BOLS_CAP, help="bound on the bases of lines sampled")
     b.add_argument("--out", help="write the base as JSON")
     b.set_defaults(func=cmd_bol)
 

@@ -44,7 +44,6 @@ from modlat.corpus import (
     standard_corpus,
 )
 from modlat.lattice import (
-    LatticeError,
     NotModular,
     bits,
     build_lattice,
@@ -155,7 +154,7 @@ def test_params_requires_modularity():
 def test_component_count_values():
     for L, want in [(m_n(3), 1), (boolean_lattice(3), 3), (seven_point_lattice(), 1)]:
         ctx = AnalysisContext(L)
-        assert component_count(ctx, ctx.base) == want
+        assert component_count(ctx) == want
 
 
 # -- individual checks -----------------------------------------------------
@@ -181,7 +180,7 @@ def test_point_count_detects_strictness_on_cyclic_lattices():
 
 def test_interval_bounds_on_z2_cubed():
     ctx = AnalysisContext(z2_cubed())
-    verdicts = check_interval_bounds(ctx, ctx.base)
+    verdicts = check_interval_bounds(ctx)
     assert [v.name for v in verdicts] == [
         "interval count lower bound",
         "point count lower bound",
@@ -197,7 +196,7 @@ def test_interval_bounds_on_z2_cubed():
 
 def test_interval_bounds_on_seven_point():
     ctx = AnalysisContext(seven_point_lattice())
-    verdicts = check_interval_bounds(ctx, ctx.base)
+    verdicts = check_interval_bounds(ctx)
     names = {v.name for v in verdicts}
     assert {
         "locally acyclic interval identity",
@@ -211,7 +210,7 @@ def test_interval_bounds_on_seven_point():
 
 def test_interval_bounds_skip_tight_clauses_for_wide_lines():
     ctx = AnalysisContext(m_n(4))
-    verdicts = check_interval_bounds(ctx, ctx.base)
+    verdicts = check_interval_bounds(ctx)
     names = {v.name for v in verdicts}
     assert "split-adjusted point bound" not in names
     assert "acyclic point identity" not in names
@@ -268,7 +267,7 @@ def test_local_acyclicity_does_not_depend_on_the_cap():
     )
     for cap in range(6):
         ctx = AnalysisContext(L, cap)
-        verdicts = check_point_count(ctx) + check_interval_bounds(ctx, ctx.base)
+        verdicts = check_point_count(ctx) + check_interval_bounds(ctx)
         assert ctx.locally_acyclic is True and all(v.passed for v in verdicts)
         assert "locally acyclic interval identity" in {v.name for v in verdicts}
         assert ctx.truncated
@@ -407,7 +406,7 @@ def test_line_feet_cover_every_witness_pair():
 def test_acyclic_lattice_is_locally_acyclic_under_any_cap():
     # cap 0 leaves the bases sample truncated, but M3 is acyclic
     ctx = AnalysisContext(m_n(3), 0)
-    verdicts = check_point_count(ctx) + check_interval_bounds(ctx, ctx.base)
+    verdicts = check_point_count(ctx) + check_interval_bounds(ctx)
     assert ctx.locally_acyclic is True and ctx.truncated
     assert "locally acyclic interval identity" in {v.name for v in verdicts}
     assert all(v.passed for v in verdicts)
@@ -446,14 +445,14 @@ def test_localization_summaries_are_computed_once_per_base(monkeypatch):
     # localization in any of them; local acyclicity reads no summary
     L = subgroup_lattice(parse_group("4,8"))
     counts = {}
-    summarize = modlat.analysis._summarize_localizations
+    summarize = AnalysisContext.localization_summary
 
     def counted(ctx, masks):
         key = tuple(masks)
         counts[key] = counts.get(key, 0) + 1
         return summarize(ctx, masks)
 
-    monkeypatch.setattr(modlat.analysis, "_summarize_localizations", counted)
+    monkeypatch.setattr(AnalysisContext, "localization_summary", counted)
     ctx = AnalysisContext(L)
     assert ctx.truncated and ctx.locally_acyclic is True and not counts
     assert not any(
@@ -882,7 +881,7 @@ def test_verdict_suite_strings_are_pinned(name, cap):
 
 def test_verdict_suite_matches_the_merge_over_every_sampled_base(monkeypatch):
     # samples with lines cut short make the per-base checks fail on some
-    # bases and not on others, or break the component count, which raises
+    # bases and not on others
     rng = random.Random(3)
     sample_of = modlat.analysis.bol_sample
     outcomes = set()
@@ -894,36 +893,48 @@ def test_verdict_suite_matches_the_merge_over_every_sampled_base(monkeypatch):
         sample = sample or [ctx.base]
         doctored = [tuple(m & (m - 1) if rng.random() < p else m for m in B) for B in sample]
         monkeypatch.setattr(modlat.analysis, "bol_sample", lambda w, cap: (doctored, truncated))
-        try:
-            want = oracles.merged_verdict_suite(L, cap)
-        except LatticeError as exc:
-            with pytest.raises(type(exc)) as got:
-                verdict_suite(L, cap)
-            assert str(got.value) == str(exc)
-            outcomes.add("raised")
-            continue
+        want = oracles.merged_verdict_suite(L, cap)
         assert verdict_suite(L, cap) == want, (name, cap)
         outcomes.add(all(v.passed for v in want))
-    assert outcomes == {"raised", True, False}
+    assert outcomes == {True, False}
 
 
-def test_interval_bounds_run_once_per_component_count_and_split_number(monkeypatch):
-    # all 1000 sampled bases of Z4 x Z8 have one (count, r*) pair, since
-    # r* = mu - j - i + s
-    L = subgroup_lattice(parse_group("4,8"))
+def test_a_sampled_base_with_more_components_fails_the_components_check(monkeypatch):
+    # cutting the lowest point off each line of a non-canonical base of
+    # Z4 x Z4 splits it into four components, while the lattice has one
+    # projectivity class; the suite reports that base's first split pair
+    L = z4_squared()
     ctx = AnalysisContext(L)
-    pairs = {(len(comps), r) for comps, r in map(ctx.base_facts, ctx.sample)}
+    sample = list(ctx.sample)
+    sample[5] = cut = tuple(m & (m - 1) for m in sample[5])
+    monkeypatch.setattr(modlat.analysis, "bol_sample", lambda w, cap: (sample, False))
+    comps = ctx.base_facts(cut)[0]
+    assert len(comps) == 4 and len(ctx.class_partition) == 1
+    comp_of = {p: k for k, comp in enumerate(comps) for p in bits(comp)}
+    p, q = next((p, q) for p, q in itertools.combinations(sorted(ctx.lower), 2)
+                if comp_of[p] != comp_of[q])
+    verdicts = verdict_suite(L)
+    assert _verdict(verdicts, "components match projectivity") == (
+        "components match projectivity", False, f"points {p}, {q}: component False, class True"
+    )
+    assert all(v.passed for v in check_interval_bounds(ctx))
+
+
+def test_interval_bounds_run_once_per_suite(monkeypatch):
+    # the bounds read the canonical base alone, however many bases are
+    # sampled
     calls = []
     bounds = modlat.analysis.check_interval_bounds
 
-    def counted(ctx, B):
-        calls.append(B)
-        return bounds(ctx, B)
+    def counted(ctx):
+        calls.append(ctx)
+        return bounds(ctx)
 
     monkeypatch.setattr(modlat.analysis, "check_interval_bounds", counted)
-    verdict_suite(L)
-    assert ctx.truncated and len(ctx.sample) == 1000
-    assert len(pairs) == 1 and calls == [ctx.sample[0]]
+    for L in [subgroup_lattice(parse_group("4,8")), z4_squared(), m_n(3)]:
+        calls.clear()
+        verdict_suite(L)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("run", [params, verdict_suite], ids=["params", "suite"])
@@ -971,7 +982,7 @@ def test_component_count_does_not_build_the_bases_sample(monkeypatch):
     monkeypatch.setattr(modlat.analysis, "bol_sample", refuse)
     for L, want in [(m_n(3), 1), (seven_point_lattice(), 1), (z4_squared(), 1)]:
         ctx = AnalysisContext(L)
-        assert component_count(ctx, ctx.base) == want
+        assert component_count(ctx) == want
     with pytest.raises(AssertionError, match="bases sample"):
         AnalysisContext(z4_squared()).sample
 
