@@ -17,10 +17,11 @@ as a named pass/fail verdict with the concrete numbers filled in.  The
 facts these checks share are computed once per lattice, and those of
 each base of lines once per base, in the `AnalysisContext` that every
 check takes; a base of lines there is its tuple of line masks.  Only
-the verdict suite samples bases, for its two checks of one base, and it
-walks them only until one fails; the other checks read the canonical base.
-Whether some base of lines has a cycle, a cyclic localization or a
-triangle is decided over every base at once, as a properly coloured
+`verdict_suite` samples bases, and it keeps them to itself: its two
+checks of one base walk them until one fails, and its note marks the
+verdicts whose reach rests on them.  The other checks read the canonical
+base.  Whether some base of lines has a cycle, a cyclic localization or
+a triangle is decided over every base at once, as a properly coloured
 cycle in a witness graph (Yeo's theorem), and whether every base is
 cyclic with the canonical one from witness spans and projectivity
 classes, not by enumerating bases.  The module also houses the triangle
@@ -55,29 +56,25 @@ class AnalysisContext:
     """The facts about one modular lattice `L` that the checks read, each
     computed once per lattice; modularity is required.
 
-    Every base here, `base` and those of `sample`, is a tuple of int
-    line masks, one per interval in interval order, read off `witnesses`:
-    the witness table of `bol.witness_masks`, computed and checked once
-    per lattice.  Per interval and per atom of it, the table holds the
-    mask of the join-irreducibles that can represent that atom on a line.
-    A base picks one witness per (interval, atom) pair, and any choice is
-    a base, so questions of the form "does some base have ..." are asked
-    of these masks over all bases at once: `cyclic_at`, `triangle_at`,
+    Every base here is a tuple of int line masks, one per interval in
+    interval order, read off `witnesses`: the witness table of
+    `bol.witness_masks`, computed and checked once per lattice.  Per
+    interval and per atom of it, the table holds the mask of the
+    join-irreducibles that can represent that atom on a line.  A base
+    picks one witness per (interval, atom) pair, and any choice is a
+    base, so questions of the form "does some base have ..." are asked of
+    these masks over all bases at once: `cyclic_at`, `triangle_at`,
     `locally_acyclic` and `some_base_cyclic`.  `base` is the canonical
-    base, the lowest witness per atom.
-
-    `sample` holds up to `bols_cap` bases of lines, the canonical base
-    first, and is never empty: at cap 0 it is the canonical base by
-    itself.  `truncated` says whether the cap cut it short.  Both are
-    computed on first use, and only the verdict suite reads them.
+    base, the lowest witness per atom; the context lists no other base.
     `coverings` holds, per covering u -< v, the mask of J(u, v) and the
     indices of the line intervals with top under v but not under u: a
     base's localization there is its lines for those intervals, each
     AND-ed with the mask.  Each base's `base_facts` are computed at most
     once, and the component count of a localization once per covering and
-    trimmed line masks: on Z4xZ8 the sample's 37,000 localizations hold
-    only 119 distinct ones; `localization_summary` reads those counts.
-    `acyclic` says whether the canonical base has r* 0.
+    trimmed line masks: on Z4xZ8 the verdict suite's 1,000 bases have
+    37,000 localizations but only 119 distinct ones;
+    `localization_summary` reads those counts.  `acyclic` says whether
+    the canonical base has r* 0.
     `transposes` holds, per cover a -< b, the mask S(a, b) of the points
     whose quotient (p_*, p) transposes up to (a, b) (`transpose_masks`).
     `class_partition`, the points by projectivity class, is their merge,
@@ -85,9 +82,9 @@ class AnalysisContext:
     test in `shares`, which only the verdict suite reads.
     """
 
-    def __init__(self, L, bols_cap=BOLS_CAP):
+    def __init__(self, L):
         require_modular(L)
-        self.lattice, self.bols_cap = L, bols_cap
+        self.lattice = L
         self.intervals = ivs = line_intervals(L)
         # per interval, per atom: the mask of its witnesses
         self.witnesses = witness_masks(L, ivs)
@@ -103,19 +100,6 @@ class AnalysisContext:
         self._components = {}  # base -> base_facts
         # (covering index, trimmed line masks) -> component count of that localization
         self._localizations = {}
-
-    @cached_property
-    def _bases(self):
-        sample, truncated = bol_sample(self.witnesses, self.bols_cap)
-        return tuple(sample) or (self.base,), truncated  # cap 0 yields no base
-
-    @property
-    def sample(self):
-        return self._bases[0]
-
-    @property
-    def truncated(self):
-        return self._bases[1]
 
     def base_facts(self, B):
         """(component masks, r*) of the base B, isolated points included."""
@@ -855,32 +839,38 @@ def check_clean_cycles(ctx):
 def verdict_suite(L, bols_cap=BOLS_CAP):
     """Every check the module knows, each asked once.
 
-    Only the two checks of one base (components match projectivity,
-    localizations connected) walk the bases sample, each to the first
-    base that fails it, in sample order, else reporting the first base's
-    pass with the sample note.  The rest read the canonical base or all
-    bases at once; passes of the interval bounds, line feet and triangle
-    tops carry the note too, as does the sample's list of r* values."""
-    ctx = AnalysisContext(L, bols_cap)
-    note = f"{len(ctx.sample)} bases" + (" (truncated)" if ctx.truncated else "")
+    The suite alone samples bases of lines: up to `bols_cap` of them,
+    the canonical base first, or that base alone when cap 0 yields none.
+    The two checks of one base (components match projectivity,
+    localizations connected) walk the sample, each to the first base
+    that fails it, in sample order, else reporting the first base's
+    pass.  The rest read the canonical base or all bases at once.  A
+    pass carries the sample note "N bases[ (truncated)]" exactly where
+    its reach rests on the sample: the two checks of one base, the
+    sample's list of r* values, and the interval bounds, which hold for
+    a base B wherever s(B) = s, a fact checked on the sample."""
+    ctx = AnalysisContext(L)
+    sample, truncated = bol_sample(ctx.witnesses, bols_cap)
+    sample = sample or [ctx.base]  # cap 0 yields no base
+    note = f"{len(sample)} bases" + (" (truncated)" if truncated else "")
 
     def noted(v):
         return v._replace(detail=f"{v.detail}; {note}") if v.passed else v
 
     def per_base(check):
-        runs = (check(ctx, B) for B in ctx.sample)
+        runs = (check(ctx, B) for B in sample)
         first = next(runs)
         return noted(next((v for v in runs if not v.passed), first) if first.passed else first)
 
-    observed = sorted({ctx.base_facts(B)[1] for B in ctx.sample})
+    observed = sorted({ctx.base_facts(B)[1] for B in sample})
     return (
         *check_point_count(ctx),
         *map(noted, check_interval_bounds(ctx)),
         Verdict("split counts observed", True, f"r* values {observed}; {note}"),
         per_base(check_components_match_projectivity),
         per_base(check_localizations_connected),
-        noted(check_line_feet(ctx)),
-        noted(check_triangle_tops(ctx)),
+        check_line_feet(ctx),
+        check_triangle_tops(ctx),
         check_perspective_intervals(ctx),
         check_join_witness(L),
         check_clean_cycles(ctx),

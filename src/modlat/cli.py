@@ -41,7 +41,10 @@ from .lattice import (
 
 def _load(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 # the types that `json`'s C encoder writes as one token each

@@ -87,9 +87,9 @@ def subgroup_corpus():
 
 # -- random distributive lattices ----------------------------------------
 
-def random_poset(rng, max_points=8):
-    """Random poset given by its cover relation, at most max_points points."""
-    n = rng.randint(1, max_points)
+def random_poset(rng):
+    """Random poset given by its cover relation, at most 8 points."""
+    n = rng.randint(1, 8)
     below = [0] * n
     for b in range(n):
         for a in range(b):
@@ -98,9 +98,9 @@ def random_poset(rng, max_points=8):
     return GroundPoset(n, covers_from_below(below))
 
 
-def random_distributive(seed, max_points=8):
+def random_distributive(seed):
     """The distributive lattice of all down-closed point sets of a random poset."""
-    return ideals_lattice(random_poset(random.Random(seed), max_points), [])
+    return ideals_lattice(random_poset(random.Random(seed)), [])
 
 
 def standard_corpus(distributive_count=20):

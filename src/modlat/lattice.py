@@ -334,14 +334,14 @@ def projectivity_classes(L):
     return sorted((frozenset(v) for v in classes.values()), key=min)
 
 
-def is_isomorphic(L1, L2, cap=200):
+def is_isomorphic(L1, L2):
     """Exact order-isomorphism test by backtracking.
 
     Candidates are pruned by (rank, cover degrees, cone sizes); no
-    canonical-form hashing, so keep inputs at desk scale (`cap`).
+    canonical-form hashing, so inputs stay at desk scale: 200 elements.
     """
-    if max(L1.n, L2.n) > cap:
-        raise CapExceeded(f"isomorphism test capped at {cap} elements")
+    if max(L1.n, L2.n) > 200:
+        raise CapExceeded("isomorphism test capped at 200 elements")
     if L1.n != L2.n or len(L1.covers) != len(L2.covers):
         return False
 

@@ -902,15 +902,20 @@ def merged_verdict_suite(L, bols_cap=1000):
     """`modlat.analysis.verdict_suite` as a merge over every sampled base.
 
     Unlike the rest of this module it calls the package's own checks:
-    what it stands in for is the merge, not the checks.  Each check of
-    one base runs on every base of the sample, and per verdict name the
-    first failing verdict in sample order is kept, or else the first
-    base's verdict with the sample note appended.  The interval bounds
-    read the canonical base, so they run once, as a sample of one."""
+    what it stands in for is the merge, not the checks.  The sample comes
+    from `bol_sample` as the analysis module sees it, or is the canonical
+    base alone when cap 0 yields none.  Each check of one base runs on
+    every base of the sample, and per verdict name the first failing
+    verdict in sample order is kept, or else the first base's verdict
+    with the sample note appended.  The interval bounds read the
+    canonical base, so they run once, as a sample of one; line feet and
+    triangle tops are decided over every base, so they carry no note."""
     from modlat import analysis as an
 
-    ctx = an.AnalysisContext(L, bols_cap)
-    note = f"{len(ctx.sample)} bases" + (" (truncated)" if ctx.truncated else "")
+    ctx = an.AnalysisContext(L)
+    sample, truncated = an.bol_sample(ctx.witnesses, bols_cap)
+    sample = sample or [ctx.base]
+    note = f"{len(sample)} bases" + (" (truncated)" if truncated else "")
 
     def merge(runs):
         out = []
@@ -921,11 +926,11 @@ def merged_verdict_suite(L, bols_cap=1000):
 
     out = list(an.check_point_count(ctx))
     out += merge([an.check_interval_bounds(ctx)])
-    observed = sorted({ctx.base_facts(B)[1] for B in ctx.sample})
+    observed = sorted({ctx.base_facts(B)[1] for B in sample})
     out.append(an.Verdict("split counts observed", True, f"r* values {observed}; {note}"))
     out += merge([(an.check_components_match_projectivity(ctx, B),
-                   an.check_localizations_connected(ctx, B)) for B in ctx.sample])
-    out += merge([(an.check_line_feet(ctx), an.check_triangle_tops(ctx))])
-    out += [an.check_perspective_intervals(ctx), an.check_join_witness(L),
+                   an.check_localizations_connected(ctx, B)) for B in sample])
+    out += [an.check_line_feet(ctx), an.check_triangle_tops(ctx),
+            an.check_perspective_intervals(ctx), an.check_join_witness(L),
             an.check_clean_cycles(ctx)]
     return tuple(out)

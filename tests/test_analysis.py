@@ -34,7 +34,7 @@ from modlat.analysis import (
     triangle_configurations,
     verdict_suite,
 )
-from modlat.bol import canonical_bol, line_intervals
+from modlat.bol import bol_sample, canonical_bol, line_intervals
 from modlat.corpus import (
     boolean_lattice,
     chain,
@@ -151,6 +151,36 @@ def test_params_requires_modularity():
         params(pentagon)
 
 
+def _relabelled(L, rng):
+    """L with its element ids permuted at random; each element keeps its
+    name."""
+    perm = list(range(L.n))
+    rng.shuffle(perm)
+    names = [None] * L.n
+    for a, b in enumerate(perm):
+        names[b] = L.name(a)
+    return build_lattice(names, sorted((perm[a], perm[b]) for a, b in L.covers))
+
+
+def test_relabelling_the_elements_changes_no_profile_or_verdict():
+    # a metamorphic relation: the profile and the verdicts read the order,
+    # not the ids that the elements happen to carry
+    rng = random.Random(34)
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [subgroup_lattice(parse_group(g)) for g in ["4,8", "2,4,8", "3,3,3", "8,8"]]
+    assert len(lattices) == 37
+    for L in lattices:
+        M = _relabelled(L, rng)
+        before, after = params(L), params(M)
+        assert before[:9] == after[:9], L
+        assert [(v.name, v.passed) for v in before.verdicts] == [
+            (v.name, v.passed) for v in after.verdicts
+        ], L
+        assert [(v.name, v.passed) for v in verdict_suite(L)] == [
+            (v.name, v.passed) for v in verdict_suite(M)
+        ], L
+
+
 def test_component_count_values():
     for L, want in [(m_n(3), 1), (boolean_lattice(3), 3), (seven_point_lattice(), 1)]:
         ctx = AnalysisContext(L)
@@ -256,6 +286,31 @@ def test_cyclic_localizations_match_the_enumeration():
     assert outcomes == {False, True}
 
 
+def test_verdicts_without_the_sample_note_do_not_depend_on_the_cap():
+    # caps 0 and 7 truncate the sample of Z4 x Z4 (64 bases) and of
+    # Z4 x Z8; only the verdicts whose reach rests on the sample carry its
+    # note, and the rest are decided over every base or on the canonical
+    # one, so they read the same at every cap
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [z4_squared(), subgroup_lattice(parse_group("4,8"))]
+    truncations = set()
+    for L in lattices:
+        ctx = AnalysisContext(L)
+        noted = {"split counts observed", "components match projectivity",
+                 "localizations connected"} | {v.name for v in check_interval_bounds(ctx)}
+        unnoted = []
+        for cap in (0, 7, 1000):
+            sample, truncated = bol_sample(ctx.witnesses, cap)
+            note = f"; {len(sample) or 1} bases" + (" (truncated)" if truncated else "")
+            verdicts = verdict_suite(L, cap)
+            assert all(v.passed for v in verdicts), (L, cap)
+            assert {v.name for v in verdicts if v.detail.endswith(note)} == noted, (L, cap)
+            unnoted.append([v for v in verdicts if v.name not in noted])
+            truncations.add(truncated)
+        assert unnoted[0] == unnoted[1] == unnoted[2], L
+    assert truncations == {False, True}
+
+
 def test_local_acyclicity_does_not_depend_on_the_cap():
     # Z4 x Z4 is cyclic with 64 bases of lines, none with a cyclic
     # localization; a cap of at most 5 truncates the bases sample
@@ -265,12 +320,12 @@ def test_local_acyclicity_does_not_depend_on_the_cap():
         some_choice_has_a_cycle(localization_choices(L, ctx.intervals, u, v))
         for u, v, _, _ in ctx.coverings
     )
+    assert ctx.locally_acyclic is True
     for cap in range(6):
-        ctx = AnalysisContext(L, cap)
-        verdicts = check_point_count(ctx) + check_interval_bounds(ctx)
-        assert ctx.locally_acyclic is True and all(v.passed for v in verdicts)
+        assert bol_sample(ctx.witnesses, cap)[1]
+        verdicts = verdict_suite(L, cap)
+        assert all(v.passed for v in verdicts), cap
         assert "locally acyclic interval identity" in {v.name for v in verdicts}
-        assert ctx.truncated
 
 
 def test_coloured_cycles_match_the_enumeration_on_random_witness_graphs():
@@ -405,20 +460,24 @@ def test_line_feet_cover_every_witness_pair():
 
 def test_acyclic_lattice_is_locally_acyclic_under_any_cap():
     # cap 0 leaves the bases sample truncated, but M3 is acyclic
-    ctx = AnalysisContext(m_n(3), 0)
+    L = m_n(3)
+    ctx = AnalysisContext(L)
     verdicts = check_point_count(ctx) + check_interval_bounds(ctx)
-    assert ctx.locally_acyclic is True and ctx.truncated
+    assert ctx.locally_acyclic is True and bol_sample(ctx.witnesses, 0)[1]
     assert "locally acyclic interval identity" in {v.name for v in verdicts}
     assert all(v.passed for v in verdicts)
+    suite = verdict_suite(L, 0)
+    assert "locally acyclic interval identity" in {v.name for v in suite}
+    assert all(v.passed for v in suite)
 
 
 def test_shared_localization_pass_matches_localize():
     lattices = [L for _, L in standard_corpus()] + [subgroup_lattice(parse_group("4,8"))]
     seen = set()
     for L in lattices:
-        ctx = AnalysisContext(L, 50)
+        ctx = AnalysisContext(L)
         points, tops = frozenset(bits(L.ji_mask)), [iv.top for iv in ctx.intervals]
-        for masks in ctx.sample:
+        for masks in bol_sample(ctx.witnesses, 50)[0]:
             lines = [frozenset(bits(m)) for m in masks]
             B = Pls(points, tuple(lines))
             comps, r = ctx.base_facts(masks)
@@ -454,13 +513,14 @@ def test_localization_summaries_are_computed_once_per_base(monkeypatch):
 
     monkeypatch.setattr(AnalysisContext, "localization_summary", counted)
     ctx = AnalysisContext(L)
-    assert ctx.truncated and ctx.locally_acyclic is True and not counts
+    sample, truncated = bol_sample(ctx.witnesses)
+    assert truncated and ctx.locally_acyclic is True and not counts
     assert not any(
         some_choice_has_a_cycle(localization_choices(L, ctx.intervals, u, v))
         for u, v, _, _ in ctx.coverings
     )
     verdict_suite(L)
-    assert len(counts) == len(ctx.sample) == 1000
+    assert len(counts) == len(sample) == 1000
     assert set(counts.values()) == {1}
 
 
@@ -476,12 +536,13 @@ def test_each_distinct_localization_is_decomposed_once(monkeypatch):
 
     monkeypatch.setattr(modlat.analysis, "mask_components", counted)
     ctx = AnalysisContext(L)
+    sample, _ = bol_sample(ctx.witnesses)
     distinct = set()
-    for masks in ctx.sample:
+    for masks in sample:
         for k, (_, _, pts, qual) in enumerate(ctx.coverings):
             distinct.add((k, tuple(masks[i] & pts for i in qual)))
         assert ctx.localization_summary(masks) is None
-    assert len(calls) == len(distinct) < len(ctx.sample) * len(ctx.coverings) // 100
+    assert len(calls) == len(distinct) < len(sample) * len(ctx.coverings) // 100
 
 
 def test_localization_summaries_match_a_scan_of_every_covering():
@@ -491,6 +552,7 @@ def test_localization_summaries_match_a_scan_of_every_covering():
     # the first covering that a scan of all coverings finds
     L = subgroup_lattice(parse_group("2,2,4"))
     ctx = AnalysisContext(L)
+    sample, _ = bol_sample(ctx.witnesses)
     rng = random.Random(5)
 
     def cut(masks):
@@ -508,7 +570,7 @@ def test_localization_summaries_match_a_scan_of_every_covering():
     for _ in range(30):
         doctored = AnalysisContext(L)
         doctored.base = cut(ctx.base) if rng.random() < 0.5 else ctx.base
-        for B in [doctored.base] + rng.sample(ctx.sample, 8):
+        for B in [doctored.base] + rng.sample(sample, 8):
             B = cut(B) if rng.random() < 0.5 else B
             want = scan(doctored, B)
             assert doctored.localization_summary(B) == want
@@ -863,12 +925,12 @@ def test_verdict_suite_survives_an_empty_bases_sample():
 # sha256 over str(v) + "\n" for every verdict of verdict_suite(L, cap): the
 # strings that `verify` prints only when they fail
 SUITE_PINNED = {
-    ("4,8", 1000): "b9f6fc81400221634da3217246247416cb59d767e6e70afd7a39d6fbf3808afc",
-    ("2,2,4", 1000): "52da83de0993b3ce661f70581e8885b90687f6bd9e64f55a5d99353d661f0143",
-    ("2,4,8", 1000): "8487416cd98096f7ddc78a41649c2154d6606ff29a16e58c9b4e5d59aece2672",
-    ("seven-point", 1000): "f5d5aa1d974b742817b47efdcaaae5ddf6441f13aad1448fcf3ed937b128ce19",
-    ("4,4", 0): "3ad41d3e969d6c31798ca9b889f80bc5ff9c16d08a68a7806244ab5267a1f862",
-    ("4,4", 7): "a84c0e199b10127cb57dcd9579bd536b77d03393dbf044ee014d73f72d2e23c5",
+    ("4,8", 1000): "df49df7691206b398c042096a246d015b2734a8ca447b28433c22318dd032583",
+    ("2,2,4", 1000): "9492c941d591af470eba39a5b1f02f4d80cf3866ee5938d0a2adebd67e06ffa5",
+    ("2,4,8", 1000): "1198a1f941f41e574f873d5971c91bab2cc059000a4257a0f5d58a264866c2ea",
+    ("seven-point", 1000): "e9d0dc3abbf40fc59269ce0cd263ec190659a995b324e3bfaddf14cf31329328",
+    ("4,4", 0): "8a1d9f4314d11368270f81f65b88026ddd8eae01d92b0b50d154c321db4dff37",
+    ("4,4", 7): "080873883b8633e014fea9039532e36ed4fcf6ac50b10faa2764a5baba99c277",
 }
 
 
@@ -905,7 +967,7 @@ def test_a_sampled_base_with_more_components_fails_the_components_check(monkeypa
     # projectivity class; the suite reports that base's first split pair
     L = z4_squared()
     ctx = AnalysisContext(L)
-    sample = list(ctx.sample)
+    sample, _ = bol_sample(ctx.witnesses)
     sample[5] = cut = tuple(m & (m - 1) for m in sample[5])
     monkeypatch.setattr(modlat.analysis, "bol_sample", lambda w, cap: (sample, False))
     comps = ctx.base_facts(cut)[0]
@@ -984,7 +1046,7 @@ def test_component_count_does_not_build_the_bases_sample(monkeypatch):
         ctx = AnalysisContext(L)
         assert component_count(ctx) == want
     with pytest.raises(AssertionError, match="bases sample"):
-        AnalysisContext(z4_squared()).sample
+        verdict_suite(z4_squared())
 
 
 def test_verdict_rendering():

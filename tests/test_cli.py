@@ -632,6 +632,33 @@ def test_malformed_input_is_a_usage_error(files, tmp_path, capsys, command, flag
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["analyze", "--lattice", "{deep}"],
+        ["bol", "--lattice", "{deep}"],
+        ["localize", "--lattice", "{deep}", "0", "1"],
+        ["rstar", "{deep}"],
+        ["rstar", "--lattice", "{deep}"],
+        ["witness-triangle", "--lattice", "{deep}"],
+        ["enumerate", "--poset", "{deep}"],
+        ["enumerate", "--poset", "{poset}", "--lines", "{deep}"],
+        ["rebuild", "--poset", "{deep}"],
+        ["rebuild", "--poset", "{poset}", "--lines", "{deep}"],
+    ],
+    ids=["analyze", "bol", "localize", "rstar-file", "rstar-lattice", "witness-triangle",
+         "enumerate-poset", "enumerate-lines", "rebuild-poset", "rebuild-lines"],
+)
+def test_deeply_nested_json_is_a_usage_error(files, tmp_path, capsys, argv):
+    # the JSON decoder recurses once per nesting level, so this once raised
+    # RecursionError out of `main`, a traceback with exit status 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main([arg.format(deep=deep, **files) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"ValueError: {deep}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["bol", "--lattice", "{m3}", "--all-bols"]],
     ids=lambda argv: argv[0],
 )
