@@ -66,15 +66,15 @@ class AnalysisContext:
     these masks over all bases at once: `cyclic_at`, `triangle_at`,
     `locally_acyclic` and `some_base_cyclic`.  `base` is the canonical
     base, the lowest witness per atom; the context lists no other base.
-    `coverings` holds, per covering u -< v, the mask of J(u, v) and the
-    indices of the line intervals with top under v but not under u: a
-    base's localization there is its lines for those intervals, each
-    AND-ed with the mask.  Each base's `base_facts` are computed at most
-    once, and the component count of a localization once per covering and
-    trimmed line masks: on Z4xZ8 the verdict suite's 1,000 bases have
-    37,000 localizations but only 119 distinct ones;
-    `localization_summary` reads those counts.  `acyclic` says whether
-    the canonical base has r* 0.
+    `coverings` holds, per covering u -< v, the mask of J(u, v) and
+    `qual`, the mask of the indices of the line intervals with top under
+    v but not under u: a base's localization there is its lines for
+    those intervals, each AND-ed with the J(u, v) mask.  Each base's
+    `base_facts` are computed at most once, and the component count of a
+    localization once per covering and trimmed line masks: on Z4xZ8 the
+    verdict suite's 1,000 bases have 37,000 localizations but only 119
+    distinct ones; `localization_summary` reads those counts.  `acyclic`
+    says whether the canonical base has r* 0.
     `transposes` holds, per cover a -< b, the mask S(a, b) of the points
     whose quotient (p_*, p) transposes up to (a, b) (`transpose_masks`).
     `class_partition`, the points by projectivity class, is their merge,
@@ -95,7 +95,7 @@ class AnalysisContext:
         self.j, self.delta, self.i = len(self.lower), L.height, len(ivs)
         self.o = max((iv.n - 1 for iv in ivs), default=1)
         self.mu = sum(iv.n for iv in ivs)
-        # (u, v, mask of J(u, v), qualifying interval indices)
+        # (u, v, mask of J(u, v), mask of the qualifying interval indices)
         self.coverings = _coverings(L, ivs)
         self._components = {}  # base -> base_facts
         # (covering index, trimmed line masks) -> component count of that localization
@@ -126,7 +126,7 @@ class AnalysisContext:
     def _component_count_at(self, k, masks):
         """The component count of the localization at the k-th covering of
         the base whose lines are `masks`; computed once per trimmed masks."""
-        _, _, pts, qual = self.coverings[k]
+        pts, qual = self._qualifying[k]
         key = (k, tuple([masks[i] & pts for i in qual]))
         count = self._localizations.get(key)
         if count is None:
@@ -134,10 +134,17 @@ class AnalysisContext:
         return count
 
     @cached_property
+    def _qualifying(self):
+        """Per covering, the mask of J(u, v) and the indices of its
+        qualifying intervals: the memo keys of `_component_count_at`,
+        listed once, when the first localization is decomposed."""
+        return [(pts, tuple(bits(qual))) for _, _, pts, qual in self.coverings]
+
+    @cached_property
     def _coverings_of(self):
         """Per interval, the mask of the coverings that it qualifies for."""
         out = [0] * self.i
-        for k, (_, _, _, qual) in enumerate(self.coverings):
+        for k, (_, qual) in enumerate(self._qualifying):
             for i in qual:
                 out[i] |= 1 << k
         return out
@@ -163,9 +170,13 @@ class AnalysisContext:
         points, which represent different atoms, and each point through
         two lines; so it is a properly coloured cycle of this graph, and
         any such cycle is a cycle of the base that puts those points on
-        those lines."""
+        those lines.  It passes at least three intervals: `witness_masks`
+        has checked that two candidate lines share at most one point, so
+        two intervals cannot close one."""
         _, _, pts, qual = self.coverings[k]
-        return _has_coloured_cycle([[w & pts for w in self.witnesses[i]] for i in qual])
+        if qual.bit_count() < 3:
+            return False
+        return _has_coloured_cycle([[w & pts for w in self.witnesses[i]] for i in bits(qual)])
 
     def triangle_at(self, i, j, k):
         """Whether some base of lines makes a triangle of the lines of the
@@ -211,13 +222,18 @@ class AnalysisContext:
 
 
 def _coverings(L, ivs):
-    index = {iv.top: k for k, iv in enumerate(ivs)}  # ascending, as ivs are sorted by top
-    tops = sum(1 << top for top in index)
-    return tuple(
-        (u, v, L.down[v] & ~L.down[u] & L.ji_mask,
-         tuple(index[top] for top in bits(tops & L.down[v] & ~L.down[u])))
-        for u, v in L.covers
-    )
+    """Per cover u -< v of L, in cover order, (u, v, mask of J(u, v),
+    qual): bit i of `qual` is set when the top of the interval ivs[i] lies
+    under v but not under u.  One pass along the linear extension builds
+    under[v], the mask of the intervals with top under v."""
+    under = [0] * L.n
+    for k, iv in enumerate(ivs):
+        under[iv.top] = 1 << k
+    for v in L.linear_extension:
+        for w in L.lower_covers(v):
+            under[v] |= under[w]
+    down, ji = L.down, L.ji_mask
+    return tuple((u, v, down[v] & ~down[u] & ji, under[v] & ~under[u]) for u, v in L.covers)
 
 
 def _has_coloured_cycle(graph):

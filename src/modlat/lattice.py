@@ -11,7 +11,8 @@ lookup (dually for meets); a pair with no such element has no least bound.
 Construction checks that the order is a lattice in time linear in the pairs
 of upper covers, and no n x n table is ever built.  Every builder hands
 it covers, and the order is fixed at construction.  Later writes only
-cache derived facts (`atoms`, `height`, `modular`, `cover_set`) or attach
+cache derived facts (`atoms`, `height`, `modular`, which is one mask test
+per cover, and `cover_set`, which only `is_isomorphic` reads) or attach
 `subgroups` (in `algebra.subgroup_lattice`) and `member_sets` (in
 `rebuild.closed_ideals_lattice`, from masks) to the lattice just built.
 Everything here targets desk scale: no lattice past LATTICE_CAP elements
@@ -229,24 +230,26 @@ class Lattice:
     def modular(self):
         # Birkhoff: a finite lattice is modular iff it is upper and lower
         # semimodular, i.e. any two upper covers of an element join to a
-        # common upper cover of both, and dually for lower covers
-        covers, up, down = self.cover_set, self.up, self.down
-        for x in range(self.n):
-            ups, lows = self._upcov[x], self._lowcov[x]
-            for i, y in enumerate(ups):
-                for z in ups[i + 1 :]:
-                    j = self._by_up[up[y] & up[z]]
-                    if (y, j) not in covers or (z, j) not in covers:
-                        return False
-            for i, y in enumerate(lows):
-                for z in lows[i + 1 :]:
-                    m = self._by_down[down[y] & down[z]]
-                    if (m, y) not in covers or (m, z) not in covers:
-                        return False
-        return True
+        # common upper cover of both, and dually for lower covers.  For
+        # distinct upper covers y, z of x, y + z covers y iff z lies under
+        # some upper cover of y; so with `above[y]` the elements under y or
+        # under an upper cover of y, upper semimodularity says that each
+        # cover (x, y) has every upper cover of x in above[y].  Dually
+        # `below[x]` is the elements over x or over a lower cover of x.
+        # So modularity is one mask test per cover.
+        up, down = self.up, self.down
+        ucov, lcov = [0] * self.n, [0] * self.n
+        above, below = list(down), list(up)
+        for x, y in self.covers:
+            ucov[x] |= 1 << y
+            lcov[y] |= 1 << x
+            above[x] |= down[y]
+            below[y] |= up[x]
+        return not any(ucov[x] & ~above[y] or lcov[y] & ~below[x] for x, y in self.covers)
 
     @cached_property
     def cover_set(self):
+        # the covers as a set; in this package only `is_isomorphic` reads it
         return frozenset(self.covers)
 
     def __repr__(self):

@@ -181,6 +181,59 @@ def test_relabelling_the_elements_changes_no_profile_or_verdict():
         ], L
 
 
+COVERING_GROUPS = ["4,8", "2,4,8", "8,8", "3,3,3", "2,2,4"]
+
+
+def _dual(L):
+    """L with every cover reversed: its order turned upside down."""
+    return build_lattice(L.n, [(b, a) for a, b in L.covers], L.names)
+
+
+def test_reversing_the_covers_keeps_modularity_and_the_proved_invariants():
+    # the proved half of the dual relation: a lattice and its dual have the
+    # same height and the same congruences, and a finite modular lattice
+    # has as many join- as meet-irreducibles (Dilworth 1954), so delta, s
+    # and j hold; modularity is self-dual, so the random lattices of
+    # test_semimodularity_test_matches_the_modular_law agree with their duals
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [subgroup_lattice(parse_group(g)) for g in COVERING_GROUPS]
+    for L in lattices:
+        D = _dual(L)
+        assert D.modular, L
+        before, after = params(L), params(D)
+        assert (before.j, before.delta, before.s) == (after.j, after.delta, after.s), L
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(2000):
+        L = build_lattice(*random_intersection_closed(rng, rng.randint(3, 5)))
+        verdicts.append(L.modular)
+        assert _dual(L).modular == verdicts[-1], L.covers
+    assert 500 < verdicts.count(False) < 1500
+
+
+def test_covering_masks_and_the_cycle_shortcut_match_brute_force():
+    # each covering's qual is the mask of the intervals whose top lies
+    # under v but not under u; cyclic_at answers a covering with fewer
+    # than three qualifying intervals without a search, and must agree
+    # with a search of that covering's whole witness graph
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [subgroup_lattice(parse_group(g)) for g in COVERING_GROUPS]
+    outcomes = set()
+    for L in lattices:
+        ctx = AnalysisContext(L)
+        for k, (u, v, pts, qual) in enumerate(ctx.coverings):
+            assert qual == sum(
+                1 << i
+                for i, iv in enumerate(ctx.intervals)
+                if L.leq(iv.top, v) and not L.leq(iv.top, u)
+            ), (L, u, v)
+            graph = [[w & pts for w in ctx.witnesses[i]] for i in bits(qual)]
+            cyclic = modlat.analysis._has_coloured_cycle(graph)
+            assert ctx.cyclic_at(k) == cyclic, (L, u, v)
+            outcomes.add((qual.bit_count() < 3, cyclic))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
 def test_component_count_values():
     for L, want in [(m_n(3), 1), (boolean_lattice(3), 3), (seven_point_lattice(), 1)]:
         ctx = AnalysisContext(L)
@@ -540,7 +593,7 @@ def test_each_distinct_localization_is_decomposed_once(monkeypatch):
     distinct = set()
     for masks in sample:
         for k, (_, _, pts, qual) in enumerate(ctx.coverings):
-            distinct.add((k, tuple(masks[i] & pts for i in qual)))
+            distinct.add((k, tuple(masks[i] & pts for i in bits(qual))))
         assert ctx.localization_summary(masks) is None
     assert len(calls) == len(distinct) < len(sample) * len(ctx.coverings) // 100
 
@@ -561,7 +614,7 @@ def test_localization_summaries_match_a_scan_of_every_covering():
 
     def scan(ctx, masks):
         for u, v, pts, qual in ctx.coverings:
-            n = len(mask_components([masks[i] & pts for i in qual], pts)[0])
+            n = len(mask_components([masks[i] & pts for i in bits(qual)], pts)[0])
             if n != 1:
                 return u, v, n
         return None
