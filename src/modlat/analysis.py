@@ -17,17 +17,18 @@ as a named pass/fail verdict with the concrete numbers filled in.  The
 facts these checks share are computed once per lattice, and those of
 each base of lines once per base, in the `AnalysisContext` that every
 check takes; a base of lines there is its tuple of line masks.  Only
-`verdict_suite` samples bases, and it keeps them to itself: its two
-checks of one base walk them until one fails, and its note marks the
-verdicts whose reach rests on them.  The other checks read the canonical
-base.  Whether some base of lines has a cycle, a cyclic localization or
-a triangle is decided over every base at once, as a properly coloured
-cycle in a witness graph (Yeo's theorem), and whether every base is
-cyclic with the canonical one from witness spans and projectivity
-classes, not by enumerating bases.  The module also houses the triangle
-machinery that manufactures a covering with a cyclic localization, and
-`check_clean_cycles`, which lists the cycles of line-tops of an acyclic
-canonical base and tests each for cleanness.
+`verdict_suite` samples bases, and it keeps them to itself: its check of
+one base walks them until one fails, and its note marks the verdicts
+whose reach rests on them.  The other checks read the canonical base.
+Whether some base of lines has a cycle, a cyclic localization or a
+triangle is decided over every base at once, as a properly coloured
+cycle in a witness graph (Yeo's theorem); whether every base is cyclic
+with the canonical one from witness spans and projectivity classes; and
+whether every localization of every base is connected from the slots
+that force points onto lines, not by enumerating bases.  The module
+also houses the triangle machinery that manufactures a covering with a
+cyclic localization, and `check_clean_cycles`, which lists the cycles of
+line-tops of an acyclic canonical base and tests each for cleanness.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class NotALineTop(LatticeError):
 
 # -- analysis context --------------------------------------------------
 
+SEARCH_PARTS = 16  # `connected_at` tries the unions of at most this many parts
+
 
 class AnalysisContext:
     """The facts about one modular lattice `L` that the checks read, each
@@ -63,18 +66,15 @@ class AnalysisContext:
     join-irreducibles that can represent that atom on a line.  A base
     picks one witness per (interval, atom) pair, and any choice is a
     base, so questions of the form "does some base have ..." are asked of
-    these masks over all bases at once: `cyclic_at`, `triangle_at`,
-    `locally_acyclic` and `some_base_cyclic`.  `base` is the canonical
-    base, the lowest witness per atom; the context lists no other base.
-    `coverings` holds, per covering u -< v, the mask of J(u, v) and
-    `qual`, the mask of the indices of the line intervals with top under
-    v but not under u: a base's localization there is its lines for
-    those intervals, each AND-ed with the J(u, v) mask.  Each base's
-    `base_facts` are computed at most once, and the component count of a
-    localization once per covering and trimmed line masks: on Z4xZ8 the
-    verdict suite's 1,000 bases have 37,000 localizations but only 119
-    distinct ones; `localization_summary` reads those counts.  `acyclic`
-    says whether the canonical base has r* 0.
+    these masks over all bases at once: `cyclic_at`, `connected_at`,
+    `triangle_at`, `locally_acyclic` and `some_base_cyclic`.  `base` is
+    the canonical base, the lowest witness per atom; the context lists no
+    other base.  `coverings` holds, per covering u -< v, the mask of
+    J(u, v) and `qual`, the mask of the indices of the line intervals
+    with top under v but not under u: a base's localization there is its
+    lines for those intervals, each AND-ed with the J(u, v) mask.  Each
+    base's `base_facts` are computed at most once.  `acyclic` says whether
+    the canonical base has r* 0.
     `transposes` holds, per cover a -< b, the mask S(a, b) of the points
     whose quotient (p_*, p) transposes up to (a, b) (`transpose_masks`).
     `class_partition`, the points by projectivity class, is their merge,
@@ -98,63 +98,12 @@ class AnalysisContext:
         # (u, v, mask of J(u, v), mask of the qualifying interval indices)
         self.coverings = _coverings(L, ivs)
         self._components = {}  # base -> base_facts
-        # (covering index, trimmed line masks) -> component count of that localization
-        self._localizations = {}
 
     def base_facts(self, B):
         """(component masks, r*) of the base B, isolated points included."""
         if B not in self._components:
             self._components[B] = mask_components(B, self.lattice.ji_mask)
         return self._components[B]
-
-    def localization_summary(self, B):
-        """(u, v, c) for the first covering u -< v, in cover order, where
-        B's localization has c != 1 components, or None.  A covering that
-        no line of B other than the canonical base's qualifies for has the
-        canonical base's localization, so only the others are looked at."""
-        ks = self._canonical_disconnected
-        for i, (m, c) in enumerate(zip(B, self.base)):
-            if m != c:
-                ks |= self._coverings_of[i]
-        for k in bits(ks):
-            count = self._component_count_at(k, B)
-            if count != 1:
-                u, v, _, _ = self.coverings[k]
-                return u, v, count
-        return None
-
-    def _component_count_at(self, k, masks):
-        """The component count of the localization at the k-th covering of
-        the base whose lines are `masks`; computed once per trimmed masks."""
-        pts, qual = self._qualifying[k]
-        key = (k, tuple([masks[i] & pts for i in qual]))
-        count = self._localizations.get(key)
-        if count is None:
-            count = self._localizations[key] = len(mask_components(key[1], pts)[0])
-        return count
-
-    @cached_property
-    def _qualifying(self):
-        """Per covering, the mask of J(u, v) and the indices of its
-        qualifying intervals: the memo keys of `_component_count_at`,
-        listed once, when the first localization is decomposed."""
-        return [(pts, tuple(bits(qual))) for _, _, pts, qual in self.coverings]
-
-    @cached_property
-    def _coverings_of(self):
-        """Per interval, the mask of the coverings that it qualifies for."""
-        out = [0] * self.i
-        for k, (_, qual) in enumerate(self._qualifying):
-            for i in qual:
-                out[i] |= 1 << k
-        return out
-
-    @cached_property
-    def _canonical_disconnected(self):
-        """The mask of the coverings where the canonical base's
-        localization is not connected."""
-        count = self._component_count_at
-        return sum(1 << k for k in range(len(self.coverings)) if count(k, self.base) != 1)
 
     @property
     def acyclic(self):
@@ -177,6 +126,56 @@ class AnalysisContext:
         if qual.bit_count() < 3:
             return False
         return _has_coloured_cycle([[w & pts for w in self.witnesses[i]] for i in bits(qual)])
+
+    @cached_property
+    def _forced(self):
+        """Per interval, the mask of the points that its single-option
+        slots put on its line in every base; and the mask of the indices
+        of the intervals with a slot of two or more options."""
+        forced = [sum(w for w in ws if not w & (w - 1)) for ws in self.witnesses]
+        choosy = sum(1 << i for i, ws in enumerate(self.witnesses) if any(w & (w - 1) for w in ws))
+        return forced, choosy
+
+    def connected_at(self, k):
+        """Whether every base of lines has a connected localization at the
+        k-th covering u -< v, or None when more than `SEARCH_PARTS` parts
+        are left to search.
+
+        There each qualifying line holds the witness of each of its
+        (interval, atom) slots that lies in J(u, v).  A point that every
+        slot holding it can let go of is isolated in some base.  Else
+        single-option slots force every point onto a line, and the forced
+        lines cut J(u, v) into parts connected in every base.  A line with
+        a whole slot inside a part touches it in every base, so the parts
+        it touches that way merge, until nothing merges.  With no choice
+        left, the parts are the one base's components; else some base is
+        disconnected exactly when a union S of parts, with the first and
+        not all, lets every line lie inside S or outside it."""
+        _, _, pts, qual = self.coverings[k]
+        if not pts & (pts - 1):
+            return pts != 0
+        forced, choosy = self._forced
+        parts = merge_masks([m for i in bits(qual) if (m := forced[i] & pts)])
+        if sum(parts) != pts:
+            return False
+        if len(parts) == 1 or not qual & choosy:
+            return len(parts) == 1
+        slots = [[w for w in self.witnesses[i] if w & pts] for i in bits(qual & choosy)]
+        count = 0
+        while count != len(parts):
+            count = len(parts)
+            touched = [sum(P for P in parts if any(not w & ~P for w in ws)) for ws in slots]
+            parts = merge_masks(parts + [m for m in touched if m])
+        if len(parts) > SEARCH_PARTS:
+            return None
+        unions = [parts[0]]
+        for P in parts[1:]:
+            unions += [S | P for S in unions]
+        for S in unions[:-1]:  # the last is J(u, v); one part has no other
+            rest = pts & ~S
+            if all(all(w & ~rest for w in ws) or all(w & ~S for w in ws) for ws in slots):
+                return False
+        return True
 
     def triangle_at(self, i, j, k):
         """Whether some base of lines makes a triangle of the lines of the
@@ -699,17 +698,17 @@ def check_components_match_projectivity(ctx, B):
             )
 
 
-def check_localizations_connected(ctx, B):
-    """Every localization of the base is a single component."""
-    first = ctx.localization_summary(B)
-    if first is not None:
-        u, v, n = first
-        return Verdict(
-            "localizations connected", False, f"covering ({u},{v}) has {n} components"
-        )
-    return Verdict(
-        "localizations connected", True, f"{len(ctx.coverings)} coverings checked"
-    )
+def check_localizations_connected(ctx):
+    """Every localization of every base of lines is a single component:
+    `connected_at` each covering, in cover order.  A covering that it
+    leaves undecided fails the verdict."""
+    name = "localizations connected"
+    for k, (u, v, _, _) in enumerate(ctx.coverings):
+        connected = ctx.connected_at(k)
+        if not connected:
+            why = "undecided" if connected is None else "splits in some base"
+            return Verdict(name, False, f"covering ({u},{v}) {why}")
+    return Verdict(name, True, f"{len(ctx.coverings)} coverings checked")
 
 
 def check_line_feet(ctx):
@@ -857,14 +856,15 @@ def verdict_suite(L, bols_cap=BOLS_CAP):
 
     The suite alone samples bases of lines: up to `bols_cap` of them,
     the canonical base first, or that base alone when cap 0 yields none.
-    The two checks of one base (components match projectivity,
-    localizations connected) walk the sample, each to the first base
-    that fails it, in sample order, else reporting the first base's
-    pass.  The rest read the canonical base or all bases at once.  A
-    pass carries the sample note "N bases[ (truncated)]" exactly where
-    its reach rests on the sample: the two checks of one base, the
-    sample's list of r* values, and the interval bounds, which hold for
-    a base B wherever s(B) = s, a fact checked on the sample."""
+    The check of one base, components match projectivity, walks the
+    sample to the first base that fails it, in sample order, else
+    reports the first base's pass.  The rest read the canonical base or
+    all bases at once; "localizations connected" asks `connected_at`
+    each covering.  A pass carries the sample note "N bases[
+    (truncated)]" exactly where its reach rests on the sample: the
+    components check, the sample's list of r* values, and the interval
+    bounds, which hold for a base B wherever s(B) = s, a fact checked on
+    the sample."""
     ctx = AnalysisContext(L)
     sample, truncated = bol_sample(ctx.witnesses, bols_cap)
     sample = sample or [ctx.base]  # cap 0 yields no base
@@ -873,18 +873,16 @@ def verdict_suite(L, bols_cap=BOLS_CAP):
     def noted(v):
         return v._replace(detail=f"{v.detail}; {note}") if v.passed else v
 
-    def per_base(check):
-        runs = (check(ctx, B) for B in sample)
-        first = next(runs)
-        return noted(next((v for v in runs if not v.passed), first) if first.passed else first)
-
+    runs = (check_components_match_projectivity(ctx, B) for B in sample)
+    first = next(runs)
+    components = next((v for v in runs if not v.passed), first) if first.passed else first
     observed = sorted({ctx.base_facts(B)[1] for B in sample})
     return (
         *check_point_count(ctx),
         *map(noted, check_interval_bounds(ctx)),
         Verdict("split counts observed", True, f"r* values {observed}; {note}"),
-        per_base(check_components_match_projectivity),
-        per_base(check_localizations_connected),
+        noted(components),
+        check_localizations_connected(ctx),
         check_line_feet(ctx),
         check_triangle_tops(ctx),
         check_perspective_intervals(ctx),

@@ -231,6 +231,8 @@ def cmd_bol(args):
     from .bol import all_bols, bol_to_json, canonical_bol, line_intervals, witness_masks
     from .pls import mask_components
 
+    if args.cap < 0:
+        raise ValueError(f"--cap must be at least 0, not {args.cap}")
     L = lattice_from_json(_load(args.lattice))
     if args.all_bols:
         count, rs, note = 0, set(), ""
@@ -442,8 +444,6 @@ PARSER = _build_parser()
 def main(argv=None):
     args = PARSER.parse_args(argv)
     try:
-        if getattr(args, "cap", 0) < 0:
-            raise ValueError(f"--cap must be at least 0, not {args.cap}")
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(exc, file=sys.stderr)

@@ -103,7 +103,10 @@ def random_distributive(seed):
     return ideals_lattice(random_poset(random.Random(seed)), [])
 
 
-def standard_corpus(distributive_count=20):
+DISTRIBUTIVE_COUNT = 20  # random distributive lattices in the corpus, seeds 0 to 19
+
+
+def standard_corpus():
     """Named lattices the verification suite runs over."""
     out = [
         ("m3", m_n(3)),
@@ -117,6 +120,6 @@ def standard_corpus(distributive_count=20):
     out.extend(subgroup_corpus())
     out.extend(
         (f"distributive-{seed}", random_distributive(seed))
-        for seed in range(distributive_count)
+        for seed in range(DISTRIBUTIVE_COUNT)
     )
     return out

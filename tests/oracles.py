@@ -642,6 +642,25 @@ def _some_choice(choices, cyclic):
     return extend(0, {})
 
 
+def every_choice_is_connected(choices, pts):
+    """Whether every choice of one frozenset line per list connects the
+    points `pts`, isolated points counting as components, trying every
+    choice.  Choices share their prefixes, and once a prefix connects
+    `pts`, every completion does."""
+
+    def extend(k, comps):
+        if len(comps) == 1 or k == len(choices):
+            return len(comps) == 1
+        for line in choices[k]:
+            touched = [c for c in comps if c & line]
+            rest = [c for c in comps if not c & line]
+            if not extend(k + 1, (rest + [line.union(*touched)]) if line else comps):
+                return False
+        return True
+
+    return extend(0, [frozenset([p]) for p in pts])
+
+
 def some_choice_is_a_triangle(choices):
     """Whether some choice of one line from each of three lists gives
     three lines that meet pairwise in single points, at three distinct
@@ -908,8 +927,9 @@ def merged_verdict_suite(L, bols_cap=1000):
     every base of the sample, and per verdict name the first failing
     verdict in sample order is kept, or else the first base's verdict
     with the sample note appended.  The interval bounds read the
-    canonical base, so they run once, as a sample of one; line feet and
-    triangle tops are decided over every base, so they carry no note."""
+    canonical base, so they run once, as a sample of one; localizations,
+    line feet and triangle tops are decided over every base, so they
+    carry no note."""
     from modlat import analysis as an
 
     ctx = an.AnalysisContext(L)
@@ -928,9 +948,9 @@ def merged_verdict_suite(L, bols_cap=1000):
     out += merge([an.check_interval_bounds(ctx)])
     observed = sorted({ctx.base_facts(B)[1] for B in sample})
     out.append(an.Verdict("split counts observed", True, f"r* values {observed}; {note}"))
-    out += merge([(an.check_components_match_projectivity(ctx, B),
-                   an.check_localizations_connected(ctx, B)) for B in sample])
-    out += [an.check_line_feet(ctx), an.check_triangle_tops(ctx),
+    out += merge([(an.check_components_match_projectivity(ctx, B),) for B in sample])
+    out += [an.check_localizations_connected(ctx), an.check_line_feet(ctx),
+            an.check_triangle_tops(ctx),
             an.check_perspective_intervals(ctx), an.check_join_witness(L),
             an.check_clean_cycles(ctx)]
     return tuple(out)

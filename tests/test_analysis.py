@@ -24,6 +24,7 @@ from modlat.analysis import (
     check_interval_bounds,
     check_join_witness,
     check_line_feet,
+    check_localizations_connected,
     check_point_count,
     check_triangle_tops,
     component_count,
@@ -55,8 +56,10 @@ from modlat.pls import Pls, components, find_cycle, mask_components, rstar
 import oracles
 from oracles import (
     blocked_by_transposition,
+    candidate_lines,
     choice_count,
     every_choice_has_a_cycle,
+    every_choice_is_connected,
     join_witness_failure,
     line_choices,
     localization_choices,
@@ -324,16 +327,19 @@ def _exact_lattices():
 
 def test_cyclic_localizations_match_the_enumeration():
     # every covering of these lattices has at most CHOICES_CAP choices of
-    # lines on its qualifying intervals, so each one is enumerated
+    # lines on its qualifying intervals, so each one is enumerated; every
+    # localization of a modular lattice is connected, so only doctored
+    # tables make `connected_at` answer no
     outcomes = set()
     for L in _exact_lattices():
         ctx = AnalysisContext(L)
         cyclic = []
-        for k, (u, v, _, _) in enumerate(ctx.coverings):
+        for k, (u, v, pts, _) in enumerate(ctx.coverings):
             choices = localization_choices(L, ctx.intervals, u, v)
             assert choice_count(choices) <= CHOICES_CAP
             cyclic.append(some_choice_has_a_cycle(choices))
             assert ctx.cyclic_at(k) == cyclic[-1], (L, u, v)
+            assert ctx.connected_at(k) is every_choice_is_connected(choices, bits(pts)), (L, u, v)
         assert ctx.locally_acyclic is not any(cyclic), L
         outcomes.update(cyclic)
     assert outcomes == {False, True}
@@ -342,15 +348,16 @@ def test_cyclic_localizations_match_the_enumeration():
 def test_verdicts_without_the_sample_note_do_not_depend_on_the_cap():
     # caps 0 and 7 truncate the sample of Z4 x Z4 (64 bases) and of
     # Z4 x Z8; only the verdicts whose reach rests on the sample carry its
-    # note, and the rest are decided over every base or on the canonical
-    # one, so they read the same at every cap
+    # note, and the rest, "localizations connected" among them, are
+    # decided over every base or on the canonical one, so they read the
+    # same at every cap
     lattices = [L for _, L in standard_corpus()]
     lattices += [z4_squared(), subgroup_lattice(parse_group("4,8"))]
     truncations = set()
     for L in lattices:
         ctx = AnalysisContext(L)
-        noted = {"split counts observed", "components match projectivity",
-                 "localizations connected"} | {v.name for v in check_interval_bounds(ctx)}
+        noted = {"split counts observed", "components match projectivity"}
+        noted |= {v.name for v in check_interval_bounds(ctx)}
         unnoted = []
         for cap in (0, 7, 1000):
             sample, truncated = bol_sample(ctx.witnesses, cap)
@@ -538,97 +545,154 @@ def test_shared_localization_pass_matches_localize():
                 sum(1 << p for p in comp) for comp in union_find_components(B)
             ), L
             assert r == rstar(B) and (r == 0) == (find_cycle(B) is None), L
-            first = None
             for k, (u, v, _, _) in enumerate(ctx.coverings):
                 P = oracles.localize(L, lines, tops, u, v)
-                c = len(union_find_components(P))
-                if first is None and c != 1:
-                    first = (u, v, c)
                 cyclic = find_cycle(P) is not None
-                # a sampled base with a cyclic localization is one of all bases
+                # a sampled base with a cyclic or split localization is
+                # one of all bases
                 assert ctx.cyclic_at(k) or not cyclic, (L, u, v)
+                assert len(union_find_components(P)) == 1 or not ctx.connected_at(k), (L, u, v)
                 seen.add((len(P.lines) > 1, cyclic))
-            assert ctx.localization_summary(masks) == first, (L, masks)
     assert seen == {(False, False), (True, False), (True, True)}
 
 
-def test_localization_summaries_are_computed_once_per_base(monkeypatch):
-    # Z4 x Z8 has more bases than the default cap and no cyclic
-    # localization in any of them; local acyclicity reads no summary
+def _doctored_covering(pts, table, qual=None):
+    # a context whose one covering (3, 7) has the point mask `pts` and
+    # the witness table `table`, every interval qualifying by default
+    ctx = AnalysisContext(m_n(3))
+    qual = (1 << len(table)) - 1 if qual is None else qual
+    ctx.coverings, ctx.witnesses = ((3, 7, pts, qual),), tuple(table)
+    return ctx
+
+
+def _every_base_connected(ctx, k):
+    # the lines of each qualifying interval, every base of the table
+    # taken, kept to J(u, v)
+    _, _, pts, qual = ctx.coverings[k]
+    choices = [[frozenset(bits(m & pts)) for m in lines]
+               for i, lines in enumerate(candidate_lines(ctx.witnesses)) if qual >> i & 1]
+    return every_choice_is_connected(choices, bits(pts))
+
+
+def test_connected_at_matches_the_enumeration_on_doctored_tables(monkeypatch):
+    # random tables over J(u, v) = points 0..n-1 and two points outside
+    # it, the slots of one interval disjoint, half the intervals with one
+    # option per slot; `searched` holds the answers that the union search
+    # gave, seen by bounding it at one part
+    rng = random.Random(17)
+    outcomes, searched = set(), set()
+    for _ in range(1500):
+        n = rng.randint(2, 8)
+        table = []
+        for _ in range(rng.randint(1, 7)):
+            pool = rng.sample(range(n + 2), rng.randint(1, min(n + 2, 5)))
+            cuts = list(range(1, len(pool))) if rng.random() < 0.5 else sorted(
+                rng.sample(range(1, len(pool)), min(rng.randint(0, 2), len(pool) - 1)))
+            table.append(tuple(sum(1 << p for p in pool[a:b])
+                               for a, b in zip([0] + cuts, cuts + [len(pool)])))
+        qual = sum(1 << i for i in range(len(table)) if rng.random() < 0.85)
+        ctx = _doctored_covering((1 << n) - 1, table, qual)
+        want = _every_base_connected(ctx, 0)
+        assert ctx.connected_at(0) is want, table
+        outcomes.add(want)
+        with monkeypatch.context() as m:
+            m.setattr(modlat.analysis, "SEARCH_PARTS", 1)
+            if ctx.connected_at(0) is None:
+                searched.add(want)
+    assert outcomes == {False, True} and False in searched
+    # forced parts A = {a, a'}, B = {b, b'} and C = {c, c'}; the lines X,
+    # Y and Z each have one forced point and one slot across the other
+    # two parts, so nothing merges, and only the search shows that no
+    # union of parts splits a base
+    a, a_, b, b_, c, c_ = (1 << p for p in range(6))
+    table = [(a, b | c), (c_, a_ | b_), (b_, a | c), (a, a_), (b, b_), (c, c_)]
+    ctx = _doctored_covering(0b111111, table)
+    assert ctx.connected_at(0) is _every_base_connected(ctx, 0) is True
+    monkeypatch.setattr(modlat.analysis, "SEARCH_PARTS", 2)
+    assert ctx.connected_at(0) is None
+
+
+def test_a_covering_past_the_search_bound_fails_the_localizations_check():
+    # SEARCH_PARTS + 1 points, each forced onto a line of its own, and a
+    # line that may take either of the first two: nothing merges
+    bound = modlat.analysis.SEARCH_PARTS
+    table = [(1 << p,) for p in range(bound + 1)] + [(0b11,)]
+    ctx = _doctored_covering((1 << bound + 1) - 1, table)
+    assert ctx.connected_at(0) is None
+    assert check_localizations_connected(ctx) == (
+        "localizations connected", False, "covering (3,7) undecided")
+    # one point fewer, and the search finds the base that leaves the
+    # first point's line apart
+    ctx = _doctored_covering((1 << bound) - 1, table[1:])
+    assert ctx.connected_at(0) is False
+    assert check_localizations_connected(ctx) == (
+        "localizations connected", False, "covering (3,7) splits in some base")
+
+
+def test_an_option_that_no_sampled_base_takes_fails_the_localizations_check(monkeypatch):
+    # the 1,000 bases that the suite samples on Z4 x Z8 take every line
+    # from the canonical base on intervals 0-3, since intervals 4-7 alone
+    # have 1,152 choices; one witness more there, above the slot's lowest,
+    # splits a localization of some base that the sample never reaches
     L = subgroup_lattice(parse_group("4,8"))
-    counts = {}
-    summarize = AnalysisContext.localization_summary
-
-    def counted(ctx, masks):
-        key = tuple(masks)
-        counts[key] = counts.get(key, 0) + 1
-        return summarize(ctx, masks)
-
-    monkeypatch.setattr(AnalysisContext, "localization_summary", counted)
     ctx = AnalysisContext(L)
-    sample, truncated = bol_sample(ctx.witnesses)
-    assert truncated and ctx.locally_acyclic is True and not counts
-    assert not any(
-        some_choice_has_a_cycle(localization_choices(L, ctx.intervals, u, v))
-        for u, v, _, _ in ctx.coverings
-    )
-    verdict_suite(L)
-    assert len(counts) == len(sample) == 1000
-    assert set(counts.values()) == {1}
+
+    def first_split(i, a, q):
+        # the context with q added to slot a of interval i, and its first
+        # covering that splits in some base, or None
+        doc = AnalysisContext(L)
+        ws = list(ctx.witnesses)
+        ws[i] = ws[i][:a] + (ws[i][a] | 1 << q,) + ws[i][a + 1:]
+        doc.witnesses = tuple(ws)
+        return doc, next((k for k in range(len(doc.coverings)) if not doc.connected_at(k)), None)
+
+    doc, k = next((doc, k) for i in range(4) for a, w in enumerate(ctx.witnesses[i])
+                  for q in bits(L.ji_mask & ~sum(ctx.witnesses[i]) & -(2 * w))
+                  for doc, k in [first_split(i, a, q)] if k is not None)
+    assert _every_base_connected(doc, k) is False
+    sample, truncated = bol_sample(doc.witnesses)
+    assert truncated and all(B[:4] == ctx.base[:4] for B in sample)
+    assert all(len(mask_components([B[j] & pts for j in bits(qual)], pts)[0]) == 1
+               for B in sample for _, _, pts, qual in doc.coverings)
+    monkeypatch.setattr(modlat.analysis, "witness_masks", lambda L, ivs: doc.witnesses)
+    u, v, _, _ = doc.coverings[k]
+    assert _verdict(verdict_suite(L), "localizations connected") == (
+        "localizations connected", False, f"covering ({u},{v}) splits in some base")
 
 
-def test_each_distinct_localization_is_decomposed_once(monkeypatch):
-    # the 1000 sampled bases of Z4 x Z8 share their localizations
-    L = subgroup_lattice(parse_group("4,8"))
-    calls = []
-    decompose = modlat.analysis.mask_components
-
-    def counted(line_masks, pts):
-        calls.append(pts)
-        return decompose(line_masks, pts)
-
-    monkeypatch.setattr(modlat.analysis, "mask_components", counted)
-    ctx = AnalysisContext(L)
-    sample, _ = bol_sample(ctx.witnesses)
-    distinct = set()
-    for masks in sample:
-        for k, (_, _, pts, qual) in enumerate(ctx.coverings):
-            distinct.add((k, tuple(masks[i] & pts for i in bits(qual))))
-        assert ctx.localization_summary(masks) is None
-    assert len(calls) == len(distinct) < len(sample) * len(ctx.coverings) // 100
+def test_cyclic_localizations_persist_up_transpositions():
+    # if u -< v transposes up to u' -< v' (v + u' = v', v * u' = u), then
+    # J(u, v) and the qualifying intervals lie in those of u' -< v', so a
+    # cycle at the first is one at the second
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [subgroup_lattice(parse_group(g)) for g in ("2,2,2,2", "2,2,4", "3,3,3")]
+    pairs = 0
+    for L in lattices:
+        ctx = AnalysisContext(L)
+        for k, (u, v, _, _) in enumerate(ctx.coverings):
+            if not ctx.cyclic_at(k):
+                continue
+            for k2, (u2, v2, _, _) in enumerate(ctx.coverings):
+                if k2 != k and L.join(v, u2) == v2 and L.meet(v, u2) == u:
+                    pairs += 1
+                    assert ctx.cyclic_at(k2), (L, u, v, u2, v2)
+    assert pairs > 100
 
 
-def test_localization_summaries_match_a_scan_of_every_covering():
-    # bases with lines cut short, the canonical one among them, make some
-    # localizations fall apart; a summary reads only the coverings that a
-    # line differing from the canonical base reaches, and must still name
-    # the first covering that a scan of all coverings finds
-    L = subgroup_lattice(parse_group("2,2,4"))
-    ctx = AnalysisContext(L)
-    sample, _ = bol_sample(ctx.witnesses)
-    rng = random.Random(5)
-
-    def cut(masks):
-        # drop the lowest point of some lines
-        return tuple(m & (m - 1) if rng.random() < 0.1 else m for m in masks)
-
-    def scan(ctx, masks):
-        for u, v, pts, qual in ctx.coverings:
-            n = len(mask_components([masks[i] & pts for i in bits(qual)], pts)[0])
-            if n != 1:
-                return u, v, n
-        return None
-
-    outcomes = set()
-    for _ in range(30):
-        doctored = AnalysisContext(L)
-        doctored.base = cut(ctx.base) if rng.random() < 0.5 else ctx.base
-        for B in [doctored.base] + rng.sample(sample, 8):
-            B = cut(B) if rng.random() < 0.5 else B
-            want = scan(doctored, B)
-            assert doctored.localization_summary(B) == want
-            outcomes.add(want is None)
-    assert outcomes == {False, True}
+def test_connected_localizations_make_each_sampled_base_match_the_classes(monkeypatch):
+    # each transpose mask S(a, b) lies in J(a, b), so a base whose every
+    # localization is connected has each class inside one component, and
+    # the witness spans put each component inside one class; on these
+    # lattices the merge leaves one part at every covering, so
+    # `connected_at` decides them with no union search
+    monkeypatch.setattr(modlat.analysis, "SEARCH_PARTS", 1)
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [subgroup_lattice(parse_group(g)) for g in ("4,8", "2,4,8")]
+    for L in lattices:
+        ctx = AnalysisContext(L)
+        assert all(ctx.connected_at(k) for k in range(len(ctx.coverings))), L
+        for B in bol_sample(ctx.witnesses)[0]:
+            assert set(ctx.base_facts(B)[0]) == ctx.class_partition, L
 
 
 def test_components_match_projectivity_reports_the_first_split_pair():
@@ -978,12 +1042,12 @@ def test_verdict_suite_survives_an_empty_bases_sample():
 # sha256 over str(v) + "\n" for every verdict of verdict_suite(L, cap): the
 # strings that `verify` prints only when they fail
 SUITE_PINNED = {
-    ("4,8", 1000): "df49df7691206b398c042096a246d015b2734a8ca447b28433c22318dd032583",
-    ("2,2,4", 1000): "9492c941d591af470eba39a5b1f02f4d80cf3866ee5938d0a2adebd67e06ffa5",
-    ("2,4,8", 1000): "1198a1f941f41e574f873d5971c91bab2cc059000a4257a0f5d58a264866c2ea",
-    ("seven-point", 1000): "e9d0dc3abbf40fc59269ce0cd263ec190659a995b324e3bfaddf14cf31329328",
-    ("4,4", 0): "8a1d9f4314d11368270f81f65b88026ddd8eae01d92b0b50d154c321db4dff37",
-    ("4,4", 7): "080873883b8633e014fea9039532e36ed4fcf6ac50b10faa2764a5baba99c277",
+    ("4,8", 1000): "d1fb3bf895f3525f51d17a4453e226fdea8da4c686c9a002c6d9c8f4a6b68d71",
+    ("2,2,4", 1000): "997b4de16497c90dae443a194aaba8d462f25d392a2a9dd798c153f02e0220f6",
+    ("2,4,8", 1000): "b2e96f8a6142325615c5be42f7ed15b878f4ad197d4e923e047af2e992ef8c9f",
+    ("seven-point", 1000): "48180688446583b448a520084f6239d2c232464ee8e921ff3f5c877e9195bce7",
+    ("4,4", 0): "2dc449c75b855e0e53caf2d3085253df14868c1b254caba0b47e1faf579e4ae9",
+    ("4,4", 7): "5fbe90689820e3430ddbbeafa807e10fe12190bffe004329fcc74bf293c15d51",
 }
 
 

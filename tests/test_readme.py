@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import re
+import shlex
 from pathlib import Path
 
+from modlat.cli import PARSER
 from modlat.wildcard import EnumStats
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -29,3 +31,13 @@ def test_stats_sample_lists_every_enum_stats_field_in_order():
     sample = "".join(line[2:] for line in block.group(1).splitlines(True))
     sample = sample[: sample.rindex("}") + 1]
     assert list(json.loads(sample)) == list(EnumStats._fields)
+
+
+def test_every_documented_command_parses():
+    # a flag that the parser no longer has must not stay documented
+    blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    commands = [line for block in blocks for line in block.splitlines()
+                if line.startswith("modlat ")]
+    assert commands
+    for line in commands:
+        PARSER.parse_args(shlex.split(line)[1:])
