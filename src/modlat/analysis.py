@@ -14,21 +14,21 @@ The profile collects
 
 and evaluates the identities and bounds that relate them, each reported
 as a named pass/fail verdict with the concrete numbers filled in.  The
-facts these checks share are computed once per lattice, and those of
-each base of lines once per base, in the `AnalysisContext` that every
-check takes; a base of lines there is its tuple of line masks.  Only
-`verdict_suite` samples bases, and it keeps them to itself: its check of
-one base walks them until one fails, and its note marks the verdicts
-whose reach rests on them.  The other checks read the canonical base.
+facts these checks share are computed once per lattice in the
+`AnalysisContext` that every check takes; a base of lines there is its
+tuple of line masks, and the only one it lists is the canonical base.
 Whether some base of lines has a cycle, a cyclic localization or a
 triangle is decided over every base at once, as a properly coloured
 cycle in a witness graph (Yeo's theorem); whether every base is cyclic
 with the canonical one from witness spans and projectivity classes; and
 whether every localization of every base is connected from the slots
-that force points onto lines, not by enumerating bases.  The module
-also houses the triangle machinery that manufactures a covering with a
-cyclic localization, and `check_clean_cycles`, which lists the cycles of
-line-tops of an acyclic canonical base and tests each for cleanness.
+that force points onto lines, not by enumerating bases.  The last two
+facts make the components of every base the projectivity classes, so
+s, r* and the interval bounds read off the canonical base hold in every
+base, and no check lists bases.  The module also houses the triangle
+machinery that manufactures a covering with a cyclic localization, and
+`check_clean_cycles`, which lists the cycles of line-tops of an acyclic
+canonical base and tests each for cleanness.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
-from .bol import bol_sample, canonical_masks, line_intervals, localize, witness_masks
-from .lattice import BOLS_CAP, LatticeError, bits, lower_star, require_modular, transpose_masks
+from .bol import canonical_masks, line_intervals, localize, witness_masks
+from .lattice import LatticeError, bits, lower_star, require_modular, transpose_masks
 from .pls import mask_components, merge_masks
 
 
@@ -72,9 +72,9 @@ class AnalysisContext:
     other base.  `coverings` holds, per covering u -< v, the mask of
     J(u, v) and `qual`, the mask of the indices of the line intervals
     with top under v but not under u: a base's localization there is its
-    lines for those intervals, each AND-ed with the J(u, v) mask.  Each
-    base's `base_facts` are computed at most once.  `acyclic` says whether
-    the canonical base has r* 0.
+    lines for those intervals, each AND-ed with the J(u, v) mask.
+    `base_facts` are the canonical base's components and r*, and
+    `acyclic` says whether that r* is 0.
     `transposes` holds, per cover a -< b, the mask S(a, b) of the points
     whose quotient (p_*, p) transposes up to (a, b) (`transpose_masks`).
     `class_partition`, the points by projectivity class, is their merge,
@@ -97,17 +97,16 @@ class AnalysisContext:
         self.mu = sum(iv.n for iv in ivs)
         # (u, v, mask of J(u, v), mask of the qualifying interval indices)
         self.coverings = _coverings(L, ivs)
-        self._components = {}  # base -> base_facts
 
-    def base_facts(self, B):
-        """(component masks, r*) of the base B, isolated points included."""
-        if B not in self._components:
-            self._components[B] = mask_components(B, self.lattice.ji_mask)
-        return self._components[B]
+    @cached_property
+    def base_facts(self):
+        """(component masks, r*) of the canonical base, isolated points
+        included."""
+        return mask_components(self.base, self.lattice.ji_mask)
 
     @property
     def acyclic(self):
-        return self.base_facts(self.base)[1] == 0
+        return self.base_facts[1] == 0
 
     def cyclic_at(self, k):
         """Whether some base of lines has a cycle in its localization at
@@ -177,6 +176,18 @@ class AnalysisContext:
                 return False
         return True
 
+    @cached_property
+    def first_split(self):
+        """The first covering, in cover order, that `connected_at` does
+        not find connected, as "covering (u,v) splits in some base" or
+        "covering (u,v) undecided"; else None."""
+        for k, (u, v, _, _) in enumerate(self.coverings):
+            connected = self.connected_at(k)
+            if not connected:
+                why = "undecided" if connected is None else "splits in some base"
+                return f"covering ({u},{v}) {why}"
+        return None
+
     def triangle_at(self, i, j, k):
         """Whether some base of lines makes a triangle of the lines of the
         intervals i, j and k: pairwise meets in three distinct corners.
@@ -203,6 +214,13 @@ class AnalysisContext:
         """The points as masks, grouped by the projectivity class of
         (p_*, p): the unions of the transpose masks that share points."""
         return frozenset(merge_masks(self.transposes))
+
+    @cached_property
+    def crossing(self):
+        """The top of the first interval whose witness span crosses
+        projectivity classes, or None (see `check_point_count`)."""
+        return next((iv.top for iv, ws in zip(self.intervals, self.witnesses)
+                     if all(sum(ws) & ~cls for cls in self.class_partition)), None)
 
     @cached_property
     def shares(self):
@@ -293,8 +311,8 @@ class Verdict(NamedTuple):
 
 
 class ParamsReport(NamedTuple):
-    """The profile of a lattice, with no bases of lines sampled:
-    `locally_acyclic` and the verdicts read the witness table."""
+    """The profile of a lattice: `locally_acyclic` and the verdicts read
+    the witness table and the canonical base."""
 
     j: int
     delta: int
@@ -320,7 +338,7 @@ def component_count(ctx):
     agree, and their common value is the number of congruence-simple
     factors of the lattice.
     """
-    from_pls = len(ctx.base_facts(ctx.base)[0])
+    from_pls = len(ctx.base_facts[0])
     from_classes = len(ctx.class_partition)
     if from_pls != from_classes:
         raise LatticeError(
@@ -335,7 +353,7 @@ def params(L):
 
     The verdicts bundle the point-count and interval-bound checks for the
     canonical base.  `locally_acyclic` and "acyclicity agrees across
-    bases" are decided over every base of lines, so no bases are sampled.
+    bases" are decided over every base of lines from the witness table.
     """
     ctx = AnalysisContext(L)
     return ParamsReport(
@@ -345,7 +363,7 @@ def params(L):
         i=ctx.i,
         o=ctx.o,
         mu=ctx.mu,
-        rstar_canonical=ctx.base_facts(ctx.base)[1],
+        rstar_canonical=ctx.base_facts[1],
         acyclic=ctx.acyclic,
         locally_acyclic=ctx.locally_acyclic,
         verdicts=check_point_count(ctx) + check_interval_bounds(ctx),
@@ -372,9 +390,7 @@ def check_point_count(ctx):
     if acyclic:
         agree, note = not ctx.some_base_cyclic, "some base has a cycle"
     else:
-        crossing = next((iv.top for iv, ws in zip(ctx.intervals, ctx.witnesses)
-                         if all(sum(ws) & ~cls for cls in ctx.class_partition)), None)
-        agree, note = crossing is None, f"witness span at top {crossing} crosses classes"
+        agree, note = ctx.crossing is None, f"witness span at top {ctx.crossing} crosses classes"
     return (
         Verdict("point count bound", j <= rhs, f"j={j} <= mu-i+s={rhs}"),
         Verdict(
@@ -393,11 +409,11 @@ def check_interval_bounds(ctx):
     Every clause whose hypothesis (o <= 2, acyclic, locally acyclic)
     holds is evaluated; the rest are skipped.  Any base B has r*(B) =
     mu - j - i + s(B), so its bounds are these whenever s(B) = s, which
-    "components match projectivity" checks per sampled base.
+    "components match projectivity" decides for every base.
     """
     i, j, o, delta = ctx.i, ctx.j, ctx.o, ctx.delta
     s = component_count(ctx)
-    r = ctx.base_facts(ctx.base)[1]
+    r = ctx.base_facts[1]
     out = []
 
     def add(name, passed, detail):
@@ -675,27 +691,34 @@ def _is_clean(L, tops, below, cycle):
 # -- whole-lattice verdict suite ---------------------------------------
 
 
-def check_components_match_projectivity(ctx, B):
-    """Two points share a base component iff their quotients are projective.
+def check_components_match_projectivity(ctx):
+    """Two points share a component of a base iff their quotients are
+    projective, in every base of lines.
 
-    Both sides partition the points, so they agree on every pair exactly
-    when the partitions are equal; otherwise the first pair of points
-    that they split differently is reported."""
-    comps = ctx.base_facts(B)[0]
-    if set(comps) == ctx.class_partition:
-        return Verdict("components match projectivity", True, f"{ctx.j} points agree")
-    # the partitions differ, so some pair of points is split differently
-    comp_of = {p: k for k, comp in enumerate(comps) for p in bits(comp)}
-    class_of = {p: k for k, cls in enumerate(ctx.class_partition) for p in bits(cls)}
-    for p, q in combinations(sorted(comp_of), 2):
-        same_comp = comp_of[p] == comp_of[q]
-        same_class = class_of[p] == class_of[q]
-        if same_comp != same_class:
-            return Verdict(
-                "components match projectivity",
-                False,
-                f"points {p}, {q}: component {same_comp}, class {same_class}",
-            )
+    The canonical base's components must be the classes, else the first
+    pair of points split differently is reported.  Every base B then has
+    them when no witness span crosses classes and no covering splits
+    (`first_split`): each transpose mask S(a, b) lies in J(a, b), which
+    B's localization at a -< b connects, so each class lies in one
+    component; and each line lies in its interval's witness span, so
+    each component lies in one class."""
+    name = "components match projectivity"
+    comps = ctx.base_facts[0]
+    if set(comps) != ctx.class_partition:
+        # the partitions differ, so some pair of points is split differently
+        comp_of = {p: k for k, comp in enumerate(comps) for p in bits(comp)}
+        class_of = {p: k for k, cls in enumerate(ctx.class_partition) for p in bits(cls)}
+        for p, q in combinations(sorted(comp_of), 2):
+            same_comp = comp_of[p] == comp_of[q]
+            same_class = class_of[p] == class_of[q]
+            if same_comp != same_class:
+                detail = f"points {p}, {q}: component {same_comp}, class {same_class}"
+                return Verdict(name, False, detail)
+    if ctx.crossing is not None:
+        return Verdict(name, False, f"witness span at top {ctx.crossing} crosses classes")
+    if ctx.first_split is not None:
+        return Verdict(name, False, ctx.first_split)
+    return Verdict(name, True, f"{ctx.j} points agree in every base")
 
 
 def check_localizations_connected(ctx):
@@ -703,11 +726,8 @@ def check_localizations_connected(ctx):
     `connected_at` each covering, in cover order.  A covering that it
     leaves undecided fails the verdict."""
     name = "localizations connected"
-    for k, (u, v, _, _) in enumerate(ctx.coverings):
-        connected = ctx.connected_at(k)
-        if not connected:
-            why = "undecided" if connected is None else "splits in some base"
-            return Verdict(name, False, f"covering ({u},{v}) {why}")
+    if ctx.first_split is not None:
+        return Verdict(name, False, ctx.first_split)
     return Verdict(name, True, f"{len(ctx.coverings)} coverings checked")
 
 
@@ -851,37 +871,16 @@ def check_clean_cycles(ctx):
     return Verdict(name, False, f"{len(clean)} clean of {len(cycles)} cycles; base cyclic=False")
 
 
-def verdict_suite(L, bols_cap=BOLS_CAP):
-    """Every check the module knows, each asked once.
-
-    The suite alone samples bases of lines: up to `bols_cap` of them,
-    the canonical base first, or that base alone when cap 0 yields none.
-    The check of one base, components match projectivity, walks the
-    sample to the first base that fails it, in sample order, else
-    reports the first base's pass.  The rest read the canonical base or
-    all bases at once; "localizations connected" asks `connected_at`
-    each covering.  A pass carries the sample note "N bases[
-    (truncated)]" exactly where its reach rests on the sample: the
-    components check, the sample's list of r* values, and the interval
-    bounds, which hold for a base B wherever s(B) = s, a fact checked on
-    the sample."""
+def verdict_suite(L):
+    """Every check the module knows, each asked once, over every base of
+    lines; none lists bases.  Every base has the canonical base's r*,
+    given the components check, so "split counts observed" lists it."""
     ctx = AnalysisContext(L)
-    sample, truncated = bol_sample(ctx.witnesses, bols_cap)
-    sample = sample or [ctx.base]  # cap 0 yields no base
-    note = f"{len(sample)} bases" + (" (truncated)" if truncated else "")
-
-    def noted(v):
-        return v._replace(detail=f"{v.detail}; {note}") if v.passed else v
-
-    runs = (check_components_match_projectivity(ctx, B) for B in sample)
-    first = next(runs)
-    components = next((v for v in runs if not v.passed), first) if first.passed else first
-    observed = sorted({ctx.base_facts(B)[1] for B in sample})
     return (
         *check_point_count(ctx),
-        *map(noted, check_interval_bounds(ctx)),
-        Verdict("split counts observed", True, f"r* values {observed}; {note}"),
-        noted(components),
+        *check_interval_bounds(ctx),
+        Verdict("split counts observed", True, f"r* values [{ctx.base_facts[1]}]"),
+        check_components_match_projectivity(ctx),
         check_localizations_connected(ctx),
         check_line_feet(ctx),
         check_triangle_tops(ctx),

@@ -10,18 +10,24 @@ the join-irreducibles.
 A base is its tuple of int line masks over element ids, one mask per
 interval in interval order.  `witness_masks` is the one table of the
 witnesses of each middle element, checked once per lattice; the canonical
-base, `all_bols` and the questions `analysis` asks of every base at once
-all read it.  `localize` trims a base to the points of one covering,
-and the JSON writers turn masks into lists of point ids.
+base, `all_bols`, `base_count` and the questions `analysis` asks of every
+base at once all read it.  No command or verdict lists bases: their
+number is a product, and every base has the canonical one's r*
+(`analysis.check_components_match_projectivity`).  `localize` trims a
+base to the points of one covering, and the JSON writers turn masks
+into lists of point ids.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, islice, product
+from math import prod
 from typing import NamedTuple
 
-from .lattice import BOLS_CAP, CapExceeded, LatticeError, bits, require_modular
+from .lattice import CapExceeded, LatticeError, bits, require_modular
 from .pls import TwoPointIntersection, _pkey
+
+BOLS_CAP = 1000  # the default bound on the bases `all_bols` lists
 
 
 class EmptyChoice(LatticeError):
@@ -134,17 +140,11 @@ def all_bols(witnesses, cap=BOLS_CAP):
         yield masks
 
 
-def bol_sample(witnesses, cap=BOLS_CAP):
-    """Up to `cap` bases of lines of the witness table, as from
-    `all_bols`, and whether the cap cut the list short (it is empty at
-    cap 0)."""
-    out = []
-    try:
-        for masks in all_bols(witnesses, cap=cap):
-            out.append(masks)
-    except CapExceeded:
-        return out, True
-    return out, False
+def base_count(witnesses):
+    """The exact number of bases of lines of the witness table: one
+    choice of witness per (interval, atom) slot, and the slots of an
+    interval are disjoint, so distinct choices give distinct bases."""
+    return prod(w.bit_count() for ws in witnesses for w in ws)
 
 
 def localize(L, ivs, masks, a, b):

@@ -25,8 +25,6 @@ import json
 import sys
 
 from .lattice import (
-    BOLS_CAP,
-    CapExceeded,
     LatticeError,
     NotAClosureSystem,
     PlsError,
@@ -228,20 +226,17 @@ def cmd_verify(args):
 
 
 def cmd_bol(args):
-    from .bol import all_bols, bol_to_json, canonical_bol, line_intervals, witness_masks
+    from .bol import (base_count, bol_to_json, canonical_bol, canonical_masks,
+                      line_intervals, witness_masks)
     from .pls import mask_components
 
-    if args.cap < 0:
-        raise ValueError(f"--cap must be at least 0, not {args.cap}")
     L = lattice_from_json(_load(args.lattice))
     if args.all_bols:
-        count, rs, note = 0, set(), ""
-        try:  # counted as they come: memory does not grow with the cap
-            for count, m in enumerate(all_bols(witness_masks(L, line_intervals(L)), args.cap), 1):
-                rs.add(mask_components(m, L.ji_mask)[1])
-        except CapExceeded:
-            note = " (truncated)"
-        print(f"{count} bases{note}; r* values {sorted(rs)}")
+        witnesses = witness_masks(L, line_intervals(L))
+        # every base has the canonical base's components, so its r*
+        # (`analysis.check_components_match_projectivity`)
+        r = mask_components(canonical_masks(witnesses), L.ji_mask)[1]
+        print(f"{base_count(witnesses)} bases; r* values [{r}]")
         return 0
     ivs, masks = canonical_bol(L)
     if args.out:
@@ -397,8 +392,7 @@ def _build_parser():
 
     b = sub.add_parser("bol", help="canonical base of lines")
     b.add_argument("--lattice", required=True)
-    b.add_argument("--all-bols", action="store_true", help="count bases, up to --cap")
-    b.add_argument("--cap", type=int, default=BOLS_CAP, help="bound on the bases of lines sampled")
+    b.add_argument("--all-bols", action="store_true", help="count the bases and give their r*")
     b.add_argument("--out", help="write the base as JSON")
     b.set_defaults(func=cmd_bol)
 

@@ -917,40 +917,34 @@ def implications_from_json(data):
 # -- the verdict suite --------------------------------------------------------
 
 
-def merged_verdict_suite(L, bols_cap=1000):
-    """`modlat.analysis.verdict_suite` as a merge over every sampled base.
+def per_base_reference(L, limit=None):
+    """Checked base by base, the facts that `verdict_suite` derives for
+    every base of lines, as (whether each base's components are the
+    projectivity classes, the sorted r* values of the bases).
 
-    Unlike the rest of this module it calls the package's own checks:
-    what it stands in for is the merge, not the checks.  The sample comes
-    from `bol_sample` as the analysis module sees it, or is the canonical
-    base alone when cap 0 yields none.  Each check of one base runs on
-    every base of the sample, and per verdict name the first failing
-    verdict in sample order is kept, or else the first base's verdict
-    with the sample note appended.  The interval bounds read the
-    canonical base, so they run once, as a sample of one; localizations,
-    line feet and triangle tops are decided over every base, so they
-    carry no note."""
-    from modlat import analysis as an
+    The bases are every choice of one line per interval of
+    `line_choices`, in product order, only the first `limit` of them when
+    `limit` is given.  Each base's components and r* come from
+    `pls.mask_components`; p and q share a class when their quotients
+    (p_*, p) and (q_*, q) share a class of `projectivity_partition`."""
+    from modlat.bol import line_intervals
+    from modlat.pls import mask_components
 
-    ctx = an.AnalysisContext(L)
-    sample, truncated = an.bol_sample(ctx.witnesses, bols_cap)
-    sample = sample or [ctx.base]
-    note = f"{len(sample)} bases" + (" (truncated)" if truncated else "")
-
-    def merge(runs):
-        out = []
-        for k, first in enumerate(runs[0]):
-            bad = [run[k] for run in runs if not run[k].passed]
-            out.append(bad[0] if bad else first._replace(detail=f"{first.detail}; {note}"))
-        return out
-
-    out = list(an.check_point_count(ctx))
-    out += merge([an.check_interval_bounds(ctx)])
-    observed = sorted({ctx.base_facts(B)[1] for B in sample})
-    out.append(an.Verdict("split counts observed", True, f"r* values {observed}; {note}"))
-    out += merge([(an.check_components_match_projectivity(ctx, B),) for B in sample])
-    out += [an.check_localizations_connected(ctx), an.check_line_feet(ctx),
-            an.check_triangle_tops(ctx),
-            an.check_perspective_intervals(ctx), an.check_join_witness(L),
-            an.check_clean_cycles(ctx)]
-    return tuple(out)
+    ji = _ji_list(L)
+    class_of = {q: k for k, cls in enumerate(projectivity_partition(L)) for q in cls}
+    classes = {}
+    for p in ji:
+        k = class_of[L.lower_covers(p)[0], p]
+        classes[k] = classes.get(k, 0) | 1 << p
+    want = set(classes.values())
+    choices = [[sum(1 << p for p in line) for line in line_choices(L, iv)]
+               for iv in line_intervals(L)]
+    points = sum(1 << p for p in ji)
+    match, rstars = True, set()
+    for count, masks in enumerate(product(*choices)):
+        if count == limit:
+            break
+        comps, r = mask_components(masks, points)
+        match = match and set(comps) == want
+        rstars.add(r)
+    return match, sorted(rstars)

@@ -4,11 +4,13 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
 import modlat.analysis
 import modlat.bol
+import modlat.cli
 from modlat.algebra import parse_group, subgroup_lattice
 from modlat.analysis import (
     AnalysisContext,
@@ -35,7 +37,7 @@ from modlat.analysis import (
     triangle_configurations,
     verdict_suite,
 )
-from modlat.bol import bol_sample, canonical_bol, line_intervals
+from modlat.bol import all_bols, base_count, canonical_bol, line_intervals
 from modlat.corpus import (
     boolean_lattice,
     chain,
@@ -48,6 +50,7 @@ from modlat.lattice import (
     NotModular,
     bits,
     build_lattice,
+    lattice_to_json,
     projectivity_classes,
     transpose_masks,
 )
@@ -345,49 +348,6 @@ def test_cyclic_localizations_match_the_enumeration():
     assert outcomes == {False, True}
 
 
-def test_verdicts_without_the_sample_note_do_not_depend_on_the_cap():
-    # caps 0 and 7 truncate the sample of Z4 x Z4 (64 bases) and of
-    # Z4 x Z8; only the verdicts whose reach rests on the sample carry its
-    # note, and the rest, "localizations connected" among them, are
-    # decided over every base or on the canonical one, so they read the
-    # same at every cap
-    lattices = [L for _, L in standard_corpus()]
-    lattices += [z4_squared(), subgroup_lattice(parse_group("4,8"))]
-    truncations = set()
-    for L in lattices:
-        ctx = AnalysisContext(L)
-        noted = {"split counts observed", "components match projectivity"}
-        noted |= {v.name for v in check_interval_bounds(ctx)}
-        unnoted = []
-        for cap in (0, 7, 1000):
-            sample, truncated = bol_sample(ctx.witnesses, cap)
-            note = f"; {len(sample) or 1} bases" + (" (truncated)" if truncated else "")
-            verdicts = verdict_suite(L, cap)
-            assert all(v.passed for v in verdicts), (L, cap)
-            assert {v.name for v in verdicts if v.detail.endswith(note)} == noted, (L, cap)
-            unnoted.append([v for v in verdicts if v.name not in noted])
-            truncations.add(truncated)
-        assert unnoted[0] == unnoted[1] == unnoted[2], L
-    assert truncations == {False, True}
-
-
-def test_local_acyclicity_does_not_depend_on_the_cap():
-    # Z4 x Z4 is cyclic with 64 bases of lines, none with a cyclic
-    # localization; a cap of at most 5 truncates the bases sample
-    L = z4_squared()
-    ctx = AnalysisContext(L)
-    assert not any(
-        some_choice_has_a_cycle(localization_choices(L, ctx.intervals, u, v))
-        for u, v, _, _ in ctx.coverings
-    )
-    assert ctx.locally_acyclic is True
-    for cap in range(6):
-        assert bol_sample(ctx.witnesses, cap)[1]
-        verdicts = verdict_suite(L, cap)
-        assert all(v.passed for v in verdicts), cap
-        assert "locally acyclic interval identity" in {v.name for v in verdicts}
-
-
 def test_coloured_cycles_match_the_enumeration_on_random_witness_graphs():
     # a witness graph is, per interval, disjoint point masks, one per atom;
     # its lines take one point from each mask
@@ -518,29 +478,16 @@ def test_line_feet_cover_every_witness_pair():
     assert not verdict.passed
 
 
-def test_acyclic_lattice_is_locally_acyclic_under_any_cap():
-    # cap 0 leaves the bases sample truncated, but M3 is acyclic
-    L = m_n(3)
-    ctx = AnalysisContext(L)
-    verdicts = check_point_count(ctx) + check_interval_bounds(ctx)
-    assert ctx.locally_acyclic is True and bol_sample(ctx.witnesses, 0)[1]
-    assert "locally acyclic interval identity" in {v.name for v in verdicts}
-    assert all(v.passed for v in verdicts)
-    suite = verdict_suite(L, 0)
-    assert "locally acyclic interval identity" in {v.name for v in suite}
-    assert all(v.passed for v in suite)
-
-
 def test_shared_localization_pass_matches_localize():
     lattices = [L for _, L in standard_corpus()] + [subgroup_lattice(parse_group("4,8"))]
     seen = set()
     for L in lattices:
         ctx = AnalysisContext(L)
         points, tops = frozenset(bits(L.ji_mask)), [iv.top for iv in ctx.intervals]
-        for masks in bol_sample(ctx.witnesses, 50)[0]:
+        for masks in itertools.islice(all_bols(ctx.witnesses), 50):
             lines = [frozenset(bits(m)) for m in masks]
             B = Pls(points, tuple(lines))
-            comps, r = ctx.base_facts(masks)
+            comps, r = mask_components(masks, L.ji_mask)
             assert sorted(comps) == sorted(
                 sum(1 << p for p in comp) for comp in union_find_components(B)
             ), L
@@ -548,7 +495,7 @@ def test_shared_localization_pass_matches_localize():
             for k, (u, v, _, _) in enumerate(ctx.coverings):
                 P = oracles.localize(L, lines, tops, u, v)
                 cyclic = find_cycle(P) is not None
-                # a sampled base with a cyclic or split localization is
+                # a listed base with a cyclic or split localization is
                 # one of all bases
                 assert ctx.cyclic_at(k) or not cyclic, (L, u, v)
                 assert len(union_find_components(P)) == 1 or not ctx.connected_at(k), (L, u, v)
@@ -630,10 +577,12 @@ def test_a_covering_past_the_search_bound_fails_the_localizations_check():
 
 
 def test_an_option_that_no_sampled_base_takes_fails_the_localizations_check(monkeypatch):
-    # the 1,000 bases that the suite samples on Z4 x Z8 take every line
-    # from the canonical base on intervals 0-3, since intervals 4-7 alone
-    # have 1,152 choices; one witness more there, above the slot's lowest,
-    # splits a localization of some base that the sample never reaches
+    # the first 1,000 bases of Z4 x Z8, which the suite once sampled,
+    # take every line from the canonical base on intervals 0-3, since
+    # intervals 4-7 alone have 1,152 choices; one witness more there,
+    # above the slot's lowest, splits a localization of some base that
+    # the sample never reached, and both the localizations check and the
+    # components check, which rests on it, fail and name that covering
     L = subgroup_lattice(parse_group("4,8"))
     ctx = AnalysisContext(L)
 
@@ -650,14 +599,19 @@ def test_an_option_that_no_sampled_base_takes_fails_the_localizations_check(monk
                   for q in bits(L.ji_mask & ~sum(ctx.witnesses[i]) & -(2 * w))
                   for doc, k in [first_split(i, a, q)] if k is not None)
     assert _every_base_connected(doc, k) is False
-    sample, truncated = bol_sample(doc.witnesses)
-    assert truncated and all(B[:4] == ctx.base[:4] for B in sample)
+    sample = list(itertools.islice(all_bols(doc.witnesses), 1000))
+    assert base_count(doc.witnesses) > 1000 and all(B[:4] == ctx.base[:4] for B in sample)
     assert all(len(mask_components([B[j] & pts for j in bits(qual)], pts)[0]) == 1
                for B in sample for _, _, pts, qual in doc.coverings)
+    assert all(set(mask_components(B, L.ji_mask)[0]) == ctx.class_partition for B in sample)
     monkeypatch.setattr(modlat.analysis, "witness_masks", lambda L, ivs: doc.witnesses)
     u, v, _, _ = doc.coverings[k]
-    assert _verdict(verdict_suite(L), "localizations connected") == (
-        "localizations connected", False, f"covering ({u},{v}) splits in some base")
+    split = f"covering ({u},{v}) splits in some base"
+    verdicts = verdict_suite(L)
+    assert _verdict(verdicts, "localizations connected") == (
+        "localizations connected", False, split)
+    assert _verdict(verdicts, "components match projectivity") == (
+        "components match projectivity", False, split)
 
 
 def test_cyclic_localizations_persist_up_transpositions():
@@ -684,15 +638,16 @@ def test_connected_localizations_make_each_sampled_base_match_the_classes(monkey
     # localization is connected has each class inside one component, and
     # the witness spans put each component inside one class; on these
     # lattices the merge leaves one part at every covering, so
-    # `connected_at` decides them with no union search
+    # `connected_at` decides them with no union search.  The bases are
+    # the first 1,000 that `all_bols` lists
     monkeypatch.setattr(modlat.analysis, "SEARCH_PARTS", 1)
     lattices = [L for _, L in standard_corpus()]
     lattices += [subgroup_lattice(parse_group(g)) for g in ("4,8", "2,4,8")]
     for L in lattices:
         ctx = AnalysisContext(L)
         assert all(ctx.connected_at(k) for k in range(len(ctx.coverings))), L
-        for B in bol_sample(ctx.witnesses)[0]:
-            assert set(ctx.base_facts(B)[0]) == ctx.class_partition, L
+        for B in itertools.islice(all_bols(ctx.witnesses), 1000):
+            assert set(mask_components(B, L.ji_mask)[0]) == ctx.class_partition, L
 
 
 def test_components_match_projectivity_reports_the_first_split_pair():
@@ -702,13 +657,12 @@ def test_components_match_projectivity_reports_the_first_split_pair():
     first, second, third = sorted(doctored.class_partition)  # one point each
     merged = second | third
     doctored.class_partition = frozenset({first, merged})
-    comp_of = {p: k for k, comp in enumerate(doctored.base_facts(doctored.base)[0])
-               for p in bits(comp)}
+    comp_of = {p: k for k, comp in enumerate(doctored.base_facts[0]) for p in bits(comp)}
     want = next(
         (p, q) for p, q in itertools.combinations(sorted(doctored.lower), 2)
         if (comp_of[p] == comp_of[q]) != (merged >> p & merged >> q & 1 == 1)
     )
-    verdict = check_components_match_projectivity(doctored, doctored.base)
+    verdict = check_components_match_projectivity(doctored)
     assert not verdict.passed
     assert verdict.detail == f"points {want[0]}, {want[1]}: component False, class True"
 
@@ -1023,85 +977,87 @@ def test_verdict_suite_is_clean_on_the_corpus(name, L):
 
 @pytest.mark.parametrize("group", ["25,25", "27,27", "32,32"])
 def test_verdict_suite_passes_on_wide_cyclic_products(group):
-    # each has an interval with more lines than the default cap, which
-    # once cut the sample to the canonical base; Z32 x Z32 also ran out
-    # of memory listing cycles of line-tops
+    # each has an interval with more than 1,000 lines, which once cut the
+    # bases sample to the canonical base; Z32 x Z32 also ran out of memory
+    # listing cycles of line-tops.  The components check now holds in
+    # every base
     verdicts = verdict_suite(subgroup_lattice(parse_group(group)))
     assert all(v.passed for v in verdicts), [str(v) for v in verdicts if not v.passed]
-    assert "1000 bases (truncated)" in _verdict(verdicts, "split counts observed").detail
+    assert _verdict(verdicts, "components match projectivity").detail.endswith(
+        " points agree in every base")
 
 
-def test_verdict_suite_survives_an_empty_bases_sample():
-    # cap 0 stops all_bols before it yields a base; the suite then runs on
-    # the canonical base alone
-    verdicts = verdict_suite(z4_squared(), bols_cap=0)
-    assert all(v.passed for v in verdicts), [str(v) for v in verdicts if not v.passed]
-    assert "1 bases (truncated)" in _verdict(verdicts, "split counts observed").detail
-
-
-# sha256 over str(v) + "\n" for every verdict of verdict_suite(L, cap): the
+# sha256 over str(v) + "\n" for every verdict of verdict_suite(L): the
 # strings that `verify` prints only when they fail
 SUITE_PINNED = {
-    ("4,8", 1000): "d1fb3bf895f3525f51d17a4453e226fdea8da4c686c9a002c6d9c8f4a6b68d71",
-    ("2,2,4", 1000): "997b4de16497c90dae443a194aaba8d462f25d392a2a9dd798c153f02e0220f6",
-    ("2,4,8", 1000): "b2e96f8a6142325615c5be42f7ed15b878f4ad197d4e923e047af2e992ef8c9f",
-    ("seven-point", 1000): "48180688446583b448a520084f6239d2c232464ee8e921ff3f5c877e9195bce7",
-    ("4,4", 0): "2dc449c75b855e0e53caf2d3085253df14868c1b254caba0b47e1faf579e4ae9",
-    ("4,4", 7): "5fbe90689820e3430ddbbeafa807e10fe12190bffe004329fcc74bf293c15d51",
+    "4,8": "4919f08f507c67d3271fe64a55e74b23ee4fb2a91c346d93a24332ec710c3c5c",
+    "2,2,4": "e8b80ee44d299ae00cc796e0809012d5cd9e98d6fe064d9739e69be983a3b656",
+    "2,4,8": "bc0eae182ae241752529ca6f0953d935f53831796a424b0ae5b2779e5ababc48",
+    "seven-point": "f1f51d3c65a84e7da6ebbf03272da134707c1eb96a601526fa51f75d1d0e5362",
 }
 
 
-@pytest.mark.parametrize("name,cap", SUITE_PINNED, ids=lambda v: str(v))
-def test_verdict_suite_strings_are_pinned(name, cap):
+@pytest.mark.parametrize("name", SUITE_PINNED)
+def test_verdict_suite_strings_are_pinned(name):
     L = seven_point_lattice() if name == "seven-point" else subgroup_lattice(parse_group(name))
-    text = "".join(f"{v}\n" for v in verdict_suite(L, cap))
-    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_PINNED[name, cap], text
+    text = "".join(f"{v}\n" for v in verdict_suite(L))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_PINNED[name], text
 
 
-def test_verdict_suite_matches_the_merge_over_every_sampled_base(monkeypatch):
-    # samples with lines cut short make the per-base checks fail on some
-    # bases and not on others
-    rng = random.Random(3)
-    sample_of = modlat.analysis.bol_sample
-    outcomes = set()
-    for name in ["2,2,2", "2,2,4", "4,4", "seven-point"] * 10:
-        L = seven_point_lattice() if name == "seven-point" else subgroup_lattice(parse_group(name))
-        cap, p = rng.choice([0, 5, 40, 1000]), rng.choice([0.02, 0.1, 0.3])
-        ctx = AnalysisContext(L)
-        sample, truncated = sample_of(ctx.witnesses, cap)
-        sample = sample or [ctx.base]
-        doctored = [tuple(m & (m - 1) if rng.random() < p else m for m in B) for B in sample]
-        monkeypatch.setattr(modlat.analysis, "bol_sample", lambda w, cap: (doctored, truncated))
-        want = oracles.merged_verdict_suite(L, cap)
-        assert verdict_suite(L, cap) == want, (name, cap)
-        outcomes.add(all(v.passed for v in want))
-    assert outcomes == {True, False}
+def test_derived_verdicts_match_the_per_base_reference():
+    # the components check and "split counts observed" are derived from
+    # `connected_at` and the witness spans; the reference lists the bases
+    # and checks each, all of them where they number at most 50,000 and
+    # the first 1,000 otherwise (Z2 x Z4 x Z8 has about 3.7e19)
+    lattices = [L for _, L in standard_corpus()]
+    groups = ("2,2,4", "4,8", "9,9", "2,2,8", "2,4,8")
+    lattices += [subgroup_lattice(parse_group(g)) for g in groups]
+    limits = set()
+    for L in lattices:
+        limit = None if base_count(AnalysisContext(L).witnesses) <= 50_000 else 1000
+        match, rstars = oracles.per_base_reference(L, limit)
+        verdicts = verdict_suite(L)
+        assert _verdict(verdicts, "components match projectivity").passed is match, L
+        assert _verdict(verdicts, "split counts observed").detail == f"r* values {rstars}", L
+        limits.add(limit)
+    assert limits == {None, 1000}
 
 
-def test_a_sampled_base_with_more_components_fails_the_components_check(monkeypatch):
-    # cutting the lowest point off each line of a non-canonical base of
-    # Z4 x Z4 splits it into four components, while the lattice has one
-    # projectivity class; the suite reports that base's first split pair
+def test_a_doctored_table_with_a_base_of_more_components_fails_the_components_check(monkeypatch):
+    # one witness more in a slot of Z4 x Z4, above the slot's lowest,
+    # leaves the canonical base as it is but lets some base leave a point
+    # on no line, so that base has more components than the lattice's one
+    # projectivity class; the derivation then fails at a covering that
+    # splits, and the components check names it
     L = z4_squared()
     ctx = AnalysisContext(L)
-    sample, _ = bol_sample(ctx.witnesses)
-    sample[5] = cut = tuple(m & (m - 1) for m in sample[5])
-    monkeypatch.setattr(modlat.analysis, "bol_sample", lambda w, cap: (sample, False))
-    comps = ctx.base_facts(cut)[0]
-    assert len(comps) == 4 and len(ctx.class_partition) == 1
-    comp_of = {p: k for k, comp in enumerate(comps) for p in bits(comp)}
-    p, q = next((p, q) for p, q in itertools.combinations(sorted(ctx.lower), 2)
-                if comp_of[p] != comp_of[q])
-    verdicts = verdict_suite(L)
-    assert _verdict(verdicts, "components match projectivity") == (
-        "components match projectivity", False, f"points {p}, {q}: component False, class True"
-    )
+    assert len(ctx.class_partition) == 1
+
+    def doctored(i, a, q):
+        doc = AnalysisContext(L)
+        ws = list(ctx.witnesses)
+        ws[i] = ws[i][:a] + (ws[i][a] | 1 << q,) + ws[i][a + 1:]
+        doc.witnesses = tuple(ws)
+        return doc
+
+    def has_a_split_base(doc):
+        return any(len(mask_components(B, L.ji_mask)[0]) > 1 for B in all_bols(doc.witnesses))
+
+    doc = next(doc for i, ws in enumerate(ctx.witnesses) for a, w in enumerate(ws)
+               for q in bits(L.ji_mask & ~sum(ws) & -(2 * w))
+               for doc in [doctored(i, a, q)] if has_a_split_base(doc))
+    assert doc.base == ctx.base and set(doc.base_facts[0]) == ctx.class_partition
+    assert doc.first_split.endswith("splits in some base")
+    want = ("components match projectivity", False, doc.first_split)
+    assert check_components_match_projectivity(doc) == want
+    monkeypatch.setattr(modlat.analysis, "witness_masks", lambda L, ivs: doc.witnesses)
+    assert _verdict(verdict_suite(L), "components match projectivity") == want
     assert all(v.passed for v in check_interval_bounds(ctx))
 
 
 def test_interval_bounds_run_once_per_suite(monkeypatch):
-    # the bounds read the canonical base alone, however many bases are
-    # sampled
+    # the bounds read the canonical base alone, however many bases there
+    # are
     calls = []
     bounds = modlat.analysis.check_interval_bounds
 
@@ -1146,24 +1102,46 @@ def test_shared_facts_are_computed_once(monkeypatch, run):
     monkeypatch.setattr(modlat.bol, "canonical_bol", counted("canonical_bol", modlat.bol.canonical_bol))
     run(L)
     # localizations are read off the context's coverings, never rebuilt,
-    # every base is read off one witness table, and only the suite
-    # samples bases
+    # every base is read off one witness table, and no base is listed
     assert calls == {
-        "all_bols": int(run is verdict_suite), "transpose_masks": 1, "localize": 0,
+        "all_bols": 0, "transpose_masks": 1, "localize": 0,
         "line_intervals": 1, "witness_masks": 1, "canonical_bol": 0,
     }
 
 
-def test_component_count_does_not_build_the_bases_sample(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the bases sample was built")
+def test_no_verdict_or_command_lists_bases_of_lines(monkeypatch, tmp_path, capsys):
+    # with `all_bols` made to raise, every verdict, the profile, and the
+    # commands that read bases give what they give unpatched
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [z4_squared(), subgroup_lattice(parse_group("2,4,8"))]
+    lat = tmp_path / "z2z4z8.json"
+    lat.write_text(json.dumps(lattice_to_json(lattices[-1])))
+    argvs = [["verify"], ["analyze", "--lattice", str(lat)],
+             ["bol", "--lattice", str(lat), "--all-bols"]]
 
-    monkeypatch.setattr(modlat.analysis, "bol_sample", refuse)
-    for L, want in [(m_n(3), 1), (seven_point_lattice(), 1), (z4_squared(), 1)]:
-        ctx = AnalysisContext(L)
-        assert component_count(ctx) == want
-    with pytest.raises(AssertionError, match="bases sample"):
-        verdict_suite(z4_squared())
+    def run():
+        out = [(verdict_suite(L), params(L)) for L in lattices]
+        for argv in argvs:
+            code = modlat.cli.main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    want = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bases of lines were listed")
+
+    listing = modlat.bol.all_bols
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("modlat") and getattr(mod, "all_bols", None) is listing:
+            monkeypatch.setattr(mod, "all_bols", refuse)
+    with pytest.raises(AssertionError, match="were listed"):
+        next(modlat.bol.all_bols(()))
+    assert run() == want
+    assert all(v.passed for suite, _ in want[: len(lattices)] for v in suite)
+    verify, _, count = want[len(lattices):]
+    assert verify[0] == 0 and verify[1].endswith("\n33 lattices, 0 failing checks\n")
+    assert count == (0, "37396835774521933824 bases; r* values [64]\n")
 
 
 def test_verdict_rendering():

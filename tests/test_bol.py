@@ -12,7 +12,7 @@ from modlat.bol import (
     CapExceeded,
     NotACovering,
     all_bols,
-    bol_sample,
+    base_count,
     bol_to_json,
     canonical_bol,
     check_candidates,
@@ -145,16 +145,14 @@ def test_all_bols_yield_validated_structures():
     lattices += [subgroup_lattice(parse_group(g)) for g in ("4,8", "8,8", "2,4,8")]
     for L in lattices:
         ivs = line_intervals(L)
-        sample, _ = bol_sample(witness_masks(L, ivs))
-        assert sample
-        for masks in sample:
+        for masks in islice(all_bols(witness_masks(L, ivs)), 1000):
             assert [m.bit_count() for m in masks] == [iv.n for iv in ivs]
             validate_pls(ji_elements(L), [frozenset(bits(m)) for m in masks])
 
 
 # the corpus and cyclic-factor groups whose intervals have several lines
 ORDER_CASES = standard_corpus() + [
-    (f"L({g})", subgroup_lattice(parse_group(g))) for g in ("2,8", "4,4", "4,8", "9,9")
+    (f"L({g})", subgroup_lattice(parse_group(g))) for g in ("2,8", "4,4", "4,8", "9,9", "2,2,8")
 ]
 
 
@@ -172,16 +170,22 @@ def test_all_bols_is_the_product_of_the_line_choices(cap):
         want = list(islice(product(*choices), cap + 1))
         assert got == want[:cap], name
         assert raised == (len(want) > cap), name
+        # uncapped, all_bols yields exactly base_count bases
+        count = base_count(witness_masks(L, ivs))
+        assert sum(1 for _ in all_bols(witness_masks(L, ivs), cap=count)) == count, name
 
 
 def test_all_bols_samples_past_a_wide_interval():
     # one interval of Z25 x Z25 has 15,625 lines, more than the cap; that
-    # no longer stops the sample before its first base
+    # no longer stops the listing before its first base
     L = subgroup_lattice(parse_group("25,25"))
     witnesses = witness_masks(L, line_intervals(L))
     assert max(prod(w.bit_count() for w in ws) for ws in witnesses) == 15625
-    sample, truncated = bol_sample(witnesses)
-    assert truncated and len(sample) == len(set(sample)) == 1000
+    bases = all_bols(witnesses)
+    sample = list(islice(bases, 1000))
+    assert len(sample) == len(set(sample)) == 1000
+    with pytest.raises(CapExceeded):
+        next(bases)
 
 
 @pytest.mark.parametrize("name,L", ORDER_CASES, ids=lambda v: v if isinstance(v, str) else "")

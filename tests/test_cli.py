@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -382,42 +381,16 @@ def test_bol_all_bases(files, capsys):
     assert capsys.readouterr().out.strip() == "4 bases; r* values [0]"
 
 
-def test_bol_all_bases_truncates(files, capsys):
-    assert main(["bol", "--lattice", files["seven"], "--all-bols", "--cap", "2"]) == 0
-    assert "(truncated)" in capsys.readouterr().out
-
-
-def test_bol_all_bases_samples_up_to_the_cap(tmp_path, capsys):
-    # an interval of Z4 x Z4 has 8 lines; the cap bounds only the bases
-    lat = tmp_path / "z4z4.json"
-    lat.write_text(json.dumps(lattice_to_json(subgroup_lattice(parse_group("4,4")))))
-    assert main(["bol", "--lattice", str(lat), "--all-bols", "--cap", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "2 bases (truncated); r* values [2]"
-
-
-def test_bol_all_bases_at_cap_zero(files, capsys):
-    assert main(["bol", "--lattice", files["m3"], "--all-bols", "--cap", "0"]) == 0
-    assert capsys.readouterr().out.strip() == "0 bases (truncated); r* values []"
-
-
-def test_bol_all_bases_memory_does_not_grow_with_the_cap(tmp_path, capsys):
-    # Z4 x Z16 has more than 4000 bases of lines; a list of them all would
-    # take about 0.4 MB more at cap 4000 than at cap 250
-    lat = tmp_path / "z4z16.json"
-    lat.write_text(json.dumps(lattice_to_json(subgroup_lattice(parse_group("4,16")))))
-    argv = ["bol", "--lattice", str(lat), "--all-bols", "--cap"]
-    main(argv + ["1"])  # loads the modules the command imports, outside the trace
-    capsys.readouterr()
-    peaks = {}
-    for cap in (250, 4000):
-        tracemalloc.start()
-        try:
-            assert main(argv + [str(cap)]) == 0
-            peaks[cap] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert capsys.readouterr().out == f"{cap} bases (truncated); r* values [6]\n"
-    assert peaks[4000] < 1.5 * peaks[250], peaks
+def test_bol_all_bases_prints_the_exact_count(tmp_path, capsys):
+    # the count is the product of the witness counts, exact past 1e95,
+    # and every base has the canonical base's r*; no base is listed
+    lat = tmp_path / "z32z32.json"
+    lat.write_text(json.dumps(lattice_to_json(subgroup_lattice(parse_group("32,32")))))
+    assert main(["bol", "--lattice", str(lat), "--all-bols"]) == 0
+    count = ("63750218024911017492143277448629900318480846562159980547907128554789273600"
+             "0000000000000000000000")
+    assert len(count) == 96
+    assert capsys.readouterr().out == f"{count} bases; r* values [74]\n"
 
 
 def test_bol_out_feeds_rstar(files, capsys, tmp_path):
@@ -659,22 +632,12 @@ def test_deeply_nested_json_is_a_usage_error(files, tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["bol", "--lattice", "{m3}", "--all-bols"]],
-    ids=lambda argv: argv[0],
-)
-def test_negative_cap_is_a_usage_error(files, capsys, argv):
-    assert main([arg.format(**files) for arg in argv] + ["--cap", "-1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "ValueError: --cap must be at least 0, not -1\n"
-
-
-@pytest.mark.parametrize(
-    "argv",
     [
         ["analyze", "--lattice", "{m3}"],
         ["subgroup-lattice", "--group", "2,2", "--analyze"],
-        # the default cap already samples every base of the stock corpus
         ["verify"],
+        # the count of bases is a product, so no base is listed
+        ["bol", "--lattice", "{m3}", "--all-bols"],
     ],
     ids=lambda argv: argv[0],
 )
