@@ -9,11 +9,10 @@ their join-irreducibles are the minimal generated sets A_v containing
 each universe element, each an int mask over the universe, and a
 down-set of them stands for the OR of its masks.
 
-The subgroup half needs only `lattice`.  Two functions reach into
-`rebuild` and `wildcard`: `distributive_lattice` for the ideal
-enumerator and `rebuild.closed_ideals_lattice`, and `enumeration_input`
-for `rebuild.enumeration_data`.  Both import them inside their bodies,
-so that `subgroup-lattice` loads neither module.
+The subgroup half needs only `lattice`.  One function reaches into
+`rebuild` and `wildcard`: `distributive_lattice`, for the ideal
+enumerator and `rebuild.closed_ideals_lattice`.  It imports them inside
+its body, so that `subgroup-lattice` loads neither module.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from functools import cached_property, reduce
 from math import gcd, prod
 from operator import and_, or_
 
-from .lattice import CapExceeded, LatticeError, build_lattice, check_lattice_size, covers_from_below
+from .lattice import CapExceeded, Lattice, LatticeError, check_lattice_size, covers_from_below
 
 ORDER_CAP = 4096
 
@@ -38,13 +37,6 @@ class Group:
         self.order = prod(self.factors)
         if self.order > ORDER_CAP:
             raise CapExceeded(f"group order {self.order} exceeds {ORDER_CAP}")
-
-    @property
-    def zero(self):
-        return (0,) * len(self.factors)
-
-    def add(self, x, y):
-        return tuple((a + b) % f for a, b, f in zip(x, y, self.factors))
 
     @cached_property
     def elements(self):
@@ -225,19 +217,9 @@ def subgroup_lattice(G):
     is complete.  The subgroups' masks are attached as `subgroups`."""
     num = _Numbered(G)
     family, covers = _subgroup_family(num)
-    L = build_lattice([num.name(m) for m in family], covers)
+    L = Lattice(len(family), covers, [num.name(m) for m in family])
     L.subgroups = family
     return L
-
-
-def enumeration_input(G):
-    """The ground data the ideal enumerator needs for G: the poset of the
-    join-irreducible subgroups and the sorted lines of the canonical base
-    of lines, both read off the subgroup lattice."""
-    from .rebuild import enumeration_data
-
-    poset, _, lines = enumeration_data(subgroup_lattice(G))
-    return poset, sorted(lines)
 
 
 # -- set systems and generated distributive lattices --------------------

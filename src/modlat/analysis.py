@@ -46,10 +46,6 @@ class ClaimViolated(LatticeError):
     """An assertion inside the cyclic-localization construction failed."""
 
 
-class NotALineTop(LatticeError):
-    pass
-
-
 # -- analysis context --------------------------------------------------
 
 SEARCH_PARTS = 16  # `connected_at` tries the unions of at most this many parts
@@ -582,10 +578,6 @@ def cyclic_localization_witness(L, ivs, masks, config):
 # -- cycles of line-tops -----------------------------------------------
 
 
-def _require_top(tops, x):
-    if x not in tops:
-        raise NotALineTop(f"{x} is not the top of a line interval")
-
 def _tight_masks(L, tops):
     """Per line-top y, the mask of the line-tops strictly below y but not
     below the bottom of y's interval."""
@@ -660,25 +652,16 @@ def _blocked_valley(L, tops, v, u, z):
 
 
 def _is_clean(L, tops, below, cycle):
-    """Whether a cycle of line-tops avoids the blocked local patterns.
+    """Whether a cycle of line-tops, as from `_top_cycles`, avoids the
+    blocked local patterns.
 
     Around every peak v <* u >* z and every valley v >* u <* z the three
     tops must not be simultaneously mutually comparable and wired to a
-    single covering of u's interval; repeated tops are never clean.
+    single covering of u's interval.
     """
-    seq = tuple(cycle)
-    if len(seq) < 3:
-        raise ValueError("a cycle needs at least three line-tops")
-    for x in seq:
-        _require_top(tops, x)
-    if len(set(seq)) != len(seq):
-        return False
-    k = len(seq)
+    k = len(cycle)
     for idx in range(k):
-        v, u, z = seq[idx - 1], seq[idx], seq[(idx + 1) % k]
-        for a, b in ((v, u), (u, z)):
-            if not (below[b] >> a | below[a] >> b) & 1:
-                raise ValueError(f"{a} and {b} are not tightly comparable")
+        v, u, z = cycle[idx - 1], cycle[idx], cycle[(idx + 1) % k]
         into = below[u] >> v & 1
         outof = below[z] >> u & 1
         if into and not outof and _blocked_peak(L, tops, v, u, z):

@@ -25,7 +25,7 @@ from math import prod
 from typing import NamedTuple
 
 from .lattice import CapExceeded, LatticeError, bits, require_modular
-from .pls import TwoPointIntersection, _pkey
+from .pls import TwoPointIntersection
 
 BOLS_CAP = 1000  # the default bound on the bases `all_bols` lists
 
@@ -175,10 +175,10 @@ def localize(L, ivs, masks, a, b):
 
 def masks_to_json(pts, masks):
     """The point mask `pts` and the line `masks` as `pls.pls_from_json`
-    reads a structure: point ids in `_pkey` order."""
+    reads a structure: point ids ascending."""
     return {
-        "points": sorted(bits(pts), key=_pkey),
-        "lines": [sorted(bits(m), key=_pkey) for m in masks],
+        "points": list(bits(pts)),
+        "lines": [list(bits(m)) for m in masks],
     }
 
 

@@ -30,7 +30,6 @@ from .lattice import (
     PlsError,
     WildcardError,
     bits,
-    ji_elements,
     lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
@@ -190,7 +189,7 @@ def cmd_rebuild(args):
         print(lattice_to_dot(L))
     else:
         print(
-            f"{L.n} elements, {len(ji_elements(L))} join-irreducibles, "
+            f"{L.n} elements, {L.ji_mask.bit_count()} join-irreducibles, "
             f"{len(line_intervals(L))} line intervals, "
             f"roundtrip {'ok' if ok else 'FAILED'}"
         )
@@ -232,15 +231,19 @@ def cmd_bol(args):
 
     L = lattice_from_json(_load(args.lattice))
     if args.all_bols:
-        witnesses = witness_masks(L, line_intervals(L))
-        # every base has the canonical base's components, so its r*
-        # (`analysis.check_components_match_projectivity`)
-        r = mask_components(canonical_masks(witnesses), L.ji_mask)[1]
-        print(f"{base_count(witnesses)} bases; r* values [{r}]")
-        return 0
-    ivs, masks = canonical_bol(L)
+        ivs = line_intervals(L)
+        witnesses = witness_masks(L, ivs)
+        masks = canonical_masks(witnesses)
+    else:
+        ivs, masks = canonical_bol(L)
     if args.out:
         _write_json(args.out, bol_to_json(L, ivs, masks))
+    if args.all_bols:
+        # every base has the canonical base's components, so its r*
+        # (`analysis.check_components_match_projectivity`)
+        r = mask_components(masks, L.ji_mask)[1]
+        print(f"{base_count(witnesses)} bases; r* values [{r}]")
+        return 0
     for m, iv in zip(masks, ivs):
         print(f"{_line_names(L, m)} top {L.name(iv.top)}")
     print(f"{L.ji_mask.bit_count()} points, {len(masks)} lines, "

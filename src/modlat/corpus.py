@@ -1,4 +1,4 @@
-"""Stock lattices, posets and point-line structures for the test battery.
+"""Stock lattices and posets for the test battery and `verify`.
 
 Everything here is deterministic: the random distributive lattices are
 seeded, so the whole corpus can serve as a reproducible regression bed
@@ -10,8 +10,7 @@ from __future__ import annotations
 import random
 
 from .algebra import parse_group, subgroup_lattice
-from .lattice import build_lattice, covers_from_below
-from .pls import validate_pls
+from .lattice import Lattice, covers_from_below
 from .rebuild import ideals_lattice
 from .wildcard import GroundPoset
 
@@ -22,7 +21,7 @@ def m_n(n):
         raise ValueError("need at least one middle element")
     covers = [(0, k) for k in range(1, n + 1)] + [(k, n + 1) for k in range(1, n + 1)]
     names = ["0"] + [f"m{k}" for k in range(1, n + 1)] + ["1"]
-    return build_lattice(n + 2, covers, names=names)
+    return Lattice(n + 2, covers, names)
 
 
 def boolean_lattice(k):
@@ -31,26 +30,12 @@ def boolean_lattice(k):
         (x, x | 1 << b) for x in range(1 << k) for b in range(k) if not x & 1 << b
     ]
     names = [format(x, f"0{k}b")[::-1] if k else "e" for x in range(1 << k)]
-    return build_lattice(1 << k, covers, names=names)
+    return Lattice(1 << k, covers, names)
 
 
 def chain(n):
     """Total order on n elements."""
-    return build_lattice(n, [(k, k + 1) for k in range(n - 1)])
-
-
-def fano_pls():
-    """The seven-point plane: every pair of points on exactly one line."""
-    lines = [
-        (1, 2, 4),
-        (2, 3, 5),
-        (3, 4, 6),
-        (4, 5, 7),
-        (5, 6, 1),
-        (6, 7, 2),
-        (7, 1, 3),
-    ]
-    return validate_pls(range(1, 8), [frozenset(l) for l in lines])
+    return Lattice(n, [(k, k + 1) for k in range(n - 1)])
 
 
 # -- the seven-point running fixture ------------------------------------

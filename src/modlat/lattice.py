@@ -9,11 +9,11 @@ point set such as J(a, b) is `down[b] & ~down[a] & ji_mask`.  The join of
 x and y is the element whose up-mask is up[x] & up[y], found by one dict
 lookup (dually for meets); a pair with no such element has no least bound.
 Construction checks that the order is a lattice in time linear in the pairs
-of upper covers, and no n x n table is ever built.  Every builder hands
-it covers, and the order is fixed at construction.  Later writes only
-cache derived facts (`atoms`, `height`, `modular`, which is one mask test
-per cover, and `cover_set`, which only `is_isomorphic` reads) or attach
-`subgroups` (in `algebra.subgroup_lattice`) and `member_sets` (in
+of upper covers, and no n x n table is ever built.  Every builder calls
+`Lattice(n, covers, names)` directly, and the order is fixed at
+construction.  Later writes only cache derived facts (`height`, and
+`modular`, which is one mask test per cover) or attach `subgroups` (in
+`algebra.subgroup_lattice`) and `member_sets` (in
 `rebuild.closed_ideals_lattice`, from masks) to the lattice just built.
 Everything here targets desk scale: no lattice past LATTICE_CAP elements
 is built.
@@ -212,14 +212,6 @@ class Lattice:
         return self.names[x] if self.names else str(x)
 
     @cached_property
-    def atoms(self):
-        return tuple(self._upcov[self.bottom])
-
-    @cached_property
-    def coatoms(self):
-        return tuple(self._lowcov[self.top])
-
-    @cached_property
     def height(self):
         return self.rank[self.top]
 
@@ -244,11 +236,6 @@ class Lattice:
             below[y] |= up[x]
         return not any(ucov[x] & ~above[y] or lcov[y] & ~below[x] for x, y in self.covers)
 
-    @cached_property
-    def cover_set(self):
-        # the covers as a set; in this package only `is_isomorphic` reads it
-        return frozenset(self.covers)
-
     def __repr__(self):
         return f"Lattice(n={self.n}, covers={len(self.covers)})"
 
@@ -266,25 +253,9 @@ def covers_from_below(below):
     return sorted(covers)
 
 
-def build_lattice(elements, covers, names=None):
-    """Build and validate a lattice.
-
-    `elements` is either an element count or a sequence of names.
-    """
-    if isinstance(elements, int):
-        return Lattice(elements, covers, names)
-    names = [str(e) for e in elements]
-    return Lattice(len(names), covers, names)
-
-
 def require_modular(L):
     if not L.modular:
         raise NotModular("operation requires a modular lattice")
-
-
-def ji_elements(L):
-    """The join-irreducible elements, ascending."""
-    return tuple(bits(L.ji_mask))
 
 
 def lower_star(L, p):
@@ -362,14 +333,15 @@ def is_isomorphic(L1, L2):
     order = sorted(range(L1.n), key=lambda v: len(cands[v]))
     assigned = {}
     used = set()
+    covers1, covers2 = set(L1.covers), set(L2.covers)
 
     def compatible(v, w):
         for v2, w2 in assigned.items():
             if L1.leq(v, v2) != L2.leq(w, w2) or L1.leq(v2, v) != L2.leq(w2, w):
                 return False
-            if ((v, v2) in L1.cover_set) != ((w, w2) in L2.cover_set):
+            if ((v, v2) in covers1) != ((w, w2) in covers2):
                 return False
-            if ((v2, v) in L1.cover_set) != ((w2, w) in L2.cover_set):
+            if ((v2, v) in covers1) != ((w2, w) in covers2):
                 return False
         return True
 

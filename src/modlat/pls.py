@@ -2,17 +2,15 @@
 share at most one point.
 
 Lines are index-addressed (position in the `lines` tuple); points may be
-ints or strings.  Point ids of the form "+k" are reserved for the points
-that `split_point` mints, so inputs should avoid that shape.
+ints or strings.
 
 The cyclomatic number of the bipartite point-line incidence graph,
-`rstar`, counts the independent cycles.  `mask_components`, on int masks
-of points, is the one routine for components and r*: `components` and
-`rstar` call it on a `Pls`, `analysis` on bases of lines.  Its merge step,
-`merge_masks`, also serves `analysis`' witness graphs.  `acyclifier`
-removes the cycles one by one by splitting a point off a line that lies
-on a cycle; each split keeps the incidence count and the component count,
-adds one point, and therefore lowers the cyclomatic number by exactly one.
+`rstar`, counts the independent cycles: it is the number of splits (a
+point detached from one line onto a fresh point) that make the structure
+acyclic while keeping its components (§7).  `mask_components`, on int
+masks of points, is the one routine for components and r*: `components`
+and `rstar` call it on a `Pls`, `analysis` on bases of lines.  Its merge
+step, `merge_masks`, also serves `analysis`' witness graphs.
 """
 
 from __future__ import annotations
@@ -31,10 +29,6 @@ class LineTooSmall(PlsError):
 
 
 class UnknownPoint(PlsError):
-    pass
-
-
-class PointNotOnLine(PlsError):
     pass
 
 
@@ -185,51 +179,9 @@ def _as_cycle(walk):
     return PlsCycle(lines, junctions)
 
 
-def fresh_point(P):
-    """Next unused id from the reserved "+k" namespace."""
-    used = -1
-    for p in P.points:
-        if isinstance(p, str) and p.startswith("+") and p[1:].isdigit():
-            used = max(used, int(p[1:]))
-    return f"+{used + 1}"
-
-
-def split_point(P, line_index, point):
-    """Detach `point` from one line, replacing it there by a fresh point.
-
-    Every other incidence is untouched, so the total incidence count is
-    preserved and the component count cannot change when the split edge
-    lay on a cycle.
-    """
-    if point not in P.lines[line_index]:
-        raise PointNotOnLine(f"point {point!r} is not on line {line_index}")
-    new = fresh_point(P)
-    lines = list(P.lines)
-    lines[line_index] = (lines[line_index] - {point}) | {new}
-    return Pls(P.points | {new}, tuple(lines))
-
-
 def rstar(P):
     """Cyclomatic number of the incidence graph: E - V + c."""
     return _mask_components(P)[2]
-
-
-def acyclifier(P):
-    """A minimum splitting sequence that makes P acyclic.
-
-    Returns [(line_index, point), ...] of length exactly rstar(P); each
-    listed point lies on a cycle of the structure current at that step.
-    """
-    out = []
-    cur = P
-    while True:
-        cyc = find_cycle(cur)
-        if cyc is None:
-            break
-        li, pt = cyc.lines[0], cyc.junctions[0]
-        out.append((li, pt))
-        cur = split_point(cur, li, pt)
-    return out
 
 
 # -- serialization -----------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bol import canonical_bol
-from .lattice import NotAClosureSystem, bits, build_lattice, check_lattice_size, covers_from_below
+from .lattice import Lattice, NotAClosureSystem, bits, check_lattice_size, covers_from_below
 from .wildcard import GroundPoset, enumerate_ideals, rowset_masks, total_count
 
 
@@ -57,7 +57,7 @@ def closed_ideals_lattice(members, labels):
         for e in bits(full & ~b):
             inside &= lacking[e]
         below.append(inside)
-    L = build_lattice(member_names, covers_from_below(below))
+    L = Lattice(len(masks), covers_from_below(below), member_names)
     L.member_sets = tuple(frozenset(labels[i] for i in bits(m)) for m in masks)
     return L
 

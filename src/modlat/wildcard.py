@@ -33,7 +33,9 @@ final rows.  The work it does is counted in an `EnumStats`.  `row_masks`
 lists a row's strings as int masks; `expand` is its 0/1-tuple view.
 
 Row sets are written as text and JSON (`rowset_to_text`,
-`rowset_to_json`) and never read back.  `make_row` is the one checked
+`rowset_to_json`) and never read back; posets and lines are read from
+JSON (`poset_from_json`, `lines_from_json`) and never written.
+`make_row` is the one checked
 constructor: it rejects a row that is not well formed.  The rows that
 `force`, `with_group`, `_try_merge` and the seeding build out of
 well-formed rows are not re-checked.
@@ -437,9 +439,6 @@ class GroundPoset:
         self.strict_up = tuple(u & ~(1 << p) for p, u in enumerate(up))
         self.strict_down = tuple(d & ~(1 << p) for p, d in enumerate(down))
 
-    def label(self, p):
-        return self.labels[p] if self.labels else f"p{p + 1}"
-
 
 class EnumStats(NamedTuple):
     """The work of one `enumerate_ideals` call.
@@ -775,13 +774,6 @@ def rowset_to_json(rowset):
         "labels": list(rowset.labels),
         "provenance": list(rowset.provenance),
         "total": str(total_count(rowset)),
-    }
-
-
-def poset_to_json(poset):
-    return {
-        "points": [poset.label(p) for p in range(poset.width)],
-        "covers": [[poset.label(a), poset.label(b)] for a, b in poset.covers],
     }
 
 

@@ -1,6 +1,23 @@
-"""Independent reference implementations the tests check the package
-against.  Everything here is deliberately brute force and shares no code
-with the modules under test."""
+"""What the tests check the package against, and the inputs they build.
+
+Two kinds of code live here:
+
+- references: independent, deliberately brute-force implementations of
+  what a package function computes (the closed ideals, the enumerator
+  without its shortcuts, union-find components and r*, exhaustive
+  splittings and the acyclifier, transpositions and projectivity
+  classes, group addition (`group_add`, for `_Numbered.translate`),
+  brute-force subgroups and closed forms, the modular law, the per-base
+  choices of lines, Horn closures).  A reference never calls
+  the function it is the reference for.  It may call package code that
+  it does not check: the checked constructors (`validate_pls`,
+  `make_row`), the queries of a `Lattice`, and, in the enumerator
+  references, `seed_order_ideals`, `impose_line` and `_try_merge`.
+- input builders: random posets, rows, structures and families, the
+  Fano plane, the enumerator's input for a group, and writers of the JSON the command line reads (`poset_to_json`,
+  `pls_to_json`, `set_system_to_text`).  These may call the package,
+  since they only make inputs.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +25,10 @@ from collections import Counter
 from itertools import combinations, product
 from math import gcd
 
+from modlat.algebra import subgroup_lattice
 from modlat.lattice import LatticeError, bits
 from modlat.pls import TwoPointIntersection, _pkey, validate_pls
+from modlat.rebuild import enumeration_data
 from modlat.rebuild import Implication
 from modlat import wildcard
 from modlat.wildcard import FIXED0, FIXED1, FREE, GroupSpec, make_row
@@ -34,6 +53,16 @@ def brute_closed_ideals(poset, lines):
         if is_down_closed(poset, string) and all(line_admits(string, l) for l in lines):
             out.add(string)
     return out
+
+
+def poset_to_json(poset):
+    """The poset as `wildcard.poset_from_json` reads it: each point by its
+    label, p1, p2, ... for a poset without labels."""
+    label = poset.labels.__getitem__ if poset.labels else lambda p: f"p{p + 1}"
+    return {
+        "points": [label(p) for p in range(poset.width)],
+        "covers": [[label(a), label(b)] for a, b in poset.covers],
+    }
 
 
 def random_poset_covers(rng, width):
@@ -267,6 +296,12 @@ def random_pls(rng, max_lines=8, max_points=10):
     return validate_pls(points, lines)
 
 
+def fano_pls():
+    """The seven-point plane: every pair of points on exactly one line."""
+    lines = [(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3)]
+    return validate_pls(range(1, 8), [frozenset(l) for l in lines])
+
+
 def union_find_components(P):
     """Components of P's point set, isolated points included, by union-find
     on the points: frozensets ordered by their least point in `_pkey` order."""
@@ -346,6 +381,67 @@ def min_splittings(P, limit):
     return None
 
 
+# Point ids of the form "+k" are reserved for the points that
+# `split_point` mints, so the structures split here avoid that shape.
+
+
+class PointNotOnLine(Exception):
+    pass
+
+
+def fresh_point(P):
+    """Next unused id from the reserved "+k" namespace."""
+    used = -1
+    for p in P.points:
+        if isinstance(p, str) and p.startswith("+") and p[1:].isdigit():
+            used = max(used, int(p[1:]))
+    return f"+{used + 1}"
+
+
+def split_point(P, line_index, point):
+    """Detach `point` from one line, replacing it there by a fresh point.
+
+    Every other incidence is untouched, so the incidence count is kept,
+    and so is the component count when the split incidence lay on a
+    cycle."""
+    if point not in P.lines[line_index]:
+        raise PointNotOnLine(f"point {point!r} is not on line {line_index}")
+    new = fresh_point(P)
+    lines = list(P.lines)
+    lines[line_index] = (lines[line_index] - {point}) | {new}
+    return validate_pls(P.points | {new}, lines)
+
+
+def acyclifier(P):
+    """A splitting sequence that makes P acyclic and keeps its components
+    (§7), as [(line index, point), ...] for `split_point`, in order.
+
+    One union-find pass over the incidences of each line in turn, its
+    points in `_pkey` order: an incidence whose line and point are
+    already joined closes a cycle, so it is split; any other joins them.
+    The incidences kept form a spanning forest of the incidence graph, so
+    the splits number E - V + c, the r* of P; each lies on a cycle of
+    the structure current when it is made, which still holds the forest."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    out = []
+    for li, line in enumerate(P.lines):
+        for p in sorted(line, key=_pkey):
+            a, b = find(("line", li)), find(("point", p))
+            if a == b:
+                out.append((li, p))
+            else:
+                parent[a] = b
+    return out
+
+
 def pls_to_json(P):
     """P as `modlat.pls.pls_from_json` reads it: points and each line's
     points in `_pkey` order."""
@@ -417,7 +513,8 @@ def up_transposes(L, quot):
         for c in range(L.n)
         if L.leq(a, c) and not L.leq(b, c) and L.meet(b, c) == a
     )
-    return [pair for pair in pairs if pair in L.cover_set]
+    covers = set(L.covers)
+    return [pair for pair in pairs if pair in covers]
 
 
 def projectivity_partition(L):
@@ -699,6 +796,19 @@ def blocked_by_transposition(L, tops, v, u, z, peak):
 
 
 # -- groups --------------------------------------------------------------
+
+
+def group_add(G, x, y):
+    """x + y in the group G, on element tuples."""
+    return tuple((a + b) % f for a, b, f in zip(x, y, G.factors))
+
+
+def enumeration_input(G):
+    """The ground data the ideal enumerator needs for G: the poset of the
+    join-irreducible subgroups and the sorted lines of the canonical base
+    of lines, both read off the subgroup lattice."""
+    poset, _, lines = enumeration_data(subgroup_lattice(G))
+    return poset, sorted(lines)
 
 
 def brute_subgroups(factors):

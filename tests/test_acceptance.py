@@ -18,7 +18,6 @@ import pytest
 from modlat.algebra import (
     distributive_ji,
     distributive_lattice,
-    enumeration_input,
     parse_group,
     parse_set_system,
     subgroup_lattice,
@@ -32,13 +31,12 @@ from modlat.bol import canonical_bol, line_intervals, localize
 from modlat.cli import main
 from modlat.corpus import (
     CORPUS_GROUPS,
-    fano_pls,
     seven_point_lines,
     seven_point_poset,
     standard_corpus,
 )
-from modlat.lattice import bits, build_lattice, is_isomorphic, ji_elements
-from modlat.pls import acyclifier, components, find_cycle, mask_components, rstar, split_point
+from modlat.lattice import Lattice, bits, is_isomorphic
+from modlat.pls import components, find_cycle, mask_components, rstar
 from modlat.rebuild import (
     Implication,
     closed_ideals_lattice,
@@ -58,9 +56,12 @@ from modlat.wildcard import (
 )
 import oracles
 from oracles import (
+    acyclifier,
     brute_closed_ideals,
     brute_subgroups,
+    enumeration_input,
     family_join_irreducibles,
+    fano_pls,
     inclusion_lattice,
     line_admits,
     min_splittings,
@@ -68,6 +69,7 @@ from oracles import (
     random_pls,
     random_poset_covers,
     random_row,
+    split_point,
     union_intersection_closure,
 )
 
@@ -106,14 +108,14 @@ def test_criterion_02_reconstruction():
         for bits in rowset_bitstrings(enumerate_ideals(poset, seven_point_lines()))
     ]
     L = closed_ideals_lattice([sum(1 << k for k in m) for m in members], range(poset.width))
-    jis = ji_elements(L)
+    jis = tuple(bits(L.ji_mask))
     downs = {
         frozenset(k for k in range(poset.width) if (poset.strict_down[i] | 1 << i) >> k & 1)
         for i in range(poset.width)
     }
     ji_poset, _ = ji_ground_poset(L)
     oracle_members, oracle_covers = inclusion_lattice(set(members))
-    oracle = build_lattice(len(oracle_members), oracle_covers)
+    oracle = Lattice(len(oracle_members), oracle_covers)
     elapsed = time.perf_counter() - start
     ok = (
         L.n == 13
@@ -170,7 +172,7 @@ def test_criterion_05_coatom_localizations():
     L = subgroup_lattice(parse_group("2,2,2"))
     ivs, masks = canonical_bol(L)
     checked = 0
-    for a in L.coatoms:
+    for a in L.lower_covers(L.top):
         pts, lines = localize(L, ivs, masks, a, L.top)
         assert len(lines) == 6, f"coatom {a}: {len(lines)} lines"
         assert pts.bit_count() == 4, f"coatom {a}: {pts.bit_count()} points"
@@ -229,12 +231,14 @@ def test_criterion_08_splitting_number():
         acyclic = find_cycle(P) is None
         assert (rstar(P) == 0) == acyclic
         zero_iff_acyclic += 1
-        before = len(components(P))
+        # the union-find acyclifier of the oracles splits exactly r* times
+        steps = acyclifier(P)
+        assert len(steps) == rstar(P)
         Q = P
-        for line_index, point in acyclifier(P):
+        for line_index, point in steps:
             Q = split_point(Q, line_index, point)
-        assert find_cycle(Q) is None
-        assert len(components(Q)) == before
+        assert find_cycle(Q) is None and rstar(Q) == 0
+        assert len(components(Q)) == len(components(P))
         preserved += 1
     elapsed = time.perf_counter() - start
     ok = fano_r == 8 and fano_min == 8 and zero_iff_acyclic == 200 and elapsed < 30.0
@@ -311,7 +315,7 @@ def test_criterion_10_generated_distributive_lattice():
     jis = set(distributive_ji(system))
     L = distributive_lattice(system)
     canon, covers = inclusion_lattice(closure)
-    oracle = build_lattice(len(canon), covers)
+    oracle = Lattice(len(canon), covers)
     ok = jis == family_join_irreducibles(closure) and is_isomorphic(L, oracle)
     _report(
         10,

@@ -10,7 +10,6 @@ from modlat.algebra import (
     _Numbered,
     distributive_ji,
     distributive_lattice,
-    enumeration_input,
     join_subgroups,
     parse_group,
     parse_set_system,
@@ -18,12 +17,14 @@ from modlat.algebra import (
 )
 from modlat.bol import line_intervals
 from modlat.corpus import CORPUS_GROUPS, boolean_lattice, chain
-from modlat.lattice import CapExceeded, bits, build_lattice, is_isomorphic, ji_elements
+from modlat.lattice import CapExceeded, Lattice, bits, is_isomorphic
 from modlat.wildcard import enumerate_ideals, total_count
 from oracles import (
     brute_subgroups,
     elementary_abelian_subgroup_count,
+    enumeration_input,
     family_join_irreducibles,
+    group_add,
     inclusion_lattice,
     rank_two_subgroup_count,
     set_system_to_text,
@@ -67,8 +68,8 @@ def test_group_rejects_bad_factors():
 
 def test_group_arithmetic():
     G = parse_group("4,4")
-    assert G.zero == (0, 0)
-    assert G.add((3, 2), (2, 3)) == (1, 1)
+    assert G.elements[0] == (0, 0)
+    assert group_add(G, (3, 2), (2, 3)) == (1, 1)
     assert len(G.elements) == G.order == 16
     assert list(G.elements) == sorted(G.elements)
 
@@ -95,7 +96,7 @@ def _cyclic(G, x):
 
 def _ji_masks(G):
     L = subgroup_lattice(G)
-    return [L.subgroups[e] for e in ji_elements(L)]
+    return [L.subgroups[e] for e in bits(L.ji_mask)]
 
 
 def test_cyclic_subgroups_of_z4xz4():
@@ -143,10 +144,10 @@ def _cyclic_prime_power_subgroups(G):
     sets, found by adding each element to itself."""
     out = set()
     for x in G.elements:
-        seen, cur = {G.zero}, x
+        seen, cur = {G.elements[0]}, x
         while cur not in seen:
             seen.add(cur)
-            cur = G.add(cur, x)
+            cur = group_add(G, cur, x)
         divisors = [d for d in range(2, len(seen) + 1) if len(seen) % d == 0]
         # a prime power: every divisor past 1 is a multiple of the least
         if divisors and all(d % divisors[0] == 0 for d in divisors):
@@ -166,14 +167,14 @@ def test_join_irreducible_subgroups_match_lattice(spec):
 
 
 def _check_translate(G, pairs, rng):
-    """`translate` moves one id as `G.add` does, and a random mask (for
+    """`translate` moves one id as `group_add` does, and a random mask (for
     the first 30 x) id by id."""
     num, index = _Numbered(G), {e: i for i, e in enumerate(G.elements)}
     for x, y in pairs:
-        assert num.translate(1 << y, x) == 1 << index[G.add(G.elements[y], G.elements[x])]
+        assert num.translate(1 << y, x) == 1 << index[group_add(G, G.elements[y], G.elements[x])]
     for x in sorted({x for x, _ in pairs})[:30]:
         ys = rng.sample(range(G.order), rng.randint(0, G.order))
-        want = sum(1 << index[G.add(G.elements[y], G.elements[x])] for y in ys)
+        want = sum(1 << index[group_add(G, G.elements[y], G.elements[x])] for y in ys)
         assert num.translate(sum(1 << y for y in ys), x) == want
 
 
@@ -295,7 +296,7 @@ def test_enumeration_input_takes_the_canonical_lines(spec):
     # element but not under the interval's bottom, one line per interval
     L = subgroup_lattice(parse_group(spec))
     poset, lines = enumeration_input(parse_group(spec))
-    points = sorted(ji_elements(L))
+    points = sorted(bits(L.ji_mask))
     assert poset.labels == tuple(L.name(p) for p in points)
     tops = set()
     for line in lines:
@@ -408,6 +409,6 @@ def test_nine_column_system_generates_the_closure_lattice():
     closure = union_intersection_closure(sys.sets) | {frozenset()}
     assert L.n == len(closure) == 31
     canon, covers = inclusion_lattice(closure)
-    oracle = build_lattice(len(canon), covers)
+    oracle = Lattice(len(canon), covers)
     assert is_isomorphic(L, oracle)
     assert set(L.member_sets) == closure

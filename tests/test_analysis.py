@@ -15,7 +15,6 @@ from modlat.algebra import parse_group, subgroup_lattice
 from modlat.analysis import (
     AnalysisContext,
     ClaimViolated,
-    NotALineTop,
     _is_clean,
     _tight_masks,
     _top_cycles,
@@ -47,9 +46,9 @@ from modlat.corpus import (
     standard_corpus,
 )
 from modlat.lattice import (
+    Lattice,
     NotModular,
     bits,
-    build_lattice,
     lattice_to_json,
     projectivity_classes,
     transpose_masks,
@@ -152,7 +151,7 @@ def test_distributive_profiles(seed):
 
 
 def test_params_requires_modularity():
-    pentagon = build_lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    pentagon = Lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
     with pytest.raises(NotModular):
         params(pentagon)
 
@@ -165,7 +164,7 @@ def _relabelled(L, rng):
     names = [None] * L.n
     for a, b in enumerate(perm):
         names[b] = L.name(a)
-    return build_lattice(names, sorted((perm[a], perm[b]) for a, b in L.covers))
+    return Lattice(L.n, sorted((perm[a], perm[b]) for a, b in L.covers), names)
 
 
 def test_relabelling_the_elements_changes_no_profile_or_verdict():
@@ -192,7 +191,7 @@ COVERING_GROUPS = ["4,8", "2,4,8", "8,8", "3,3,3", "2,2,4"]
 
 def _dual(L):
     """L with every cover reversed: its order turned upside down."""
-    return build_lattice(L.n, [(b, a) for a, b in L.covers], L.names)
+    return Lattice(L.n, [(b, a) for a, b in L.covers], L.names)
 
 
 def test_reversing_the_covers_keeps_modularity_and_the_proved_invariants():
@@ -211,7 +210,7 @@ def test_reversing_the_covers_keeps_modularity_and_the_proved_invariants():
     rng = random.Random(11)
     verdicts = []
     for _ in range(2000):
-        L = build_lattice(*random_intersection_closed(rng, rng.randint(3, 5)))
+        L = Lattice(*random_intersection_closed(rng, rng.randint(3, 5)))
         verdicts.append(L.modular)
         assert _dual(L).modular == verdicts[-1], L.covers
     assert 500 < verdicts.count(False) < 1500
@@ -678,7 +677,7 @@ def test_transpose_masks_decide_projectivity_and_perspectivity():
         n, covers = random_intersection_closed(rng, rng.randint(3, 6))
         if k % 2:
             covers = [(n - 1 - a, n - 1 - b) for a, b in covers]
-        lattices.append(build_lattice(n, covers))
+        lattices.append(Lattice(n, covers))
     assert sum(not L.modular for L in lattices) > 100
     for L in lattices:
         masks = transpose_masks(L)
@@ -710,7 +709,7 @@ def test_join_witness_matches_the_brute_force_scan():
     # (a, q, r) is compared as well as the count of triples
     rng = random.Random(12)
     lattices = [L for _, L in standard_corpus()]
-    lattices += [build_lattice(*random_intersection_closed(rng, rng.randint(3, 5)))
+    lattices += [Lattice(*random_intersection_closed(rng, rng.randint(3, 5)))
                  for _ in range(300)]
     failed = 0
     for L in lattices:
@@ -729,12 +728,12 @@ def test_join_witness_does_not_depend_on_element_ids():
     # with the ids reversed, every cover runs from a higher id to a lower
     rng = random.Random(13)
     lattices = [L for _, L in standard_corpus()]
-    lattices += [build_lattice(*random_intersection_closed(rng, rng.randint(3, 5)))
+    lattices += [Lattice(*random_intersection_closed(rng, rng.randint(3, 5)))
                  for _ in range(100)]
     failed = 0
     for L in lattices:
         n = L.n
-        R = build_lattice(n, [(n - 1 - a, n - 1 - b) for a, b in L.covers])
+        R = Lattice(n, [(n - 1 - a, n - 1 - b) for a, b in L.covers])
         tried, bad = join_witness_failure(R)
         if bad is None:
             assert check_join_witness(R).detail == f"{tried} triples checked"
@@ -839,7 +838,7 @@ def test_every_fano_configuration_yields_a_cyclic_covering():
         assert b == L.top
         assert b in L.upper_covers(a)
         seen.add(a)
-    assert seen == set(L.coatoms)
+    assert seen == set(L.lower_covers(L.top))
 
 
 def test_witness_rejects_a_doctored_configuration():
@@ -871,16 +870,6 @@ def test_tight_comparability_on_z4_squared():
     assert pairs == {(5, 11), (5, 12), (5, 13), (11, 14), (12, 14), (13, 14)}
     assert below[11] >> 5 & 1 and not below[5] >> 11 & 1
     assert not below[5] >> 5 & 1
-
-
-def test_tight_queries_reject_non_tops():
-    L = z2_cubed()
-    tops, below = _tight(L)
-    some_top, other = sorted(L.coatoms)[:2]
-    with pytest.raises(NotALineTop):
-        _is_clean(L, tops, below, (L.bottom, some_top, other))
-    with pytest.raises(NotALineTop):
-        _is_clean(L, tops, below, (some_top, L.top, other))
 
 
 def test_blocked_patterns_match_the_transposition_scan():
@@ -919,18 +908,6 @@ def test_top_cycles_of_z4_squared():
         assert c[1] < c[-1]
         assert _is_clean(L, tops, below, c)
     assert _top_cycles(below, 3) == []
-
-
-def test_clean_cycle_input_validation():
-    L = z4_squared()
-    tops, below = _tight(L)
-    with pytest.raises(ValueError):
-        _is_clean(L, tops, below, (5, 11))
-    with pytest.raises(ValueError):
-        _is_clean(L, tops, below, (5, 11, 12))
-    with pytest.raises(NotALineTop):
-        _is_clean(L, tops, below, (5, 11, L.bottom))
-    assert _is_clean(L, tops, below, (5, 11, 5)) is False
 
 
 def test_clean_cycle_verdicts():

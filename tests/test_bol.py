@@ -22,7 +22,7 @@ from modlat.bol import (
 )
 from modlat.analysis import AnalysisContext
 from modlat.corpus import boolean_lattice, chain, m_n, seven_point_lattice, standard_corpus
-from modlat.lattice import bits, ji_elements, lower_star
+from modlat.lattice import bits, lower_star
 from modlat.pls import Pls, TwoPointIntersection, components, find_cycle, mask_components, validate_pls
 import oracles
 from oracles import candidate_lines, check_candidate_lines, ji_between, line_choices, lines_from_joins
@@ -39,7 +39,7 @@ def bases(L, cap=1000):
 def as_pls(L, masks):
     """The base of L with the lines given as int `masks`, checked as a
     partial linear space on all join-irreducibles."""
-    return validate_pls(ji_elements(L), [frozenset(bits(m)) for m in masks])
+    return validate_pls(bits(L.ji_mask), [frozenset(bits(m)) for m in masks])
 
 
 def induced(L, ivs, masks, a):
@@ -73,7 +73,7 @@ def test_z2_cubed_has_seven_intervals():
     L = z2_cubed()
     ivs = line_intervals(L)
     assert len(ivs) == 7
-    assert sorted(iv.top for iv in ivs) == sorted(L.coatoms)
+    assert sorted(iv.top for iv in ivs) == sorted(L.lower_covers(L.top))
     assert all(iv.n == 3 for iv in ivs)
 
 
@@ -94,7 +94,7 @@ def test_interval_shape_invariants(name, L):
 def test_canonical_bol_points_are_all_join_irreducibles():
     L = seven_point_lattice()
     ivs, masks = canonical_bol(L)
-    assert set(bol_to_json(L, ivs, masks)["points"]) == set(ji_elements(L))
+    assert set(bol_to_json(L, ivs, masks)["points"]) == set(bits(L.ji_mask))
     assert all(m & ~L.ji_mask == 0 for m in masks)
 
 
@@ -147,7 +147,7 @@ def test_all_bols_yield_validated_structures():
         ivs = line_intervals(L)
         for masks in islice(all_bols(witness_masks(L, ivs)), 1000):
             assert [m.bit_count() for m in masks] == [iv.n for iv in ivs]
-            validate_pls(ji_elements(L), [frozenset(bits(m)) for m in masks])
+            validate_pls(bits(L.ji_mask), [frozenset(bits(m)) for m in masks])
 
 
 # the corpus and cyclic-factor groups whose intervals have several lines
@@ -251,7 +251,7 @@ def test_lines_from_joins_against_built_lattice():
     # the join-irreducible subgroups as element masks, joined in the group
     G = parse_group("4,4")
     L = subgroup_lattice(G)
-    points = [L.subgroups[p] for p in ji_elements(L)]
+    points = [L.subgroups[p] for p in bits(L.ji_mask)]
     P = lines_from_joins(points, lambda h, k: join_subgroups(G, h, k))
     assert len(P.lines) == len(line_intervals(L))
     assert isinstance(P, Pls)
@@ -260,10 +260,10 @@ def test_lines_from_joins_against_built_lattice():
 
 def test_lines_from_joins_trivial_cases():
     L = m_n(3)
-    B = lines_from_joins(tuple(L.atoms), L.join)
+    B = lines_from_joins(L.upper_covers(L.bottom), L.join)
     assert len(B.lines) == 1
     C = chain(4)
-    B2 = lines_from_joins(tuple(ji_elements(C)), C.join)
+    B2 = lines_from_joins(bits(C.ji_mask), C.join)
     assert B2.lines == ()
 
 
@@ -282,7 +282,7 @@ def test_induced_at_top_and_bottom():
 
 def test_induced_at_a_coatom_is_a_diamond_slice():
     L = z2_cubed()
-    a = L.coatoms[0]
+    a = L.lower_covers(L.top)[0]
     pts, lines = induced(L, *canonical_bol(L), a)
     assert pts.bit_count() == 3
     assert len(lines) == 1
@@ -302,7 +302,7 @@ def test_localize_on_chain_covering():
 
 def test_localize_on_m3_side_covering():
     L = m_n(3)
-    a = L.atoms[0]
+    a = L.upper_covers(L.bottom)[0]
     pts, lines = localize(L, *canonical_bol(L), a, L.top)
     assert pts.bit_count() == 2
     assert len(lines) == 1
@@ -343,7 +343,7 @@ def test_every_coatom_localization_of_the_plane():
     L = z2_cubed()
     ivs, masks = canonical_bol(L)
     lines, tops = [frozenset(bits(m)) for m in masks], [iv.top for iv in ivs]
-    for a in L.coatoms:
+    for a in L.lower_covers(L.top):
         pts, trimmed = localize(L, ivs, masks, a, L.top)
         assert pts.bit_count() == 4
         assert len(trimmed) == 6
@@ -373,7 +373,7 @@ def test_connector_counts_against_induced_components():
         ivs, masks = canonical_bol(L)
         if len(mask_components(masks, L.ji_mask)[0]) != 1 or L.n == 1:
             continue
-        for a in L.coatoms:
+        for a in L.lower_covers(L.top):
             s_a = len(mask_components(*reversed(induced(L, ivs, masks, a)))[0])
             pts, lines = localize(L, ivs, masks, a, L.top)
             assert len(lines) >= s_a
@@ -388,4 +388,4 @@ def test_bol_json_shape():
     d = bol_to_json(L, *canonical_bol(L))
     assert set(d) == {"points", "lines", "tops", "bottoms"}
     assert len(d["lines"]) == len(d["tops"]) == len(d["bottoms"]) == 7
-    assert sorted(d["points"]) == sorted(ji_elements(L))
+    assert sorted(d["points"]) == sorted(bits(L.ji_mask))

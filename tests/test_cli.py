@@ -12,20 +12,27 @@ from pathlib import Path
 import pytest
 
 from modlat import cli
-from modlat.algebra import enumeration_input, parse_group, subgroup_lattice
+from modlat.algebra import parse_group, subgroup_lattice
 from modlat.cli import main
 from modlat.corpus import (
-    fano_pls,
     m_n,
     seven_point_lattice,
     seven_point_lines,
     seven_point_poset,
+    standard_corpus,
 )
 from modlat.lattice import lattice_from_json, lattice_to_json
 from modlat.pls import pls_from_json
-from modlat.wildcard import GroundPoset, enumerate_ideals, poset_to_json, rowset_to_json
+from modlat.wildcard import GroundPoset, enumerate_ideals, rowset_to_json
 
-from oracles import pls_to_json, random_lines, random_poset_covers
+from oracles import (
+    enumeration_input,
+    fano_pls,
+    pls_to_json,
+    poset_to_json,
+    random_lines,
+    random_poset_covers,
+)
 
 
 @pytest.fixture
@@ -401,21 +408,43 @@ def test_bol_out_feeds_rstar(files, capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "8"
 
 
-def test_bol_out_lists_points_in_pkey_order(tmp_path, capsys):
-    # JSON lists point ids as `pls_to_json` does: in string order
+def test_bol_out_lists_point_ids_ascending(tmp_path, capsys):
+    # JSON lists point ids as ints, ascending, in the points and in each line
     lat, out = tmp_path / "z2z2z4.json", tmp_path / "bol.json"
     lat.write_text(json.dumps(lattice_to_json(subgroup_lattice(parse_group("2,2,4")))))
     assert main(["bol", "--lattice", str(lat), "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip().endswith("11 points, 13 lines, 1 components")
     assert json.loads(out.read_text()) == {
-        "points": [1, 10, 12, 14, 2, 3, 4, 5, 6, 7, 8],
+        "points": [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14],
         "lines": [
             [1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [2, 5, 7], [3, 4, 7], [3, 5, 6],
-            [10, 2, 8], [12, 4, 8], [14, 6, 8], [12, 14, 2], [10, 14, 4], [10, 12, 6],
+            [2, 8, 10], [4, 8, 12], [6, 8, 14], [2, 12, 14], [4, 10, 14], [6, 10, 12],
         ],
         "tops": [9, 11, 13, 15, 16, 17, 18, 19, 20, 21, 23, 24, 25],
         "bottoms": [0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1],
     }
+
+
+def test_bol_all_bols_out_writes_the_canonical_base(files, capsys, tmp_path):
+    # --out writes what plain `bol --out` writes, whatever the command prints
+    plain, counted = tmp_path / "plain.json", tmp_path / "counted.json"
+    assert main(["bol", "--lattice", files["z2cubed"], "--out", str(plain)]) == 0
+    capsys.readouterr()
+    assert main(["bol", "--lattice", files["z2cubed"], "--all-bols", "--out", str(counted)]) == 0
+    assert capsys.readouterr().out == "1 bases; r* values [8]\n"
+    assert counted.read_bytes() == plain.read_bytes()
+
+
+def test_rstar_of_the_bol_file_is_rstar_of_the_lattice(capsys, tmp_path):
+    lat, out = tmp_path / "lattice.json", tmp_path / "bol.json"
+    for name, L in standard_corpus():
+        lat.write_text(json.dumps(lattice_to_json(L)))
+        assert main(["bol", "--lattice", str(lat), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["rstar", str(out)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["rstar", "--lattice", str(lat)]) == 0
+        assert capsys.readouterr().out == from_file, name
 
 
 # -- localize -----------------------------------------------------------------
@@ -901,7 +930,8 @@ OUTPUTS_PINNED = {
     "analyze 4,8": "ccd3dea48c04c195d82fef0658bf5002d3418dbdaea9a3c9c12ca8b12cac3652",
     "witness-triangle 2,2,2": "06ca2928760189b998d7e15b442b7a98fde2d79b08b03da893c26db17482200f",
     "witness-triangle 3,3,3": "ea0c5b31b86fdd8c09af5dfe144b646c1a776d0fe9c899890276ff67a1a033bf",
-    "bol-localize-rstar 4,4": "4e22473deb7867d575de87fbbfffefcf125a07693d102f2feed3f47f22dad846",
+    # point ids ascending in both files, so Z4 x Z4's base lists 9 before 10
+    "bol-localize-rstar 4,4": "906c6a51f064d6e6ca41be8b90cae702ffe67b7f7fc2a8e22cd04cc11327fb3f",
     "distributive": "1e4f3abe30c1f96ca4c194eb0d2f68c74fce92be24caf8e6b0e69fbb4426d400",
     # the member order and names: by size, then by sorted names as strings,
     # so on Z2 x Z2 x Z4 (width 11, 27 members) {0,10} comes before {0,7}

@@ -8,7 +8,6 @@ from modlat.corpus import (
     CORPUS_GROUPS,
     boolean_lattice,
     chain,
-    fano_pls,
     m_n,
     random_distributive,
     random_poset,
@@ -20,7 +19,7 @@ from modlat.pls import components
 from modlat.rebuild import ideals_lattice
 from modlat.wildcard import GroundPoset
 
-from oracles import brute_closed_ideals
+from oracles import brute_closed_ideals, fano_pls
 
 
 def test_standard_corpus_composition():
@@ -48,7 +47,7 @@ def test_random_distributive_is_deterministic():
 def test_m_n_shapes():
     L = m_n(5)
     assert L.n == 7
-    assert len(L.atoms) == len(L.coatoms) == 5
+    assert len(L.upper_covers(L.bottom)) == len(L.lower_covers(L.top)) == 5
     assert L.height == 2
     with pytest.raises(ValueError):
         m_n(0)
@@ -58,7 +57,7 @@ def test_chain_and_boolean_shapes():
     assert chain(4).height == 3
     assert chain(1).n == 1
     B = boolean_lattice(4)
-    assert B.n == 16 and B.height == 4 and len(B.atoms) == 4
+    assert B.n == 16 and B.height == 4 and len(B.upper_covers(B.bottom)) == 4
 
 
 def test_fano_shape():

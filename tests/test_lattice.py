@@ -23,10 +23,9 @@ from modlat.lattice import (
     NotALattice,
     NotModular,
     NotTransitivelyReduced,
-    build_lattice,
+    bits,
     covers_from_below,
     is_isomorphic,
-    ji_elements,
     lattice_from_json,
     lattice_to_dot,
     lattice_to_json,
@@ -51,10 +50,7 @@ from oracles import (
 
 def pentagon():
     # bottom, a < b on one side, c on the other, top
-    return build_lattice(
-        ["0", "a", "b", "c", "1"],
-        [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],
-    )
+    return Lattice(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], ["0", "a", "b", "c", "1"])
 
 
 def small_corpus():
@@ -73,7 +69,7 @@ def small_corpus():
 
 
 def test_single_element_lattice():
-    L = build_lattice(["e"], [])
+    L = Lattice(1, [], ["e"])
     assert L.n == 1
     assert L.bottom == L.top == 0
     assert L.height == 0
@@ -83,29 +79,30 @@ def test_m3_shape():
     L = m_n(3)
     assert L.n == 5
     assert L.rank[L.top] == 2
-    assert sorted(L.atoms) == sorted(L.coatoms)
-    assert len(L.atoms) == 3
+    assert sorted(L.upper_covers(L.bottom)) == sorted(L.lower_covers(L.top))
+    assert len(L.upper_covers(L.bottom)) == 3
 
 
 def test_bowtie_is_not_a_lattice():
     # two bottoms-ish structure: atoms a, b with two incomparable upper
     # bounds c, d; meet of c and d does not exist uniquely
     with pytest.raises(NotALattice):
-        build_lattice(
-            ["0", "a", "b", "c", "d", "1"],
+        Lattice(
+            6,
             [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)],
+            ["0", "a", "b", "c", "d", "1"],
         )
 
 
 def test_cyclic_covers_rejected():
     with pytest.raises(CycleInCovers):
-        build_lattice(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
+        Lattice(3, [(0, 1), (1, 2), (2, 0)], ["a", "b", "c"])
 
 
 def test_transitive_reduction_enforced():
     # a lattice's covers are element indices, named or not, and so is the message
     with pytest.raises(NotTransitivelyReduced, match=r"^cover \(0,2\) is implied$"):
-        build_lattice(["0", "a", "1"], [(0, 1), (1, 2), (0, 2)])
+        Lattice(3, [(0, 1), (1, 2), (0, 2)], ["0", "a", "1"])
 
 
 def test_covers_from_below_inverts_strict_down():
@@ -160,9 +157,9 @@ def _agrees_with_brute_force(n, covers):
     if missing:
         x, y, side = missing[0]
         with pytest.raises(NotALattice, match=f"^elements {x},{y} have no least {side} bound$"):
-            build_lattice(n, covers)
+            Lattice(n, covers)
         return False
-    L = build_lattice(n, covers)
+    L = Lattice(n, covers)
     assert [[L.join(x, y) for y in range(n)] for x in range(n)] == joins
     assert [[L.meet(x, y) for y in range(n)] for x in range(n)] == meets
     return True
@@ -201,12 +198,12 @@ def test_a_missing_join_above_the_atoms_is_found():
               (4, 6), (4, 7), (5, 6), (5, 7), (6, 8), (7, 8)]
     assert not _agrees_with_brute_force(9, covers)
     with pytest.raises(NotALattice, match="^elements 4,5 have no least upper bound$"):
-        build_lattice(9, covers)
+        Lattice(9, covers)
 
 
 def test_m3_joins_and_meets():
     L = m_n(3)
-    a1, a2, a3 = L.atoms
+    a1, a2, a3 = L.upper_covers(L.bottom)
     assert L.join(a1, a2) == L.top
     assert L.meet(a1, a2) == L.bottom
     assert L.join(a1, a1) == a1
@@ -256,7 +253,7 @@ def test_semimodularity_test_matches_the_modular_law():
     lattices = [pentagon(), m_n(3)] + [L for _, L in standard_corpus()]
     rng = random.Random(11)
     for _ in range(2000):
-        lattices.append(build_lattice(*random_intersection_closed(rng, rng.randint(3, 5))))
+        lattices.append(Lattice(*random_intersection_closed(rng, rng.randint(3, 5))))
     verdicts = [L.modular for L in lattices]
     assert 500 < verdicts.count(False) < 1500  # both kinds are well represented
     for L, verdict in zip(lattices, verdicts):
@@ -288,7 +285,7 @@ def test_modular_and_meet_all_match_brute_force():
     lattices = [pentagon(), m_n(3)] + [L for _, L in standard_corpus()]
     for n, covers in _random_posets_up_to_12():
         try:
-            lattices.append(build_lattice(n, covers))
+            lattices.append(Lattice(n, covers))
         except NotALattice:
             pass
     rng = random.Random(5)
@@ -361,7 +358,7 @@ def test_mask_queries_match_the_reachability_closure():
     rng = random.Random(4)  # the random posets of the join/meet test above
     for _ in range(400):
         try:
-            lattices.append(build_lattice(*_bounded(rng, rng.randint(1, 7))))
+            lattices.append(Lattice(*_bounded(rng, rng.randint(1, 7))))
         except NotALattice:
             pass
     for L in lattices:
@@ -468,26 +465,26 @@ def test_ground_poset_masks_match_the_reachability_closure():
 
 def test_chain_join_irreducibles():
     L = chain(4)  # 4 elements, length 3
-    assert ji_elements(L) == (1, 2, 3)
-    for p in ji_elements(L):
+    assert tuple(bits(L.ji_mask)) == (1, 2, 3)
+    for p in bits(L.ji_mask):
         assert lower_star(L, p) == p - 1
 
 
 def test_m3_join_irreducibles_are_the_atoms():
     L = m_n(3)
-    assert sorted(ji_elements(L)) == sorted(L.atoms)
+    assert sorted(bits(L.ji_mask)) == sorted(L.upper_covers(L.bottom))
 
 
 def test_z2_cubed_has_seven_ji_atoms():
     L = subgroup_lattice(parse_group("2,2,2"))
-    jis = ji_elements(L)
+    jis = tuple(bits(L.ji_mask))
     assert len(jis) == 7
-    assert sorted(jis) == sorted(L.atoms)
+    assert sorted(jis) == sorted(L.upper_covers(L.bottom))
 
 
 @pytest.mark.parametrize("L", small_corpus(), ids=lambda L: f"n{L.n}")
 def test_ji_filters(L):
-    jis = set(ji_elements(L))
+    jis = set(bits(L.ji_mask))
     for j in jis:
         assert len(L.lower_covers(j)) == 1
     for x in range(L.n):
@@ -515,7 +512,7 @@ def test_ji_join_reaches_every_element():
 
 def test_transposes_up_examples():
     L = m_n(3)
-    a1, a2, _ = L.atoms
+    a1, a2, _ = L.upper_covers(L.bottom)
     assert transposes_up(L, (L.bottom, a1), (a2, L.top))
     assert transposes_up(L, (a1, a1), (a1, a1))
     C = chain(4)
@@ -550,7 +547,7 @@ def test_projectivity_classes_match_the_all_pairs_reference():
     rng = random.Random(4)  # the random posets of the join/meet test above
     for _ in range(400):
         try:
-            lattices.append(build_lattice(*_bounded(rng, rng.randint(1, 7))))
+            lattices.append(Lattice(*_bounded(rng, rng.randint(1, 7))))
         except NotALattice:
             pass
     assert not all(L.modular for L in lattices)
@@ -575,9 +572,10 @@ def test_isomorphism_under_relabeling():
     rng = random.Random(3)
     perm = list(range(L.n))
     rng.shuffle(perm)
-    shuffled = build_lattice(
-        [f"x{k}" for k in range(L.n)],
+    shuffled = Lattice(
+        L.n,
         sorted((perm[a], perm[b]) for a, b in L.covers),
+        [f"x{k}" for k in range(L.n)],
     )
     assert is_isomorphic(L, shuffled)
 

@@ -4,27 +4,27 @@ import random
 
 import pytest
 
-from modlat.corpus import fano_pls
 from modlat.pls import (
     LineTooSmall,
-    PointNotOnLine,
     TwoPointIntersection,
     UnknownPoint,
-    acyclifier,
     components,
     find_cycle,
-    fresh_point,
     pls_from_json,
     rstar,
-    split_point,
     validate_pls,
 )
 
 from oracles import (
+    PointNotOnLine,
+    acyclifier,
     cycle_is_valid,
+    fano_pls,
+    fresh_point,
     min_splittings,
     pls_to_json,
     random_pls,
+    split_point,
     union_find_components,
     union_find_rstar,
 )
@@ -177,6 +177,9 @@ def test_isolated_points_change_nothing():
 
 
 # -- acyclifier --------------------------------------------------------------------
+#
+# `oracles.acyclifier` splits by union-find, with no cycle search; the
+# library's `rstar`, `find_cycle` and `components` are checked against it.
 
 
 def apply_splittings(P, steps):
@@ -223,7 +226,7 @@ def test_acyclifier_preserves_components_randomized():
         steps = acyclifier(P)
         assert len(steps) == rstar(P)
         Q = apply_splittings(P, steps)
-        assert find_cycle(Q) is None
+        assert find_cycle(Q) is None and rstar(Q) == 0
         assert len(components(Q)) == len(components(P))
 
 

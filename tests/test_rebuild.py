@@ -17,7 +17,7 @@ from modlat.corpus import (
     seven_point_poset,
     standard_corpus,
 )
-from modlat.lattice import bits, build_lattice, is_isomorphic, ji_elements
+from modlat.lattice import Lattice, bits, is_isomorphic
 from modlat.rebuild import (
     Implication,
     NotAClosureSystem,
@@ -90,7 +90,7 @@ def test_duplicate_members_collapse():
 def test_seven_point_reconstruction():
     L = seven_point_lattice()
     assert L.n == 13
-    assert len(ji_elements(L)) == 7
+    assert L.ji_mask.bit_count() == 7
 
 
 # -- ji_ground_poset -----------------------------------------------------
@@ -160,10 +160,10 @@ def test_the_ideal_map_is_an_order_embedding():
         n, covers = random_intersection_closed(rng, rng.randint(3, 6))
         if k % 2:
             covers = [(n - 1 - a, n - 1 - b) for a, b in covers]
-        lattices.append(build_lattice(n, covers))
+        lattices.append(Lattice(n, covers))
     assert sum(not L.modular for L in lattices) > 100
     for L in lattices:
-        jis = ji_elements(L)
+        jis = tuple(bits(L.ji_mask))
         ideal = [frozenset(p for p in jis if L.leq(p, a)) for a in range(L.n)]
         assert len(set(ideal)) == L.n
         for a, b in itertools.product(range(L.n), repeat=2):
@@ -185,7 +185,7 @@ def singleton_down_sets(base):
 
 def lattice_down_sets(L):
     """Per non-minimal join-irreducible p, the join-irreducibles below it."""
-    downs = {p: frozenset(ji_below(L, p)) - {p} for p in ji_elements(L)}
+    downs = {p: frozenset(ji_below(L, p)) - {p} for p in bits(L.ji_mask)}
     return {p: d for p, d in downs.items() if d}
 
 
@@ -206,7 +206,7 @@ def test_chain_gives_singleton_premises_only():
 def test_m3_gives_line_implications_only():
     L = m_n(3)
     base = natural_base(L)
-    atoms = frozenset(ji_elements(L))
+    atoms = frozenset(bits(L.ji_mask))
     assert len(base) == 3
     for imp in base:
         assert len(imp.premise) == 2
@@ -228,7 +228,7 @@ def test_seven_point_base_shape_and_size():
 def test_closure_under_base_recovers_exactly_the_members():
     L = seven_point_lattice()
     base = natural_base(L)
-    points = sorted(ji_elements(L))
+    points = sorted(bits(L.ji_mask))
     members = {frozenset(ji_below(L, a)) for a in range(L.n)}
     for k in range(len(points) + 1):
         for xs in itertools.combinations(points, k):
@@ -239,7 +239,7 @@ def test_closure_under_base_recovers_exactly_the_members():
 
 def test_poset_argument_reproduces_lattice_downsets():
     L = seven_point_lattice()
-    external = lines_from_joins(ji_elements(L), L.join)
+    external = lines_from_joins(bits(L.ji_mask), L.join)
     assert set(external.lines) == {frozenset(bits(m)) for m in canonical_bol(L)[1]}
     base = natural_implication_base(external.lines, *ji_ground_poset(L))
     assert set(base) == set(natural_base(L))
@@ -250,7 +250,7 @@ def test_down_sets_follow_the_poset_past_point_nine():
     # on Z2 x Z2 x Z4 the points 10, 12 and 14 sort before 2 as strings;
     # the poset numbers its positions by the numeric order of the points
     L = subgroup_lattice(parse_group("2,2,4"))
-    external = lines_from_joins(ji_elements(L), L.join)
+    external = lines_from_joins(bits(L.ji_mask), L.join)
     base = natural_implication_base(external.lines, *ji_ground_poset(L))
     assert singleton_down_sets(base) == lattice_down_sets(L)
     assert singleton_down_sets(base)[10] == frozenset({1})
@@ -276,7 +276,7 @@ def test_closure_of_fixture_sets():
 def test_closure_is_extensive_monotone_idempotent():
     L = seven_point_lattice()
     base = natural_base(L)
-    points = sorted(ji_elements(L))
+    points = sorted(bits(L.ji_mask))
     rng = random.Random(3)
     for _ in range(60):
         xs = frozenset(p for p in points if rng.random() < 0.4)

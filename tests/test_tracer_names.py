@@ -10,7 +10,7 @@ from pathlib import Path
 import modlat.bol
 import modlat.cli
 from modlat.corpus import seven_point_lines, seven_point_poset
-from modlat.wildcard import poset_to_json
+from oracles import poset_to_json
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

@@ -9,8 +9,8 @@ from itertools import product
 import pytest
 
 from modlat import wildcard
-from modlat.algebra import enumeration_input, parse_group
-from modlat.corpus import fano_pls, seven_point_lines, seven_point_poset, standard_corpus
+from modlat.algebra import parse_group
+from modlat.corpus import seven_point_lines, seven_point_poset, standard_corpus
 from modlat.lattice import bits
 from modlat.rebuild import roundtrip_check
 from modlat.wildcard import (
@@ -29,7 +29,6 @@ from modlat.wildcard import (
     lines_from_json,
     make_row,
     poset_from_json,
-    poset_to_json,
     row_count,
     row_to_json,
     row_to_text,
@@ -45,9 +44,12 @@ from oracles import (
     LinearStore,
     brute_closed_ideals,
     contains,
+    enumeration_input,
+    fano_pls,
     is_down_closed,
     line_admits,
     plain_enumerate,
+    poset_to_json,
     random_lines,
     random_poset_covers,
     random_row,
@@ -699,7 +701,7 @@ def test_poset_json_roundtrip_and_line_labels():
     assert back.width == poset.width
     assert back.covers == poset.covers
     assert back.labels == poset.labels
-    labeled = [[poset.label(p) for p in line] for line in seven_point_lines()]
+    labeled = [[poset.labels[p] for p in line] for line in seven_point_lines()]
     assert lines_from_json({"lines": labeled}, poset) == [
         tuple(sorted(l)) for l in seven_point_lines()
     ]
