@@ -243,13 +243,19 @@ class Lattice:
 def covers_from_below(below):
     """The sorted cover pairs (a, b) of a strict order on 0..n-1 given as
     below[b] = the int mask of the indices strictly below b.  The order
-    must be transitive; a is covered by b when nothing below b lies above a."""
+    must be transitive, and the indices a linear extension of it: every
+    index in below[b] is less than b, else ValueError names the first b
+    that breaks this.  Then the highest index still below b is a cover of
+    b, as nothing above it is left: take it, clear it and its down-set,
+    and repeat, one step per cover of b."""
     covers = []
     for b, m in enumerate(below):
-        shadow = 0
-        for c in bits(m):
-            shadow |= below[c]
-        covers.extend((a, b) for a in bits(m & ~shadow))
+        if m >> b:
+            raise ValueError(f"below[{b}] holds an index not less than {b}")
+        while m:
+            a = m.bit_length() - 1
+            covers.append((a, b))
+            m &= ~(below[a] | 1 << a)
     return sorted(covers)
 
 

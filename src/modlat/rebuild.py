@@ -74,14 +74,17 @@ def ideals_lattice(poset, lines):
 
 def ji_ground_poset(L):
     """The join-irreducibles of L as a ground poset (their inclusion
-    order, transitively reduced), plus the element ids in position order."""
+    order, transitively reduced), plus the element ids in position order.
+    The order is reduced along L's linear extension, as
+    `covers_from_below` wants, and its covers mapped back to positions."""
     points = tuple(bits(L.ji_mask))
+    pos = {p: i for i, p in enumerate(points)}
+    ext = [p for p in L.linear_extension if L.ji_mask >> p & 1]
     below = [
-        sum(1 << i for i, p in enumerate(points) if p != q and L.down[q] >> p & 1) for q in points
+        sum(1 << i for i, p in enumerate(ext[:j]) if L.down[q] >> p & 1) for j, q in enumerate(ext)
     ]
-    poset = GroundPoset(
-        len(points), tuple(covers_from_below(below)), tuple(L.name(p) for p in points)
-    )
+    covers = [(pos[ext[a]], pos[ext[b]]) for a, b in covers_from_below(below)]
+    poset = GroundPoset(len(points), tuple(covers), tuple(L.name(p) for p in points))
     return poset, points
 
 

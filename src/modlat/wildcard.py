@@ -29,22 +29,24 @@ cells are fixed), by an int test on their masks of fixed 1s.  It drops a
 row as soon as a line still to come holds two fixed 1s and a fixed 0
 (every string of the row breaks that line), and it steps over a line the
 row already satisfies without calling `impose_line`; neither changes the
-final rows.  The work it does is counted in an `EnumStats`.  `row_masks`
+final rows.  The work it does is counted in an `EnumStats`.
+`impose_line` lists the line's units (its free cells, the members of one
+group, or one imp member) in one pass over the row's groups.  `row_masks`
 lists a row's strings as int masks; `expand` is its 0/1-tuple view.
 
 Row sets are written as text and JSON (`rowset_to_text`,
 `rowset_to_json`) and never read back; posets and lines are read from
 JSON (`poset_from_json`, `lines_from_json`) and never written.
-`make_row` is the one checked
-constructor: it rejects a row that is not well formed.  The rows that
-`force`, `with_group`, `_try_merge` and the seeding build out of
-well-formed rows are not re-checked.
+`make_row` is the one checked constructor: it rejects a row that is not
+well formed.  The rows that `force`, `with_group`, `_retype_to_g`,
+`_try_merge` and the seeding build out of well-formed rows are not
+re-checked, and they are made by `tuple.__new__` on their fields,
+without the Python frame of the NamedTuple constructor.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
 from typing import NamedTuple
 
 from .lattice import LatticeError, WildcardError, bits, cover_order, first_repeat
@@ -60,6 +62,11 @@ EXPAND_CAP = 1_000_000
 
 class ExpansionCapExceeded(WildcardError):
     pass
+
+
+# builds a Row or GroupSpec from the tuple of its fields without the
+# frame of the NamedTuple constructor; the row builders use it
+_new = tuple.__new__
 
 
 def _single(mask):
@@ -249,18 +256,20 @@ def force(row, one=0, zero=0):
     a group goes back into the group order by its new lowest member; a
     lone survivor of an eps or ell is a free cell.
     """
-    one &= ~row.ones
-    zero &= ~row.zeros
-    if one & (zero | row.zeros) or zero & row.ones:
+    width, ones, zeros, row_groups = row
+    one &= ~ones
+    zero &= ~zeros
+    if one & (zero | zeros) or zero & ones:
         return None
     hit = one | zero
     groups, moved = [], False
-    for spec in row.groups:
+    for spec in row_groups:
         m = spec.members
         if not m & hit:
             groups.append(spec)
             continue
-        kind, o, z = spec.kind, one & m, zero & m
+        kind, _, prem = spec
+        o, z = one & m, zero & m
         rest = m & ~hit
         new = None  # what is left of the group
         if kind == "d":
@@ -271,7 +280,6 @@ def force(row, one=0, zero=0):
             else:
                 zero |= rest
         elif kind == "imp":
-            prem = spec.premise
             if o & prem:  # a premise 1: every conclusion is 1
                 if z & ~prem:
                     return None
@@ -279,29 +287,29 @@ def force(row, one=0, zero=0):
             elif z & ~prem:  # a conclusion 0: every premise is 0
                 zero |= rest & prem
             elif rest & prem and rest & ~prem:
-                new = GroupSpec("imp", rest, rest & prem)
-        elif not _single(o):  # two 1s: only an ell admits them, all 1
+                new = _new(GroupSpec, ("imp", rest, rest & prem))
+        elif o & (o - 1):  # two 1s: only an ell admits them, all 1
             if kind != "ell" or z:
                 return None
             one |= rest
         elif o:  # one 1: the rest is 0, or for an ell with no 0 all equal
             if kind == "ell" and not z:
-                if not _single(rest):
-                    new = GroupSpec("d", rest)
+                if rest & (rest - 1):
+                    new = _new(GroupSpec, ("d", rest, 0))
             else:
                 zero |= rest
-        elif kind == "g" and _single(rest):  # only 0s: the last one left is the 1
+        elif kind == "g" and not rest & (rest - 1):  # only 0s: the last one left is the 1
             if not rest:
                 return None
             one |= rest
-        elif not _single(rest):  # only 0s: a g stays g, an eps or ell becomes eps
-            new = GroupSpec("g" if kind == "g" else "eps", rest)
+        elif rest & (rest - 1):  # only 0s: a g stays g, an eps or ell becomes eps
+            new = _new(GroupSpec, ("g" if kind == "g" else "eps", rest, 0))
         if new is not None:
             groups.append(new)
-            moved = moved or new.members & -new.members != m & -m
+            moved = moved or rest & -rest != m & -m
     if moved:
         groups.sort(key=_low)
-    return Row(row.width, row.ones | one, row.zeros | zero, tuple(groups))
+    return _new(Row, (width, ones | one, zeros | zero, tuple(groups)))
 
 
 def with_group(row, kind, members):
@@ -310,7 +318,8 @@ def with_group(row, kind, members):
     taken = members & ~row.free
     if taken:
         raise WildcardError(f"cell {next(bits(taken))} is not free, so it cannot join a new group")
-    return Row(row.width, row.ones, row.zeros, _inserted(row.groups, GroupSpec(kind, members)))
+    groups = _inserted(row.groups, _new(GroupSpec, (kind, members, 0)))
+    return _new(Row, (row.width, row.ones, row.zeros, groups))
 
 
 def _retype_to_g(row, members):
@@ -319,17 +328,9 @@ def _retype_to_g(row, members):
         if spec.members == members:
             if spec.kind not in ("eps", "ell", "g"):
                 raise WildcardError(f"a {spec.kind} group cannot become exactly-one")
-            groups = row.groups[:i] + (GroupSpec("g", members),) + row.groups[i + 1 :]
-            return Row(row.width, row.ones, row.zeros, groups)
+            groups = row.groups[:i] + (_new(GroupSpec, ("g", members, 0)),) + row.groups[i + 1 :]
+            return _new(Row, (row.width, row.ones, row.zeros, groups))
     raise WildcardError(f"no group has the members {list(bits(members))}")
-
-
-def _group_at(row, p):
-    """The group holding position p, or None."""
-    for spec in row.groups:
-        if spec.members >> p & 1:
-            return spec
-    return None
 
 
 # -- line imposition ---------------------------------------------------
@@ -341,14 +342,18 @@ def impose_line(row, positions):
 
     Outputs are pairwise disjoint and their union is exactly the
     constrained input set.  The general shape is a case split: no 1 on the
-    line, exactly one (one sub-row per group or free block touching the
-    line), all 1.  Lines lying on free groupless cells compress to a
-    single eps or ell row instead.
+    line, exactly one (one sub-row per unit of the line, in the order of
+    their lowest positions), all 1.  A unit is the line's free cells
+    together, the line's members of one eps, ell, g or d group together,
+    or one imp member alone, since premise and conclusion react
+    differently; one pass over the row's groups lists them, each with its
+    group.  Lines lying on free groupless cells compress to a single eps
+    or ell row instead.
     """
     line = 0
     for p in positions:
         line |= 1 << int(p)
-    if _single(line):
+    if not line & (line - 1):
         raise ValueError("a line needs at least two positions")
     ones = (row.ones & line).bit_count()  # the fixed 1s on the line
     zeros = row.zeros & line
@@ -363,7 +368,7 @@ def impose_line(row, positions):
         r = force(row, one=undet)
         return [r] if r is not None else []
     if ones == 1:
-        if not zeros and _single(undet):
+        if not zeros and not undet & (undet - 1):
             return [row]  # two-point case: the undetermined cell may go either way
         out = [force(row, zero=undet)]
         if not zeros:
@@ -371,38 +376,43 @@ def impose_line(row, positions):
         return [r for r in out if r is not None]
 
     # no fixed 1 yet
-    if _single(undet):
+    if not undet & (undet - 1):
         return [row]  # at most one 1 is guaranteed
-    if not undet & ~row.free:
+    units = []  # (lowest position, members on the line, group or None if free)
+    grouped = 0
+    for spec in row.groups:
+        on = spec.members & undet
+        if on:
+            grouped |= on
+            if spec.kind == "imp":
+                while on:
+                    low = on & -on
+                    units.append((low, low, spec))
+                    on ^= low
+            else:
+                units.append((on & -on, on, spec))
+    if not grouped:
         return [with_group(row, "eps" if zeros else "ell", undet)]
+    free = undet & ~grouped
+    if free:
+        units.append((free & -free, free, None))
+    units.sort()  # the lowest positions are distinct, so no group is compared
 
     out = [force(row, zero=undet)]
-    for mem in _line_units(row, undet):
-        out.append(_one_hot_row(row, undet, mem))
+    for _, mem, spec in units:
+        out.append(_one_hot_row(row, undet, mem, spec))
     if not zeros:
         out.append(force(row, one=undet))
     return [r for r in out if r is not None]
 
 
-def _line_units(row, undet):
-    """Masks of line positions that can share one "exactly one 1 here"
-    sub-row, ordered by their lowest position: free cells merge, as do
-    same-group eps/ell/g/d members; imp cells stay individual because
-    premise and conclusion react differently."""
-    units = {}
-    for p in bits(undet):
-        spec = _group_at(row, p)
-        key = p if spec is not None and spec.kind == "imp" else spec  # None: free
-        units[key] = units.get(key, 0) | 1 << p
-    return list(units.values())
-
-
-def _one_hot_row(row, undet, mem):
-    """The sub-row whose strings have their single line-1 inside `mem`."""
+def _one_hot_row(row, undet, mem, spec):
+    """The sub-row whose strings have their single line-1 inside `mem`, a
+    unit of the line that `impose_line` lists with its group `spec`
+    (None for free cells)."""
     others = undet & ~mem
-    if _single(mem):
+    if not mem & (mem - 1):
         return force(row, one=mem, zero=others)
-    spec = _group_at(row, (mem & -mem).bit_length() - 1)
     if spec is None:
         base = force(row, zero=others)
         return with_group(base, "g", mem) if base is not None else None
@@ -520,8 +530,8 @@ def seed_order_ideals(poset):
             twice |= once & m
             once |= m
         if not twice:
-            groups = tuple(GroupSpec("imp", m, hi) for m, hi in active)
-            rows.append(Row(poset.width, ones, zeros, groups))
+            groups = tuple([_new(GroupSpec, ("imp", m, hi)) for m, hi in active])
+            rows.append(_new(Row, (poset.width, ones, zeros, groups)))
             continue
         pivot = next(p for p in order if twice >> p & 1)
         stack.append((ones, zeros | 1 << pivot | up[pivot], active))
@@ -539,9 +549,9 @@ def _try_merge(a, b):
     block = a.ones ^ b.ones
     if not block or block & ~a.ones and block & ~b.ones:
         return None
-    groups = a.groups if _single(block) else _inserted(a.groups, GroupSpec("d", block))
+    groups = a.groups if _single(block) else _inserted(a.groups, _new(GroupSpec, ("d", block, 0)))
     # the block is fixed in neither parent's masks
-    return Row(a.width, a.ones & b.ones, a.zeros & b.zeros, groups)
+    return _new(Row, (a.width, a.ones & b.ones, a.zeros & b.zeros, groups))
 
 
 class FinalRows:
@@ -609,7 +619,8 @@ def enumerate_ideals(poset, lines):
     by one complementary 0/1 block are compressed into d rows; the store
     looks for a merge partner only among the stored rows of the same shape.
     A split's parts get fresh labels; a row an imposition returns
-    unchanged (the one part equals it) keeps its own.
+    unchanged (the one part equals it) keeps its own.  On the stack a
+    label is the int n of "rn", written out only for a final row.
 
     Two shortcuts leave the final rows and their order as they are:
 
@@ -632,13 +643,17 @@ def enumerate_ideals(poset, lines):
     that bit c of a field says "no undetermined cell", and of the field
     plus 1 "at most one".  Each newly fixed cell adds its lines to these;
     both tests are then mask expressions over the lines through a newly
-    fixed cell, from k on and not yet in `held`, and the cursor jumps to
-    the lowest line from k on that is not in `held`.
+    fixed cell not yet in `held`, and the cursor jumps to the lowest line
+    from k on that is not in `held`.  The lines before k need no mask:
+    every string of the row satisfies them (each was imposed or stepped
+    over above it), so none holds two fixed 1s and a fixed 0, and one
+    marked held is never read, as the cursor only moves on.
 
     The tests, the imposition (`impose_line`, `force`) and the store's
     merge test are int operations on the row's `ones` and `zeros` masks.
     The rows it builds come from well-formed rows and are not re-checked.
-    The counts land in the result's `stats` (an `EnumStats`).
+    The counts land in the result's `stats` (an `EnumStats`); the split
+    sizes are counted in a plain dict.
     """
     line_sets = [tuple(sorted(set(int(p) for p in line))) for line in lines]
     nlines = len(line_sets)
@@ -654,9 +669,10 @@ def enumerate_ideals(poset, lines):
     count = sum((1 << c) - len(line) << k * s for k, line in enumerate(line_sets))
     blank = (0, small, 0, 0, 0, count)  # the standing of no fixed cell
     seeds = seed_order_ideals(poset)
-    sizes = Counter()
+    sizes = {}  # rows per impose_line call -> calls
     counter = len(seeds.rows)
-    stack = [(row, 0, lab, blank) for row, lab in zip(seeds.rows, seeds.labels)]
+    # labels are the ints of "r1", "r2", ...: seeds' first, then parts'
+    stack = [(row, 0, i, blank) for i, row in enumerate(seeds.rows, 1)]
     stack.reverse()
     finals = FinalRows()
     skipped = pruned = noops = violations = 0
@@ -681,7 +697,9 @@ def enumerate_ideals(poset, lines):
                     once |= t
                 else:
                     zero |= t
-            near = near >> k * s << k * s & ~held
+            # a line before k holds on every string of the row, so it
+            # never has two fixed 1s and a fixed 0: no shift to k is needed
+            near &= ~held
             if near & twice & zero:
                 pruned += 1
                 continue
@@ -691,19 +709,21 @@ def enumerate_ideals(poset, lines):
         start, k = k, k + ((free & -free).bit_length() - 1) // s
         skipped += k - start
         if k == nlines:
-            finals.add(row, label)
+            finals.add(row, f"r{label}")
             continue
-        parts = impose_line(row, line_sets[k])
-        sizes[len(parts)] += 1
-        if len(parts) > len(line_sets[k]) + 2:
+        line = line_sets[k]
+        parts = impose_line(row, line)
+        n = len(parts)
+        sizes[n] = sizes.get(n, 0) + 1
+        if n > len(line) + 2:
             violations += 1
-        if len(parts) == 1 and parts[0] == row:
+        if n == 1 and parts[0] == row:
             noops += 1
-            stack.append((parts[0], k + 1, label, standing))
+            stack.append((row, k + 1, label, standing))
             continue
-        for i in reversed(range(len(parts))):
-            stack.append((parts[i], k + 1, f"r{counter + 1 + i}", standing))
-        counter += len(parts)
+        for i in reversed(range(n)):
+            stack.append((parts[i], k + 1, counter + 1 + i, standing))
+        counter += n
         peak = max(peak, len(stack))
     stats = EnumStats(
         seeds=len(seeds.rows),
@@ -712,7 +732,7 @@ def enumerate_ideals(poset, lines):
         skipped=skipped,
         split_sizes=dict(sorted(sizes.items())),
         split_bound_violations=violations,
-        dead_rows=sizes[0],
+        dead_rows=sizes.get(0, 0),
         pruned_rows=pruned,
         merges=finals.merges,
         peak_stack=peak,

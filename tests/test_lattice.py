@@ -114,6 +114,27 @@ def test_covers_from_below_inverts_strict_down():
             assert covers_from_below(poset.strict_down) == covers
 
 
+def test_covers_from_below_matches_nothing_strictly_between():
+    # members sorted by size put the indices in a linear extension; the
+    # oracle's covers are the pairs with no member strictly between
+    rng = random.Random(17)
+    for _ in range(200):
+        n, covers = random_intersection_closed(rng, rng.randint(2, 7))
+        L = Lattice(n, covers)
+        below = [d & ~(1 << b) for b, d in enumerate(L.down)]
+        assert covers_from_below(below) == sorted(covers)
+
+
+def test_covers_from_below_rejects_indices_out_of_a_linear_extension():
+    # 2 is below 1, so the indices are no linear extension; the error
+    # names the first index that breaks it, also the one below itself
+    with pytest.raises(ValueError, match=r"^below\[1\] holds an index not less than 1$"):
+        covers_from_below([0, 0b100, 0, 0b100])
+    with pytest.raises(ValueError, match=r"^below\[0\] holds an index not less than 0$"):
+        covers_from_below([0b1])
+    assert covers_from_below([0, 0b1, 0b11, 0b1]) == [(0, 1), (0, 3), (1, 2)]
+
+
 def test_lattice_size_is_capped_before_the_tables():
     assert chain(LATTICE_CAP).n == LATTICE_CAP
     with pytest.raises(CapExceeded):

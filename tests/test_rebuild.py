@@ -119,6 +119,29 @@ def test_ji_poset_of_m3_is_antichain():
     assert poset.covers == ()
 
 
+def test_ji_poset_does_not_depend_on_element_ids():
+    # with the ids reversed, every cover runs from a higher id to a lower,
+    # so the points in id order are no linear extension; the covers are
+    # still the transitive reduction of the order on the points, and the
+    # modular lattices still round-trip
+    rng = random.Random(13)
+    lattices = [L for _, L in standard_corpus()]
+    lattices += [Lattice(*random_intersection_closed(rng, rng.randint(3, 5))) for _ in range(100)]
+    for L in lattices:
+        n = L.n
+        R = Lattice(n, [(n - 1 - a, n - 1 - b) for a, b in L.covers])
+        poset, points = ji_ground_poset(R)
+        assert points == tuple(bits(R.ji_mask))
+        below = [{i for i, p in enumerate(points) if p != q and R.down[q] >> p & 1} for q in points]
+        reduced = {
+            (i, j) for j in range(len(points)) for i in below[j]
+            if not any(i in below[k] for k in below[j])
+        }
+        assert set(poset.covers) == reduced
+        if R.modular:
+            assert roundtrip_check(R)
+
+
 # -- full round trip -----------------------------------------------------
 
 

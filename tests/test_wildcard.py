@@ -604,10 +604,11 @@ def test_enumeration_work_bound_on_z3_4(monkeypatch):
 def test_line_standing_matches_the_scan():
     """The masks of line standing, the per-line fixed-cell counts among
     them, prune and skip exactly the rows a scan of every line from k on
-    does: rows, labels, provenance and every stats field agree.  Lines
+    does: rows, labels, provenance and every stats field agree, on random
+    inputs and on the five ladder groups (Z4^3 with its 128 seeds).  Lines
     of 2 to 7 points give count fields of 3 and 4 bits."""
     rng = random.Random(2503)
-    widths, pruned, skipped = Counter(), 0, 0
+    instances = []
     for _ in range(220):
         width = rng.randint(3, 11)
         poset = GroundPoset(width, tuple(random_poset_covers(rng, width)))
@@ -616,6 +617,10 @@ def test_line_standing_matches_the_scan():
             tuple(sorted(rng.sample(range(width), rng.randint(2, longest))))
             for _ in range(rng.randint(1, 9))
         ]
+        instances.append((poset, lines))
+    instances += [enumeration_input(parse_group(g)) for g in LADDER_GROUPS]
+    widths, pruned, skipped = Counter(), 0, 0
+    for poset, lines in instances:
         rows, ref = enumerate_ideals(poset, lines), scanning_enumerate(poset, lines)
         assert (rows.rows, rows.labels, rows.provenance) == (ref.rows, ref.labels, ref.provenance)
         assert rows.stats == ref.stats
