@@ -4,10 +4,10 @@ Finite abelian groups are given as products of cyclic groups.  Their
 elements are numbered in sorted order, and a subgroup is the int mask of
 the ids of its elements, everywhere: the subgroup lattice is found by
 joining cyclic prime-power subgroups onto masks, and `L.subgroups` holds
-the masks.  Set systems generate distributive sublattices of a powerset;
-their join-irreducibles are the minimal generated sets A_v containing
-each universe element, each an int mask over the universe, and a
-down-set of them stands for the OR of its masks.
+the masks.  A set system is one int mask per set over its universe.  It
+generates a distributive sublattice of the powerset whose
+join-irreducibles are the minimal generated sets A_v containing each
+universe element; a down-set of them stands for the OR of its masks.
 
 The subgroup half needs only `lattice`.  One function reaches into
 `rebuild` and `wildcard`: `distributive_lattice`, for the ideal
@@ -226,14 +226,14 @@ def subgroup_lattice(G):
 
 
 class SetSystem:
-    """Sets over `universe`, each checked to lie inside it."""
+    """Int masks over `universe`, bit i for `universe[i]`, each checked to lie inside it."""
 
     def __init__(self, universe, sets):
         self.universe = universe
-        self.sets = tuple(frozenset(s) for s in sets)
-        ground = set(universe)
+        self.sets = tuple(sets)
+        full = (1 << len(universe)) - 1
         for s in self.sets:
-            if not s <= ground:
+            if s & ~full:
                 raise ValueError("set uses elements outside the universe")
 
 
@@ -243,11 +243,11 @@ def parse_set_system(text):
     cells is ignored; any other character is an error."""
     rows = []
     for k, line in enumerate(text.splitlines(), 1):
-        bits = "".join(line.split())
-        if bits.strip("01"):
+        cells = "".join(line.split())
+        if cells.strip("01"):
             raise ValueError(f"line {k} holds characters other than 0, 1 and whitespace")
-        if bits:
-            rows.append([int(b) for b in bits])
+        if cells:
+            rows.append(cells)
     if not rows:
         raise ValueError("empty matrix")
     width = len(rows[0])
@@ -255,28 +255,20 @@ def parse_set_system(text):
         raise ValueError("ragged matrix")
     letters = "abcdefghijklmnopqrstuvwxyz"
     universe = tuple(letters[i] if width <= 26 else f"v{i}" for i in range(width))
-    sets = [frozenset(universe[i] for i, b in enumerate(row) if b) for row in rows]
-    return SetSystem(universe, tuple(sets))
-
-
-def _ji_masks(sys):
-    """The sets A_v as int masks over `sys.universe`, by size, then mask."""
-    bit = {v: 1 << i for i, v in enumerate(sys.universe)}
-    set_masks = [sum(bit[v] for v in s) for s in sys.sets]
-    out = set()
-    for b in bit.values():
-        containing = [m for m in set_masks if m & b]
-        if containing:
-            out.add(reduce(and_, containing))
-    return sorted(out, key=lambda m: (m.bit_count(), m))
+    # a row read right to left is its mask written in binary
+    return SetSystem(universe, tuple(int(r[::-1], 2) for r in rows))
 
 
 def distributive_ji(sys):
-    """The join-irreducibles of the generated distributive lattice:
-    deduplicated sets A_v = intersection of all members containing v, by
-    size.  Elements in no member are skipped."""
-    universe = sys.universe
-    return tuple(frozenset(v for i, v in enumerate(universe) if m >> i & 1) for m in _ji_masks(sys))
+    """The join-irreducibles of the generated distributive lattice: the
+    deduplicated masks A_v = intersection of all members containing v, by
+    size, then mask.  Elements in no member are skipped."""
+    out = set()
+    for v in range(len(sys.universe)):
+        containing = [m for m in sys.sets if m >> v & 1]
+        if containing:
+            out.add(reduce(and_, containing))
+    return sorted(out, key=lambda m: (m.bit_count(), m))
 
 
 def distributive_lattice(sys):
@@ -286,7 +278,7 @@ def distributive_lattice(sys):
     from .rebuild import closed_ideals_lattice
     from .wildcard import GroundPoset, enumerate_ideals, rowset_masks, total_count
 
-    jis = _ji_masks(sys)
+    jis = distributive_ji(sys)
     # sorted by size, so proper subsets come first
     below = [sum(1 << i for i in range(j) if not jis[i] & ~b) for j, b in enumerate(jis)]
     poset = GroundPoset(len(jis), tuple(covers_from_below(below)))

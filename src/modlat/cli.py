@@ -151,7 +151,7 @@ def cmd_enumerate(args):
         enumerate_ideals,
         lines_from_json,
         poset_from_json,
-        rowset_bitstrings,
+        rowset_masks,
         rowset_to_json,
         rowset_to_text,
         total_count,
@@ -167,8 +167,9 @@ def cmd_enumerate(args):
     if args.count:
         print(total_count(rows))
     elif args.expand:
-        for bits in sorted(rowset_bitstrings(rows)):
-            print("".join(str(b) for b in bits))
+        # cell p is bit p; the leading 1 keeps the string of a zero width empty
+        for cells in sorted(format(m | 1 << rows.width, "b")[:0:-1] for m in rowset_masks(rows)):
+            print(cells)
     else:
         print(rowset_to_text(rows))
     return 0
@@ -288,12 +289,14 @@ def cmd_subgroup_lattice(args):
     if args.analyze:
         from .analysis import params
 
-        print(_params_table(params(L)))
+        rep = params(L)
+        print(_params_table(rep))
+        return 0 if rep.ok else 1
     return 0
 
 
 def cmd_distributive(args):
-    from .algebra import distributive_ji, distributive_lattice, parse_set_system
+    from .algebra import distributive_lattice, parse_set_system
 
     with open(args.sets, encoding="utf-8") as fh:
         system = parse_set_system(fh.read())
@@ -306,9 +309,9 @@ def cmd_distributive(args):
     if args.dot:
         print(lattice_to_dot(L))
         return 0
-    gens = distributive_ji(system)
+    # the down-set lattice has one join-irreducible per A_v, its principal down-set
     print(
-        f"{len(system.sets)} generators, {len(gens)} join-irreducibles, "
+        f"{len(system.sets)} generators, {L.ji_mask.bit_count()} join-irreducibles, "
         f"{L.n} elements"
     )
     return 0
@@ -445,7 +448,7 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (LatticeError, PlsError, WildcardError, NotAClosureSystem, ValueError, KeyError) as exc:
+    except (LatticeError, PlsError, WildcardError, NotAClosureSystem, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

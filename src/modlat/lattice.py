@@ -2,9 +2,9 @@
 
 A lattice is built from its cover relation on dense integer element ids
 0..n-1.  `cover_order` is the one core that checks a cover relation and
-derives its order; `Lattice` and `wildcard.GroundPoset` both call it.
-The order is held only as int masks: bit y of `up[x]` is set when
-x <= y, `down[x]` dually, and `ji_mask` marks the join-irreducibles, so a
+derives its order; `Lattice` and `wildcard.GroundPoset` both call it and
+hold it only as inclusive int masks: bit y of `up[x]` is set when x <= y,
+`down[x]` dually.  A lattice's `ji_mask` marks its join-irreducibles, so a
 point set such as J(a, b) is `down[b] & ~down[a] & ji_mask`.  The join of
 x and y is the element whose up-mask is up[x] & up[y], found by one dict
 lookup (dually for meets); a pair with no such element has no least bound.
@@ -12,9 +12,9 @@ Construction checks that the order is a lattice in time linear in the pairs
 of upper covers, and no n x n table is ever built.  Every builder calls
 `Lattice(n, covers, names)` directly, and the order is fixed at
 construction.  Later writes only cache derived facts (`height`, and
-`modular`, which is one mask test per cover) or attach `subgroups` (in
-`algebra.subgroup_lattice`) and `member_sets` (in
-`rebuild.closed_ideals_lattice`, from masks) to the lattice just built.
+`modular`, which is one mask test per cover) or attach the elements' int
+masks, `subgroups` (in `algebra.subgroup_lattice`) and `members` (in
+`rebuild.closed_ideals_lattice`), to the lattice just built.
 Everything here targets desk scale: no lattice past LATTICE_CAP elements
 is built.
 """

@@ -159,7 +159,12 @@ def find_cycle(P):
                     while u != w:
                         u = parent[u]
                         walk.append(u)
-                    return _as_cycle(walk)
+                    # walk alternates point/line vertices; rotate so a line comes first
+                    if walk[0][0] == "p":
+                        walk = walk[1:] + walk[:1]
+                    lines = tuple(v[1] for v in walk[0::2])
+                    junctions = tuple(v[1] for v in walk[1::2])
+                    return PlsCycle(lines, junctions)
                 depth[w] = depth[v] + 1
                 parent[w] = v
                 stack.append((w, iter(adj[w])))
@@ -168,15 +173,6 @@ def find_cycle(P):
             if not advanced:
                 stack.pop()
     return None
-
-
-def _as_cycle(walk):
-    # walk alternates point/line vertices; rotate so a line comes first
-    if walk[0][0] == "p":
-        walk = walk[1:] + walk[:1]
-    lines = tuple(v[1] for v in walk[0::2])
-    junctions = tuple(v[1] for v in walk[1::2])
-    return PlsCycle(lines, junctions)
 
 
 def rstar(P):

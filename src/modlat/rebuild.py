@@ -6,9 +6,9 @@ p <= a} is an isomorphism onto the family of order ideals closed under
 the line constraints, ordered by inclusion.  `enumeration_data` reads
 that poset and the canonical base's lines off a lattice, and
 `ideals_lattice` is the one path from a poset and its lines back to the
-rebuilt lattice; members stay int masks over the points all the way.  An
-`Implication` is one Horn clause over the points, and
-`implication_base_size` the size of a set of them.
+rebuilt lattice; members stay int masks over the points all the way, and
+`L.members` holds them.  An `Implication` is one Horn clause over the
+points, and `implication_base_size` the size of a set of them.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ def closed_ideals_lattice(members, labels):
     under pairwise intersection; joins exist whenever the family has a
     top, which the lattice constructor verifies.  Members are ordered by
     size, then by their sorted point names as strings, and named by those
-    names; the members in that order are attached to the result as
-    `member_sets`, each the frozenset of its points."""
+    names; their masks in that order are attached to the result as
+    `members`, as `algebra.subgroup_lattice` attaches `subgroups`."""
     names = [str(x) for x in labels]
     by_name = sorted(range(len(names)), key=names.__getitem__)
     keyed = sorted(
@@ -37,7 +37,7 @@ def closed_ideals_lattice(members, labels):
     )
     if not keyed or keyed[0][2]:
         raise NotAClosureSystem("the empty set must be a member")
-    masks = [m for _, _, m in keyed]
+    masks = tuple(m for _, _, m in keyed)
     member_names = ["{" + ",".join(ns) + "}" for _, ns, _ in keyed]
     present = set(masks)
     for i, a in enumerate(masks):
@@ -58,13 +58,13 @@ def closed_ideals_lattice(members, labels):
             inside &= lacking[e]
         below.append(inside)
     L = Lattice(len(masks), covers_from_below(below), member_names)
-    L.member_sets = tuple(frozenset(labels[i] for i in bits(m)) for m in masks)
+    L.members = masks
     return L
 
 
 def ideals_lattice(poset, lines):
     """The lattice of the order ideals of `poset` closed under `lines`
-    (tuples of positions), each member the frozenset of its positions.
+    (tuples of positions), each member the int mask of its positions.
     Raises CapExceeded from the row count, before any member is listed,
     when there are more than LATTICE_CAP of them."""
     rows = enumerate_ideals(poset, lines)

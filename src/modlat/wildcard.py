@@ -32,7 +32,8 @@ row already satisfies without calling `impose_line`; neither changes the
 final rows.  The work it does is counted in an `EnumStats`.
 `impose_line` lists the line's units (its free cells, the members of one
 group, or one imp member) in one pass over the row's groups.  `row_masks`
-lists a row's strings as int masks; `expand` is its 0/1-tuple view.
+lists a row's strings as int masks, and `rowset_masks` a row set's, which
+`enumerate --expand` prints; `expand` is the 0/1-tuple view of one row.
 
 Row sets are written as text and JSON (`rowset_to_text`,
 `rowset_to_json`) and never read back; posets and lines are read from
@@ -96,14 +97,6 @@ class GroupSpec(NamedTuple):
     @property
     def conclusion(self):
         return self.members & ~self.premise
-
-    def well_formed(self):
-        m, prem = self.members, self.premise
-        if type(m) is not int or type(prem) is not int or m < 0 or prem < 0 or prem & ~m:
-            return False
-        if self.kind == "imp":
-            return 0 < prem < m
-        return self.kind in ("d", "eps", "g", "ell") and not prem and not _single(m)
 
     def count(self):
         lam = self.members.bit_count()
@@ -202,7 +195,14 @@ def make_row(width, cells, groups=()):
         elif c != FREE:
             raise WildcardError(f"cell {p} holds {c!r}, which is neither a symbol nor a group")
     for gid, spec in enumerate(groups):
-        if not spec.well_formed():
+        m, prem = spec.members, spec.premise
+        if type(m) is not int or type(prem) is not int or m < 0 or prem < 0 or prem & ~m:
+            well_formed = False
+        elif spec.kind == "imp":
+            well_formed = 0 < prem < m
+        else:
+            well_formed = spec.kind in ("d", "eps", "g", "ell") and not prem and not _single(m)
+        if not well_formed:
             raise WildcardError(f"malformed group {spec}")
         missing = spec.members & ~pointed[gid]
         if missing:
@@ -431,8 +431,8 @@ class GroundPoset:
     """The point poset lines live on, given by its cover relation on the
     points 0..width-1, which construction checks with `lattice.cover_order`
     as `Lattice` does, raising ValueError that names the points by their
-    labels, if any.  `strict_up[p]` is the int mask of the points strictly
-    above p (`strict_down[p]` dually)."""
+    labels, if any.  `up[p]` is the int mask of the points at or above p
+    (`down[p]` dually), as in `Lattice`."""
 
     def __init__(self, width, covers, labels=None):
         if labels is not None:
@@ -446,8 +446,7 @@ class GroundPoset:
             raise ValueError(str(exc)) from None
         self.width = width
         self.labels = labels
-        self.strict_up = tuple(u & ~(1 << p) for p, u in enumerate(up))
-        self.strict_down = tuple(d & ~(1 << p) for p, d in enumerate(down))
+        self.up, self.down = tuple(up), tuple(down)
 
 
 class EnumStats(NamedTuple):
@@ -496,25 +495,20 @@ def rowset_masks(rowset):
     return {s for r in rowset.rows for s in row_masks(r)}
 
 
-def rowset_bitstrings(rowset):
-    """The strings of `rowset_masks`, as tuples of 0s and 1s."""
-    return {tuple([s >> p & 1 for p in range(rowset.width)]) for s in rowset_masks(rowset)}
-
-
 def seed_order_ideals(poset):
     """Rows jointly denoting all downward-closed subsets of the poset.
 
     Branches on a pivot point lying on several unresolved covers (highest
-    up+down degree, ties to the lowest index); membership propagates
-    down-sets on 1 and up-sets on 0.  Covers left with both ends
-    undetermined become pairwise imp groups.  The branches wait on one
+    up+down degree, ties to the lowest index); membership propagates the
+    pivot's inclusive down-set on 1 and up-set on 0.  Covers left with both
+    ends undetermined become pairwise imp groups.  The branches wait on one
     LIFO stack of (ones, zeros, covers) entries, each holding the covers
     its parent left unresolved as (members, premise) masks; the 0-branch
     goes on first, so the 1-branch's rows come out first.  The points on
     two unresolved covers are found by an OR over them.
     """
     rows = []
-    up, down = poset.strict_up, poset.strict_down
+    up, down = poset.up, poset.down
     # the pivot is the first point in this order lying on two unresolved covers
     order = [p for _, p in sorted((-(up[p] | down[p]).bit_count(), p) for p in range(poset.width))]
     # covers left unresolved are disjoint, so in this order they come
@@ -534,8 +528,8 @@ def seed_order_ideals(poset):
             rows.append(_new(Row, (poset.width, ones, zeros, groups)))
             continue
         pivot = next(p for p in order if twice >> p & 1)
-        stack.append((ones, zeros | 1 << pivot | up[pivot], active))
-        stack.append((ones | 1 << pivot | down[pivot], zeros, active))
+        stack.append((ones, zeros | up[pivot], active))
+        stack.append((ones | down[pivot], zeros, active))
     labels = tuple(f"r{i + 1}" for i in range(len(rows)))
     return RowSet(poset.width, tuple(rows), labels)
 

@@ -1,6 +1,6 @@
 """What the tests check the package against, and the inputs they build.
 
-Two kinds of code live here:
+Three kinds of code live here:
 
 - references: independent, deliberately brute-force implementations of
   what a package function computes (the closed ideals, the enumerator
@@ -17,6 +17,11 @@ Two kinds of code live here:
   Fano plane, the enumerator's input for a group, and writers of the JSON the command line reads (`poset_to_json`,
   `pls_to_json`, `set_system_to_text`).  These may call the package,
   since they only make inputs.
+- converters, which put the package's int masks in the form the
+  references are written on: `rowset_bitstrings`, a row set's strings as
+  the 0/1 tuples `brute_closed_ideals` lists, and `mask_set`, the
+  frozenset of a mask's points (a closed-family member, a set of a set
+  system, a join-irreducible A_v).
 """
 
 from __future__ import annotations
@@ -53,6 +58,20 @@ def brute_closed_ideals(poset, lines):
         if is_down_closed(poset, string) and all(line_admits(string, l) for l in lines):
             out.add(string)
     return out
+
+
+def rowset_bitstrings(rowset):
+    """The strings of `wildcard.rowset_masks`, as tuples of 0s and 1s, the
+    form `brute_closed_ideals` lists."""
+    return {
+        tuple([s >> p & 1 for p in range(rowset.width)]) for s in wildcard.rowset_masks(rowset)
+    }
+
+
+def mask_set(mask, labels=None):
+    """The frozenset of the points of an int mask: `labels[i]` for bit i,
+    or i itself when no labels are given."""
+    return frozenset(bits(mask) if labels is None else (labels[i] for i in bits(mask)))
 
 
 def poset_to_json(poset):
@@ -471,7 +490,7 @@ def set_system_to_text(sys):
     """The 0/1 matrix `modlat.algebra.parse_set_system` reads back."""
     out = []
     for s in sys.sets:
-        out.append("".join("1" if v in s else "0" for v in sys.universe))
+        out.append("".join(str(s >> i & 1) for i in range(len(sys.universe))))
     return "\n".join(out) + "\n"
 
 
@@ -985,7 +1004,7 @@ def natural_implication_base(lines, poset, points):
     of point ids; `poset` and `points` are as from `ji_ground_poset`, the
     p-th position of the poset standing for points[p]."""
     downs = {
-        p: frozenset(points[q] for q in bits(poset.strict_down[i]))
+        p: mask_set(poset.down[i] & ~(1 << i), points)
         for i, p in enumerate(points)
     }
     out = []

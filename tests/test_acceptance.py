@@ -50,7 +50,6 @@ from modlat.wildcard import (
     expand,
     impose_line,
     row_count,
-    rowset_bitstrings,
     seed_order_ideals,
     total_count,
 )
@@ -64,11 +63,13 @@ from oracles import (
     fano_pls,
     inclusion_lattice,
     line_admits,
+    mask_set,
     min_splittings,
     random_lines,
     random_pls,
     random_poset_covers,
     random_row,
+    rowset_bitstrings,
     split_point,
     union_intersection_closure,
 )
@@ -109,10 +110,7 @@ def test_criterion_02_reconstruction():
     ]
     L = closed_ideals_lattice([sum(1 << k for k in m) for m in members], range(poset.width))
     jis = tuple(bits(L.ji_mask))
-    downs = {
-        frozenset(k for k in range(poset.width) if (poset.strict_down[i] | 1 << i) >> k & 1)
-        for i in range(poset.width)
-    }
+    downs = set(poset.down)
     ji_poset, _ = ji_ground_poset(L)
     oracle_members, oracle_covers = inclusion_lattice(set(members))
     oracle = Lattice(len(oracle_members), oracle_covers)
@@ -120,7 +118,7 @@ def test_criterion_02_reconstruction():
     ok = (
         L.n == 13
         and len(jis) == 7
-        and {L.member_sets[e] for e in jis} == downs
+        and {L.members[e] for e in jis} == downs
         and set(ji_poset.covers) == set(poset.covers)
         and len(line_intervals(L)) == 3
         and roundtrip_check(L)
@@ -311,8 +309,9 @@ SIGMA_OPT = tuple(
 
 def test_criterion_10_generated_distributive_lattice():
     system = parse_set_system(NINE_SETS)
-    closure = union_intersection_closure(system.sets) | {frozenset()}
-    jis = set(distributive_ji(system))
+    sets = [mask_set(m, system.universe) for m in system.sets]
+    closure = union_intersection_closure(sets) | {frozenset()}
+    jis = {mask_set(m, system.universe) for m in distributive_ji(system)}
     L = distributive_lattice(system)
     canon, covers = inclusion_lattice(closure)
     oracle = Lattice(len(canon), covers)

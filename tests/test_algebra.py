@@ -26,6 +26,7 @@ from oracles import (
     family_join_irreducibles,
     group_add,
     inclusion_lattice,
+    mask_set,
     rank_two_subgroup_count,
     set_system_to_text,
     union_intersection_closure,
@@ -320,7 +321,8 @@ def test_parse_set_system_spaced_and_compact():
     sys2 = parse_set_system("101\n011\n")
     assert (sys1.universe, sys1.sets) == (sys2.universe, sys2.sets)
     assert sys1.universe == ("a", "b", "c")
-    assert sys1.sets == (frozenset("ac"), frozenset("bc"))
+    assert sys1.sets == (0b101, 0b110)
+    assert [mask_set(s, sys1.universe) for s in sys1.sets] == [frozenset("ac"), frozenset("bc")]
 
 
 @pytest.mark.parametrize("text", ["0x\n", "1 0 2\n", "10,1\n"])
@@ -341,7 +343,7 @@ def test_parse_rejects_bad_matrices():
     with pytest.raises(ValueError):
         parse_set_system("10\n101\n")
     with pytest.raises(ValueError):
-        SetSystem(("a",), (frozenset("ab"),))
+        SetSystem(("a",), (0b11,))
 
 
 # -- generated distributive lattices ---------------------------------------
@@ -349,7 +351,7 @@ def test_parse_rejects_bad_matrices():
 
 def test_single_set_has_one_join_irreducible():
     sys = parse_set_system("11")
-    assert distributive_ji(sys) == (frozenset("ab"),)
+    assert distributive_ji(sys) == [0b11]
 
 
 def test_disjoint_sets_give_boolean_lattices():
@@ -387,28 +389,29 @@ NINE_UNIVERSE = tuple("abcdefgh") + ("k",)
 
 def _nine_column_system():
     # the parsed columns renamed a-h and k, the labels the expected sets use
-    parsed = parse_set_system(NINE_SETS)
-    rename = dict(zip(parsed.universe, NINE_UNIVERSE))
-    return SetSystem(NINE_UNIVERSE, [{rename[v] for v in s} for s in parsed.sets])
+    return SetSystem(NINE_UNIVERSE, parse_set_system(NINE_SETS).sets)
 
 
 def test_nine_column_system_join_irreducibles():
     sys = _nine_column_system()
     jis = distributive_ji(sys)
+    assert jis == sorted(jis, key=lambda m: (m.bit_count(), m))
+    jis = [mask_set(m, sys.universe) for m in jis]
     expected = [
         frozenset(word) for word in ["b", "df", "abe", "dfg", "dfk", "bcdf", "abdefh"]
     ]
     assert sorted(jis, key=lambda s: (len(s), sorted(s))) == expected
-    closure = union_intersection_closure(sys.sets) | {frozenset()}
-    assert set(jis) == family_join_irreducibles(closure)
+    closure = union_intersection_closure(mask_set(m, sys.universe) for m in sys.sets)
+    assert set(jis) == family_join_irreducibles(closure | {frozenset()})
 
 
 def test_nine_column_system_generates_the_closure_lattice():
     sys = parse_set_system(NINE_SETS)
     L = distributive_lattice(sys)
-    closure = union_intersection_closure(sys.sets) | {frozenset()}
+    sets = [mask_set(m, sys.universe) for m in sys.sets]
+    closure = union_intersection_closure(sets) | {frozenset()}
     assert L.n == len(closure) == 31
     canon, covers = inclusion_lattice(closure)
     oracle = Lattice(len(canon), covers)
     assert is_isomorphic(L, oracle)
-    assert set(L.member_sets) == closure
+    assert {mask_set(m, sys.universe) for m in L.members} == closure

@@ -26,6 +26,7 @@ from modlat.analysis import (
     check_join_witness,
     check_line_feet,
     check_localizations_connected,
+    check_perspective_intervals,
     check_point_count,
     check_triangle_tops,
     component_count,
@@ -458,9 +459,13 @@ def test_a_witness_span_across_two_classes_fails_the_agreement():
     other = next(c for c in ctx.class_partition if not c & sum(ws[-1]))
     ws[-1] = (ws[-1][0] | other & -other,) + ws[-1][1:]
     ctx.witnesses = tuple(ws)
+    detail = f"witness span at top {ctx.intervals[-1].top} crosses classes"
     verdict = _verdict(check_point_count(ctx), "acyclicity agrees across bases")
-    assert not verdict.passed
-    assert verdict.detail == f"witness span at top {ctx.intervals[-1].top} crosses classes"
+    assert not verdict.passed and verdict.detail == detail
+    # the canonical base keeps its components, so the components check
+    # fails on the span too
+    verdict = check_components_match_projectivity(ctx)
+    assert not verdict.passed and verdict.detail == detail
 
 
 def test_line_feet_cover_every_witness_pair():
@@ -475,6 +480,40 @@ def test_line_feet_cover_every_witness_pair():
     doctored.witnesses = tuple(ws)
     verdict = check_line_feet(doctored)
     assert not verdict.passed
+
+
+def test_line_feet_report_a_pair_on_a_line_that_is_not_perspective():
+    # with no transpose mask shared, the first witness pair of the first
+    # interval keeps its foot but loses its perspectivity
+    L = z4_squared()
+    doctored = AnalysisContext(L)
+    doctored.shares = [0] * L.n
+    p, q = sorted((w & -w).bit_length() - 1 for w in doctored.witnesses[0][:2])
+    verdict = check_line_feet(doctored)
+    assert not verdict.passed
+    assert verdict.detail == f"{p},{q} on a line but not perspective"
+
+
+def test_perspective_intervals_report_each_way_a_pair_misses_its_interval():
+    # M3's three atoms are pairwise perspective, with the one line
+    # interval [0, 4]; the first pair walked is 1, 2
+    name = "perspective pairs span line intervals"
+    ctx = AnalysisContext(m_n(3))
+    (iv,) = ctx.intervals
+    assert (iv.bottom, iv.top, sorted(ctx.lower)) == (0, 4, [1, 2, 3])
+    assert check_perspective_intervals(ctx) == (name, True, "3 pairs")
+    for doctored, detail in [
+        (iv._replace(bottom=iv.top), "interval at 4 does not start at p_*+q_*"),
+        (iv._replace(atoms=()), "1 or 2 misses the middle layer at 4"),
+    ]:
+        ctx.intervals = (doctored,)
+        assert check_perspective_intervals(ctx) == (name, False, detail)
+    # the Boolean lattice on atoms 1, 2, 4 has no line interval, so two
+    # atoms made perspective join outside every one
+    ctx = AnalysisContext(boolean_lattice(3))
+    assert ctx.intervals == () and check_perspective_intervals(ctx).passed
+    ctx.shares[1] |= 1 << 2
+    assert check_perspective_intervals(ctx) == (name, False, "join 3 of 1,2 is not a line-top")
 
 
 def test_shared_localization_pass_matches_localize():

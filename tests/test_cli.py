@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import modlat.analysis
+import modlat.corpus
 from modlat import cli
 from modlat.algebra import parse_group, subgroup_lattice
+from modlat.analysis import Verdict
 from modlat.cli import main
 from modlat.corpus import (
     m_n,
@@ -138,6 +141,14 @@ def test_enumerate_expand(files, capsys):
     assert len(rows) == 13
     assert rows == sorted(rows)
     assert all(len(r) == 7 and set(r) <= {"0", "1"} for r in rows)
+
+
+def test_enumerate_expand_on_a_zero_width_poset_prints_one_empty_line(tmp_path, capsys):
+    # the empty set is the one ideal of no points, and its string is empty
+    poset = tmp_path / "empty.json"
+    poset.write_text(json.dumps({"points": []}))
+    assert main(["enumerate", "--poset", str(poset), "--expand"]) == 0
+    assert capsys.readouterr() == ("\n", "")
 
 
 def test_enumerate_expand_stops_past_the_cap_in_total(tmp_path, capsys):
@@ -373,6 +384,35 @@ def test_verify_runs_clean(capsys):
     assert all(line.startswith("ok") for line in lines[:-1])
 
 
+def test_verify_lists_each_failing_check_and_exits_1(monkeypatch, capsys):
+    # a suite of two checks whose second fails on the first lattice only
+    seen = []
+
+    def suite(L):
+        seen.append(L)
+        return Verdict("fine", True, "held"), Verdict("made up", len(seen) > 1, "broken")
+
+    monkeypatch.setattr(modlat.analysis, "verdict_suite", suite)
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    names = [name for name, _ in standard_corpus()]
+    assert lines[:2] == [f"FAIL {names[0]} (2 checks)", "     [FAIL] made up: broken"]
+    assert lines[2:-1] == [f"ok   {name} (2 checks)" for name in names[1:]]
+    assert lines[-1] == "33 lattices, 1 failing checks"
+
+
+def test_a_key_error_inside_a_command_propagates(monkeypatch):
+    # every reader names a missing key in a ValueError (see
+    # `_missing_key_error`), so a KeyError is a fault of the program, not
+    # bad input, and main does not turn it into exit 2
+    def broken():
+        raise KeyError("not an input key")
+
+    monkeypatch.setattr(modlat.corpus, "standard_corpus", broken)
+    with pytest.raises(KeyError):
+        main(["verify"])
+
+
 # -- bases of lines -----------------------------------------------------------
 
 
@@ -509,6 +549,21 @@ def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
     for _ in range(2):
         assert main(["subgroup-lattice", "--group", "2,2", "--count"]) == 0
         assert capsys.readouterr().out.strip() == "5"
+
+
+def test_analyze_and_subgroup_lattice_analyze_exit_1_on_a_failing_verdict(
+        files, monkeypatch, capsys):
+    real = modlat.analysis.params
+
+    def failing(L):
+        rep = real(L)
+        return rep._replace(verdicts=rep.verdicts + (Verdict("made up", False, "broken"),))
+
+    monkeypatch.setattr(modlat.analysis, "params", failing)
+    for argv in (["analyze", "--lattice", files["m3"]],
+                 ["subgroup-lattice", "--group", "2,2", "--analyze"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().out.endswith("\n[FAIL] made up: broken\n"), argv
 
 
 def test_subgroup_lattice_dot(capsys):

@@ -19,7 +19,7 @@ from modlat.pls import components
 from modlat.rebuild import ideals_lattice
 from modlat.wildcard import GroundPoset
 
-from oracles import brute_closed_ideals, fano_pls
+from oracles import brute_closed_ideals, fano_pls, mask_set
 
 
 def test_standard_corpus_composition():
@@ -94,5 +94,5 @@ def test_downset_lattice_members_are_the_brute_force_down_sets(poset):
         frozenset(k for k, bit in enumerate(bs) if bit)
         for bs in brute_closed_ideals(poset, [])
     }
-    members = ideals_lattice(poset, []).member_sets
+    members = [mask_set(m) for m in ideals_lattice(poset, []).members]
     assert len(members) == len(expected) and set(members) == expected

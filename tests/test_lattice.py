@@ -111,7 +111,8 @@ def test_covers_from_below_inverts_strict_down():
         for _ in range(30):
             covers = random_poset_covers(rng, width)
             poset = GroundPoset(width, tuple(covers))
-            assert covers_from_below(poset.strict_down) == covers
+            strict_down = [d & ~(1 << p) for p, d in enumerate(poset.down)]
+            assert covers_from_below(strict_down) == covers
 
 
 def test_covers_from_below_matches_nothing_strictly_between():
@@ -449,9 +450,8 @@ def test_ground_poset_masks_match_the_reachability_closure():
             poset = GroundPoset(width, tuple(covers))
             leq = order_relation(width, covers)
             for p in range(width):
-                others = set(range(width)) - {p}
-                assert _decode(poset.strict_up[p], width) == {q for q in others if leq[p][q]}
-                assert _decode(poset.strict_down[p], width) == {q for q in others if leq[q][p]}
+                assert _decode(poset.up[p], width) == {q for q in range(width) if leq[p][q]}
+                assert _decode(poset.down[p], width) == {q for q in range(width) if leq[q][p]}
             for n, reduced in ((width, covers), _bounded(mutate, width)):
                 leq = order_relation(n, reduced)
                 for pairs, rejected in _cover_variants(mutate, n, reduced):
@@ -463,10 +463,8 @@ def test_ground_poset_masks_match_the_reachability_closure():
                         continue
                     assert poset.covers == tuple(sorted(reduced))
                     for p in range(n):
-                        assert _decode(poset.strict_up[p] | 1 << p, n) == {
-                            q for q in range(n) if leq[p][q]}
-                        assert _decode(poset.strict_down[p] | 1 << p, n) == {
-                            q for q in range(n) if leq[q][p]}
+                        assert _decode(poset.up[p], n) == {q for q in range(n) if leq[p][q]}
+                        assert _decode(poset.down[p], n) == {q for q in range(n) if leq[q][p]}
                     if isinstance(L, str):
                         assert "have no least" in L, pairs  # a valid order, not a lattice
                         continue

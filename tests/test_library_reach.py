@@ -41,10 +41,8 @@ NEVER_ENTERED = {
     "bol.all_bols": "tracer-wrapped; no command or verdict lists bases",
     "pls.components": "tracer-wrapped; commands call mask_components",
     "pls.find_cycle": "tracer-wrapped; commands decide cycles by r*",
-    "pls._as_cycle": "find_cycle's helper",
     "wildcard.expand": "tracer-wrapped; commands list strings as masks (row_masks)",
     "wildcard.make_row": "tracer-wrapped; the enumerator builds rows from rows",
-    "wildcard.GroupSpec.well_formed": "make_row's check",
     "wildcard.Row.same_content": "the tracer's impose_line wrapper",
     # the strict 47-vs-45 xfail of criterion 10 imports it
     "rebuild.implication_base_size": "no command counts implications",

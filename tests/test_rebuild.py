@@ -33,6 +33,7 @@ from oracles import (
     implications_to_json,
     ji_below,
     lines_from_joins,
+    mask_set,
     natural_implication_base,
     random_intersection_closed,
 )
@@ -50,7 +51,7 @@ def test_empty_set_alone_gives_one_element():
     L = closed_ideals_lattice([0], ())
     assert L.n == 1
     assert L.bottom == L.top
-    assert L.member_sets == (frozenset(),)
+    assert L.members == (0,)
 
 
 def test_power_set_gives_boolean_lattice():
@@ -64,8 +65,8 @@ def test_member_order_matches_inclusion():
     L = seven_point_lattice()
     for i in range(L.n):
         for j in range(L.n):
-            assert L.leq(i, j) == (L.member_sets[i] <= L.member_sets[j])
-    sizes = [len(s) for s in L.member_sets]
+            assert L.leq(i, j) == (mask_set(L.members[i]) <= mask_set(L.members[j]))
+    sizes = [m.bit_count() for m in L.members]
     assert sizes == sorted(sizes)
 
 
@@ -284,7 +285,7 @@ def test_down_sets_follow_the_poset_past_point_nine():
 
 
 def _member_elem(L, point_set):
-    return L.member_sets.index(frozenset(point_set))
+    return L.members.index(sum(1 << p for p in point_set))
 
 
 def test_closure_of_fixture_sets():
