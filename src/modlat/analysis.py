@@ -142,10 +142,13 @@ class AnalysisContext:
         single-option slots force every point onto a line, and the forced
         lines cut J(u, v) into parts connected in every base.  A line with
         a whole slot inside a part touches it in every base, so the parts
-        it touches that way merge, until nothing merges.  With no choice
-        left, the parts are the one base's components; else some base is
-        disconnected exactly when a union S of parts, with the first and
-        not all, lets every line lie inside S or outside it."""
+        it touches that way merge, until nothing merges.  Only the part
+        that holds a slot's lowest point can hold the slot, so each round
+        maps every point to its part and tests each slot against that one
+        part; a slot with a point outside J(u, v) lies in none.  With no
+        choice left, the parts are the one base's components; else some
+        base is disconnected exactly when a union S of parts, with the
+        first and not all, lets every line lie inside S or outside it."""
         _, _, pts, qual = self.coverings[k]
         if not pts & (pts - 1):
             return pts != 0
@@ -156,11 +159,22 @@ class AnalysisContext:
         if len(parts) == 1 or not qual & choosy:
             return len(parts) == 1
         slots = [[w for w in self.witnesses[i] if w & pts] for i in bits(qual & choosy)]
+        # per line, its slots inside J(u, v), each with its lowest point
+        inner = [[(w & -w, w) for w in ws if not w & ~pts] for ws in slots]
         count = 0
-        while count != len(parts):
+        while count != len(parts) > 1:  # one part left merges no further
             count = len(parts)
-            touched = [sum(P for P in parts if any(not w & ~P for w in ws)) for ws in slots]
-            parts = merge_masks(parts + [m for m in touched if m])
+            part_of = {1 << p: P for P in parts for p in bits(P)}
+            touched = []
+            for pairs in inner:
+                hit = 0
+                for low, w in pairs:
+                    P = part_of[low]  # the one part that can hold w
+                    if not w & ~P:
+                        hit |= P
+                if hit:
+                    touched.append(hit)
+            parts = merge_masks(parts + touched)
         if len(parts) > SEARCH_PARTS:
             return None
         unions = [parts[0]]
@@ -802,36 +816,57 @@ def check_join_witness(L):
     """r in J(a, a+q) with q, r incomparable forces some p in J(a) with
     p + q = r + q.
 
-    Per point q, one sweep up `L.linear_extension`, past the elements
-    above q (untested, and under no tested element), sets ok[a] to the
-    points r with r + q = p + q for some point p <= a: the OR of ok[b]
-    over a's lower covers b, and for a point a of the t with t + q = a + q.
-    That needs no modularity.  Each (a, q) is one mask test, and a failure
-    reports the least (a, q, r)."""
-    up, down, jis, join = L.up, L.down, L.ji_mask, L.join
-    order = [(a, L.lower_covers(a)) for a in L.linear_extension]
+    One sweep up `L.linear_extension` asks this of every point q at once.
+    The points are numbered 0..m-1, and the masks over them, one per q,
+    are the fields of one packed int, each a whole number of bytes wide.
+    ok[a] holds, per q, the points r with r + q = p + q for some point
+    p <= a: the OR of ok[b] over a's lower covers b, and for a point a its
+    class under t -> t + q.  The r to test at a are the packed J(a + q),
+    less J(a) and the points comparable with q; for q <= a that field is
+    0.  A join x + y is named by its up-set, up(x) & up(y), so J(a + q) is
+    looked up as bytes by that mask.  That needs no modularity.  Each a is
+    one mask test, and a failure reports the least (a, q, r)."""
+    up = L.up
+    pts = tuple(bits(L.ji_mask))
+    ups = [up[q] for q in pts]
+    size = (len(pts) + 7) // 8  # bytes per field
+    width = 8 * size
+    dj = [0] * L.n  # per element, the numbers of the points under it
+    for i, p in enumerate(pts):
+        dj[p] = 1 << i
+    for a in L.linear_extension:
+        for b in L.lower_covers(a):
+            dj[a] |= dj[b]
+    # per point, ok starts as its class; `off` holds, per q, the points
+    # incomparable with q, and `rep` a 1 in every field
+    ok, off, rep = [0] * L.n, 0, 0
+    for j, uq in enumerate(ups):
+        tops = [ut & uq for ut in ups]  # the up-sets of the t + q
+        same, apart = {}, 0
+        for i, (ut, x) in enumerate(zip(ups, tops)):
+            same[x] = same.get(x, 0) | 1 << i
+            if x != ut and x != uq:
+                apart |= 1 << i
+        shift = width * j
+        for t, x in zip(pts, tops):
+            ok[t] |= same[x] << shift
+        off |= apart << shift
+        rep |= 1 << shift
+    under = {up[x]: d.to_bytes(size, "little") for x, d in enumerate(dj)}
     tried, fails = 0, []
-    for q in bits(jis):
-        uq = up[q]
-        same = {}  # up-mask of t + q -> the points t with that join
-        for t in bits(jis):
-            same[up[t] & uq] = same.get(up[t] & uq, 0) | 1 << t
-        off = jis & ~uq & ~down[q]  # the points incomparable with q
-        ok = [0] * L.n
-        for a, lows in order:
-            if uq >> a & 1:
-                continue
-            m = 0
-            for b in lows:
-                m |= ok[b]
-            if jis >> a & 1:
-                m |= same[up[a] & uq]
-            ok[a] = m
-            rs = down[join(a, q)] & ~down[a] & off  # J(a, a+q), less q's comparables
-            tried += rs.bit_count()
-            bad = rs & ~m
-            if bad:
-                fails.append((a, q, (bad & -bad).bit_length() - 1))
+    for a in L.linear_extension:
+        have = ok[a]
+        for b in L.lower_covers(a):
+            have |= ok[b]
+        ok[a] = have
+        ua = up[a]
+        rs = int.from_bytes(b"".join([under[ua & uq] for uq in ups]), "little")
+        rs &= off & ~(dj[a] * rep)
+        tried += rs.bit_count()
+        bad = rs & ~have
+        if bad:
+            j, i = divmod((bad & -bad).bit_length() - 1, width)
+            fails.append((a, pts[j], pts[i]))
     msg = fails and "a={}, q={}, r={}: no witness".format(*min(fails))
     return Verdict("join witness below a", not fails, msg or f"{tried} triples checked")
 

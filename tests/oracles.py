@@ -8,7 +8,8 @@ Three kinds of code live here:
   splittings and the acyclifier, transpositions and projectivity
   classes, group addition (`group_add`, for `_Numbered.translate`),
   brute-force subgroups and closed forms, the modular law, the per-base
-  choices of lines, Horn closures).  A reference never calls
+  choices of lines, Horn closures, the join-witness scan, and
+  `connected_at` with its merge scanning every part).  A reference never calls
   the function it is the reference for.  It may call package code that
   it does not check: the checked constructors (`validate_pls`,
   `make_row`), the queries of a `Lattice`, and, in the enumerator
@@ -1077,3 +1078,41 @@ def per_base_reference(L, limit=None):
         match = match and set(comps) == want
         rstars.add(r)
     return match, sorted(rstars)
+
+
+def connected_by_scan(ctx, k):
+    """`AnalysisContext.connected_at(k)` with the merge loop that tests
+    every slot of every choosy line against every part, `any(not w & ~P
+    ...)`, instead of against the part of the slot's lowest point.  The
+    rest follows `connected_at`: the forced parts, the merge until nothing
+    merges, and the search over unions of at most `SEARCH_PARTS` parts,
+    which it reads from `modlat.analysis` at each call."""
+    from modlat import analysis
+    from modlat.pls import merge_masks
+
+    _, _, pts, qual = ctx.coverings[k]
+    if not pts & (pts - 1):
+        return pts != 0
+    forced = [sum(w for w in ws if not w & (w - 1)) for ws in ctx.witnesses]
+    choosy = sum(1 << i for i, ws in enumerate(ctx.witnesses) if any(w & (w - 1) for w in ws))
+    parts = merge_masks([m for i in bits(qual) if (m := forced[i] & pts)])
+    if sum(parts) != pts:
+        return False
+    if len(parts) == 1 or not qual & choosy:
+        return len(parts) == 1
+    slots = [[w for w in ctx.witnesses[i] if w & pts] for i in bits(qual & choosy)]
+    count = 0
+    while count != len(parts):
+        count = len(parts)
+        touched = [sum(P for P in parts if any(not w & ~P for w in ws)) for ws in slots]
+        parts = merge_masks(parts + [m for m in touched if m])
+    if len(parts) > analysis.SEARCH_PARTS:
+        return None
+    unions = [parts[0]]
+    for P in parts[1:]:
+        unions += [S | P for S in unions]
+    for S in unions[:-1]:
+        rest = pts & ~S
+        if all(all(w & ~rest for w in ws) or all(w & ~S for w in ws) for ws in slots):
+            return False
+    return True

@@ -597,6 +597,34 @@ def test_connected_at_matches_the_enumeration_on_doctored_tables(monkeypatch):
     assert ctx.connected_at(0) is None
 
 
+def test_connected_at_matches_the_scan_on_the_doctored_tables(monkeypatch):
+    # every call that the doctored-table test makes, checked against the
+    # merge loop that scans every part
+    answers = []
+
+    def checked(ctx, k, connected_at=AnalysisContext.connected_at):
+        got = connected_at(ctx, k)
+        assert got is oracles.connected_by_scan(ctx, k), ctx.witnesses
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(AnalysisContext, "connected_at", checked)
+    test_connected_at_matches_the_enumeration_on_doctored_tables(monkeypatch)
+    assert set(answers) == {False, True, None}
+
+
+@pytest.mark.parametrize("group", ["2,2,4,4", "4,4,8", "2,2,2,8", "16,16", "4,8"])
+def test_connected_at_matches_the_scan_on_every_covering(group, monkeypatch):
+    # cyclic-factor groups, where choosy lines leave parts to merge; with
+    # the search bounded at one part, the merge alone decides
+    ctx = AnalysisContext(subgroup_lattice(parse_group(group)))
+    ks = range(len(ctx.coverings))
+    for bound in (modlat.analysis.SEARCH_PARTS, 1):
+        monkeypatch.setattr(modlat.analysis, "SEARCH_PARTS", bound)
+        want = [oracles.connected_by_scan(ctx, k) for k in ks]
+        assert [ctx.connected_at(k) for k in ks] == want
+
+
 def test_a_covering_past_the_search_bound_fails_the_localizations_check():
     # SEARCH_PARTS + 1 points, each forced onto a line of its own, and a
     # line that may take either of the first two: nothing merges
@@ -781,6 +809,32 @@ def test_join_witness_does_not_depend_on_element_ids():
             a, q, r = bad
             assert check_join_witness(R).detail == f"a={a}, q={q}, r={r}: no witness"
     assert failed
+
+
+def test_join_witness_matches_the_scan_on_small_and_wide_lattices():
+    # no point, one point and a chain; then families on 7-9 element
+    # universes, some with more than 8 points, so that a field of the
+    # packed masks spans two bytes (the first such failure is the 78th
+    # family of this seed); and each with its ids reversed
+    rng = random.Random(41)
+    lattices = [Lattice(1, []), Lattice(2, [(0, 1)]), chain(5)]
+    lattices += [Lattice(*random_intersection_closed(rng, rng.randint(7, 9)))
+                 for _ in range(100)]
+    lattices += [Lattice(L.n, [(L.n - 1 - a, L.n - 1 - b) for a, b in L.covers])
+                 for L in lattices]
+    failed = wide_failed = 0
+    for L in lattices:
+        tried, bad = join_witness_failure(L)
+        verdict = check_join_witness(L)
+        if bad is None:
+            assert verdict.passed and verdict.detail == f"{tried} triples checked"
+        else:
+            failed += 1
+            wide_failed += L.ji_mask.bit_count() > 8
+            a, q, r = bad
+            assert not verdict.passed and verdict.detail == f"a={a}, q={q}, r={r}: no witness"
+    assert check_join_witness(lattices[0]).detail == "0 triples checked"
+    assert failed and wide_failed
 
 
 # per group, the join-witness triples (counted once by
