@@ -125,11 +125,17 @@ class AnalysisContext:
     @cached_property
     def _forced(self):
         """Per interval, the mask of the points that its single-option
-        slots put on its line in every base; and the mask of the indices
-        of the intervals with a slot of two or more options."""
+        slots put on its line in every base; the mask of the indices of
+        the intervals with a slot of two or more options; and per point of
+        those forced lines, keyed by its bit 1 << p, the mask of the
+        indices of the intervals whose forced line holds it."""
         forced = [sum(w for w in ws if not w & (w - 1)) for ws in self.witnesses]
         choosy = sum(1 << i for i, ws in enumerate(self.witnesses) if any(w & (w - 1) for w in ws))
-        return forced, choosy
+        on = {}
+        for i, m in enumerate(forced):
+            for p in bits(m):
+                on[1 << p] = on.get(1 << p, 0) | 1 << i
+        return forced, choosy, on
 
     def connected_at(self, k):
         """Whether every base of lines has a connected localization at the
@@ -140,24 +146,51 @@ class AnalysisContext:
         (interval, atom) slots that lies in J(u, v).  A point that every
         slot holding it can let go of is isolated in some base.  Else
         single-option slots force every point onto a line, and the forced
-        lines cut J(u, v) into parts connected in every base.  A line with
-        a whole slot inside a part touches it in every base, so the parts
-        it touches that way merge, until nothing merges.  Only the part
-        that holds a slot's lowest point can hold the slot, so each round
-        maps every point to its part and tests each slot against that one
-        part; a slot with a point outside J(u, v) lies in none.  With no
-        choice left, the parts are the one base's components; else some
-        base is disconnected exactly when a union S of parts, with the
-        first and not all, lets every line lie inside S or outside it."""
+        lines cut J(u, v) into parts connected in every base.  Each part is
+        flooded out from the lowest point not yet placed: each step ORs in
+        the qualifying forced lines, not yet used, through the points the
+        last step added, and a part that is all of J(u, v) answers at once.
+        A line with a whole slot inside a part touches it in every base,
+        so the parts it touches that way merge, until nothing merges.
+        Only the part that holds a slot's lowest point can hold the slot,
+        so each round maps every point to its part and tests each slot
+        against that one part; a slot with a point outside J(u, v) lies in
+        none.  With no choice left, the parts are the one base's
+        components; else some base is disconnected exactly when a union S
+        of parts, with the first and not all, lets every line lie inside S
+        or outside it.  The order of the parts changes no answer."""
         _, _, pts, qual = self.coverings[k]
         if not pts & (pts - 1):
             return pts != 0
-        forced, choosy = self._forced
-        parts = merge_masks([m for i in bits(qual) if (m := forced[i] & pts)])
-        if sum(parts) != pts:
+        forced, choosy, on = self._forced
+        # inline bit walks, not `bits`: on the elementary abelian groups
+        # this flood is nearly all of the check
+        parts, left, unused = [], pts, qual
+        while left:
+            part = low = left & -left
+            lines = on.get(low, 0) & unused
+            if not lines:  # the point is on no qualifying forced line
+                return False
+            while lines:  # the unused lines through the newest points
+                unused &= ~lines
+                new = 0
+                while lines:
+                    low = lines & -lines
+                    new |= forced[low.bit_length() - 1]
+                    lines ^= low
+                new &= pts & ~part
+                part |= new
+                if part == pts:
+                    return True
+                while new:
+                    low = new & -new
+                    lines |= on[low]
+                    new ^= low
+                lines &= unused
+            parts.append(part)
+            left &= ~part
+        if not qual & choosy:
             return False
-        if len(parts) == 1 or not qual & choosy:
-            return len(parts) == 1
         slots = [[w for w in self.witnesses[i] if w & pts] for i in bits(qual & choosy)]
         # per line, its slots inside J(u, v), each with its lowest point
         inner = [[(w & -w, w) for w in ws if not w & ~pts] for ws in slots]
@@ -484,22 +517,34 @@ class TriangleConfig(NamedTuple):
     p3: int
 
 
-def _pairwise_meets(masks):
-    """For the lines given as int `masks`: meets[i][j], j > i, the bit of
-    the single point where lines i and j meet; once[i], the lines meeting
-    line i once; through[p], the lines through point p."""
-    meets = [{} for _ in masks]
-    once = [0] * len(masks)
+def _incidences(masks):
+    """For the lines given as int `masks`: through[p], the lines through
+    point p; and once[i], the lines meeting line i in exactly one point.
+    A line j meets line i where through[p] holds j, for p on i; once it
+    does so twice it is dropped, as are i and the lines that meet i
+    nowhere."""
     through = {}
     for i, a in enumerate(masks):
         for p in bits(a):
             through[p] = through.get(p, 0) | 1 << i
-        for j in range(i + 1, len(masks)):
-            c = a & masks[j]
-            if c and not c & (c - 1):
-                meets[i][j] = c.bit_length() - 1
-                once[i] |= 1 << j
-                once[j] |= 1 << i
+    once = []
+    for i, a in enumerate(masks):
+        one = two = 0
+        for p in bits(a):
+            t = through[p]
+            two |= one & t
+            one |= t
+        once.append(one & ~two & ~(1 << i))
+    return through, once
+
+
+def _pairwise_meets(masks):
+    """(meets, once, through): meets[i][j], j > i, the bit of the single
+    point where lines i and j meet, for j ascending, and `once` and
+    `through` as `_incidences` gives them."""
+    through, once = _incidences(masks)
+    meets = [{j: (a & masks[j]).bit_length() - 1 for j in bits(once[i] & -(2 << i))}
+             for i, a in enumerate(masks)]
     return meets, once, through
 
 
@@ -527,13 +572,17 @@ def _triangles(masks):
 def _triangle_count(masks):
     """How many triangles `_triangles` yields: lines i < j meeting once,
     in c, and k > j meeting both once but not in c.  Its two meets then
-    differ, as a common one would lie on i and j and so be c."""
-    meets, once, through = _pairwise_meets(masks)
-    return sum(
-        (once[i] & once[j] & ~through[c] & -(2 << j)).bit_count()
-        for i, mi in enumerate(meets)
-        for j, c in mi.items()
-    )
+    differ, as a common one would lie on i and j and so be c.  Each such
+    pair i, j is found at its one common point c, among the lines through
+    c, so no pair of lines that do not meet is looked at."""
+    through, once = _incidences(masks)
+    count = 0
+    for t in through.values():
+        for i in bits(t):
+            oi = once[i]
+            for j in bits(oi & t & -(2 << i)):
+                count += (oi & once[j] & ~t & -(2 << j)).bit_count()
+    return count
 
 
 def triangle_configurations(masks):

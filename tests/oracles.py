@@ -9,7 +9,8 @@ Three kinds of code live here:
   classes, group addition (`group_add`, for `_Numbered.translate`),
   brute-force subgroups and closed forms, the modular law, the per-base
   choices of lines, Horn closures, the join-witness scan, and
-  `connected_at` with its merge scanning every part).  A reference never calls
+  `connected_at` with `merge_masks` for its forced parts and a merge
+  scanning every part).  A reference never calls
   the function it is the reference for.  It may call package code that
   it does not check: the checked constructors (`validate_pls`,
   `make_row`), the queries of a `Lattice`, and, in the enumerator
@@ -1081,12 +1082,16 @@ def per_base_reference(L, limit=None):
 
 
 def connected_by_scan(ctx, k):
-    """`AnalysisContext.connected_at(k)` with the merge loop that tests
-    every slot of every choosy line against every part, `any(not w & ~P
-    ...)`, instead of against the part of the slot's lowest point.  The
-    rest follows `connected_at`: the forced parts, the merge until nothing
-    merges, and the search over unions of at most `SEARCH_PARTS` parts,
-    which it reads from `modlat.analysis` at each call."""
+    """`AnalysisContext.connected_at(k)` by the older route, the reference
+    for both of its steps.  The forced parts are the `merge_masks` of the
+    qualifying forced lines, each cut to J(u, v), and a point outside
+    their union answers False; `connected_at` floods each part out from
+    its lowest point instead.  The merge loop tests every slot of every
+    choosy line against every part, `any(not w & ~P ...)`, instead of
+    against the part of the slot's lowest point.  The rest follows
+    `connected_at`: the merge until nothing merges, and the search over
+    unions of at most `SEARCH_PARTS` parts, which it reads from
+    `modlat.analysis` at each call."""
     from modlat import analysis
     from modlat.pls import merge_masks
 

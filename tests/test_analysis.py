@@ -613,16 +613,44 @@ def test_connected_at_matches_the_scan_on_the_doctored_tables(monkeypatch):
     assert set(answers) == {False, True, None}
 
 
-@pytest.mark.parametrize("group", ["2,2,4,4", "4,4,8", "2,2,2,8", "16,16", "4,8"])
+@pytest.mark.parametrize(
+    "group", ["2,2,4,4", "4,4,8", "2,2,2,8", "16,16", "4,8", "2,2,2,2", "3,3,3", "3,3,3,3"])
 def test_connected_at_matches_the_scan_on_every_covering(group, monkeypatch):
-    # cyclic-factor groups, where choosy lines leave parts to merge; with
-    # the search bounded at one part, the merge alone decides
+    # cyclic-factor groups, where choosy lines leave parts to merge, and
+    # elementary abelian ones, where the flood's first part is all of
+    # J(u, v) at every covering; with the search bounded at one part, the
+    # merge alone decides
     ctx = AnalysisContext(subgroup_lattice(parse_group(group)))
     ks = range(len(ctx.coverings))
     for bound in (modlat.analysis.SEARCH_PARTS, 1):
         monkeypatch.setattr(modlat.analysis, "SEARCH_PARTS", bound)
         want = [oracles.connected_by_scan(ctx, k) for k in ks]
         assert [ctx.connected_at(k) for k in ks] == want
+
+
+def test_connected_at_on_a_one_point_part_and_an_unforced_point():
+    # J(u, v) = {0, 1, 2}; point 7 lies outside it
+    p0, p1, p2, p7 = (1 << p for p in (0, 1, 2, 7))
+    # interval 0 forces {1, 2}; interval 1 forces 0 and 7, a line that
+    # trims to the one-point part {0}, and has a slot {1, 2} with a
+    # choice, which lies inside the part {1, 2}: that line touches both
+    # parts in every base, so they merge
+    table = [(p1, p2), (p0, p1 | p2, p7)]
+    ctx = _doctored_covering(p0 | p1 | p2, table)
+    assert ctx.connected_at(0) is oracles.connected_by_scan(ctx, 0) is True
+    assert _every_base_connected(ctx, 0) is True
+    # without the choosy slot nothing merges the two parts
+    ctx = _doctored_covering(p0 | p1 | p2, [(p1, p2), (p0, p7)])
+    assert ctx.connected_at(0) is oracles.connected_by_scan(ctx, 0) is False
+    assert _every_base_connected(ctx, 0) is False
+    # point 0 lies only on interval 1's line, which may take 1 instead,
+    # and on interval 2's forced line, which does not qualify: some base
+    # leaves 0 alone; once interval 2 qualifies, its line joins 0 to 2
+    table = [(p1, p2), (p0 | p1,), (p0, p2)]
+    for qual, want in ((0b011, False), (0b111, True)):
+        ctx = _doctored_covering(p0 | p1 | p2, table, qual)
+        assert ctx.connected_at(0) is oracles.connected_by_scan(ctx, 0) is want
+        assert _every_base_connected(ctx, 0) is want
 
 
 def test_a_covering_past_the_search_bound_fails_the_localizations_check():
@@ -867,6 +895,15 @@ def test_triangle_count_matches_the_listing():
     counts = [_triangle_count(masks) for masks in bases]
     assert counts == [sum(1 for _ in _triangles(masks)) for masks in bases]
     assert max(counts[: -len(randoms)]) > 0 and max(counts[-len(randoms) :]) > 0
+    # and lines that no point-line structure has: lines 0 and 3 share the
+    # points 0 and 1, so they do not meet once, and lines 0, 1, 3 and 5
+    # pass through point 0.  The triangles are the lines {0, 1, 2} and
+    # {1, 2, 3}, each with corners 0, 1 and 2, and {0, 1, 4}, with corners
+    # 0, 5 and 6; {0, 2, 3} has no single meet of 0 and 3, and line 5
+    # meets lines 0 and 1 only at their corner 0
+    odd = tuple(sum(1 << p for p in line)
+                for line in ((0, 1, 5), (0, 2, 6), (1, 2), (0, 1, 3), (5, 6), (0, 4)))
+    assert _triangle_count(odd) == sum(1 for _ in _triangles(odd)) == 3
 
 
 # -- triangle configurations -------------------------------------------------
